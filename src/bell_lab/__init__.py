@@ -1,6 +1,8 @@
 """Numerical checks of Bell/CHSH and Mermin operator algebra, two-photon
 coincidence calculations, and de Broglie-Bohm guidance dynamics."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .errors import NodeSingularityError, NumericalCheckError, UndefinedCorrelationError
@@ -93,4 +95,8 @@ from .dbb import (
     velocity_2p,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above; the submodules bound as a side effect stay out
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

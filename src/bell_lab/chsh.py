@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    KINDS,
     MeasurementOp,
+    _party_ops,
     _require_finite,
-    expectation,
     commutator,
+    expectation,
     ket,
     pauli,
     photon_op,
@@ -27,24 +29,30 @@ from .operators import (
     tensor,
 )
 
-KINDS = ("spin_half", "photon")
-
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class ChshSettings:
-    """Four analyzer angles (radians) plus the measurement convention."""
+    """Four analyzer angles (radians) plus the measurement convention.
 
-    alpha: float
-    alpha_prime: float
-    beta: float
-    beta_prime: float
+    The four angle fields may be numpy arrays of one common shape; the
+    settings are then a batch, and bell_operator, identity_residual and
+    chsh_value broadcast over it, returning one result per element.
+    Finiteness, shape and kind are checked once for the whole batch.
+    """
+
+    alpha: float | np.ndarray
+    alpha_prime: float | np.ndarray
+    beta: float | np.ndarray
+    beta_prime: float | np.ndarray
     kind: str = "spin_half"
 
     def __post_init__(self):
-        for name in ("alpha", "alpha_prime", "beta", "beta_prime"):
-            _require_finite(name, getattr(self, name))
+        shapes = {np.shape(angle) for angle in self.angles}
+        if len(shapes) > 1:
+            raise ValueError(f"angle fields must share one shape, got {sorted(shapes)}")
+        _require_finite("settings angles", np.asarray(self.angles, dtype=float))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
@@ -55,9 +63,12 @@ class ChshSettings:
 
 @dataclass(frozen=True)
 class BellValue:
-    """A Bell parameter S together with the settings that produced it."""
+    """A Bell parameter S together with the settings that produced it.
 
-    s: float
+    ``s`` is a float, or an array shaped like a batch of settings.
+    """
+
+    s: float | np.ndarray
     settings: ChshSettings
 
 
@@ -95,43 +106,45 @@ def _check_state(psi) -> np.ndarray:
     return psi
 
 
-def correlation(psi, a: float, b: float, kind: str = "spin_half") -> float:
-    """E(a, b) = <psi| Op(a) (x) Op(b) |psi> for the given convention."""
+def _terms(ops) -> np.ndarray:
+    """A(x)B, A'(x)B, A(x)B', A'(x)B' from ops = (A, A', B, B') stacked on axis 0."""
+    return tensor(ops[[0, 1, 0, 1]], ops[[2, 2, 3, 3]])
+
+
+def _combine(terms):
+    # the CHSH signs: minus on the doubly-primed term
+    return terms[0] + terms[1] + terms[2] - terms[3]
+
+
+def _unbox(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def correlation(psi, a, b, kind: str = "spin_half") -> float | np.ndarray:
+    """E(a, b) = <psi| Op(a) (x) Op(b) |psi>; a and b broadcast."""
     psi = _check_state(psi)
-    val = expectation(psi, tensor(party_op(a, kind), party_op(b, kind)))
-    return val.real
+    return expectation(psi, tensor(_party_ops(a, kind), _party_ops(b, kind))).real
 
 
 def bell_operator(settings: ChshSettings) -> np.ndarray:
-    """A(x)B + A'(x)B + A(x)B' - A'(x)B' as a 4x4 Hermitian matrix."""
-    a = party_op(settings.alpha, settings.kind)
-    ap = party_op(settings.alpha_prime, settings.kind)
-    b = party_op(settings.beta, settings.kind)
-    bp = party_op(settings.beta_prime, settings.kind)
-    return tensor(a, b) + tensor(ap, b) + tensor(a, bp) - tensor(ap, bp)
+    """A(x)B + A'(x)B + A(x)B' - A'(x)B' as a 4x4 Hermitian matrix, or a stack."""
+    return _combine(_terms(_party_ops(settings.angles, settings.kind)))
 
 
-def identity_residual(settings: ChshSettings) -> float:
+def identity_residual(settings: ChshSettings) -> float | np.ndarray:
     """Max-norm of S^2 - (4I - [A,A'] (x) [B,B']); exactly zero in theory."""
-    a = party_op(settings.alpha, settings.kind).matrix
-    ap = party_op(settings.alpha_prime, settings.kind).matrix
-    b = party_op(settings.beta, settings.kind).matrix
-    bp = party_op(settings.beta_prime, settings.kind).matrix
-    s = bell_operator(settings)
+    ops = _party_ops(settings.angles, settings.kind)
+    a, ap, b, bp = ops
+    s = _combine(_terms(ops))
     rhs = 4.0 * np.eye(4) - tensor(commutator(a, ap), commutator(b, bp))
-    return float(np.max(np.abs(s @ s - rhs)))
+    return _unbox(np.max(np.abs(s @ s - rhs), axis=(-2, -1)))
 
 
 def chsh_value(psi, settings: ChshSettings) -> BellValue:
     """S as the sum of four correlations; equals <psi|bell_operator|psi>."""
-    k = settings.kind
-    s = (
-        correlation(psi, settings.alpha, settings.beta, k)
-        + correlation(psi, settings.alpha_prime, settings.beta, k)
-        + correlation(psi, settings.alpha, settings.beta_prime, k)
-        - correlation(psi, settings.alpha_prime, settings.beta_prime, k)
-    )
-    return BellValue(s=s, settings=settings)
+    psi = _check_state(psi)
+    correlations = expectation(psi, _terms(_party_ops(settings.angles, settings.kind))).real
+    return BellValue(s=_unbox(_combine(correlations)), settings=settings)
 
 
 # axis pairs whose span contains every measurement direction of each kind;

@@ -39,6 +39,7 @@ EXIT_NUMERICAL = 3
 EXIT_NODE = 4
 
 IDENTITY_TOLERANCE = 1e-12
+IDENTITY_CHUNK = 4096
 
 _KIND = {"spin": "spin_half", "photon": "photon"}
 
@@ -176,8 +177,10 @@ def identity(kind, trials, seed, out):
     rng = make_rng(seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(trials, 4))
     worst = 0.0
-    for row in angles:
-        worst = max(worst, identity_residual(ChshSettings(*row, kind=_KIND[kind])))
+    # one batch per chunk of trials keeps memory bounded for any --trials
+    for start in range(0, trials, IDENTITY_CHUNK):
+        batch = ChshSettings(*angles[start:start + IDENTITY_CHUNK].T, kind=_KIND[kind])
+        worst = max(worst, float(identity_residual(batch).max()))
     if worst >= IDENTITY_TOLERANCE:
         raise NumericalCheckError(
             f"identity residual {worst:.3e} exceeds {IDENTITY_TOLERANCE:.1e}"

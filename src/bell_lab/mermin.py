@@ -17,6 +17,7 @@ holds with each commutator acting on its own tensor slot.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -29,6 +30,7 @@ from .operators import (
     dagger,
     expectation,
     ket,
+    tensor,
 )
 
 
@@ -80,17 +82,10 @@ def transverse_spin_op(a: float) -> MeasurementOp:
     return MeasurementOp(m, label=f"At({a:g})")
 
 
-def _chain_kron(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
 def _slot_product(n, placed):
     """Tensor product with placed[j] on slot j (0-based) and identity elsewhere."""
     eye = np.eye(2, dtype=complex)
-    return _chain_kron([placed.get(j, eye) for j in range(n)])
+    return reduce(tensor, [placed.get(j, eye) for j in range(n)])
 
 
 def mermin_operator(settings: MerminSettings) -> np.ndarray:
@@ -98,7 +93,7 @@ def mermin_operator(settings: MerminSettings) -> np.ndarray:
     plus_factors = []
     for a, ap in settings.pairs:
         plus_factors.append(transverse_spin_op(a).matrix + 1.0j * transverse_spin_op(ap).matrix)
-    m_plus = _chain_kron(plus_factors)
+    m_plus = reduce(tensor, plus_factors)
     return (m_plus - dagger(m_plus)) / 2.0j
 
 

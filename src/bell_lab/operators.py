@@ -7,7 +7,8 @@ Conventions used throughout the package:
   radians,
 * the qubit basis is ``|+> = (1, 0)``, ``|-> = (0, 1)``,
 * ``tensor`` is the Kronecker product, so a composite basis index is
-  ``i_a * dim_b + i_b`` (left factor = first particle),
+  ``i_a * dim_b + i_b`` (left factor = first particle); it broadcasts over
+  leading axes, so stacks of operators multiply pairwise,
 * spin measurement axes live in the z-y plane:
   ``spin_op(a) = cos(a)*sigma_z + sin(a)*sigma_y``,
 * photon analyzer operators are ``photon_op(t) = 2*P(t) - 1`` with the
@@ -21,18 +22,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalCheckError
+
 # construction-time invariant checks; derived-quantity tests use 1e-10
 ATOL = 1e-12
+
+# measurement conventions: spin_op axes or photon_op analyzers
+KINDS = ("spin_half", "photon")
 
 _SIGMA = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+_EYE2 = np.eye(2)
 
 
 def _require_finite(name, value):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -124,15 +131,46 @@ def photon_op(theta: float) -> MeasurementOp:
     return MeasurementOp(m, label=f"Aph({theta:g})")
 
 
+def _party_ops(angles, kind: str) -> np.ndarray:
+    """(..., 2, 2) stack of spin_op or photon_op matrices, one per angle.
+
+    Uses the same elementwise formulas as spin_op and photon_op, so every
+    matrix is bitwise equal to theirs, and applies MeasurementOp's
+    Hermitian and involutory checks once to the whole stack.
+    """
+    angles = np.asarray(angles, dtype=float)
+    _require_finite("angles", angles)
+    c, s = np.cos(angles), np.sin(angles)
+    if kind == "spin_half":
+        m = c[..., None, None] * _SIGMA["z"] + s[..., None, None] * _SIGMA["y"]
+    elif kind == "photon":
+        e = np.stack([c, s], axis=-1).astype(complex)
+        m = 2.0 * (e[..., :, None] * e[..., None, :]) - _EYE2
+    else:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if np.abs(m - np.swapaxes(m.conj(), -1, -2)).max() >= ATOL:
+        raise ValueError(f"not Hermitian to {ATOL}: {kind} operators")
+    if np.abs(m @ m - _EYE2).max() >= ATOL:
+        raise ValueError(f"not involutory to {ATOL}: {kind} operators")
+    return m
+
+
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product; composite index convention i_a*dim_b + i_b."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    """Kronecker product; composite index convention i_a*dim_b + i_b.
+
+    Broadcasts over leading axes: stacks of shape (..., m, n) and
+    (..., p, q) give (..., m*p, n*q).  On 2-D inputs it is bitwise equal
+    to np.kron, which multiplies the same pairs with the same ufunc.
+    """
+    a, b = _as_matrix(a), _as_matrix(b)
+    out = np.multiply(a[..., :, None, :, None], b[..., None, :, None, :])
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def commutator(a, b) -> np.ndarray:
-    """ab - ba for equal-dimension square matrices."""
+    """ab - ba for equal-dimension square matrices, or stacks of them."""
     a, b = _as_matrix(a), _as_matrix(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"commutator needs square matrices, got shape {a.shape}")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch in commutator: {a.shape} vs {b.shape}")
@@ -144,13 +182,18 @@ def dagger(a) -> np.ndarray:
     return _as_matrix(a).conj().T
 
 
-def expectation(psi, m) -> complex:
-    """<psi|M|psi>; real to 1e-12 when M is Hermitian."""
+def expectation(psi, m) -> complex | np.ndarray:
+    """<psi|M|psi>; real to 1e-12 when M is Hermitian.
+
+    For a stack of operators (..., d, d) it returns an array with one
+    value per operator, each bitwise equal to np.vdot(psi, M @ psi).
+    """
     psi = np.asarray(psi, dtype=complex).ravel()
     m = _as_matrix(m)
-    if m.shape != (psi.size, psi.size):
+    if m.ndim < 2 or m.shape[-2:] != (psi.size, psi.size):
         raise ValueError(f"dimension mismatch: ket dim {psi.size}, operator shape {m.shape}")
-    return complex(np.vdot(psi, m @ psi))
+    val = np.vecdot(psi, m @ psi)
+    return complex(val) if m.ndim == 2 else val
 
 
 def jacobi_eigenvalues(m, sweep_tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
@@ -158,16 +201,23 @@ def jacobi_eigenvalues(m, sweep_tol: float = 1e-12, max_sweeps: int = 100) -> np
 
     Deterministic, dependency-free, accurate to ~1e-12 relative for the
     dimensions used here (<= 64).  Returns eigenvalues sorted ascending.
+    Raises NumericalCheckError if the largest off-diagonal entry is still
+    above sweep_tol * scale after max_sweeps sweeps.
     """
     h = np.array(_as_matrix(m), dtype=complex)
     n = h.shape[0]
     if n == 1:
         return np.array([h[0, 0].real])
     scale = max(1.0, float(np.abs(h).max()))
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         off = np.abs(h - np.diag(np.diag(h))).max()
         if off <= sweep_tol * scale:
             break
+        if sweep == max_sweeps:
+            raise NumericalCheckError(
+                f"Jacobi eigensolver not converged after {max_sweeps} sweeps: "
+                f"off-diagonal {off:.3e} > {sweep_tol * scale:.3e}"
+            )
         for p in range(n - 1):
             for q in range(p + 1, n):
                 hpq = h[p, q]

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from bell_lab.chsh import (
+    KINDS,
     TSIRELSON,
     ChshSettings,
+    _correlation_matrix,
     bell_operator,
     chsh_value,
     correlation,
@@ -13,7 +16,7 @@ from bell_lab.chsh import (
     singlet,
     tsirelson_scan,
 )
-from bell_lab.operators import expectation, hermitian_extremal_eigenvalue, ket
+from bell_lab.operators import commutator, expectation, hermitian_extremal_eigenvalue, ket
 
 DEG = np.pi / 180.0
 
@@ -25,6 +28,48 @@ CORRECTED_PHOTON = ChshSettings(
 LITERAL_PHOTON = ChshSettings(
     0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8, kind="photon"
 )
+
+
+# Per-call reference route, as the library computed one settings tuple
+# before batching: validated MeasurementOps, one np.kron per term and one
+# np.vdot per correlation.  The batched functions must match it bit for bit.
+
+
+def ref_correlation(psi, a, b, kind):
+    m = np.kron(party_op(a, kind).matrix, party_op(b, kind).matrix)
+    return complex(np.vdot(psi, m @ psi)).real
+
+
+def reference(psi, settings):
+    """(identity residual, Bell operator, S) for one settings tuple."""
+    a, ap, b, bp = (party_op(x, settings.kind).matrix for x in settings.angles)
+    terms = [np.kron(a, b), np.kron(ap, b), np.kron(a, bp), np.kron(ap, bp)]
+    bell = terms[0] + terms[1] + terms[2] - terms[3]
+    rhs = 4.0 * np.eye(4) - np.kron(commutator(a, ap), commutator(b, bp))
+    residual = float(np.max(np.abs(bell @ bell - rhs)))
+    e = [complex(np.vdot(psi, t @ psi)).real for t in terms]
+    return residual, bell, e[0] + e[1] + e[2] - e[3]
+
+
+def random_ket(rng):
+    return ket(rng.normal(size=4) + 1j * rng.normal(size=4))
+
+
+def grid_max_abs_s(e):
+    """max |S| over a grid from E[i, j] = E(alpha_i, beta_j).
+
+    The separable maximization of tsirelson_scan: for fixed (alpha,
+    alpha'), S = f(beta) + g(beta') with f = E(alpha, .) + E(alpha', .)
+    and g = E(alpha, .) - E(alpha', .).  Swapping alpha and alpha' flips
+    the sign of g, so over both orders max |S| = max|f| + max|g|, and
+    only the pairs with alpha' >= alpha need visiting.
+    """
+    best = 0.0
+    for i, row in enumerate(e):
+        rest = e[i:]
+        pair = np.abs(row + rest).max(axis=1) + np.abs(row - rest).max(axis=1)
+        best = max(best, float(pair.max()))
+    return best
 
 
 def brute_scan(kind, step):
@@ -228,6 +273,10 @@ class TestSettingsAndParties:
     def test_settings_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             ChshSettings(np.inf, 0.0, 0.0, 0.0)
+        batch = np.zeros(4)
+        batch[2] = np.nan
+        with pytest.raises(ValueError):
+            ChshSettings(np.zeros(4), np.zeros(4), batch, np.zeros(4))
 
     def test_settings_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -236,3 +285,89 @@ class TestSettingsAndParties:
     def test_states_are_normalized(self):
         assert abs(np.linalg.norm(singlet()) - 1.0) < 1e-15
         assert abs(np.linalg.norm(photon_pair_state()) - 1.0) < 1e-15
+
+
+class TestBatchedSettings:
+    """The batched settings path against the per-call references, bit for bit."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_thousand_random_settings_match_reference(self, kind):
+        rng = np.random.default_rng(67 if kind == "spin_half" else 71)
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=(2000, 4))
+        psi = random_ket(rng)
+        batch = ChshSettings(*angles.T, kind=kind)
+        residuals = identity_residual(batch)
+        operators = bell_operator(batch)
+        values = chsh_value(psi, batch).s
+        assert residuals.shape == values.shape == (2000,)
+        assert operators.shape == (2000, 4, 4)
+        for i, row in enumerate(angles):
+            residual, bell, s = reference(psi, ChshSettings(*row, kind=kind))
+            assert residuals[i] == residual and values[i] == s
+            assert np.array_equal(operators[i], bell)
+        assert residuals.max() < 1e-12
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        shape=st.one_of(st.just(()), st.just((1,)), st.integers(2, 8).map(lambda n: (n,))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shapes_match_reference(self, kind, shape, seed):
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=(4,) + shape)
+        psi = random_ket(rng)
+        fields = [float(x) for x in angles] if shape == () else list(angles)
+        settings = ChshSettings(*fields, kind=kind)
+        residual = identity_residual(settings)
+        operator = bell_operator(settings)
+        value = chsh_value(psi, settings).s
+        if shape == ():
+            assert type(residual) is float and type(value) is float
+        assert np.shape(residual) == np.shape(value) == shape
+        assert operator.shape == shape + (4, 4)
+        for i in np.ndindex(shape):
+            one = ChshSettings(*(float(x) for x in angles[(slice(None),) + i]), kind=kind)
+            want_residual, want_bell, want_s = reference(psi, one)
+            assert np.asarray(residual)[i] == want_residual
+            assert np.asarray(value)[i] == want_s
+            assert np.array_equal(operator[i], want_bell)
+
+    def test_correlation_broadcasts_over_a_grid(self):
+        rng = np.random.default_rng(73)
+        psi = random_ket(rng)
+        a = rng.uniform(0.0, 2.0 * np.pi, size=7)
+        b = rng.uniform(0.0, 2.0 * np.pi, size=5)
+        for kind in KINDS:
+            e = correlation(psi, a[:, None], b[None, :], kind)
+            assert e.shape == (7, 5)
+            for i in range(7):
+                for j in range(5):
+                    assert e[i, j] == ref_correlation(psi, a[i], b[j], kind)
+
+    def test_fields_must_share_one_shape(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            ChshSettings(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
+
+
+class TestPlanarClosedForm:
+    """Third route to the quantum bound: for settings in one plane,
+    max |S| = 2 ||C||_F with C the 2x2 planar correlation block
+    (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995))."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_degree_grid_max_matches_frobenius_bound(self, kind):
+        rng = np.random.default_rng(79 if kind == "spin_half" else 83)
+        for _ in range(10):
+            psi = random_ket(rng)
+            c, freq = _correlation_matrix(psi, kind)
+            bound = 2.0 * np.linalg.norm(c)
+            # beta covers every distinct setting (a period of 2*pi/freq); alpha
+            # and alpha' need half of it: Op(t + pi/freq) = -Op(t) swaps f
+            # and g up to sign, leaving max|f| + max|g| unchanged
+            beta = np.arange(0.0, 2.0 * np.pi / freq, DEG)
+            alpha = beta[beta < np.pi / freq]
+            e = correlation(psi, alpha[:, None], beta[None, :], kind)
+            scanned = grid_max_abs_s(e)
+            assert scanned <= bound + 1e-12
+            assert abs(scanned - bound) <= 1e-3 * bound

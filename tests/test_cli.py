@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bell_lab.chsh import TSIRELSON, ChshSettings, chsh_value, singlet
-from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, _fmt, _guarded, main
+from bell_lab.chsh import TSIRELSON, ChshSettings, chsh_value, identity_residual, singlet
+from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CHUNK, _fmt, _guarded, main
 from bell_lab.dbb import PhysicalConstants, TwoParticleWF, WavePacket, integrate_trajectory
 from bell_lab.errors import NodeSingularityError, NumericalCheckError
 from bell_lab.fock import BeamSplitterSpec, coincidence_closed_form
-from bell_lab.lhv import sign_model, simulate_chsh_stats
+from bell_lab.lhv import make_rng, sign_model, simulate_chsh_stats
 
 META_PREFIX = "# tool=bell-lab version=0.1.0 command="
 
@@ -152,6 +152,14 @@ class TestIdentityCommand:
         text = run_ok(["identity", "--kind", "photon", "--trials", "100", "--seed", "3"])
         _, _, rows = parse_csv(text)
         assert float(rows[0][1]) < 1e-12
+
+    def test_chunked_trials_match_one_batch(self):
+        trials = 2 * IDENTITY_CHUNK + 3
+        text = run_ok(["identity", "--kind", "photon", "--trials", str(trials), "--seed", "5"])
+        _, _, rows = parse_csv(text)
+        angles = make_rng(5).uniform(0.0, 2.0 * np.pi, size=(trials, 4))
+        worst = identity_residual(ChshSettings(*angles.T, kind="photon")).max()
+        assert rows[0] == [str(trials), _fmt(worst)]
 
     def test_trials_validation(self):
         result = CliRunner().invoke(main, ["identity", "--kind", "spin",

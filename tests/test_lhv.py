@@ -33,6 +33,23 @@ def mermin_brute_force(n):
     return best
 
 
+def mermin_enumerated(n):
+    """Oracle: all 4^n strategies at once, in exact integer arithmetic.
+
+    The running product prod_j (a_j + i a_j') is a Gaussian integer
+    (re, im) updated per particle; bits 2j and 2j+1 of the strategy index
+    encode (a_j, a_j') in {-1, +1}.
+    """
+    idx = np.arange(1 << (2 * n), dtype=np.int64)
+    re = np.ones_like(idx)
+    im = np.zeros_like(idx)
+    for j in range(n):
+        a = 2 * ((idx >> (2 * j)) & 1) - 1
+        ap = 2 * ((idx >> (2 * j + 1)) & 1) - 1
+        re, im = re * a - im * ap, re * ap + im * a
+    return int(im.max())
+
+
 class TestDeterministicBounds:
     def test_chsh_max_is_exactly_two(self):
         assert chsh_deterministic_max() == 2
@@ -52,6 +69,10 @@ class TestDeterministicBounds:
     def test_mermin_matches_brute_force(self):
         for n in (1, 2, 3, 4):
             assert mermin_deterministic_max(n) == mermin_brute_force(n)
+
+    def test_mermin_matches_enumeration(self):
+        for n in range(1, 11):
+            assert mermin_deterministic_max(n) == mermin_enumerated(n)
 
     def test_mermin_growth_pattern(self):
         # 2^(n-1) quantum vs 2^floor(n/2) classical: verify the classical side

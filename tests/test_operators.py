@@ -1,9 +1,16 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from bell_lab.chsh import party_op
+from bell_lab.errors import NumericalCheckError
+from bell_lab.mermin import transverse_spin_op
 from bell_lab.operators import (
+    KINDS,
     MeasurementOp,
+    _party_ops,
     commutator,
     dagger,
     expectation,
@@ -117,6 +124,26 @@ class TestPhotonOps:
         assert np.max(np.abs(r @ photon_op(t).matrix @ r.conj().T - spin_op(2 * t).matrix)) < 1e-12
 
 
+class TestPartyOps:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stack_bitwise_equal_to_single_ops(self, kind):
+        angles = np.random.default_rng(29).uniform(-10.0, 10.0, size=(50, 2))
+        stack = _party_ops(angles, kind)
+        assert stack.shape == (50, 2, 2, 2)
+        for i in np.ndindex(angles.shape):
+            assert np.array_equal(stack[i], party_op(angles[i], kind).matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_angles(self, bad):
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="finite"):
+                _party_ops(np.array([0.1, bad, 0.3]), kind)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            _party_ops(np.zeros(3), "qutrit")
+
+
 class TestMeasurementOpValidation:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -149,6 +176,33 @@ class TestTensor:
         rng = np.random.default_rng(5)
         a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
         assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
+
+    def test_bitwise_equal_to_kron_on_2d(self):
+        rng = np.random.default_rng(7)
+        for shape_a, shape_b in [((2, 2), (2, 2)), ((2, 3), (4, 1)), ((1, 5), (3, 2)), ((4, 4), (2, 2))]:
+            a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+            b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+            assert np.array_equal(tensor(a, b), np.kron(a, b))
+
+    def test_bitwise_equal_to_kron_on_ten_particle_mermin_chain(self):
+        rng = np.random.default_rng(13)
+        factors = [
+            transverse_spin_op(a).matrix + 1.0j * transverse_spin_op(ap).matrix
+            for a, ap in rng.uniform(0.0, 2.0 * np.pi, size=(10, 2))
+        ]
+        chain = reduce(tensor, factors)
+        assert chain.shape == (1024, 1024)
+        assert np.array_equal(chain, reduce(np.kron, factors))
+
+    def test_broadcasts_over_stacks(self):
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(3, 1, 2, 2)) + 1j * rng.normal(size=(3, 1, 2, 2))
+        b = rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3))
+        out = tensor(a, b)
+        assert out.shape == (3, 4, 4, 6)
+        for i in range(3):
+            for j in range(4):
+                assert np.array_equal(out[i, j], np.kron(a[i, 0], b[j]))
 
     def test_singlet_correlation_oracle(self):
         singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -234,6 +288,11 @@ class TestEigensolver:
             got = jacobi_eigenvalues(m)
             want = np.linalg.eigvalsh(m)
             assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.abs(want).max())
+
+    def test_unconverged_raises(self):
+        m = random_hermitian(np.random.default_rng(41), 8)
+        with pytest.raises(NumericalCheckError, match="not converged"):
+            jacobi_eigenvalues(m, max_sweeps=1)
 
     def test_commutator_identity_value_at_90_degree_spin(self):
         # 4I - [A,A'](x)[B,B'] has extremal eigenvalue 8 when both
