@@ -13,6 +13,7 @@ machine-parsable line ``error=<code> detail=<text>`` to stderr.
 """
 
 import functools
+import itertools
 import sys
 
 import click
@@ -259,9 +260,10 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
         if grid < 2:
             raise click.UsageError("--grid must be >= 2")
         thetas = np.linspace(0.0, 180.0, grid)
-        points = [(t1, t2) for t1 in thetas for t2 in thetas]
+        # one array evaluation per theta1 row keeps memory O(grid)
+        theta_rows = [(t1, thetas) for t1 in thetas]
     else:
-        points = [(theta1, theta2)]
+        theta_rows = [(theta1, np.array([theta2]))]
     params = [("tx", tx), ("ty", ty), ("theta1", theta1), ("theta2", theta2)]
     if grid is not None:
         params.append(("grid", grid))
@@ -269,15 +271,15 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     meta = _meta("oumandel", params)
     rows = []
     if correlation:
-        for t1, t2 in points:
+        for t1, t2 in theta_rows:
             e = coincidence_correlation(state, np.deg2rad(t1), np.deg2rad(t2))
-            rows.append((t1, t2, e))
+            rows.extend(zip(itertools.repeat(t1), t2, e))
         _write_csv(out, ["theta1", "theta2", "e_value"], meta, rows)
     else:
-        for t1, t2 in points:
+        for t1, t2 in theta_rows:
             p = coincidence_probability(state, np.deg2rad(t1), np.deg2rad(t2))
             q = coincidence_closed_form(bs, np.deg2rad(t1), np.deg2rad(t2))
-            rows.append((t1, t2, p, q, abs(p - q)))
+            rows.extend(zip(itertools.repeat(t1), t2, p, q, np.abs(p - q)))
         _write_csv(out, ["theta1", "theta2", "p_numeric", "p_closed_form", "abs_diff"], meta, rows)
 
 
@@ -329,11 +331,11 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
     xs2 = xs1 + 0.5 * (hi - lo) / (grid - 1)
     meta = _meta("dbb", base + [("mode", "field"), ("time", time_), ("grid", grid)])
     rows = []
+    # one array evaluation per x1 row keeps memory O(grid)
     for x1 in xs1:
-        for x2 in xs2:
-            v1, v2 = velocity_2p(wf, c, x1, x2, time_)
-            cc = cross_coupling(wf, c, x1, x2, time_)
-            rows.append((x1, x2, v1, v2, cc))
+        v1, v2 = velocity_2p(wf, c, x1, xs2, time_)
+        cc = cross_coupling(wf, c, x1, xs2, time_)
+        rows.extend(zip(itertools.repeat(x1), xs2, v1, v2, cc))
     _write_csv(out, ["x1", "x2", "v1", "v2", "cross_coupling"], meta, rows)
 
 

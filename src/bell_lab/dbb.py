@@ -15,7 +15,9 @@ cross_coupling quantifies as |dv1/dx2|.  Densities below 1e-300 are
 treated as nodes and refused rather than extrapolated.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,31 +82,41 @@ def _check_time(wp: WavePacket, t: float):
         raise ValueError(f"t = {t!r} is before the packet's start_time {wp.start_time!r}")
 
 
-def _log_psi(wp: WavePacket, c: PhysicalConstants, x, t: float):
+def _terms(wp: WavePacket, c: PhysicalConstants, t: float):
+    """(const, xc, quad, slope, ik, x0, phase): the x-independent parts of
+
+        log psi(x)   = const - (x - xc)^2 / quad + ik (x - x0) - phase,
+        d log psi/dx = -(x - xc) / slope + ik.
+    """
     tau = c.hbar * (t - wp.start_time) / (2.0 * c.mass * wp.width**2)
     a = 1.0 + 1.0j * tau
     xc = wp.center + c.hbar * wp.wavenumber * (t - wp.start_time) / c.mass
     return (
-        -0.25 * np.log(2.0 * np.pi * wp.width**2)
-        - 0.5 * np.log(a)
-        - (x - xc) ** 2 / (4.0 * wp.width**2 * a)
-        + 1.0j * wp.wavenumber * (x - wp.center)
-        - 0.5j * c.hbar * wp.wavenumber**2 * (t - wp.start_time) / c.mass
+        -0.25 * np.log(2.0 * np.pi * wp.width**2) - 0.5 * np.log(a),
+        xc,
+        4.0 * wp.width**2 * a,
+        2.0 * wp.width**2 * a,
+        1.0j * wp.wavenumber,
+        wp.center,
+        0.5j * c.hbar * wp.wavenumber**2 * (t - wp.start_time) / c.mass,
     )
 
 
-def _dlog_psi(wp: WavePacket, c: PhysicalConstants, x, t: float):
-    tau = c.hbar * (t - wp.start_time) / (2.0 * c.mass * wp.width**2)
-    a = 1.0 + 1.0j * tau
-    xc = wp.center + c.hbar * wp.wavenumber * (t - wp.start_time) / c.mass
-    return -(x - xc) / (2.0 * wp.width**2 * a) + 1.0j * wp.wavenumber
+def _log_psi(terms, x):
+    const, xc, quad, _, ik, x0, phase = terms
+    return const - (x - xc) * (x - xc) / quad + ik * (x - x0) - phase
+
+
+def _dlog_psi(terms, x):
+    _, xc, _, slope, ik, _, _ = terms
+    return -(x - xc) / slope + ik
 
 
 def psi_eval(wp: WavePacket, c: PhysicalConstants, x, t: float):
     """Exact free evolution of the packet; broadcasts over x."""
     _require_finite("t", t)
     _check_time(wp, t)
-    return np.exp(_log_psi(wp, c, x, t))
+    return np.exp(_log_psi(_terms(wp, c, t), x))
 
 
 def velocity_1p(wp: WavePacket, c: PhysicalConstants, x: float, t: float) -> float:
@@ -112,9 +124,10 @@ def velocity_1p(wp: WavePacket, c: PhysicalConstants, x: float, t: float) -> flo
     _require_finite("x", x)
     _require_finite("t", t)
     _check_time(wp, t)
-    if 2.0 * np.real(_log_psi(wp, c, x, t)) < _LOG_DENSITY_FLOOR:
+    terms = _terms(wp, c, t)
+    if 2.0 * np.real(_log_psi(terms, x)) < _LOG_DENSITY_FLOOR:
         raise NodeSingularityError(f"density below 1e-300 at x={x!r}, t={t!r}")
-    return float(c.hbar / c.mass * np.imag(_dlog_psi(wp, c, x, t)))
+    return float(c.hbar / c.mass * np.imag(_dlog_psi(terms, x)))
 
 
 def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, c: PhysicalConstants, t: float = None) -> complex:
@@ -130,19 +143,9 @@ def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, c: PhysicalConstants, t: 
     _check_time(wp_b, t)
     coeffs = []
     for wp in (wp_a, wp_b):
-        tau = c.hbar * (t - wp.start_time) / (2.0 * c.mass * wp.width**2)
-        a = 1.0 + 1.0j * tau
-        xc = wp.center + c.hbar * wp.wavenumber * (t - wp.start_time) / c.mass
-        qa = -1.0 / (4.0 * wp.width**2 * a)
-        qb = xc / (2.0 * wp.width**2 * a) + 1.0j * wp.wavenumber
-        qc = (
-            -0.25 * np.log(2.0 * np.pi * wp.width**2)
-            - 0.5 * np.log(a)
-            - xc**2 / (4.0 * wp.width**2 * a)
-            - 1.0j * wp.wavenumber * wp.center
-            - 0.5j * c.hbar * wp.wavenumber**2 * (t - wp.start_time) / c.mass
-        )
-        coeffs.append((qa, qb, qc))
+        # log psi = qa x^2 + qb x + qc
+        const, xc, quad, slope, ik, x0, phase = _terms(wp, c, t)
+        coeffs.append((-1.0 / quad, xc / slope + ik, const - xc**2 / quad - ik * x0 - phase))
     (a1, b1, c1), (a2, b2, c2) = coeffs
     p = np.conj(a1) + a2  # Re(p) < 0 always
     q = np.conj(b1) + b2
@@ -150,8 +153,14 @@ def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, c: PhysicalConstants, t: 
     return complex(np.exp(r - q * q / (4.0 * p)) * np.sqrt(np.pi / -p))
 
 
+@lru_cache(maxsize=64)
 def _norm_factor(wf: TwoParticleWF, c: PhysicalConstants) -> float:
-    """1/sqrt(2 +- 2|<a|b>|^2) for the symmetrized forms, 1 for product."""
+    """1/sqrt(2 +- 2|<a|b>|^2) for the symmetrized forms, 1 for product.
+
+    Cached: one packet_overlap per (wavefunction, constants) while it is
+    among the 64 most recently used, so a scan over many wavefunctions
+    holds bounded memory.
+    """
     if wf.form == "product":
         return 1.0
     o2 = abs(packet_overlap(wf.packet_a, wf.packet_b, c)) ** 2
@@ -165,64 +174,109 @@ def _norm_factor(wf: TwoParticleWF, c: PhysicalConstants) -> float:
 
 def psi2_eval(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
     """Two-particle wavefunction value; broadcasts over (x1, x2)."""
-    la1 = _log_psi(wf.packet_a, c, x1, t)
-    lb2 = _log_psi(wf.packet_b, c, x2, t)
+    ta, tb = _terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)
+    la1 = _log_psi(ta, x1)
+    lb2 = _log_psi(tb, x2)
     if wf.form == "product":
         return np.exp(la1 + lb2)
     sign = 1.0 if wf.form == "symmetric" else -1.0
-    la2 = _log_psi(wf.packet_a, c, x2, t)
-    lb1 = _log_psi(wf.packet_b, c, x1, t)
+    la2 = _log_psi(ta, x2)
+    lb1 = _log_psi(tb, x1)
     l1 = la1 + lb2
     l2 = la2 + lb1
     lm = np.maximum(np.real(l1), np.real(l2))
     return _norm_factor(wf, c) * np.exp(lm) * (np.exp(l1 - lm) + sign * np.exp(l2 - lm))
 
 
-def velocity_2p(wf: TwoParticleWF, c: PhysicalConstants, x1: float, x2: float, t: float):
-    """(v1, v2) from per-coordinate j/rho on the two-particle wavefunction."""
+def _cmul(a, b):
+    """a * b for complex values, each real product rounded on its own.
+
+    numpy may fuse a complex array multiply into FMA instructions on some
+    SIMD targets; writing it out keeps array results bitwise equal to
+    scalar ones on every CPU.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return (ar * br - ai * bi) + 1j * (ar * bi + ai * br)
+
+
+def _refuse_nodes(node, x1, x2, t):
+    """Raise NodeSingularityError naming the first node point in row-major order."""
+    if np.count_nonzero(node):
+        i = np.flatnonzero(node)[0]
+        p1, p2 = (float(np.broadcast_to(x, np.shape(node)).flat[i]) for x in (x1, x2))
+        raise NodeSingularityError(f"density below 1e-300 at ({p1!r}, {p2!r}), t={float(t)!r}")
+
+
+def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: float):
+    """(v1, v2) at points (x1, x2) that broadcast; the caller validates them.
+
+    nf is _norm_factor(wf, c), which callers compute once per wavefunction.
+    For the product form v1 keeps the shape of x1 and v2 that of x2.
+    """
+    hm = c.hbar / c.mass
+    ta, tb = _terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)
+    la1 = _log_psi(ta, x1)
+    lb2 = _log_psi(tb, x2)
+    if wf.form == "product":
+        _refuse_nodes((2.0 * la1.real < _LOG_DENSITY_FLOOR) | (2.0 * lb2.real < _LOG_DENSITY_FLOOR),
+                      x1, x2, t)
+        return hm * _dlog_psi(ta, x1).imag, hm * _dlog_psi(tb, x2).imag
+    sign = 1.0 if wf.form == "symmetric" else -1.0
+    l1 = la1 + lb2
+    l2 = _log_psi(ta, x2) + _log_psi(tb, x1)
+    lm = np.maximum(l1.real, l2.real)
+    w1 = np.exp(l1 - lm)
+    sw2 = sign * np.exp(l2 - lm)
+    den = w1 + sw2
+    with np.errstate(divide="ignore"):  # den == 0 is refused as a node below
+        log_rho = 2.0 * (lm + np.log(np.abs(den))) + 2.0 * np.log(nf)
+    _refuse_nodes((den == 0.0) | (log_rho < _LOG_DENSITY_FLOOR), x1, x2, t)
+    v1 = (_cmul(w1, _dlog_psi(ta, x1)) + _cmul(sw2, _dlog_psi(tb, x1))) / den
+    v2 = (_cmul(w1, _dlog_psi(tb, x2)) + _cmul(sw2, _dlog_psi(ta, x2))) / den
+    return hm * v1.imag, hm * v2.imag
+
+
+def _check_point(wf: TwoParticleWF, x1, x2, t: float):
     for name, v in (("x1", x1), ("x2", x2), ("t", t)):
         _require_finite(name, v)
     _check_time(wf.packet_a, t)
     _check_time(wf.packet_b, t)
-    hm = c.hbar / c.mass
-    if wf.form == "product":
-        return (
-            velocity_1p(wf.packet_a, c, x1, t),
-            velocity_1p(wf.packet_b, c, x2, t),
-        )
-    sign = 1.0 if wf.form == "symmetric" else -1.0
-    nf = _norm_factor(wf, c)
-    l1 = _log_psi(wf.packet_a, c, x1, t) + _log_psi(wf.packet_b, c, x2, t)
-    l2 = _log_psi(wf.packet_a, c, x2, t) + _log_psi(wf.packet_b, c, x1, t)
-    lm = max(l1.real, l2.real)
-    w1 = np.exp(l1 - lm)
-    w2 = np.exp(l2 - lm)
-    den = w1 + sign * w2
-    if den == 0.0 or 2.0 * (lm + np.log(abs(den))) + 2.0 * np.log(nf) < _LOG_DENSITY_FLOOR:
-        raise NodeSingularityError(f"density below 1e-300 at ({x1!r}, {x2!r}), t={t!r}")
-    da1 = _dlog_psi(wf.packet_a, c, x1, t)
-    db1 = _dlog_psi(wf.packet_b, c, x1, t)
-    da2 = _dlog_psi(wf.packet_a, c, x2, t)
-    db2 = _dlog_psi(wf.packet_b, c, x2, t)
-    v1 = hm * np.imag((w1 * da1 + sign * w2 * db1) / den)
-    v2 = hm * np.imag((w1 * db2 + sign * w2 * da2) / den)
-    return (float(v1), float(v2))
 
 
-def cross_coupling(wf: TwoParticleWF, c: PhysicalConstants, x1: float, x2: float, t: float) -> float:
+def _as_result(value, shape):
+    """A float for scalar points, else an array of the points' broadcast shape."""
+    return float(value) if shape == () else np.broadcast_to(value, shape).copy()
+
+
+def velocity_2p(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
+    """(v1, v2) from per-coordinate j/rho on the two-particle wavefunction.
+
+    Broadcasts over (x1, x2): scalar points give two floats, arrays two
+    arrays of the broadcast shape.  A node at any point refuses the call.
+    """
+    _check_point(wf, x1, x2, t)
+    v1, v2 = _velocity(wf, c, x1, x2, t, _norm_factor(wf, c))
+    shape = np.broadcast(x1, x2).shape
+    return _as_result(v1, shape), _as_result(v2, shape)
+
+
+def cross_coupling(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
     """|dv1/dx2| by central differences with one Richardson refinement.
 
     Step h = 1e-5 * the smaller packet width; the Richardson combination
-    (4 D(h/2) - D(h)) / 3 removes the leading O(h^2) error.
+    (4 D(h/2) - D(h)) / 3 removes the leading O(h^2) error.  Broadcasts
+    over (x1, x2) like velocity_2p.
     """
+    _check_point(wf, x1, x2, t)
+    nf = _norm_factor(wf, c)
     h = 1e-5 * min(wf.packet_a.width, wf.packet_b.width)
 
     def d(step):
-        vp = velocity_2p(wf, c, x1, x2 + step, t)[0]
-        vm = velocity_2p(wf, c, x1, x2 - step, t)[0]
+        vp = _velocity(wf, c, x1, x2 + step, t, nf)[0]
+        vm = _velocity(wf, c, x1, x2 - step, t, nf)[0]
         return (vp - vm) / (2.0 * step)
 
-    return float(abs((4.0 * d(h / 2.0) - d(h)) / 3.0))
+    return _as_result(np.abs((4.0 * d(h / 2.0) - d(h)) / 3.0), np.broadcast(x1, x2).shape)
 
 
 @dataclass(frozen=True)
@@ -266,11 +320,19 @@ def integrate_trajectory(wf, c: PhysicalConstants, start, t0: float, t1: float, 
         x = np.array([float(start)], dtype=float)
         scalar = True
     elif isinstance(wf, TwoParticleWF):
-        def vel(x, t):
-            return np.array(velocity_2p(wf, c, float(x[0]), float(x[1]), t))
         x = np.asarray(start, dtype=float).ravel()
         if x.size != 2:
             raise ValueError("two-particle start must be a pair (x1, x2)")
+        _check_point(wf, x[0], x[1], t0)
+        nf = _norm_factor(wf, c)
+
+        # the stages stay on floats: t0 is validated above and times only
+        # grow; a stage position is refused as before if it is not finite
+        def vel(x, t):
+            x1, x2 = float(x[0]), float(x[1])
+            if not (math.isfinite(x1) and math.isfinite(x2)):
+                _check_point(wf, x1, x2, t)
+            return np.array(_velocity(wf, c, x1, x2, t, nf))
         scalar = False
     else:
         raise ValueError(f"wf must be a WavePacket or TwoParticleWF, got {type(wf)!r}")

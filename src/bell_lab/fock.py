@@ -16,6 +16,7 @@ factorizes exactly into one x-photon and one y-photon creation factor
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iproduct
 
 import numpy as np
@@ -177,33 +178,54 @@ def product_state(bs: BeamSplitterSpec, basis: FockBasis = None) -> FockState:
     return FockState(basis=basis, amplitudes=op_x @ (op_y @ vacuum(basis)))
 
 
-def detector_amplitude_op(detector: int, theta: float, basis: FockBasis = None) -> np.ndarray:
-    """cos(theta)*a(det, x) + sin(theta)*a(det, y): the analyzed field at a detector."""
+@lru_cache(maxsize=8)
+def _ladders(basis: FockBasis) -> np.ndarray:
+    """The four annihilation matrices in MODE_ORDER, built once per basis (read-only).
+
+    Bounded to the 8 most recently used bases: a stack has 4 n^2 entries.
+    """
+    stack = np.stack([annihilation(ModeIndex(det, pol), basis) for det, pol in MODE_ORDER])
+    stack.setflags(write=False)
+    return stack
+
+
+def detector_amplitude_op(detector: int, theta, basis: FockBasis = None) -> np.ndarray:
+    """cos(theta)*a(det, x) + sin(theta)*a(det, y): the analyzed field at a detector.
+
+    Broadcasts over theta: the result has shape ``np.shape(theta) + (n, n)``.
+    """
     basis = basis or standard_basis()
+    slot = ModeIndex(detector, "x").slot
     _require_finite("theta", theta)
-    return np.cos(theta) * annihilation(ModeIndex(detector, "x"), basis) + np.sin(
-        theta
-    ) * annihilation(ModeIndex(detector, "y"), basis)
+    a_x, a_y = _ladders(basis)[slot:slot + 2]
+    theta = np.asarray(theta)[..., None, None]
+    return np.cos(theta) * a_x + np.sin(theta) * a_y
 
 
-def coincidence_probability(state: FockState, theta1: float, theta2: float) -> float:
-    """||D2(theta2) D1(theta1) |Psi>||^2 (normal-ordered expectation, K = 1)."""
-    basis = state.basis
-    d1 = detector_amplitude_op(1, theta1, basis)
-    d2 = detector_amplitude_op(2, theta2, basis)
-    out = d2 @ (d1 @ state.amplitudes)
-    return float(np.real(np.vdot(out, out)))
+def _scalar_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def coincidence_closed_form(bs: BeamSplitterSpec, theta1: float, theta2: float) -> float:
-    """(sqrt(Tx*Ty) cos t1 sin t2 + sqrt(Rx*Ry) sin t1 cos t2)^2."""
+def coincidence_probability(state: FockState, theta1, theta2):
+    """||D2(theta2) D1(theta1) |Psi>||^2 (normal-ordered expectation, K = 1).
+
+    Broadcasts over (theta1, theta2); scalar angles give a float.
+    """
+    d1 = detector_amplitude_op(1, theta1, state.basis)
+    d2 = detector_amplitude_op(2, theta2, state.basis)
+    out = (d2 @ (d1 @ state.amplitudes)[..., None])[..., 0]
+    return _scalar_or_array(np.real(np.vecdot(out, out)))
+
+
+def coincidence_closed_form(bs: BeamSplitterSpec, theta1, theta2):
+    """(sqrt(Tx*Ty) cos t1 sin t2 + sqrt(Rx*Ry) sin t1 cos t2)^2, broadcasting."""
     amp = np.sqrt(bs.t_x * bs.t_y) * np.cos(theta1) * np.sin(theta2) + np.sqrt(
         bs.r_x * bs.r_y
     ) * np.sin(theta1) * np.cos(theta2)
-    return float(amp * amp)
+    return _scalar_or_array(amp * amp)
 
 
-def coincidence_correlation(state: FockState, theta1: float, theta2: float) -> float:
+def coincidence_correlation(state: FockState, theta1, theta2):
     """Coincidence-normalized correlation of analyzer outcomes.
 
     Outcome labeling: at detector 1 the transmitted port (theta1) counts
@@ -215,7 +237,8 @@ def coincidence_correlation(state: FockState, theta1: float, theta2: float) -> f
         E = [P(t1, t2+) + P(t1+, t2) - P(t1, t2) - P(t1+, t2+)] / sum
 
     with + denoting the orthogonal port and the sum over all four.  For
-    the equal-split state E = cos 2(theta1 + theta2).
+    the equal-split state E = cos 2(theta1 + theta2).  Broadcasts like
+    coincidence_probability; one undefined point rejects the whole call.
     """
     t1p = theta1 + np.pi / 2.0
     t2p = theta2 + np.pi / 2.0
@@ -224,7 +247,7 @@ def coincidence_correlation(state: FockState, theta1: float, theta2: float) -> f
     p_ps = coincidence_probability(state, t1p, theta2)
     p_pp = coincidence_probability(state, t1p, t2p)
     total = p_ss + p_sp + p_ps + p_pp
-    if total <= 0.0:
+    if np.any(total <= 0.0):
         raise UndefinedCorrelationError(
             "all four coincidence probabilities vanish; correlation undefined"
         )

@@ -292,6 +292,20 @@ class TestDbbCommand:
         assert result.exit_code == EXIT_NODE
         assert result.stderr.startswith("error=4 detail=")
 
+    @pytest.mark.parametrize("args, point", [
+        (["--form", "product", "--center-a=-30", "--width-a=0.5", "--center-b=30",
+          "--width-b=0.5", "--grid", "5"], ("-31", "-23.25")),
+        (["--form", "antisymmetric", "--trajectory", "--start1", "0.2", "--start2", "0.2"],
+         ("0.2", "0.2")),
+    ])
+    def test_node_stderr_is_one_line_naming_one_point(self, args, point):
+        result = CliRunner().invoke(main, ["dbb", *args])
+        assert result.exit_code == EXIT_NODE
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error=4 detail=")
+        assert f"({point[0]}" in lines[0] and f", {point[1]}" in lines[0]
+        assert "array(" not in lines[0] and "np.float64(" not in lines[0]
+
     def test_grid_validation(self):
         result = CliRunner().invoke(main, ["dbb", "--form", "product", "--grid", "1"])
         assert result.exit_code == 2

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.integrate import quad
 
+from bell_lab import dbb
 from bell_lab.dbb import (
+    FORMS,
     PhysicalConstants,
     SpinState,
     TwoParticleWF,
@@ -244,6 +247,156 @@ class TestCrossCoupling:
             assert abs(cross_coupling(wf, C, x1, x2, 0.6)) < 1e-8
 
 
+def analytic_cross_coupling(wf, c, x1, x2, t):
+    """|dv1/dx2| in closed form.
+
+    d log psi is linear in x for a free Gaussian, so with psi = psi1 + s psi2,
+    psi1 = a(x1) b(x2) and psi2 = a(x2) b(x1),
+    dv1/dx2 = (hbar/m) Im(d1 d2 psi / psi - d1 psi d2 psi / psi^2).
+    """
+
+    def log_and_slope(wp, x):
+        tau = c.hbar * (t - wp.start_time) / (2.0 * c.mass * wp.width**2)
+        a = 1.0 + 1.0j * tau
+        xc = wp.center + c.hbar * wp.wavenumber * (t - wp.start_time) / c.mass
+        slope = -(x - xc) / (2.0 * wp.width**2 * a) + 1.0j * wp.wavenumber
+        log = -0.5 * np.log(a) - (x - xc) ** 2 / (4.0 * wp.width**2 * a) + 1.0j * wp.wavenumber * x
+        return log, slope
+
+    (la1, da1), (la2, da2) = (log_and_slope(wf.packet_a, x) for x in (x1, x2))
+    (lb1, db1), (lb2, db2) = (log_and_slope(wf.packet_b, x) for x in (x1, x2))
+    if wf.form == "product":
+        return np.zeros(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+    s = 1.0 if wf.form == "symmetric" else -1.0
+    l1, l2 = la1 + lb2, la2 + lb1
+    lm = np.maximum(l1.real, l2.real)
+    w1, w2 = np.exp(l1 - lm), s * np.exp(l2 - lm)
+    psi = w1 + w2
+    d1 = w1 * da1 + w2 * db1
+    d2 = w1 * db2 + w2 * da2
+    d12 = w1 * da1 * db2 + w2 * db1 * da2
+    return np.abs(c.hbar / c.mass * np.imag(d12 / psi - d1 * d2 / psi**2))
+
+
+class TestArrayRoute:
+    """Array points against one velocity_2p / cross_coupling call per point."""
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(
+        form=st.sampled_from(FORMS),
+        shape=st.one_of(
+            st.just(()),
+            st.integers(1, 6).map(lambda n: (n,)),
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shapes_match_one_point_per_call(self, form, shape, seed):
+        rng = np.random.default_rng(seed)
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
+        t = float(rng.uniform(0.0, 2.0))
+        # scalar points are np.float64 as in the CLI grid: Python floats
+        # take CPython's complex arithmetic, which rounds differently
+        x1 = rng.uniform(-4.0, 4.0, size=shape)[()]
+        x2 = rng.uniform(-4.0, 4.0, size=shape)[()]
+        v1, v2 = velocity_2p(wf, C, x1, x2, t)
+        cc = cross_coupling(wf, C, x1, x2, t)
+        if shape == ():
+            assert type(v1) is float and type(v2) is float and type(cc) is float
+        assert np.shape(v1) == np.shape(v2) == np.shape(cc) == shape
+        for i in np.ndindex(shape):
+            a, b = np.float64(np.asarray(x1)[i]), np.float64(np.asarray(x2)[i])
+            assert (np.asarray(v1)[i], np.asarray(v2)[i]) == velocity_2p(wf, C, a, b, t)
+            assert np.asarray(cc)[i] == cross_coupling(wf, C, a, b, t)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_row_broadcast_matches_points(self, form):
+        # the CLI's layout: one scalar x1 against a row of x2
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
+        xs1 = np.linspace(-3.1, 3.55, 15)
+        xs2 = xs1 + 0.2375
+        for x1 in xs1:
+            v1, v2 = velocity_2p(wf, C, x1, xs2, GOLDEN_TIME)
+            cc = cross_coupling(wf, C, x1, xs2, GOLDEN_TIME)
+            for j, x2 in enumerate(xs2):
+                assert (v1[j], v2[j]) == velocity_2p(wf, C, x1, x2, GOLDEN_TIME)
+                assert cc[j] == cross_coupling(wf, C, x1, x2, GOLDEN_TIME)
+
+    def test_square_rounds_alike_on_scalars_and_arrays(self):
+        # at these x1 the libm pow(d, 2) that a scalar ** 2 calls differs from
+        # the correctly rounded d * d that an array ** 2 computes
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
+        x1 = np.array([-1.8016008307514264, 2.285567725566442, 0.5381448676347205,
+                       2.3182707445626907])
+        x2 = np.float64(0.35)
+        v1, v2 = velocity_2p(wf, C, x1, x2, GOLDEN_TIME)
+        for i, x in enumerate(x1):
+            assert (v1[i], v2[i]) == velocity_2p(wf, C, x, x2, GOLDEN_TIME)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_analytic_cross_coupling(self, form):
+        # 1e-6 is the bound the Richardson error meets next to the antisymmetric node
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
+        xs = np.linspace(-3.0, 3.0, 25)
+        x1, x2 = xs[:, None], xs[None, :] + 0.125
+        for t in (0.0, GOLDEN_TIME, 1.7):
+            got = cross_coupling(wf, C, x1, x2, t)
+            want = analytic_cross_coupling(wf, C, x1, x2, t)
+            assert got.shape == (25, 25)
+            assert np.max(np.abs(got - want)) < 1e-6
+        if form == "antisymmetric":
+            assert abs(float(analytic_cross_coupling(wf, C, *GOLDEN_POINT, GOLDEN_TIME))
+                       - GOLDEN_ANTISYM) < 1e-9
+
+    def test_one_overlap_per_wavefunction(self, monkeypatch):
+        calls = []
+        overlap = dbb.packet_overlap
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return overlap(*args, **kwargs)
+
+        monkeypatch.setattr(dbb, "packet_overlap", counting)
+        dbb._norm_factor.cache_clear()
+        xs = np.linspace(-3.0, 3.0, 7)
+        for form in FORMS:
+            wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
+            for x1 in xs:
+                velocity_2p(wf, C, x1, xs + 0.1, GOLDEN_TIME)
+                cross_coupling(wf, C, x1, xs + 0.1, GOLDEN_TIME)
+            integrate_trajectory(wf, C, (-1.5, 1.5), 0.0, 0.1, 0.01)
+        assert len(calls) == 2  # the two symmetrized forms, once each
+
+    def test_rejects_nan_points(self):
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
+        with pytest.raises(ValueError):
+            velocity_2p(wf, C, np.array([0.1, np.nan]), 0.3, 0.5)
+        with pytest.raises(ValueError):
+            cross_coupling(wf, C, 0.1, np.array([0.3, np.nan]), 0.5)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_node_error_names_first_point(self, form):
+        far = TwoParticleWF(
+            WavePacket(center=-30.0, width=0.5, wavenumber=0.6),
+            WavePacket(center=30.0, width=0.5, wavenumber=-0.4),
+            form=form,
+        )
+        x1 = np.array([[-30.0, -30.0], [-30.0, -31.0]])
+        x2 = np.array([[30.0, -23.25], [-5.0, 30.0]])
+        # cross_coupling names the shifted point it evaluated, x2 +- step
+        for fn, point in ((velocity_2p, r"\(-30\.0, -23\.25\)"),
+                          (cross_coupling, r"\(-30\.0, -23\.2[45]\d*\)")):
+            with pytest.raises(NodeSingularityError, match=point + ", t=0.0$") as exc_info:
+                fn(far, C, x1, x2, 0.0)
+            message = str(exc_info.value)
+            assert "array(" not in message and "np.float64(" not in message
+
+    def test_antisymmetric_exchange_node_refused_on_arrays(self):
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
+        with pytest.raises(NodeSingularityError, match=r"\(0\.2, 0\.2\)"):
+            velocity_2p(wf, C, np.array([0.1, 0.2]), np.array([0.3, 0.2]), 0.5)
+
+
 class TestTrajectories:
     def test_k_zero_stays_at_center(self):
         wp = WavePacket(center=0.4, width=1.0, wavenumber=0.0)
@@ -306,6 +459,15 @@ class TestTrajectories:
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="product")
         with pytest.raises(ValueError):
             integrate_trajectory(wf, C, start=0.0, t0=0.0, t1=1.0, dt=0.01)
+        with pytest.raises(ValueError, match="x2 must be finite"):
+            integrate_trajectory(wf, C, start=(0.0, np.nan), t0=0.0, t1=1.0, dt=0.01)
+
+    def test_nonfinite_stage_position_refused(self, monkeypatch):
+        # the RK4 stages skip the boundary validation but not the finiteness check
+        monkeypatch.setattr(dbb, "_velocity", lambda *args: (np.inf, 0.0))
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
+        with pytest.raises(ValueError, match="x1 must be finite"):
+            integrate_trajectory(wf, C, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
 
 
 class TestSpinPrecession:

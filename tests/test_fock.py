@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from bell_lab import fock
 from bell_lab.chsh import TSIRELSON
 from bell_lab.errors import UndefinedCorrelationError
 from bell_lab.fock import (
@@ -261,6 +263,112 @@ class TestCoincidence:
         st = ou_mandel_state(BeamSplitterSpec.from_transmissions(1.0, 0.0))
         with pytest.raises(UndefinedCorrelationError):
             coincidence_correlation(st, 0.0, 0.0)
+
+
+def ref_detector_op(detector, theta, basis):
+    """The per-call route: ladders rebuilt by annihilation for one angle."""
+    return np.cos(theta) * annihilation(ModeIndex(detector, "x"), basis) + np.sin(
+        theta
+    ) * annihilation(ModeIndex(detector, "y"), basis)
+
+
+def ref_probability(state, theta1, theta2):
+    out = ref_detector_op(2, theta2, state.basis) @ (
+        ref_detector_op(1, theta1, state.basis) @ state.amplitudes
+    )
+    return float(np.real(np.vdot(out, out)))
+
+
+SHAPES = st.one_of(
+    st.just(()),
+    st.integers(1, 6).map(lambda n: (n,)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+)
+
+
+class TestArrayRoute:
+    """Array angles against one call per point, compared bit for bit."""
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2**32 - 1))
+    def test_shapes_match_one_point_per_call(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        bs = random_bs(rng)
+        st_ = ou_mandel_state(bs)
+        t1 = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=shape)
+        t2 = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=shape)
+        if shape == ():
+            t1, t2 = float(t1), float(t2)
+        ops = detector_amplitude_op(2, t2)
+        p = coincidence_probability(st_, t1, t2)
+        e = coincidence_correlation(st_, t1, t2)
+        q = coincidence_closed_form(bs, t1, t2)
+        if shape == ():
+            assert type(p) is float and type(e) is float and type(q) is float
+        assert np.shape(p) == np.shape(e) == np.shape(q) == shape
+        assert ops.shape == shape + (15, 15)
+        for i in np.ndindex(shape):
+            a, b = np.float64(np.asarray(t1)[i]), np.float64(np.asarray(t2)[i])
+            assert np.array_equal(ops[i], detector_amplitude_op(2, b))
+            assert np.array_equal(ops[i], ref_detector_op(2, b, st_.basis))
+            assert np.asarray(p)[i] == coincidence_probability(st_, a, b) == ref_probability(st_, a, b)
+            assert np.asarray(e)[i] == coincidence_correlation(st_, a, b)
+            assert np.asarray(q)[i] == coincidence_closed_form(bs, a, b)
+
+    def test_row_against_column_matches_grid(self):
+        bs = BeamSplitterSpec.from_transmissions(0.7, 0.4)
+        st_ = ou_mandel_state(bs)
+        thetas = np.linspace(0.0, np.pi, 23)
+        p = coincidence_probability(st_, thetas[:, None], thetas[None, :])
+        e = coincidence_correlation(st_, thetas[:, None], thetas[None, :])
+        assert p.shape == e.shape == (23, 23)
+        for i, a in enumerate(thetas):
+            assert np.array_equal(p[i], coincidence_probability(st_, a, thetas))
+            for j, b in enumerate(thetas):
+                assert p[i, j] == ref_probability(st_, a, b)
+                assert e[i, j] == coincidence_correlation(st_, a, b)
+
+    def test_ladders_built_four_times_per_basis(self, monkeypatch):
+        calls = []
+        build = fock.annihilation
+
+        def counting(mode, basis):
+            calls.append(basis)
+            return build(mode, basis)
+
+        monkeypatch.setattr(fock, "annihilation", counting)
+        fock._ladders.cache_clear()
+        thetas = np.linspace(0.0, np.pi, 9)
+        for basis in (standard_basis(2), standard_basis(3)):
+            st_ = ou_mandel_state(BeamSplitterSpec.equal_split(), basis)
+            for t1 in thetas:
+                coincidence_probability(st_, t1, thetas)
+                coincidence_correlation(st_, float(t1), 0.3)
+                detector_amplitude_op(1, t1, basis)
+        assert len(calls) == 8
+        assert calls[:4] == [standard_basis(2)] * 4
+        assert calls[4:] == [standard_basis(3)] * 4
+
+    def test_cached_ladders_are_read_only(self):
+        ladders = fock._ladders(standard_basis(2))
+        with pytest.raises(ValueError):
+            ladders[0, 0, 1] = 2.0
+
+    def test_rejects_bad_detector_and_nan_angles(self):
+        st_ = ou_mandel_state(BeamSplitterSpec.equal_split())
+        with pytest.raises(ValueError):
+            detector_amplitude_op(3, np.zeros(4))
+        with pytest.raises(ValueError):
+            detector_amplitude_op(1, np.array([0.0, np.nan]))
+        with pytest.raises(ValueError):
+            coincidence_probability(st_, np.array([0.1, 0.2]), np.array([0.3, np.nan]))
+        with pytest.raises(ValueError):
+            coincidence_correlation(st_, np.nan, np.array([0.3, 0.4]))
+
+    def test_one_undefined_point_rejects_the_array(self):
+        st_ = ou_mandel_state(BeamSplitterSpec.from_transmissions(1.0, 0.0))
+        with pytest.raises(UndefinedCorrelationError):
+            coincidence_correlation(st_, np.array([0.0, 0.5]), 0.2)
 
 
 class TestPairProduct:

@@ -6,9 +6,13 @@ one that means to must regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and record the change.
+and record the change.  ``python tests/test_golden.py DIR`` writes the
+same files to DIR instead.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +42,8 @@ GOLDEN = {
     "oumandel_correlation": ["oumandel", "--tx", "0.5", "--ty", "0.5", "--grid", "5",
                              "--correlation"],
     "dbb_grid": ["dbb", "--form", "symmetric", "--grid", "5"],
+    "dbb_grid_product": ["dbb", "--form", "product", "--grid", "9"],
+    "dbb_grid_antisymmetric": ["dbb", "--form", "antisymmetric", "--grid", "9"],
     "dbb_trajectory": ["dbb", "--form", "antisymmetric", "--trajectory", "--t1", "0.5",
                        "--dt", "0.05"],
     "spin": ["spin", "--steps", "50"],
@@ -55,7 +61,24 @@ def test_stdout_matches_golden(name):
     assert _stdout(GOLDEN[name]) == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
+def test_goldens_do_not_depend_on_simd_dispatch(tmp_path):
+    # numpy picks SIMD loops by CPU at import; with every dispatch target this
+    # machine supports switched off, a child process must print the same bytes
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    disabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if not disabled:
+        pytest.skip("this CPU runs no dispatched numpy loops")
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, check=True)
+    for name in sorted(GOLDEN):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes(), name
+
+
 if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN_DIR
+    out_dir.mkdir(exist_ok=True)
     for name, args in GOLDEN.items():
-        (GOLDEN_DIR / f"{name}.csv").write_bytes(_stdout(args))
+        (out_dir / f"{name}.csv").write_bytes(_stdout(args))
