@@ -52,7 +52,6 @@ from .lhv import (
     mermin_deterministic_max,
     sawtooth_correlation,
     sign_model,
-    simulate_chsh,
     simulate_chsh_stats,
 )
 from .fock import (

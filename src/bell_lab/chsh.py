@@ -20,6 +20,7 @@ from .operators import (
     MeasurementOp,
     _party_ops,
     _require_finite,
+    _unbox,
     commutator,
     expectation,
     ket,
@@ -116,12 +117,10 @@ def _combine(terms):
     return terms[0] + terms[1] + terms[2] - terms[3]
 
 
-def _unbox(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def correlation(psi, a, b, kind: str = "spin_half") -> float | np.ndarray:
     """E(a, b) = <psi| Op(a) (x) Op(b) |psi>; a and b broadcast."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     psi = _check_state(psi)
     return expectation(psi, tensor(_party_ops(a, kind), _party_ops(b, kind))).real
 

@@ -99,10 +99,10 @@ def _guarded(fn):
     return wrapper
 
 
-def _parse_triple(text, name):
+def _parse_floats(text, name, count):
     parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 3:
-        raise click.UsageError(f"{name} must be three comma-separated numbers")
+    if len(parts) != count:
+        raise click.UsageError(f"{name} must be {count} comma-separated numbers")
     try:
         return tuple(float(p) for p in parts)
     except ValueError as exc:
@@ -226,14 +226,7 @@ def lhv(enumerate_, model, samples, seed, angles, out):
         return
     if model is None or samples is None or seed is None or angles is None:
         raise click.UsageError("lhv needs --enumerate, or --model --samples --seed --angles")
-    parts = [p.strip() for p in angles.split(",")]
-    if len(parts) != 4:
-        raise click.UsageError("--angles must be four comma-separated degrees")
-    try:
-        degs = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise click.UsageError(f"could not parse --angles: {exc}")
-    settings = ChshSettings(*np.deg2rad(degs), kind="spin_half")
+    settings = ChshSettings(*np.deg2rad(_parse_floats(angles, "--angles", 4)), kind="spin_half")
     stats = simulate_chsh_stats(sign_model(), settings, samples, seed)
     meta = _meta(
         "lhv",
@@ -351,7 +344,7 @@ def spin(bz, gyro, steps, dt, s0, out):
     """RK4 Larmor precession with conservation diagnostics."""
     if steps < 1:
         raise click.UsageError("--steps must be >= 1")
-    s0v = _parse_triple(s0, "--s0")
+    s0v = _parse_floats(s0, "--s0", 3)
     c = PhysicalConstants(gyro=gyro)
     traj = integrate_spin(s0v, (0.0, 0.0, bz), c, t1=steps * dt, dt=dt)
     norm0 = float(np.linalg.norm(s0v))

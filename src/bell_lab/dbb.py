@@ -299,6 +299,43 @@ class Trajectory:
         object.__setattr__(self, "positions", positions)
 
 
+def _check_span(t0: float, t1: float, dt: float):
+    for name, v in (("t0", t0), ("t1", t1), ("dt", dt)):
+        _require_finite(name, v)
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if t1 <= t0:
+        raise ValueError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
+
+
+def _rk4(f, y0, t0: float, t1: float, dt: float):
+    """Classical RK4 for dy/dt = f(y, t); returns (times, states) as arrays.
+
+    Steps of size dt, with one shorter final step to land on t1 exactly;
+    y0 is a float or a 1-D array, and states has one row per time.  A
+    NodeSingularityError from f halts integration and is re-raised
+    carrying the completed steps as a Trajectory in ``partial_trajectory``.
+    """
+    times, states = [t0], [y0]
+    t, y = t0, y0
+    eps = 1e-12 * max(1.0, abs(t1))
+    try:
+        while t < t1 - eps:
+            step = min(dt, t1 - t)
+            k1 = f(y, t)
+            k2 = f(y + 0.5 * step * k1, t + 0.5 * step)
+            k3 = f(y + 0.5 * step * k2, t + 0.5 * step)
+            k4 = f(y + step * k3, t + step)
+            y = y + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = t + step
+            times.append(t)
+            states.append(y)
+    except NodeSingularityError as err:
+        partial = Trajectory(times=np.array(times), positions=np.array(states))
+        raise NodeSingularityError(str(err), partial_trajectory=partial) from None
+    return np.array(times), np.array(states)
+
+
 def integrate_trajectory(wf, c: PhysicalConstants, start, t0: float, t1: float, dt: float) -> Trajectory:
     """Classical RK4 integration of the guidance velocity field.
 
@@ -307,18 +344,11 @@ def integrate_trajectory(wf, c: PhysicalConstants, start, t0: float, t1: float, 
     Hitting a node halts integration: the raised NodeSingularityError
     carries the completed steps as ``partial_trajectory``.
     """
-    for name, v in (("t0", t0), ("t1", t1), ("dt", dt)):
-        _require_finite(name, v)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if t1 <= t0:
-        raise ValueError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
-
+    _check_span(t0, t1, dt)
     if isinstance(wf, WavePacket):
         def vel(x, t):
-            return np.array([velocity_1p(wf, c, float(x[0]), t)])
-        x = np.array([float(start)], dtype=float)
-        scalar = True
+            return velocity_1p(wf, c, x, t)
+        x = float(start)
     elif isinstance(wf, TwoParticleWF):
         x = np.asarray(start, dtype=float).ravel()
         if x.size != 2:
@@ -333,31 +363,10 @@ def integrate_trajectory(wf, c: PhysicalConstants, start, t0: float, t1: float, 
             if not (math.isfinite(x1) and math.isfinite(x2)):
                 _check_point(wf, x1, x2, t)
             return np.array(_velocity(wf, c, x1, x2, t, nf))
-        scalar = False
     else:
         raise ValueError(f"wf must be a WavePacket or TwoParticleWF, got {type(wf)!r}")
-
-    times = [t0]
-    points = [x.copy()]
-    t = t0
-    eps = 1e-12 * max(1.0, abs(t1))
-    try:
-        while t < t1 - eps:
-            step = min(dt, t1 - t)
-            k1 = vel(x, t)
-            k2 = vel(x + 0.5 * step * k1, t + 0.5 * step)
-            k3 = vel(x + 0.5 * step * k2, t + 0.5 * step)
-            k4 = vel(x + step * k3, t + step)
-            x = x + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = t + step
-            times.append(t)
-            points.append(x.copy())
-    except NodeSingularityError as err:
-        pos = np.array(points)
-        partial = Trajectory(times=np.array(times), positions=pos[:, 0] if scalar else pos)
-        raise NodeSingularityError(str(err), partial_trajectory=partial) from None
-    pos = np.array(points)
-    return Trajectory(times=np.array(times), positions=pos[:, 0] if scalar else pos)
+    times, positions = _rk4(vel, x, t0, t1, dt)
+    return Trajectory(times=times, positions=positions)
 
 
 @dataclass(frozen=True)
@@ -381,14 +390,17 @@ def _as_spin(s) -> np.ndarray:
     return np.array(SpinState(tuple(v)).s)  # reuse the validation
 
 
-def spin_derivative(s, b_field, c: PhysicalConstants) -> np.ndarray:
-    """Larmor torque ds/dt = gyro * (s x B)."""
-    sv = _as_spin(s)
+def _as_field(b_field) -> np.ndarray:
     b = np.asarray(b_field, dtype=float).ravel()
     if b.size != 3:
         raise ValueError("b_field must be a 3-vector")
     _require_finite("b_field", b)
-    return c.gyro * np.cross(sv, b)
+    return b
+
+
+def spin_derivative(s, b_field, c: PhysicalConstants) -> np.ndarray:
+    """Larmor torque ds/dt = gyro * (s x B)."""
+    return c.gyro * np.cross(_as_spin(s), _as_field(b_field))
 
 
 @dataclass(frozen=True)
@@ -399,31 +411,7 @@ class SpinTrajectory:
 
 def integrate_spin(s0, b_field, c: PhysicalConstants, t1: float, dt: float) -> SpinTrajectory:
     """RK4 precession from t = 0 to t1; |s| and s.B are conserved quantities."""
-    for name, v in (("t1", t1), ("dt", dt)):
-        _require_finite(name, v)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if t1 <= 0.0:
-        raise ValueError(f"need t1 > 0, got {t1!r}")
-    s = _as_spin(s0)
-    b = np.asarray(b_field, dtype=float).ravel()
-    if b.size != 3:
-        raise ValueError("b_field must be a 3-vector")
-    _require_finite("b_field", b)
-    g = c.gyro
-
-    times = [0.0]
-    spins = [s.copy()]
-    t = 0.0
-    eps = 1e-12 * max(1.0, abs(t1))
-    while t < t1 - eps:
-        step = min(dt, t1 - t)
-        k1 = g * np.cross(s, b)
-        k2 = g * np.cross(s + 0.5 * step * k1, b)
-        k3 = g * np.cross(s + 0.5 * step * k2, b)
-        k4 = g * np.cross(s + step * k3, b)
-        s = s + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t + step
-        times.append(t)
-        spins.append(s.copy())
-    return SpinTrajectory(times=np.array(times), spins=np.array(spins))
+    _check_span(0.0, t1, dt)
+    s, b, g = _as_spin(s0), _as_field(b_field), c.gyro
+    times, spins = _rk4(lambda y, t: g * np.cross(y, b), s, 0.0, t1, dt)
+    return SpinTrajectory(times=times, spins=spins)

@@ -22,7 +22,7 @@ from itertools import product as _iproduct
 import numpy as np
 
 from .errors import UndefinedCorrelationError
-from .operators import _require_finite, dagger
+from .operators import _require_finite, _unbox, dagger
 
 MODE_ORDER = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
 
@@ -202,10 +202,6 @@ def detector_amplitude_op(detector: int, theta, basis: FockBasis = None) -> np.n
     return np.cos(theta) * a_x + np.sin(theta) * a_y
 
 
-def _scalar_or_array(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def coincidence_probability(state: FockState, theta1, theta2):
     """||D2(theta2) D1(theta1) |Psi>||^2 (normal-ordered expectation, K = 1).
 
@@ -214,7 +210,7 @@ def coincidence_probability(state: FockState, theta1, theta2):
     d1 = detector_amplitude_op(1, theta1, state.basis)
     d2 = detector_amplitude_op(2, theta2, state.basis)
     out = (d2 @ (d1 @ state.amplitudes)[..., None])[..., 0]
-    return _scalar_or_array(np.real(np.vecdot(out, out)))
+    return _unbox(np.real(np.vecdot(out, out)))
 
 
 def coincidence_closed_form(bs: BeamSplitterSpec, theta1, theta2):
@@ -222,7 +218,7 @@ def coincidence_closed_form(bs: BeamSplitterSpec, theta1, theta2):
     amp = np.sqrt(bs.t_x * bs.t_y) * np.cos(theta1) * np.sin(theta2) + np.sqrt(
         bs.r_x * bs.r_y
     ) * np.sin(theta1) * np.cos(theta2)
-    return _scalar_or_array(amp * amp)
+    return _unbox(amp * amp)
 
 
 def coincidence_correlation(state: FockState, theta1, theta2):

@@ -128,9 +128,3 @@ def simulate_chsh_stats(
         stderr = 0.0
     return ChshEstimate(estimate=est, stderr=stderr, samples=int(samples), seed=int(seed))
 
-
-def simulate_chsh(
-    model: HiddenVariableModel, settings: ChshSettings, samples: int, seed: int
-) -> float:
-    """The Monte Carlo S estimate alone; see simulate_chsh_stats."""
-    return simulate_chsh_stats(model, settings, samples, seed).estimate

@@ -24,8 +24,9 @@ import numpy as np
 
 from .operators import (
     MeasurementOp,
-    _SIGMA,
+    _party_ops,
     _require_finite,
+    _unbox,
     commutator,
     dagger,
     expectation,
@@ -77,9 +78,7 @@ class MerminSettings:
 
 def transverse_spin_op(a: float) -> MeasurementOp:
     """cos(a)*sigma_x + sin(a)*sigma_y."""
-    _require_finite("a", a)
-    m = np.cos(a) * _SIGMA["x"] + np.sin(a) * _SIGMA["y"]
-    return MeasurementOp(m, label=f"At({a:g})")
+    return MeasurementOp(_party_ops(a, "transverse"), label=f"At({a:g})")
 
 
 def _slot_product(n, placed):
@@ -90,10 +89,8 @@ def _slot_product(n, placed):
 
 def mermin_operator(settings: MerminSettings) -> np.ndarray:
     """The 2^n x 2^n Hermitian Mermin operator for the given settings."""
-    plus_factors = []
-    for a, ap in settings.pairs:
-        plus_factors.append(transverse_spin_op(a).matrix + 1.0j * transverse_spin_op(ap).matrix)
-    m_plus = reduce(tensor, plus_factors)
+    ops = _party_ops(settings.pairs, "transverse")  # (n, 2, 2, 2): A_j, A_j'
+    m_plus = reduce(tensor, ops[:, 0] + 1.0j * ops[:, 1])
     return (m_plus - dagger(m_plus)) / 2.0j
 
 
@@ -111,10 +108,7 @@ def mermin_square_residual(settings: MerminSettings) -> float:
     if settings.n != 3:
         raise ValueError(f"the squared identity is for n = 3, got n = {settings.n}")
     f = mermin_operator(settings)
-    comms = [
-        commutator(transverse_spin_op(a).matrix, transverse_spin_op(ap).matrix)
-        for a, ap in settings.pairs
-    ]
+    comms = [commutator(a, ap) for a, ap in _party_ops(settings.pairs, "transverse")]
     rhs = 4.0 * np.eye(8, dtype=complex)
     for j, k in ((0, 1), (1, 2), (2, 0)):
         rhs -= _slot_product(3, {j: comms[j]}) @ _slot_product(3, {k: comms[k]})
@@ -138,7 +132,7 @@ def ghz_expectation_shared(n: int, a, a_prime):
     for k in range(1, n + 1, 2):
         sign = -1.0 if (k - 1) // 2 % 2 else 1.0
         total = total + sign * comb(n, k) * np.sin(k * ap + (n - k) * a)
-    return total if total.shape else float(total)
+    return _unbox(total)
 
 
 def mermin_shared_scan(n: int, grid_step: float = np.pi / 180.0):

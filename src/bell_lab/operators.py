@@ -59,6 +59,16 @@ def ket(amplitudes) -> np.ndarray:
     return _frozen(v / n)
 
 
+def _check_measurement(m, label):
+    """Raise unless every (..., d, d) matrix in m is finite, Hermitian and
+    involutory to ATOL; label names the operators in the message."""
+    _require_finite("measurement operator", m.view(np.float64))
+    if np.abs(m - np.swapaxes(m.conj(), -1, -2)).max() >= ATOL:
+        raise ValueError(f"not Hermitian to {ATOL}: {label}")
+    if np.abs(m @ m - np.eye(m.shape[-1])).max() >= ATOL:
+        raise ValueError(f"not involutory to {ATOL}: {label}")
+
+
 @dataclass(frozen=True)
 class MeasurementOp:
     """Hermitian involutory operator (spectrum in {-1, +1}).
@@ -74,23 +84,12 @@ class MeasurementOp:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"measurement operator must be square, got shape {m.shape}")
-        _require_finite("measurement operator", m.view(np.float64))
-        if np.max(np.abs(m - m.conj().T)) >= ATOL:
-            raise ValueError(f"not Hermitian to {ATOL}: {self.label or m}")
-        eye = np.eye(m.shape[0])
-        if np.max(np.abs(m @ m - eye)) >= ATOL:
-            raise ValueError(f"not involutory to {ATOL}: {self.label or m}")
+        _check_measurement(m, self.label or m)
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        # lets numpy functions (kron, matmul, ...) consume the op directly
-        if dtype is not None:
-            return self.matrix.astype(dtype)
-        return self.matrix
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -112,9 +111,7 @@ def spin_op(alpha: float) -> MeasurementOp:
     cos(a)*sigma_z + sin(a)*sigma_y, so that
     [spin_op(a), spin_op(a')] = 2i*sin(a - a')*sigma_x.
     """
-    _require_finite("alpha", alpha)
-    m = np.cos(alpha) * _SIGMA["z"] + np.sin(alpha) * _SIGMA["y"]
-    return MeasurementOp(m, label=f"A({alpha:g})")
+    return MeasurementOp(_party_ops(alpha, "spin_half"), label=f"A({alpha:g})")
 
 
 def photon_projector(theta: float) -> np.ndarray:
@@ -127,32 +124,36 @@ def photon_projector(theta: float) -> np.ndarray:
 
 def photon_op(theta: float) -> MeasurementOp:
     """Analyzer measurement operator 2*P(theta) - 1 = cos(2t)*sigma_z + sin(2t)*sigma_x."""
-    m = 2.0 * photon_projector(theta) - np.eye(2)
-    return MeasurementOp(m, label=f"Aph({theta:g})")
+    return MeasurementOp(_party_ops(theta, "photon"), label=f"Aph({theta:g})")
 
 
 def _party_ops(angles, kind: str) -> np.ndarray:
-    """(..., 2, 2) stack of spin_op or photon_op matrices, one per angle.
+    """(..., 2, 2) stack of measurement matrices, one per angle.
 
-    Uses the same elementwise formulas as spin_op and photon_op, so every
-    matrix is bitwise equal to theirs, and applies MeasurementOp's
-    Hermitian and involutory checks once to the whole stack.
+    kind is one of KINDS, or "transverse" for the Mermin operators
+    cos(a)*sigma_x + sin(a)*sigma_y.  A scalar angle gives one 2x2 matrix.
+    The whole stack is checked once to be Hermitian and involutory.
     """
     angles = np.asarray(angles, dtype=float)
     _require_finite("angles", angles)
     c, s = np.cos(angles), np.sin(angles)
     if kind == "spin_half":
         m = c[..., None, None] * _SIGMA["z"] + s[..., None, None] * _SIGMA["y"]
+    elif kind == "transverse":
+        m = c[..., None, None] * _SIGMA["x"] + s[..., None, None] * _SIGMA["y"]
     elif kind == "photon":
+        # 2*P(theta) - 1 with P the projector of photon_projector
         e = np.stack([c, s], axis=-1).astype(complex)
         m = 2.0 * (e[..., :, None] * e[..., None, :]) - _EYE2
     else:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if np.abs(m - np.swapaxes(m.conj(), -1, -2)).max() >= ATOL:
-        raise ValueError(f"not Hermitian to {ATOL}: {kind} operators")
-    if np.abs(m @ m - _EYE2).max() >= ATOL:
-        raise ValueError(f"not involutory to {ATOL}: {kind} operators")
+        raise ValueError(f"kind must be one of {KINDS} or 'transverse', got {kind!r}")
+    _check_measurement(m, f"{kind} operators")
     return m
+
+
+def _unbox(x):
+    """A Python scalar for a 0-d result, else the array unchanged."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
 def tensor(a, b) -> np.ndarray:
@@ -192,8 +193,7 @@ def expectation(psi, m) -> complex | np.ndarray:
     m = _as_matrix(m)
     if m.ndim < 2 or m.shape[-2:] != (psi.size, psi.size):
         raise ValueError(f"dimension mismatch: ket dim {psi.size}, operator shape {m.shape}")
-    val = np.vecdot(psi, m @ psi)
-    return complex(val) if m.ndim == 2 else val
+    return _unbox(np.vecdot(psi, m @ psi))
 
 
 def jacobi_eigenvalues(m, sweep_tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:

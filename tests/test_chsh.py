@@ -110,8 +110,12 @@ class TestCorrelation:
             correlation(np.array([1.0, 0.0, 0.0, 1.0]), 0.0, 0.0, kind="spin_half")
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            correlation(singlet(), 0.0, 0.0, kind="qutrit")
+        # "transverse" is the Mermin operators' kind, not a CHSH convention
+        for kind in ("qutrit", "transverse"):
+            with pytest.raises(ValueError, match="kind"):
+                correlation(singlet(), 0.0, 0.0, kind=kind)
+            with pytest.raises(ValueError, match="kind"):
+                ChshSettings(0.0, 0.0, 0.0, 0.0, kind=kind)
 
 
 class TestBellOperator:

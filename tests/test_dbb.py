@@ -470,6 +470,94 @@ class TestTrajectories:
             integrate_trajectory(wf, C, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
 
 
+def reference_rk4(vel, x, t0, t1, dt):
+    """The hand-rolled RK4 loop that integrate_trajectory and integrate_spin
+    each carried before they shared one integrator; a bitwise oracle.
+
+    Returns (times, states, halted): a NodeSingularityError from vel stops
+    the loop and the completed steps are returned with halted = True.
+    """
+    times = [t0]
+    points = [x.copy()]
+    t = t0
+    eps = 1e-12 * max(1.0, abs(t1))
+    try:
+        while t < t1 - eps:
+            step = min(dt, t1 - t)
+            k1 = vel(x, t)
+            k2 = vel(x + 0.5 * step * k1, t + 0.5 * step)
+            k3 = vel(x + 0.5 * step * k2, t + 0.5 * step)
+            k4 = vel(x + step * k3, t + step)
+            x = x + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = t + step
+            times.append(t)
+            points.append(x.copy())
+    except NodeSingularityError:
+        return np.array(times), np.array(points), True
+    return np.array(times), np.array(points), False
+
+
+def reference_trajectory(wf, start, t0, t1, dt):
+    if isinstance(wf, WavePacket):
+        def vel(x, t):
+            return np.array([velocity_1p(wf, C, float(x[0]), t)])
+        times, points, halted = reference_rk4(vel, np.array([float(start)]), t0, t1, dt)
+        return times, points[:, 0], halted
+
+    def vel(x, t):
+        return np.array(velocity_2p(wf, C, float(x[0]), float(x[1]), t))
+    return reference_rk4(vel, np.array(start, dtype=float), t0, t1, dt)
+
+
+# (wavefunction, start): near the centres, and far enough into a tail that
+# the spreading packet drops the density at the trajectory below 1e-300
+# after a few steps
+_NEAR = [(WavePacket(center=0.0, width=0.5, wavenumber=1.0), 0.3)] + [
+    (TwoParticleWF(PACKET_A, PACKET_B, form=form), (-0.3, 0.3)) for form in FORMS
+]
+_HALTING = [(WavePacket(center=0.0, width=1.0, wavenumber=0.0), 37.13)] + [
+    (TwoParticleWF(PACKET_A, PACKET_B, form=form), (-1.5, x2))
+    for form, x2 in (("product", 42.344), ("symmetric", 42.3), ("antisymmetric", 42.3))
+]
+
+
+class TestSharedRk4:
+    @pytest.mark.parametrize("wf, start", _NEAR)
+    @pytest.mark.parametrize("t0, t1, dt", [(0.0, 1.0, 0.01), (0.25, 1.3, 0.1), (0.0, 1.05, 0.1)])
+    def test_trajectory_matches_reference(self, wf, start, t0, t1, dt):
+        times, points, halted = reference_trajectory(wf, start, t0, t1, dt)
+        assert not halted
+        tr = integrate_trajectory(wf, C, start, t0, t1, dt)
+        assert np.array_equal(tr.times, times)
+        assert np.array_equal(tr.positions, points)
+
+    def test_shortened_final_step_is_exercised(self):
+        times, _, _ = reference_trajectory(*_NEAR[0], 0.0, 1.05, 0.1)
+        assert 0.0 < times[-1] - times[-2] < 0.1 - 1e-9
+
+    @pytest.mark.parametrize("wf, start", _HALTING)
+    def test_node_halt_partial_matches_reference(self, wf, start):
+        times, points, halted = reference_trajectory(wf, start, 0.0, 3.05, 0.1)
+        assert halted and len(times) > 5
+        with pytest.raises(NodeSingularityError) as exc_info:
+            integrate_trajectory(wf, C, start, 0.0, 3.05, 0.1)
+        partial = exc_info.value.partial_trajectory
+        assert np.array_equal(partial.times, times)
+        assert np.array_equal(partial.positions, points)
+
+    @pytest.mark.parametrize("s0, b, gyro, t1, dt", [
+        ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.0, 2.0, 0.002),
+        ((0.3, -1.2, 0.7), (0.4, 1.1, -2.0), 1.7, 1.0, 0.03),
+        ((0.0, 1.0, 1.0), (2.0, 0.0, 0.5), -0.6, 0.95, 0.1),
+    ])
+    def test_spin_matches_reference(self, s0, b, gyro, t1, dt):
+        bv = np.array(b)
+        times, spins, _ = reference_rk4(lambda s, t: gyro * np.cross(s, bv), np.array(s0), 0.0, t1, dt)
+        tr = integrate_spin(s0, b, PhysicalConstants(gyro=gyro), t1=t1, dt=dt)
+        assert np.array_equal(tr.times, times)
+        assert np.array_equal(tr.spins, spins)
+
+
 class TestSpinPrecession:
     def test_derivative_parallel_field_vanishes(self):
         d = spin_derivative(SpinState((0.0, 0.0, 1.0)), (0.0, 0.0, 2.0), C)

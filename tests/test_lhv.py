@@ -11,7 +11,6 @@ from bell_lab.lhv import (
     mermin_deterministic_max,
     sawtooth_correlation,
     sign_model,
-    simulate_chsh,
     simulate_chsh_stats,
 )
 
@@ -176,9 +175,9 @@ class TestSignModelSimulation:
         assert abs(r.estimate) == 2.0
         assert r.stderr == 0.0
 
-    def test_simulate_chsh_delegates(self):
+    def test_estimate_repeats_per_seed(self):
         model = sign_model()
-        a = simulate_chsh(model, SUPPLEMENTARY, samples=100, seed=5)
+        a = simulate_chsh_stats(model, SUPPLEMENTARY, samples=100, seed=5).estimate
         b = simulate_chsh_stats(model, SUPPLEMENTARY, samples=100, seed=5).estimate
         assert a == b
 

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,22 @@ def kron_chain(mats):
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def reference_transverse(a):
+    """The per-angle formula transverse_spin_op carried before the operator
+    kinds shared one builder; a bitwise oracle."""
+    return np.cos(a) * SIGMA_X + np.sin(a) * SIGMA_Y
+
+
+def reference_mermin_operator(pairs):
+    """(P - P^dagger) / 2i with P = kron_j (A(a_j) + i A(a_j')), one op at a time."""
+    m_plus = reduce(np.kron, [reference_transverse(a) + 1.0j * reference_transverse(ap) for a, ap in pairs])
+    return (m_plus - m_plus.conj().T) / 2.0j
 
 
 class TestGhz:
@@ -49,6 +67,15 @@ class TestGhz:
 
 
 class TestTransverseSpinOp:
+    def test_bitwise_equal_to_per_op_reference(self):
+        for a in np.random.default_rng(37).uniform(-10.0, 10.0, size=200):
+            assert np.array_equal(transverse_spin_op(a).matrix, reference_transverse(a))
+
+    def test_rejects_nonfinite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                transverse_spin_op(bad)
+
     def test_a_zero_is_sigma_x(self):
         assert np.array_equal(transverse_spin_op(0.0).matrix, pauli("x").matrix)
 
@@ -63,6 +90,12 @@ class TestTransverseSpinOp:
 
 
 class TestMerminOperator:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bitwise_equal_to_per_op_reference(self, n):
+        pairs = np.random.default_rng(100 + n).uniform(-10.0, 10.0, size=(n, 2))
+        f = mermin_operator(MerminSettings(pairs=pairs))
+        assert np.array_equal(f, reference_mermin_operator(pairs))
+
     def test_n1_is_sigma_y(self):
         # with one particle the ladder construction reduces to sin of the
         # single setting difference; at (0, pi/2) that is sigma_y exactly

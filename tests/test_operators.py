@@ -124,14 +124,25 @@ class TestPhotonOps:
         assert np.max(np.abs(r @ photon_op(t).matrix @ r.conj().T - spin_op(2 * t).matrix)) < 1e-12
 
 
+def reference_party_op(angle, kind):
+    """The per-angle formulas of spin_op, photon_op and transverse_spin_op
+    before they shared _party_ops; a bitwise oracle."""
+    if kind == "photon":
+        return 2.0 * photon_projector(angle) - np.eye(2)
+    axis = "z" if kind == "spin_half" else "x"
+    return np.cos(angle) * pauli(axis).matrix + np.sin(angle) * pauli("y").matrix
+
+
 class TestPartyOps:
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", KINDS + ("transverse",))
     def test_stack_bitwise_equal_to_single_ops(self, kind):
         angles = np.random.default_rng(29).uniform(-10.0, 10.0, size=(50, 2))
         stack = _party_ops(angles, kind)
         assert stack.shape == (50, 2, 2, 2)
+        single = transverse_spin_op if kind == "transverse" else lambda a: party_op(a, kind)
         for i in np.ndindex(angles.shape):
-            assert np.array_equal(stack[i], party_op(angles[i], kind).matrix)
+            assert np.array_equal(stack[i], reference_party_op(angles[i], kind))
+            assert np.array_equal(stack[i], single(angles[i]).matrix)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_angles(self, bad):
