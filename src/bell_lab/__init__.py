@@ -12,7 +12,6 @@ from .operators import (
     dagger,
     expectation,
     hermitian_extremal_eigenvalue,
-    jacobi_eigenvalues,
     ket,
     pauli,
     photon_op,

@@ -20,6 +20,7 @@ from .operators import (
     MeasurementOp,
     _party_ops,
     _require_finite,
+    _scan_angles,
     _unbox,
     commutator,
     expectation,
@@ -173,17 +174,13 @@ def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) ->
     smallest (alpha, alpha_prime, beta, beta_prime) tuple, so the result
     is independent of evaluation order.
     """
-    _require_finite("grid_step", grid_step)
-    grid_step = float(grid_step)
-    if not (0.0 < grid_step <= np.pi / 4.0):
-        raise ValueError(f"grid_step must be in (0, pi/4], got {grid_step!r}")
+    angles = _scan_angles(grid_step)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
     psi = singlet() if kind == "spin_half" else photon_pair_state()
     c, freq = _correlation_matrix(psi, kind)
 
-    angles = np.arange(0.0, 2.0 * np.pi, grid_step)
     n = angles.size
     u = np.vstack([np.cos(freq * angles), np.sin(freq * angles)])
     e = u.T @ c @ u  # e[i, j] == correlation(psi, angles[i], angles[j], kind)
@@ -191,36 +188,24 @@ def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) ->
     # For fixed (alpha, alpha'), S(beta, beta') = f(beta) + g(beta') with
     # f = E(alpha, .) + E(alpha', .) and g = E(alpha, .) - E(alpha', .),
     # so the inner maximization separates.
-    fmax = np.empty((n, n))
-    fmin = np.empty((n, n))
-    gmax = np.empty((n, n))
-    gmin = np.empty((n, n))
-    afmax = np.empty((n, n), dtype=np.intp)
-    afmin = np.empty((n, n), dtype=np.intp)
-    agmax = np.empty((n, n), dtype=np.intp)
-    agmin = np.empty((n, n), dtype=np.intp)
+    s_hi = np.empty((n, n))  # largest S per (alpha, alpha')
+    s_lo = np.empty((n, n))  # smallest S per (alpha, alpha')
     for ia in range(n):
         f = e[ia][None, :] + e  # rows: alpha' index, cols: beta
         g = e[ia][None, :] - e
-        fmax[ia] = f.max(axis=1)
-        fmin[ia] = f.min(axis=1)
-        gmax[ia] = g.max(axis=1)
-        gmin[ia] = g.min(axis=1)
-        afmax[ia] = f.argmax(axis=1)  # first occurrence = smallest beta
-        afmin[ia] = f.argmin(axis=1)
-        agmax[ia] = g.argmax(axis=1)
-        agmin[ia] = g.argmin(axis=1)
+        s_hi[ia] = f.max(axis=1) + g.max(axis=1)
+        s_lo[ia] = f.min(axis=1) + g.min(axis=1)
 
-    s_hi = fmax + gmax  # largest S per (alpha, alpha')
-    s_lo = fmin + gmin  # smallest S per (alpha, alpha')
     best = max(float(s_hi.max()), float(-s_lo.min()))
     tol = 1e-12 * max(1.0, best)
 
+    # argwhere lists ties lexicographically, so only the first of each sign can
+    # win; its beta and beta' are found again by argmax (first = smallest)
     candidates = []
-    for ia, iap in np.argwhere(s_hi >= best - tol):
-        candidates.append((ia, iap, afmax[ia, iap], agmax[ia, iap]))
-    for ia, iap in np.argwhere(-s_lo >= best - tol):
-        candidates.append((ia, iap, afmin[ia, iap], agmin[ia, iap]))
+    for sign, s_ext in ((1.0, s_hi), (-1.0, s_lo)):
+        for ia, iap in np.argwhere(sign * s_ext >= best - tol)[:1]:
+            f, g = e[ia] + e[iap], e[ia] - e[iap]
+            candidates.append((ia, iap, np.argmax(sign * f), np.argmax(sign * g)))
     ia, iap, ib, ibp = min(candidates)
 
     settings = ChshSettings(

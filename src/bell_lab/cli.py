@@ -176,11 +176,12 @@ def identity(kind, trials, seed, out):
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
     rng = make_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(trials, 4))
     worst = 0.0
-    # one batch per chunk of trials keeps memory bounded for any --trials
+    # one draw and one batch per chunk of trials keeps memory bounded for
+    # any --trials; PCG64 uniform draws do not depend on the chunking
     for start in range(0, trials, IDENTITY_CHUNK):
-        batch = ChshSettings(*angles[start:start + IDENTITY_CHUNK].T, kind=_KIND[kind])
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=(min(IDENTITY_CHUNK, trials - start), 4))
+        batch = ChshSettings(*angles.T, kind=_KIND[kind])
         worst = max(worst, float(identity_residual(batch).max()))
     if worst >= IDENTITY_TOLERANCE:
         raise NumericalCheckError(

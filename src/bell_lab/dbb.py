@@ -174,6 +174,7 @@ def _norm_factor(wf: TwoParticleWF, c: PhysicalConstants) -> float:
 
 def psi2_eval(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
     """Two-particle wavefunction value; broadcasts over (x1, x2)."""
+    _check_point(wf, x1, x2, t)
     ta, tb = _terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)
     la1 = _log_psi(ta, x1)
     lb2 = _log_psi(tb, x2)

@@ -26,6 +26,7 @@ from .operators import (
     MeasurementOp,
     _party_ops,
     _require_finite,
+    _scan_angles,
     _unbox,
     commutator,
     dagger,
@@ -81,12 +82,6 @@ def transverse_spin_op(a: float) -> MeasurementOp:
     return MeasurementOp(_party_ops(a, "transverse"), label=f"At({a:g})")
 
 
-def _slot_product(n, placed):
-    """Tensor product with placed[j] on slot j (0-based) and identity elsewhere."""
-    eye = np.eye(2, dtype=complex)
-    return reduce(tensor, [placed.get(j, eye) for j in range(n)])
-
-
 def mermin_operator(settings: MerminSettings) -> np.ndarray:
     """The 2^n x 2^n Hermitian Mermin operator for the given settings."""
     ops = _party_ops(settings.pairs, "transverse")  # (n, 2, 2, 2): A_j, A_j'
@@ -108,10 +103,13 @@ def mermin_square_residual(settings: MerminSettings) -> float:
     if settings.n != 3:
         raise ValueError(f"the squared identity is for n = 3, got n = {settings.n}")
     f = mermin_operator(settings)
-    comms = [commutator(a, ap) for a, ap in _party_ops(settings.pairs, "transverse")]
+    ops = _party_ops(settings.pairs, "transverse")
+    comms = commutator(ops[:, 0], ops[:, 1])
+    eye = np.eye(2, dtype=complex)
     rhs = 4.0 * np.eye(8, dtype=complex)
-    for j, k in ((0, 1), (1, 2), (2, 0)):
-        rhs -= _slot_product(3, {j: comms[j]}) @ _slot_product(3, {k: comms[k]})
+    for pair in ((0, 1), (1, 2), (2, 0)):
+        # the two commutators on their own slots, identity on the third
+        rhs -= reduce(tensor, [comms[j] if j in pair else eye for j in range(3)])
     return float(np.max(np.abs(f @ f - rhs)))
 
 
@@ -144,14 +142,11 @@ def mermin_shared_scan(n: int, grid_step: float = np.pi / 180.0):
     """
     if not isinstance(n, (int, np.integer)) or not 2 <= n <= 10:
         raise ValueError(f"n must be an integer in [2, 10], got {n!r}")
-    _require_finite("grid_step", grid_step)
-    grid_step = float(grid_step)
-    if not (0.0 < grid_step <= np.pi / 4.0):
-        raise ValueError(f"grid_step must be in (0, pi/4], got {grid_step!r}")
-    angles = np.arange(0.0, 2.0 * np.pi, grid_step)
+    angles = _scan_angles(grid_step)
     vals = ghz_expectation_shared(n, angles[:, None], angles[None, :])
     best = float(np.abs(vals).max())
     tol = 1e-12 * max(1.0, best)
-    ia, iap = min((int(i), int(j)) for i, j in np.argwhere(np.abs(vals) >= best - tol))
+    # argwhere lists indices in row-major, i.e. lexicographic, order
+    ia, iap = np.argwhere(np.abs(vals) >= best - tol)[0]
     settings = MerminSettings.from_shared(n, float(angles[ia]), float(angles[iap]))
     return float(vals[ia, iap]), settings

@@ -18,11 +18,9 @@ The two families are unitarily equivalent at doubled angles:
 ``R @ photon_op(t) @ R.conj().T == spin_op(2t)`` for ``R = diag(1, i)``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NumericalCheckError
 
 # construction-time invariant checks; derived-quantity tests use 1e-10
 ATOL = 1e-12
@@ -156,6 +154,15 @@ def _unbox(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
+def _scan_angles(grid_step: float) -> np.ndarray:
+    """All multiples of grid_step in [0, 2*pi); requires 0 < grid_step <= pi/4."""
+    _require_finite("grid_step", grid_step)
+    grid_step = float(grid_step)
+    if not (0.0 < grid_step <= np.pi / 4.0):
+        raise ValueError(f"grid_step must be in (0, pi/4], got {grid_step!r}")
+    return np.arange(0.0, 2.0 * np.pi, grid_step)
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; composite index convention i_a*dim_b + i_b.
 
@@ -196,66 +203,12 @@ def expectation(psi, m) -> complex | np.ndarray:
     return _unbox(np.vecdot(psi, m @ psi))
 
 
-def jacobi_eigenvalues(m, sweep_tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix by cyclic complex Jacobi rotations.
-
-    Deterministic, dependency-free, accurate to ~1e-12 relative for the
-    dimensions used here (<= 64).  Returns eigenvalues sorted ascending.
-    Raises NumericalCheckError if the largest off-diagonal entry is still
-    above sweep_tol * scale after max_sweeps sweeps.
-    """
-    h = np.array(_as_matrix(m), dtype=complex)
-    n = h.shape[0]
-    if n == 1:
-        return np.array([h[0, 0].real])
-    scale = max(1.0, float(np.abs(h).max()))
-    for sweep in range(max_sweeps + 1):
-        off = np.abs(h - np.diag(np.diag(h))).max()
-        if off <= sweep_tol * scale:
-            break
-        if sweep == max_sweeps:
-            raise NumericalCheckError(
-                f"Jacobi eigensolver not converged after {max_sweeps} sweeps: "
-                f"off-diagonal {off:.3e} > {sweep_tol * scale:.3e}"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                hpq = h[p, q]
-                # skip entries already far below the sweep threshold
-                if abs(hpq) <= 0.1 * sweep_tol * scale:
-                    continue
-                app, aqq = h[p, p].real, h[q, q].real
-                absq = abs(hpq)
-                phase = hpq / absq
-                tau = (aqq - app) / (2.0 * absq)
-                # smaller-magnitude rotation root, for numerical stability
-                if tau >= 0:
-                    t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                colp = h[:, p].copy()
-                colq = h[:, q].copy()
-                h[:, p] = c * colp + s * np.conj(phase) * colq
-                h[:, q] = -s * phase * colp + c * colq
-                rowp = h[p, :].copy()
-                rowq = h[q, :].copy()
-                h[p, :] = c * rowp + s * phase * rowq
-                h[q, :] = -s * np.conj(phase) * rowp + c * rowq
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                h[p, p] = h[p, p].real
-                h[q, q] = h[q, q].real
-    return np.sort(np.diag(h).real)
-
-
 def hermitian_extremal_eigenvalue(m) -> float:
-    """max |eigenvalue| of a Hermitian matrix (input checked to 1e-10)."""
+    """max |eigenvalue| of a finite Hermitian matrix (checked to 1e-10)."""
     a = _as_matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
+    _require_finite("matrix", a)
     if np.max(np.abs(a - a.conj().T)) >= 1e-10:
         raise ValueError("matrix is not Hermitian to 1e-10")
-    w = jacobi_eigenvalues(a)
-    return float(np.max(np.abs(w)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(a))))

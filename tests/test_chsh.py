@@ -87,6 +87,38 @@ def brute_scan(kind, step):
     return best
 
 
+def reference_scan(kind, grid_step):
+    """tsirelson_scan as it was with eight (n, n) arrays: the extrema and
+    their argmax/argmin indices for every (alpha, alpha'); a bitwise oracle."""
+    psi = singlet() if kind == "spin_half" else photon_pair_state()
+    c, freq = _correlation_matrix(psi, kind)
+    angles = np.arange(0.0, 2.0 * np.pi, grid_step)
+    n = angles.size
+    u = np.vstack([np.cos(freq * angles), np.sin(freq * angles)])
+    e = u.T @ c @ u
+    fmax, fmin, gmax, gmin = (np.empty((n, n)) for _ in range(4))
+    afmax, afmin, agmax, agmin = (np.empty((n, n), dtype=np.intp) for _ in range(4))
+    for ia in range(n):
+        f = e[ia][None, :] + e
+        g = e[ia][None, :] - e
+        fmax[ia], fmin[ia] = f.max(axis=1), f.min(axis=1)
+        gmax[ia], gmin[ia] = g.max(axis=1), g.min(axis=1)
+        afmax[ia], afmin[ia] = f.argmax(axis=1), f.argmin(axis=1)
+        agmax[ia], agmin[ia] = g.argmax(axis=1), g.argmin(axis=1)
+    s_hi = fmax + gmax
+    s_lo = fmin + gmin
+    best = max(float(s_hi.max()), float(-s_lo.min()))
+    tol = 1e-12 * max(1.0, best)
+    candidates = []
+    for ia, iap in np.argwhere(s_hi >= best - tol):
+        candidates.append((ia, iap, afmax[ia, iap], agmax[ia, iap]))
+    for ia, iap in np.argwhere(-s_lo >= best - tol):
+        candidates.append((ia, iap, afmin[ia, iap], agmin[ia, iap]))
+    ia, iap, ib, ibp = min(candidates)
+    s = e[ia, ib] + e[iap, ib] + e[ia, ibp] - e[iap, ibp]
+    return float(s), tuple(float(angles[i]) for i in (ia, iap, ib, ibp))
+
+
 class TestCorrelation:
     def test_singlet_closed_form(self):
         psi = singlet()
@@ -246,13 +278,20 @@ class TestTsirelsonScan:
         assert got == (0, 90, 45, 315)
         assert abs(v.s + TSIRELSON) < 1e-12  # signed value is -2*sqrt(2) here
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bitwise_equal_to_eight_array_reference(self, kind):
+        for step in (45.0, 22.5, 15.0, 10.0, 7.5, 5.0, 3.0, 2.0, 1.5):
+            grid_step = np.deg2rad(step)
+            v = tsirelson_scan(kind, grid_step)
+            want_s, want_angles = reference_scan(kind, grid_step)
+            assert v.s == want_s
+            assert v.settings.angles == want_angles
+            assert v.settings.kind == kind
+
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            tsirelson_scan("spin_half", grid_step=0.0)
-        with pytest.raises(ValueError):
-            tsirelson_scan("spin_half", grid_step=np.pi / 2)
-        with pytest.raises(ValueError):
-            tsirelson_scan("spin_half", grid_step=-0.1)
+        for bad in (0.0, np.pi / 2, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="grid_step"):
+                tsirelson_scan("spin_half", grid_step=bad)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):

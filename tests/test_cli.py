@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from bell_lab import cli
 from bell_lab.chsh import TSIRELSON, ChshSettings, chsh_value, identity_residual, singlet
 from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CHUNK, _fmt, _guarded, main
 from bell_lab.dbb import PhysicalConstants, TwoParticleWF, WavePacket, integrate_trajectory
@@ -160,6 +161,25 @@ class TestIdentityCommand:
         angles = make_rng(5).uniform(0.0, 2.0 * np.pi, size=(trials, 4))
         worst = identity_residual(ChshSettings(*angles.T, kind="photon")).max()
         assert rows[0] == [str(trials), _fmt(worst)]
+
+    def test_draws_one_chunk_at_a_time(self, monkeypatch):
+        draws = []
+
+        class SpyRng:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def uniform(self, *args, size):
+                draws.append(size)
+                return self.rng.uniform(*args, size=size)
+
+        monkeypatch.setattr(cli, "IDENTITY_CHUNK", 3)
+        monkeypatch.setattr(cli, "make_rng", SpyRng)
+        text = run_ok(["identity", "--kind", "spin", "--trials", "8", "--seed", "5"])
+        assert draws == [(3, 4), (3, 4), (2, 4)]
+        angles = make_rng(5).uniform(0.0, 2.0 * np.pi, size=(8, 4))
+        worst = identity_residual(ChshSettings(*angles.T)).max()
+        assert parse_csv(text)[2][0] == ["8", _fmt(worst)]
 
     def test_trials_validation(self):
         result = CliRunner().invoke(main, ["identity", "--kind", "spin",

@@ -174,6 +174,18 @@ class TestTwoParticleDensity:
         with pytest.raises(ValueError):
             TwoParticleWF(PACKET_A, PACKET_B, form="mixed")
 
+    @pytest.mark.parametrize("form", ["product", "symmetric", "antisymmetric"])
+    def test_point_validation(self, form):
+        late_a = WavePacket(center=-1.0, width=0.5, wavenumber=1.0, start_time=1.0)
+        late_b = WavePacket(center=1.0, width=0.7, wavenumber=-1.0, start_time=1.0)
+        wf = TwoParticleWF(late_a, late_b, form=form)
+        with pytest.raises(ValueError, match="before the packet's start_time"):
+            psi2_eval(wf, C, 0.1, 0.2, 0.0)
+        with pytest.raises(ValueError, match="x1 must be finite"):
+            psi2_eval(wf, C, np.nan, 0.2, 1.5)
+        with pytest.raises(ValueError, match="x2 must be finite"):
+            psi2_eval(wf, C, 0.1, np.array([0.2, np.inf]), 1.5)
+
 
 class TestVelocities:
     def test_product_matches_single_particle(self):

@@ -13,7 +13,7 @@ from bell_lab.mermin import (
     mermin_value,
     transverse_spin_op,
 )
-from bell_lab.operators import hermitian_extremal_eigenvalue, pauli, tensor
+from bell_lab.operators import hermitian_extremal_eigenvalue, pauli
 
 
 def kron_chain(mats):
@@ -198,6 +198,18 @@ class TestSharedFormula:
             assert abs(out[i] - ghz_expectation_shared(3, float(x), float(xp))) < 1e-12
 
 
+def reference_shared_scan(n, grid_step):
+    """mermin_shared_scan with its former tie-break: min over the tied
+    (a, a') index pairs; a bitwise oracle."""
+    angles = np.arange(0.0, 2.0 * np.pi, grid_step)
+    vals = ghz_expectation_shared(n, angles[:, None], angles[None, :])
+    best = float(np.abs(vals).max())
+    tol = 1e-12 * max(1.0, best)
+    ia, iap = min((int(i), int(j)) for i, j in np.argwhere(np.abs(vals) >= best - tol))
+    settings = MerminSettings.from_shared(n, float(angles[ia]), float(angles[iap]))
+    return float(vals[ia, iap]), settings
+
+
 class TestSharedScan:
     def test_n3_attains_four(self):
         v, s = mermin_shared_scan(3, grid_step=np.pi / 180)
@@ -230,6 +242,15 @@ class TestSharedScan:
         v, _ = mermin_shared_scan(4, grid_step=step)
         assert abs(abs(v) - np.abs(vals).max()) < 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_bitwise_equal_to_min_tie_break(self, n):
+        for step in (45.0, 15.0, 1.0):
+            grid_step = np.deg2rad(step)
+            v, s = mermin_shared_scan(n, grid_step)
+            want_v, want_s = reference_shared_scan(n, grid_step)
+            assert v == want_v
+            assert s.pairs == want_s.pairs
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mermin_shared_scan(1, grid_step=np.pi / 180)
@@ -237,6 +258,8 @@ class TestSharedScan:
             mermin_shared_scan(3, grid_step=0.0)
         with pytest.raises(ValueError):
             mermin_shared_scan(3, grid_step=1.0)  # > pi/4
+        with pytest.raises(ValueError, match="grid_step must be finite"):
+            mermin_shared_scan(3, grid_step=np.nan)
 
 
 class TestSettings:
