@@ -29,7 +29,6 @@ from .operators import (
     _scan_angles,
     _unbox,
     commutator,
-    dagger,
     expectation,
     ket,
     tensor,
@@ -86,7 +85,10 @@ def mermin_operator(settings: MerminSettings) -> np.ndarray:
     """The 2^n x 2^n Hermitian Mermin operator for the given settings."""
     ops = _party_ops(settings.pairs, "transverse")  # (n, 2, 2, 2): A_j, A_j'
     m_plus = reduce(tensor, ops[:, 0] + 1.0j * ops[:, 1])
-    return (m_plus - dagger(m_plus)) / 2.0j
+    # (m_plus - m_plus^dagger) / 2i in one more buffer; a C-ordered out=
+    # keeps the layout, and so the bits of m @ psi, of the plain formula
+    f = np.conjugate(m_plus.T, out=np.empty_like(m_plus))
+    return np.divide(np.subtract(m_plus, f, out=f), 2.0j, out=f)
 
 
 def mermin_value(state: GhzState, settings: MerminSettings) -> float:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -394,3 +395,17 @@ class TestInstalledEntryPoint:
         assert proc.stdout == (b"max_s\n"
                                b"# tool=bell-lab version=0.1.0 command=lhv mode=enumerate\n"
                                b"2\n")
+
+    def test_lhv_memory_does_not_grow_with_samples(self):
+        # max RSS of a Monte Carlo run against the enumerate run's import floor
+        def max_rss_mb(args):
+            proc = subprocess.Popen([sys.executable, "-m", "bell_lab", *args], stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
+            return usage.ru_maxrss / 1024.0  # KiB on Linux
+
+        floor = max_rss_mb(["lhv", "--enumerate"])
+        mc = max_rss_mb(["lhv", "--model", "sign", "--samples", "2000000", "--seed", "3",
+                         "--angles", "0,45,22.5,67.5"])
+        assert mc <= floor + 20.0

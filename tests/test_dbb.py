@@ -87,6 +87,13 @@ class TestSinglePacket:
         with pytest.raises(ValueError):
             psi_eval(wp, C, 0.0, 0.5)
 
+    def test_nonfinite_x_refused(self):
+        wp = WavePacket(center=0.0, width=1.0, wavenumber=0.0)
+        with pytest.raises(ValueError, match="x must be finite"):
+            psi_eval(wp, C, np.nan, 0.0)
+        with pytest.raises(ValueError, match="x must be finite"):
+            psi_eval(wp, C, np.array([0.0, np.inf]), 0.0)
+
     def test_width_validation(self):
         with pytest.raises(ValueError):
             WavePacket(center=0.0, width=0.0, wavenumber=1.0)
@@ -481,6 +488,16 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="x1 must be finite"):
             integrate_trajectory(wf, C, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
 
+    def test_one_packet_validation(self, monkeypatch):
+        wp = WavePacket(center=0.0, width=1.0, wavenumber=0.0, start_time=0.5)
+        with pytest.raises(ValueError, match="x must be finite"):
+            integrate_trajectory(wp, C, start=np.nan, t0=0.5, t1=1.0, dt=0.01)
+        with pytest.raises(ValueError, match="before the packet's start_time"):
+            integrate_trajectory(wp, C, start=0.0, t0=0.25, t1=1.0, dt=0.01)
+        monkeypatch.setattr(dbb, "_velocity_1p", lambda *args: np.inf)
+        with pytest.raises(ValueError, match="x must be finite"):
+            integrate_trajectory(wp, C, start=0.0, t0=0.5, t1=1.0, dt=0.01)
+
 
 def reference_rk4(vel, x, t0, t1, dt):
     """The hand-rolled RK4 loop that integrate_trajectory and integrate_spin
@@ -586,6 +603,13 @@ class TestSpinPrecession:
             b = tuple(rng.normal(size=3))
             d = spin_derivative(s, b, C)
             assert abs(np.dot(d, s.s)) < 1e-12 * max(1.0, np.linalg.norm(d))
+
+    def test_derivative_bitwise_equal_to_np_cross(self):
+        rng = np.random.default_rng(132)
+        for _ in range(100):
+            s, b = rng.normal(size=3) * 10.0 ** rng.integers(-5, 6, size=3), rng.normal(size=3)
+            c = PhysicalConstants(gyro=rng.normal())
+            assert np.array_equal(spin_derivative(s, b, c), c.gyro * np.cross(s, b))
 
     def test_norm_conserved_long_run(self):
         tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=20.0, dt=0.002)

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from bell_lab import lhv
 from bell_lab.chsh import ChshSettings
+from bell_lab.errors import NumericalCheckError
 from bell_lab.lhv import (
     RNG_ALGORITHM,
+    HiddenVariableModel,
     chsh_deterministic_max,
     make_rng,
     mermin_deterministic_max,
@@ -47,6 +51,36 @@ def mermin_enumerated(n):
         ap = 2 * ((idx >> (2 * j + 1)) & 1) - 1
         re, im = re * a - im * ap, re * ap + im * a
     return int(im.max())
+
+
+def exact_sign_model_chsh(settings):
+    """Oracle: the sign model's S = 2(2 P(+2) - 1), P(+2) measured on lambda arcs.
+
+    Each response sign(cos(setting - lambda)) flips only at setting +- pi/2,
+    so the per-lambda combination is constant on each arc between those 8
+    breakpoints; it is read at the arc's midpoint.
+    """
+    angles = np.array([settings.alpha, settings.alpha_prime, settings.beta, settings.beta_prime])
+    cuts = np.sort(np.concatenate([angles + np.pi / 2, angles - np.pi / 2]) % (2.0 * np.pi))
+    edges = np.append(cuts, cuts[0] + 2.0 * np.pi)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    a, ap, b, bp = (np.sign(np.cos(x - mid)) for x in angles)
+    b, bp = -b, -bp  # Bob's responses carry the model's extra minus sign
+    plus = a * b + ap * b + a * bp - ap * bp == 2
+    p_plus = np.sum(np.diff(edges)[plus]) / (2.0 * np.pi)
+    return 2.0 * (2.0 * p_plus - 1.0)
+
+
+def sawtooth_chsh(settings):
+    return (
+        sawtooth_correlation(settings.alpha, settings.beta)
+        + sawtooth_correlation(settings.alpha_prime, settings.beta)
+        + sawtooth_correlation(settings.alpha, settings.beta_prime)
+        - sawtooth_correlation(settings.alpha_prime, settings.beta_prime)
+    )
+
+
+RANDOM_SETTINGS = [ChshSettings(*v) for v in np.random.default_rng(404).uniform(-7.0, 7.0, size=(6, 4))]
 
 
 class TestDeterministicBounds:
@@ -192,3 +226,59 @@ class TestSignModelSimulation:
         b = model.bob_response(1.1, lam)
         assert np.array_equal(a, -b)
         assert set(np.unique(a)) <= {-1.0, 1.0}
+
+
+class TestStreamedCounts:
+    @pytest.mark.parametrize("settings", [SUPPLEMENTARY, *RANDOM_SETTINGS])
+    def test_exact_arc_route_matches_sawtooth(self, settings):
+        assert abs(exact_sign_model_chsh(settings) - sawtooth_chsh(settings)) < 1e-14
+
+    @pytest.mark.parametrize("settings", [SUPPLEMENTARY, *RANDOM_SETTINGS])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_estimate_within_five_se_of_exact(self, settings, seed):
+        r = simulate_chsh_stats(sign_model(), settings, samples=20_000, seed=seed)
+        assert r.stderr > 0.0
+        assert abs(r.estimate - exact_sign_model_chsh(settings)) <= 5.0 * r.stderr
+
+    @pytest.mark.parametrize("samples", [2, 1000, 65537, 200_001])
+    def test_matches_materialized_array(self, samples):
+        # route B: all samples at once, mean and np.std of the +-2 array
+        model = sign_model()
+        for settings, seed in [(SUPPLEMENTARY, 4), (RANDOM_SETTINGS[0], 9)]:
+            lam = model.sample(make_rng(seed), samples)
+            a = model.alice_response(settings.alpha, lam)
+            ap = model.alice_response(settings.alpha_prime, lam)
+            b = model.bob_response(settings.beta, lam)
+            bp = model.bob_response(settings.beta_prime, lam)
+            per_lambda = a * b + ap * b + a * bp - ap * bp
+            r = simulate_chsh_stats(model, settings, samples, seed)
+            assert r.estimate == np.mean(per_lambda)
+            want = np.std(per_lambda, ddof=1) / np.sqrt(samples)
+            assert abs(r.stderr - want) <= 1e-15 * want
+
+    def test_draws_one_chunk_at_a_time(self, monkeypatch):
+        sizes = []
+
+        def spy(rng, n):
+            sizes.append(n)
+            return sign_model().sample(rng, n)
+
+        model = dataclasses.replace(sign_model(), sample=spy)
+        whole = simulate_chsh_stats(model, SUPPLEMENTARY, samples=8, seed=21)
+        assert sizes == [8]
+        sizes.clear()
+        monkeypatch.setattr(lhv, "_CHUNK", 3)
+        assert simulate_chsh_stats(model, SUPPLEMENTARY, samples=8, seed=21) == whole
+        assert sizes == [3, 3, 2]
+
+    def test_nan_in_one_chunk_is_refused(self, monkeypatch):
+        monkeypatch.setattr(lhv, "_CHUNK", 3)
+        draws = iter([np.zeros(3), np.array([0.0, np.nan, 0.0]), np.zeros(2)])
+
+        def ones(angle, lam):
+            return 1.0 + 0.0 * lam  # NaN where lambda is NaN
+
+        model = HiddenVariableModel("nan", lambda rng, n: next(draws), ones, ones)
+        with pytest.raises(NumericalCheckError):
+            simulate_chsh_stats(model, SUPPLEMENTARY, samples=8, seed=0)
+        assert next(draws).size == 2  # refused in the second chunk, before the third

@@ -90,11 +90,17 @@ class TestTransverseSpinOp:
 
 
 class TestMerminOperator:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_bitwise_equal_to_per_op_reference(self, n):
-        pairs = np.random.default_rng(100 + n).uniform(-10.0, 10.0, size=(n, 2))
+        rng = np.random.default_rng(100 + n)
+        pairs = rng.uniform(-10.0, 10.0, size=(n, 2))
         f = mermin_operator(MerminSettings(pairs=pairs))
-        assert np.array_equal(f, reference_mermin_operator(pairs))
+        ref = reference_mermin_operator(pairs)
+        assert np.array_equal(f, ref)
+        # the same C layout as the plain formula, so M @ psi keeps its bits
+        assert f.flags.c_contiguous and ref.flags.c_contiguous
+        psi = rng.normal(size=2**n) + 1.0j * rng.normal(size=2**n)
+        assert np.array_equal(f @ psi, ref @ psi)
 
     def test_n1_is_sigma_y(self):
         # with one particle the ladder construction reduces to sin of the
