@@ -59,18 +59,13 @@ from .fock import (
     FockBasis,
     FockState,
     ModeIndex,
-    PairProductState,
-    SelectionSpec,
     annihilation,
-    apply_selection,
-    clock_angle,
     coincidence_closed_form,
     coincidence_correlation,
     coincidence_probability,
     creation,
     detector_amplitude_op,
     ou_mandel_state,
-    pair_product_amplitude,
     product_state,
     standard_basis,
     vacuum,

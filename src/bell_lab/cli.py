@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .chsh import ChshSettings, chsh_value, identity_residual, photon_pair_state, singlet, tsirelson_scan
 from .dbb import (
+    FORMS,
     PhysicalConstants,
     TwoParticleWF,
     WavePacket,
@@ -278,7 +279,7 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
 
 
 @main.command()
-@click.option("--form", type=click.Choice(["product", "symmetric", "antisymmetric"]), required=True)
+@click.option("--form", type=click.Choice(FORMS), required=True)
 @click.option("--center-a", type=float, default=-1.5, show_default=True)
 @click.option("--width-a", type=float, default=0.8, show_default=True)
 @click.option("--k-a", type=float, default=0.6, show_default=True)

@@ -181,17 +181,24 @@ def psi2_eval(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
     """Two-particle wavefunction value; broadcasts over (x1, x2)."""
     _check_point(wf, x1, x2, t)
     ta, tb = _terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)
-    la1 = _log_psi(ta, x1)
-    lb2 = _log_psi(tb, x2)
     if wf.form == "product":
-        return np.exp(la1 + lb2)
-    sign = 1.0 if wf.form == "symmetric" else -1.0
-    la2 = _log_psi(ta, x2)
-    lb1 = _log_psi(tb, x1)
-    l1 = la1 + lb2
-    l2 = la2 + lb1
-    lm = np.maximum(np.real(l1), np.real(l2))
-    return _norm_factor(wf, c) * np.exp(lm) * (np.exp(l1 - lm) + sign * np.exp(l2 - lm))
+        return np.exp(_log_psi(ta, x1) + _log_psi(tb, x2))
+    lm, w1, sw2 = _exchange_terms(wf.form, ta, tb, x1, x2)
+    return _norm_factor(wf, c) * np.exp(lm) * (w1 + sw2)
+
+
+def _exchange_terms(form: str, ta, tb, x1, x2):
+    """(lm, w1, sw2) of a symmetrized pair, so that psi = nf exp(lm) (w1 + sw2).
+
+    With l1 = log psi_a(x1) + log psi_b(x2) and l2 = log psi_a(x2) + log psi_b(x1):
+    lm = max(Re l1, Re l2), w1 = exp(l1 - lm) and sw2 = +-exp(l2 - lm), the
+    sign being the form's.
+    """
+    sign = 1.0 if form == "symmetric" else -1.0
+    l1 = _log_psi(ta, x1) + _log_psi(tb, x2)
+    l2 = _log_psi(ta, x2) + _log_psi(tb, x1)
+    lm = np.maximum(l1.real, l2.real)
+    return lm, np.exp(l1 - lm), sign * np.exp(l2 - lm)
 
 
 def _cmul(a, b):
@@ -221,18 +228,12 @@ def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: flo
     """
     hm = c.hbar / c.mass
     ta, tb = _terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)
-    la1 = _log_psi(ta, x1)
-    lb2 = _log_psi(tb, x2)
     if wf.form == "product":
+        la1, lb2 = _log_psi(ta, x1), _log_psi(tb, x2)
         _refuse_nodes((2.0 * la1.real < _LOG_DENSITY_FLOOR) | (2.0 * lb2.real < _LOG_DENSITY_FLOOR),
                       x1, x2, t)
         return hm * _dlog_psi(ta, x1).imag, hm * _dlog_psi(tb, x2).imag
-    sign = 1.0 if wf.form == "symmetric" else -1.0
-    l1 = la1 + lb2
-    l2 = _log_psi(ta, x2) + _log_psi(tb, x1)
-    lm = np.maximum(l1.real, l2.real)
-    w1 = np.exp(l1 - lm)
-    sw2 = sign * np.exp(l2 - lm)
+    lm, w1, sw2 = _exchange_terms(wf.form, ta, tb, x1, x2)
     den = w1 + sw2
     with np.errstate(divide="ignore"):  # den == 0 is refused as a node below
         log_rho = 2.0 * (lm + np.log(np.abs(den))) + 2.0 * np.log(nf)
@@ -312,6 +313,10 @@ def _check_span(t0: float, t1: float, dt: float):
         raise ValueError(f"dt must be positive, got {dt!r}")
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
+    # a dt of at most half an ulp leaves t + dt == t somewhere in [t0, t1]
+    t_max = max(abs(t0), abs(t1))
+    if dt <= 0.5 * math.ulp(t_max):
+        raise ValueError(f"dt={dt!r} cannot advance t={t_max!r} in float64")
 
 
 def _rk4(f, y0, t0: float, t1: float, dt: float):
@@ -324,7 +329,7 @@ def _rk4(f, y0, t0: float, t1: float, dt: float):
     """
     times, states = [t0], [y0]
     t, y = t0, y0
-    eps = 1e-12 * max(1.0, abs(t1))
+    eps = min(1e-12 * max(1.0, abs(t1)), 0.5 * dt)
     try:
         while t < t1 - eps:
             step = min(dt, t1 - t)

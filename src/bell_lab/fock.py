@@ -84,15 +84,6 @@ class FockState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def from_amplitudes(cls, basis: FockBasis, amplitudes) -> "FockState":
-        """Normalizing constructor."""
-        amps = np.asarray(amplitudes, dtype=complex).ravel()
-        n = np.linalg.norm(amps)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(basis=basis, amplitudes=amps / n)
-
     def amplitude(self, occ) -> complex:
         return complex(self.amplitudes[self.basis.index(occ)])
 
@@ -249,92 +240,3 @@ def coincidence_correlation(state: FockState, theta1, theta2):
         )
     return (p_sp + p_ps - p_ss - p_pp) / total
 
-
-def clock_angle(hour: float) -> float:
-    """Clock-face hour -> cone angle in radians (3 o'clock = 0, counterclockwise negative)."""
-    _require_finite("hour", hour)
-    return np.pi / 2.0 - hour * np.pi / 6.0
-
-
-@dataclass(frozen=True)
-class PairProductState:
-    """Down-conversion pair on opposite cone points, product form.
-
-    signal and idler clock angles parameterize the two emission cones;
-    momentum conservation pins idler_clock_angle = -signal_clock_angle.
-    The pump momentum is carried as bookkeeping only.
-    """
-
-    signal_clock_angle: float
-    idler_clock_angle: float
-    pump_momentum: tuple = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        _require_finite("signal_clock_angle", self.signal_clock_angle)
-        _require_finite("idler_clock_angle", self.idler_clock_angle)
-        if abs(self.idler_clock_angle + self.signal_clock_angle) >= 1e-12:
-            raise ValueError(
-                "momentum conservation requires idler_clock_angle = -signal_clock_angle"
-            )
-        pm = tuple(float(v) for v in self.pump_momentum)
-        if len(pm) != 3:
-            raise ValueError("pump_momentum must be a 3-vector")
-        _require_finite("pump_momentum", np.array(pm))
-        object.__setattr__(self, "pump_momentum", pm)
-
-
-def pair_product_amplitude(
-    state: PairProductState,
-    signal_test: float,
-    idler_test: float,
-    envelope_width: float = 1.0,
-    delta_width: float = 0.01,
-) -> complex:
-    """phi_x(signal) * phi_y(idler) * delta~(signal + idler).
-
-    The envelopes are Gaussians of width ``envelope_width`` centered on the
-    state's nominal clock angles; the momentum delta is a normalized
-    Gaussian of width ``delta_width``.  The product structure is the whole
-    point: the amplitude factorizes, and no selection choice touches it.
-    """
-    _require_finite("signal_test", signal_test)
-    _require_finite("idler_test", idler_test)
-    if envelope_width <= 0.0 or delta_width <= 0.0:
-        raise ValueError("envelope_width and delta_width must be positive")
-    phi_x = np.exp(-((signal_test - state.signal_clock_angle) ** 2) / (2.0 * envelope_width**2))
-    phi_y = np.exp(-((idler_test - state.idler_clock_angle) ** 2) / (2.0 * envelope_width**2))
-    delta = np.exp(-((signal_test + idler_test) ** 2) / (2.0 * delta_width**2)) / (
-        delta_width * np.sqrt(2.0 * np.pi)
-    )
-    return complex(phi_x * phi_y * delta)
-
-
-@dataclass(frozen=True)
-class SelectionSpec:
-    """Accepted signal clock angles with a common acceptance half-width."""
-
-    accepted: tuple
-    half_width: float
-
-    def __post_init__(self):
-        _require_finite("half_width", self.half_width)
-        if self.half_width <= 0.0:
-            raise ValueError("half_width must be positive")
-        acc = tuple(float(a) for a in self.accepted)
-        for a in acc:
-            _require_finite("accepted angle", a)
-        object.__setattr__(self, "accepted", acc)
-
-
-def apply_selection(selection: SelectionSpec, signal: float) -> bool:
-    """True iff the signal angle lies within half_width of an accepted angle.
-
-    Pure predicate: selection is a property of the detection arrangement,
-    never of the pair state.
-    """
-    _require_finite("signal", signal)
-    for a in selection.accepted:
-        d = (signal - a + np.pi) % (2.0 * np.pi) - np.pi
-        if abs(d) <= selection.half_width:
-            return True
-    return False

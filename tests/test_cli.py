@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bell_lab import cli
+from bell_lab import cli, dbb
 from bell_lab.chsh import TSIRELSON, ChshSettings, chsh_value, identity_residual, singlet
 from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CHUNK, _fmt, _guarded, main
 from bell_lab.dbb import PhysicalConstants, TwoParticleWF, WavePacket, integrate_trajectory
@@ -330,6 +330,26 @@ class TestDbbCommand:
     def test_grid_validation(self):
         result = CliRunner().invoke(main, ["dbb", "--form", "product", "--grid", "1"])
         assert result.exit_code == 2
+
+    def test_dt_that_cannot_advance_time_exits_two(self, monkeypatch):
+        # t + 0.001 == t at t = 1e20, so the span must be refused before integrating
+        monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+        result = CliRunner().invoke(main, ["dbb", "--form", "product", "--trajectory",
+                                           "--t0", "1e20", "--t1", "2e20", "--dt", "0.001"])
+        assert result.exit_code == EXIT_VALIDATION
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error=2 detail=")
+
+
+@pytest.mark.parametrize("args, t1, n_rows", [
+    (["spin", "--steps", "5", "--dt", "1e-14"], 5e-14, 6),
+    (["dbb", "--form", "product", "--trajectory", "--t1", "1e-13", "--dt", "1e-14"], 1e-13, 11),
+])
+def test_span_shorter_than_end_tolerance_all_written(args, t1, n_rows):
+    # these spans are below the 1e-12 RK4 end tolerance, which is capped at dt / 2
+    _, _, rows = parse_csv(run_ok(args))
+    assert len(rows) == n_rows
+    assert float(rows[-1][0]) == pytest.approx(t1, rel=1e-12)
 
 
 class TestSpinCommand:

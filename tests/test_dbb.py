@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 from scipy.integrate import quad
 
 from bell_lab import dbb
@@ -213,6 +213,19 @@ class TestVelocities:
             v1, v2 = velocity_2p(wf, C, x1, x2, t)
             assert abs(v1 - C.hbar / C.mass * (dp1 / p0).imag) < 1e-5
             assert abs(v2 - C.hbar / C.mass * (dp2 / p0).imag) < 1e-5
+
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(form=st.sampled_from(["symmetric", "antisymmetric"]),
+           x1=st.floats(-6.0, 6.0), x2=st.floats(-6.0, 6.0), t=st.floats(0.0, 3.0))
+    def test_exchange_symmetry(self, form, x1, x2, t):
+        # psi(x1, x2) = +-psi(x2, x1), so v1(x1, x2) = v2(x2, x1); swapping the
+        # points swaps the two exchange terms exactly, so the results are bitwise equal
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
+        try:
+            v1, v2 = velocity_2p(wf, C, x1, x2, t)
+        except NodeSingularityError:
+            assume(False)
+        assert velocity_2p(wf, C, x2, x1, t) == (v2, v1)
 
 
 class TestCrossCoupling:
@@ -480,6 +493,17 @@ class TestTrajectories:
             integrate_trajectory(wf, C, start=0.0, t0=0.0, t1=1.0, dt=0.01)
         with pytest.raises(ValueError, match="x2 must be finite"):
             integrate_trajectory(wf, C, start=(0.0, np.nan), t0=0.0, t1=1.0, dt=0.01)
+
+    def test_dt_that_cannot_advance_time_refused(self, monkeypatch):
+        # at |t| = 2e20 an ulp is 32768: t + dt == t for dt up to half of that
+        half_ulp = 0.5 * np.spacing(2e20)
+        for t0, t1 in ((1e20, 2e20), (-2e20, 0.0)):
+            with pytest.raises(ValueError, match="cannot advance"):
+                dbb._check_span(t0, t1, half_ulp)
+        dbb._check_span(1e20, 2e20, np.nextafter(half_ulp, np.inf))
+        monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+        with pytest.raises(ValueError, match="cannot advance"):
+            integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=1e20, dt=1e3)
 
     def test_nonfinite_stage_position_refused(self, monkeypatch):
         # the RK4 stages skip the boundary validation but not the finiteness check

@@ -9,18 +9,13 @@ from bell_lab.fock import (
     MODE_ORDER,
     BeamSplitterSpec,
     ModeIndex,
-    PairProductState,
-    SelectionSpec,
     annihilation,
-    apply_selection,
-    clock_angle,
     coincidence_closed_form,
     coincidence_correlation,
     coincidence_probability,
     creation,
     detector_amplitude_op,
     ou_mandel_state,
-    pair_product_amplitude,
     product_state,
     standard_basis,
     vacuum,
@@ -370,97 +365,3 @@ class TestArrayRoute:
         with pytest.raises(UndefinedCorrelationError):
             coincidence_correlation(st_, np.array([0.0, 0.5]), 0.2)
 
-
-class TestPairProduct:
-    def test_clock_angles(self):
-        assert clock_angle(3) == 0.0
-        assert abs(clock_angle(0) - np.pi / 2) < 1e-15
-        assert abs(clock_angle(6) - (-np.pi / 2)) < 1e-15
-        assert abs(clock_angle(1) - np.pi / 3) < 1e-15
-        # unwrapped on purpose: 12 o'clock as an hour count, not mod 2 pi
-        assert abs(clock_angle(12) - (-3 * np.pi / 2)) < 1e-15
-
-    def test_state_requires_back_to_back(self):
-        PairProductState(clock_angle(1), clock_angle(5))  # pi/3 and -pi/3
-        with pytest.raises(ValueError):
-            PairProductState(clock_angle(1), clock_angle(1))
-
-    def test_pump_momentum_bookkeeping(self):
-        st = PairProductState(0.5, -0.5, pump_momentum=(0.0, 0.0, 2.5))
-        assert st.pump_momentum == (0.0, 0.0, 2.5)
-        with pytest.raises(ValueError):
-            PairProductState(0.5, -0.5, pump_momentum=(1.0, 2.0))
-
-    def test_conservation_line_profile_is_gaussian(self):
-        # along i = -s the delta factor is constant and the two envelopes
-        # combine into one Gaussian centered on the nominal signal angle
-        st = PairProductState(clock_angle(2), clock_angle(4))
-        a = st.signal_clock_angle
-        ref = abs(pair_product_amplitude(st, a, -a))
-        for ds in (0.2, 0.5, 1.0):
-            got = abs(pair_product_amplitude(st, a + ds, -(a + ds)))
-            assert abs(got - ref * np.exp(-ds * ds)) < 1e-12 * ref
-
-    def test_peak_tracks_nominal_angle(self):
-        st = PairProductState(clock_angle(2), clock_angle(4))
-        grid = np.linspace(-np.pi, np.pi, 721)
-        mags = [abs(pair_product_amplitude(st, float(s), -float(s))) for s in grid]
-        peak = grid[int(np.argmax(mags))]
-        assert abs(peak - clock_angle(2)) < 0.02
-
-    def test_momentum_delta_suppresses_unbalanced_pairs(self):
-        st = PairProductState(clock_angle(1), clock_angle(5))
-        balanced = abs(pair_product_amplitude(st, 0.8, -0.8))
-        unbalanced = abs(pair_product_amplitude(st, 0.8, -0.75))
-        assert balanced > 100.0 * unbalanced
-
-    def test_envelope_width_parameter(self):
-        st = PairProductState(clock_angle(1), clock_angle(5))
-        wide = abs(pair_product_amplitude(st, 2.0, -2.0, envelope_width=5.0))
-        narrow = abs(pair_product_amplitude(st, 2.0, -2.0, envelope_width=0.3))
-        assert wide > narrow
-
-    def test_width_validation(self):
-        st = PairProductState(0.0, 0.0)
-        with pytest.raises(ValueError):
-            pair_product_amplitude(st, 0.0, 0.0, envelope_width=0.0)
-        with pytest.raises(ValueError):
-            pair_product_amplitude(st, 0.0, 0.0, delta_width=-1.0)
-
-
-class TestSelection:
-    def test_seven_oclock_accepted(self):
-        spec = SelectionSpec(accepted=(clock_angle(7),), half_width=0.1)
-        assert apply_selection(spec, clock_angle(7))
-        assert apply_selection(spec, clock_angle(7) + 0.05)
-        assert not apply_selection(spec, clock_angle(7) + 0.2)
-
-    def test_eleven_oclock_wraps(self):
-        spec = SelectionSpec(accepted=(clock_angle(11),), half_width=0.1)
-        assert apply_selection(spec, clock_angle(11))
-        assert apply_selection(spec, clock_angle(11) + 2 * np.pi + 0.03)
-
-    def test_empty_acceptance(self):
-        spec = SelectionSpec(accepted=(), half_width=0.5)
-        assert not apply_selection(spec, 0.0)
-
-    def test_widening_is_monotone(self):
-        angles = np.linspace(-np.pi, np.pi, 101)
-        narrow = SelectionSpec(accepted=(0.3, 2.0), half_width=0.1)
-        wide = SelectionSpec(accepted=(0.3, 2.0), half_width=0.4)
-        for a in angles:
-            if apply_selection(narrow, float(a)):
-                assert apply_selection(wide, float(a))
-
-    def test_selection_does_not_change_amplitudes(self):
-        # conditioning is post-hoc bookkeeping: amplitudes are untouched
-        st = PairProductState(clock_angle(1), clock_angle(5))
-        before = pair_product_amplitude(st, 0.3, -0.3)
-        spec = SelectionSpec(accepted=(clock_angle(11),), half_width=0.1)
-        apply_selection(spec, 0.3)
-        after = pair_product_amplitude(st, 0.3, -0.3)
-        assert before == after
-
-    def test_half_width_validation(self):
-        with pytest.raises(ValueError):
-            SelectionSpec(accepted=(0.0,), half_width=0.0)
