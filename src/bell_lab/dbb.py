@@ -26,6 +26,8 @@ from .operators import _require_finite
 
 FORMS = ("product", "symmetric", "antisymmetric")
 
+_MAX_STEPS = 10**6  # RK4 steps one span may take
+
 # densities below this are nodes for all practical purposes
 _LOG_DENSITY_FLOOR = np.log(1e-300)
 
@@ -317,6 +319,8 @@ def _check_span(t0: float, t1: float, dt: float):
     t_max = max(abs(t0), abs(t1))
     if dt <= 0.5 * math.ulp(t_max):
         raise ValueError(f"dt={dt!r} cannot advance t={t_max!r} in float64")
+    if (t1 - t0) / dt > _MAX_STEPS:  # every step is kept, so this bounds memory
+        raise ValueError(f"(t1 - t0) / dt = {(t1 - t0) / dt:.6g} steps exceeds {_MAX_STEPS}")
 
 
 def _rk4(f, y0, t0: float, t1: float, dt: float):
@@ -329,7 +333,9 @@ def _rk4(f, y0, t0: float, t1: float, dt: float):
     """
     times, states = [t0], [y0]
     t, y = t0, y0
-    eps = min(1e-12 * max(1.0, abs(t1)), 0.5 * dt)
+    # a remainder below eps is rounding in t, not a step; _MAX_STEPS steps
+    # from t = 0 round off less than 1e-4 * dt, so a tiny dt keeps its tail
+    eps = min(1e-12 * max(1.0, abs(t1)), 1e-3 * dt)
     try:
         while t < t1 - eps:
             step = min(dt, t1 - t)

@@ -55,22 +55,46 @@ class ChshEstimate:
     seed: int
 
 
-def _pm_sign(x) -> np.ndarray:
-    # sign with the 0 -> +1 convention so responses are always +-1
-    return np.where(np.asarray(x) >= 0.0, 1, -1)
+def _cos_sign(angle: float, lam) -> np.ndarray:
+    # sign(cos(angle - lam)) with the 0 -> +1 convention, so always +-1
+    return np.where(np.cos(angle - lam) >= 0.0, np.int8(1), np.int8(-1))
+
+
+def _arc_sign(angle: float, lam) -> np.ndarray:
+    """``_cos_sign`` by arc membership: the same int8 array, bitwise.
+
+    cos(angle - lam) >= 0 exactly when e = ||lam - c| - pi|, pi minus the
+    circular distance from c = angle mod 2 pi, is >= pi/2 (for |lam - c| <=
+    2 pi).  Within w = 1e-9 * max(1, |angle|) of an arc end, where rounding
+    (~1e-16 * |angle|) could split the routes, the cosine decides.
+    """
+    angle, lam = float(angle), np.asarray(lam, dtype=float)
+    w = 1e-9 * max(1.0, abs(angle))
+    e = lam - angle % (2.0 * np.pi)  # in place from here: a fresh buffer costs page faults
+    np.abs(e, out=e)
+    e -= np.pi
+    np.abs(e, out=e)
+    if not e.max(initial=0.0) <= np.pi:  # some |lam - c| > 2 pi, or a NaN
+        return _cos_sign(angle, lam)
+    r = (e >= 0.5 * np.pi - w).view(np.int8) + (e >= 0.5 * np.pi + w).view(np.int8)
+    r -= 1  # +1 or -1, and 0 within w of an arc end
+    near = r == 0
+    if near.any():
+        r[near] = _cos_sign(angle, lam[near])
+    return r
 
 
 def sign_model() -> HiddenVariableModel:
     """lambda uniform on the circle; response sign(cos(setting - lambda)).
 
     Bob's response carries an extra minus sign so the model mimics
-    anticorrelated pairs: E(a, a) = -1 exactly.
+    anticorrelated pairs: E(a, a) = -1 exactly.  Responses are int8.
     """
     return HiddenVariableModel(
         name="sign",
         sample=lambda rng, n: rng.uniform(0.0, 2.0 * np.pi, size=n),
-        alice_response=lambda angle, lam: _pm_sign(np.cos(angle - lam)),
-        bob_response=lambda angle, lam: -_pm_sign(np.cos(angle - lam)),
+        alice_response=_arc_sign,
+        bob_response=lambda angle, lam: -_arc_sign(angle, lam),
     )
 
 

@@ -29,7 +29,6 @@ from .operators import (
     _scan_angles,
     _unbox,
     commutator,
-    expectation,
     ket,
     tensor,
 )
@@ -97,7 +96,13 @@ def mermin_value(state: GhzState, settings: MerminSettings) -> float:
         raise ValueError(
             f"settings are for {settings.n} particles but the state has {state.n}"
         )
-    return expectation(state.ket, mermin_operator(settings)).real
+    # <F> = Im <psi|P|psi> with P = prod_j (A_j + i A_j'), each 2x2 factor
+    # applied to its own axis of the ket: O(2^n) memory, no 2^n x 2^n matrix
+    ops = _party_ops(settings.pairs, "transverse")
+    phi = state.ket
+    for j, factor in enumerate(ops[:, 0] + 1.0j * ops[:, 1]):
+        phi = (factor @ phi.reshape(2**j, 2, -1)).ravel()
+    return float(np.vdot(state.ket, phi).imag)
 
 
 def mermin_square_residual(settings: MerminSettings) -> float:

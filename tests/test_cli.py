@@ -341,12 +341,27 @@ class TestDbbCommand:
         assert len(lines) == 1 and lines[0].startswith("error=2 detail=")
 
 
+@pytest.mark.parametrize("args", [
+    ["dbb", "--form", "product", "--trajectory", "--t1", "1e9", "--dt", "0.001"],
+    ["spin", "--steps", "1000001", "--dt", "1"],
+])
+def test_span_of_too_many_steps_exits_two(monkeypatch, args):
+    # 10^12 and 1000001 steps: refused before integrating, never run for real
+    monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == EXIT_VALIDATION
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error=2 detail=") and "steps exceeds" in lines[0]
+
+
 @pytest.mark.parametrize("args, t1, n_rows", [
     (["spin", "--steps", "5", "--dt", "1e-14"], 5e-14, 6),
     (["dbb", "--form", "product", "--trajectory", "--t1", "1e-13", "--dt", "1e-14"], 1e-13, 11),
+    (["dbb", "--form", "product", "--trajectory", "--t1", "1.4e-14", "--dt", "1e-14"], 1.4e-14, 3),
 ])
 def test_span_shorter_than_end_tolerance_all_written(args, t1, n_rows):
-    # these spans are below the 1e-12 RK4 end tolerance, which is capped at dt / 2
+    # these spans are below the 1e-12 RK4 end tolerance, which is capped at
+    # dt / 1000; the last one ends on a 0.4 dt remainder
     _, _, rows = parse_csv(run_ok(args))
     assert len(rows) == n_rows
     assert float(rows[-1][0]) == pytest.approx(t1, rel=1e-12)
@@ -416,16 +431,34 @@ class TestInstalledEntryPoint:
                                b"# tool=bell-lab version=0.1.0 command=lhv mode=enumerate\n"
                                b"2\n")
 
+    @staticmethod
+    def max_rss_mb(args):
+        # Linux carries a process's RSS high-water mark across exec, so a
+        # command spawned straight from pytest would report at least pytest's
+        # RSS; a small launcher process spawns and reaps it instead
+        launcher = ("import os, subprocess, sys; "
+                    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+                    "_, status, usage = os.wait4(p.pid, 0); "
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        proc = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m", "bell_lab", *args],
+                              capture_output=True, text=True, check=True)
+        code, kib = map(int, proc.stdout.split())
+        assert code == 0
+        return kib / 1024.0  # KiB on Linux
+
     def test_lhv_memory_does_not_grow_with_samples(self):
         # max RSS of a Monte Carlo run against the enumerate run's import floor
-        def max_rss_mb(args):
-            proc = subprocess.Popen([sys.executable, "-m", "bell_lab", *args], stdout=subprocess.DEVNULL)
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            assert proc.returncode == 0
-            return usage.ru_maxrss / 1024.0  # KiB on Linux
-
-        floor = max_rss_mb(["lhv", "--enumerate"])
-        mc = max_rss_mb(["lhv", "--model", "sign", "--samples", "2000000", "--seed", "3",
-                         "--angles", "0,45,22.5,67.5"])
+        floor = self.max_rss_mb(["lhv", "--enumerate"])
+        mc = self.max_rss_mb(["lhv", "--model", "sign", "--samples", "2000000", "--seed", "3",
+                              "--angles", "0,45,22.5,67.5"])
         assert mc <= floor + 20.0
+
+    def test_mermin_memory_stays_near_the_import_floor(self):
+        # <F> for n = 10 needs the 2^10 ket, not the 2^10 x 2^10 operator (16 MB)
+        floor = self.max_rss_mb(["lhv", "--enumerate"])
+        assert self.max_rss_mb(["mermin", "--n", "10"]) <= floor + 20.0
+
+    def test_memory_floor_is_not_the_test_process(self):
+        # the measurement must not inherit this process's RSS (over 100 MB here)
+        ballast = np.ones(12_500_000)
+        assert ballast.sum() > 0 and self.max_rss_mb(["lhv", "--enumerate"]) < 90.0

@@ -500,10 +500,30 @@ class TestTrajectories:
         for t0, t1 in ((1e20, 2e20), (-2e20, 0.0)):
             with pytest.raises(ValueError, match="cannot advance"):
                 dbb._check_span(t0, t1, half_ulp)
-        dbb._check_span(1e20, 2e20, np.nextafter(half_ulp, np.inf))
+        # just above half an ulp time advances; a span of 1e9 keeps the step
+        # count (~6e4) under _MAX_STEPS, which 1e20 would not
+        dbb._check_span(2e20 - 1e9, 2e20, np.nextafter(half_ulp, np.inf))
         monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
         with pytest.raises(ValueError, match="cannot advance"):
             integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=1e20, dt=1e3)
+
+    def test_span_of_too_many_steps_refused(self, monkeypatch):
+        monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+        dbb._check_span(0.0, 1e6, 1.0)  # exactly _MAX_STEPS steps
+        for t0, t1, dt in ((0.0, 1e6 + 1.0, 1.0), (-1e308, 1e308, 1e300), (0.0, 1e9, 0.001)):
+            with pytest.raises(ValueError, match="steps exceeds"):
+                dbb._check_span(t0, t1, dt)
+        with pytest.raises(ValueError, match="steps exceeds"):
+            integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=2e6, dt=1.0)
+
+    def test_tiny_dt_takes_the_final_remainder(self):
+        # dt = 1e-14 is far below the 1e-12 end tolerance; the 0.4 dt left
+        # after one step is still a step, not rounding
+        times, states = dbb._rk4(lambda y, t: 1.0, 0.0, 0.0, 1.4e-14, 1e-14)
+        assert times.tolist() == [0.0, 1e-14, 1.4e-14]
+        assert states[-1] == pytest.approx(1.4e-14, rel=1e-15)
+        times, _ = dbb._rk4(lambda y, t: 1.0, 0.0, 0.0, 1e-14 * (1 + 2e-3), 1e-14)
+        assert times[-1] == 1e-14 * (1 + 2e-3) and len(times) == 3
 
     def test_nonfinite_stage_position_refused(self, monkeypatch):
         # the RK4 stages skip the boundary validation but not the finiteness check

@@ -83,6 +83,17 @@ def sawtooth_chsh(settings):
 RANDOM_SETTINGS = [ChshSettings(*v) for v in np.random.default_rng(404).uniform(-7.0, 7.0, size=(6, 4))]
 
 
+def reference_sign_response(angle, lam):
+    """Oracle: the sign model's response straight from its cosine formula."""
+    return np.where(np.cos(angle - lam) >= 0, 1, -1)
+
+
+ORACLE_ANGLES = [
+    *np.random.default_rng(808).uniform(-900.0, 900.0, size=100),
+    *np.deg2rad(np.arange(-360.0, 360.5, 0.5)),
+]
+
+
 class TestDeterministicBounds:
     def test_chsh_max_is_exactly_two(self):
         assert chsh_deterministic_max() == 2
@@ -282,3 +293,67 @@ class TestStreamedCounts:
         with pytest.raises(NumericalCheckError):
             simulate_chsh_stats(model, SUPPLEMENTARY, samples=8, seed=0)
         assert next(draws).size == 2  # refused in the second chunk, before the third
+
+
+class TestArcScoring:
+    """alice_response and -bob_response against the cosine oracle, bitwise."""
+
+    @staticmethod
+    def assert_matches_oracle(angle, lam):
+        model = sign_model()
+        want = reference_sign_response(angle, lam)
+        for got in (model.alice_response(angle, lam), -model.bob_response(angle, lam)):
+            assert got.dtype == np.int8
+            assert np.array_equal(got, want), angle
+
+    def test_uniform_draws(self):
+        lam = sign_model().sample(make_rng(31), 2048)
+        for angle in ORACLE_ANGLES:
+            self.assert_matches_oracle(angle, lam)
+
+    @staticmethod
+    def planted(ends):
+        """ends, +-1 and +-4 ulp of them, and ends +- 1e-13."""
+        near = [ends + k * np.spacing(ends) for k in (-4, -1, 0, 1, 4)]
+        return np.concatenate([*near, ends - 1e-13, ends + 1e-13])
+
+    def test_lambda_planted_on_arc_ends(self):
+        for angle in ORACLE_ANGLES:
+            raw = angle + np.array([-0.5, 0.5]) * np.pi
+            # wrapped into the sampler's [0, 2 pi), and as raw angle -+ pi/2
+            for ends in (raw % (2.0 * np.pi), raw):
+                self.assert_matches_oracle(angle, self.planted(ends))
+            self.assert_matches_oracle(angle, np.array([0.0, np.nextafter(2.0 * np.pi, 0.0)]))
+
+    def test_nan_lambda(self):
+        lam = sign_model().sample(make_rng(32), 64)
+        lam[[3, 40]] = np.nan
+        for angle in (0.0, 1.0, -2.5, 700.0):
+            self.assert_matches_oracle(angle, lam)
+            self.assert_matches_oracle(angle, np.full(5, np.nan))
+            self.assert_matches_oracle(angle, np.array([np.nan, angle + 10.0, angle + 0.5 * np.pi]))
+        assert np.array_equal(sign_model().alice_response(0.0, np.array([np.nan])), [-1])
+
+    @pytest.mark.parametrize("angle", [1e9, -1e9, 1e300, -1e300])
+    def test_huge_angles(self, angle):
+        lam = sign_model().sample(make_rng(33), 2048)
+        self.assert_matches_oracle(angle, lam)
+        ends = (angle + np.array([-0.5, 0.5]) * np.pi) % (2.0 * np.pi)
+        self.assert_matches_oracle(angle, self.planted(ends))
+
+    def test_few_elements_reach_the_cosine(self, monkeypatch):
+        seen = []
+        cos = np.cos
+
+        def spy(x, *args, **kwargs):
+            seen.append(np.size(x))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", spy)
+        # the spy is live: an element on an arc end reaches the cosine alone
+        sign_model().alice_response(0.3, np.array([0.1, 0.3 + 0.5 * np.pi, 2.0]))
+        assert seen == [1]
+        seen.clear()
+        r = simulate_chsh_stats(sign_model(), SUPPLEMENTARY, samples=1_000_000, seed=12)
+        assert abs(r.estimate - exact_sign_model_chsh(SUPPLEMENTARY)) <= 5.0 * r.stderr
+        assert sum(seen) <= 100

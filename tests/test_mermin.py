@@ -2,8 +2,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from bell_lab.mermin import (
+    GhzState,
     MerminSettings,
     ghz,
     ghz_expectation_shared,
@@ -13,7 +15,7 @@ from bell_lab.mermin import (
     mermin_value,
     transverse_spin_op,
 )
-from bell_lab.operators import hermitian_extremal_eigenvalue, pauli
+from bell_lab.operators import expectation, hermitian_extremal_eigenvalue, ket, pauli
 
 
 def kron_chain(mats):
@@ -182,6 +184,33 @@ class TestMerminValue:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mermin_value(ghz(3), MerminSettings.from_shared(2, 0.0, np.pi / 2))
+
+
+def random_state(n, rng):
+    """A normalized random ket on n qubits, passed where a GHZ state goes."""
+    return GhzState(n=n, ket=ket(rng.normal(size=2**n) + 1.0j * rng.normal(size=2**n)))
+
+
+class TestMatrixFreeValue:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_operator_route(self, n):
+        # route B: <psi|F|psi> with the full 2^n x 2^n operator
+        rng = np.random.default_rng(600 + n)
+        for state in (ghz(n), random_state(n, rng)):
+            for _ in range(3):
+                s = MerminSettings(tuple(map(tuple, rng.uniform(-7.0, 7.0, size=(n, 2)))))
+                via_operator = expectation(state.ket, mermin_operator(s)).real
+                assert abs(mermin_value(state, s) - via_operator) <= 1e-12 * 2.0 ** (n - 1)
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_quantum_bound_holds_for_any_state(self, n, seed, data):
+        angle = st.floats(-10.0, 10.0, allow_nan=False)
+        pairs = data.draw(st.lists(st.tuples(angle, angle), min_size=n, max_size=n))
+        states = (random_state(n, np.random.default_rng(seed)), ghz(n))
+        for s in (MerminSettings(tuple(pairs)), MerminSettings.from_shared(n, 0.0, np.pi / 2)):
+            for state in states:
+                assert abs(mermin_value(state, s)) <= 2.0 ** (n - 1) * (1.0 + 1e-12)
 
 
 class TestSharedFormula:
