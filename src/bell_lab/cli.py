@@ -7,13 +7,17 @@ data rows.  Floats are rendered with 17 significant digits, lines end in
 LF, so identical flags and seed reproduce the file byte for byte.
 Angles are taken in degrees on the command line.
 
-Exit codes: 0 success, 2 validation error, 3 internal numerical check
-failure, 4 node-singularity halt.  Every failure also writes one
-machine-parsable line ``error=<code> detail=<text>`` to stderr.
+Every command makes one broadcast library call per result and writes
+named columns that broadcast against each other; a grid command passes
+its two axes as a column and a row, never as a meshgrid, so a grid is
+evaluated in one call.  Grids have at most MAX_GRID_SIDE points per axis.
+
+Exit codes: 0 success, 2 validation or usage error, 3 internal numerical
+check failure, 4 node-singularity halt.  Every failure of a command also
+writes one machine-parsable line ``error=<code> detail=<text>`` to stderr.
 """
 
-import functools
-import itertools
+import math
 import sys
 
 import click
@@ -42,62 +46,76 @@ EXIT_NODE = 4
 
 IDENTITY_TOLERANCE = 1e-12
 IDENTITY_CHUNK = 4096
+# a grid is evaluated whole, so this bounds its arrays: at most 512**2 points
+MAX_GRID_SIDE = 512
 
 _KIND = {"spin": "spin_half", "photon": "photon"}
 
+# printf-style cell format by numpy dtype kind: bools as 1/0, floats with 17 significant digits
+_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    value = np.asarray(value)
+    return _FORMATS.get(value.dtype.kind, "%s") % value.item()
 
 
-def _meta(command: str, params, seed=None) -> str:
+def _meta(command: str, params: dict, seed=None) -> str:
     parts = [f"tool=bell-lab version={__version__} command={command}"]
-    parts += [f"{key}={_fmt(value)}" for key, value in params]
+    parts += [f"{key}={_fmt(value)}" for key, value in params.items()]
     if seed is not None:
         parts.append(f"seed={int(seed)} rng={RNG_ALGORITHM}")
     return "# " + " ".join(parts)
 
 
-def _write_csv(out, header, meta_line, rows):
-    lines = [",".join(header), meta_line]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+def _write_csv(out, meta_line: str, columns: dict):
+    """Header, metadata line, then one row per element of the broadcast columns."""
+    cells = np.broadcast_arrays(*columns.values())
+    row = ",".join(_FORMATS.get(cell.dtype.kind, "%s") for cell in cells)
+    lines = map(row.__mod__, zip(*(cell.ravel().tolist() for cell in cells)))
+    text = "\n".join([",".join(columns), meta_line, *lines]) + "\n"
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="")
+    except OSError as err:
+        raise click.UsageError(f"cannot open --out {out}: {err.strerror}") from None
+    with fh:
+        fh.write(text)
 
 
-def _fail(code: int, err: BaseException):
-    detail = " ".join(str(err).split())
-    click.echo(f"error={code} detail={detail}", err=True)
+def _fail(code: int, detail: str):
+    click.echo(f"error={code} detail={' '.join(detail.split())}", err=True)
     sys.exit(code)
 
 
-def _guarded(fn):
-    """Map library errors onto the documented exit codes."""
+class _Main(click.Group):
+    """The root group: maps a failure anywhere below it onto its exit code."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
+            return super().invoke(ctx)
         except NodeSingularityError as err:
-            _fail(EXIT_NODE, err)
+            _fail(EXIT_NODE, str(err))
         except NumericalCheckError as err:
-            _fail(EXIT_NUMERICAL, err)
+            _fail(EXIT_NUMERICAL, str(err))
         except ValueError as err:
-            _fail(EXIT_VALIDATION, err)
+            _fail(EXIT_VALIDATION, str(err))
+        except click.UsageError as err:
+            _fail(EXIT_VALIDATION, err.format_message())
 
-    return wrapper
+
+def _check_grid(side: float):
+    """Refuse a grid of more than MAX_GRID_SIDE points per axis before building it."""
+    if side > MAX_GRID_SIDE:
+        raise ValueError(f"grid of {side:.6g} points per axis exceeds {MAX_GRID_SIDE}")
+
+
+def _scan_side(step: float) -> float:
+    """2 pi / step in radians; the scan's ceil of it exceeds the cap exactly when it does."""
+    rad = float(np.deg2rad(step))
+    return 2.0 * math.pi / rad if rad > 0.0 else 0.0  # the scan refuses rad <= 0 itself
 
 
 def _parse_floats(text, name, count):
@@ -110,7 +128,7 @@ def _parse_floats(text, name, count):
         raise click.UsageError(f"could not parse {name}: {exc}")
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="bell-lab")
 def main():
     """Bell/CHSH, Mermin, Ou-Mandel and de Broglie-Bohm numerics."""
@@ -124,7 +142,6 @@ def main():
 @click.option("--kind", type=click.Choice(["spin", "photon"]), default="spin", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="CSV path (default stdout).")
 @click.pass_context
-@_guarded
 def chsh(ctx, alpha, alpha_prime, beta, beta_prime, kind, out):
     """S for one settings tuple on the singlet / photon pair state."""
     if ctx.invoked_subcommand is not None:
@@ -134,36 +151,23 @@ def chsh(ctx, alpha, alpha_prime, beta, beta_prime, kind, out):
         raise click.UsageError("chsh needs --alpha, --alpha-prime, --beta and --beta-prime")
     settings = ChshSettings(*np.deg2rad(degs), kind=_KIND[kind])
     state = singlet() if kind == "spin" else photon_pair_state()
-    value = chsh_value(state, settings)
-    meta = _meta(
-        "chsh",
-        [("alpha", alpha), ("alpha_prime", alpha_prime), ("beta", beta),
-         ("beta_prime", beta_prime), ("kind", kind)],
-    )
-    _write_csv(
-        out,
-        ["alpha", "alpha_prime", "beta", "beta_prime", "kind", "s"],
-        meta,
-        [(alpha, alpha_prime, beta, beta_prime, kind, value.s)],
-    )
+    columns = {"alpha": alpha, "alpha_prime": alpha_prime, "beta": beta,
+               "beta_prime": beta_prime, "kind": kind}
+    _write_csv(out, _meta("chsh", columns), {**columns, "s": chsh_value(state, settings).s})
 
 
 @chsh.command("scan")
 @click.option("--step", type=float, required=True, help="Grid step (degrees), in (0, 45].")
 @click.option("--kind", type=click.Choice(["spin", "photon"]), default="spin", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guarded
 def chsh_scan(step, kind, out):
     """Exhaustive grid maximization of |S|."""
+    _check_grid(_scan_side(step))
     result = tsirelson_scan(_KIND[kind], np.deg2rad(step))
     best = np.rad2deg(result.settings.angles)
-    meta = _meta("chsh-scan", [("step", step), ("kind", kind)])
-    _write_csv(
-        out,
-        ["best_alpha", "best_alpha_prime", "best_beta", "best_beta_prime", "s_max"],
-        meta,
-        [(best[0], best[1], best[2], best[3], abs(result.s))],
-    )
+    names = ("best_alpha", "best_alpha_prime", "best_beta", "best_beta_prime")
+    _write_csv(out, _meta("chsh-scan", {"step": step, "kind": kind}),
+               {**dict(zip(names, best)), "s_max": abs(result.s)})
 
 
 @main.command()
@@ -171,7 +175,6 @@ def chsh_scan(step, kind, out):
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guarded
 def identity(kind, trials, seed, out):
     """Max residual of S^2 = 4I - [A,A'](x)[B,B'] over random settings."""
     if trials < 1:
@@ -188,8 +191,8 @@ def identity(kind, trials, seed, out):
         raise NumericalCheckError(
             f"identity residual {worst:.3e} exceeds {IDENTITY_TOLERANCE:.1e}"
         )
-    meta = _meta("identity", [("kind", kind), ("trials", trials)], seed=seed)
-    _write_csv(out, ["trials", "max_residual"], meta, [(trials, worst)])
+    meta = _meta("identity", {"kind": kind, "trials": trials}, seed=seed)
+    _write_csv(out, meta, {"trials": trials, "max_residual": worst})
 
 
 @main.command()
@@ -197,19 +200,18 @@ def identity(kind, trials, seed, out):
 @click.option("--scan", is_flag=True, help="Scan a shared (a, a') grid instead of the canonical pair.")
 @click.option("--step", type=float, default=1.0, show_default=True, help="Scan step (degrees).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guarded
 def mermin(n, scan, step, out):
     """<F_n> on the GHZ state plus the deterministic LHV maximum."""
     if scan:
+        _check_grid(_scan_side(step))
         value, _settings = mermin_shared_scan(n, np.deg2rad(step))
-        params = [("n", n), ("scan", True), ("step", step)]
+        params = {"n": n, "scan": True, "step": step}
     else:
         # canonical shared pair (0, 90) degrees attains the quantum bound
         value = mermin_value(ghz(n), MerminSettings.from_shared(n, 0.0, np.pi / 2.0))
-        params = [("n", n), ("scan", False)]
-    det = mermin_deterministic_max(n)
-    meta = _meta("mermin", params)
-    _write_csv(out, ["n", "f_value_or_max", "deterministic_max"], meta, [(n, value, det)])
+        params = {"n": n, "scan": False}
+    _write_csv(out, _meta("mermin", params),
+               {"n": n, "f_value_or_max": value, "deterministic_max": mermin_deterministic_max(n)})
 
 
 @main.command()
@@ -219,23 +221,18 @@ def mermin(n, scan, step, out):
 @click.option("--seed", type=int, default=None)
 @click.option("--angles", type=str, default=None, help="alpha,alpha',beta,beta' in degrees.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guarded
 def lhv(enumerate_, model, samples, seed, angles, out):
     """Local hidden-variable baselines: enumeration or Monte Carlo."""
     if enumerate_:
-        meta = _meta("lhv", [("mode", "enumerate")])
-        _write_csv(out, ["max_s"], meta, [(chsh_deterministic_max(),)])
+        _write_csv(out, _meta("lhv", {"mode": "enumerate"}), {"max_s": chsh_deterministic_max()})
         return
     if model is None or samples is None or seed is None or angles is None:
         raise click.UsageError("lhv needs --enumerate, or --model --samples --seed --angles")
     settings = ChshSettings(*np.deg2rad(_parse_floats(angles, "--angles", 4)), kind="spin_half")
     stats = simulate_chsh_stats(sign_model(), settings, samples, seed)
-    meta = _meta(
-        "lhv",
-        [("mode", "model"), ("model", model), ("samples", samples), ("angles", angles)],
-        seed=seed,
-    )
-    _write_csv(out, ["s_estimate", "stderr"], meta, [(stats.estimate, stats.stderr)])
+    meta = _meta("lhv", {"mode": "model", "model": model, "samples": samples, "angles": angles},
+                 seed=seed)
+    _write_csv(out, meta, {"s_estimate": stats.estimate, "stderr": stats.stderr})
 
 
 @main.command()
@@ -246,36 +243,31 @@ def lhv(enumerate_, model, samples, seed, angles, out):
 @click.option("--grid", type=int, default=None, help="Evaluate on an NxN angle grid over [0, 180] degrees.")
 @click.option("--correlation", is_flag=True, help="Coincidence-normalized correlation instead of probabilities.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guarded
 def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     """Two-photon coincidence probabilities / correlations behind the splitter."""
     bs = BeamSplitterSpec.from_transmissions(tx, ty)
     state = ou_mandel_state(bs)
-    if grid is not None:
+    params = {"tx": tx, "ty": ty, "theta1": theta1, "theta2": theta2}
+    if grid is None:
+        t1, t2 = theta1, theta2
+    else:
         if grid < 2:
             raise click.UsageError("--grid must be >= 2")
+        _check_grid(grid)
         thetas = np.linspace(0.0, 180.0, grid)
-        # one array evaluation per theta1 row keeps memory O(grid)
-        theta_rows = [(t1, thetas) for t1 in thetas]
-    else:
-        theta_rows = [(theta1, np.array([theta2]))]
-    params = [("tx", tx), ("ty", ty), ("theta1", theta1), ("theta2", theta2)]
-    if grid is not None:
-        params.append(("grid", grid))
-    params.append(("correlation", correlation))
+        t1, t2 = thetas[:, None], thetas[None, :]
+        params["grid"] = grid
+    params["correlation"] = correlation
     meta = _meta("oumandel", params)
-    rows = []
+    r1, r2 = np.deg2rad(t1), np.deg2rad(t2)
     if correlation:
-        for t1, t2 in theta_rows:
-            e = coincidence_correlation(state, np.deg2rad(t1), np.deg2rad(t2))
-            rows.extend(zip(itertools.repeat(t1), t2, e))
-        _write_csv(out, ["theta1", "theta2", "e_value"], meta, rows)
-    else:
-        for t1, t2 in theta_rows:
-            p = coincidence_probability(state, np.deg2rad(t1), np.deg2rad(t2))
-            q = coincidence_closed_form(bs, np.deg2rad(t1), np.deg2rad(t2))
-            rows.extend(zip(itertools.repeat(t1), t2, p, q, np.abs(p - q)))
-        _write_csv(out, ["theta1", "theta2", "p_numeric", "p_closed_form", "abs_diff"], meta, rows)
+        _write_csv(out, meta, {"theta1": t1, "theta2": t2,
+                               "e_value": coincidence_correlation(state, r1, r2)})
+        return
+    p = coincidence_probability(state, r1, r2)
+    q = coincidence_closed_form(bs, r1, r2)
+    _write_csv(out, meta, {"theta1": t1, "theta2": t2, "p_numeric": p, "p_closed_form": q,
+                           "abs_diff": np.abs(p - q)})
 
 
 @main.command()
@@ -295,7 +287,6 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
 @click.option("--t1", type=float, default=2.0, show_default=True)
 @click.option("--dt", type=float, default=0.01, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guarded
 def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, trajectory,
         start1, start2, t0, t1, dt, out):
     """Two-particle guidance velocities, cross-coupling, trajectories."""
@@ -305,33 +296,30 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
         packet_b=WavePacket(center=center_b, width=width_b, wavenumber=k_b),
         form=form,
     )
-    base = [("form", form), ("center_a", center_a), ("width_a", width_a), ("k_a", k_a),
-            ("center_b", center_b), ("width_b", width_b), ("k_b", k_b)]
+    params = {"form": form, "center_a": center_a, "width_a": width_a, "k_a": k_a,
+              "center_b": center_b, "width_b": width_b, "k_b": k_b}
     if trajectory:
         s1 = center_a if start1 is None else start1
         s2 = center_b if start2 is None else start2
         traj = integrate_trajectory(wf, c, (s1, s2), t0, t1, dt)
-        meta = _meta("dbb", base + [("mode", "trajectory"), ("start1", s1), ("start2", s2),
-                                    ("t0", t0), ("t1", t1), ("dt", dt)])
-        rows = [(t, x[0], x[1]) for t, x in zip(traj.times, traj.positions)]
-        _write_csv(out, ["t", "x1", "x2"], meta, rows)
+        meta = _meta("dbb", {**params, "mode": "trajectory", "start1": s1, "start2": s2,
+                             "t0": t0, "t1": t1, "dt": dt})
+        _write_csv(out, meta, {"t": traj.times, "x1": traj.positions[:, 0],
+                               "x2": traj.positions[:, 1]})
         return
     if grid < 2:
         raise click.UsageError("--grid must be >= 2")
+    _check_grid(grid)
     lo = min(center_a - 2.0 * width_a, center_b - 2.0 * width_b)
     hi = max(center_a + 2.0 * width_a, center_b + 2.0 * width_b)
     xs1 = np.linspace(lo, hi, grid)
     # x2 axis shifted by half a cell: keeps the antisymmetric exchange
     # node (x1 == x2 exactly) off the sample points
-    xs2 = xs1 + 0.5 * (hi - lo) / (grid - 1)
-    meta = _meta("dbb", base + [("mode", "field"), ("time", time_), ("grid", grid)])
-    rows = []
-    # one array evaluation per x1 row keeps memory O(grid)
-    for x1 in xs1:
-        v1, v2 = velocity_2p(wf, c, x1, xs2, time_)
-        cc = cross_coupling(wf, c, x1, xs2, time_)
-        rows.extend(zip(itertools.repeat(x1), xs2, v1, v2, cc))
-    _write_csv(out, ["x1", "x2", "v1", "v2", "cross_coupling"], meta, rows)
+    x1, x2 = xs1[:, None], (xs1 + 0.5 * (hi - lo) / (grid - 1))[None, :]
+    meta = _meta("dbb", {**params, "mode": "field", "time": time_, "grid": grid})
+    v1, v2 = velocity_2p(wf, c, x1, x2, time_)
+    _write_csv(out, meta, {"x1": x1, "x2": x2, "v1": v1, "v2": v2,
+                           "cross_coupling": cross_coupling(wf, c, x1, x2, time_)})
 
 
 @main.command()
@@ -341,7 +329,6 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
 @click.option("--dt", type=float, default=0.002, show_default=True)
 @click.option("--s0", type=str, default="1,0,0", show_default=True, help="Initial spin sx,sy,sz.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guarded
 def spin(bz, gyro, steps, dt, s0, out):
     """RK4 Larmor precession with conservation diagnostics."""
     if steps < 1:
@@ -349,13 +336,12 @@ def spin(bz, gyro, steps, dt, s0, out):
     s0v = _parse_floats(s0, "--s0", 3)
     c = PhysicalConstants(gyro=gyro)
     traj = integrate_spin(s0v, (0.0, 0.0, bz), c, t1=steps * dt, dt=dt)
-    norm0 = float(np.linalg.norm(s0v))
-    meta = _meta("spin", [("bz", bz), ("gyro", gyro), ("steps", steps), ("dt", dt), ("s0", s0)])
-    rows = [
-        (t, sv[0], sv[1], sv[2], abs(float(np.linalg.norm(sv)) - norm0))
-        for t, sv in zip(traj.times, traj.spins)
-    ]
-    _write_csv(out, ["t", "sx", "sy", "sz", "norm_drift"], meta, rows)
+    # one norm per row: the axis=1 norm differs from it in the last bit
+    norms = np.array([np.linalg.norm(sv) for sv in traj.spins])
+    meta = _meta("spin", {"bz": bz, "gyro": gyro, "steps": steps, "dt": dt, "s0": s0})
+    _write_csv(out, meta, {"t": traj.times, "sx": traj.spins[:, 0], "sy": traj.spins[:, 1],
+                           "sz": traj.spins[:, 2],
+                           "norm_drift": np.abs(norms - float(np.linalg.norm(s0v)))})
 
 
 if __name__ == "__main__":

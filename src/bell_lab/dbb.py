@@ -17,7 +17,6 @@ treated as nodes and refused rather than extrapolated.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -160,13 +159,10 @@ def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, c: PhysicalConstants, t: 
     return complex(np.exp(r - q * q / (4.0 * p)) * np.sqrt(np.pi / -p))
 
 
-@lru_cache(maxsize=64)
 def _norm_factor(wf: TwoParticleWF, c: PhysicalConstants) -> float:
     """1/sqrt(2 +- 2|<a|b>|^2) for the symmetrized forms, 1 for product.
 
-    Cached: one packet_overlap per (wavefunction, constants) while it is
-    among the 64 most recently used, so a scan over many wavefunctions
-    holds bounded memory.
+    One packet_overlap; each public call and each trajectory takes it once.
     """
     if wf.form == "product":
         return 1.0
@@ -225,7 +221,7 @@ def _refuse_nodes(node, x1, x2, t):
 def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: float):
     """(v1, v2) at points (x1, x2) that broadcast; the caller validates them.
 
-    nf is _norm_factor(wf, c), which callers compute once per wavefunction.
+    nf is _norm_factor(wf, c), which callers compute once per call.
     For the product form v1 keeps the shape of x1 and v2 that of x2.
     """
     hm = c.hbar / c.mass

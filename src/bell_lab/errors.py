@@ -6,7 +6,7 @@ class NumericalCheckError(Exception):
 
 
 class UndefinedCorrelationError(ValueError):
-    """A correlation was requested where every coincidence probability vanishes."""
+    """A correlation was requested where the coincidence probabilities sum to zero or a subnormal."""
 
 
 class NodeSingularityError(Exception):

@@ -226,6 +226,7 @@ def coincidence_correlation(state: FockState, theta1, theta2):
     with + denoting the orthogonal port and the sum over all four.  For
     the equal-split state E = cos 2(theta1 + theta2).  Broadcasts like
     coincidence_probability; one undefined point rejects the whole call.
+    A subnormal total, which has lost its relative precision, is undefined too.
     """
     t1p = theta1 + np.pi / 2.0
     t2p = theta2 + np.pi / 2.0
@@ -234,9 +235,9 @@ def coincidence_correlation(state: FockState, theta1, theta2):
     p_ps = coincidence_probability(state, t1p, theta2)
     p_pp = coincidence_probability(state, t1p, t2p)
     total = p_ss + p_sp + p_ps + p_pp
-    if np.any(total <= 0.0):
+    if np.any(total < np.finfo(float).tiny):
         raise UndefinedCorrelationError(
-            "all four coincidence probabilities vanish; correlation undefined"
+            "the four coincidence probabilities sum to zero or a subnormal; correlation undefined"
         )
     return (p_sp + p_ps - p_ss - p_pp) / total
 

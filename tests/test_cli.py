@@ -2,17 +2,25 @@ import os
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from bell_lab import cli, dbb
 from bell_lab.chsh import TSIRELSON, ChshSettings, chsh_value, identity_residual, singlet
-from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CHUNK, _fmt, _guarded, main
-from bell_lab.dbb import PhysicalConstants, TwoParticleWF, WavePacket, integrate_trajectory
+from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CHUNK, MAX_GRID_SIDE, _fmt, main
+from bell_lab.dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
 from bell_lab.errors import NodeSingularityError, NumericalCheckError
-from bell_lab.fock import BeamSplitterSpec, coincidence_closed_form
+from bell_lab.fock import (
+    BeamSplitterSpec,
+    coincidence_closed_form,
+    coincidence_correlation,
+    coincidence_probability,
+    ou_mandel_state,
+)
 from bell_lab.lhv import make_rng, sign_model, simulate_chsh_stats
+from bell_lab.operators import _scan_angles
 
 META_PREFIX = "# tool=bell-lab version=0.1.0 command="
 
@@ -43,6 +51,27 @@ def run_ok(args):
     return result.output
 
 
+def spy(monkeypatch, name):
+    """Record the arguments of every call of the cli module's binding ``name``."""
+    calls = []
+    fn = getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recording)
+    return calls
+
+
+def reach_fails(monkeypatch, name):
+    """Make the cli module's binding ``name`` exit 3, so reaching it is visible."""
+    def reached(*args, **kwargs):
+        raise NumericalCheckError(f"{name} reached")
+
+    monkeypatch.setattr(cli, name, reached)
+
+
 def parse_csv(text):
     lines = text.splitlines()
     header = lines[0].split(",")
@@ -59,6 +88,9 @@ class TestOutputFormat:
         assert _fmt(0.5) == "0.5"
         assert _fmt(np.float64(2.0) ** 0.5) == "1.4142135623730951"
         assert _fmt("photon") == "photon"
+        assert _fmt(np.bool_(True)) == "1"
+        assert _fmt(np.int64(-3)) == "-3"
+        assert _fmt(2**70) == str(2**70)
 
     @pytest.mark.parametrize("args", COMMAND_MATRIX, ids=lambda a: " ".join(a))
     def test_shape_and_reproducibility(self, args, tmp_path):
@@ -275,6 +307,41 @@ class TestOumandelCommand:
                                            "--correlation"])
         assert result.exit_code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("ty", ["5e-324", "1e-310"])
+    def test_subnormal_coincidence_total_is_refused(self, ty):
+        # these totals are subnormal: the ratio printed -1 and -0.25 + 1.2e-14
+        result = CliRunner().invoke(main, ["oumandel", "--tx", "1", "--ty", ty, "--theta1", "30",
+                                           "--theta2", "60", "--correlation"])
+        assert result.exit_code == EXIT_VALIDATION
+        assert result.stderr.startswith("error=2 detail=") and "subnormal" in result.stderr
+
+    def test_small_normal_coincidence_total_keeps_its_correlation(self):
+        _, _, rows = parse_csv(run_ok(["oumandel", "--tx", "1", "--ty", "1e-20", "--theta1", "30",
+                                       "--theta2", "60", "--correlation"]))
+        want = np.cos(2.0 * np.deg2rad(30.0)) * np.cos(2.0 * np.deg2rad(60.0))  # -0.25
+        assert abs(float(rows[0][2]) - want) <= np.spacing(abs(want))
+
+    def test_grid_is_one_broadcast_evaluation(self, monkeypatch):
+        calls = spy(monkeypatch, "coincidence_probability")
+        _, _, rows = parse_csv(run_ok(["oumandel", "--tx", "0.7", "--ty", "0.4", "--grid", "71"]))
+        # a column and a row of angles, never a meshgrid
+        assert [(np.shape(t1), np.shape(t2)) for _, t1, t2 in calls] == [((71, 1), (1, 71))]
+        # bit for bit what one call per theta1 row gives
+        state = ou_mandel_state(BeamSplitterSpec.from_transmissions(0.7, 0.4))
+        thetas = np.deg2rad(np.linspace(0.0, 180.0, 71))
+        want = [coincidence_probability(state, t1, thetas) for t1 in thetas]
+        assert np.array_equal([float(r[2]) for r in rows], np.concatenate(want))
+
+    def test_correlation_grid_is_one_broadcast_evaluation(self, monkeypatch):
+        calls = spy(monkeypatch, "coincidence_correlation")
+        _, _, rows = parse_csv(run_ok(["oumandel", "--tx", "0.5", "--ty", "0.5", "--grid", "51",
+                                       "--correlation"]))
+        assert [(np.shape(t1), np.shape(t2)) for _, t1, t2 in calls] == [((51, 1), (1, 51))]
+        state = ou_mandel_state(BeamSplitterSpec.equal_split())
+        thetas = np.deg2rad(np.linspace(0.0, 180.0, 51))
+        want = [coincidence_correlation(state, t1, thetas) for t1 in thetas]
+        assert np.array_equal([float(r[2]) for r in rows], np.concatenate(want))
+
 
 class TestDbbCommand:
     def test_field_grid_shape(self):
@@ -331,6 +398,20 @@ class TestDbbCommand:
         result = CliRunner().invoke(main, ["dbb", "--form", "product", "--grid", "1"])
         assert result.exit_code == 2
 
+    def test_grid_is_one_broadcast_evaluation(self, monkeypatch):
+        velocity, coupling = spy(monkeypatch, "velocity_2p"), spy(monkeypatch, "cross_coupling")
+        _, _, rows = parse_csv(run_ok(["dbb", "--form", "symmetric", "--grid", "35"]))
+        for calls in (velocity, coupling):
+            assert [(np.shape(x1), np.shape(x2)) for _, _, x1, x2, _ in calls] == [((35, 1), (1, 35))]
+        # bit for bit what one call per x1 row gives
+        wf = TwoParticleWF(WavePacket(center=-1.5, width=0.8, wavenumber=0.6),
+                           WavePacket(center=1.5, width=1.1, wavenumber=-0.4), form="symmetric")
+        got = np.array([[float(cell) for cell in r] for r in rows])
+        xs1, xs2 = got[::35, 0], got[:35, 1]
+        c = PhysicalConstants()
+        want = [(*velocity_2p(wf, c, x1, xs2, 0.8), cross_coupling(wf, c, x1, xs2, 0.8)) for x1 in xs1]
+        assert np.array_equal(got[:, 2:], np.concatenate([np.stack(w, axis=1) for w in want]))
+
     def test_dt_that_cannot_advance_time_exits_two(self, monkeypatch):
         # t + 0.001 == t at t = 1e20, so the span must be refused before integrating
         monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
@@ -386,37 +467,88 @@ class TestSpinCommand:
         assert result.exit_code == 2
 
 
+# the 513-angle scan step just below 360/512 degrees, and the 512-angle one
+SCAN_STEPS = {"over": "0.7031249999999999", "at": "0.703125"}
+
+
+class TestGridCap:
+    @pytest.mark.parametrize("args, target", [
+        (["oumandel", "--tx", "0.5", "--ty", "0.5", "--grid"], "coincidence_probability"),
+        (["oumandel", "--tx", "0.5", "--ty", "0.5", "--correlation", "--grid"], "coincidence_correlation"),
+        (["dbb", "--form", "antisymmetric", "--grid"], "velocity_2p"),
+    ])
+    def test_grid_side_boundary(self, monkeypatch, args, target):
+        reach_fails(monkeypatch, target)
+        assert CliRunner().invoke(main, args + [str(MAX_GRID_SIDE)]).exit_code == EXIT_NUMERICAL
+        result = CliRunner().invoke(main, args + [str(MAX_GRID_SIDE + 1)])
+        assert result.exit_code == EXIT_VALIDATION
+        assert result.stderr == f"error=2 detail=grid of {MAX_GRID_SIDE + 1} points per axis exceeds {MAX_GRID_SIDE}\n"
+
+    @pytest.mark.parametrize("args, target", [
+        (["chsh", "scan", "--step"], "tsirelson_scan"),
+        (["mermin", "--n", "3", "--scan", "--step"], "mermin_shared_scan"),
+    ])
+    def test_scan_step_boundary(self, monkeypatch, args, target):
+        # the cap counts the angles the scan itself would build
+        assert len(_scan_angles(np.deg2rad(float(SCAN_STEPS["at"])))) == MAX_GRID_SIDE
+        assert len(_scan_angles(np.deg2rad(float(SCAN_STEPS["over"])))) == MAX_GRID_SIDE + 1
+        reach_fails(monkeypatch, target)
+        assert CliRunner().invoke(main, args + [SCAN_STEPS["at"]]).exit_code == EXIT_NUMERICAL
+        result = CliRunner().invoke(main, args + [SCAN_STEPS["over"]])
+        assert result.exit_code == EXIT_VALIDATION
+        assert result.stderr.startswith("error=2 detail=grid of 512") and "exceeds" in result.stderr
+
+    def test_subnormal_scan_step_is_refused_by_the_cap(self, monkeypatch):
+        # 2 pi / step overflows to inf, which the cap refuses like any large count
+        reach_fails(monkeypatch, "tsirelson_scan")
+        result = CliRunner().invoke(main, ["chsh", "scan", "--step", "1e-320"])
+        assert result.exit_code == EXIT_VALIDATION
+        assert result.stderr == f"error=2 detail=grid of inf points per axis exceeds {MAX_GRID_SIDE}\n"
+
+
+ERRORS = [
+    (NodeSingularityError("hit a node"), EXIT_NODE, "error=4 detail=hit a node"),
+    (NumericalCheckError("residual too large"), EXIT_NUMERICAL, "error=3 detail=residual too large"),
+    # whitespace collapses so the stderr line stays single-line parsable
+    (ValueError("bad   input\nvalue"), EXIT_VALIDATION, "error=2 detail=bad input value"),
+    (click.UsageError("needs --flag"), EXIT_VALIDATION, "error=2 detail=needs --flag"),
+]
+
+
 class TestErrorMapping:
-    def test_guarded_numerical_check(self, capsys):
-        @_guarded
-        def boom():
-            raise NumericalCheckError("residual too large")
+    @pytest.mark.parametrize("err, code, line", ERRORS, ids=[type(err).__name__ for err, _, _ in ERRORS])
+    @pytest.mark.parametrize("args, target", [
+        (["lhv", "--enumerate"], "chsh_deterministic_max"),
+        (["chsh", "scan", "--step", "45"], "tsirelson_scan"),
+    ], ids=["main", "nested"])
+    def test_error_gives_its_code_and_one_line(self, monkeypatch, args, target, err, code, line):
+        def boom(*args, **kwargs):
+            raise err
 
-        with pytest.raises(SystemExit) as exc_info:
-            boom()
-        assert exc_info.value.code == EXIT_NUMERICAL
-        assert capsys.readouterr().err == "error=3 detail=residual too large\n"
+        monkeypatch.setattr(cli, target, boom)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == code
+        assert result.stderr == line + "\n"
+        assert result.stdout == ""
 
-    def test_guarded_node(self, capsys):
-        @_guarded
-        def boom():
-            raise NodeSingularityError("hit a node")
+    @pytest.mark.parametrize("args, line", [
+        (["identity", "--kind", "spin", "--trials", "0", "--seed", "1"],
+         "error=2 detail=--trials must be >= 1"),
+        (["oumandel", "--tx", "0.5"], "error=2 detail=Missing option '--ty'."),
+        (["chsh", "--alpha", "x"], "error=2 detail=Invalid value for '--alpha': 'x' is not a valid float."),
+        (["chsh", "scan"], "error=2 detail=Missing option '--step'."),
+        (["nosuch"], "error=2 detail=No such command 'nosuch'."),
+    ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command"])
+    def test_usage_error_gives_one_line(self, args, line):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == EXIT_VALIDATION
+        assert result.stderr == line + "\n"
 
-        with pytest.raises(SystemExit) as exc_info:
-            boom()
-        assert exc_info.value.code == EXIT_NODE
-        assert capsys.readouterr().err == "error=4 detail=hit a node\n"
-
-    def test_guarded_validation(self, capsys):
-        @_guarded
-        def boom():
-            raise ValueError("bad   input\nvalue")
-
-        with pytest.raises(SystemExit) as exc_info:
-            boom()
-        assert exc_info.value.code == EXIT_VALIDATION
-        # whitespace collapses so the stderr line stays single-line parsable
-        assert capsys.readouterr().err == "error=2 detail=bad input value\n"
+    def test_out_that_cannot_be_opened_exits_two(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        result = CliRunner().invoke(main, ["lhv", "--enumerate", "--out", str(out)])
+        assert result.exit_code == EXIT_VALIDATION
+        assert result.stderr == f"error=2 detail=cannot open --out {out}: No such file or directory\n"
 
 
 class TestInstalledEntryPoint:
@@ -457,6 +589,18 @@ class TestInstalledEntryPoint:
         # <F> for n = 10 needs the 2^10 ket, not the 2^10 x 2^10 operator (16 MB)
         floor = self.max_rss_mb(["lhv", "--enumerate"])
         assert self.max_rss_mb(["mermin", "--n", "10"]) <= floor + 20.0
+
+    def test_usage_error_is_one_stderr_line(self):
+        proc = subprocess.run([sys.executable, "-m", "bell_lab", "oumandel", "--tx", "0.5"],
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, b"")
+        assert proc.stderr == b"error=2 detail=Missing option '--ty'.\n"
+
+    @pytest.mark.parametrize("args", [["--grid", "71"], ["--grid", "51", "--correlation"]])
+    def test_oumandel_grid_memory_stays_near_the_version_floor(self, args):
+        # the angle axes broadcast as a column and a row; meshgrids cost 50 MB more at 71
+        floor = self.max_rss_mb(["--version"])
+        assert self.max_rss_mb(["oumandel", "--tx", "0.5", "--ty", "0.5", *args]) <= floor + 5.0
 
     def test_memory_floor_is_not_the_test_process(self):
         # the measurement must not inherit this process's RSS (over 100 MB here)

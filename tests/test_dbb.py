@@ -380,7 +380,8 @@ class TestArrayRoute:
             assert abs(float(analytic_cross_coupling(wf, C, *GOLDEN_POINT, GOLDEN_TIME))
                        - GOLDEN_ANTISYM) < 1e-9
 
-    def test_one_overlap_per_wavefunction(self, monkeypatch):
+    def test_one_overlap_per_call(self, monkeypatch):
+        # once per public call or trajectory, not per point or RK4 stage
         calls = []
         overlap = dbb.packet_overlap
 
@@ -389,15 +390,16 @@ class TestArrayRoute:
             return overlap(*args, **kwargs)
 
         monkeypatch.setattr(dbb, "packet_overlap", counting)
-        dbb._norm_factor.cache_clear()
         xs = np.linspace(-3.0, 3.0, 7)
         for form in FORMS:
             wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
-            for x1 in xs:
-                velocity_2p(wf, C, x1, xs + 0.1, GOLDEN_TIME)
-                cross_coupling(wf, C, x1, xs + 0.1, GOLDEN_TIME)
-            integrate_trajectory(wf, C, (-1.5, 1.5), 0.0, 0.1, 0.01)
-        assert len(calls) == 2  # the two symmetrized forms, once each
+            velocity_2p(wf, C, xs[:, None], xs[None, :] + 0.1, GOLDEN_TIME)
+            cross_coupling(wf, C, xs[:, None], xs[None, :] + 0.1, GOLDEN_TIME)
+            psi2_eval(wf, C, xs, xs + 0.1, GOLDEN_TIME)
+            traj = integrate_trajectory(wf, C, (-1.5, 1.5), 0.0, 0.1, 0.01)
+            assert traj.times.size == 11
+        # four calls for each of the two symmetrized forms, none for product
+        assert len(calls) == 8
 
     def test_rejects_nan_points(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")

@@ -24,6 +24,13 @@ from bell_lab.fock import (
 DEG = np.pi / 180.0
 
 
+# transmissions in [0, 1], with the ends and subnormals drawn often
+TRANSMISSIONS = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 1e-300, 1e-160, 1e-20]),
+    st.floats(0.0, 1.0),
+)
+
+
 def random_bs(rng):
     tx, ty = rng.uniform(0.05, 0.95, size=2)
     return BeamSplitterSpec.from_transmissions(float(tx), float(ty))
@@ -258,6 +265,25 @@ class TestCoincidence:
         st = ou_mandel_state(BeamSplitterSpec.from_transmissions(1.0, 0.0))
         with pytest.raises(UndefinedCorrelationError):
             coincidence_correlation(st, 0.0, 0.0)
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS, t1=st.floats(0.0, np.pi), t2=st.floats(0.0, np.pi))
+    def test_refuses_or_matches_the_scaled_closed_form(self, tx, ty, t1, t2):
+        # a subnormal total must be refused, not turned into a ratio of rounding noise
+        bs = BeamSplitterSpec.from_transmissions(tx, ty)
+        try:
+            e = coincidence_correlation(ou_mandel_state(bs), t1, t2)
+        except UndefinedCorrelationError:
+            return
+        a, b = np.sqrt(bs.t_x * bs.t_y), np.sqrt(bs.r_x * bs.r_y)
+        a, b = a / max(a, b), b / max(a, b)  # the ratio is scale-free
+
+        def p(u, v):
+            return (a * np.cos(u) * np.sin(v) + b * np.sin(u) * np.cos(v)) ** 2
+
+        t1p, t2p = t1 + np.pi / 2.0, t2 + np.pi / 2.0
+        ps = p(t1, t2), p(t1, t2p), p(t1p, t2), p(t1p, t2p)
+        assert abs(e - (ps[1] + ps[2] - ps[0] - ps[3]) / sum(ps)) <= 1e-12
 
 
 def ref_detector_op(detector, theta, basis):
