@@ -46,6 +46,11 @@ GOLDEN = {
     "dbb_grid_antisymmetric": ["dbb", "--form", "antisymmetric", "--grid", "9"],
     "dbb_trajectory": ["dbb", "--form", "antisymmetric", "--trajectory", "--t1", "0.5",
                        "--dt", "0.05"],
+    # 1.05 / 0.1 ends in a shortened step
+    "dbb_trajectory_product": ["dbb", "--form", "product", "--trajectory", "--t1", "1.05",
+                               "--dt", "0.1"],
+    "dbb_trajectory_symmetric": ["dbb", "--form", "symmetric", "--trajectory", "--t1", "1.05",
+                                 "--dt", "0.1"],
     "spin": ["spin", "--steps", "50"],
 }
 
