@@ -18,7 +18,9 @@ writes one machine-parsable line ``error=<code> detail=<text>`` to stderr.
 """
 
 import math
+import os
 import sys
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -68,42 +70,60 @@ def _meta(command: str, params: dict, seed=None) -> str:
     return "# " + " ".join(parts)
 
 
+def _open_out(ctx, param, path):
+    """Open --out before any work; append mode keeps an existing file as it was until _write_csv."""
+    if path is None:
+        return None
+    try:
+        return ctx.with_resource(open(path, "a", encoding="utf-8", newline=""))
+    except OSError as err:
+        raise click.UsageError(f"cannot open --out {path}: {err.strerror}") from None
+
+
+_OUT = click.option("--out", type=click.Path(dir_okay=False), default=None, callback=_open_out,
+                    help="CSV path (default stdout).")
+
+
 def _write_csv(out, meta_line: str, columns: dict):
-    """Header, metadata line, then one row per element of the broadcast columns."""
+    """Header, metadata line, then one row per element of the broadcast columns, to out or stdout."""
     cells = np.broadcast_arrays(*columns.values())
     row = ",".join(_FORMATS.get(cell.dtype.kind, "%s") for cell in cells)
     lines = map(row.__mod__, zip(*(cell.ravel().tolist() for cell in cells)))
     text = "\n".join([",".join(columns), meta_line, *lines]) + "\n"
-    if not out:
-        sys.stdout.write(text)
-        return
+    if out is not None and os.path.isfile(out.name):  # a pipe or device takes no truncate
+        out.truncate(0)
+    (out or sys.stdout).write(text)
+
+
+_EXIT_CODES = {NodeSingularityError: EXIT_NODE, NumericalCheckError: EXIT_NUMERICAL,
+               ValueError: EXIT_VALIDATION, click.UsageError: EXIT_VALIDATION}
+
+
+@contextmanager
+def _exit_codes():
+    """Map a failure onto its exit code and one ``error=<code> detail=<text>`` line on stderr."""
     try:
-        fh = open(out, "w", encoding="utf-8", newline="")
-    except OSError as err:
-        raise click.UsageError(f"cannot open --out {out}: {err.strerror}") from None
-    with fh:
-        fh.write(text)
-
-
-def _fail(code: int, detail: str):
-    click.echo(f"error={code} detail={' '.join(detail.split())}", err=True)
-    sys.exit(code)
+        yield
+    except tuple(_EXIT_CODES) as err:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
+        detail = err.format_message() if isinstance(err, click.UsageError) else str(err)
+        click.echo(f"error={code} detail={' '.join(detail.split())}", err=True)
+        sys.exit(code)
 
 
 class _Main(click.Group):
-    """The root group: maps a failure anywhere below it onto its exit code."""
+    """The root group: maps a failure anywhere below it, or in its own arguments, onto its exit code."""
+
+    def parse_args(self, ctx, args):
+        if not args and not ctx.resilient_parsing:  # a bare bell-lab is --help
+            click.echo(ctx.get_help())
+            ctx.exit()
+        with _exit_codes():
+            return super().parse_args(ctx, args)
 
     def invoke(self, ctx):
-        try:
+        with _exit_codes():
             return super().invoke(ctx)
-        except NodeSingularityError as err:
-            _fail(EXIT_NODE, str(err))
-        except NumericalCheckError as err:
-            _fail(EXIT_NUMERICAL, str(err))
-        except ValueError as err:
-            _fail(EXIT_VALIDATION, str(err))
-        except click.UsageError as err:
-            _fail(EXIT_VALIDATION, err.format_message())
 
 
 def _check_grid(side: float):
@@ -140,7 +160,7 @@ def main():
 @click.option("--beta", type=float, default=None, help="Bob unprimed angle (degrees).")
 @click.option("--beta-prime", type=float, default=None, help="Bob primed angle (degrees).")
 @click.option("--kind", type=click.Choice(["spin", "photon"]), default="spin", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="CSV path (default stdout).")
+@_OUT
 @click.pass_context
 def chsh(ctx, alpha, alpha_prime, beta, beta_prime, kind, out):
     """S for one settings tuple on the singlet / photon pair state."""
@@ -159,7 +179,7 @@ def chsh(ctx, alpha, alpha_prime, beta, beta_prime, kind, out):
 @chsh.command("scan")
 @click.option("--step", type=float, required=True, help="Grid step (degrees), in (0, 45].")
 @click.option("--kind", type=click.Choice(["spin", "photon"]), default="spin", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_OUT
 def chsh_scan(step, kind, out):
     """Exhaustive grid maximization of |S|."""
     _check_grid(_scan_side(step))
@@ -174,7 +194,7 @@ def chsh_scan(step, kind, out):
 @click.option("--kind", type=click.Choice(["spin", "photon"]), required=True)
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_OUT
 def identity(kind, trials, seed, out):
     """Max residual of S^2 = 4I - [A,A'](x)[B,B'] over random settings."""
     if trials < 1:
@@ -199,7 +219,7 @@ def identity(kind, trials, seed, out):
 @click.option("--n", type=int, required=True, help="Number of particles (2..10).")
 @click.option("--scan", is_flag=True, help="Scan a shared (a, a') grid instead of the canonical pair.")
 @click.option("--step", type=float, default=1.0, show_default=True, help="Scan step (degrees).")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_OUT
 def mermin(n, scan, step, out):
     """<F_n> on the GHZ state plus the deterministic LHV maximum."""
     if scan:
@@ -220,7 +240,7 @@ def mermin(n, scan, step, out):
 @click.option("--samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--angles", type=str, default=None, help="alpha,alpha',beta,beta' in degrees.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_OUT
 def lhv(enumerate_, model, samples, seed, angles, out):
     """Local hidden-variable baselines: enumeration or Monte Carlo."""
     if enumerate_:
@@ -242,7 +262,7 @@ def lhv(enumerate_, model, samples, seed, angles, out):
 @click.option("--theta2", type=float, default=0.0, show_default=True, help="Analyzer 2 (degrees).")
 @click.option("--grid", type=int, default=None, help="Evaluate on an NxN angle grid over [0, 180] degrees.")
 @click.option("--correlation", is_flag=True, help="Coincidence-normalized correlation instead of probabilities.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_OUT
 def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     """Two-photon coincidence probabilities / correlations behind the splitter."""
     bs = BeamSplitterSpec.from_transmissions(tx, ty)
@@ -286,7 +306,7 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
 @click.option("--t0", type=float, default=0.0, show_default=True)
 @click.option("--t1", type=float, default=2.0, show_default=True)
 @click.option("--dt", type=float, default=0.01, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_OUT
 def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, trajectory,
         start1, start2, t0, t1, dt, out):
     """Two-particle guidance velocities, cross-coupling, trajectories."""
@@ -328,7 +348,7 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
 @click.option("--steps", type=int, default=10000, show_default=True)
 @click.option("--dt", type=float, default=0.002, show_default=True)
 @click.option("--s0", type=str, default="1,0,0", show_default=True, help="Initial spin sx,sy,sz.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_OUT
 def spin(bz, gyro, steps, dt, s0, out):
     """RK4 Larmor precession with conservation diagnostics."""
     if steps < 1:

@@ -17,6 +17,7 @@ treated as nodes and refused rather than extrapolated.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,7 @@ FORMS = ("product", "symmetric", "antisymmetric")
 _MAX_STEPS = 10**6  # RK4 steps one span may take
 
 # densities below this are nodes for all practical purposes
-_LOG_DENSITY_FLOOR = np.log(1e-300)
+_LOG_DENSITY_FLOOR = float(np.log(1e-300))
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def _check_time(wp: WavePacket, t: float):
 
 
 def _terms(wp: WavePacket, c: PhysicalConstants, t: float):
-    """(const, xc, quad, slope, ik, x0, phase): the x-independent parts of
+    """(const, xc, quad, slope, ik, x0, phase), Python numbers all: the x-independent parts of
 
         log psi(x)   = const - (x - xc)^2 / quad + ik (x - x0) - phase,
         d log psi/dx = -(x - xc) / slope + ik.
@@ -93,7 +94,7 @@ def _terms(wp: WavePacket, c: PhysicalConstants, t: float):
     a = 1.0 + 1.0j * tau
     xc = wp.center + c.hbar * wp.wavenumber * (t - wp.start_time) / c.mass
     return (
-        -0.25 * np.log(2.0 * np.pi * wp.width**2) - 0.5 * np.log(a),
+        complex(-0.25 * np.log(2.0 * np.pi * wp.width**2) - 0.5 * np.log(a)),
         xc,
         4.0 * wp.width**2 * a,
         2.0 * wp.width**2 * a,
@@ -212,20 +213,20 @@ def _cmul(a, b):
 
 def _refuse_nodes(node, x1, x2, t):
     """Raise NodeSingularityError naming the first node point in row-major order."""
-    if np.count_nonzero(node):
+    if node is not False and np.count_nonzero(node):  # a float point's False skips numpy
         i = np.flatnonzero(node)[0]
         p1, p2 = (float(np.broadcast_to(x, np.shape(node)).flat[i]) for x in (x1, x2))
         raise NodeSingularityError(f"density below 1e-300 at ({p1!r}, {p2!r}), t={float(t)!r}")
 
 
-def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: float):
+def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: float, terms=None):
     """(v1, v2) at points (x1, x2) that broadcast; the caller validates them.
 
-    nf is _norm_factor(wf, c), which callers compute once per call.
-    For the product form v1 keeps the shape of x1 and v2 that of x2.
+    nf is _norm_factor(wf, c) and terms the packets' _terms at t, if the
+    caller has them.  For the product form v1 keeps x1's shape and v2 x2's.
     """
     hm = c.hbar / c.mass
-    ta, tb = _terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)
+    ta, tb = terms or (_terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t))
     if wf.form == "product":
         la1, lb2 = _log_psi(ta, x1), _log_psi(tb, x2)
         _refuse_nodes((2.0 * la1.real < _LOG_DENSITY_FLOOR) | (2.0 * lb2.real < _LOG_DENSITY_FLOOR),
@@ -239,6 +240,36 @@ def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: flo
     v1 = (_cmul(w1, _dlog_psi(ta, x1)) + _cmul(sw2, _dlog_psi(tb, x1))) / den
     v2 = (_cmul(w1, _dlog_psi(tb, x2)) + _cmul(sw2, _dlog_psi(ta, x2))) / den
     return hm * v1.imag, hm * v2.imag
+
+
+def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t, nf, terms):
+    """_velocity of a symmetrized form at one point of Python floats, bitwise equal to it.
+
+    Its operations in its order, on CPython floats but for np.exp and numpy's /den formula;
+    a node test near the floor, or at a tiny or non-finite den, falls back to _velocity.
+    """
+    hm, (ta, tb) = c.hbar / c.mass, terms
+    l1 = _log_psi(ta, x1) + _log_psi(tb, x2)
+    l2 = _log_psi(ta, x2) + _log_psi(tb, x1)
+    lm = l1.real if l1.real > l2.real else l2.real  # np.maximum's choice on ties
+    w1 = complex(np.exp(l1 - lm))
+    sw2 = (1.0 if wf.form == "symmetric" else -1.0) * complex(np.exp(l2 - lm))
+    den = w1 + sw2
+    ad = abs(den)  # abs and math.log may be an ulp off np.abs and np.log
+    log_rho = 2.0 * (lm + math.log(ad)) + 2.0 * math.log(nf) if ad > 1e-300 else math.nan
+    if not abs(log_rho - _LOG_DENSITY_FLOOR) > 1e-6:
+        return tuple(float(v) for v in _velocity(wf, c, x1, x2, t, nf, terms))
+    if log_rho < _LOG_DENSITY_FLOOR:
+        _refuse_nodes(True, x1, x2, t)
+    n1 = _cmul(w1, _dlog_psi(ta, x1)) + _cmul(sw2, _dlog_psi(tb, x1))
+    n2 = _cmul(w1, _dlog_psi(tb, x2)) + _cmul(sw2, _dlog_psi(ta, x2))
+    if abs(den.real) >= abs(den.imag):  # Im(n / den) by numpy's formula, not CPython's
+        rat = den.imag / den.real
+        scl = 1.0 / (den.real + den.imag * rat)
+        return hm * ((n1.imag - n1.real * rat) * scl), hm * ((n2.imag - n2.real * rat) * scl)
+    rat = den.real / den.imag
+    scl = 1.0 / (den.imag + den.real * rat)
+    return hm * ((n1.imag * rat - n1.real) * scl), hm * ((n2.imag * rat - n2.real) * scl)
 
 
 def _check_point(wf: TwoParticleWF, x1, x2, t: float):
@@ -319,12 +350,17 @@ def _check_span(t0: float, t1: float, dt: float):
         raise ValueError(f"(t1 - t0) / dt = {(t1 - t0) / dt:.6g} steps exceeds {_MAX_STEPS}")
 
 
-def _rk4(f, y0, t0: float, t1: float, dt: float):
+def _stacked(times, states):  # one row per time; one-component states stack 1-D
+    states = np.array(states)
+    return np.array(times), states[:, 0] if states.shape[1] == 1 else states
+
+
+def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
     """Classical RK4 for dy/dt = f(y, t); returns (times, states) as arrays.
 
-    Steps of size dt, with one shorter final step to land on t1 exactly;
-    y0 is a float or a 1-D array, and states has one row per time.  A
-    NodeSingularityError from f halts integration and is re-raised
+    Steps of size dt, with one shorter final step to land on t1 exactly.
+    States are tuples, each component stepped IEEE-identically to an array
+    element.  A NodeSingularityError from f halts integration and is re-raised
     carrying the completed steps as a Trajectory in ``partial_trajectory``.
     """
     times, states = [t0], [y0]
@@ -335,18 +371,19 @@ def _rk4(f, y0, t0: float, t1: float, dt: float):
     try:
         while t < t1 - eps:
             step = min(dt, t1 - t)
+            half, sixth = 0.5 * step, step / 6.0
             k1 = f(y, t)
-            k2 = f(y + 0.5 * step * k1, t + 0.5 * step)
-            k3 = f(y + 0.5 * step * k2, t + 0.5 * step)
-            k4 = f(y + step * k3, t + step)
-            y = y + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = f(tuple(a + half * k for a, k in zip(y, k1)), t + half)
+            k3 = f(tuple(a + half * k for a, k in zip(y, k2)), t + half)
+            k4 = f(tuple(a + step * k for a, k in zip(y, k3)), t + step)
+            y = tuple(a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4))
             t = t + step
             times.append(t)
             states.append(y)
     except NodeSingularityError as err:
-        partial = Trajectory(times=np.array(times), positions=np.array(states))
+        partial = Trajectory(*_stacked(times, states))
         raise NodeSingularityError(str(err), partial_trajectory=partial) from None
-    return np.array(times), np.array(states)
+    return _stacked(times, states)
 
 
 def integrate_trajectory(wf, c: PhysicalConstants, start, t0: float, t1: float, dt: float) -> Trajectory:
@@ -361,29 +398,31 @@ def integrate_trajectory(wf, c: PhysicalConstants, start, t0: float, t1: float, 
     # the stages call the private kernels on floats: times only grow from
     # the checked t0, and a stage position is refused if it is not finite
     if isinstance(wf, WavePacket):
-        x = float(start)
+        y = (float(start),)
         _check_time(wf, t0)
 
-        def vel(x, t):
-            if not math.isfinite(x):
-                _require_finite("x", x)
-            return _velocity_1p(wf, c, x, t)
+        def vel(y, t):
+            if not math.isfinite(y[0]):
+                _require_finite("x", y[0])
+            return (_velocity_1p(wf, c, y[0], t),)
     elif isinstance(wf, TwoParticleWF):
-        x = np.asarray(start, dtype=float).ravel()
-        if x.size != 2:
+        y = tuple(np.asarray(start, dtype=float).ravel().tolist())
+        if len(y) != 2:
             raise ValueError("two-particle start must be a pair (x1, x2)")
-        _check_point(wf, x[0], x[1], t0)
+        _check_point(wf, *y, t0)
         nf = _norm_factor(wf, c)
+        # stages 2 and 3 share a time, and stage 4's is the next step's first
+        terms = lru_cache(maxsize=2)(lambda t: (_terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)))
+        kernel = _velocity if wf.form == "product" else _stage_velocity
 
-        def vel(x, t):
-            x1, x2 = float(x[0]), float(x[1])
+        def vel(y, t):
+            x1, x2 = y
             if not (math.isfinite(x1) and math.isfinite(x2)):
                 _check_point(wf, x1, x2, t)
-            return np.array(_velocity(wf, c, x1, x2, t, nf))
+            return kernel(wf, c, x1, x2, t, nf, terms(t))
     else:
         raise ValueError(f"wf must be a WavePacket or TwoParticleWF, got {type(wf)!r}")
-    times, positions = _rk4(vel, x, t0, t1, dt)
-    return Trajectory(times=times, positions=positions)
+    return Trajectory(*_rk4(vel, y, t0, t1, dt))
 
 
 @dataclass(frozen=True)
@@ -400,30 +439,27 @@ class SpinState:
         object.__setattr__(self, "s", s)
 
 
-def _as_spin(s) -> np.ndarray:
-    if isinstance(s, SpinState):
-        return np.array(s.s, dtype=float)
-    v = np.asarray(s, dtype=float).ravel()
-    return np.array(SpinState(tuple(v)).s)  # reuse the validation
+def _as_spin(s) -> tuple:
+    return (s if isinstance(s, SpinState) else SpinState(np.asarray(s, dtype=float).ravel())).s
 
 
-def _as_field(b_field) -> np.ndarray:
+def _as_field(b_field) -> list:
     b = np.asarray(b_field, dtype=float).ravel()
     if b.size != 3:
         raise ValueError("b_field must be a 3-vector")
     _require_finite("b_field", b)
-    return b
+    return b.tolist()
 
 
-def _cross(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross(y, b) -> tuple:
     """np.cross of 3-vectors by its own formula on floats: bitwise equal, less overhead."""
-    (y0, y1, y2), (b0, b1, b2) = y.tolist(), b.tolist()
-    return np.array((y1 * b2 - y2 * b1, y2 * b0 - y0 * b2, y0 * b1 - y1 * b0))
+    (y0, y1, y2), (b0, b1, b2) = y, b
+    return (y1 * b2 - y2 * b1, y2 * b0 - y0 * b2, y0 * b1 - y1 * b0)
 
 
 def spin_derivative(s, b_field, c: PhysicalConstants) -> np.ndarray:
     """Larmor torque ds/dt = gyro * (s x B)."""
-    return c.gyro * _cross(_as_spin(s), _as_field(b_field))
+    return c.gyro * np.array(_cross(_as_spin(s), _as_field(b_field)))
 
 
 @dataclass(frozen=True)
@@ -436,5 +472,9 @@ def integrate_spin(s0, b_field, c: PhysicalConstants, t1: float, dt: float) -> S
     """RK4 precession from t = 0 to t1; |s| and s.B are conserved quantities."""
     _check_span(0.0, t1, dt)
     s, b, g = _as_spin(s0), _as_field(b_field), c.gyro
-    times, spins = _rk4(lambda y, t: g * _cross(y, b), s, 0.0, t1, dt)
-    return SpinTrajectory(times=times, spins=spins)
+
+    def torque(y, t):
+        d0, d1, d2 = _cross(y, b)
+        return g * d0, g * d1, g * d2
+
+    return SpinTrajectory(*_rk4(torque, s, 0.0, t1, dt))

@@ -515,6 +515,20 @@ ERRORS = [
 ]
 
 
+# one command of each family, with a library call it makes after parsing
+OUT_COMMANDS = [
+    (["chsh", "--alpha", "0", "--alpha-prime", "90", "--beta", "45", "--beta-prime", "-45"], "chsh_value"),
+    (["chsh", "scan", "--step", "0.71"], "tsirelson_scan"),
+    (["identity", "--kind", "spin", "--seed", "1"], "identity_residual"),
+    (["mermin", "--n", "3"], "mermin_value"),
+    (["lhv", "--enumerate"], "chsh_deterministic_max"),
+    (["oumandel", "--tx", "0.5", "--ty", "0.5"], "coincidence_probability"),
+    (["dbb", "--form", "product"], "velocity_2p"),
+    (["dbb", "--form", "symmetric", "--trajectory"], "integrate_trajectory"),
+    (["spin", "--steps", "5"], "integrate_spin"),
+]
+
+
 class TestErrorMapping:
     @pytest.mark.parametrize("err, code, line", ERRORS, ids=[type(err).__name__ for err, _, _ in ERRORS])
     @pytest.mark.parametrize("args, target", [
@@ -538,17 +552,57 @@ class TestErrorMapping:
         (["chsh", "--alpha", "x"], "error=2 detail=Invalid value for '--alpha': 'x' is not a valid float."),
         (["chsh", "scan"], "error=2 detail=Missing option '--step'."),
         (["nosuch"], "error=2 detail=No such command 'nosuch'."),
-    ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command"])
+        (["dbb", "--form", "symmetric", "--trajectory", "--start2", "nan"],
+         "error=2 detail=x2 must be finite, got nan"),
+    ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command", "nan-start"])
     def test_usage_error_gives_one_line(self, args, line):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr == line + "\n"
+
+    @pytest.mark.parametrize("args", [["--bogus"], ["--bogus", "lhv", "--enumerate"]],
+                             ids=["alone", "before-a-command"])
+    def test_root_usage_error_gives_one_line(self, args):
+        result = CliRunner().invoke(main, args)
+        assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+        assert result.stderr == "error=2 detail=No such option '--bogus'.\n"
+
+    def test_bare_command_prints_the_help(self):
+        bare, help_ = CliRunner().invoke(main, []), CliRunner().invoke(main, ["--help"])
+        assert (bare.exit_code, bare.stderr) == (0, "")
+        assert bare.stdout == help_.stdout and bare.stdout.startswith("Usage: ")
 
     def test_out_that_cannot_be_opened_exits_two(self, tmp_path):
         out = tmp_path / "missing" / "x.csv"
         result = CliRunner().invoke(main, ["lhv", "--enumerate", "--out", str(out)])
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr == f"error=2 detail=cannot open --out {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("args, target", OUT_COMMANDS, ids=lambda v: v if isinstance(v, str) else None)
+    def test_out_that_cannot_be_opened_exits_two_before_any_work(self, monkeypatch, tmp_path, args, target):
+        reach_fails(monkeypatch, target)
+        out = tmp_path / "missing" / "x.csv"
+        result = CliRunner().invoke(main, args + ["--out", str(out)])
+        assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+        assert result.stderr == f"error=2 detail=cannot open --out {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("args, target", OUT_COMMANDS, ids=lambda v: v if isinstance(v, str) else None)
+    def test_failed_command_leaves_an_existing_out_untouched(self, monkeypatch, tmp_path, args, target):
+        reach_fails(monkeypatch, target)
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"earlier,run\n")
+        result = CliRunner().invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == EXIT_NUMERICAL
+        assert out.read_bytes() == b"earlier,run\n"
+
+    def test_out_to_a_device_is_written_without_truncating_it(self):
+        run_ok(["lhv", "--enumerate", "--out", os.devnull])
+
+    def test_out_replaces_a_longer_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"x" * 10000)
+        CliRunner().invoke(main, ["lhv", "--enumerate", "--out", str(out)])
+        assert out.read_text(encoding="utf-8") == run_ok(["lhv", "--enumerate"])
 
 
 class TestInstalledEntryPoint:
@@ -595,6 +649,20 @@ class TestInstalledEntryPoint:
                               capture_output=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, b"")
         assert proc.stderr == b"error=2 detail=Missing option '--ty'.\n"
+
+    def test_out_to_a_pipe(self):
+        proc = subprocess.run([sys.executable, "-m", "bell_lab", "lhv", "--enumerate", "--out", "/dev/stdout"],
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == b"max_s\n# tool=bell-lab version=0.1.0 command=lhv mode=enumerate\n2\n"
+
+    def test_root_usage_error_and_bare_command(self):
+        bogus = subprocess.run([sys.executable, "-m", "bell_lab", "--bogus"], capture_output=True, timeout=120)
+        assert (bogus.returncode, bogus.stdout) == (EXIT_VALIDATION, b"")
+        assert bogus.stderr == b"error=2 detail=No such option '--bogus'.\n"
+        bare = subprocess.run([sys.executable, "-m", "bell_lab"], capture_output=True, timeout=120)
+        assert (bare.returncode, bare.stderr) == (0, b"")
+        assert bare.stdout.startswith(b"Usage: ")
 
     @pytest.mark.parametrize("args", [["--grid", "71"], ["--grid", "51", "--correlation"]])
     def test_oumandel_grid_memory_stays_near_the_version_floor(self, args):

@@ -521,15 +521,15 @@ class TestTrajectories:
     def test_tiny_dt_takes_the_final_remainder(self):
         # dt = 1e-14 is far below the 1e-12 end tolerance; the 0.4 dt left
         # after one step is still a step, not rounding
-        times, states = dbb._rk4(lambda y, t: 1.0, 0.0, 0.0, 1.4e-14, 1e-14)
+        times, states = dbb._rk4(lambda y, t: (1.0,), (0.0,), 0.0, 1.4e-14, 1e-14)
         assert times.tolist() == [0.0, 1e-14, 1.4e-14]
         assert states[-1] == pytest.approx(1.4e-14, rel=1e-15)
-        times, _ = dbb._rk4(lambda y, t: 1.0, 0.0, 0.0, 1e-14 * (1 + 2e-3), 1e-14)
+        times, _ = dbb._rk4(lambda y, t: (1.0,), (0.0,), 0.0, 1e-14 * (1 + 2e-3), 1e-14)
         assert times[-1] == 1e-14 * (1 + 2e-3) and len(times) == 3
 
     def test_nonfinite_stage_position_refused(self, monkeypatch):
         # the RK4 stages skip the boundary validation but not the finiteness check
-        monkeypatch.setattr(dbb, "_velocity", lambda *args: (np.inf, 0.0))
+        monkeypatch.setattr(dbb, "_stage_velocity", lambda *args: (np.inf, 0.0))
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
         with pytest.raises(ValueError, match="x1 must be finite"):
             integrate_trajectory(wf, C, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
@@ -631,6 +631,62 @@ class TestSharedRk4:
         tr = integrate_spin(s0, b, PhysicalConstants(gyro=gyro), t1=t1, dt=dt)
         assert np.array_equal(tr.times, times)
         assert np.array_equal(tr.spins, spins)
+
+
+def _outcome(kernel, *args):
+    """The kernel's (v1, v2) as exact hex strings, or its node refusal message."""
+    try:
+        return tuple(float(v).hex() for v in kernel(*args))
+    except NodeSingularityError as err:
+        return str(err)
+
+
+_PACKETS = st.builds(WavePacket, center=st.floats(-5.0, 5.0), width=st.floats(0.2, 3.0),
+                     wavenumber=st.floats(-3.0, 3.0), start_time=st.floats(-1.0, 1.0))
+# an x1 near the packets or far into a tail, and x2 - x1: on the exchange
+# node x1 = x2, within rounding of it, near it, or anywhere
+_POINTS = st.lists(st.tuples(
+    st.one_of(st.floats(-6.0, 6.0), st.floats(-1e4, 1e4)),
+    st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12), st.floats(-1e-2, 1e-2), st.floats(-8.0, 8.0)),
+), min_size=1, max_size=30)
+
+
+class TestFloatStageKernel:
+    """The RK4 stages' float kernel against _velocity, its array oracle, on Python floats."""
+
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(form=st.sampled_from(["symmetric", "antisymmetric"]), a=_PACKETS, b=_PACKETS,
+           hbar=st.floats(0.3, 3.0), mass=st.floats(0.3, 3.0), dt=st.floats(0.0, 4.0), points=_POINTS)
+    def test_bitwise_equal_to_velocity(self, form, a, b, hbar, mass, dt, points):
+        # the product form's stages call _velocity itself
+        wf, c = TwoParticleWF(a, b, form=form), PhysicalConstants(hbar=hbar, mass=mass)
+        try:
+            nf = dbb._norm_factor(wf, c)
+        except ValueError:
+            assume(False)  # (near-)identical packets have no antisymmetric state
+        t = max(a.start_time, b.start_time) + dt
+        terms = dbb._terms(a, c, t), dbb._terms(b, c, t)
+        for x1, gap in points:
+            x2 = x1 + gap
+            assert (_outcome(dbb._stage_velocity, wf, c, x1, x2, t, nf, terms)
+                    == _outcome(dbb._velocity, wf, c, x1, x2, t, nf))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_packet_terms_once_per_stage_time(self, monkeypatch, form):
+        # stages 2 and 3 share a time, and stage 4's is the next step's first
+        calls = []
+        terms = dbb._terms
+
+        def recording(wp, c, t):
+            calls.append((wp, t))
+            return terms(wp, c, t)
+
+        monkeypatch.setattr(dbb, "_terms", recording)
+        tr = integrate_trajectory(TwoParticleWF(PACKET_A, PACKET_B, form=form), C, (-1.5, 1.5),
+                                  0.25, 1.3, 0.1)
+        stage = [call for call in calls if call[1] >= 0.25]  # not _norm_factor's, at t = 0
+        # each step's start and midpoint, and the end, once for each packet
+        assert len(stage) == len(set(stage)) == 2 * (2 * len(tr.times) - 1)
 
 
 class TestSpinPrecession:
