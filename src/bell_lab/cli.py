@@ -160,12 +160,17 @@ def main():
 @click.option("--beta", type=float, default=None, help="Bob unprimed angle (degrees).")
 @click.option("--beta-prime", type=float, default=None, help="Bob primed angle (degrees).")
 @click.option("--kind", type=click.Choice(["spin", "photon"]), default="spin", show_default=True)
-@_OUT
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
+              help="CSV path (default stdout); a subcommand takes its own --out.")
 @click.pass_context
 def chsh(ctx, alpha, alpha_prime, beta, beta_prime, kind, out):
     """S for one settings tuple on the singlet / photon pair state."""
-    if ctx.invoked_subcommand is not None:
+    if ctx.invoked_subcommand is not None:  # runs before the subcommand parses, so no file is made
+        if out is not None:
+            raise click.UsageError(f"chsh --out does not apply to '{ctx.invoked_subcommand}'; "
+                                   f"give it after '{ctx.invoked_subcommand}'")
         return
+    out = _open_out(ctx, None, out)
     degs = (alpha, alpha_prime, beta, beta_prime)
     if any(v is None for v in degs):
         raise click.UsageError("chsh needs --alpha, --alpha-prime, --beta and --beta-prime")

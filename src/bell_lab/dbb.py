@@ -232,11 +232,13 @@ def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: flo
         _refuse_nodes((2.0 * la1.real < _LOG_DENSITY_FLOOR) | (2.0 * lb2.real < _LOG_DENSITY_FLOOR),
                       x1, x2, t)
         return hm * _dlog_psi(ta, x1).imag, hm * _dlog_psi(tb, x2).imag
-    lm, w1, sw2 = _exchange_terms(wf.form, ta, tb, x1, x2)
-    den = w1 + sw2
-    with np.errstate(divide="ignore"):  # den == 0 is refused as a node below
+    # refused as nodes below: den == 0, and a far tail, where (x - xc)^2
+    # overflows, lm is -inf and log_rho NaN (beyond about 1e154 from the packets)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lm, w1, sw2 = _exchange_terms(wf.form, ta, tb, x1, x2)
+        den = w1 + sw2
         log_rho = 2.0 * (lm + np.log(np.abs(den))) + 2.0 * np.log(nf)
-    _refuse_nodes((den == 0.0) | (log_rho < _LOG_DENSITY_FLOOR), x1, x2, t)
+    _refuse_nodes((den == 0.0) | ~(log_rho >= _LOG_DENSITY_FLOOR), x1, x2, t)
     v1 = (_cmul(w1, _dlog_psi(ta, x1)) + _cmul(sw2, _dlog_psi(tb, x1))) / den
     v2 = (_cmul(w1, _dlog_psi(tb, x2)) + _cmul(sw2, _dlog_psi(ta, x2))) / den
     return hm * v1.imag, hm * v2.imag
@@ -246,12 +248,15 @@ def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t, nf, term
     """_velocity of a symmetrized form at one point of Python floats, bitwise equal to it.
 
     Its operations in its order, on CPython floats but for np.exp and numpy's /den formula;
-    a node test near the floor, or at a tiny or non-finite den, falls back to _velocity.
+    a far tail (lm = -inf), or a node test near the floor, or at a tiny or non-finite den,
+    falls back to _velocity.
     """
     hm, (ta, tb) = c.hbar / c.mass, terms
     l1 = _log_psi(ta, x1) + _log_psi(tb, x2)
     l2 = _log_psi(ta, x2) + _log_psi(tb, x1)
     lm = l1.real if l1.real > l2.real else l2.real  # np.maximum's choice on ties
+    if not lm > -math.inf:  # exp(l1 - lm) would be NaN; _velocity refuses the point
+        return tuple(float(v) for v in _velocity(wf, c, x1, x2, t, nf, terms))
     w1 = complex(np.exp(l1 - lm))
     sw2 = (1.0 if wf.form == "symmetric" else -1.0) * complex(np.exp(l2 - lm))
     den = w1 + sw2

@@ -12,6 +12,8 @@ E(a, b) = -1 + 2*d/pi (d = angular distance between the settings folded
 to [0, pi]) whose CHSH value at (0, pi/2, pi/4, -pi/4) is exactly -2.
 """
 
+from __future__ import annotations  # np.random stays unloaded until make_rng runs
+
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable

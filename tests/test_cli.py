@@ -172,6 +172,29 @@ class TestChshCommand:
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr.startswith("error=2 detail=")
 
+    def test_out_writes_the_single_value(self, tmp_path):
+        args = ["chsh", "--alpha", "0", "--alpha-prime", "90", "--beta", "45", "--beta-prime", "-45"]
+        out = tmp_path / "x.csv"
+        assert run_ok(args + ["--out", str(out)]) == ""
+        assert out.read_text(encoding="utf-8") == run_ok(args)
+
+    @pytest.mark.parametrize("earlier", [None, b"earlier,run\n"], ids=["new", "existing"])
+    def test_group_out_before_a_subcommand_refused(self, monkeypatch, tmp_path, earlier):
+        # the group's --out would be ignored by the scan: refused before any file
+        # is opened, the scan's own --out included
+        reach_fails(monkeypatch, "tsirelson_scan")
+        out, own = tmp_path / "a.csv", tmp_path / "b.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        result = CliRunner().invoke(main, ["chsh", "--out", str(out), "scan", "--step", "45", "--out", str(own)])
+        assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+        assert result.stderr == "error=2 detail=chsh --out does not apply to 'scan'; give it after 'scan'\n"
+        assert not own.exists()
+        if earlier is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == earlier
+
 
 class TestIdentityCommand:
     def test_thousand_trials(self):
@@ -669,6 +692,30 @@ class TestInstalledEntryPoint:
         # the angle axes broadcast as a column and a row; meshgrids cost 50 MB more at 71
         floor = self.max_rss_mb(["--version"])
         assert self.max_rss_mb(["oumandel", "--tx", "0.5", "--ty", "0.5", *args]) <= floor + 5.0
+
+    def test_numpy_random_loads_only_for_commands_that_draw(self):
+        # numpy.random costs every command about 13 ms of import; only the seeded
+        # commands need it.  A bare import bell_lab still loads every layer module,
+        # which the benchmark's tracer wraps
+        layers = [f"bell_lab.{name}" for name in ("operators", "chsh", "mermin", "lhv", "fock", "dbb")]
+        launcher = ("import sys; import bell_lab; "
+                    f"print(all(name in sys.modules for name in {layers!r}), 'numpy.random' in sys.modules, "
+                    "file=sys.stderr); from bell_lab.cli import main\n"
+                    "for args in sys.argv[1:]:\n"
+                    "    try:\n"
+                    "        main(args.split())\n"
+                    "    except SystemExit as exit_:\n"
+                    "        print(args, exit_.code, 'numpy.random' in sys.modules, file=sys.stderr)")
+        lazy = ["--version", "chsh --alpha 0 --alpha-prime 90 --beta 45 --beta-prime -45",
+                "chsh scan --step 45", "mermin --n 3", "lhv --enumerate", "oumandel --tx 0.5 --ty 0.5",
+                "dbb --form symmetric --grid 3", "spin --steps 3"]
+        drawing = ["identity --kind spin --trials 10 --seed 1",
+                   "lhv --model sign --samples 100 --seed 1 --angles 0,45,22.5,67.5"]
+        for commands, loaded in ((lazy + drawing[:1], [False] * len(lazy) + [True]), (drawing[1:], [True])):
+            proc = subprocess.run([sys.executable, "-c", launcher, *commands], stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+            assert proc.stderr.splitlines() == ["True False"] + [
+                f"{args} 0 {flag}" for args, flag in zip(commands, loaded)]
 
     def test_memory_floor_is_not_the_test_process(self):
         # the measurement must not inherit this process's RSS (over 100 MB here)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
@@ -194,6 +196,10 @@ class TestTwoParticleDensity:
             psi2_eval(wf, C, 0.1, np.array([0.2, np.inf]), 1.5)
 
 
+# a coordinate near the packets or anywhere out to the far tails
+_COORDINATES = st.one_of(st.floats(-6.0, 6.0), st.floats(-1e300, 1e300))
+
+
 class TestVelocities:
     def test_product_matches_single_particle(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="product")
@@ -216,16 +222,27 @@ class TestVelocities:
 
     @hyp_settings(max_examples=200, deadline=None)
     @given(form=st.sampled_from(["symmetric", "antisymmetric"]),
-           x1=st.floats(-6.0, 6.0), x2=st.floats(-6.0, 6.0), t=st.floats(0.0, 3.0))
+           x1=_COORDINATES, x2=_COORDINATES, t=st.floats(0.0, 3.0))
     def test_exchange_symmetry(self, form, x1, x2, t):
         # psi(x1, x2) = +-psi(x2, x1), so v1(x1, x2) = v2(x2, x1); swapping the
-        # points swaps the two exchange terms exactly, so the results are bitwise equal
+        # points swaps the two exchange terms exactly, so the results are bitwise
+        # equal, and a node (far tails included) is refused at both points
         wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
         try:
             v1, v2 = velocity_2p(wf, C, x1, x2, t)
         except NodeSingularityError:
-            assume(False)
+            with pytest.raises(NodeSingularityError, match=re.escape(f"({x2!r}, {x1!r}), t=")):
+                velocity_2p(wf, C, x2, x1, t)
+            return
         assert velocity_2p(wf, C, x2, x1, t) == (v2, v1)
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("x1, x2", [(1e200, 0.0), (0.0, 1e200), (1e155, 0.0), (-1e300, 1e300)])
+    def test_far_tail_refused_as_a_node(self, form, x1, x2):
+        # beyond about 1e154 from the packets (x - xc)^2 overflows; every form refuses the point
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
+        with pytest.raises(NodeSingularityError, match=re.escape(f"({x1!r}, {x2!r}), t=0.5") + "$"):
+            velocity_2p(wf, C, x1, x2, 0.5)
 
 
 class TestCrossCoupling:
@@ -429,6 +446,12 @@ class TestArrayRoute:
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
         with pytest.raises(NodeSingularityError, match=r"\(0\.2, 0\.2\)"):
             velocity_2p(wf, C, np.array([0.1, 0.2]), np.array([0.3, 0.2]), 0.5)
+
+    @pytest.mark.parametrize("form", ["symmetric", "antisymmetric"])
+    def test_far_tail_refused_on_arrays(self, form):
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
+        with pytest.raises(NodeSingularityError, match=r"\(1e\+300, 0\.2\)"):
+            velocity_2p(wf, C, np.array([0.1, 1e300]), np.array([0.3, 0.2]), 0.5)
 
 
 class TestTrajectories:
@@ -643,11 +666,12 @@ def _outcome(kernel, *args):
 
 _PACKETS = st.builds(WavePacket, center=st.floats(-5.0, 5.0), width=st.floats(0.2, 3.0),
                      wavenumber=st.floats(-3.0, 3.0), start_time=st.floats(-1.0, 1.0))
-# an x1 near the packets or far into a tail, and x2 - x1: on the exchange
-# node x1 = x2, within rounding of it, near it, or anywhere
+# an x1 near the packets, far into a tail or out where (x - xc)^2 overflows, and
+# x2 - x1: on the exchange node x1 = x2, within rounding of it, near it, or anywhere
 _POINTS = st.lists(st.tuples(
-    st.one_of(st.floats(-6.0, 6.0), st.floats(-1e4, 1e4)),
-    st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12), st.floats(-1e-2, 1e-2), st.floats(-8.0, 8.0)),
+    st.one_of(st.floats(-6.0, 6.0), st.floats(-1e4, 1e4), st.floats(-1e300, 1e300)),
+    st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12), st.floats(-1e-2, 1e-2), st.floats(-8.0, 8.0),
+              st.floats(-1e300, 1e300)),
 ), min_size=1, max_size=30)
 
 
