@@ -11,13 +11,12 @@ correlation is E(a, b) = -cos(a - b); S reaches +-2*sqrt(2) at e.g.
 photon settings.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import (
     KINDS,
     MeasurementOp,
+    _Record,
     _party_ops,
     _require_finite,
     _scan_angles,
@@ -34,8 +33,7 @@ from .operators import (
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ChshSettings:
+class ChshSettings(_Record):
     """Four analyzer angles (radians) plus the measurement convention.
 
     The four angle fields may be numpy arrays of one common shape; the
@@ -63,8 +61,7 @@ class ChshSettings:
         return (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
 
 
-@dataclass(frozen=True)
-class BellValue:
+class BellValue(_Record):
     """A Bell parameter S together with the settings that produced it.
 
     ``s`` is a float, or an array shaped like a batch of settings.

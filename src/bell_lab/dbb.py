@@ -16,13 +16,12 @@ treated as nodes and refused rather than extrapolated.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NodeSingularityError
-from .operators import _require_finite
+from .operators import _Record, _require_finite
 
 FORMS = ("product", "symmetric", "antisymmetric")
 
@@ -32,8 +31,7 @@ _MAX_STEPS = 10**6  # RK4 steps one span may take
 _LOG_DENSITY_FLOOR = float(np.log(1e-300))
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(_Record):
     hbar: float = 1.0
     mass: float = 1.0
     gyro: float = 1.0
@@ -45,8 +43,7 @@ class PhysicalConstants:
             raise ValueError("hbar and mass must be positive")
 
 
-@dataclass(frozen=True)
-class WavePacket:
+class WavePacket(_Record):
     """Initial Gaussian packet.
 
     width is the initial position standard deviation (|psi|^2 is a
@@ -66,8 +63,7 @@ class WavePacket:
             raise ValueError(f"width must be positive, got {self.width!r}")
 
 
-@dataclass(frozen=True)
-class TwoParticleWF:
+class TwoParticleWF(_Record):
     """Product or (anti)symmetrized pair of packets; one dimension each."""
 
     packet_a: WavePacket
@@ -148,16 +144,21 @@ def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, c: PhysicalConstants, t: 
     _require_finite("t", t)
     _check_time(wp_a, t)
     _check_time(wp_b, t)
+    ta, tb = _terms(wp_a, c, t), _terms(wp_b, c, t)
     coeffs = []
-    for wp in (wp_a, wp_b):
-        # log psi = qa x^2 + qb x + qc
-        const, xc, quad, slope, ik, x0, phase = _terms(wp, c, t)
-        coeffs.append((-1.0 / quad, xc / slope + ik, const - xc**2 / quad - ik * x0 - phase))
+    for const, xc, quad, slope, ik, x0, phase in (ta, tb):
+        # log psi = qa y^2 + qb y + qc in y = x - xc_a: only the packets' separation is squared
+        xc, x0 = xc - ta[1], x0 - ta[1]
+        coeffs.append((-1.0 / quad, xc / slope + ik, const - xc * xc / quad - ik * x0 - phase))
     (a1, b1, c1), (a2, b2, c2) = coeffs
     p = np.conj(a1) + a2  # Re(p) < 0 always
     q = np.conj(b1) + b2
     r = np.conj(c1) + c2
-    return complex(np.exp(r - q * q / (4.0 * p)) * np.sqrt(np.pi / -p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = complex(np.exp(r - q * q / (4.0 * p)) * np.sqrt(np.pi / -p))
+    if not np.isfinite(overlap):
+        raise ValueError(f"packet overlap overflows float64: centres {ta[1]!r} and {tb[1]!r} at t={t!r}")
+    return overlap
 
 
 def _norm_factor(wf: TwoParticleWF, c: PhysicalConstants) -> float:
@@ -296,7 +297,8 @@ def velocity_2p(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
     arrays of the broadcast shape.  A node at any point refuses the call.
     """
     _check_point(wf, x1, x2, t)
-    v1, v2 = _velocity(wf, c, x1, x2, t, _norm_factor(wf, c))
+    with np.errstate(over="ignore", invalid="ignore"):  # a product far tail's log psi is -inf: a node
+        v1, v2 = _velocity(wf, c, x1, x2, t, _norm_factor(wf, c))
     shape = np.broadcast(x1, x2).shape
     return _as_result(v1, shape), _as_result(v2, shape)
 
@@ -313,15 +315,15 @@ def cross_coupling(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
     h = 1e-5 * min(wf.packet_a.width, wf.packet_b.width)
 
     def d(step):
-        vp = _velocity(wf, c, x1, x2 + step, t, nf)[0]
-        vm = _velocity(wf, c, x1, x2 - step, t, nf)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in velocity_2p
+            vp = _velocity(wf, c, x1, x2 + step, t, nf)[0]
+            vm = _velocity(wf, c, x1, x2 - step, t, nf)[0]
         return (vp - vm) / (2.0 * step)
 
     return _as_result(np.abs((4.0 * d(h / 2.0) - d(h)) / 3.0), np.broadcast(x1, x2).shape)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Times (strictly increasing) and positions, one row per step."""
 
     times: np.ndarray
@@ -430,8 +432,7 @@ def integrate_trajectory(wf, c: PhysicalConstants, start, t0: float, t1: float, 
     return Trajectory(*_rk4(vel, y, t0, t1, dt))
 
 
-@dataclass(frozen=True)
-class SpinState:
+class SpinState(_Record):
     s: tuple
 
     def __post_init__(self):
@@ -467,8 +468,7 @@ def spin_derivative(s, b_field, c: PhysicalConstants) -> np.ndarray:
     return c.gyro * np.array(_cross(_as_spin(s), _as_field(b_field)))
 
 
-@dataclass(frozen=True)
-class SpinTrajectory:
+class SpinTrajectory(_Record):
     times: np.ndarray
     spins: np.ndarray  # shape (len(times), 3)
 

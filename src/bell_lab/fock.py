@@ -15,20 +15,18 @@ factorizes exactly into one x-photon and one y-photon creation factor
     P(t1, t2) = (sqrt(Tx*Ty) cos t1 sin t2 + sqrt(Rx*Ry) sin t1 cos t2)^2.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
 
 import numpy as np
 
 from .errors import UndefinedCorrelationError
-from .operators import _require_finite, _unbox, dagger
+from .operators import _Record, _require_finite, _unbox, dagger
 
 MODE_ORDER = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
 
 
-@dataclass(frozen=True)
-class ModeIndex:
+class ModeIndex(_Record):
     detector: int
     polarization: str
 
@@ -44,8 +42,7 @@ class ModeIndex:
         return MODE_ORDER.index((self.detector, self.polarization))
 
 
-@dataclass(frozen=True)
-class FockBasis:
+class FockBasis(_Record):
     """Ordered occupation-number basis over the four detection modes."""
 
     n_max_total: int
@@ -67,8 +64,7 @@ def standard_basis(n_max_total: int = 2) -> FockBasis:
     return FockBasis(n_max_total=n_max_total, states=states)
 
 
-@dataclass(frozen=True)
-class FockState:
+class FockState(_Record):
     basis: FockBasis
     amplitudes: np.ndarray
 
@@ -88,8 +84,7 @@ class FockState:
         return complex(self.amplitudes[self.basis.index(occ)])
 
 
-@dataclass(frozen=True)
-class BeamSplitterSpec:
+class BeamSplitterSpec(_Record):
     """Per-polarization transmission/reflection probabilities, T + R = 1."""
 
     t_x: float

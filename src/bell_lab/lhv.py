@@ -14,7 +14,6 @@ to [0, pi]) whose CHSH value at (0, pi/2, pi/4, -pi/4) is exactly -2.
 
 from __future__ import annotations  # np.random stays unloaded until make_rng runs
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .chsh import ChshSettings
 from .errors import NumericalCheckError
+from .operators import _Record
 
 # Fixed, documented generator family: numpy's PCG64 behind Generator.
 # Recorded in CLI metadata so seeded runs name their algorithm.
@@ -34,8 +34,7 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-@dataclass(frozen=True)
-class HiddenVariableModel:
+class HiddenVariableModel(_Record):
     """Locality-by-construction response model.
 
     ``sample(rng, n)`` draws n hidden values; each response maps
@@ -49,8 +48,7 @@ class HiddenVariableModel:
     bob_response: Callable[[float, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class ChshEstimate:
+class ChshEstimate(_Record):
     estimate: float
     stderr: float
     samples: int

@@ -16,7 +16,6 @@ For the n = 3 operator the exact identity
 holds with each commutator acting on its own tensor slot.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from .operators import (
     MeasurementOp,
+    _Record,
     _party_ops,
     _require_finite,
     _scan_angles,
@@ -34,8 +34,7 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
-class GhzState:
+class GhzState(_Record):
     n: int
     ket: np.ndarray
 
@@ -50,8 +49,7 @@ def ghz(n: int) -> GhzState:
     return GhzState(n=int(n), ket=ket(amps))
 
 
-@dataclass(frozen=True)
-class MerminSettings:
+class MerminSettings(_Record):
     """Per-particle angle pairs (a_j, a_j'), radians, transverse plane."""
 
     pairs: tuple

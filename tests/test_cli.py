@@ -673,6 +673,19 @@ class TestInstalledEntryPoint:
         assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, b"")
         assert proc.stderr == b"error=2 detail=Missing option '--ty'.\n"
 
+    @pytest.mark.parametrize("form, code, detail", [
+        ("product", EXIT_NODE, "density below 1e-300 at (-1e+300, -5e+299), t=0.8"),
+        ("symmetric", EXIT_VALIDATION, "packet overlap overflows float64: centres -1e+300 and 1e+300 at t=0.0"),
+        ("antisymmetric", EXIT_VALIDATION,
+         "packet overlap overflows float64: centres -1e+300 and 1e+300 at t=0.0"),
+    ])
+    def test_packets_far_apart_print_one_error_line(self, form, code, detail):
+        # in a process of its own, a numpy overflow warning would reach stderr too
+        proc = subprocess.run([sys.executable, "-m", "bell_lab", "dbb", "--form", form, "--center-a=-1e300",
+                               "--center-b=1e300", "--grid", "3"], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr == f"error={code} detail={detail}\n"
+
     def test_out_to_a_pipe(self):
         proc = subprocess.run([sys.executable, "-m", "bell_lab", "lhv", "--enumerate", "--out", "/dev/stdout"],
                               capture_output=True, timeout=120)
@@ -695,17 +708,19 @@ class TestInstalledEntryPoint:
 
     def test_numpy_random_loads_only_for_commands_that_draw(self):
         # numpy.random costs every command about 13 ms of import; only the seeded
-        # commands need it.  A bare import bell_lab still loads every layer module,
+        # commands need it.  No command loads dataclasses: the records are not
+        # dataclasses.  A bare import bell_lab still loads every layer module,
         # which the benchmark's tracer wraps
         layers = [f"bell_lab.{name}" for name in ("operators", "chsh", "mermin", "lhv", "fock", "dbb")]
+        flags = "'numpy.random' in sys.modules, 'dataclasses' in sys.modules"
         launcher = ("import sys; import bell_lab; "
-                    f"print(all(name in sys.modules for name in {layers!r}), 'numpy.random' in sys.modules, "
+                    f"print(all(name in sys.modules for name in {layers!r}), {flags}, "
                     "file=sys.stderr); from bell_lab.cli import main\n"
                     "for args in sys.argv[1:]:\n"
                     "    try:\n"
                     "        main(args.split())\n"
                     "    except SystemExit as exit_:\n"
-                    "        print(args, exit_.code, 'numpy.random' in sys.modules, file=sys.stderr)")
+                    f"        print(args, exit_.code, {flags}, file=sys.stderr)")
         lazy = ["--version", "chsh --alpha 0 --alpha-prime 90 --beta 45 --beta-prime -45",
                 "chsh scan --step 45", "mermin --n 3", "lhv --enumerate", "oumandel --tx 0.5 --ty 0.5",
                 "dbb --form symmetric --grid 3", "spin --steps 3"]
@@ -714,8 +729,8 @@ class TestInstalledEntryPoint:
         for commands, loaded in ((lazy + drawing[:1], [False] * len(lazy) + [True]), (drawing[1:], [True])):
             proc = subprocess.run([sys.executable, "-c", launcher, *commands], stdout=subprocess.DEVNULL,
                                   stderr=subprocess.PIPE, text=True, timeout=120)
-            assert proc.stderr.splitlines() == ["True False"] + [
-                f"{args} 0 {flag}" for args, flag in zip(commands, loaded)]
+            assert proc.stderr.splitlines() == ["True False False"] + [
+                f"{args} 0 {flag} False" for args, flag in zip(commands, loaded)]
 
     def test_memory_floor_is_not_the_test_process(self):
         # the measurement must not inherit this process's RSS (over 100 MB here)

@@ -134,6 +134,24 @@ class TestOverlap:
     def test_self_overlap_is_one(self):
         assert abs(packet_overlap(PACKET_A, PACKET_A, C) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("shift", [1e4, -1e8, 1e12])
+    def test_translation_invariant(self, shift):
+        # moving both packets changes nothing, however far from the origin they go
+        a, b = (WavePacket(wp.center + shift, wp.width, wp.wavenumber) for wp in (PACKET_A, PACKET_B))
+        assert abs(packet_overlap(a, b, C) - packet_overlap(PACKET_A, PACKET_B, C)) < 1e-12
+
+    def test_packets_too_far_apart_are_refused(self):
+        # the separation squared overflows float64; both symmetrized forms refuse alike
+        a, b = WavePacket(-1e300, 0.8, 0.6), WavePacket(1e300, 1.1, -0.4)
+        message = r"^packet overlap overflows float64: centres -1e\+300 and 1e\+300 at t=0\.0$"
+        with pytest.raises(ValueError, match=message):
+            packet_overlap(a, b, C)
+        for form in ("symmetric", "antisymmetric"):
+            wf = TwoParticleWF(a, b, form=form)
+            for fn in (velocity_2p, cross_coupling):
+                with pytest.raises(ValueError, match=message):
+                    fn(wf, C, np.array([-1e300, 0.0]), 1e300, 0.8)
+
 
 class TestTwoParticleDensity:
     def test_product_density_factorizes(self):
@@ -452,6 +470,16 @@ class TestArrayRoute:
         wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
         with pytest.raises(NodeSingularityError, match=r"\(1e\+300, 0\.2\)"):
             velocity_2p(wf, C, np.array([0.1, 1e300]), np.array([0.3, 0.2]), 0.5)
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_far_tail_refused_on_arrays_without_a_warning(self, form, t):
+        # (x - xc)^2 overflows there; Tier-1 turns a numpy warning of it into an error
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
+        with pytest.raises(NodeSingularityError, match=r"\(1e\+300, 0\.2\)"):
+            velocity_2p(wf, C, np.array([0.1, 1e300]), np.array([0.3, 0.2]), t)
+        with pytest.raises(NodeSingularityError, match=r"\(1e\+300, 0\.2"):
+            cross_coupling(wf, C, np.array([0.1, 1e300]), np.array([0.3, 0.2]), t)
 
 
 class TestTrajectories:

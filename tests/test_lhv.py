@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -274,7 +273,8 @@ class TestStreamedCounts:
             sizes.append(n)
             return sign_model().sample(rng, n)
 
-        model = dataclasses.replace(sign_model(), sample=spy)
+        sign = sign_model()
+        model = HiddenVariableModel(sign.name, spy, sign.alice_response, sign.bob_response)
         whole = simulate_chsh_stats(model, SUPPLEMENTARY, samples=8, seed=21)
         assert sizes == [8]
         sizes.clear()
