@@ -52,6 +52,9 @@ GOLDEN = {
     "dbb_trajectory_symmetric": ["dbb", "--form", "symmetric", "--trajectory", "--t1", "1.05",
                                  "--dt", "0.1"],
     "spin": ["spin", "--steps", "50"],
+    # a tilted start: sz and every norm take all three components
+    "spin_tilted": ["spin", "--steps", "2000", "--dt", "0.01", "--bz", "1.3", "--gyro", "0.7",
+                    "--s0=0.3,-0.8,0.5"],
 }
 
 
