@@ -82,9 +82,6 @@ from .dbb import (
     integrate_trajectory,
     packet_overlap,
     psi2_eval,
-    psi_eval,
-    spin_derivative,
-    velocity_1p,
     velocity_2p,
 )
 

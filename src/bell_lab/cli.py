@@ -361,8 +361,8 @@ def spin(bz, gyro, steps, dt, s0, out):
     s0v = _parse_floats(s0, "--s0", 3)
     c = PhysicalConstants(gyro=gyro)
     traj = integrate_spin(s0v, (0.0, 0.0, bz), c, t1=steps * dt, dt=dt)
-    # one norm per row: the axis=1 norm differs from it in the last bit
-    norms = np.array([np.linalg.norm(sv) for sv in traj.spins])
+    # each row's np.linalg.norm: the axis=1 norm and sums of squares differ from it in the last bit
+    norms = np.sqrt(np.vecdot(traj.spins, traj.spins))
     meta = _meta("spin", {"bz": bz, "gyro": gyro, "steps": steps, "dt": dt, "s0": s0})
     _write_csv(out, meta, {"t": traj.times, "sx": traj.spins[:, 0], "sy": traj.spins[:, 1],
                            "sz": traj.spins[:, 2],

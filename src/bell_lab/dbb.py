@@ -1,4 +1,4 @@
-"""De Broglie-Bohm guidance for free Gaussian packets, one and two particles.
+"""De Broglie-Bohm guidance for pairs of free Gaussian packets, and spin precession.
 
 Everything is built on the exactly-evolved free Gaussian
 
@@ -16,6 +16,7 @@ treated as nodes and refused rather than extrapolated.
 """
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +30,7 @@ _MAX_STEPS = 10**6  # RK4 steps one span may take
 
 # densities below this are nodes for all practical purposes
 _LOG_DENSITY_FLOOR = float(np.log(1e-300))
+_NORMAL = sys.float_info.min  # the least normal float64
 
 
 class PhysicalConstants(_Record):
@@ -80,24 +82,47 @@ def _check_time(wp: WavePacket, t: float):
         raise ValueError(f"t = {t!r} is before the packet's start_time {wp.start_time!r}")
 
 
+def _clock(wp: WavePacket, c: PhysicalConstants, t_end: float):
+    """(t -> the packet's _terms at t, the terms at t_end), for start_time <= t <= t_end.
+
+    The parts that do not depend on t are worked out once, so each time
+    costs one np.log; each term takes the same float operations as at a
+    single time.  Refuses a packet whose width**2 or wavenumber**2 is not a
+    normal float (a zero wavenumber aside), or whose terms are not finite
+    at t_end: they grow with t.
+    """
+    try:
+        w2, k2 = wp.width**2, wp.wavenumber**2
+    except OverflowError:  # float ** raises where float * gives inf
+        w2 = k2 = math.inf
+    s, x0, hbar, m = wp.start_time, wp.center, c.hbar, c.mass
+    two_m_w2, hk, four_w2, two_w2 = 2.0 * m * w2, hbar * wp.wavenumber, 4.0 * w2, 2.0 * w2
+    ik, half_ihk2 = 1.0j * wp.wavenumber, 0.5j * hbar * k2
+
+    def at(t):
+        el = t - s
+        a = 1.0 + 1.0j * (hbar * el / two_m_w2)
+        return (complex(lw - 0.5 * np.log(a)), x0 + hk * el / m, four_w2 * a, two_w2 * a, ik, x0,
+                half_ihk2 * el / m)
+
+    # tau first: where it is finite, at's numpy operations see finite values and cannot warn
+    if (_NORMAL <= w2 < math.inf and (wp.wavenumber == 0.0 or _NORMAL <= k2 < math.inf)
+            and two_m_w2 > 0.0 and math.isfinite(hbar * (t_end - s) / two_m_w2)):
+        lw = -0.25 * np.log(2.0 * np.pi * w2)
+        end = at(t_end)
+        if all(math.isfinite(v.real) and math.isfinite(v.imag) for v in end):
+            return at, end
+    raise ValueError(f"packet algebra leaves float64 by t={float(t_end)!r}: "
+                     f"width={wp.width!r}, wavenumber={wp.wavenumber!r}")
+
+
 def _terms(wp: WavePacket, c: PhysicalConstants, t: float):
     """(const, xc, quad, slope, ik, x0, phase), Python numbers all: the x-independent parts of
 
         log psi(x)   = const - (x - xc)^2 / quad + ik (x - x0) - phase,
         d log psi/dx = -(x - xc) / slope + ik.
     """
-    tau = c.hbar * (t - wp.start_time) / (2.0 * c.mass * wp.width**2)
-    a = 1.0 + 1.0j * tau
-    xc = wp.center + c.hbar * wp.wavenumber * (t - wp.start_time) / c.mass
-    return (
-        complex(-0.25 * np.log(2.0 * np.pi * wp.width**2) - 0.5 * np.log(a)),
-        xc,
-        4.0 * wp.width**2 * a,
-        2.0 * wp.width**2 * a,
-        1.0j * wp.wavenumber,
-        wp.center,
-        0.5j * c.hbar * wp.wavenumber**2 * (t - wp.start_time) / c.mass,
-    )
+    return _clock(wp, c, t)[1]
 
 
 def _log_psi(terms, x):
@@ -108,29 +133,6 @@ def _log_psi(terms, x):
 def _dlog_psi(terms, x):
     _, xc, _, slope, ik, _, _ = terms
     return -(x - xc) / slope + ik
-
-
-def psi_eval(wp: WavePacket, c: PhysicalConstants, x, t: float):
-    """Exact free evolution of the packet; broadcasts over x."""
-    _require_finite("x", x)
-    _require_finite("t", t)
-    _check_time(wp, t)
-    return np.exp(_log_psi(_terms(wp, c, t), x))
-
-
-def velocity_1p(wp: WavePacket, c: PhysicalConstants, x: float, t: float) -> float:
-    """Guidance velocity (hbar/m) Im(d log psi / dx) for one free packet."""
-    _require_finite("x", x)
-    _require_finite("t", t)
-    _check_time(wp, t)
-    return _velocity_1p(wp, c, x, t)
-
-
-def _velocity_1p(wp: WavePacket, c: PhysicalConstants, x: float, t: float) -> float:
-    terms = _terms(wp, c, t)
-    if 2.0 * np.real(_log_psi(terms, x)) < _LOG_DENSITY_FLOOR:
-        raise NodeSingularityError(f"density below 1e-300 at x={x!r}, t={t!r}")
-    return float(c.hbar / c.mass * np.imag(_dlog_psi(terms, x)))
 
 
 def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, c: PhysicalConstants, t: float = None) -> complex:
@@ -178,13 +180,18 @@ def _norm_factor(wf: TwoParticleWF, c: PhysicalConstants) -> float:
 
 
 def psi2_eval(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
-    """Two-particle wavefunction value; broadcasts over (x1, x2)."""
+    """Two-particle wavefunction value; broadcasts over (x1, x2).
+
+    A far tail, where (x - xc)^2 overflows, has the value 0.
+    """
     _check_point(wf, x1, x2, t)
     ta, tb = _terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)
-    if wf.form == "product":
-        return np.exp(_log_psi(ta, x1) + _log_psi(tb, x2))
-    lm, w1, sw2 = _exchange_terms(wf.form, ta, tb, x1, x2)
-    return _norm_factor(wf, c) * np.exp(lm) * (w1 + sw2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if wf.form == "product":
+            return np.exp(_log_psi(ta, x1) + _log_psi(tb, x2))
+        lm, w1, sw2 = _exchange_terms(wf.form, ta, tb, x1, x2)
+        psi = _norm_factor(wf, c) * np.exp(lm) * (w1 + sw2)
+    return np.where(lm > -np.inf, psi, 0j)[()]  # at lm = -inf, exp(l1 - lm) is NaN
 
 
 def _exchange_terms(form: str, ta, tb, x1, x2):
@@ -357,18 +364,19 @@ def _check_span(t0: float, t1: float, dt: float):
         raise ValueError(f"(t1 - t0) / dt = {(t1 - t0) / dt:.6g} steps exceeds {_MAX_STEPS}")
 
 
-def _stacked(times, states):  # one row per time; one-component states stack 1-D
-    states = np.array(states)
-    return np.array(times), states[:, 0] if states.shape[1] == 1 else states
+def _stacked(times, states):
+    states = np.array(states)  # before times: converting the states is the memory peak
+    return np.array(times), states
 
 
 def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
     """Classical RK4 for dy/dt = f(y, t); returns (times, states) as arrays.
 
     Steps of size dt, with one shorter final step to land on t1 exactly.
-    States are tuples, each component stepped IEEE-identically to an array
-    element.  A NodeSingularityError from f halts integration and is re-raised
-    carrying the completed steps as a Trajectory in ``partial_trajectory``.
+    The stages see lists and the kept states are tuples, each component
+    stepped IEEE-identically to an array element.  A NodeSingularityError
+    from f halts integration and is re-raised carrying the completed steps
+    as a Trajectory in ``partial_trajectory``.
     """
     times, states = [t0], [y0]
     t, y = t0, y0
@@ -380,10 +388,10 @@ def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
             step = min(dt, t1 - t)
             half, sixth = 0.5 * step, step / 6.0
             k1 = f(y, t)
-            k2 = f(tuple(a + half * k for a, k in zip(y, k1)), t + half)
-            k3 = f(tuple(a + half * k for a, k in zip(y, k2)), t + half)
-            k4 = f(tuple(a + step * k for a, k in zip(y, k3)), t + step)
-            y = tuple(a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4))
+            k2 = f([a + half * k for a, k in zip(y, k1)], t + half)
+            k3 = f([a + half * k for a, k in zip(y, k2)], t + half)
+            k4 = f([a + step * k for a, k in zip(y, k3)], t + step)
+            y = tuple([a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
             t = t + step
             times.append(t)
             states.append(y)
@@ -393,42 +401,36 @@ def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
     return _stacked(times, states)
 
 
-def integrate_trajectory(wf, c: PhysicalConstants, start, t0: float, t1: float, dt: float) -> Trajectory:
-    """Classical RK4 integration of the guidance velocity field.
+def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: float, t1: float,
+                         dt: float) -> Trajectory:
+    """Classical RK4 integration of the guidance velocity field from the pair start.
 
-    ``wf`` is a WavePacket (scalar start) or TwoParticleWF (pair start).
     Steps of size dt, with one shorter final step to land on t1 exactly.
     Hitting a node halts integration: the raised NodeSingularityError
     carries the completed steps as ``partial_trajectory``.
     """
     _check_span(t0, t1, dt)
+    if not isinstance(wf, TwoParticleWF):
+        raise ValueError(f"wf must be a TwoParticleWF, got {type(wf)!r}")
+    y = tuple(np.asarray(start, dtype=float).ravel().tolist())
+    if len(y) != 2:
+        raise ValueError("two-particle start must be a pair (x1, x2)")
     # the stages call the private kernels on floats: times only grow from
-    # the checked t0, and a stage position is refused if it is not finite
-    if isinstance(wf, WavePacket):
-        y = (float(start),)
-        _check_time(wf, t0)
+    # the checked t0, the clocks are checked at t1, and a stage position is
+    # refused if it is not finite
+    _check_point(wf, *y, t0)
+    nf = _norm_factor(wf, c)
+    (clock_a, _), (clock_b, _) = _clock(wf.packet_a, c, t1), _clock(wf.packet_b, c, t1)
+    # stages 2 and 3 share a time, and stage 4's is the next step's first
+    terms = lru_cache(maxsize=2)(lambda t: (clock_a(t), clock_b(t)))
+    kernel = _velocity if wf.form == "product" else _stage_velocity
 
-        def vel(y, t):
-            if not math.isfinite(y[0]):
-                _require_finite("x", y[0])
-            return (_velocity_1p(wf, c, y[0], t),)
-    elif isinstance(wf, TwoParticleWF):
-        y = tuple(np.asarray(start, dtype=float).ravel().tolist())
-        if len(y) != 2:
-            raise ValueError("two-particle start must be a pair (x1, x2)")
-        _check_point(wf, *y, t0)
-        nf = _norm_factor(wf, c)
-        # stages 2 and 3 share a time, and stage 4's is the next step's first
-        terms = lru_cache(maxsize=2)(lambda t: (_terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)))
-        kernel = _velocity if wf.form == "product" else _stage_velocity
+    def vel(y, t):
+        x1, x2 = y
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            _check_point(wf, x1, x2, t)
+        return kernel(wf, c, x1, x2, t, nf, terms(t))
 
-        def vel(y, t):
-            x1, x2 = y
-            if not (math.isfinite(x1) and math.isfinite(x2)):
-                _check_point(wf, x1, x2, t)
-            return kernel(wf, c, x1, x2, t, nf, terms(t))
-    else:
-        raise ValueError(f"wf must be a WavePacket or TwoParticleWF, got {type(wf)!r}")
     return Trajectory(*_rk4(vel, y, t0, t1, dt))
 
 
@@ -457,17 +459,6 @@ def _as_field(b_field) -> list:
     return b.tolist()
 
 
-def _cross(y, b) -> tuple:
-    """np.cross of 3-vectors by its own formula on floats: bitwise equal, less overhead."""
-    (y0, y1, y2), (b0, b1, b2) = y, b
-    return (y1 * b2 - y2 * b1, y2 * b0 - y0 * b2, y0 * b1 - y1 * b0)
-
-
-def spin_derivative(s, b_field, c: PhysicalConstants) -> np.ndarray:
-    """Larmor torque ds/dt = gyro * (s x B)."""
-    return c.gyro * np.array(_cross(_as_spin(s), _as_field(b_field)))
-
-
 class SpinTrajectory(_Record):
     times: np.ndarray
     spins: np.ndarray  # shape (len(times), 3)
@@ -476,10 +467,10 @@ class SpinTrajectory(_Record):
 def integrate_spin(s0, b_field, c: PhysicalConstants, t1: float, dt: float) -> SpinTrajectory:
     """RK4 precession from t = 0 to t1; |s| and s.B are conserved quantities."""
     _check_span(0.0, t1, dt)
-    s, b, g = _as_spin(s0), _as_field(b_field), c.gyro
+    s, (b0, b1, b2), g = _as_spin(s0), _as_field(b_field), c.gyro
 
-    def torque(y, t):
-        d0, d1, d2 = _cross(y, b)
-        return g * d0, g * d1, g * d2
+    def torque(y, t):  # gyro * np.cross(y, b) by its formula on floats: bitwise equal, less overhead
+        y0, y1, y2 = y
+        return g * (y1 * b2 - y2 * b1), g * (y2 * b0 - y0 * b2), g * (y0 * b1 - y1 * b0)
 
     return SpinTrajectory(*_rk4(torque, s, 0.0, t1, dt))

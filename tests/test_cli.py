@@ -6,6 +6,7 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from bell_lab import cli, dbb
 from bell_lab.chsh import TSIRELSON, ChshSettings, chsh_value, identity_residual, singlet
@@ -435,6 +436,24 @@ class TestDbbCommand:
         want = [(*velocity_2p(wf, c, x1, xs2, 0.8), cross_coupling(wf, c, x1, xs2, 0.8)) for x1 in xs1]
         assert np.array_equal(got[:, 2:], np.concatenate([np.stack(w, axis=1) for w in want]))
 
+    @pytest.mark.parametrize("args", [
+        ["--form", "product", "--width-a", "1e200", "--grid", "3"],
+        ["--form", "product", "--k-a", "1e200", "--grid", "2"],
+        ["--form", "product", "--width-a", "1e-200"],
+        ["--form", "product", "--width-a", "1e-160", "--grid", "2"],
+        ["--form", "product", "--width-a", "1e-150", "--time", "1e10", "--grid", "2"],
+        ["--form", "symmetric", "--width-a", "1e-150", "--time", "1e10", "--grid", "2"],
+        ["--form", "symmetric", "--width-a", "1e-150", "--trajectory", "--t1", "1e9", "--dt", "1e4"],
+    ])
+    def test_packet_out_of_float64_exits_two(self, monkeypatch, args):
+        # a square that overflows or is not normal, or a tau that overflows by the
+        # evaluation time (by t1 for a trajectory, before integrating)
+        monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+        result = CliRunner().invoke(main, ["dbb", *args])
+        assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error=2 detail=packet algebra leaves float64 by t=")
+
     def test_dt_that_cannot_advance_time_exits_two(self, monkeypatch):
         # t + 0.001 == t at t = 1e20, so the span must be refused before integrating
         monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
@@ -482,6 +501,23 @@ class TestSpinCommand:
         t_last = float(rows[-1][0])
         assert abs(float(rows[-1][1]) - np.cos(t_last)) < 1e-10
         assert abs(float(rows[-1][2]) + np.sin(t_last)) < 1e-10
+
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-300, 1e-300),
+                                               st.floats(-1e300, 1e300), st.floats(width=64))] * 3),
+                         min_size=1, max_size=40),
+           stride=st.sampled_from([None, "rows", "columns"]))
+    def test_vecdot_norms_bitwise_equal_to_each_row_norm(self, rows, stride):
+        # the norm_drift column's norms: random, tiny and huge 3-vectors, contiguous or strided
+        spins = np.array(rows)
+        if stride == "rows":
+            spins = np.repeat(spins, 2, axis=0)[::2]
+        elif stride == "columns":
+            spins = np.repeat(spins, 2, axis=1)[:, ::2]
+        with np.errstate(over="ignore"):  # a huge row overflows to inf on both routes
+            got = np.sqrt(np.vecdot(spins, spins))
+            want = np.array([np.linalg.norm(row) for row in spins])
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
     def test_s0_validation(self):
         result = CliRunner().invoke(main, ["spin", "--s0", "1,0"])

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,6 @@ from bell_lab.dbb import (
     integrate_trajectory,
     packet_overlap,
     psi2_eval,
-    psi_eval,
-    spin_derivative,
-    velocity_1p,
     velocity_2p,
 )
 from bell_lab.errors import NodeSingularityError
@@ -34,67 +32,90 @@ GOLDEN_ANTISYM = 0.274334872102655
 GOLDEN_SYM = 0.852541359356584
 
 
+def gaussian(wp, x, t):
+    """One free packet's psi(x, t), written out from the dbb module docstring."""
+    tau = C.hbar * (t - wp.start_time) / (2.0 * C.mass * wp.width**2)
+    xc = wp.center + C.hbar * wp.wavenumber * (t - wp.start_time) / C.mass
+    return ((2.0 * np.pi * wp.width**2) ** -0.25 / np.sqrt(1.0 + 1.0j * tau)
+            * np.exp(-(x - xc) ** 2 / (4.0 * wp.width**2 * (1.0 + 1.0j * tau))
+                     + 1.0j * wp.wavenumber * (x - wp.center)
+                     - 0.5j * C.hbar * wp.wavenumber**2 * (t - wp.start_time) / C.mass))
+
+
+def gaussian_velocity(wp, x, t):
+    """One free packet's guidance velocity in real arithmetic: hbar k / m plus the spreading term."""
+    tau = C.hbar * (t - wp.start_time) / (2.0 * C.mass * wp.width**2)
+    xc = wp.center + C.hbar * wp.wavenumber * (t - wp.start_time) / C.mass
+    return C.hbar / C.mass * (wp.wavenumber + (x - xc) * tau / (2.0 * wp.width**2 * (1.0 + tau * tau)))
+
+
+def product(wp):
+    """wp as particle 1 of a product pair, with PACKET_B as particle 2."""
+    return TwoParticleWF(wp, PACKET_B, form="product")
+
+
 class TestSinglePacket:
+    """One packet, as particle 1 of a product pair; x2 = 0.4 where a point needs one."""
+
     def test_normalized_any_time(self):
-        wp = WavePacket(center=0.3, width=0.7, wavenumber=1.2)
+        wf = product(WavePacket(center=0.3, width=0.7, wavenumber=1.2))
+        xs = np.linspace(-16.0, 16.0, 801)
         for t in (0.0, 0.5, 2.0):
-            n, _ = quad(
-                lambda x: abs(psi_eval(wp, C, x, t)) ** 2, -60, 60, limit=200
-            )
-            assert abs(n - 1.0) < 1e-8
+            rho = np.abs(psi2_eval(wf, C, xs[:, None], xs[None, :], t)) ** 2
+            assert abs(np.trapezoid(np.trapezoid(rho, xs, axis=1), xs) - 1.0) < 1e-8
 
     def test_center_moves_at_group_velocity(self):
-        wp = WavePacket(center=-1.0, width=0.5, wavenumber=2.0)
+        wf = product(WavePacket(center=-1.0, width=0.5, wavenumber=2.0))
         t = 1.3
         xc = -1.0 + C.hbar * 2.0 * t / C.mass
-        m, _ = quad(
-            lambda x: x * abs(psi_eval(wp, C, x, t)) ** 2, -60, 60, limit=200
-        )
-        assert abs(m - xc) < 1e-8
+        # at a fixed x2 the x1 density is the packet's, up to a constant factor
+        n, _ = quad(lambda x: abs(psi2_eval(wf, C, x, 0.4, t)) ** 2, -60, 60, limit=200)
+        m, _ = quad(lambda x: x * abs(psi2_eval(wf, C, x, 0.4, t)) ** 2, -60, 60, limit=200)
+        assert abs(m / n - xc) < 1e-8
 
     def test_k_zero_initial_velocity_vanishes(self):
-        wp = WavePacket(center=0.0, width=1.0, wavenumber=0.0)
+        wf = product(WavePacket(center=0.0, width=1.0, wavenumber=0.0))
         for x in (-0.7, 0.0, 1.3):
-            assert abs(velocity_1p(wp, C, x, 0.0)) < 1e-14
+            assert abs(velocity_2p(wf, C, x, 0.4, 0.0)[0]) < 1e-14
 
     def test_wide_packet_moves_at_hbar_k_over_m(self):
-        wp = WavePacket(center=0.0, width=50.0, wavenumber=1.5)
-        v = velocity_1p(wp, C, 0.2, 0.4)
+        wf = product(WavePacket(center=0.0, width=50.0, wavenumber=1.5))
+        v = velocity_2p(wf, C, 0.2, 0.4, 0.4)[0]
         assert abs(v - C.hbar * 1.5 / C.mass) < 1e-4
 
     def test_spreading_term_is_odd_in_displacement(self):
         # for k = 0 at t > 0 the velocity field is linear in (x - center)
-        wp = WavePacket(center=0.0, width=0.6, wavenumber=0.0)
-        v1 = velocity_1p(wp, C, 0.5, 1.0)
-        v2 = velocity_1p(wp, C, -0.5, 1.0)
+        wf = product(WavePacket(center=0.0, width=0.6, wavenumber=0.0))
+        v1 = velocity_2p(wf, C, 0.5, 0.4, 1.0)[0]
+        v2 = velocity_2p(wf, C, -0.5, 0.4, 1.0)[0]
         assert abs(v1 + v2) < 1e-12
         assert v1 > 0.0  # spreading pushes probability outward
 
     def test_velocity_matches_finite_difference_of_phase(self):
-        wp = WavePacket(center=-0.4, width=0.9, wavenumber=0.8)
+        wf = product(WavePacket(center=-0.4, width=0.9, wavenumber=0.8))
         h = 1e-6
         for x, t in [(0.3, 0.2), (-1.0, 1.5), (2.0, 0.7)]:
-            lo = np.angle(psi_eval(wp, C, x - h, t))
-            hi = np.angle(psi_eval(wp, C, x + h, t))
-            dphase = (hi - lo) / (2 * h)
-            assert abs(velocity_1p(wp, C, x, t) - C.hbar * dphase / C.mass) < 1e-6
+            dphase = np.angle(psi2_eval(wf, C, x + h, 0.4, t) / psi2_eval(wf, C, x - h, 0.4, t)) / (2 * h)
+            assert abs(velocity_2p(wf, C, x, 0.4, t)[0] - C.hbar * dphase / C.mass) < 1e-6
 
     def test_far_tail_raises_node_error(self):
-        wp = WavePacket(center=0.0, width=0.1, wavenumber=0.0)
+        wf = product(WavePacket(center=0.0, width=0.1, wavenumber=0.0))
         with pytest.raises(NodeSingularityError):
-            velocity_1p(wp, C, 1e6, 0.0)
+            velocity_2p(wf, C, 1e6, 0.4, 0.0)
 
     def test_start_time_validation(self):
-        wp = WavePacket(center=0.0, width=1.0, wavenumber=0.0, start_time=1.0)
-        with pytest.raises(ValueError):
-            psi_eval(wp, C, 0.0, 0.5)
+        wf = product(WavePacket(center=0.0, width=1.0, wavenumber=0.0, start_time=1.0))
+        for fn in (psi2_eval, velocity_2p):
+            with pytest.raises(ValueError, match="before the packet's start_time"):
+                fn(wf, C, 0.0, 0.4, 0.5)
 
     def test_nonfinite_x_refused(self):
-        wp = WavePacket(center=0.0, width=1.0, wavenumber=0.0)
-        with pytest.raises(ValueError, match="x must be finite"):
-            psi_eval(wp, C, np.nan, 0.0)
-        with pytest.raises(ValueError, match="x must be finite"):
-            psi_eval(wp, C, np.array([0.0, np.inf]), 0.0)
+        wf = product(WavePacket(center=0.0, width=1.0, wavenumber=0.0))
+        for fn in (psi2_eval, velocity_2p):
+            with pytest.raises(ValueError, match="x1 must be finite"):
+                fn(wf, C, np.nan, 0.4, 0.0)
+            with pytest.raises(ValueError, match="x1 must be finite"):
+                fn(wf, C, np.array([0.0, np.inf]), 0.4, 0.0)
 
     def test_width_validation(self):
         with pytest.raises(ValueError):
@@ -107,16 +128,10 @@ class TestOverlap:
     def test_matches_quadrature(self):
         for t in (0.0, GOLDEN_TIME, 2.1):
             def integrand_re(x):
-                return (
-                    psi_eval(PACKET_A, C, x, t).conjugate()
-                    * psi_eval(PACKET_B, C, x, t)
-                ).real
+                return (gaussian(PACKET_A, x, t).conjugate() * gaussian(PACKET_B, x, t)).real
 
             def integrand_im(x):
-                return (
-                    psi_eval(PACKET_A, C, x, t).conjugate()
-                    * psi_eval(PACKET_B, C, x, t)
-                ).imag
+                return (gaussian(PACKET_A, x, t).conjugate() * gaussian(PACKET_B, x, t)).imag
 
             re, _ = quad(integrand_re, -80, 80, limit=300)
             im, _ = quad(integrand_im, -80, 80, limit=300)
@@ -158,7 +173,7 @@ class TestTwoParticleDensity:
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="product")
         x1, x2, t = 0.3, -0.8, 0.6
         rho = psi2_eval(wf, C, x1, x2, t)
-        want = psi_eval(PACKET_A, C, x1, t) * psi_eval(PACKET_B, C, x2, t)
+        want = gaussian(PACKET_A, x1, t) * gaussian(PACKET_B, x2, t)
         assert abs(rho - want) < 1e-12
 
     def test_antisym_vanishes_on_diagonal(self):
@@ -188,8 +203,8 @@ class TestTwoParticleDensity:
             assert abs(total - 1.0) < 1e-6
             expected = 1.0 / np.sqrt(2.0 + sign * 2.0 * o2)
             val = psi2_eval(wf, C, 0.1, 0.35, 0.0)
-            a = psi_eval(PACKET_A, C, 0.1, 0.0) * psi_eval(PACKET_B, C, 0.35, 0.0)
-            b = psi_eval(PACKET_A, C, 0.35, 0.0) * psi_eval(PACKET_B, C, 0.1, 0.0)
+            a = gaussian(PACKET_A, 0.1, 0.0) * gaussian(PACKET_B, 0.35, 0.0)
+            b = gaussian(PACKET_A, 0.35, 0.0) * gaussian(PACKET_B, 0.1, 0.0)
             assert abs(val - expected * (a + sign * b)) < 1e-12
 
     def test_antisym_identical_packets_rejected(self):
@@ -220,11 +235,15 @@ _COORDINATES = st.one_of(st.floats(-6.0, 6.0), st.floats(-1e300, 1e300))
 
 class TestVelocities:
     def test_product_matches_single_particle(self):
+        # each velocity is its own packet's, and v1 does not see x2 at all
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="product")
+        v1s = set()
         for x2 in (-2.0, 0.0, 3.0):
             v1, v2 = velocity_2p(wf, C, 0.25, x2, 0.9)
-            assert v1 == velocity_1p(PACKET_A, C, 0.25, 0.9)
-            assert v2 == velocity_1p(PACKET_B, C, x2, 0.9)
+            assert v1 == pytest.approx(gaussian_velocity(PACKET_A, 0.25, 0.9), rel=1e-14)
+            assert v2 == pytest.approx(gaussian_velocity(PACKET_B, x2, 0.9), rel=1e-14)
+            v1s.add(v1)
+        assert len(v1s) == 1
 
     def test_symmetrized_velocity_via_finite_difference(self):
         for form in ("symmetric", "antisymmetric"):
@@ -465,6 +484,17 @@ class TestArrayRoute:
         with pytest.raises(NodeSingularityError, match=r"\(0\.2, 0\.2\)"):
             velocity_2p(wf, C, np.array([0.1, 0.2]), np.array([0.3, 0.2]), 0.5)
 
+    @pytest.mark.parametrize("form", FORMS)
+    def test_far_tail_value_is_zero(self, form):
+        # (x - xc)^2 overflows out there; the value is 0, with no warning
+        wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psi2_eval(wf, C, 1e200, 0.0, 0.5) == 0j
+            got = psi2_eval(wf, C, np.array([1e200, 0.1, -1e300]), np.array([0.0, 0.35, 1e300]), 0.5)
+        assert got[0] == got[2] == 0j
+        assert abs(got[1] - psi2_eval(wf, C, 0.1, 0.35, 0.5)) < 1e-15
+
     @pytest.mark.parametrize("form", ["symmetric", "antisymmetric"])
     def test_far_tail_refused_on_arrays(self, form):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
@@ -483,23 +513,23 @@ class TestArrayRoute:
 
 
 class TestTrajectories:
+    # particle 1 of a product pair moves in its own packet's field alone
+
     def test_k_zero_stays_at_center(self):
-        wp = WavePacket(center=0.4, width=1.0, wavenumber=0.0)
-        tr = integrate_trajectory(wp, C, start=0.4, t0=0.0, t1=2.0, dt=0.01)
-        assert np.max(np.abs(tr.positions - 0.4)) < 1e-10
+        wf = product(WavePacket(center=0.4, width=1.0, wavenumber=0.0))
+        tr = integrate_trajectory(wf, C, start=(0.4, 1.5), t0=0.0, t1=2.0, dt=0.01)
+        assert np.max(np.abs(tr.positions[:, 0] - 0.4)) < 1e-10
 
     def test_wide_packet_advances_ballistically(self):
-        wp = WavePacket(center=0.0, width=80.0, wavenumber=1.0)
-        tr = integrate_trajectory(wp, C, start=0.0, t0=0.0, t1=2.0, dt=0.01)
-        assert abs(tr.positions[-1] - C.hbar * 1.0 * 2.0 / C.mass) < 1e-3
+        wf = product(WavePacket(center=0.0, width=80.0, wavenumber=1.0))
+        tr = integrate_trajectory(wf, C, start=(0.0, 1.5), t0=0.0, t1=2.0, dt=0.01)
+        assert abs(tr.positions[-1, 0] - C.hbar * 1.0 * 2.0 / C.mass) < 1e-3
 
     def test_rk4_order(self):
-        wp = WavePacket(center=0.0, width=0.5, wavenumber=1.0)
+        wf = product(WavePacket(center=0.0, width=0.5, wavenumber=1.0))
 
         def endpoint(dt):
-            return integrate_trajectory(
-                wp, C, start=0.3, t0=0.0, t1=1.0, dt=dt
-            ).positions[-1]
+            return integrate_trajectory(wf, C, start=(0.3, 1.5), t0=0.0, t1=1.0, dt=dt).positions[-1, 0]
 
         ref = endpoint(0.0005)
         e1 = abs(endpoint(0.02) - ref)
@@ -508,18 +538,19 @@ class TestTrajectories:
         assert 3.5 <= order <= 4.5
 
     def test_final_partial_step_lands_on_t1(self):
-        wp = WavePacket(center=0.0, width=1.0, wavenumber=0.5)
-        tr = integrate_trajectory(wp, C, start=0.0, t0=0.0, t1=1.05, dt=0.1)
+        wf = product(WavePacket(center=0.0, width=1.0, wavenumber=0.5))
+        tr = integrate_trajectory(wf, C, start=(0.0, 1.5), t0=0.0, t1=1.05, dt=0.1)
         assert abs(tr.times[-1] - 1.05) < 1e-12
 
     def test_two_particle_product_matches_two_singles(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="product")
         tr = integrate_trajectory(wf, C, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
-        ta = integrate_trajectory(PACKET_A, C, start=-1.5, t0=0.0, t1=1.0, dt=0.01)
-        tb = integrate_trajectory(PACKET_B, C, start=1.5, t0=0.0, t1=1.0, dt=0.01)
         assert tr.positions.shape == (len(tr.times), 2)
-        assert abs(tr.positions[-1, 0] - ta.positions[-1]) < 1e-10
-        assert abs(tr.positions[-1, 1] - tb.positions[-1]) < 1e-10
+        for i, (wp, x) in enumerate(((PACKET_A, -1.5), (PACKET_B, 1.5))):
+            # each particle by RK4 on its own packet's closed-form velocity
+            _, single, _ = reference_rk4(lambda y, t: np.array([gaussian_velocity(wp, y[0], t)]),
+                                         np.array([x]), 0.0, 1.0, 0.01)
+            assert abs(tr.positions[-1, i] - single[-1, 0]) < 1e-10
 
     def test_node_start_halts_immediately(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
@@ -536,12 +567,11 @@ class TestTrajectories:
         assert np.all(tr.positions[:, 1] > tr.positions[:, 0])
 
     def test_validation(self):
-        wp = WavePacket(center=0.0, width=1.0, wavenumber=0.0)
-        with pytest.raises(ValueError):
-            integrate_trajectory(wp, C, start=0.0, t0=0.0, t1=1.0, dt=0.0)
-        with pytest.raises(ValueError):
-            integrate_trajectory(wp, C, start=0.0, t0=1.0, t1=0.5, dt=0.01)
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="product")
+        with pytest.raises(ValueError):
+            integrate_trajectory(wf, C, start=(0.0, 0.0), t0=0.0, t1=1.0, dt=0.0)
+        with pytest.raises(ValueError):
+            integrate_trajectory(wf, C, start=(0.0, 0.0), t0=1.0, t1=0.5, dt=0.01)
         with pytest.raises(ValueError):
             integrate_trajectory(wf, C, start=0.0, t0=0.0, t1=1.0, dt=0.01)
         with pytest.raises(ValueError, match="x2 must be finite"):
@@ -585,15 +615,11 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="x1 must be finite"):
             integrate_trajectory(wf, C, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
 
-    def test_one_packet_validation(self, monkeypatch):
-        wp = WavePacket(center=0.0, width=1.0, wavenumber=0.0, start_time=0.5)
-        with pytest.raises(ValueError, match="x must be finite"):
-            integrate_trajectory(wp, C, start=np.nan, t0=0.5, t1=1.0, dt=0.01)
-        with pytest.raises(ValueError, match="before the packet's start_time"):
-            integrate_trajectory(wp, C, start=0.0, t0=0.25, t1=1.0, dt=0.01)
-        monkeypatch.setattr(dbb, "_velocity_1p", lambda *args: np.inf)
-        with pytest.raises(ValueError, match="x must be finite"):
-            integrate_trajectory(wp, C, start=0.0, t0=0.5, t1=1.0, dt=0.01)
+    def test_one_packet_validation(self):
+        # trajectories are of pairs: a lone packet is refused before integrating
+        wp = WavePacket(center=0.0, width=1.0, wavenumber=0.0)
+        with pytest.raises(ValueError, match="wf must be a TwoParticleWF, got <class 'bell_lab.dbb.WavePacket'>"):
+            integrate_trajectory(wp, C, start=0.0, t0=0.0, t1=1.0, dt=0.01)
 
 
 def reference_rk4(vel, x, t0, t1, dt):
@@ -624,12 +650,6 @@ def reference_rk4(vel, x, t0, t1, dt):
 
 
 def reference_trajectory(wf, start, t0, t1, dt):
-    if isinstance(wf, WavePacket):
-        def vel(x, t):
-            return np.array([velocity_1p(wf, C, float(x[0]), t)])
-        times, points, halted = reference_rk4(vel, np.array([float(start)]), t0, t1, dt)
-        return times, points[:, 0], halted
-
     def vel(x, t):
         return np.array(velocity_2p(wf, C, float(x[0]), float(x[1]), t))
     return reference_rk4(vel, np.array(start, dtype=float), t0, t1, dt)
@@ -637,14 +657,11 @@ def reference_trajectory(wf, start, t0, t1, dt):
 
 # (wavefunction, start): near the centres, and far enough into a tail that
 # the spreading packet drops the density at the trajectory below 1e-300
-# after a few steps
-_NEAR = [(WavePacket(center=0.0, width=0.5, wavenumber=1.0), 0.3)] + [
-    (TwoParticleWF(PACKET_A, PACKET_B, form=form), (-0.3, 0.3)) for form in FORMS
-]
-_HALTING = [(WavePacket(center=0.0, width=1.0, wavenumber=0.0), 37.13)] + [
-    (TwoParticleWF(PACKET_A, PACKET_B, form=form), (-1.5, x2))
-    for form, x2 in (("product", 42.344), ("symmetric", 42.3), ("antisymmetric", 42.3))
-]
+# after a few steps; the ids start at wf1, the names these cases have always run under
+_NEAR = [pytest.param(TwoParticleWF(PACKET_A, PACKET_B, form=form), (-0.3, 0.3), id=f"wf{i}-start{i}")
+         for i, form in enumerate(FORMS, 1)]
+_HALTING = [pytest.param(TwoParticleWF(PACKET_A, PACKET_B, form=form), (-1.5, x2), id=f"wf{i}-start{i}")
+            for i, (form, x2) in enumerate((("product", 42.344), ("symmetric", 42.3), ("antisymmetric", 42.3)), 1)]
 
 
 class TestSharedRk4:
@@ -658,7 +675,7 @@ class TestSharedRk4:
         assert np.array_equal(tr.positions, points)
 
     def test_shortened_final_step_is_exercised(self):
-        times, _, _ = reference_trajectory(*_NEAR[0], 0.0, 1.05, 0.1)
+        times, _, _ = reference_trajectory(*_NEAR[0].values, 0.0, 1.05, 0.1)
         assert 0.0 < times[-1] - times[-2] < 0.1 - 1e-9
 
     @pytest.mark.parametrize("wf, start", _HALTING)
@@ -727,43 +744,151 @@ class TestFloatStageKernel:
     def test_packet_terms_once_per_stage_time(self, monkeypatch, form):
         # stages 2 and 3 share a time, and stage 4's is the next step's first
         calls = []
-        terms = dbb._terms
+        clock = dbb._clock
 
-        def recording(wp, c, t):
-            calls.append((wp, t))
-            return terms(wp, c, t)
+        def recording(wp, c, t_end):
+            at, end = clock(wp, c, t_end)
 
-        monkeypatch.setattr(dbb, "_terms", recording)
+            def timed(t):
+                calls.append((wp, t))
+                return at(t)
+            return timed, end
+
+        monkeypatch.setattr(dbb, "_clock", recording)
         tr = integrate_trajectory(TwoParticleWF(PACKET_A, PACKET_B, form=form), C, (-1.5, 1.5),
                                   0.25, 1.3, 0.1)
-        stage = [call for call in calls if call[1] >= 0.25]  # not _norm_factor's, at t = 0
-        # each step's start and midpoint, and the end, once for each packet
-        assert len(stage) == len(set(stage)) == 2 * (2 * len(tr.times) - 1)
+        # each step's start and midpoint, and the end, once for each packet; _norm_factor's
+        # terms, at t = 0, take no per-time call
+        assert len(calls) == len(set(calls)) == 2 * (2 * len(tr.times) - 1)
+
+
+def one_time_terms(wp, c, t):
+    """The packet terms as one evaluation at t worked them out, t-independent parts included."""
+    tau = c.hbar * (t - wp.start_time) / (2.0 * c.mass * wp.width**2)
+    a = 1.0 + 1.0j * tau
+    xc = wp.center + c.hbar * wp.wavenumber * (t - wp.start_time) / c.mass
+    return (
+        complex(-0.25 * np.log(2.0 * np.pi * wp.width**2) - 0.5 * np.log(a)),
+        xc,
+        4.0 * wp.width**2 * a,
+        2.0 * wp.width**2 * a,
+        1.0j * wp.wavenumber,
+        wp.center,
+        0.5j * c.hbar * wp.wavenumber**2 * (t - wp.start_time) / c.mass,
+    )
+
+
+def _bits(terms):
+    """Each term's type and exact real and imaginary parts: -0.0 and 0.0 differ."""
+    return [(type(v), complex(v).real.hex(), complex(v).imag.hex()) for v in terms]
+
+
+def _normal(v):
+    return np.finfo(float).tiny <= v < np.inf
+
+
+# widths and wavenumbers near 1 and out to where their squares leave float64
+_ANY_SIZE = st.one_of(st.floats(0.2, 3.0), st.floats(1e-320, 1e300))
+_RANGED_PACKETS = st.builds(WavePacket, center=st.one_of(st.floats(-5.0, 5.0), st.floats(-1e300, 1e300)),
+                            width=_ANY_SIZE, wavenumber=st.one_of(st.just(0.0), _ANY_SIZE, _ANY_SIZE.map(lambda k: -k)),
+                            start_time=st.floats(-1.0, 1.0))
+
+
+class TestClock:
+    """_clock's per-time terms against the one-time formula, and its refusals."""
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(wp=_RANGED_PACKETS, hbar=st.floats(0.3, 3.0), mass=st.floats(0.3, 3.0),
+           dt=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e300)), later=st.floats(0.0, 1e3))
+    def test_bitwise_equal_to_one_time_terms(self, wp, hbar, mass, dt, later):
+        c = PhysicalConstants(hbar=hbar, mass=mass)
+        t = wp.start_time + dt
+        t_end = t + later
+        with np.errstate(all="ignore"):
+            try:
+                want = one_time_terms(wp, c, t_end)
+            except (OverflowError, ZeroDivisionError):  # float ** and / raise
+                want = None
+        try:
+            clock, end = dbb._clock(wp, c, t_end)
+        except ValueError as err:
+            assert str(err) == (f"packet algebra leaves float64 by t={t_end!r}: "
+                                f"width={wp.width!r}, wavenumber={wp.wavenumber!r}")
+            # refused only where the terms leave float64 or a square is not normal
+            assert (want is None or not all(np.isfinite(want)) or not _normal(wp.width**2)
+                    or not (wp.wavenumber == 0.0 or _normal(wp.wavenumber**2)))
+            return
+        assert _bits(end) == _bits(clock(t_end)) == _bits(want)
+        assert _bits(clock(t)) == _bits(one_time_terms(wp, c, t))
+        assert all(np.isfinite(clock(t)))  # the terms grow with t, so t_end bounds them
+        assert _bits(dbb._terms(wp, c, t)) == _bits(clock(t))
+
+    @pytest.mark.parametrize("width, k", [
+        (1e200, 0.6),  # width**2 overflows: float ** raises
+        (0.8, 1e200),  # so does wavenumber**2
+        (1e-200, 0.6),  # width**2 underflows to 0
+        (1e-160, 0.6),  # width**2 is subnormal
+        (0.8, -1e-160),  # so is wavenumber**2
+        (1e-150, 0.6),  # tau overflows at t = 1e10
+    ])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_refused_at_every_entry_point(self, monkeypatch, form, width, k):
+        monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+        wf = TwoParticleWF(WavePacket(-1.5, width, k), PACKET_B, form=form)
+        message = r"^packet algebra leaves float64 by t=\S+: " + re.escape(f"width={width!r}, wavenumber={k!r}") + "$"
+        x1, x2 = np.array([-1.5, 0.1]), np.array([1.5, 0.35])
+        for fn in (psi2_eval, velocity_2p, cross_coupling):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for point in ((-1.5, 1.5), (x1, x2)):
+                    with pytest.raises(ValueError, match=message):
+                        fn(wf, C, *point, 1e10)
+        with pytest.raises(ValueError, match=message):
+            integrate_trajectory(wf, C, (-1.5, 1.5), 0.0, 1e10, 1e5)
+
+    def test_trajectory_checked_at_t1(self, monkeypatch):
+        # tau = t / (2 width^2) is finite at t = 1 and overflows by t = 1e9
+        wf = TwoParticleWF(WavePacket(-1.5, 1e-150, 0.6), PACKET_B, form="symmetric")
+        assert np.isfinite(velocity_2p(wf, C, -1.5, 1.5, 1.0)).all()
+        monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+        with pytest.raises(ValueError, match=r"^packet algebra leaves float64 by t=1000000000\.0: width=1e-150"):
+            integrate_trajectory(wf, C, (-1.5, 1.5), 0.0, 1e9, 1e4)
 
 
 class TestSpinPrecession:
+    # the torque gyro * (s x B) is seen through the steps it drives
+
     def test_derivative_parallel_field_vanishes(self):
-        d = spin_derivative(SpinState((0.0, 0.0, 1.0)), (0.0, 0.0, 2.0), C)
-        assert np.max(np.abs(d)) == 0.0
+        # s x B = 0: no stage moves the spin, so every row is the start
+        tr = integrate_spin(SpinState((0.0, 0.0, 1.0)), (0.0, 0.0, 2.0), C, t1=1.0, dt=0.1)
+        assert np.array_equal(tr.spins, np.tile([0.0, 0.0, 1.0], (len(tr.times), 1)))
 
     def test_derivative_example(self):
-        d = spin_derivative(SpinState((1.0, 0.0, 0.0)), (0.0, 0.0, 3.0), C)
-        assert np.max(np.abs(d - np.array([0.0, -3.0, 0.0]))) < 1e-15
+        # ds/dt = (0, -3, 0) at s = x, B = 3z: one short step moves s by dt times it
+        dt = 1e-7
+        tr = integrate_spin(SpinState((1.0, 0.0, 0.0)), (0.0, 0.0, 3.0), C, t1=dt, dt=dt)
+        assert np.max(np.abs((tr.spins[1] - tr.spins[0]) / dt - np.array([0.0, -3.0, 0.0]))) < 1e-6
 
     def test_derivative_orthogonal_to_spin(self):
+        # every stage's torque is orthogonal to B, so s.B is kept to rounding; orthogonal
+        # to s, so |s| drifts by the RK4 error alone
         rng = np.random.default_rng(131)
         for _ in range(100):
-            s = SpinState(tuple(rng.normal(size=3)))
-            b = tuple(rng.normal(size=3))
-            d = spin_derivative(s, b, C)
-            assert abs(np.dot(d, s.s)) < 1e-12 * max(1.0, np.linalg.norm(d))
+            s, b = rng.normal(size=3), rng.normal(size=3)
+            tr = integrate_spin(s, b, C, t1=0.1, dt=0.01)
+            scale = np.linalg.norm(s) * max(1.0, np.linalg.norm(b))
+            assert np.max(np.abs(tr.spins @ b - s @ b)) < 1e-14 * scale
+            assert np.max(np.abs(np.linalg.norm(tr.spins, axis=1) - np.linalg.norm(s))) < 1e-9 * scale
 
     def test_derivative_bitwise_equal_to_np_cross(self):
+        # the torque written out on floats rounds as gyro * np.cross does, at any magnitude
         rng = np.random.default_rng(132)
         for _ in range(100):
             s, b = rng.normal(size=3) * 10.0 ** rng.integers(-5, 6, size=3), rng.normal(size=3)
-            c = PhysicalConstants(gyro=rng.normal())
-            assert np.array_equal(spin_derivative(s, b, c), c.gyro * np.cross(s, b))
+            gyro = rng.normal()
+            _, spins, _ = reference_rk4(lambda y, t: gyro * np.cross(y, b), s, 0.0, 0.05, 0.01)
+            tr = integrate_spin(s, b, PhysicalConstants(gyro=gyro), t1=0.05, dt=0.01)
+            assert np.array_equal(tr.spins, spins)
 
     def test_norm_conserved_long_run(self):
         tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=20.0, dt=0.002)
