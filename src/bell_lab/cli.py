@@ -12,11 +12,15 @@ named columns that broadcast against each other; a grid command passes
 its two axes as a column and a row, never as a meshgrid, so a grid is
 evaluated in one call.  Grids have at most MAX_GRID_SIDE points per axis.
 
+The process entry point is run(), which ``bell-lab`` and ``python -m
+bell_lab`` both call; in-process callers call main().
+
 Exit codes: 0 success, 2 validation or usage error, 3 internal numerical
 check failure, 4 node-singularity halt.  Every failure of a command also
 writes one machine-parsable line ``error=<code> detail=<text>`` to stderr.
 """
 
+import gc
 import math
 import os
 import sys
@@ -55,6 +59,8 @@ _KIND = {"spin": "spin_half", "photon": "photon"}
 
 # printf-style cell format by numpy dtype kind: bools as 1/0, floats with 17 significant digits
 _FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+# rows formatted and written at a time: bounds the text held at once (6 MB of spin rows)
+_CSV_CHUNK = 2**16
 
 
 def _fmt(value) -> str:
@@ -85,14 +91,20 @@ _OUT = click.option("--out", type=click.Path(dir_okay=False), default=None, call
 
 
 def _write_csv(out, meta_line: str, columns: dict):
-    """Header, metadata line, then one row per element of the broadcast columns, to out or stdout."""
-    cells = np.broadcast_arrays(*columns.values())
-    row = ",".join(_FORMATS.get(cell.dtype.kind, "%s") for cell in cells)
-    lines = map(row.__mod__, zip(*(cell.ravel().tolist() for cell in cells)))
-    text = "\n".join([",".join(columns), meta_line, *lines]) + "\n"
+    """Header, metadata line, then one row per element of the broadcast columns, to out or stdout.
+
+    The rows are formatted and written _CSV_CHUNK at a time.
+    """
+    cells = [cell.ravel() for cell in np.broadcast_arrays(*columns.values())]
+    row = ",".join(_FORMATS.get(cell.dtype.kind, "%s") for cell in cells) + "\n"
     if out is not None and os.path.isfile(out.name):  # a pipe or device takes no truncate
         out.truncate(0)
-    (out or sys.stdout).write(text)
+    out = out or sys.stdout
+    text = f"{','.join(columns)}\n{meta_line}\n"  # goes with the first chunk: one write up to a chunk
+    for start in range(0, cells[0].size, _CSV_CHUNK):
+        chunk = (cell[start:start + _CSV_CHUNK].tolist() for cell in cells)
+        out.write("".join([text, *map(row.__mod__, zip(*chunk))]))
+        text = ""
 
 
 _EXIT_CODES = {NodeSingularityError: EXIT_NODE, NumericalCheckError: EXIT_NUMERICAL,
@@ -369,5 +381,19 @@ def spin(bz, gyro, steps, dt, s0, out):
                            "norm_drift": np.abs(norms - float(np.linalg.norm(s0v)))})
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry point: main() after freezing the heap built by the imports.
+
+    gc.freeze() moves every object alive now (numpy's, click's and
+    bell_lab's module-level objects, about 22,000) into the permanent
+    generation, so the collections a command makes, and the ones
+    interpreter shutdown makes after the CSV is written, skip them.  Only a
+    process that ends with the command may freeze: an in-process caller of
+    main() would keep its garbage of the moment pinned for good.
+    """
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -442,8 +442,11 @@ class SpinState(_Record):
         if len(s) != 3:
             raise ValueError("spin must be a 3-vector")
         _require_finite("s", np.array(s))
-        if not np.linalg.norm(s) > 0.0:
+        if not any(s):
             raise ValueError("spin vector must be nonzero")
+        # as _clock's packets: a square that is not a normal float loses the norm's digits or all of it
+        if not _NORMAL <= s[0] * s[0] + s[1] * s[1] + s[2] * s[2] < math.inf:
+            raise ValueError(f"spin algebra leaves float64: |s|^2 of s={s!r} is not a normal float")
         object.__setattr__(self, "s", s)
 
 
@@ -465,7 +468,11 @@ class SpinTrajectory(_Record):
 
 
 def integrate_spin(s0, b_field, c: PhysicalConstants, t1: float, dt: float) -> SpinTrajectory:
-    """RK4 precession from t = 0 to t1; |s| and s.B are conserved quantities."""
+    """RK4 precession from t = 0 to t1; |s| and s.B are conserved quantities.
+
+    Refuses a run whose states or |s|^2 leave float64 (a large gyro * B * |s|
+    overflows the torque), checked once the steps are done.
+    """
     _check_span(0.0, t1, dt)
     s, (b0, b1, b2), g = _as_spin(s0), _as_field(b_field), c.gyro
 
@@ -473,4 +480,10 @@ def integrate_spin(s0, b_field, c: PhysicalConstants, t1: float, dt: float) -> S
         y0, y1, y2 = y
         return g * (y1 * b2 - y2 * b1), g * (y2 * b0 - y0 * b2), g * (y0 * b1 - y1 * b0)
 
-    return SpinTrajectory(*_rk4(torque, s, 0.0, t1, dt))
+    times, spins = _rk4(torque, s, 0.0, t1, dt)
+    with np.errstate(over="ignore"):  # a non-finite state makes its |s|^2 inf or NaN
+        bad = ~np.isfinite(np.vecdot(spins, spins))
+    if bad.any():
+        raise ValueError(f"spin algebra leaves float64 by t={float(times[bad.argmax()])!r}: "
+                         f"s0={s!r}, b_field={(b0, b1, b2)!r}, gyro={g!r}")
+    return SpinTrajectory(times, spins)

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -73,6 +75,14 @@ def reach_fails(monkeypatch, name):
     monkeypatch.setattr(cli, name, reached)
 
 
+def one_shot_csv(meta_line, columns):
+    """_write_csv's text as it was before chunking: every row formatted, then one joined string."""
+    cells = np.broadcast_arrays(*columns.values())
+    row = ",".join(cli._FORMATS.get(cell.dtype.kind, "%s") for cell in cells)
+    lines = map(row.__mod__, zip(*(cell.ravel().tolist() for cell in cells)))
+    return "\n".join([",".join(columns), meta_line, *lines]) + "\n"
+
+
 def parse_csv(text):
     lines = text.splitlines()
     header = lines[0].split(",")
@@ -118,6 +128,24 @@ class TestOutputFormat:
         out = tmp_path / "m.csv"
         CliRunner().invoke(main, args + ["--out", str(out)])
         assert out.read_text(encoding="utf-8") == stdout_text
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunked_rows_equal_the_one_shot_text(self, tmp_path, capsys, extra):
+        # one row short of a chunk, a whole chunk, and one row into the next
+        n = cli._CSV_CHUNK + extra
+        rng = np.random.default_rng(n)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        floats[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        columns = {"flag": rng.random(n) < 0.5, "step": np.arange(n), "trials": 7, "kind": "photon",
+                   "value": floats}
+        want = one_shot_csv("# meta", columns)
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"x" * (len(want) + 10))  # a longer file is replaced
+        with open(out, "a", encoding="utf-8", newline="") as stream:
+            cli._write_csv(stream, "# meta", columns)
+        assert out.read_text(encoding="utf-8") == want
+        cli._write_csv(None, "# meta", columns)
+        assert capsys.readouterr().out == want
 
     def test_floats_roundtrip_17g(self):
         # 17 significant digits reproduce the computed double exactly
@@ -676,6 +704,48 @@ class TestInstalledEntryPoint:
                                b"# tool=bell-lab version=0.1.0 command=lhv mode=enumerate\n"
                                b"2\n")
 
+    def test_entry_point_freezes_the_import_heap(self):
+        # python -m bell_lab in a launcher that reports the permanent generation's size at exit
+        launcher = ("import atexit, gc, runpy, sys; "
+                    "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+                    "runpy.run_module('bell_lab', run_name='__main__', alter_sys=True)")
+        proc = subprocess.run([sys.executable, "-c", launcher, "lhv", "--enumerate"],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "max_s\n" + META_PREFIX + "lhv mode=enumerate\n2\n")
+        assert int(proc.stderr) > 0
+
+    def test_in_process_main_does_not_freeze(self):
+        # a frozen heap is never collected: under pytest it would pin every later test's garbage
+        before = gc.get_freeze_count()
+        run_ok(["lhv", "--enumerate"])
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_entry_point(self):
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10: tomli, which pytest depends on there
+            import tomli as tomllib
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts == {"bell-lab": "bell_lab.cli:run"}
+
+    @pytest.mark.parametrize("args, detail", [
+        # |s|^2 underflows for a nonzero spin, or overflows
+        (["--s0=1e-170,1e-170,0"], ": |s|^2 of s=(1e-170, 1e-170, 0.0) is not a normal float"),
+        (["--s0=1e200,0,0", "--steps", "2"], ": |s|^2 of s=(1e+200, 0.0, 0.0) is not a normal float"),
+        (["--s0=1e160,0,0", "--gyro", "1e200", "--steps", "2"],
+         ": |s|^2 of s=(1e+160, 0.0, 0.0) is not a normal float"),
+        # the torque overflows in the first step
+        (["--s0=1e150,0,0", "--gyro", "1e200", "--steps", "2"],
+         " by t=0.002: s0=(1e+150, 0.0, 0.0), b_field=(0.0, 0.0, 1.0), gyro=1e+200"),
+    ])
+    def test_spin_leaving_float64_prints_one_error_line(self, args, detail):
+        # in a process of its own, with every warning an error
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "bell_lab", "spin", *args],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+        assert proc.stderr == f"error=2 detail=spin algebra leaves float64{detail}\n"
+
     @staticmethod
     def max_rss_mb(args):
         # Linux carries a process's RSS high-water mark across exec, so a
@@ -702,6 +772,12 @@ class TestInstalledEntryPoint:
         # <F> for n = 10 needs the 2^10 ket, not the 2^10 x 2^10 operator (16 MB)
         floor = self.max_rss_mb(["lhv", "--enumerate"])
         assert self.max_rss_mb(["mermin", "--n", "10"]) <= floor + 20.0
+
+    def test_spin_memory_stays_near_the_import_floor(self):
+        # rows are formatted and written 2**16 at a time; all 200,001 at once peaked
+        # 90 MB over the floor.  What remains is the RK4 loop's lists of states
+        floor = self.max_rss_mb(["lhv", "--enumerate"])
+        assert self.max_rss_mb(["spin", "--steps", "200000"]) <= floor + 65.0
 
     def test_usage_error_is_one_stderr_line(self):
         proc = subprocess.run([sys.executable, "-m", "bell_lab", "oumandel", "--tx", "0.5"],

@@ -921,6 +921,43 @@ class TestSpinPrecession:
         with pytest.raises(ValueError):
             SpinState((0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("s0", [
+        (1e-170, 1e-170, 0.0),  # |s|^2 underflows to 0 for a nonzero spin
+        (0.0, 1e-160, 0.0),  # |s|^2 is subnormal
+        (1e200, 0.0, 0.0),  # |s|^2 overflows
+        (0.0, 1.5e154, -1.5e154),  # so does a sum of normal squares
+    ])
+    def test_spin_whose_square_is_not_normal_refused(self, monkeypatch, s0):
+        monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+        message = re.escape(f"spin algebra leaves float64: |s|^2 of s={s0!r} is not a normal float")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                integrate_spin(s0, (0.0, 0.0, 1.0), C, t1=0.004, dt=0.002)
+
+    @pytest.mark.parametrize("s0", [(1.5e-154, 0.0, 0.0), (0.0, 0.0, -1e154)])
+    def test_spin_whose_square_is_normal_kept(self, s0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = integrate_spin(s0, (0.0, 0.0, 1.0), C, t1=0.004, dt=0.002)
+        assert np.array_equal(tr.spins[0], s0) and np.isfinite(np.vecdot(tr.spins, tr.spins)).all()
+
+    @pytest.mark.parametrize("s0, gyro, dt", [
+        ((1e150, 0.0, 0.0), 1e200, 0.002),  # the torque overflows, so the states do
+        ((1e154, 0.0, 0.0), 1.0, 3.0),  # the states stay finite; at omega dt = 3 each RK4 step grows |s|^2 2.27x
+    ])
+    def test_run_leaving_float64_refused_once_the_steps_are_done(self, monkeypatch, s0, gyro, dt):
+        runs = []
+        rk4 = dbb._rk4
+        monkeypatch.setattr(dbb, "_rk4", lambda *args: runs.append(rk4(*args)) or runs[-1])
+        message = re.escape(f"spin algebra leaves float64 by t={dt!r}: s0={s0!r}, b_field=(0.0, 0.0, 1.0), "
+                            f"gyro={gyro!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                integrate_spin(s0, (0.0, 0.0, 1.0), PhysicalConstants(gyro=gyro), t1=3 * dt, dt=dt)
+        assert len(runs[0][0]) == 4  # no stage checked: all three steps were taken
+
     def test_integration_validation(self):
         with pytest.raises(ValueError):
             integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=0.0, dt=0.01)
