@@ -1,7 +1,18 @@
 """Numerical checks of Bell/CHSH and Mermin operator algebra, two-photon
 coincidence calculations, and de Broglie-Bohm guidance dynamics."""
 
+import os as _os
+import sys as _sys
 from types import ModuleType as _ModuleType
+
+# numpy's OpenBLAS starts a worker thread per core, which spins for about
+# 0.13 s of CPU per process; no product here is larger than 240x2 by 2x240, so
+# one thread does the same work.  The variable is read when OpenBLAS loads, so
+# it is set before the first numpy import, and only if numpy is not loaded
+# yet; a value the user set wins.  Once the package is lazy, these lines move
+# into the CLI entry so that importing bell_lab leaves the environment alone.
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

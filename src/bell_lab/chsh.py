@@ -161,6 +161,31 @@ def _correlation_matrix(psi, kind):
     return c, freq
 
 
+def _s_extremes(e: np.ndarray):
+    """Largest and smallest S over (beta, beta') per (alpha, alpha'), from e[i, j] = E(i, j).
+
+    For fixed (alpha, alpha'), S(beta, beta') = f(beta) + g(beta') with
+    f = E(alpha, .) + E(alpha', .) and g = E(alpha, .) - E(alpha', .), so
+    the inner maximization separates.  Swapping alpha and alpha' keeps f
+    and negates g exactly, so only alpha <= alpha' is reduced and the
+    mirror entries are max f - min g and min f - max g, bitwise equal to
+    reducing them.
+    """
+    n = e.shape[0]
+    s_hi = np.empty((n, n))
+    s_lo = np.empty((n, n))
+    for ia in range(n):
+        f = e[ia][None, :] + e[ia:]  # rows: alpha' index from ia, cols: beta
+        g = e[ia][None, :] - e[ia:]
+        fmax, fmin, gmax, gmin = f.max(axis=1), f.min(axis=1), g.max(axis=1), g.min(axis=1)
+        s_hi[ia, ia:] = fmax + gmax
+        s_lo[ia, ia:] = fmin + gmin
+        # the diagonal (g == +0.0) keeps the row's sum: fmax - gmin could be -0.0
+        s_hi[ia + 1:, ia] = (fmax - gmin)[1:]
+        s_lo[ia + 1:, ia] = (fmin - gmax)[1:]
+    return s_hi, s_lo
+
+
 def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) -> BellValue:
     """Exhaustive |S| maximization over a 4-angle grid of spacing grid_step.
 
@@ -178,21 +203,10 @@ def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) ->
     psi = singlet() if kind == "spin_half" else photon_pair_state()
     c, freq = _correlation_matrix(psi, kind)
 
-    n = angles.size
     u = np.vstack([np.cos(freq * angles), np.sin(freq * angles)])
     e = u.T @ c @ u  # e[i, j] == correlation(psi, angles[i], angles[j], kind)
 
-    # For fixed (alpha, alpha'), S(beta, beta') = f(beta) + g(beta') with
-    # f = E(alpha, .) + E(alpha', .) and g = E(alpha, .) - E(alpha', .),
-    # so the inner maximization separates.
-    s_hi = np.empty((n, n))  # largest S per (alpha, alpha')
-    s_lo = np.empty((n, n))  # smallest S per (alpha, alpha')
-    for ia in range(n):
-        f = e[ia][None, :] + e  # rows: alpha' index, cols: beta
-        g = e[ia][None, :] - e
-        s_hi[ia] = f.max(axis=1) + g.max(axis=1)
-        s_lo[ia] = f.min(axis=1) + g.min(axis=1)
-
+    s_hi, s_lo = _s_extremes(e)
     best = max(float(s_hi.max()), float(-s_lo.min()))
     tol = 1e-12 * max(1.0, best)
 

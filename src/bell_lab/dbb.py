@@ -17,6 +17,7 @@ treated as nodes and refused rather than extrapolated.
 
 import math
 import sys
+from array import array
 from functools import lru_cache
 
 import numpy as np
@@ -364,21 +365,22 @@ def _check_span(t0: float, t1: float, dt: float):
         raise ValueError(f"(t1 - t0) / dt = {(t1 - t0) / dt:.6g} steps exceeds {_MAX_STEPS}")
 
 
-def _stacked(times, states):
-    states = np.array(states)  # before times: converting the states is the memory peak
-    return np.array(times), states
-
-
 def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
     """Classical RK4 for dy/dt = f(y, t); returns (times, states) as arrays.
 
     Steps of size dt, with one shorter final step to land on t1 exactly.
-    The stages see lists and the kept states are tuples, each component
-    stepped IEEE-identically to an array element.  A NodeSingularityError
-    from f halts integration and is re-raised carrying the completed steps
-    as a Trajectory in ``partial_trajectory``.
+    The stages see lists and the states are tuples, each component stepped
+    IEEE-identically to an array element; they are kept as flat doubles
+    (8 bytes a component) and returned as views of those buffers, states
+    shaped (steps + 1, len(y0)).  A NodeSingularityError from f halts
+    integration and is re-raised carrying the completed steps as a
+    Trajectory in ``partial_trajectory``.
     """
-    times, states = [t0], [y0]
+    times, states = array("d", [t0]), array("d", y0)
+
+    def stacked():
+        return np.frombuffer(times), np.frombuffer(states).reshape(-1, len(y0))
+
     t, y = t0, y0
     # a remainder below eps is rounding in t, not a step; _MAX_STEPS steps
     # from t = 0 round off less than 1e-4 * dt, so a tiny dt keeps its tail
@@ -394,11 +396,10 @@ def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
             y = tuple([a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
             t = t + step
             times.append(t)
-            states.append(y)
+            states.extend(y)
     except NodeSingularityError as err:
-        partial = Trajectory(*_stacked(times, states))
-        raise NodeSingularityError(str(err), partial_trajectory=partial) from None
-    return _stacked(times, states)
+        raise NodeSingularityError(str(err), partial_trajectory=Trajectory(*stacked())) from None
+    return stacked()
 
 
 def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: float, t1: float,

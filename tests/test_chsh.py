@@ -7,6 +7,7 @@ from bell_lab.chsh import (
     TSIRELSON,
     ChshSettings,
     _correlation_matrix,
+    _s_extremes,
     bell_operator,
     chsh_value,
     correlation,
@@ -87,15 +88,32 @@ def brute_scan(kind, step):
     return best
 
 
-def reference_scan(kind, grid_step):
-    """tsirelson_scan as it was with eight (n, n) arrays: the extrema and
-    their argmax/argmin indices for every (alpha, alpha'); a bitwise oracle."""
+def full_loop_extremes(e):
+    """The largest and smallest S per (alpha, alpha'), every row reduced in full."""
+    n = e.shape[0]
+    s_hi, s_lo = np.empty((n, n)), np.empty((n, n))
+    for ia in range(n):
+        f = e[ia][None, :] + e
+        g = e[ia][None, :] - e
+        s_hi[ia] = f.max(axis=1) + g.max(axis=1)
+        s_lo[ia] = f.min(axis=1) + g.min(axis=1)
+    return s_hi, s_lo
+
+
+def correlation_table(kind, grid_step):
+    """The scan's angle grid and its table e[i, j] = E(angles[i], angles[j])."""
     psi = singlet() if kind == "spin_half" else photon_pair_state()
     c, freq = _correlation_matrix(psi, kind)
     angles = np.arange(0.0, 2.0 * np.pi, grid_step)
-    n = angles.size
     u = np.vstack([np.cos(freq * angles), np.sin(freq * angles)])
-    e = u.T @ c @ u
+    return angles, u.T @ c @ u
+
+
+def reference_scan(kind, grid_step):
+    """tsirelson_scan as it was with eight (n, n) arrays: the extrema and
+    their argmax/argmin indices for every (alpha, alpha'); a bitwise oracle."""
+    angles, e = correlation_table(kind, grid_step)
+    n = angles.size
     fmax, fmin, gmax, gmin = (np.empty((n, n)) for _ in range(4))
     afmax, afmin, agmax, agmin = (np.empty((n, n), dtype=np.intp) for _ in range(4))
     for ia in range(n):
@@ -287,6 +305,21 @@ class TestTsirelsonScan:
             assert v.s == want_s
             assert v.settings.angles == want_angles
             assert v.settings.kind == kind
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_half_reduction_bitwise_equal_to_full_loop(self, kind):
+        # the scan reduces alpha <= alpha' only and mirrors the rest
+        for step in (45.0, 22.5, 7.5, 5.0, 2.0, 1.5, 1.0):
+            _, e = correlation_table(kind, np.deg2rad(step))
+            for got, want in zip(_s_extremes(e), full_loop_extremes(e)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_half_reduction_needs_no_symmetry_in_e(self):
+        rng = np.random.default_rng(15)
+        for n in (1, 2, 3, 17, 64):
+            e = rng.normal(size=(n, n))
+            for got, want in zip(_s_extremes(e), full_loop_extremes(e)):
+                assert got.tobytes() == want.tobytes()
 
     def test_step_validation(self):
         for bad in (0.0, np.pi / 2, -0.1, np.nan, np.inf):

@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -775,9 +776,10 @@ class TestInstalledEntryPoint:
 
     def test_spin_memory_stays_near_the_import_floor(self):
         # rows are formatted and written 2**16 at a time; all 200,001 at once peaked
-        # 90 MB over the floor.  What remains is the RK4 loop's lists of states
+        # 90 MB over the floor, and the RK4 states kept as tuples 49 MB; as flat
+        # doubles it is 36 MB
         floor = self.max_rss_mb(["lhv", "--enumerate"])
-        assert self.max_rss_mb(["spin", "--steps", "200000"]) <= floor + 65.0
+        assert self.max_rss_mb(["spin", "--steps", "200000"]) <= floor + 45.0
 
     def test_usage_error_is_one_stderr_line(self):
         proc = subprocess.run([sys.executable, "-m", "bell_lab", "oumandel", "--tx", "0.5"],
@@ -843,6 +845,34 @@ class TestInstalledEntryPoint:
                                   stderr=subprocess.PIPE, text=True, timeout=120)
             assert proc.stderr.splitlines() == ["True False False"] + [
                 f"{args} 0 {flag} False" for args, flag in zip(commands, loaded)]
+
+    @staticmethod
+    def after_import(first, value=None):
+        # a fresh process imports `first`, then bell_lab; it reports the variable and its thread count
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        code = (f"import json, os; import {first}; import bell_lab; "
+                "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None; "
+                "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        return json.loads(proc.stdout)
+
+    def test_openblas_runs_on_one_thread_by_default(self):
+        # numpy's OpenBLAS starts a spinning worker thread per core unless told otherwise
+        variable, tasks = self.after_import("os")
+        assert variable == "1"
+        if tasks is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert tasks == 1
+
+    def test_a_thread_count_the_user_set_is_kept(self):
+        assert self.after_import("os", "2")[0] == "2"
+
+    def test_numpy_imported_first_leaves_the_environment_alone(self):
+        # OpenBLAS has read the variable by then, so setting it would change nothing
+        assert self.after_import("numpy")[0] is None
 
     def test_memory_floor_is_not_the_test_process(self):
         # the measurement must not inherit this process's RSS (over 100 MB here)

@@ -158,6 +158,13 @@ class TestOuMandelState:
             st = ou_mandel_state(random_bs(rng))
             assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
 
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS)
+    def test_unit_norm_property(self, tx, ty):
+        # (T_x + R_x)(T_y + R_y) = 1, whatever the split
+        st = ou_mandel_state(BeamSplitterSpec.from_transmissions(tx, ty))
+        assert abs(np.linalg.norm(st.amplitudes) - 1.0) <= 1e-15
+
     def test_amplitudes_read_only(self):
         st = ou_mandel_state(BeamSplitterSpec.equal_split())
         with pytest.raises(ValueError):
@@ -174,6 +181,12 @@ class TestFactorization:
             direct = ou_mandel_state(bs).amplitudes
             factored = product_state(bs).amplitudes
             assert np.max(np.abs(direct - factored)) < 1e-12
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS)
+    def test_product_state_equals_pair_state_property(self, tx, ty):
+        bs = BeamSplitterSpec.from_transmissions(tx, ty)
+        assert np.max(np.abs(ou_mandel_state(bs).amplitudes - product_state(bs).amplitudes)) <= 1e-15
 
     def test_equal_split_cross_term(self):
         st = product_state(BeamSplitterSpec.equal_split())
