@@ -373,12 +373,10 @@ def spin(bz, gyro, steps, dt, s0, out):
     s0v = _parse_floats(s0, "--s0", 3)
     c = PhysicalConstants(gyro=gyro)
     traj = integrate_spin(s0v, (0.0, 0.0, bz), c, t1=steps * dt, dt=dt)
-    # each row's np.linalg.norm: the axis=1 norm and sums of squares differ from it in the last bit
-    norms = np.sqrt(np.vecdot(traj.spins, traj.spins))
+    sx, sy, sz = traj.spins.T  # contiguous: integrate_spin keeps each component so
+    drift = traj.norms - float(np.linalg.norm(s0v))
     meta = _meta("spin", {"bz": bz, "gyro": gyro, "steps": steps, "dt": dt, "s0": s0})
-    _write_csv(out, meta, {"t": traj.times, "sx": traj.spins[:, 0], "sy": traj.spins[:, 1],
-                           "sz": traj.spins[:, 2],
-                           "norm_drift": np.abs(norms - float(np.linalg.norm(s0v)))})
+    _write_csv(out, meta, {"t": traj.times, "sx": sx, "sy": sy, "sz": sz, "norm_drift": np.abs(drift, out=drift)})
 
 
 def run():

@@ -18,7 +18,7 @@ treated as nodes and refused rather than extrapolated.
 import math
 import sys
 from array import array
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -365,16 +365,28 @@ def _check_span(t0: float, t1: float, dt: float):
         raise ValueError(f"(t1 - t0) / dt = {(t1 - t0) / dt:.6g} steps exceeds {_MAX_STEPS}")
 
 
+def _step_count(t0: float, t1: float, dt: float) -> int:
+    """The number of steps of at most dt from t0 to t1, counted once from (t1 - t0) / dt.
+
+    A remainder of at most min(1e-12 * max(1, |t1|), 1e-3 * dt) is rounding,
+    not a step; the dt / 1000 cap keeps a tiny dt's remainder a step.  The
+    ratio's own rounding is far below either.
+    """
+    tol = min(1e-12 * max(1.0, abs(t1)) / dt, 1e-3)  # in steps
+    return math.ceil((t1 - t0) / dt - tol)
+
+
 def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
     """Classical RK4 for dy/dt = f(y, t); returns (times, states) as arrays.
 
-    Steps of size dt, with one shorter final step to land on t1 exactly.
-    The stages see lists and the states are tuples, each component stepped
-    IEEE-identically to an array element; they are kept as flat doubles
-    (8 bytes a component) and returned as views of those buffers, states
-    shaped (steps + 1, len(y0)).  A NodeSingularityError from f halts
-    integration and is re-raised carrying the completed steps as a
-    Trajectory in ``partial_trajectory``.
+    _step_count's steps, of size dt but the last of min(dt, t1 - t), its row
+    at t1 exactly: t summed step by step strays from k dt by rounding, and a
+    stray within _step_count's tolerance is no step.  The stages see lists
+    and the states are tuples, each component stepped IEEE-identically to an
+    array element; they are kept as flat doubles (8 bytes a component) and
+    returned as views of those buffers, states shaped (steps + 1, len(y0)).
+    A NodeSingularityError from f halts integration and is re-raised
+    carrying the completed steps as a Trajectory in ``partial_trajectory``.
     """
     times, states = array("d", [t0]), array("d", y0)
 
@@ -382,19 +394,16 @@ def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
         return np.frombuffer(times), np.frombuffer(states).reshape(-1, len(y0))
 
     t, y = t0, y0
-    # a remainder below eps is rounding in t, not a step; _MAX_STEPS steps
-    # from t = 0 round off less than 1e-4 * dt, so a tiny dt keeps its tail
-    eps = min(1e-12 * max(1.0, abs(t1)), 1e-3 * dt)
     try:
-        while t < t1 - eps:
-            step = min(dt, t1 - t)
+        for left in range(_step_count(t0, t1, dt) - 1, -1, -1):  # steps left after this one
+            step = dt if left else min(dt, t1 - t)
             half, sixth = 0.5 * step, step / 6.0
             k1 = f(y, t)
             k2 = f([a + half * k for a, k in zip(y, k1)], t + half)
             k3 = f([a + half * k for a, k in zip(y, k2)], t + half)
             k4 = f([a + step * k for a, k in zip(y, k3)], t + step)
             y = tuple([a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
-            t = t + step
+            t = t + step if left else t1
             times.append(t)
             states.extend(y)
     except NodeSingularityError as err:
@@ -465,26 +474,97 @@ def _as_field(b_field) -> list:
 
 class SpinTrajectory(_Record):
     times: np.ndarray
-    spins: np.ndarray  # shape (len(times), 3)
+    spins: np.ndarray  # shape (len(times), 3); integrate_spin's keep each component contiguous
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """|s| of each row, bitwise equal to its np.linalg.norm."""
+        sq = np.vecdot(self.spins, self.spins)
+        return np.sqrt(sq, out=sq)
+
+
+def _rk4_gain(x: float):
+    """(log|P|, arg P) of RK4's amplification P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = -ix.
+
+    One RK4 step of u' = -i w u is exactly u -> P(-i w h) u, with x = w h, and
+    |P|^2 = 1 - x^6/72 + x^8/576.  Beyond |x| = 1 both come from y = 1/x, so
+    that an x of inf gives log|P| = inf, not inf - inf.
+    """
+    if abs(x) <= 1.0:
+        x2 = x * x
+        return (0.5 * math.log1p(x2 * x2 * x2 * (x2 - 8.0) / 576.0),
+                math.atan2(-(x - x * x2 / 6.0), 1.0 - x2 / 2.0 + x2 * x2 / 24.0))
+    y = 1.0 / x
+    y2 = y * y  # |P|^2 = x^8 (1 - 8 y^2 + 576 y^8) / 576, and P / x^4 has P's argument
+    return (4.0 * math.log(abs(x)) - math.log(24.0) + 0.5 * math.log1p(y2 * (576.0 * y2 * y2 * y2 - 8.0)),
+            math.atan2(y / 6.0 - y * y2, 1.0 / 24.0 - y2 / 2.0 + y2 * y2))
+
+
+def _polar(log_r: float, phi: float):
+    """(e^log_r cos phi, e^log_r sin phi) by libm: numpy's float64 exp picks SIMD loops by CPU,
+    and its last bits, so the spin goldens', would move with it."""
+    try:
+        r = math.exp(log_r)
+    except OverflowError:
+        r = math.inf
+    return r * math.cos(phi), r * math.sin(phi)
+
+
+def _precess(s: tuple, b: list, g: float, t1: float, dt: float):
+    """(times, spins) of RK4 precession from t = 0: the step map raised to each row's power.
+
+    With e = B/|B| and w = gyro |B|, the part p e of s along B stays and the
+    part across B turns: one RK4 step multiplies it by P(-i w dt) in the plane,
+    so row k is p e + Re(P^k) (s - p e) + Im(P^k) (e x s), P^k being
+    e^(k log|P| + ik arg P).  With k = i m + j, P^k is the outer product of
+    P^(im) and P^j over about 2 sqrt(n) powers.  Times are k dt; the last
+    step, to t1, is one factor P(-i w h) on row n - 1.
+    """
+    n = _step_count(0.0, t1, dt)
+    big = max(map(abs, b))
+    if big:  # scaled by the largest component first: hypot of the field itself may overflow
+        h = math.hypot(*(v / big for v in b))
+        e, w = [v / big / h for v in b], g * big * h
+    else:
+        e, w = [0.0, 0.0, 1.0], 0.0
+    p = s[0] * e[0] + s[1] * e[1] + s[2] * e[2]
+    across = [si - p * ei for si, ei in zip(s, e)]
+    turned = [e[1] * s[2] - e[2] * s[1], e[2] * s[0] - e[0] * s[2], e[0] * s[1] - e[1] * s[0]]
+    log_p, arg_p = _rk4_gain(w * dt)
+    m = math.isqrt(n) + 1
+    (fr, fi), (cr, ci) = (np.array([_polar(k * log_p, k * arg_p) for k in ks]).T
+                          for ks in (range(m), range(0, n + 1, m)))
+    times, spins = np.arange(n + 1.0) * dt, np.empty((3, n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that leave float64 are integrate_spin's to refuse
+        re = (np.multiply.outer(cr, fr) - np.multiply.outer(ci, fi)).ravel()[:n + 1]
+        im = (np.multiply.outer(cr, fi) + np.multiply.outer(ci, fr)).ravel()[:n + 1]
+        if n:  # t1 - (n - 1) dt: dt but for rounding, or the shortened last step
+            times[n] = t1
+            log_h, arg_h = _rk4_gain(w * (t1 - times[n - 1]))
+            re[n], im[n] = _polar((n - 1) * log_p + log_h, (n - 1) * arg_p + arg_h)
+        for row, a, c, ei in zip(spins, across, turned, e):  # a field along z: row 2 is s[2] exactly
+            np.multiply(re, a, out=row)
+            row += im * c
+            row += p * ei
+    spins[:, 0] = s
+    return times, spins.T
 
 
 def integrate_spin(s0, b_field, c: PhysicalConstants, t1: float, dt: float) -> SpinTrajectory:
     """RK4 precession from t = 0 to t1; |s| and s.B are conserved quantities.
 
-    Refuses a run whose states or |s|^2 leave float64 (a large gyro * B * |s|
-    overflows the torque), checked once the steps are done.
+    Steps of size dt, with one shorter final step to land on t1 exactly.
+    The field is constant, so RK4 is linear in s and each step the same
+    map: _precess raises it to each row's power in closed form instead of
+    stepping.  Refuses a run whose states or |s|^2 leave float64 (a large
+    gyro * B * |s| overflows the torque), at the first such row.
     """
     _check_span(0.0, t1, dt)
-    s, (b0, b1, b2), g = _as_spin(s0), _as_field(b_field), c.gyro
-
-    def torque(y, t):  # gyro * np.cross(y, b) by its formula on floats: bitwise equal, less overhead
-        y0, y1, y2 = y
-        return g * (y1 * b2 - y2 * b1), g * (y2 * b0 - y0 * b2), g * (y0 * b1 - y1 * b0)
-
-    times, spins = _rk4(torque, s, 0.0, t1, dt)
-    with np.errstate(over="ignore"):  # a non-finite state makes its |s|^2 inf or NaN
-        bad = ~np.isfinite(np.vecdot(spins, spins))
+    s, b, g = _as_spin(s0), _as_field(b_field), c.gyro
+    traj = SpinTrajectory(*_precess(s, b, g, t1, dt))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state makes its |s| inf or NaN
+        bad = ~np.isfinite(traj.norms)
     if bad.any():
-        raise ValueError(f"spin algebra leaves float64 by t={float(times[bad.argmax()])!r}: "
-                         f"s0={s!r}, b_field={(b0, b1, b2)!r}, gyro={g!r}")
-    return SpinTrajectory(times, spins)
+        raise ValueError(f"spin algebra leaves float64 by t={float(traj.times[bad.argmax()])!r}: "
+                         f"s0={s!r}, b_field={tuple(b)!r}, gyro={g!r}")
+    return traj

@@ -499,7 +499,8 @@ class TestDbbCommand:
 ])
 def test_span_of_too_many_steps_exits_two(monkeypatch, args):
     # 10^12 and 1000001 steps: refused before integrating, never run for real
-    monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+    for name in ("_rk4", "_precess"):  # dbb's stepwise RK4 and spin's propagated one
+        monkeypatch.setattr(dbb, name, lambda *args: pytest.fail("integration started"))
     result = CliRunner().invoke(main, args)
     assert result.exit_code == EXIT_VALIDATION
     lines = result.stderr.splitlines()
@@ -535,18 +536,33 @@ class TestSpinCommand:
     @given(rows=st.lists(st.tuples(*[st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-300, 1e-300),
                                                st.floats(-1e300, 1e300), st.floats(width=64))] * 3),
                          min_size=1, max_size=40),
-           stride=st.sampled_from([None, "rows", "columns"]))
+           stride=st.sampled_from([None, "rows", "columns", "column-major"]))
     def test_vecdot_norms_bitwise_equal_to_each_row_norm(self, rows, stride):
-        # the norm_drift column's norms: random, tiny and huge 3-vectors, contiguous or strided
+        # the norm_drift column's norms: random, tiny and huge 3-vectors, contiguous, strided
+        # or column-major as integrate_spin keeps them; against each row as printed (a copy)
         spins = np.array(rows)
         if stride == "rows":
             spins = np.repeat(spins, 2, axis=0)[::2]
         elif stride == "columns":
             spins = np.repeat(spins, 2, axis=1)[:, ::2]
+        elif stride == "column-major":
+            spins = np.asfortranarray(spins)
         with np.errstate(over="ignore"):  # a huge row overflows to inf on both routes
             got = np.sqrt(np.vecdot(spins, spins))
             want = np.array([np.linalg.norm(row) for row in spins])
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+            printed = np.array([np.linalg.norm(np.array(row)) for row in spins.tolist()])
+        hexes = [[v.hex() for v in norms.tolist()] for norms in (got, want, printed)]
+        assert hexes[0] == hexes[1] == hexes[2]
+
+    def test_columns_are_written_without_copies_and_norms_taken_once(self, monkeypatch):
+        written, vecdots = [], []
+        monkeypatch.setattr(cli, "_write_csv", lambda out, meta, columns: written.append(columns))
+        vecdot = np.vecdot
+        monkeypatch.setattr(np, "vecdot", lambda *args: vecdots.append(args) or vecdot(*args))
+        assert CliRunner().invoke(main, ["spin", "--steps", "100", "--s0=0.3,-0.8,0.5"]).exit_code == 0
+        (columns,) = written
+        assert all(column.flags.c_contiguous and column.shape == (101,) for column in columns.values())
+        assert len(vecdots) == 1  # integrate_spin's finiteness check and norm_drift share it
 
     def test_s0_validation(self):
         result = CliRunner().invoke(main, ["spin", "--s0", "1,0"])
@@ -777,7 +793,7 @@ class TestInstalledEntryPoint:
     def test_spin_memory_stays_near_the_import_floor(self):
         # rows are formatted and written 2**16 at a time; all 200,001 at once peaked
         # 90 MB over the floor, and the RK4 states kept as tuples 49 MB; as flat
-        # doubles it is 36 MB
+        # doubles 36 MB, and from the closed form, written without copies, 32 MB
         floor = self.max_rss_mb(["lhv", "--enumerate"])
         assert self.max_rss_mb(["spin", "--steps", "200000"]) <= floor + 45.0
 

@@ -586,12 +586,12 @@ class TestTrajectories:
         # just above half an ulp time advances; a span of 1e9 keeps the step
         # count (~6e4) under _MAX_STEPS, which 1e20 would not
         dbb._check_span(2e20 - 1e9, 2e20, np.nextafter(half_ulp, np.inf))
-        monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+        no_integration(monkeypatch)
         with pytest.raises(ValueError, match="cannot advance"):
             integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=1e20, dt=1e3)
 
     def test_span_of_too_many_steps_refused(self, monkeypatch):
-        monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+        no_integration(monkeypatch)
         dbb._check_span(0.0, 1e6, 1.0)  # exactly _MAX_STEPS steps
         for t0, t1, dt in ((0.0, 1e6 + 1.0, 1.0), (-1e308, 1e308, 1e300), (0.0, 1e9, 0.001)):
             with pytest.raises(ValueError, match="steps exceeds"):
@@ -608,6 +608,29 @@ class TestTrajectories:
         times, _ = dbb._rk4(lambda y, t: (1.0,), (0.0,), 0.0, 1e-14 * (1 + 2e-3), 1e-14)
         assert times[-1] == 1e-14 * (1 + 2e-3) and len(times) == 3
 
+    def test_long_span_takes_its_step_count(self):
+        # 300 / 0.003 steps: t summed step by step ends 8.0e-10 short of t1, above the
+        # 3e-10 end tolerance, and a loop on t took a 100,001st step of that size
+        times, states = dbb._rk4(lambda y, t: (1.0,), (0.0,), 0.0, 300.0, 0.003)
+        assert len(times) == 100_001 and times[-1] == 300.0
+        assert np.all(np.diff(times[:-1]) > 0.0029) and np.all(np.diff(states[:, 0]) > 0.0029)
+
+    def test_long_span_lands_on_t1(self):
+        # 1000 / 0.01 steps: t summed step by step ends 7.6e-10 short of t1, below the
+        # 1e-9 end tolerance, so a loop on t stopped there; the last counted step's row is at t1
+        times, _ = dbb._rk4(lambda y, t: (1.0,), (0.0,), 0.0, 1000.0, 0.01)
+        assert len(times) == 100_001 and times[-1] == 1000.0
+        assert 0.01 < times[-1] - times[-2] < 0.01 + 1e-9
+
+    @pytest.mark.parametrize("t1, dt, n", [
+        (1.0, 0.01, 100), (1.05, 0.1, 11), (0.5, 0.05, 10), (1.4e-14, 1e-14, 2), (1e-14 * (1 + 2e-3), 1e-14, 2),
+        (1.0 + 5e-13, 0.5, 2),  # a remainder below 1e-12: rounding, not a step
+        (1.0 + 1e-6, 0.5, 3),  # one above it: a step of its own
+        (2000.0, 0.002, 10**6), (1e-23, 1.0, 0),
+    ])
+    def test_step_count(self, t1, dt, n):
+        assert dbb._step_count(0.0, t1, dt) == n
+
     def test_nonfinite_stage_position_refused(self, monkeypatch):
         # the RK4 stages skip the boundary validation but not the finiteness check
         monkeypatch.setattr(dbb, "_stage_velocity", lambda *args: (np.inf, 0.0))
@@ -622,9 +645,16 @@ class TestTrajectories:
             integrate_trajectory(wp, C, start=0.0, t0=0.0, t1=1.0, dt=0.01)
 
 
+def no_integration(monkeypatch):
+    """Fail the test if either RK4 route starts: dbb's stepwise _rk4 or spin's _precess."""
+    for name in ("_rk4", "_precess"):
+        monkeypatch.setattr(dbb, name, lambda *args: pytest.fail("integration started"))
+
+
 def reference_rk4(vel, x, t0, t1, dt):
     """The hand-rolled RK4 loop that integrate_trajectory and integrate_spin
-    each carried before they shared one integrator; a bitwise oracle.
+    each carried before they shared one integrator; a bitwise oracle of
+    trajectories, and of spin steps taken one at a time.
 
     Returns (times, states, halted): a NodeSingularityError from vel stops
     the loop and the completed steps are returned with halted = True.
@@ -647,6 +677,48 @@ def reference_rk4(vel, x, t0, t1, dt):
     except NodeSingularityError:
         return np.array(times), np.array(points), True
     return np.array(times), np.array(points), False
+
+
+def stepwise_spin(s0, b, gyro, t1, dt):
+    """(times, spins): RK4 precession one step at a time through dbb._rk4, the torque
+    gyro * (s x B) written out on floats.  integrate_spin's route before it raised the
+    step map to a power; bitwise equal to reference_rk4 with np.cross
+    (test_derivative_bitwise_equal_to_np_cross) at a twentieth of its cost.
+    """
+    b0, b1, b2 = map(float, b)
+
+    def torque(y, t):
+        y0, y1, y2 = y
+        return gyro * (y1 * b2 - y2 * b1), gyro * (y2 * b0 - y0 * b2), gyro * (y0 * b1 - y1 * b0)
+
+    return dbb._rk4(torque, tuple(map(float, s0)), 0.0, t1, dt)
+
+
+def larmor(s0, b, gyro, t):
+    """The exact precession: s0 rotated about B by gyro |B| t, at each time of t."""
+    s0, b = np.asarray(s0, dtype=float), np.asarray(b, dtype=float)
+    n, phi = b / np.linalg.norm(b), gyro * np.linalg.norm(b) * np.asarray(t)[:, None]
+    return s0 * np.cos(phi) + np.cross(s0, n) * np.sin(phi) + n * (n @ s0) * (1.0 - np.cos(phi))
+
+
+EPS = np.finfo(float).eps
+
+
+def stepwise_tolerance(s0, n):
+    """|integrate_spin - stepwise RK4| allowed after n steps.
+
+    The stepwise loop's rounding walk grows as n^2 eps: measured up to
+    0.0103 n^2 eps |s0| (n = 10^5, x = gyro |B| dt = 0.124) and 0.84 n eps |s0|
+    (n = 100), while integrate_spin stays within 5e-14 of RK4's exact power
+    (mpmath, 2,000 steps at x = 0.124, where the loop is 1.2e-11 off it).
+    """
+    return (16.0 * n + n * n / 20.0) * EPS * np.linalg.norm(s0)
+
+
+# (s0, B, gyro, dt): a field along z at the bench's dt (x = 0.002), a tilted one (x = 0.0098)
+# and one with a negative z component (x = -0.124)
+SPIN_CASES = [((0.6, -0.3, 0.742), (0.0, 0.0, 1.0), 1.0, 0.002), ((0.3, -0.8, 0.5), (0.2, -0.5, 1.3), 0.7, 0.01),
+              ((0.0, 1.0, 1.0), (2.0, 0.0, -0.5), -0.6, 0.1)]
 
 
 def reference_trajectory(wf, start, t0, t1, dt):
@@ -694,11 +766,35 @@ class TestSharedRk4:
         ((0.0, 1.0, 1.0), (2.0, 0.0, 0.5), -0.6, 0.95, 0.1),
     ])
     def test_spin_matches_reference(self, s0, b, gyro, t1, dt):
+        # the same RK4 map, raised to a power instead of stepped: equal to rounding
         bv = np.array(b)
         times, spins, _ = reference_rk4(lambda s, t: gyro * np.cross(s, bv), np.array(s0), 0.0, t1, dt)
         tr = integrate_spin(s0, b, PhysicalConstants(gyro=gyro), t1=t1, dt=dt)
-        assert np.array_equal(tr.times, times)
-        assert np.array_equal(tr.spins, spins)
+        n = len(times) - 1
+        assert len(tr.times) == n + 1 and tr.times[-1] == times[-1] == t1
+        assert np.max(np.abs(tr.times - times)) <= n * EPS * t1  # k dt against t summed step by step
+        assert np.max(np.abs(tr.spins - spins)) <= stepwise_tolerance(s0, n)
+
+    @pytest.mark.parametrize("n", [100, 10**4, 10**5])
+    @pytest.mark.parametrize("s0, b, gyro, dt", SPIN_CASES[::2])
+    def test_spin_matches_stepwise_rk4(self, s0, b, gyro, dt, n):
+        times, spins = stepwise_spin(s0, b, gyro, n * dt, dt)
+        tr = integrate_spin(s0, b, PhysicalConstants(gyro=gyro), t1=n * dt, dt=dt)
+        assert len(tr.times) == len(times) == n + 1
+        assert np.max(np.abs(tr.spins - spins)) <= stepwise_tolerance(s0, n)
+
+    @pytest.mark.parametrize("n", [100, 10**4, 10**5])
+    @pytest.mark.parametrize("s0, b, gyro, dt", SPIN_CASES)
+    def test_spin_tracks_the_exact_rotation(self, s0, b, gyro, dt, n):
+        # a third route: RK4's error per step is at most |x|^5/120 in phase and x^6/144 in
+        # |s| (x = gyro |B| dt) on the part of s across B; the rest is rounding, measured
+        # at most 1.0 eps (1 + k |x|) |s| beyond that bound
+        tr = integrate_spin(s0, b, PhysicalConstants(gyro=gyro), t1=n * dt, dt=dt)
+        s, bv = np.array(s0), np.array(b)
+        x, across = gyro * np.linalg.norm(bv) * dt, np.linalg.norm(s - bv * (s @ bv) / (bv @ bv))
+        k = np.arange(n + 1)
+        bound = across * k * (abs(x) ** 5 / 120.0 + x**6 / 144.0) + 8.0 * EPS * np.linalg.norm(s) * (1.0 + k * abs(x))
+        assert np.all(np.linalg.norm(tr.spins - larmor(s0, b, gyro, tr.times), axis=1) <= bound)
 
 
 def _outcome(kernel, *args):
@@ -881,14 +977,54 @@ class TestSpinPrecession:
             assert np.max(np.abs(np.linalg.norm(tr.spins, axis=1) - np.linalg.norm(s))) < 1e-9 * scale
 
     def test_derivative_bitwise_equal_to_np_cross(self):
-        # the torque written out on floats rounds as gyro * np.cross does, at any magnitude
+        # the stepwise oracle's torque, written out on floats, rounds as gyro * np.cross
+        # does at any magnitude; integrate_spin agrees with both within the tolerance
         rng = np.random.default_rng(132)
         for _ in range(100):
             s, b = rng.normal(size=3) * 10.0 ** rng.integers(-5, 6, size=3), rng.normal(size=3)
             gyro = rng.normal()
             _, spins, _ = reference_rk4(lambda y, t: gyro * np.cross(y, b), s, 0.0, 0.05, 0.01)
+            assert np.array_equal(stepwise_spin(s, b, gyro, 0.05, 0.01)[1], spins)
             tr = integrate_spin(s, b, PhysicalConstants(gyro=gyro), t1=0.05, dt=0.01)
-            assert np.array_equal(tr.spins, spins)
+            assert np.max(np.abs(tr.spins - spins)) <= stepwise_tolerance(s, 5)
+
+    def test_norms_are_each_row_norm_taken_once(self):
+        tr = integrate_spin((0.3, -0.8, 0.5), (0.2, -0.5, 1.3), C, t1=20.0, dt=0.01)
+        want = [np.linalg.norm(np.array(row)) for row in tr.spins.tolist()]  # each row contiguous
+        assert [v.hex() for v in tr.norms.tolist()] == [v.hex() for v in want]
+        assert tr.norms is tr.norms
+
+    def test_components_are_contiguous(self):
+        tr = integrate_spin((0.3, -0.8, 0.5), (0.0, 0.0, 1.0), C, t1=1.0, dt=0.01)
+        assert tr.spins.shape == (101, 3) and all(column.flags.c_contiguous for column in tr.spins.T)
+
+    def test_field_along_z_keeps_sz_and_its_sign(self):
+        # B / |B| is +-z exactly, so sz is the start's exactly, for either sign of bz
+        for bz in (1.3, -1.3):
+            tr = integrate_spin((0.3, -0.8, 0.5), (0.0, 0.0, bz), C, t1=20.0, dt=0.01)
+            assert np.all(tr.spins[:, 2] == 0.5)
+            assert tr.spins[1, 1] * bz < -0.8 * bz  # s' = gyro s x B: sy falls for bz > 0
+
+    def test_steps_at_the_cap(self):
+        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=10**6 * 0.002, dt=0.002)
+        assert len(tr.times) == 10**6 + 1 and tr.times[-1] == 2000.0
+
+    def test_shortened_last_step(self):
+        # 1.05 / 0.1: ten steps of dt and one of 0.05, the RK4 map at each size
+        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=1.05, dt=0.1)
+        times, spins = stepwise_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.0, 1.05, 0.1)
+        assert len(tr.times) == len(times) == 12 and tr.times[-1] == 1.05
+        assert np.max(np.abs(tr.spins - spins)) <= 1e-15
+
+    def test_zero_field_keeps_the_start(self):
+        tr = integrate_spin((0.3, -0.8, 0.5), (0.0, 0.0, 0.0), C, t1=1.0, dt=0.1)
+        assert np.array_equal(tr.spins, np.tile([0.3, -0.8, 0.5], (11, 1)))
+
+    def test_field_whose_norm_overflows(self):
+        # |B| = 1.7e308 * sqrt(2) overflows; B / |B| and gyro |B| dt do not
+        tr = integrate_spin((1.0, 0.0, 0.0), (1.7e308, 1.7e308, 0.0), PhysicalConstants(gyro=1e-310), t1=1.0,
+                            dt=0.1)
+        assert np.max(np.abs(tr.spins - larmor((1.0, 0.0, 0.0), (1.0, 1.0, 0.0), 1e-310 * 1.7e308, tr.times))) < 1e-6
 
     def test_norm_conserved_long_run(self):
         tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=20.0, dt=0.002)
@@ -928,7 +1064,7 @@ class TestSpinPrecession:
         (0.0, 1.5e154, -1.5e154),  # so does a sum of normal squares
     ])
     def test_spin_whose_square_is_not_normal_refused(self, monkeypatch, s0):
-        monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+        no_integration(monkeypatch)
         message = re.escape(f"spin algebra leaves float64: |s|^2 of s={s0!r} is not a normal float")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -948,15 +1084,15 @@ class TestSpinPrecession:
     ])
     def test_run_leaving_float64_refused_once_the_steps_are_done(self, monkeypatch, s0, gyro, dt):
         runs = []
-        rk4 = dbb._rk4
-        monkeypatch.setattr(dbb, "_rk4", lambda *args: runs.append(rk4(*args)) or runs[-1])
+        precess = dbb._precess
+        monkeypatch.setattr(dbb, "_precess", lambda *args: runs.append(precess(*args)) or runs[-1])
         message = re.escape(f"spin algebra leaves float64 by t={dt!r}: s0={s0!r}, b_field=(0.0, 0.0, 1.0), "
                             f"gyro={gyro!r}")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{message}$"):
                 integrate_spin(s0, (0.0, 0.0, 1.0), PhysicalConstants(gyro=gyro), t1=3 * dt, dt=dt)
-        assert len(runs[0][0]) == 4  # no stage checked: all three steps were taken
+        assert len(runs[0][0]) == 4  # no row checked on its own: all three steps were taken
 
     def test_integration_validation(self):
         with pytest.raises(ValueError):
