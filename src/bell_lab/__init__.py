@@ -1,103 +1,67 @@
 """Numerical checks of Bell/CHSH and Mermin operator algebra, two-photon
-coincidence calculations, and de Broglie-Bohm guidance dynamics."""
+coincidence calculations, and de Broglie-Bohm guidance dynamics.
 
+The six layer modules are lazy: importing the package puts each one in
+``sys.modules`` and on the package, and its code runs on first attribute
+access, so a command compiles and runs only the modules it uses.  A public
+name is looked up in its module on each access from the package."""
+
+import importlib.util as _util
 import os as _os
 import sys as _sys
-from types import ModuleType as _ModuleType
 
 # numpy's OpenBLAS starts a worker thread per core, which spins for about
 # 0.13 s of CPU per process; no product here is larger than 240x2 by 2x240, so
 # one thread does the same work.  The variable is read when OpenBLAS loads, so
 # it is set before the first numpy import, and only if numpy is not loaded
-# yet; a value the user set wins.  Once the package is lazy, these lines move
-# into the CLI entry so that importing bell_lab leaves the environment alone.
+# yet; a value the user set wins.  The lines stay here, not in the CLI entry:
+# importing any bell_lab module runs this file first, so they precede every
+# numpy import the package makes, for library callers as for the CLI.
 if "numpy" not in _sys.modules:
     _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
 from .errors import NodeSingularityError, NumericalCheckError, UndefinedCorrelationError
-from .operators import (
-    MeasurementOp,
-    commutator,
-    dagger,
-    expectation,
-    hermitian_extremal_eigenvalue,
-    ket,
-    pauli,
-    photon_op,
-    photon_projector,
-    spin_op,
-    tensor,
-)
-from .chsh import (
-    TSIRELSON,
-    BellValue,
-    ChshSettings,
-    bell_operator,
-    chsh_value,
-    correlation,
-    identity_residual,
-    photon_pair_state,
-    singlet,
-    tsirelson_scan,
-)
-from .mermin import (
-    GhzState,
-    MerminSettings,
-    ghz,
-    ghz_expectation_shared,
-    mermin_operator,
-    mermin_shared_scan,
-    mermin_square_residual,
-    mermin_value,
-    transverse_spin_op,
-)
-from .lhv import (
-    RNG_ALGORITHM,
-    ChshEstimate,
-    HiddenVariableModel,
-    chsh_deterministic_max,
-    make_rng,
-    mermin_deterministic_max,
-    sawtooth_correlation,
-    sign_model,
-    simulate_chsh_stats,
-)
-from .fock import (
-    MODE_ORDER,
-    BeamSplitterSpec,
-    FockBasis,
-    FockState,
-    ModeIndex,
-    annihilation,
-    coincidence_closed_form,
-    coincidence_correlation,
-    coincidence_probability,
-    creation,
-    detector_amplitude_op,
-    ou_mandel_state,
-    product_state,
-    standard_basis,
-    vacuum,
-)
-from .dbb import (
-    PhysicalConstants,
-    SpinState,
-    SpinTrajectory,
-    Trajectory,
-    TwoParticleWF,
-    WavePacket,
-    cross_coupling,
-    integrate_spin,
-    integrate_trajectory,
-    packet_overlap,
-    psi2_eval,
-    velocity_2p,
-)
 
-# the public names imported above; the submodules bound as a side effect stay out
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+_PUBLIC = {
+    "operators": ("MeasurementOp", "commutator", "dagger", "expectation", "hermitian_extremal_eigenvalue",
+                  "ket", "pauli", "photon_op", "photon_projector", "spin_op", "tensor"),
+    "chsh": ("TSIRELSON", "BellValue", "ChshSettings", "bell_operator", "chsh_value", "correlation",
+             "identity_residual", "photon_pair_state", "singlet", "tsirelson_scan"),
+    "mermin": ("GhzState", "MerminSettings", "ghz", "ghz_expectation_shared", "mermin_operator",
+               "mermin_shared_scan", "mermin_square_residual", "mermin_value", "transverse_spin_op"),
+    "lhv": ("RNG_ALGORITHM", "ChshEstimate", "HiddenVariableModel", "chsh_deterministic_max", "make_rng",
+            "mermin_deterministic_max", "sawtooth_correlation", "sign_model", "simulate_chsh_stats"),
+    "fock": ("MODE_ORDER", "BeamSplitterSpec", "FockBasis", "FockState", "ModeIndex", "annihilation",
+             "coincidence_closed_form", "coincidence_correlation", "coincidence_probability", "creation",
+             "detector_amplitude_op", "ou_mandel_state", "product_state", "standard_basis", "vacuum"),
+    "dbb": ("PhysicalConstants", "SpinState", "SpinTrajectory", "Trajectory", "TwoParticleWF", "WavePacket",
+            "cross_coupling", "integrate_spin", "integrate_trajectory", "packet_overlap", "psi2_eval",
+            "velocity_2p"),
+}
+
+
+def _lazy(layer):
+    """Register bell_lab.<layer> in sys.modules and on the package, to run on first attribute access."""
+    spec = _util.find_spec(f"{__name__}.{layer}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = globals()[layer] = _sys.modules[spec.name] = _util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# public name -> its module; __getattr__ does not cache, so a binding replaced in its module shows here
+_HOME = {name: module for layer, names in _PUBLIC.items() for module in [_lazy(layer)] for name in names}
+
+__all__ = ("NodeSingularityError", "NumericalCheckError", "UndefinedCorrelationError", *_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(_HOME[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,6 +11,8 @@ Every command makes one broadcast library call per result and writes
 named columns that broadcast against each other; a grid command passes
 its two axes as a column and a row, never as a meshgrid, so a grid is
 evaluated in one call.  Grids have at most MAX_GRID_SIDE points per axis.
+Each command imports from its layer modules in its own body, so a process
+compiles and runs only the modules its command uses.
 
 The process entry point is run(), which ``bell-lab`` and ``python -m
 bell_lab`` both call; in-process callers call main().
@@ -30,21 +32,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .chsh import ChshSettings, chsh_value, identity_residual, photon_pair_state, singlet, tsirelson_scan
-from .dbb import (
-    FORMS,
-    PhysicalConstants,
-    TwoParticleWF,
-    WavePacket,
-    cross_coupling,
-    integrate_spin,
-    integrate_trajectory,
-    velocity_2p,
-)
 from .errors import NodeSingularityError, NumericalCheckError
-from .fock import BeamSplitterSpec, coincidence_closed_form, coincidence_correlation, coincidence_probability, ou_mandel_state
-from .lhv import RNG_ALGORITHM, chsh_deterministic_max, make_rng, mermin_deterministic_max, sign_model, simulate_chsh_stats
-from .mermin import MerminSettings, ghz, mermin_shared_scan, mermin_value
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -72,6 +60,8 @@ def _meta(command: str, params: dict, seed=None) -> str:
     parts = [f"tool=bell-lab version={__version__} command={command}"]
     parts += [f"{key}={_fmt(value)}" for key, value in params.items()]
     if seed is not None:
+        from .lhv import RNG_ALGORITHM
+
         parts.append(f"seed={int(seed)} rng={RNG_ALGORITHM}")
     return "# " + " ".join(parts)
 
@@ -182,6 +172,8 @@ def chsh(ctx, alpha, alpha_prime, beta, beta_prime, kind, out):
             raise click.UsageError(f"chsh --out does not apply to '{ctx.invoked_subcommand}'; "
                                    f"give it after '{ctx.invoked_subcommand}'")
         return
+    from .chsh import ChshSettings, chsh_value, photon_pair_state, singlet
+
     out = _open_out(ctx, None, out)
     degs = (alpha, alpha_prime, beta, beta_prime)
     if any(v is None for v in degs):
@@ -199,6 +191,8 @@ def chsh(ctx, alpha, alpha_prime, beta, beta_prime, kind, out):
 @_OUT
 def chsh_scan(step, kind, out):
     """Exhaustive grid maximization of |S|."""
+    from .chsh import tsirelson_scan
+
     _check_grid(_scan_side(step))
     result = tsirelson_scan(_KIND[kind], np.deg2rad(step))
     best = np.rad2deg(result.settings.angles)
@@ -216,6 +210,9 @@ def identity(kind, trials, seed, out):
     """Max residual of S^2 = 4I - [A,A'](x)[B,B'] over random settings."""
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
+    from .chsh import ChshSettings, identity_residual
+    from .lhv import make_rng
+
     rng = make_rng(seed)
     worst = 0.0
     # one draw and one batch per chunk of trials keeps memory bounded for
@@ -239,6 +236,9 @@ def identity(kind, trials, seed, out):
 @_OUT
 def mermin(n, scan, step, out):
     """<F_n> on the GHZ state plus the deterministic LHV maximum."""
+    from .lhv import mermin_deterministic_max
+    from .mermin import MerminSettings, ghz, mermin_shared_scan, mermin_value
+
     if scan:
         _check_grid(_scan_side(step))
         value, _settings = mermin_shared_scan(n, np.deg2rad(step))
@@ -261,10 +261,15 @@ def mermin(n, scan, step, out):
 def lhv(enumerate_, model, samples, seed, angles, out):
     """Local hidden-variable baselines: enumeration or Monte Carlo."""
     if enumerate_:
+        from .lhv import chsh_deterministic_max
+
         _write_csv(out, _meta("lhv", {"mode": "enumerate"}), {"max_s": chsh_deterministic_max()})
         return
     if model is None or samples is None or seed is None or angles is None:
         raise click.UsageError("lhv needs --enumerate, or --model --samples --seed --angles")
+    from .chsh import ChshSettings
+    from .lhv import sign_model, simulate_chsh_stats
+
     settings = ChshSettings(*np.deg2rad(_parse_floats(angles, "--angles", 4)), kind="spin_half")
     stats = simulate_chsh_stats(sign_model(), settings, samples, seed)
     meta = _meta("lhv", {"mode": "model", "model": model, "samples": samples, "angles": angles},
@@ -282,6 +287,9 @@ def lhv(enumerate_, model, samples, seed, angles, out):
 @_OUT
 def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     """Two-photon coincidence probabilities / correlations behind the splitter."""
+    from .fock import (BeamSplitterSpec, coincidence_closed_form, coincidence_correlation,
+                       coincidence_probability, ou_mandel_state)
+
     bs = BeamSplitterSpec.from_transmissions(tx, ty)
     state = ou_mandel_state(bs)
     params = {"tx": tx, "ty": ty, "theta1": theta1, "theta2": theta2}
@@ -308,7 +316,8 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
 
 
 @main.command()
-@click.option("--form", type=click.Choice(FORMS), required=True)
+# dbb.FORMS, written out: building the command line must not run dbb
+@click.option("--form", type=click.Choice(["product", "symmetric", "antisymmetric"]), required=True)
 @click.option("--center-a", type=float, default=-1.5, show_default=True)
 @click.option("--width-a", type=float, default=0.8, show_default=True)
 @click.option("--k-a", type=float, default=0.6, show_default=True)
@@ -327,6 +336,8 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
 def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, trajectory,
         start1, start2, t0, t1, dt, out):
     """Two-particle guidance velocities, cross-coupling, trajectories."""
+    from .dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
+
     c = PhysicalConstants()
     wf = TwoParticleWF(
         packet_a=WavePacket(center=center_a, width=width_a, wavenumber=k_a),
@@ -371,6 +382,8 @@ def spin(bz, gyro, steps, dt, s0, out):
     if steps < 1:
         raise click.UsageError("--steps must be >= 1")
     s0v = _parse_floats(s0, "--s0", 3)
+    from .dbb import PhysicalConstants, integrate_spin
+
     c = PhysicalConstants(gyro=gyro)
     traj = integrate_spin(s0v, (0.0, 0.0, bz), c, t1=steps * dt, dt=dt)
     sx, sy, sz = traj.spins.T  # contiguous: integrate_spin keeps each component so

@@ -15,13 +15,15 @@ to [0, pi]) whose CHSH value at (0, pi/2, pi/4, -pi/4) is exactly -2.
 from __future__ import annotations  # np.random stays unloaded until make_rng runs
 
 from itertools import product
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .chsh import ChshSettings
 from .errors import NumericalCheckError
 from .operators import _Record
+
+if TYPE_CHECKING:  # an annotation only: mermin and lhv --enumerate need not run chsh
+    from .chsh import ChshSettings
 
 # Fixed, documented generator family: numpy's PCG64 behind Generator.
 # Recorded in CLI metadata so seeded runs name their algorithm.

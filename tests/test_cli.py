@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+import bell_lab
 from bell_lab import cli, dbb
 from bell_lab.chsh import TSIRELSON, ChshSettings, chsh_value, identity_residual, singlet
 from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CHUNK, MAX_GRID_SIDE, _fmt, main
@@ -27,6 +28,22 @@ from bell_lab.lhv import make_rng, sign_model, simulate_chsh_stats
 from bell_lab.operators import _scan_angles
 
 META_PREFIX = "# tool=bell-lab version=0.1.0 command="
+
+LAYERS = ("operators", "chsh", "mermin", "lhv", "fock", "dbb")
+
+# the layer modules each command runs, in LAYERS order; the others stay unrun
+LAYERS_RUN = [
+    ("--version", []),
+    ("chsh --alpha 0 --alpha-prime 90 --beta 45 --beta-prime -45", ["operators", "chsh"]),
+    ("chsh scan --step 45", ["operators", "chsh"]),
+    ("identity --kind spin --trials 10 --seed 1", ["operators", "chsh", "lhv"]),
+    ("lhv --enumerate", ["operators", "lhv"]),
+    ("lhv --model sign --samples 100 --seed 1 --angles 0,45,22.5,67.5", ["operators", "chsh", "lhv"]),
+    ("mermin --n 3", ["operators", "mermin", "lhv"]),
+    ("oumandel --tx 0.5 --ty 0.5", ["operators", "fock"]),
+    ("dbb --form symmetric --grid 3", ["operators", "dbb"]),
+    ("spin --steps 3", ["operators", "dbb"]),
+]
 
 # every deterministic command family once, for the reproducibility matrix
 COMMAND_MATRIX = [
@@ -55,25 +72,31 @@ def run_ok(args):
     return result.output
 
 
+def home(name):
+    """The layer module that defines the public ``name``: a cli command imports it from there."""
+    return sys.modules[getattr(bell_lab, name).__module__]
+
+
 def spy(monkeypatch, name):
-    """Record the arguments of every call of the cli module's binding ``name``."""
+    """Record the arguments of every call of ``name`` made through its layer module."""
     calls = []
-    fn = getattr(cli, name)
+    module = home(name)
+    fn = getattr(module, name)
 
     def recording(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
 def reach_fails(monkeypatch, name):
-    """Make the cli module's binding ``name`` exit 3, so reaching it is visible."""
+    """Make ``name`` in its layer module exit 3, so a command reaching it is visible."""
     def reached(*args, **kwargs):
         raise NumericalCheckError(f"{name} reached")
 
-    monkeypatch.setattr(cli, name, reached)
+    monkeypatch.setattr(home(name), name, reached)
 
 
 def one_shot_csv(meta_line, columns):
@@ -260,7 +283,7 @@ class TestIdentityCommand:
                 return self.rng.uniform(*args, size=size)
 
         monkeypatch.setattr(cli, "IDENTITY_CHUNK", 3)
-        monkeypatch.setattr(cli, "make_rng", SpyRng)
+        monkeypatch.setattr(home("make_rng"), "make_rng", SpyRng)
         text = run_ok(["identity", "--kind", "spin", "--trials", "8", "--seed", "5"])
         assert draws == [(3, 4), (3, 4), (2, 4)]
         angles = make_rng(5).uniform(0.0, 2.0 * np.pi, size=(8, 4))
@@ -643,7 +666,7 @@ class TestErrorMapping:
         def boom(*args, **kwargs):
             raise err
 
-        monkeypatch.setattr(cli, target, boom)
+        monkeypatch.setattr(home(target), target, boom)
         result = CliRunner().invoke(main, args)
         assert result.exit_code == code
         assert result.stderr == line + "\n"
@@ -839,9 +862,9 @@ class TestInstalledEntryPoint:
     def test_numpy_random_loads_only_for_commands_that_draw(self):
         # numpy.random costs every command about 13 ms of import; only the seeded
         # commands need it.  No command loads dataclasses: the records are not
-        # dataclasses.  A bare import bell_lab still loads every layer module,
-        # which the benchmark's tracer wraps
-        layers = [f"bell_lab.{name}" for name in ("operators", "chsh", "mermin", "lhv", "fock", "dbb")]
+        # dataclasses.  A bare import bell_lab still puts every layer module in
+        # sys.modules, where the benchmark's tracer finds it
+        layers = [f"bell_lab.{name}" for name in LAYERS]
         flags = "'numpy.random' in sys.modules, 'dataclasses' in sys.modules"
         launcher = ("import sys; import bell_lab; "
                     f"print(all(name in sys.modules for name in {layers!r}), {flags}, "
@@ -862,13 +885,49 @@ class TestInstalledEntryPoint:
             assert proc.stderr.splitlines() == ["True False False"] + [
                 f"{args} 0 {flag} False" for args, flag in zip(commands, loaded)]
 
+    @pytest.mark.parametrize("args, ran", LAYERS_RUN, ids=[args for args, _ in LAYERS_RUN])
+    def test_a_command_runs_only_its_own_layer_modules(self, args, ran):
+        # a registered layer module becomes a plain module when its code runs; type()
+        # reads that without the attribute access that would run it
+        launcher = ("import sys, types; from bell_lab.cli import main\n"
+                    "try:\n"
+                    "    main(sys.argv[1:])\n"
+                    "except SystemExit as exit_:\n"
+                    f"    print(exit_.code, [name for name in {LAYERS!r} "
+                    "if type(sys.modules['bell_lab.' + name]) is types.ModuleType], file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", launcher, *args.split()], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.stderr == f"0 {ran}\n"
+
+    def test_public_names_resolve_in_their_layer_module(self, monkeypatch):
+        modules = {name: sys.modules[f"bell_lab.{name}"] for name in ("errors", *LAYERS)}
+        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 69
+        for name in bell_lab.__all__:
+            value = getattr(bell_lab, name)
+            holders = [layer for layer, module in modules.items() if vars(module).get(name) is value]
+            defined_in = getattr(value, "__module__", "").removeprefix("bell_lab.")
+            if defined_in not in modules:  # a constant: bound by its own module alone
+                (defined_in,) = holders
+            assert defined_in in holders, name
+        assert not hasattr(bell_lab, "no_such_name")
+        # looked up on each access, not cached: a binding replaced in its module shows at once
+        monkeypatch.setattr(modules["operators"], "tensor", "replaced")
+        assert bell_lab.tensor == "replaced"
+        assert set(bell_lab.__all__) <= set(dir(bell_lab))
+        namespace = {}
+        exec("from bell_lab import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(bell_lab.__all__)
+        (form,) = [param for param in main.commands["dbb"].params if param.name == "form"]
+        assert tuple(form.type.choices) == dbb.FORMS
+
     @staticmethod
     def after_import(first, value=None):
-        # a fresh process imports `first`, then bell_lab; it reports the variable and its thread count
+        # a fresh process imports `first`, then bell_lab and its operators module, which loads numpy;
+        # it reports the variable and its thread count
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         if value is not None:
             env["OPENBLAS_NUM_THREADS"] = value
-        code = (f"import json, os; import {first}; import bell_lab; "
+        code = (f"import json, os; import {first}; import bell_lab; bell_lab.tensor; "
                 "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None; "
                 "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
