@@ -26,11 +26,11 @@ from .errors import NodeSingularityError, NumericalCheckError, UndefinedCorrelat
 
 _PUBLIC = {
     "operators": ("MeasurementOp", "commutator", "dagger", "expectation", "hermitian_extremal_eigenvalue",
-                  "ket", "pauli", "photon_op", "photon_projector", "spin_op", "tensor"),
+                  "ket", "tensor"),
     "chsh": ("TSIRELSON", "BellValue", "ChshSettings", "bell_operator", "chsh_value", "correlation",
              "identity_residual", "photon_pair_state", "singlet", "tsirelson_scan"),
     "mermin": ("GhzState", "MerminSettings", "ghz", "ghz_expectation_shared", "mermin_operator",
-               "mermin_shared_scan", "mermin_square_residual", "mermin_value", "transverse_spin_op"),
+               "mermin_shared_scan", "mermin_square_residual", "mermin_value"),
     "lhv": ("RNG_ALGORITHM", "ChshEstimate", "HiddenVariableModel", "chsh_deterministic_max", "make_rng",
             "mermin_deterministic_max", "sawtooth_correlation", "sign_model", "simulate_chsh_stats"),
     "fock": ("MODE_ORDER", "BeamSplitterSpec", "FockBasis", "FockState", "ModeIndex", "annihilation",

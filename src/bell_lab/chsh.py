@@ -14,8 +14,8 @@ photon settings.
 import numpy as np
 
 from .operators import (
+    _SIGMA,
     KINDS,
-    MeasurementOp,
     _Record,
     _party_ops,
     _require_finite,
@@ -24,13 +24,15 @@ from .operators import (
     commutator,
     expectation,
     ket,
-    pauli,
-    photon_op,
-    spin_op,
     tensor,
 )
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
+
+
+def _check_kind(kind):
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 class ChshSettings(_Record):
@@ -53,8 +55,7 @@ class ChshSettings(_Record):
         if len(shapes) > 1:
             raise ValueError(f"angle fields must share one shape, got {sorted(shapes)}")
         _require_finite("settings angles", np.asarray(self.angles, dtype=float))
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        _check_kind(self.kind)
 
     @property
     def angles(self):
@@ -71,15 +72,6 @@ class BellValue(_Record):
     settings: ChshSettings
 
 
-def party_op(angle: float, kind: str) -> MeasurementOp:
-    """Single-party measurement operator for the given convention."""
-    if kind == "spin_half":
-        return spin_op(angle)
-    if kind == "photon":
-        return photon_op(angle)
-    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
 def singlet() -> np.ndarray:
     """(|+-> - |-+>)/sqrt(2); spin correlation -cos(a - b)."""
     return ket([0.0, 1.0, -1.0, 0.0])
@@ -89,7 +81,7 @@ def photon_pair_state() -> np.ndarray:
     """(|xx> - |yy>)/sqrt(2); photon correlation +cos 2(t1 + t2).
 
     This is the polarization-entangled analog of the singlet for the
-    doubled-angle analyzer convention: its photon_op correlations
+    doubled-angle analyzer convention: its photon-kind correlations
     coincide with the coincidence-normalized correlation of the
     equal-split two-photon state in the Fock module.
     """
@@ -117,8 +109,7 @@ def _combine(terms):
 
 def correlation(psi, a, b, kind: str = "spin_half") -> float | np.ndarray:
     """E(a, b) = <psi| Op(a) (x) Op(b) |psi>; a and b broadcast."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_kind(kind)
     psi = _check_state(psi)
     return expectation(psi, tensor(_party_ops(a, kind), _party_ops(b, kind))).real
 
@@ -157,7 +148,7 @@ def _correlation_matrix(psi, kind):
     c = np.empty((2, 2))
     for i, pa in enumerate((ax0, ax1)):
         for j, pb in enumerate((ax0, ax1)):
-            c[i, j] = expectation(psi, tensor(pauli(pa), pauli(pb))).real
+            c[i, j] = expectation(psi, tensor(_SIGMA[pa], _SIGMA[pb])).real
     return c, freq
 
 
@@ -197,8 +188,7 @@ def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) ->
     is independent of evaluation order.
     """
     angles = _scan_angles(grid_step)
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_kind(kind)
 
     psi = singlet() if kind == "spin_half" else photon_pair_state()
     c, freq = _correlation_matrix(psi, kind)

@@ -22,7 +22,6 @@ from math import comb
 import numpy as np
 
 from .operators import (
-    MeasurementOp,
     _Record,
     _party_ops,
     _require_finite,
@@ -34,6 +33,11 @@ from .operators import (
 )
 
 
+def _check_n(n):
+    if not isinstance(n, (int, np.integer)) or not 2 <= n <= 10:
+        raise ValueError(f"n must be an integer in [2, 10], got {n!r}")
+
+
 class GhzState(_Record):
     n: int
     ket: np.ndarray
@@ -41,8 +45,7 @@ class GhzState(_Record):
 
 def ghz(n: int) -> GhzState:
     """(|+...+> + i|-...->)/sqrt(2) on n qubits, 2 <= n <= 10."""
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= 10:
-        raise ValueError(f"n must be an integer in [2, 10], got {n!r}")
+    _check_n(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     amps[-1] = 1.0j
@@ -71,11 +74,6 @@ class MerminSettings(_Record):
     @property
     def n(self) -> int:
         return len(self.pairs)
-
-
-def transverse_spin_op(a: float) -> MeasurementOp:
-    """cos(a)*sigma_x + sin(a)*sigma_y."""
-    return MeasurementOp(_party_ops(a, "transverse"), label=f"At({a:g})")
 
 
 def mermin_operator(settings: MerminSettings) -> np.ndarray:
@@ -145,8 +143,7 @@ def mermin_shared_scan(n: int, grid_step: float = np.pi / 180.0):
     of the maximum resolve to the lexicographically smallest (a, a').
     Returns (value, settings) with value signed at the maximizer.
     """
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= 10:
-        raise ValueError(f"n must be an integer in [2, 10], got {n!r}")
+    _check_n(n)
     angles = _scan_angles(grid_step)
     vals = ghz_expectation_shared(n, angles[:, None], angles[None, :])
     best = float(np.abs(vals).max())

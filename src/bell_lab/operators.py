@@ -9,13 +9,16 @@ Conventions used throughout the package:
 * ``tensor`` is the Kronecker product, so a composite basis index is
   ``i_a * dim_b + i_b`` (left factor = first particle); it broadcasts over
   leading axes, so stacks of operators multiply pairwise,
-* spin measurement axes live in the z-y plane:
-  ``spin_op(a) = cos(a)*sigma_z + sin(a)*sigma_y``,
-* photon analyzer operators are ``photon_op(t) = 2*P(t) - 1`` with the
-  doubled-angle closed form ``cos(2t)*sigma_z + sin(2t)*sigma_x``.
+* measurement operators come from one stack builder, ``_party_ops(angles,
+  kind)``, as ``(..., 2, 2)`` arrays: ``spin_half`` axes in the z-y plane,
+  ``cos(a)*sigma_z + sin(a)*sigma_y``; ``photon`` analyzers ``2*P(t) - 1``,
+  which is ``cos(2t)*sigma_z + sin(2t)*sigma_x``; and the Mermin operators,
+  kind ``transverse``, ``cos(a)*sigma_x + sin(a)*sigma_y``,
+* ``MeasurementOp`` wraps a caller's own matrix, checked Hermitian and
+  involutory on construction.
 
-The two families are unitarily equivalent at doubled angles:
-``R @ photon_op(t) @ R.conj().T == spin_op(2t)`` for ``R = diag(1, i)``.
+The spin and photon kinds are unitarily equivalent at doubled angles:
+``R @ photon(t) @ R.conj().T == spin_half(2t)`` for ``R = diag(1, i)``.
 """
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 # construction-time invariant checks; derived-quantity tests use 1e-10
 ATOL = 1e-12
 
-# measurement conventions: spin_op axes or photon_op analyzers
+# measurement conventions of _party_ops: spin axes or photon analyzers
 KINDS = ("spin_half", "photon")
 
 _SIGMA = {
@@ -53,16 +56,6 @@ def ket(amplitudes) -> np.ndarray:
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return _frozen(v / n)
-
-
-def _check_measurement(m, label):
-    """Raise unless every (..., d, d) matrix in m is finite, Hermitian and
-    involutory to ATOL; label names the operators in the message."""
-    _require_finite("measurement operator", m.view(np.float64))
-    if np.abs(m - np.swapaxes(m.conj(), -1, -2)).max() >= ATOL:
-        raise ValueError(f"not Hermitian to {ATOL}: {label}")
-    if np.abs(m @ m - np.eye(m.shape[-1])).max() >= ATOL:
-        raise ValueError(f"not involutory to {ATOL}: {label}")
 
 
 class _Record:
@@ -133,7 +126,12 @@ class MeasurementOp(_Record):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"measurement operator must be square, got shape {m.shape}")
-        _check_measurement(m, self.label or m)
+        _require_finite("measurement operator", m.view(np.float64))
+        label = self.label or m
+        if np.abs(m - m.conj().T).max() >= ATOL:
+            raise ValueError(f"not Hermitian to {ATOL}: {label}")
+        if np.abs(m @ m - np.eye(m.shape[0])).max() >= ATOL:
+            raise ValueError(f"not involutory to {ATOL}: {label}")
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property
@@ -147,41 +145,13 @@ def _as_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def pauli(axis: str) -> MeasurementOp:
-    """The Pauli matrix for axis 'x', 'y' or 'z' as a MeasurementOp."""
-    if axis not in _SIGMA:
-        raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
-    return MeasurementOp(_SIGMA[axis], label=f"sigma_{axis}")
-
-
-def spin_op(alpha: float) -> MeasurementOp:
-    """Stern-Gerlach operator for a magnet at angle alpha in the z-y plane.
-
-    cos(a)*sigma_z + sin(a)*sigma_y, so that
-    [spin_op(a), spin_op(a')] = 2i*sin(a - a')*sigma_x.
-    """
-    return MeasurementOp(_party_ops(alpha, "spin_half"), label=f"A({alpha:g})")
-
-
-def photon_projector(theta: float) -> np.ndarray:
-    """Rank-1 projector onto linear polarization at analyzer angle theta."""
-    _require_finite("theta", theta)
-    c, s = np.cos(theta), np.sin(theta)
-    e = np.array([c, s], dtype=complex)
-    return _frozen(np.outer(e, e))
-
-
-def photon_op(theta: float) -> MeasurementOp:
-    """Analyzer measurement operator 2*P(theta) - 1 = cos(2t)*sigma_z + sin(2t)*sigma_x."""
-    return MeasurementOp(_party_ops(theta, "photon"), label=f"Aph({theta:g})")
-
-
 def _party_ops(angles, kind: str) -> np.ndarray:
     """(..., 2, 2) stack of measurement matrices, one per angle.
 
     kind is one of KINDS, or "transverse" for the Mermin operators
     cos(a)*sigma_x + sin(a)*sigma_y.  A scalar angle gives one 2x2 matrix.
-    The whole stack is checked once to be Hermitian and involutory.
+    The angles must be finite; every finite angle gives a Hermitian,
+    involutory matrix.
     """
     angles = np.asarray(angles, dtype=float)
     _require_finite("angles", angles)
@@ -191,12 +161,11 @@ def _party_ops(angles, kind: str) -> np.ndarray:
     elif kind == "transverse":
         m = c[..., None, None] * _SIGMA["x"] + s[..., None, None] * _SIGMA["y"]
     elif kind == "photon":
-        # 2*P(theta) - 1 with P the projector of photon_projector
+        # 2*P(theta) - 1 with P the projector onto e = (cos theta, sin theta)
         e = np.stack([c, s], axis=-1).astype(complex)
         m = 2.0 * (e[..., :, None] * e[..., None, :]) - _EYE2
     else:
         raise ValueError(f"kind must be one of {KINDS} or 'transverse', got {kind!r}")
-    _check_measurement(m, f"{kind} operators")
     return m
 
 

@@ -12,7 +12,6 @@ from bell_lab.chsh import (
     chsh_value,
     correlation,
     identity_residual,
-    party_op,
     photon_pair_state,
     singlet,
     tsirelson_scan,
@@ -32,18 +31,29 @@ LITERAL_PHOTON = ChshSettings(
 
 
 # Per-call reference route, as the library computed one settings tuple
-# before batching: validated MeasurementOps, one np.kron per term and one
-# np.vdot per correlation.  The batched functions must match it bit for bit.
+# before batching: one closed-form matrix per party, one np.kron per term and
+# one np.vdot per correlation.  The batched functions must match it bit for bit.
+
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def ref_party_op(angle, kind):
+    """cos(a)*sigma_z + sin(a)*sigma_y for spin, the analyzer 2*e e^T - I for photons."""
+    if kind == "photon":
+        e = np.array([np.cos(angle), np.sin(angle)], dtype=complex)
+        return 2.0 * np.outer(e, e) - np.eye(2)
+    return np.cos(angle) * SIGMA_Z + np.sin(angle) * SIGMA_Y
 
 
 def ref_correlation(psi, a, b, kind):
-    m = np.kron(party_op(a, kind).matrix, party_op(b, kind).matrix)
+    m = np.kron(ref_party_op(a, kind), ref_party_op(b, kind))
     return complex(np.vdot(psi, m @ psi)).real
 
 
 def reference(psi, settings):
     """(identity residual, Bell operator, S) for one settings tuple."""
-    a, ap, b, bp = (party_op(x, settings.kind).matrix for x in settings.angles)
+    a, ap, b, bp = (ref_party_op(x, settings.kind) for x in settings.angles)
     terms = [np.kron(a, b), np.kron(ap, b), np.kron(a, bp), np.kron(ap, bp)]
     bell = terms[0] + terms[1] + terms[2] - terms[3]
     rhs = 4.0 * np.eye(4) - np.kron(commutator(a, ap), commutator(b, bp))
@@ -335,16 +345,6 @@ class TestSettingsAndParties:
     def test_angles_property(self):
         s = ChshSettings(0.1, 0.2, 0.3, 0.4)
         assert s.angles == (0.1, 0.2, 0.3, 0.4)
-
-    def test_party_op_dispatch(self):
-        assert np.array_equal(
-            party_op(0.0, "spin_half").matrix, np.diag([1.0, -1.0])
-        )
-        assert np.array_equal(
-            party_op(0.0, "photon").matrix, np.diag([1.0, -1.0])
-        )
-        a = party_op(np.pi / 4, "photon").matrix
-        assert abs(a[0, 1] - 1.0) < 1e-12  # sin(2*pi/4) = 1 off-diagonal
 
     def test_settings_rejects_nonfinite(self):
         with pytest.raises(ValueError):

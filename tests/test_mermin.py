@@ -13,9 +13,8 @@ from bell_lab.mermin import (
     mermin_shared_scan,
     mermin_square_residual,
     mermin_value,
-    transverse_spin_op,
 )
-from bell_lab.operators import expectation, hermitian_extremal_eigenvalue, ket, pauli
+from bell_lab.operators import _party_ops, expectation, hermitian_extremal_eigenvalue, ket
 
 
 def kron_chain(mats):
@@ -27,11 +26,12 @@ def kron_chain(mats):
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def reference_transverse(a):
-    """The per-angle formula transverse_spin_op carried before the operator
-    kinds shared one builder; a bitwise oracle."""
+    """cos(a)*sigma_x + sin(a)*sigma_y for one angle; a bitwise oracle for
+    the builder's transverse kind."""
     return np.cos(a) * SIGMA_X + np.sin(a) * SIGMA_Y
 
 
@@ -58,7 +58,7 @@ class TestGhz:
     def test_sigma_z_chain_expectation_vanishes(self):
         # the two branches have opposite total-z parity for odd n
         st = ghz(3)
-        zzz = kron_chain([pauli("z").matrix] * 3)
+        zzz = kron_chain([SIGMA_Z] * 3)
         assert abs(np.vdot(st.ket, zzz @ st.ket)) < 1e-15
 
     def test_range_validation(self):
@@ -71,23 +71,23 @@ class TestGhz:
 class TestTransverseSpinOp:
     def test_bitwise_equal_to_per_op_reference(self):
         for a in np.random.default_rng(37).uniform(-10.0, 10.0, size=200):
-            assert np.array_equal(transverse_spin_op(a).matrix, reference_transverse(a))
+            assert np.array_equal(_party_ops(a, "transverse"), reference_transverse(a))
 
     def test_rejects_nonfinite(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                transverse_spin_op(bad)
+                _party_ops(bad, "transverse")
 
     def test_a_zero_is_sigma_x(self):
-        assert np.array_equal(transverse_spin_op(0.0).matrix, pauli("x").matrix)
+        assert np.array_equal(_party_ops(0.0, "transverse"), SIGMA_X)
 
     def test_a_half_pi_is_sigma_y(self):
-        m = transverse_spin_op(np.pi / 2).matrix
-        assert np.max(np.abs(m - pauli("y").matrix)) < 1e-15
+        m = _party_ops(np.pi / 2, "transverse")
+        assert np.max(np.abs(m - SIGMA_Y)) < 1e-15
 
     def test_involutory(self):
         for a in np.linspace(0, 2 * np.pi, 17):
-            m = transverse_spin_op(a).matrix
+            m = _party_ops(a, "transverse")
             assert np.max(np.abs(m @ m - np.eye(2))) < 1e-12
 
 
@@ -109,7 +109,7 @@ class TestMerminOperator:
         # single setting difference; at (0, pi/2) that is sigma_y exactly
         s = MerminSettings.from_shared(1, 0.0, np.pi / 2)
         f = mermin_operator(s)
-        assert np.max(np.abs(f - pauli("y").matrix)) < 1e-12
+        assert np.max(np.abs(f - SIGMA_Y)) < 1e-12
 
     def test_hermitian_random(self):
         rng = np.random.default_rng(67)

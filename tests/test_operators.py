@@ -1,12 +1,13 @@
+import sys
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from bell_lab.chsh import party_op
-from bell_lab.mermin import transverse_spin_op
 from bell_lab.operators import (
+    _SIGMA,
+    ATOL,
     KINDS,
     MeasurementOp,
     _party_ops,
@@ -15,16 +16,29 @@ from bell_lab.operators import (
     expectation,
     hermitian_extremal_eigenvalue,
     ket,
-    pauli,
-    photon_op,
-    photon_projector,
-    spin_op,
     tensor,
 )
 
 angles = st.floats(min_value=0.0, max_value=2.0 * np.pi)
+angle_lists = st.lists(angles, min_size=1, max_size=16)
+angle_pairs = st.lists(st.tuples(angles, angles), min_size=1, max_size=16)
+
+# the whole float range: signed zeros, the least subnormal, +-max, and random
+# mantissas at every decimal exponent from 1e-320 to 1e308 (capped at max)
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+finite_angles = st.one_of(
+    st.sampled_from(FLOAT_EDGES),
+    st.builds(lambda sign, mantissa, exponent: sign * min(mantissa * 10.0**exponent, sys.float_info.max),
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0, exclude_max=True), st.integers(-320, 308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 I2 = np.eye(2)
+
+# the Pauli matrices written out, independent of the builder's _SIGMA
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def random_hermitian(rng, n):
@@ -45,97 +59,113 @@ def charpoly_extremal(m):
     return float(np.max(np.abs(np.roots(coeffs).real)))
 
 
+def analyzer_projectors(t):
+    """(A(t) + I)/2 for each photon analyzer A(t) of the stack: the projector onto (cos t, sin t)."""
+    return (_party_ops(t, "photon") + I2) / 2.0
+
+
+def residuals(m):
+    """Max Hermitian and involution residuals over a (..., 2, 2) stack."""
+    return np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(), np.abs(m @ m - I2).max()
+
+
 class TestPauli:
+    def test_written_out(self):
+        for axis, want in zip("xyz", (SIGMA_X, SIGMA_Y, SIGMA_Z)):
+            assert np.array_equal(_SIGMA[axis], want)
+
     def test_product_cycle(self):
-        assert np.allclose(pauli("x").matrix @ pauli("y").matrix, 1j * pauli("z").matrix)
-        assert np.allclose(pauli("y").matrix @ pauli("z").matrix, 1j * pauli("x").matrix)
-        assert np.allclose(pauli("z").matrix @ pauli("x").matrix, 1j * pauli("y").matrix)
+        assert np.allclose(_SIGMA["x"] @ _SIGMA["y"], 1j * _SIGMA["z"])
+        assert np.allclose(_SIGMA["y"] @ _SIGMA["z"], 1j * _SIGMA["x"])
+        assert np.allclose(_SIGMA["z"] @ _SIGMA["x"], 1j * _SIGMA["y"])
 
     def test_square_is_identity(self):
         for axis in "xyz":
-            assert np.allclose(pauli(axis).matrix @ pauli(axis).matrix, I2)
+            assert np.allclose(_SIGMA[axis] @ _SIGMA[axis], I2)
 
     def test_traceless(self):
         for axis in "xyz":
-            assert abs(np.trace(pauli(axis).matrix)) == 0.0
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            pauli("w")
+            assert abs(np.trace(_SIGMA[axis])) == 0.0
 
 
 class TestSpinOp:
     def test_alpha_zero_is_sigma_z(self):
-        assert np.array_equal(spin_op(0.0).matrix, pauli("z").matrix)
+        assert np.array_equal(_party_ops(0.0, "spin_half"), SIGMA_Z)
 
     def test_alpha_half_pi_is_sigma_y(self):
-        assert np.max(np.abs(spin_op(np.pi / 2).matrix - pauli("y").matrix)) < 1e-15
+        assert np.max(np.abs(_party_ops(np.pi / 2, "spin_half") - SIGMA_Y)) < 1e-15
 
     @hyp_settings(max_examples=200)
-    @given(a=angles, ap=angles)
-    def test_commutator_closed_form(self, a, ap):
-        lhs = commutator(spin_op(a), spin_op(ap))
-        rhs = 2j * np.sin(a - ap) * pauli("x").matrix
+    @given(pairs=angle_pairs)
+    def test_commutator_closed_form(self, pairs):
+        a, ap = np.array(pairs).T
+        lhs = commutator(_party_ops(a, "spin_half"), _party_ops(ap, "spin_half"))
+        rhs = 2j * np.sin(a - ap)[:, None, None] * SIGMA_X
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    @given(a=angles)
-    def test_constructor_invariants(self, a):
-        m = spin_op(a).matrix  # construction already checks both
-        assert np.max(np.abs(m - m.conj().T)) < 1e-12
-        assert np.max(np.abs(m @ m - I2)) < 1e-12
+    @given(ts=angle_lists)
+    def test_constructor_invariants(self, ts):
+        hermitian, involution = residuals(_party_ops(ts, "spin_half"))
+        assert hermitian < 1e-12
+        assert involution < 1e-12
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            spin_op(np.nan)
+            _party_ops(np.nan, "spin_half")
 
 
 class TestPhotonOps:
     def test_projector_theta_zero(self):
-        assert np.allclose(photon_projector(0.0), np.diag([1.0, 0.0]))
+        assert np.allclose(analyzer_projectors(0.0), np.diag([1.0, 0.0]))
 
     def test_projector_quarter_pi(self):
-        assert np.allclose(photon_projector(np.pi / 4), np.full((2, 2), 0.5))
+        assert np.allclose(analyzer_projectors(np.pi / 4), np.full((2, 2), 0.5))
 
-    @given(t=angles)
-    def test_projector_fixes_own_direction(self, t):
-        e = np.array([np.cos(t), np.sin(t)])
-        assert np.max(np.abs(photon_projector(t) @ e - e)) < 1e-12
+    @given(ts=angle_lists)
+    def test_projector_fixes_own_direction(self, ts):
+        e = np.stack([np.cos(ts), np.sin(ts)], axis=-1)[..., None]
+        assert np.max(np.abs(analyzer_projectors(ts) @ e - e)) < 1e-12
 
-    @given(t=angles)
-    def test_projector_idempotent_rank1(self, t):
-        p = photon_projector(t)
+    @given(ts=angle_lists)
+    def test_projector_idempotent_rank1(self, ts):
+        p = analyzer_projectors(ts)
         assert np.max(np.abs(p @ p - p)) < 1e-12
-        assert abs(np.trace(p) - 1.0) < 1e-12
+        assert np.max(np.abs(np.trace(p, axis1=-2, axis2=-1) - 1.0)) < 1e-12
 
     def test_op_theta_zero(self):
-        assert np.allclose(photon_op(0.0).matrix, np.diag([1.0, -1.0]))
+        assert np.allclose(_party_ops(0.0, "photon"), np.diag([1.0, -1.0]))
 
-    @given(t=angles)
-    def test_op_closed_form(self, t):
-        rhs = np.cos(2 * t) * pauli("z").matrix + np.sin(2 * t) * pauli("x").matrix
-        assert np.max(np.abs(photon_op(t).matrix - rhs)) < 1e-12
+    @given(ts=angle_lists)
+    def test_op_closed_form(self, ts):
+        t = np.array(ts)[:, None, None]
+        rhs = np.cos(2 * t) * SIGMA_Z + np.sin(2 * t) * SIGMA_X
+        assert np.max(np.abs(_party_ops(ts, "photon") - rhs)) < 1e-12
 
-    @given(t=angles, tp=angles)
-    def test_op_commutator_norm(self, t, tp):
-        c = commutator(photon_op(t), photon_op(tp))
+    @given(pairs=angle_pairs)
+    def test_op_commutator_norm(self, pairs):
+        t, tp = np.array(pairs).T
+        c = commutator(_party_ops(t, "photon"), _party_ops(tp, "photon"))
         # [A(t), A(t')] is anti-Hermitian; its singular values are |2 sin 2(t-t')|
-        norm = hermitian_extremal_eigenvalue(1j * c)
-        assert abs(norm - 2.0 * abs(np.sin(2.0 * (t - tp)))) < 1e-12
+        norms = [hermitian_extremal_eigenvalue(1j * ci) for ci in c]
+        assert np.max(np.abs(norms - 2.0 * np.abs(np.sin(2.0 * (t - tp))))) < 1e-12
 
-    @given(t=angles)
-    def test_spin_correspondence_at_doubled_angle(self, t):
+    @given(ts=angle_lists)
+    def test_spin_correspondence_at_doubled_angle(self, ts):
         # conjugation by diag(1, i) maps the photon convention onto the spin one
         r = np.diag([1.0, 1j])
-        assert np.max(np.abs(r @ photon_op(t).matrix @ r.conj().T - spin_op(2 * t).matrix)) < 1e-12
+        rotated = r @ _party_ops(ts, "photon") @ r.conj().T
+        assert np.max(np.abs(rotated - _party_ops(2 * np.array(ts), "spin_half"))) < 1e-12
 
 
 def reference_party_op(angle, kind):
-    """The per-angle formulas of spin_op, photon_op and transverse_spin_op
-    before they shared _party_ops; a bitwise oracle."""
+    """One measurement matrix from its closed form, with the Pauli matrices
+    and the photon analyzer 2*e e^T - I written out; a bitwise oracle for
+    _party_ops."""
     if kind == "photon":
-        return 2.0 * photon_projector(angle) - np.eye(2)
-    axis = "z" if kind == "spin_half" else "x"
-    return np.cos(angle) * pauli(axis).matrix + np.sin(angle) * pauli("y").matrix
+        e = np.array([np.cos(angle), np.sin(angle)], dtype=complex)
+        return 2.0 * np.outer(e, e) - np.eye(2)
+    axis = SIGMA_Z if kind == "spin_half" else SIGMA_X
+    return np.cos(angle) * axis + np.sin(angle) * SIGMA_Y
 
 
 class TestPartyOps:
@@ -144,14 +174,26 @@ class TestPartyOps:
         angles = np.random.default_rng(29).uniform(-10.0, 10.0, size=(50, 2))
         stack = _party_ops(angles, kind)
         assert stack.shape == (50, 2, 2, 2)
-        single = transverse_spin_op if kind == "transverse" else lambda a: party_op(a, kind)
         for i in np.ndindex(angles.shape):
             assert np.array_equal(stack[i], reference_party_op(angles[i], kind))
-            assert np.array_equal(stack[i], single(angles[i]).matrix)
+            assert np.array_equal(stack[i], _party_ops(angles[i], kind))
+
+    @hyp_settings(max_examples=300)
+    @given(ts=st.lists(finite_angles, min_size=1, max_size=32))
+    @example(ts=FLOAT_EDGES)
+    def test_every_finite_angle_gives_a_measurement(self, ts):
+        # the invariants MeasurementOp checks on a caller's matrix hold for every
+        # stack the builder makes from finite angles, at the same ATOL
+        for kind in KINDS + ("transverse",):
+            m = _party_ops(ts, kind)
+            assert np.isfinite(m).all()
+            hermitian, involution = residuals(m)
+            assert hermitian < ATOL
+            assert involution < ATOL
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_angles(self, bad):
-        for kind in KINDS:
+        for kind in KINDS + ("transverse",):
             with pytest.raises(ValueError, match="finite"):
                 _party_ops(np.array([0.1, bad, 0.3]), kind)
 
@@ -174,7 +216,7 @@ class TestMeasurementOpValidation:
             MeasurementOp(np.ones((2, 3)))
 
     def test_matrix_is_read_only(self):
-        op = pauli("z")
+        op = MeasurementOp(SIGMA_Z, label="sigma_z")
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
@@ -186,7 +228,8 @@ class TestTensor:
     def test_eigenbasis_action(self):
         plus_minus = np.zeros(4)
         plus_minus[1] = 1.0  # |+-> is composite index 0*2 + 1
-        assert np.allclose(tensor(pauli("z"), pauli("z")) @ plus_minus, -plus_minus)
+        z = MeasurementOp(SIGMA_Z)
+        assert np.allclose(tensor(z, z) @ plus_minus, -plus_minus)
 
     def test_associative_on_integer_matrices(self):
         rng = np.random.default_rng(5)
@@ -202,10 +245,8 @@ class TestTensor:
 
     def test_bitwise_equal_to_kron_on_ten_particle_mermin_chain(self):
         rng = np.random.default_rng(13)
-        factors = [
-            transverse_spin_op(a).matrix + 1.0j * transverse_spin_op(ap).matrix
-            for a, ap in rng.uniform(0.0, 2.0 * np.pi, size=(10, 2))
-        ]
+        ops = _party_ops(rng.uniform(0.0, 2.0 * np.pi, size=(10, 2)), "transverse")
+        factors = list(ops[:, 0] + 1.0j * ops[:, 1])
         chain = reduce(tensor, factors)
         assert chain.shape == (1024, 1024)
         assert np.array_equal(chain, reduce(np.kron, factors))
@@ -223,17 +264,17 @@ class TestTensor:
     def test_singlet_correlation_oracle(self):
         singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
         for a, b in [(0.0, 0.0), (0.3, 1.1), (2.0, 5.5), (np.pi, np.pi / 3)]:
-            e = expectation(singlet, tensor(spin_op(a), spin_op(b)))
+            e = expectation(singlet, tensor(_party_ops(a, "spin_half"), _party_ops(b, "spin_half")))
             assert abs(e.real + np.cos(a - b)) < 1e-12
 
 
 class TestCommutatorDaggerExpectation:
     def test_self_commutator_zero(self):
-        a = spin_op(0.7).matrix
+        a = _party_ops(0.7, "spin_half")
         assert np.max(np.abs(commutator(a, a))) == 0.0
 
     def test_pauli_commutator(self):
-        assert np.allclose(commutator(pauli("x"), pauli("y")), 2j * pauli("z").matrix)
+        assert np.allclose(commutator(MeasurementOp(SIGMA_X), MeasurementOp(SIGMA_Y)), 2j * SIGMA_Z)
 
     def test_antisymmetry_random(self):
         rng = np.random.default_rng(11)
@@ -254,7 +295,7 @@ class TestCommutatorDaggerExpectation:
 
     def test_expectation_eigenstate(self):
         plus = np.array([1.0, 0.0])
-        assert expectation(plus, pauli("z")) == 1.0 + 0.0j
+        assert expectation(plus, MeasurementOp(SIGMA_Z)) == 1.0 + 0.0j
 
     def test_expectation_normalization(self):
         rng = np.random.default_rng(17)
@@ -285,7 +326,7 @@ class TestCommutatorDaggerExpectation:
 
 class TestEigensolver:
     def test_sigma_z(self):
-        assert hermitian_extremal_eigenvalue(pauli("z")) == 1.0
+        assert hermitian_extremal_eigenvalue(MeasurementOp(SIGMA_Z)) == 1.0
 
     def test_diagonal(self):
         assert hermitian_extremal_eigenvalue(np.diag([3.0, -5.0])) == 5.0
@@ -308,23 +349,20 @@ class TestEigensolver:
     def test_commutator_identity_value_at_90_degree_spin(self):
         # 4I - [A,A'](x)[B,B'] has extremal eigenvalue 8 when both
         # commutators are maximal: 90 degrees apart for spin ops
-        a, ap = spin_op(0.0), spin_op(np.pi / 2)
-        b, bp = spin_op(np.pi / 4), spin_op(3 * np.pi / 4)
+        a, ap, b, bp = _party_ops([0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4], "spin_half")
         m = 4 * np.eye(4) - tensor(commutator(a, ap), commutator(b, bp))
         assert abs(hermitian_extremal_eigenvalue(m) - 8.0) < 1e-12
 
     def test_commutator_identity_value_at_45_degree_photon(self):
         # the photon convention doubles angles, so 45-degree analyzer
         # separations are maximal there
-        a, ap = photon_op(0.0), photon_op(np.pi / 4)
-        b, bp = photon_op(np.pi / 8), photon_op(3 * np.pi / 8)
+        a, ap, b, bp = _party_ops([0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8], "photon")
         m = 4 * np.eye(4) - tensor(commutator(a, ap), commutator(b, bp))
         assert abs(hermitian_extremal_eigenvalue(m) - 8.0) < 1e-12
 
     def test_commutator_identity_value_at_45_degree_spin(self):
         # at 45-degree spin separations sin^2 = 1/2 and the value is 6, not 8
-        a, ap = spin_op(0.0), spin_op(np.pi / 4)
-        b, bp = spin_op(np.pi / 4), spin_op(np.pi / 2)
+        a, ap, b, bp = _party_ops([0.0, np.pi / 4, np.pi / 4, np.pi / 2], "spin_half")
         m = 4 * np.eye(4) - tensor(commutator(a, ap), commutator(b, bp))
         assert abs(hermitian_extremal_eigenvalue(m) - 6.0) < 1e-12
 
