@@ -13,12 +13,11 @@ photon settings.
 
 import numpy as np
 
+from ._common import _Record, _require_finite
 from .operators import (
     _SIGMA,
     KINDS,
-    _Record,
     _party_ops,
-    _require_finite,
     _scan_angles,
     _unbox,
     commutator,

@@ -15,19 +15,22 @@ cross_coupling quantifies as |dv1/dx2|.  Densities below 1e-300 are
 treated as nodes and refused rather than extrapolated.
 """
 
+import cmath
 import math
 import sys
 from array import array
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import NodeSingularityError
-from .operators import _Record, _require_finite
+from ._common import _Record, _require_finite
 
 FORMS = ("product", "symmetric", "antisymmetric")
 
 _MAX_STEPS = 10**6  # RK4 steps one span may take
+_BLOCK = 1024  # stage times whose packet terms a trajectory works out in one pass
 
 # densities below this are nodes for all practical purposes
 _LOG_DENSITY_FLOOR = float(np.log(1e-300))
@@ -84,13 +87,13 @@ def _check_time(wp: WavePacket, t: float):
 
 
 def _clock(wp: WavePacket, c: PhysicalConstants, t_end: float):
-    """(t -> the packet's _terms at t, the terms at t_end), for start_time <= t <= t_end.
+    """(at, the terms at t_end): at(t) is the packet's _terms at a time start_time <= t <= t_end,
+    and at(ts) a list of them, one per time of a float array ts, bitwise equal to at(t) at each.
 
-    The parts that do not depend on t are worked out once, so each time
-    costs one np.log; each term takes the same float operations as at a
-    single time.  Refuses a packet whose width**2 or wavenumber**2 is not a
-    normal float (a zero wavenumber aside), or whose terms are not finite
-    at t_end: they grow with t.
+    The parts that do not depend on t are worked out once, and each time takes the same float
+    operations, on Python numbers or in one numpy pass over the array: one np.log for all its
+    times.  Refuses a packet whose width**2 or wavenumber**2 is not a normal float (a zero
+    wavenumber aside), or whose terms are not finite at t_end: they grow with t.
     """
     try:
         w2, k2 = wp.width**2, wp.wavenumber**2
@@ -98,13 +101,18 @@ def _clock(wp: WavePacket, c: PhysicalConstants, t_end: float):
         w2 = k2 = math.inf
     s, x0, hbar, m = wp.start_time, wp.center, c.hbar, c.mass
     two_m_w2, hk, four_w2, two_w2 = 2.0 * m * w2, hbar * wp.wavenumber, 4.0 * w2, 2.0 * w2
-    ik, half_ihk2 = 1.0j * wp.wavenumber, 0.5j * hbar * k2
+    ik, half_hk2 = 1.0j * wp.wavenumber, 0.5 * hbar * k2
 
     def at(t):
         el = t - s
         a = 1.0 + 1.0j * (hbar * el / two_m_w2)
-        return (complex(lw - 0.5 * np.log(a)), x0 + hk * el / m, four_w2 * a, two_w2 * a, ik, x0,
-                half_ihk2 * el / m)
+        # the phase i hbar k^2 el / 2m from its imaginary part, as CPython's complex / m rounds it, not numpy's
+        terms = (lw - 0.5 * np.log(a), x0 + hk * el / m, four_w2 * a, two_w2 * a,
+                 1.0j * ((0.0 + half_hk2 * el) / m))
+        if isinstance(el, np.ndarray):
+            cols = zip(*(v.tolist() for v in terms))
+            return [(const, xc, quad, slope, ik, x0, phase) for const, xc, quad, slope, phase in cols]
+        return complex(terms[0]), *terms[1:4], ik, x0, terms[4]
 
     # tau first: where it is finite, at's numpy operations see finite values and cannot warn
     if (_NORMAL <= w2 < math.inf and (wp.wavenumber == 0.0 or _NORMAL <= k2 < math.inf)
@@ -253,37 +261,55 @@ def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: flo
     return hm * v1.imag, hm * v2.imag
 
 
-def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t, nf, terms):
-    """_velocity of a symmetrized form at one point of Python floats, bitwise equal to it.
+def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, nf: float):
+    """The RK4 stages' kernel (x1, x2, t, (ta, tb)) -> (v1, v2), with hbar/m, the exchange sign and
+    2 log nf bound: _velocity(wf, c, x1, x2, t, nf, (ta, tb)) at a point of Python floats, bitwise.
 
-    Its operations in its order, on CPython floats but for np.exp and numpy's /den formula;
-    a far tail (lm = -inf), or a node test near the floor, or at a tiny or non-finite den,
-    falls back to _velocity.
+    _velocity's operations in its order, with _log_psi, _dlog_psi and _cmul written out, on CPython
+    floats but for cmath.exp, which gives np.exp's bits here, and numpy's /den formula.  A far tail
+    (lm = -inf) or an infinite phase at a finite modulus (where cmath.exp raises and np.exp gives
+    NaN) makes den NaN; that, a tiny den or a node test near the floor falls back to _velocity.
     """
-    hm, (ta, tb) = c.hbar / c.mass, terms
-    l1 = _log_psi(ta, x1) + _log_psi(tb, x2)
-    l2 = _log_psi(ta, x2) + _log_psi(tb, x1)
-    lm = l1.real if l1.real > l2.real else l2.real  # np.maximum's choice on ties
-    if not lm > -math.inf:  # exp(l1 - lm) would be NaN; _velocity refuses the point
-        return tuple(float(v) for v in _velocity(wf, c, x1, x2, t, nf, terms))
-    w1 = complex(np.exp(l1 - lm))
-    sw2 = (1.0 if wf.form == "symmetric" else -1.0) * complex(np.exp(l2 - lm))
-    den = w1 + sw2
-    ad = abs(den)  # abs and math.log may be an ulp off np.abs and np.log
-    log_rho = 2.0 * (lm + math.log(ad)) + 2.0 * math.log(nf) if ad > 1e-300 else math.nan
-    if not abs(log_rho - _LOG_DENSITY_FLOOR) > 1e-6:
-        return tuple(float(v) for v in _velocity(wf, c, x1, x2, t, nf, terms))
-    if log_rho < _LOG_DENSITY_FLOOR:
-        _refuse_nodes(True, x1, x2, t)
-    n1 = _cmul(w1, _dlog_psi(ta, x1)) + _cmul(sw2, _dlog_psi(tb, x1))
-    n2 = _cmul(w1, _dlog_psi(tb, x2)) + _cmul(sw2, _dlog_psi(ta, x2))
-    if abs(den.real) >= abs(den.imag):  # Im(n / den) by numpy's formula, not CPython's
-        rat = den.imag / den.real
-        scl = 1.0 / (den.real + den.imag * rat)
-        return hm * ((n1.imag - n1.real * rat) * scl), hm * ((n2.imag - n2.real * rat) * scl)
-    rat = den.real / den.imag
-    scl = 1.0 / (den.imag + den.real * rat)
-    return hm * ((n1.imag * rat - n1.real) * scl), hm * ((n2.imag * rat - n2.real) * scl)
+    hm, product = c.hbar / c.mass, wf.form == "product"
+    sign, log_nf2 = 1.0 if wf.form == "symmetric" else -1.0, 2.0 * math.log(nf)
+
+    def kernel(x1, x2, t, terms):
+        (ca, xa, qa, sa, ka, oa, pa), (cb, xb, qb, sb, kb, ob, pb) = terms
+        a1, a2, b1, b2 = x1 - xa, x2 - xa, x1 - xb, x2 - xb
+        la1, lb2 = ca - a1 * a1 / qa + ka * (x1 - oa) - pa, cb - b2 * b2 / qb + kb * (x2 - ob) - pb
+        ga1, gb2 = -a1 / sa + ka, -b2 / sb + kb
+        if product:
+            if 2.0 * la1.real < _LOG_DENSITY_FLOOR or 2.0 * lb2.real < _LOG_DENSITY_FLOOR:
+                _refuse_nodes(True, x1, x2, t)
+            return hm * ga1.imag, hm * gb2.imag
+        l1, l2 = la1 + lb2, (ca - a2 * a2 / qa + ka * (x2 - oa) - pa) + (cb - b1 * b1 / qb + kb * (x1 - ob) - pb)
+        lm = l1.real if l1.real > l2.real else l2.real  # np.maximum's choice on ties
+        try:
+            w1, sw2 = cmath.exp(l1 - lm), sign * cmath.exp(l2 - lm)
+        except ValueError:  # an infinite phase at a finite modulus, where np.exp gives NaN
+            w1 = sw2 = math.nan
+        den = w1 + sw2
+        ad = abs(den)  # abs and math.log may be an ulp off np.abs and np.log
+        log_rho = 2.0 * (lm + math.log(ad)) + log_nf2 if ad > 1e-300 else math.nan
+        if not abs(log_rho - _LOG_DENSITY_FLOOR) > 1e-6:
+            return tuple(float(v) for v in _velocity(wf, c, x1, x2, t, nf, terms))
+        if log_rho < _LOG_DENSITY_FLOOR:
+            _refuse_nodes(True, x1, x2, t)
+        wr, wi, sr, si = w1.real, w1.imag, sw2.real, sw2.imag
+        gb1, ga2 = -b1 / sb + kb, -a2 / sa + ka
+        n1 = ((wr * ga1.real - wi * ga1.imag) + 1j * (wr * ga1.imag + wi * ga1.real)
+              + ((sr * gb1.real - si * gb1.imag) + 1j * (sr * gb1.imag + si * gb1.real)))
+        n2 = ((wr * gb2.real - wi * gb2.imag) + 1j * (wr * gb2.imag + wi * gb2.real)
+              + ((sr * ga2.real - si * ga2.imag) + 1j * (sr * ga2.imag + si * ga2.real)))
+        if abs(den.real) >= abs(den.imag):  # Im(n / den) by numpy's formula, not CPython's
+            rat = den.imag / den.real
+            scl = 1.0 / (den.real + den.imag * rat)
+            return hm * ((n1.imag - n1.real * rat) * scl), hm * ((n2.imag - n2.real * rat) * scl)
+        rat = den.real / den.imag
+        scl = 1.0 / (den.imag + den.real * rat)
+        return hm * ((n1.imag * rat - n1.real) * scl), hm * ((n2.imag * rat - n2.real) * scl)
+
+    return kernel
 
 
 def _check_point(wf: TwoParticleWF, x1, x2, t: float):
@@ -376,35 +402,43 @@ def _step_count(t0: float, t1: float, dt: float) -> int:
     return math.ceil((t1 - t0) / dt - tol)
 
 
-def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
-    """Classical RK4 for dy/dt = f(y, t); returns (times, states) as arrays.
+def _grid(t0: float, t1: float, dt: float):
+    """(t, step, t + step/2, t + step, the next row's t) of each of _step_count's steps: the stage times.
 
-    _step_count's steps, of size dt but the last of min(dt, t1 - t), its row
-    at t1 exactly: t summed step by step strays from k dt by rounding, and a
-    stray within _step_count's tolerance is no step.  The stages see lists
-    and the states are tuples, each component stepped IEEE-identically to an
-    array element; they are kept as flat doubles (8 bytes a component) and
-    returned as views of those buffers, states shaped (steps + 1, len(y0)).
-    A NodeSingularityError from f halts integration and is re-raised
-    carrying the completed steps as a Trajectory in ``partial_trajectory``.
+    The steps are dt but the last, min(dt, t1 - t), whose row is at t1 exactly: t summed step by step
+    strays from k dt by rounding, and a stray within _step_count's tolerance is no step.
+    """
+    t = t0
+    for left in range(_step_count(t0, t1, dt) - 1, -1, -1):  # steps left after this one
+        step = dt if left else min(dt, t1 - t)
+        end = t + step
+        yield t, step, t + 0.5 * step, end, end if left else t1
+        t = end if left else t1
+
+
+def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
+    """Classical RK4 for dy/dt = f(y, t) on _grid's steps; returns (times, states) as arrays.
+
+    The stages see lists and the states are tuples, each component stepped IEEE-identically to an
+    array element; they are kept as flat doubles (8 bytes a component) and returned as views of those
+    buffers, states shaped (steps + 1, len(y0)).  A NodeSingularityError from f halts integration and
+    is re-raised carrying the completed steps as a Trajectory in ``partial_trajectory``.
     """
     times, states = array("d", [t0]), array("d", y0)
 
     def stacked():
         return np.frombuffer(times), np.frombuffer(states).reshape(-1, len(y0))
 
-    t, y = t0, y0
+    y = y0
     try:
-        for left in range(_step_count(t0, t1, dt) - 1, -1, -1):  # steps left after this one
-            step = dt if left else min(dt, t1 - t)
+        for t, step, mid, end, row in _grid(t0, t1, dt):
             half, sixth = 0.5 * step, step / 6.0
             k1 = f(y, t)
-            k2 = f([a + half * k for a, k in zip(y, k1)], t + half)
-            k3 = f([a + half * k for a, k in zip(y, k2)], t + half)
-            k4 = f([a + step * k for a, k in zip(y, k3)], t + step)
+            k2 = f([a + half * k for a, k in zip(y, k1)], mid)
+            k3 = f([a + half * k for a, k in zip(y, k2)], mid)
+            k4 = f([a + step * k for a, k in zip(y, k3)], end)
             y = tuple([a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
-            t = t + step if left else t1
-            times.append(t)
+            times.append(row)
             states.extend(y)
     except NodeSingularityError as err:
         raise NodeSingularityError(str(err), partial_trajectory=Trajectory(*stacked())) from None
@@ -415,9 +449,9 @@ def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: flo
                          dt: float) -> Trajectory:
     """Classical RK4 integration of the guidance velocity field from the pair start.
 
-    Steps of size dt, with one shorter final step to land on t1 exactly.
-    Hitting a node halts integration: the raised NodeSingularityError
-    carries the completed steps as ``partial_trajectory``.
+    Steps of size dt, with one shorter final step to land on t1 exactly; the stages call the float
+    kernel on the packets' terms, worked out _BLOCK stage times at a time.  Hitting a node halts
+    integration: the raised NodeSingularityError carries the completed steps as ``partial_trajectory``.
     """
     _check_span(t0, t1, dt)
     if not isinstance(wf, TwoParticleWF):
@@ -425,21 +459,23 @@ def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: flo
     y = tuple(np.asarray(start, dtype=float).ravel().tolist())
     if len(y) != 2:
         raise ValueError("two-particle start must be a pair (x1, x2)")
-    # the stages call the private kernels on floats: times only grow from
-    # the checked t0, the clocks are checked at t1, and a stage position is
-    # refused if it is not finite
+    # the stages call the float kernel: times only grow from the checked t0, the clocks
+    # are checked at t1, and a stage position is refused if it is not finite
     _check_point(wf, *y, t0)
-    nf = _norm_factor(wf, c)
     (clock_a, _), (clock_b, _) = _clock(wf.packet_a, c, t1), _clock(wf.packet_b, c, t1)
-    # stages 2 and 3 share a time, and stage 4's is the next step's first
-    terms = lru_cache(maxsize=2)(lambda t: (clock_a(t), clock_b(t)))
-    kernel = _velocity if wf.form == "product" else _stage_velocity
+    kernel = _stage_velocity(wf, c, _norm_factor(wf, c))
+    # each distinct stage time as the stages reach it: t0, each step's midpoint and end (the next step's start)
+    times, block = chain([t0], chain.from_iterable(g[2:4] for g in _grid(t0, t1, dt))), {}
 
     def vel(y, t):
+        nonlocal block
         x1, x2 = y
         if not (math.isfinite(x1) and math.isfinite(x2)):
             _check_point(wf, x1, x2, t)
-        return kernel(wf, c, x1, x2, t, nf, terms(t))
+        if t not in block:  # both packets' terms at the next _BLOCK stage times, in one numpy pass each
+            ts = np.fromiter(islice(times, _BLOCK), float)
+            block = dict(zip(ts.tolist(), zip(clock_a(ts), clock_b(ts))))
+        return kernel(x1, x2, t, block[t])
 
     return Trajectory(*_rk4(vel, y, t0, t1, dt))
 

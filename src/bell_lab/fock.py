@@ -21,7 +21,8 @@ from itertools import product as _iproduct
 import numpy as np
 
 from .errors import UndefinedCorrelationError
-from .operators import _Record, _require_finite, _unbox, dagger
+from ._common import _Record, _require_finite
+from .operators import _unbox, dagger
 
 MODE_ORDER = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
 

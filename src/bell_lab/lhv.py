@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import NumericalCheckError
-from .operators import _Record
+from ._common import _Record
 
 if TYPE_CHECKING:  # an annotation only: mermin and lhv --enumerate need not run chsh
     from .chsh import ChshSettings

@@ -21,10 +21,9 @@ from math import comb
 
 import numpy as np
 
+from ._common import _Record, _require_finite
 from .operators import (
-    _Record,
     _party_ops,
-    _require_finite,
     _scan_angles,
     _unbox,
     commutator,

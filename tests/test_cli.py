@@ -37,12 +37,12 @@ LAYERS_RUN = [
     ("chsh --alpha 0 --alpha-prime 90 --beta 45 --beta-prime -45", ["operators", "chsh"]),
     ("chsh scan --step 45", ["operators", "chsh"]),
     ("identity --kind spin --trials 10 --seed 1", ["operators", "chsh", "lhv"]),
-    ("lhv --enumerate", ["operators", "lhv"]),
+    ("lhv --enumerate", ["lhv"]),
     ("lhv --model sign --samples 100 --seed 1 --angles 0,45,22.5,67.5", ["operators", "chsh", "lhv"]),
     ("mermin --n 3", ["operators", "mermin", "lhv"]),
     ("oumandel --tx 0.5 --ty 0.5", ["operators", "fock"]),
-    ("dbb --form symmetric --grid 3", ["operators", "dbb"]),
-    ("spin --steps 3", ["operators", "dbb"]),
+    ("dbb --form symmetric --grid 3", ["dbb"]),
+    ("spin --steps 3", ["dbb"]),
 ]
 
 # every deterministic command family once, for the reproducibility matrix

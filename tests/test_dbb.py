@@ -1,3 +1,4 @@
+import cmath
 import re
 import warnings
 
@@ -633,7 +634,7 @@ class TestTrajectories:
 
     def test_nonfinite_stage_position_refused(self, monkeypatch):
         # the RK4 stages skip the boundary validation but not the finiteness check
-        monkeypatch.setattr(dbb, "_stage_velocity", lambda *args: (np.inf, 0.0))
+        monkeypatch.setattr(dbb, "_stage_velocity", lambda *args: lambda *stage: (np.inf, 0.0))
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
         with pytest.raises(ValueError, match="x1 must be finite"):
             integrate_trajectory(wf, C, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
@@ -817,45 +818,95 @@ _POINTS = st.lists(st.tuples(
 
 
 class TestFloatStageKernel:
-    """The RK4 stages' float kernel against _velocity, its array oracle, on Python floats."""
+    """The RK4 stages' float kernel, for every form, against _velocity, its array oracle, on Python floats."""
 
     @hyp_settings(max_examples=150, deadline=None)
-    @given(form=st.sampled_from(["symmetric", "antisymmetric"]), a=_PACKETS, b=_PACKETS,
+    @given(form=st.sampled_from(FORMS), a=_PACKETS, b=_PACKETS,
            hbar=st.floats(0.3, 3.0), mass=st.floats(0.3, 3.0), dt=st.floats(0.0, 4.0), points=_POINTS)
     def test_bitwise_equal_to_velocity(self, form, a, b, hbar, mass, dt, points):
-        # the product form's stages call _velocity itself
         wf, c = TwoParticleWF(a, b, form=form), PhysicalConstants(hbar=hbar, mass=mass)
+        t = max(a.start_time, b.start_time) + dt
         try:
             nf = dbb._norm_factor(wf, c)
+            terms = dbb._terms(a, c, t), dbb._terms(b, c, t)
         except ValueError:
-            assume(False)  # (near-)identical packets have no antisymmetric state
-        t = max(a.start_time, b.start_time) + dt
-        terms = dbb._terms(a, c, t), dbb._terms(b, c, t)
+            assume(False)  # (near-)identical packets have no antisymmetric state, and a
+            # wavenumber whose square is subnormal no terms
+        kernel = dbb._stage_velocity(wf, c, nf)
         for x1, gap in points:
             x2 = x1 + gap
-            assert (_outcome(dbb._stage_velocity, wf, c, x1, x2, t, nf, terms)
-                    == _outcome(dbb._velocity, wf, c, x1, x2, t, nf))
+            assert _outcome(kernel, x1, x2, t, terms) == _outcome(dbb._velocity, wf, c, x1, x2, t, nf)
+
+    @pytest.mark.parametrize("form", FORMS[1:])
+    def test_infinite_phase_at_a_finite_modulus_goes_to_velocity(self, form):
+        # k (x - x0) overflows where x - xc does not: l1 - lm is 0 + inf i, where cmath.exp
+        # raises and np.exp gives NaN, which _velocity refuses as a node
+        a, b, t = WavePacket(0.0, 1.0, 2.0), WavePacket(0.0, 1.0, -2.0), 6e307
+        wf = TwoParticleWF(a, b, form=form)
+        terms = dbb._terms(a, C, t), dbb._terms(b, C, t)
+        x1, x2 = terms[0][1], terms[1][1]  # each packet's centre
+        l1 = dbb._log_psi(terms[0], x1) + dbb._log_psi(terms[1], x2)
+        assert np.isfinite(l1.real) and l1.imag == np.inf
+        with pytest.raises(ValueError):
+            cmath.exp(l1 - l1.real)
+        nf = dbb._norm_factor(wf, C)
+        outcome = _outcome(dbb._stage_velocity(wf, C, nf), x1, x2, t, terms)
+        assert outcome == _outcome(dbb._velocity, wf, C, x1, x2, t, nf) == (
+            f"density below 1e-300 at ({x1!r}, {x2!r}), t={t!r}")
+
+    @hyp_settings(max_examples=500, deadline=None)
+    @given(re=st.one_of(st.floats(max_value=0.0, allow_nan=False), st.floats(-1e-300, 0.0), st.just(-np.inf)),
+           im=st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300), st.sampled_from([0.0, -0.0]),
+                        st.floats(-40.0, 40.0)))
+    def test_cmath_exp_is_numpy_exp(self, re, im):
+        # where the kernel takes exp: Re(l - lm) <= 0, at any finite phase; signs of zero included
+        z = complex(re, im)
+        assert _bits([cmath.exp(z)]) == _bits([complex(np.exp(z))])
+
+    def test_exp_differs_only_at_an_infinite_phase(self):
+        for z in (complex(0.0, np.inf), complex(-3.0, -np.inf)):
+            with pytest.raises(ValueError, match="math domain error"):
+                cmath.exp(z)
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(np.exp(z))
+        assert _bits([cmath.exp(complex(-np.inf, np.inf))]) == _bits([complex(np.exp(complex(-np.inf, np.inf)))])
 
     @pytest.mark.parametrize("form", FORMS)
     def test_packet_terms_once_per_stage_time(self, monkeypatch, form):
         # stages 2 and 3 share a time, and stage 4's is the next step's first
-        calls = []
-        clock = dbb._clock
-
-        def recording(wp, c, t_end):
-            at, end = clock(wp, c, t_end)
-
-            def timed(t):
-                calls.append((wp, t))
-                return at(t)
-            return timed, end
-
-        monkeypatch.setattr(dbb, "_clock", recording)
+        calls = clocked(monkeypatch)
         tr = integrate_trajectory(TwoParticleWF(PACKET_A, PACKET_B, form=form), C, (-1.5, 1.5),
                                   0.25, 1.3, 0.1)
-        # each step's start and midpoint, and the end, once for each packet; _norm_factor's
-        # terms, at t = 0, take no per-time call
-        assert len(calls) == len(set(calls)) == 2 * (2 * len(tr.times) - 1)
+        # t0, each step's midpoint and end, once for each packet, all handed over as arrays;
+        # _norm_factor's terms, at t = 0, are not the clock's
+        times = [(wp, t) for wp, ts in calls for t in ts.tolist()]
+        assert all(isinstance(ts, np.ndarray) for _, ts in calls)
+        assert len(times) == len(set(times)) == 2 * (2 * len(tr.times) - 1)
+
+    def test_no_batch_exceeds_the_block(self, monkeypatch):
+        calls = clocked(monkeypatch)
+        monkeypatch.setattr(dbb, "_stage_velocity", lambda *args: lambda *stage: (0.0, 0.0))
+        tr = integrate_trajectory(TwoParticleWF(PACKET_A, PACKET_B), C, (-1.5, 1.5), 0.0, 300.0, 0.003)
+        assert len(tr.times) == 10**5 + 1
+        assert max(len(ts) for _, ts in calls) == dbb._BLOCK
+        assert sum(len(ts) for _, ts in calls) == 2 * (2 * 10**5 + 1)
+
+
+def clocked(monkeypatch):
+    """Record (packet, time or array of times) of every call to a _clock's evaluator."""
+    calls = []
+    clock = dbb._clock
+
+    def recording(wp, c, t_end):
+        at, end = clock(wp, c, t_end)
+
+        def timed(t):
+            calls.append((wp, t.copy() if isinstance(t, np.ndarray) else t))
+            return at(t)
+        return timed, end
+
+    monkeypatch.setattr(dbb, "_clock", recording)
+    return calls
 
 
 def one_time_terms(wp, c, t):
@@ -918,6 +969,29 @@ class TestClock:
         assert _bits(clock(t)) == _bits(one_time_terms(wp, c, t))
         assert all(np.isfinite(clock(t)))  # the terms grow with t, so t_end bounds them
         assert _bits(dbb._terms(wp, c, t)) == _bits(clock(t))
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(wp=_RANGED_PACKETS, hbar=st.floats(0.3, 3.0), mass=st.floats(0.3, 3.0),
+           span=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e300)),
+           fractions=st.lists(st.floats(0.0, 1.0), max_size=40))
+    def test_batch_bitwise_equal_to_each_time(self, wp, hbar, mass, span, fractions):
+        c = PhysicalConstants(hbar=hbar, mass=mass)
+        t_end = wp.start_time + span
+        try:
+            clock, _ = dbb._clock(wp, c, t_end)
+        except ValueError:
+            assume(False)
+        times = [wp.start_time, *(min(wp.start_time + f * span, t_end) for f in fractions), t_end]
+        batch = clock(np.array(times))
+        assert type(batch) is list and len(batch) == len(times)
+        assert [_bits(terms) for terms in batch] == [_bits(clock(t)) for t in times]
+
+    def test_batch_keeps_the_sign_of_a_zero_time(self):
+        wp = WavePacket(center=-0.0, width=0.8, wavenumber=-0.6)
+        clock, _ = dbb._clock(wp, C, 1.0)
+        times = [-0.0, 0.0, 5e-324, 1.0]
+        assert [_bits(terms) for terms in clock(np.array(times))] == [_bits(clock(t)) for t in times]
+        assert [_bits(clock(t)) for t in times] == [_bits(one_time_terms(wp, C, t)) for t in times]
 
     @pytest.mark.parametrize("width, k", [
         (1e200, 0.6),  # width**2 overflows: float ** raises
