@@ -33,9 +33,9 @@ _PUBLIC = {
                "mermin_shared_scan", "mermin_square_residual", "mermin_value"),
     "lhv": ("RNG_ALGORITHM", "ChshEstimate", "HiddenVariableModel", "chsh_deterministic_max", "make_rng",
             "mermin_deterministic_max", "sawtooth_correlation", "sign_model", "simulate_chsh_stats"),
-    "fock": ("MODE_ORDER", "BeamSplitterSpec", "FockBasis", "FockState", "ModeIndex", "annihilation",
-             "coincidence_closed_form", "coincidence_correlation", "coincidence_probability", "creation",
-             "detector_amplitude_op", "ou_mandel_state", "product_state", "standard_basis", "vacuum"),
+    "fock": ("MODE_ORDER", "STATES", "BeamSplitterSpec", "FockState", "annihilation", "coincidence_closed_form",
+             "coincidence_correlation", "coincidence_probability", "creation", "detector_amplitude_op",
+             "ou_mandel_state", "product_state", "vacuum"),
     "dbb": ("PhysicalConstants", "SpinState", "SpinTrajectory", "Trajectory", "TwoParticleWF", "WavePacket",
             "cross_coupling", "integrate_spin", "integrate_trajectory", "packet_overlap", "psi2_eval",
             "velocity_2p"),

@@ -85,7 +85,8 @@ def _write_csv(out, meta_line: str, columns: dict):
 
     The rows are formatted and written _CSV_CHUNK at a time.
     """
-    cells = [cell.ravel() for cell in np.broadcast_arrays(*columns.values())]
+    # reshape, not ravel: a strided 1-D column (a trajectory's positions[:, i]) stays a view
+    cells = [cell.reshape(-1) for cell in np.broadcast_arrays(*columns.values())]
     row = ",".join(_FORMATS.get(cell.dtype.kind, "%s") for cell in cells) + "\n"
     if out is not None and os.path.isfile(out.name):  # a pipe or device takes no truncate
         out.truncate(0)
@@ -360,10 +361,13 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
     _check_grid(grid)
     lo = min(center_a - 2.0 * width_a, center_b - 2.0 * width_b)
     hi = max(center_a + 2.0 * width_a, center_b + 2.0 * width_b)
-    xs1 = np.linspace(lo, hi, grid)
     # x2 axis shifted by half a cell: keeps the antisymmetric exchange
     # node (x1 == x2 exactly) off the sample points
-    x1, x2 = xs1[:, None], (xs1 + 0.5 * (hi - lo) / (grid - 1))[None, :]
+    shift = 0.5 * (hi - lo) / (grid - 1)
+    if not math.isfinite(hi + shift):  # lo, hi, hi - lo or the shifted axis overflows
+        raise ValueError(f"grid span [{lo!r}, {hi!r}] leaves float64")
+    xs1 = np.linspace(lo, hi, grid)
+    x1, x2 = xs1[:, None], (xs1 + shift)[None, :]
     meta = _meta("dbb", {**params, "mode": "field", "time": time_, "grid": grid})
     v1, v2 = velocity_2p(wf, c, x1, x2, time_)
     _write_csv(out, meta, {"x1": x1, "x2": x2, "v1": v1, "v2": v2,

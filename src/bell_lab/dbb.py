@@ -246,8 +246,9 @@ def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: flo
     ta, tb = terms or (_terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t))
     if wf.form == "product":
         la1, lb2 = _log_psi(ta, x1), _log_psi(tb, x2)
-        _refuse_nodes((2.0 * la1.real < _LOG_DENSITY_FLOOR) | (2.0 * lb2.real < _LOG_DENSITY_FLOOR),
-                      x1, x2, t)
+        # not >=, so that a NaN log density (inf - inf beyond float64) is a node too
+        ok = (2.0 * la1.real >= _LOG_DENSITY_FLOOR) & (2.0 * lb2.real >= _LOG_DENSITY_FLOOR)
+        _refuse_nodes(np.logical_not(ok), x1, x2, t)
         return hm * _dlog_psi(ta, x1).imag, hm * _dlog_psi(tb, x2).imag
     # refused as nodes below: den == 0, and a far tail, where (x - xc)^2
     # overflows, lm is -inf and log_rho NaN (beyond about 1e154 from the packets)
@@ -279,7 +280,7 @@ def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, nf: float):
         la1, lb2 = ca - a1 * a1 / qa + ka * (x1 - oa) - pa, cb - b2 * b2 / qb + kb * (x2 - ob) - pb
         ga1, gb2 = -a1 / sa + ka, -b2 / sb + kb
         if product:
-            if 2.0 * la1.real < _LOG_DENSITY_FLOOR or 2.0 * lb2.real < _LOG_DENSITY_FLOOR:
+            if not (2.0 * la1.real >= _LOG_DENSITY_FLOOR and 2.0 * lb2.real >= _LOG_DENSITY_FLOOR):
                 _refuse_nodes(True, x1, x2, t)
             return hm * ga1.imag, hm * gb2.imag
         l1, l2 = la1 + lb2, (ca - a2 * a2 / qa + ka * (x2 - oa) - pa) + (cb - b1 * b1 / qb + kb * (x1 - ob) - pb)
@@ -368,7 +369,7 @@ class Trajectory(_Record):
         positions = np.asarray(self.positions, dtype=float)
         if times.ndim != 1 or positions.shape[0] != times.size:
             raise ValueError("times and positions must have matching leading length")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
         times.setflags(write=False)
         positions.setflags(write=False)

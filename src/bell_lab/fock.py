@@ -1,8 +1,9 @@
-"""Truncated four-mode bosonic Fock space for two-photon coincidences.
+"""The two-photon, four-mode bosonic Fock space behind the coincidences.
 
 Modes are (detector, polarization) pairs in the canonical order
-(1,x), (1,y), (2,x), (2,y); occupation states are 4-tuples with total
-photon number <= 2, listed lexicographically (15 states).
+MODE_ORDER = (1,x), (1,y), (2,x), (2,y).  The one basis, STATES, holds the
+15 occupation 4-tuples with total photon number <= 2, listed
+lexicographically; every state and ladder matrix here is written in it.
 
 The beam-splitter state
 
@@ -15,7 +16,6 @@ factorizes exactly into one x-photon and one y-photon creation factor
     P(t1, t2) = (sqrt(Tx*Ty) cos t1 sin t2 + sqrt(Rx*Ry) sin t1 cos t2)^2.
 """
 
-from functools import lru_cache
 from itertools import product as _iproduct
 
 import numpy as np
@@ -26,55 +26,24 @@ from .operators import _unbox, dagger
 
 MODE_ORDER = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
 
-
-class ModeIndex(_Record):
-    detector: int
-    polarization: str
-
-    def __post_init__(self):
-        if (self.detector, self.polarization) not in MODE_ORDER:
-            raise ValueError(
-                f"mode must be one of {MODE_ORDER}, got "
-                f"({self.detector!r}, {self.polarization!r})"
-            )
-
-    @property
-    def slot(self) -> int:
-        return MODE_ORDER.index((self.detector, self.polarization))
+# the basis: every occupation 4-tuple with total <= 2, lexicographic
+STATES = tuple(occ for occ in _iproduct(range(3), repeat=4) if sum(occ) <= 2)
 
 
-class FockBasis(_Record):
-    """Ordered occupation-number basis over the four detection modes."""
-
-    n_max_total: int
-    states: tuple
-
-    def index(self, occ) -> int:
-        return self.states.index(tuple(occ))
-
-
-def standard_basis(n_max_total: int = 2) -> FockBasis:
-    """All occupation 4-tuples with total <= n_max_total, lexicographic."""
-    if n_max_total < 0:
-        raise ValueError("n_max_total must be >= 0")
-    states = tuple(
-        occ
-        for occ in _iproduct(range(n_max_total + 1), repeat=4)
-        if sum(occ) <= n_max_total
-    )
-    return FockBasis(n_max_total=n_max_total, states=states)
+def _slot(detector: int, polarization: str) -> int:
+    """The position of mode (detector, polarization) in MODE_ORDER."""
+    if (detector, polarization) not in MODE_ORDER:
+        raise ValueError(f"mode must be one of {MODE_ORDER}, got ({detector!r}, {polarization!r})")
+    return MODE_ORDER.index((detector, polarization))
 
 
 class FockState(_Record):
-    basis: FockBasis
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if amps.size != len(self.basis.states):
-            raise ValueError(
-                f"amplitude count {amps.size} != basis size {len(self.basis.states)}"
-            )
+        if amps.size != len(STATES):
+            raise ValueError(f"amplitude count {amps.size} != basis size {len(STATES)}")
         _require_finite("amplitudes", amps.view(np.float64))
         if abs(np.linalg.norm(amps) - 1.0) >= 1e-12:
             raise ValueError("Fock state must be normalized to 1e-12")
@@ -82,7 +51,7 @@ class FockState(_Record):
         object.__setattr__(self, "amplitudes", amps)
 
     def amplitude(self, occ) -> complex:
-        return complex(self.amplitudes[self.basis.index(occ)])
+        return complex(self.amplitudes[STATES.index(tuple(occ))])
 
 
 class BeamSplitterSpec(_Record):
@@ -111,80 +80,62 @@ class BeamSplitterSpec(_Record):
         return cls(t_x, 1.0 - t_x, t_y, 1.0 - t_y)
 
 
-def annihilation(mode: ModeIndex, basis: FockBasis) -> np.ndarray:
-    """Ladder matrix with elements sqrt(n) lowering the given mode."""
-    size = len(basis.states)
-    index = {occ: i for i, occ in enumerate(basis.states)}
-    a = np.zeros((size, size), dtype=complex)
-    slot = mode.slot
-    for i, occ in enumerate(basis.states):
+def annihilation(detector: int, polarization: str) -> np.ndarray:
+    """Ladder matrix with elements sqrt(n) lowering mode (detector, polarization)."""
+    slot = _slot(detector, polarization)
+    a = np.zeros((len(STATES), len(STATES)), dtype=complex)
+    for i, occ in enumerate(STATES):
         n = occ[slot]
-        if n == 0:
-            continue
-        lowered = list(occ)
-        lowered[slot] = n - 1
-        a[index[tuple(lowered)], i] = np.sqrt(n)
+        if n:
+            a[STATES.index(occ[:slot] + (n - 1,) + occ[slot + 1:]), i] = np.sqrt(n)
     return a
 
 
-def creation(mode: ModeIndex, basis: FockBasis) -> np.ndarray:
-    return dagger(annihilation(mode, basis))
+def creation(detector: int, polarization: str) -> np.ndarray:
+    return dagger(annihilation(detector, polarization))
 
 
-def vacuum(basis: FockBasis) -> np.ndarray:
-    v = np.zeros(len(basis.states), dtype=complex)
-    v[basis.index((0, 0, 0, 0))] = 1.0
+def vacuum() -> np.ndarray:
+    v = np.zeros(len(STATES), dtype=complex)
+    v[STATES.index((0, 0, 0, 0))] = 1.0
     return v
 
 
-def ou_mandel_state(bs: BeamSplitterSpec, basis: FockBasis = None) -> FockState:
+def ou_mandel_state(bs: BeamSplitterSpec) -> FockState:
     """The four-term two-photon state behind the beam splitter."""
-    basis = basis or standard_basis()
-    amps = np.zeros(len(basis.states), dtype=complex)
-    amps[basis.index((1, 0, 0, 1))] = np.sqrt(bs.t_x * bs.t_y)  # |x1 y2>
-    amps[basis.index((0, 1, 1, 0))] = np.sqrt(bs.r_x * bs.r_y)  # |x2 y1>
-    amps[basis.index((1, 1, 0, 0))] = -1.0j * np.sqrt(bs.r_y * bs.t_x)  # |x1 y1>
-    amps[basis.index((0, 0, 1, 1))] = 1.0j * np.sqrt(bs.r_x * bs.t_y)  # |x2 y2>
-    return FockState(basis=basis, amplitudes=amps)
+    amps = np.zeros(len(STATES), dtype=complex)
+    amps[STATES.index((1, 0, 0, 1))] = np.sqrt(bs.t_x * bs.t_y)  # |x1 y2>
+    amps[STATES.index((0, 1, 1, 0))] = np.sqrt(bs.r_x * bs.r_y)  # |x2 y1>
+    amps[STATES.index((1, 1, 0, 0))] = -1.0j * np.sqrt(bs.r_y * bs.t_x)  # |x1 y1>
+    amps[STATES.index((0, 0, 1, 1))] = 1.0j * np.sqrt(bs.r_x * bs.t_y)  # |x2 y2>
+    return FockState(amps)
 
 
-def product_state(bs: BeamSplitterSpec, basis: FockBasis = None) -> FockState:
+def product_state(bs: BeamSplitterSpec) -> FockState:
     """[sqrt(Tx) a+(1,x) + i sqrt(Rx) a+(2,x)] [sqrt(Ty) a+(2,y) - i sqrt(Ry) a+(1,y)] |0>.
 
     Expands, term by term, to the same amplitudes as ou_mandel_state — the
     four-term state is a product of one x-photon factor and one y-photon
     factor, so it generates local trajectories despite its appearance.
     """
-    basis = basis or standard_basis()
-    op_x = np.sqrt(bs.t_x) * creation(ModeIndex(1, "x"), basis) + 1.0j * np.sqrt(
-        bs.r_x
-    ) * creation(ModeIndex(2, "x"), basis)
-    op_y = np.sqrt(bs.t_y) * creation(ModeIndex(2, "y"), basis) - 1.0j * np.sqrt(
-        bs.r_y
-    ) * creation(ModeIndex(1, "y"), basis)
-    return FockState(basis=basis, amplitudes=op_x @ (op_y @ vacuum(basis)))
+    op_x = np.sqrt(bs.t_x) * creation(1, "x") + 1.0j * np.sqrt(bs.r_x) * creation(2, "x")
+    op_y = np.sqrt(bs.t_y) * creation(2, "y") - 1.0j * np.sqrt(bs.r_y) * creation(1, "y")
+    return FockState(op_x @ (op_y @ vacuum()))
 
 
-@lru_cache(maxsize=8)
-def _ladders(basis: FockBasis) -> np.ndarray:
-    """The four annihilation matrices in MODE_ORDER, built once per basis (read-only).
-
-    Bounded to the 8 most recently used bases: a stack has 4 n^2 entries.
-    """
-    stack = np.stack([annihilation(ModeIndex(det, pol), basis) for det, pol in MODE_ORDER])
-    stack.setflags(write=False)
-    return stack
+# the four annihilation matrices in MODE_ORDER, built once (read-only)
+_LADDERS = np.stack([annihilation(det, pol) for det, pol in MODE_ORDER])
+_LADDERS.setflags(write=False)
 
 
-def detector_amplitude_op(detector: int, theta, basis: FockBasis = None) -> np.ndarray:
+def detector_amplitude_op(detector: int, theta) -> np.ndarray:
     """cos(theta)*a(det, x) + sin(theta)*a(det, y): the analyzed field at a detector.
 
-    Broadcasts over theta: the result has shape ``np.shape(theta) + (n, n)``.
+    Broadcasts over theta: the result has shape ``np.shape(theta) + (15, 15)``.
     """
-    basis = basis or standard_basis()
-    slot = ModeIndex(detector, "x").slot
+    slot = _slot(detector, "x")
     _require_finite("theta", theta)
-    a_x, a_y = _ladders(basis)[slot:slot + 2]
+    a_x, a_y = _LADDERS[slot:slot + 2]
     theta = np.asarray(theta)[..., None, None]
     return np.cos(theta) * a_x + np.sin(theta) * a_y
 
@@ -194,8 +145,8 @@ def coincidence_probability(state: FockState, theta1, theta2):
 
     Broadcasts over (theta1, theta2); scalar angles give a float.
     """
-    d1 = detector_amplitude_op(1, theta1, state.basis)
-    d2 = detector_amplitude_op(2, theta2, state.basis)
+    d1 = detector_amplitude_op(1, theta1)
+    d2 = detector_amplitude_op(2, theta2)
     out = (d2 @ (d1 @ state.amplitudes)[..., None])[..., 0]
     return _unbox(np.real(np.vecdot(out, out)))
 

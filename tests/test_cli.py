@@ -1,8 +1,10 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import click
@@ -170,6 +172,25 @@ class TestOutputFormat:
         assert out.read_text(encoding="utf-8") == want
         cli._write_csv(None, "# meta", columns)
         assert capsys.readouterr().out == want
+
+    def test_strided_columns_are_not_copied(self, monkeypatch):
+        # a trajectory's positions[:, i] are strided 1-D views: flattened, not copied
+        n = 100_000
+        positions = np.arange(2.0 * n).reshape(n, 2)
+        digests, peaks = [], []
+        for columns in ({"x1": positions[:, 0], "x2": positions[:, 1]},
+                        {"x1": positions[:, 0].copy(), "x2": positions[:, 1].copy()}):
+            digest = hashlib.sha256()
+            monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": lambda _, s: digest.update(s.encode())})())
+            tracemalloc.start()
+            try:
+                cli._write_csv(None, "# meta", columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            digests.append(digest.hexdigest())
+        assert digests[0] == digests[1]
+        assert peaks[0] < peaks[1] + 8 * n // 2  # a copy of the two columns would add 16 n bytes
 
     def test_floats_roundtrip_17g(self):
         # 17 significant digits reproduce the computed double exactly
@@ -448,6 +469,13 @@ class TestDbbCommand:
         tr = integrate_trajectory(wf, PhysicalConstants(), (-1.5, 1.5), 0.0, 0.5, 0.05)
         assert float(rows[-1][1]) == tr.positions[-1, 0]
         assert float(rows[-1][2]) == tr.positions[-1, 1]
+
+    def test_nan_log_density_on_a_trajectory_exits_four(self):
+        # x1 - xc overflows at the start, so the log density is NaN: a node, not a non-finite stage
+        result = CliRunner().invoke(main, ["dbb", "--form", "product", "--center-a=-1e308", "--trajectory",
+                                           "--start1=1e308", "--t1", "0.02", "--dt", "0.01"])
+        assert (result.exit_code, result.stdout) == (EXIT_NODE, "")
+        assert result.stderr == "error=4 detail=density below 1e-300 at (1e+308, 1.5), t=0.0\n"
 
     def test_node_start_exits_four(self):
         result = CliRunner().invoke(main, ["dbb", "--form", "antisymmetric",
@@ -839,6 +867,18 @@ class TestInstalledEntryPoint:
         assert (proc.returncode, proc.stdout) == (code, "")
         assert proc.stderr == f"error={code} detail={detail}\n"
 
+    @pytest.mark.parametrize("args, span", [
+        (["--center-a=-1e308", "--center-b=1e308"], "[-1e+308, 1e+308]"),  # hi - lo overflows
+        (["--center-a=1e308", "--width-a=1e308"], "[-inf, inf]"),  # lo and hi overflow
+        (["--center-a=0", "--center-b=1.5e308"], "[-1.6, 1.5e+308]"),  # x2's half-cell shift overflows
+    ])
+    def test_grid_span_leaving_float64_prints_one_error_line(self, args, span):
+        # in a process of its own, with every warning an error
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "bell_lab", "dbb", "--form", "product", *args,
+                               "--grid", "2"], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+        assert proc.stderr == f"error=2 detail=grid span {span} leaves float64\n"
+
     def test_out_to_a_pipe(self):
         proc = subprocess.run([sys.executable, "-m", "bell_lab", "lhv", "--enumerate", "--out", "/dev/stdout"],
                               capture_output=True, timeout=120)
@@ -901,7 +941,7 @@ class TestInstalledEntryPoint:
 
     def test_public_names_resolve_in_their_layer_module(self, monkeypatch):
         modules = {name: sys.modules[f"bell_lab.{name}"] for name in ("errors", *LAYERS)}
-        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 64
+        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 62
         for name in bell_lab.__all__:
             value = getattr(bell_lab, name)
             holders = [layer for layer, module in modules.items() if vars(module).get(name) is value]

@@ -1,5 +1,6 @@
 import cmath
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -281,6 +282,14 @@ class TestVelocities:
         wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
         with pytest.raises(NodeSingularityError, match=re.escape(f"({x1!r}, {x2!r}), t=0.5") + "$"):
             velocity_2p(wf, C, x1, x2, 0.5)
+
+    def test_nan_log_density_refused_as_a_node(self):
+        # x1 - xc overflows to inf and Re log psi_a(x1) is inf - inf = NaN: a node, not a NaN velocity
+        wf = TwoParticleWF(WavePacket(-1e308, 1.0, 0.5), PACKET_B, form="product")
+        with pytest.raises(NodeSingularityError, match=re.escape("at (1e+308, 0.0), t=0.0") + "$"):
+            velocity_2p(wf, C, 1e308, 0.0, 0.0)
+        with pytest.raises(NodeSingularityError, match=re.escape("at (1e+308, 0.0), t=0.0") + "$"):
+            velocity_2p(wf, C, np.array([-1e308, 1e308]), 0.0, 0.0)
 
 
 class TestCrossCoupling:
@@ -578,6 +587,31 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="x2 must be finite"):
             integrate_trajectory(wf, C, start=(0.0, np.nan), t0=0.0, t1=1.0, dt=0.01)
 
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(times=st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308])),
+                          max_size=4))
+    def test_increasing_times_checked_as_np_diff_would(self, times):
+        # a pair is increasing as its difference is positive: inf, NaN and overflow included
+        with np.errstate(over="ignore", invalid="ignore"):
+            increasing = bool(np.all(np.diff(times) > 0.0))
+        try:
+            dbb.Trajectory(times, np.zeros((len(times), 2)))
+        except ValueError as err:
+            assert str(err) == "times must be strictly increasing" and not increasing
+        else:
+            assert increasing
+
+    def test_increasing_check_makes_no_float_temporary(self):
+        n = 100_000
+        times, positions = np.arange(float(n)), np.zeros((n, 2))
+        tracemalloc.start()
+        try:
+            dbb.Trajectory(times, positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n  # the comparison's n - 1 booleans, not np.diff's n - 1 doubles
+
     def test_dt_that_cannot_advance_time_refused(self, monkeypatch):
         # at |t| = 2e20 an ulp is 32768: t + dt == t for dt up to half of that
         half_ulp = 0.5 * np.spacing(2e20)
@@ -836,6 +870,17 @@ class TestFloatStageKernel:
         for x1, gap in points:
             x2 = x1 + gap
             assert _outcome(kernel, x1, x2, t, terms) == _outcome(dbb._velocity, wf, c, x1, x2, t, nf)
+
+    def test_nan_log_density_refused_like_velocity(self):
+        # x1 - xc overflows to inf, so Re log psi_a(x1) is NaN; both routes refuse the point (the
+        # symmetrized forms have no such pair: their packet overlap overflows first)
+        a = WavePacket(-1e308, 1.0, 0.5)
+        wf = TwoParticleWF(a, PACKET_B)
+        terms, nf = (dbb._terms(a, C, 0.0), dbb._terms(PACKET_B, C, 0.0)), dbb._norm_factor(wf, C)
+        with np.errstate(over="ignore", invalid="ignore"):  # as velocity_2p calls _velocity
+            want = _outcome(dbb._velocity, wf, C, 1e308, 1.5, 0.0, nf)
+        assert _outcome(dbb._stage_velocity(wf, C, nf), 1e308, 1.5, 0.0, terms) == want == (
+            "density below 1e-300 at (1e+308, 1.5), t=0.0")
 
     @pytest.mark.parametrize("form", FORMS[1:])
     def test_infinite_phase_at_a_finite_modulus_goes_to_velocity(self, form):

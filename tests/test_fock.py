@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -7,8 +9,9 @@ from bell_lab.chsh import TSIRELSON
 from bell_lab.errors import UndefinedCorrelationError
 from bell_lab.fock import (
     MODE_ORDER,
+    STATES,
     BeamSplitterSpec,
-    ModeIndex,
+    FockState,
     annihilation,
     coincidence_closed_form,
     coincidence_correlation,
@@ -17,7 +20,6 @@ from bell_lab.fock import (
     detector_amplitude_op,
     ou_mandel_state,
     product_state,
-    standard_basis,
     vacuum,
 )
 
@@ -36,83 +38,86 @@ def random_bs(rng):
     return BeamSplitterSpec.from_transmissions(float(tx), float(ty))
 
 
+def bad_mode(detector, polarization):
+    return pytest.raises(ValueError, match="^" + re.escape(
+        f"mode must be one of ((1, 'x'), (1, 'y'), (2, 'x'), (2, 'y')), got ({detector!r}, {polarization!r})") + "$")
+
+
 class TestBasis:
     def test_mode_order(self):
         assert MODE_ORDER == ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
-        assert ModeIndex(1, "y").slot == 1
-        assert ModeIndex(2, "y").slot == 3
+        assert fock._slot(1, "y") == 1
+        assert fock._slot(2, "y") == 3
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            ModeIndex(3, "x")
-        with pytest.raises(ValueError):
-            ModeIndex(1, "z")
+        with bad_mode(3, "x"):
+            annihilation(3, "x")
+        with bad_mode(1, "z"):
+            annihilation(1, "z")
+        with bad_mode(1, "z"):
+            creation(1, "z")
 
     def test_fifteen_states_lexicographic_no_dups(self):
-        basis = standard_basis(2)
-        assert len(basis.states) == 15
-        assert len(set(basis.states)) == 15
-        assert list(basis.states) == sorted(basis.states)
-        assert all(sum(occ) <= 2 for occ in basis.states)
-        assert basis.states[0] == (0, 0, 0, 0)
+        assert type(STATES) is tuple and len(STATES) == 15
+        assert len(set(STATES)) == 15
+        assert list(STATES) == sorted(STATES)
+        assert all(type(occ) is tuple and len(occ) == 4 and sum(occ) <= 2 for occ in STATES)
+        assert STATES[0] == (0, 0, 0, 0)
+        # every occupation of four modes by at most two photons, written out
+        assert set(STATES) == {(a, b, c, d) for a in range(3) for b in range(3) for c in range(3)
+                               for d in range(3) if a + b + c + d <= 2}
 
     def test_index_roundtrip(self):
-        basis = standard_basis(2)
-        for i, occ in enumerate(basis.states):
-            assert basis.index(occ) == i
+        # a state with all its weight on STATES[i] reads amplitude 1 there, 0 elsewhere
+        for i, occ in enumerate(STATES):
+            state = FockState(np.eye(15)[i])
+            assert [state.amplitude(other) for other in STATES] == [complex(j == i) for j in range(15)]
+            assert state.amplitude(list(occ)) == 1.0
 
     def test_index_rejects_unknown(self):
         with pytest.raises(ValueError):
-            standard_basis(2).index((3, 0, 0, 0))
+            ou_mandel_state(BeamSplitterSpec.equal_split()).amplitude((3, 0, 0, 0))
 
 
 class TestLadderOperators:
     def test_annihilation_kills_vacuum(self):
-        basis = standard_basis(2)
-        v = vacuum(basis)
+        v = vacuum()
+        assert v.shape == (15,) and v[STATES.index((0, 0, 0, 0))] == 1.0 and np.count_nonzero(v) == 1
         for det, pol in MODE_ORDER:
-            assert np.max(np.abs(annihilation(ModeIndex(det, pol), basis) @ v)) == 0.0
+            assert np.max(np.abs(annihilation(det, pol) @ v)) == 0.0
 
     def test_sqrt2_matrix_element(self):
-        basis = standard_basis(2)
-        a = annihilation(ModeIndex(1, "x"), basis)
-        two = basis.index((2, 0, 0, 0))
-        one = basis.index((1, 0, 0, 0))
+        a = annihilation(1, "x")
+        two = STATES.index((2, 0, 0, 0))
+        one = STATES.index((1, 0, 0, 0))
         assert a[one, two] == np.sqrt(2.0)
 
     def test_creation_is_dagger_of_annihilation(self):
-        basis = standard_basis(2)
         for det, pol in MODE_ORDER:
-            mode = ModeIndex(det, pol)
-            assert np.array_equal(
-                creation(mode, basis), annihilation(mode, basis).conj().T
-            )
+            assert np.array_equal(creation(det, pol), annihilation(det, pol).conj().T)
 
     def test_canonical_commutator(self):
         # [a, a+] = 1 on the subspace the truncated basis can represent.
         # Off-diagonal entries vanish exactly; the diagonal picks up a
         # one-ulp residual from (sqrt(2))^2, so compare at 1e-15.
-        basis = standard_basis(2)
         for det, pol in MODE_ORDER:
-            mode = ModeIndex(det, pol)
-            a = annihilation(mode, basis)
-            ad = creation(mode, basis)
+            a = annihilation(det, pol)
+            ad = creation(det, pol)
             c = a @ ad - ad @ a
             # rows whose occupation is already maximal are clipped by the
             # truncation and must be excluded from the identity check
-            keep = [i for i, occ in enumerate(basis.states) if sum(occ) < 2]
+            keep = [i for i, occ in enumerate(STATES) if sum(occ) < 2]
             block = c[np.ix_(keep, keep)]
             off = block - np.diag(np.diag(block))
             assert np.max(np.abs(off)) == 0.0
             assert np.max(np.abs(np.diag(block) - 1.0)) < 1e-15
 
     def test_cross_mode_commutator_vanishes(self):
-        basis = standard_basis(2)
-        a1 = annihilation(ModeIndex(1, "x"), basis)
-        ad2 = creation(ModeIndex(2, "y"), basis)
+        a1 = annihilation(1, "x")
+        ad2 = creation(2, "y")
         c = a1 @ ad2 - ad2 @ a1
         # columns at maximal occupation are clipped by the truncation
-        keep = [j for j, occ in enumerate(basis.states) if sum(occ) < 2]
+        keep = [j for j, occ in enumerate(STATES) if sum(occ) < 2]
         assert np.max(np.abs(c[:, keep])) == 0.0
 
 
@@ -195,32 +200,29 @@ class TestFactorization:
 
 class TestDetectors:
     def test_theta_zero_selects_x(self):
-        basis = standard_basis(2)
-        d = detector_amplitude_op(1, 0.0, basis)
-        x = basis.index((1, 0, 0, 0))
-        y = basis.index((0, 1, 0, 0))
-        vac = basis.index((0, 0, 0, 0))
+        d = detector_amplitude_op(1, 0.0)
+        x = STATES.index((1, 0, 0, 0))
+        y = STATES.index((0, 1, 0, 0))
+        vac = STATES.index((0, 0, 0, 0))
         assert d[vac, x] == 1.0
         assert d[vac, y] == 0.0
 
     def test_detectors_commute(self):
-        basis = standard_basis(2)
-        d1 = detector_amplitude_op(1, 0.4, basis)
-        d2 = detector_amplitude_op(2, 1.9, basis)
+        d1 = detector_amplitude_op(1, 0.4)
+        d2 = detector_amplitude_op(2, 1.9)
         assert np.max(np.abs(d1 @ d2 - d2 @ d1)) < 1e-15
 
     def test_detector_order_does_not_change_probability(self):
         bs = BeamSplitterSpec.from_transmissions(0.6, 0.4)
-        basis = standard_basis(2)
-        st = ou_mandel_state(bs, basis)
+        st = ou_mandel_state(bs)
         p12 = coincidence_probability(st, 0.5, 1.2)
-        d1 = detector_amplitude_op(1, 0.5, basis)
-        d2 = detector_amplitude_op(2, 1.2, basis)
+        d1 = detector_amplitude_op(1, 0.5)
+        d2 = detector_amplitude_op(2, 1.2)
         p21 = float(np.linalg.norm(d1 @ (d2 @ st.amplitudes)) ** 2)
         assert abs(p12 - p21) < 1e-15
 
     def test_detector_validation(self):
-        with pytest.raises(ValueError):
+        with bad_mode(3, "x"):
             detector_amplitude_op(3, 0.0)
 
 
@@ -299,17 +301,24 @@ class TestCoincidence:
         assert abs(e - (ps[1] + ps[2] - ps[0] - ps[3]) / sum(ps)) <= 1e-12
 
 
-def ref_detector_op(detector, theta, basis):
-    """The per-call route: ladders rebuilt by annihilation for one angle."""
-    return np.cos(theta) * annihilation(ModeIndex(detector, "x"), basis) + np.sin(
-        theta
-    ) * annihilation(ModeIndex(detector, "y"), basis)
+def ref_ladder(detector, polarization):
+    """The lowering matrix of one mode, built from STATES entry by entry."""
+    slot = MODE_ORDER.index((detector, polarization))
+    a = np.zeros((len(STATES), len(STATES)), dtype=complex)
+    for j, occ in enumerate(STATES):
+        for i, lowered in enumerate(STATES):
+            if occ[slot] and lowered == occ[:slot] + (occ[slot] - 1,) + occ[slot + 1:]:
+                a[i, j] = np.sqrt(occ[slot])
+    return a
+
+
+def ref_detector_op(detector, theta):
+    """The per-call route: ladders rebuilt from STATES for one angle."""
+    return np.cos(theta) * ref_ladder(detector, "x") + np.sin(theta) * ref_ladder(detector, "y")
 
 
 def ref_probability(state, theta1, theta2):
-    out = ref_detector_op(2, theta2, state.basis) @ (
-        ref_detector_op(1, theta1, state.basis) @ state.amplitudes
-    )
+    out = ref_detector_op(2, theta2) @ (ref_detector_op(1, theta1) @ state.amplitudes)
     return float(np.real(np.vdot(out, out)))
 
 
@@ -344,7 +353,7 @@ class TestArrayRoute:
         for i in np.ndindex(shape):
             a, b = np.float64(np.asarray(t1)[i]), np.float64(np.asarray(t2)[i])
             assert np.array_equal(ops[i], detector_amplitude_op(2, b))
-            assert np.array_equal(ops[i], ref_detector_op(2, b, st_.basis))
+            assert np.array_equal(ops[i], ref_detector_op(2, b))
             assert np.asarray(p)[i] == coincidence_probability(st_, a, b) == ref_probability(st_, a, b)
             assert np.asarray(e)[i] == coincidence_correlation(st_, a, b)
             assert np.asarray(q)[i] == coincidence_closed_form(bs, a, b)
@@ -362,31 +371,16 @@ class TestArrayRoute:
                 assert p[i, j] == ref_probability(st_, a, b)
                 assert e[i, j] == coincidence_correlation(st_, a, b)
 
-    def test_ladders_built_four_times_per_basis(self, monkeypatch):
-        calls = []
-        build = fock.annihilation
-
-        def counting(mode, basis):
-            calls.append(basis)
-            return build(mode, basis)
-
-        monkeypatch.setattr(fock, "annihilation", counting)
-        fock._ladders.cache_clear()
-        thetas = np.linspace(0.0, np.pi, 9)
-        for basis in (standard_basis(2), standard_basis(3)):
-            st_ = ou_mandel_state(BeamSplitterSpec.equal_split(), basis)
-            for t1 in thetas:
-                coincidence_probability(st_, t1, thetas)
-                coincidence_correlation(st_, float(t1), 0.3)
-                detector_amplitude_op(1, t1, basis)
-        assert len(calls) == 8
-        assert calls[:4] == [standard_basis(2)] * 4
-        assert calls[4:] == [standard_basis(3)] * 4
+    def test_ladders_are_the_four_annihilation_matrices(self):
+        assert fock._LADDERS.shape == (4, 15, 15) and fock._LADDERS.dtype == complex
+        for ladder, (det, pol) in zip(fock._LADDERS, MODE_ORDER, strict=True):
+            assert np.array_equal(ladder, annihilation(det, pol))
+            assert np.array_equal(ladder, ref_ladder(det, pol))
 
     def test_cached_ladders_are_read_only(self):
-        ladders = fock._ladders(standard_basis(2))
         with pytest.raises(ValueError):
-            ladders[0, 0, 1] = 2.0
+            fock._LADDERS[0, 0, 1] = 2.0
+        assert not fock._LADDERS.flags.writeable
 
     def test_rejects_bad_detector_and_nan_angles(self):
         st_ = ou_mandel_state(BeamSplitterSpec.equal_split())

@@ -1,7 +1,7 @@
 """The semantics every record type keeps: frozen fields that construct,
 compare, hash, print, copy and pickle as the field tuple.
 
-The table gives each of the 17 records its fields in order, one value per
+The table gives each of the 15 records its fields in order, one value per
 field, and its defaults; every test walks the whole table.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from bell_lab import lhv
 from bell_lab.chsh import BellValue, ChshSettings
 from bell_lab.dbb import PhysicalConstants, SpinState, SpinTrajectory, Trajectory, TwoParticleWF, WavePacket
-from bell_lab.fock import BeamSplitterSpec, FockBasis, FockState, ModeIndex
+from bell_lab.fock import BeamSplitterSpec, FockState, annihilation
 from bell_lab.lhv import ChshEstimate, HiddenVariableModel
 from bell_lab.mermin import GhzState, MerminSettings
 from bell_lab.operators import MeasurementOp
@@ -31,7 +31,7 @@ def _anti_sign(angle, lam):
 
 
 SETTINGS = ChshSettings(0.0, math.pi / 2, math.pi / 4, -math.pi / 4, "photon")
-BASIS = FockBasis(0, ((0, 0, 0, 0),))
+VACUUM = np.eye(15, dtype=complex)[0]
 PACKET_A = WavePacket(-1.5, 0.8, 0.6, 0.25)
 PACKET_B = WavePacket(1.5, 1.1, -0.4)
 
@@ -46,9 +46,7 @@ RECORDS = [
     (HiddenVariableModel, ("name", "sample", "alice_response", "bob_response"),
      ("sign", _uniform, lhv._arc_sign, _anti_sign), {}),
     (ChshEstimate, ("estimate", "stderr", "samples", "seed"), (2.0, 0.01, 100, 7), {}),
-    (ModeIndex, ("detector", "polarization"), (1, "y"), {}),
-    (FockBasis, ("n_max_total", "states"), (1, ((0, 0, 0, 0), (1, 0, 0, 0))), {}),
-    (FockState, ("basis", "amplitudes"), (BASIS, np.array([1.0 + 0.0j])), {}),
+    (FockState, ("amplitudes",), (VACUUM,), {}),
     (BeamSplitterSpec, ("t_x", "r_x", "t_y", "r_y"), (0.25, 0.75, 0.5, 0.5), {}),
     (PhysicalConstants, ("hbar", "mass", "gyro"), (2.0, 3.0, 0.5), {"hbar": 1.0, "mass": 1.0, "gyro": 1.0}),
     (WavePacket, ("center", "width", "wavenumber", "start_time"), (-1.5, 0.8, 0.6, 0.25),
@@ -76,8 +74,8 @@ def _assert_fields(record, cls, fields, values):
         assert _same(getattr(record, name), value), name
 
 
-def test_the_table_covers_seventeen_records():
-    assert len({r[0] for r in RECORDS}) == 17
+def test_the_table_covers_fifteen_records():
+    assert len({r[0] for r in RECORDS}) == 15
 
 
 @each_record
@@ -121,10 +119,11 @@ VALIDATION = [
      "kind must be one of ('spin_half', 'photon'), got 'spin'"),
     (lambda: ChshSettings(np.zeros(2), 0.0, 0.0, 0.0), "angle fields must share one shape, got [(), (2,)]"),
     (lambda: MerminSettings(()), "need at least one angle pair"),
-    (lambda: ModeIndex(3, "x"),
+    # a mode outside MODE_ORDER
+    (lambda: annihilation(3, "x"),
      "mode must be one of ((1, 'x'), (1, 'y'), (2, 'x'), (2, 'y')), got (3, 'x')"),
-    (lambda: FockState(BASIS, [0.6, 0.8]), "amplitude count 2 != basis size 1"),
-    (lambda: FockState(BASIS, [0.5]), "Fock state must be normalized to 1e-12"),
+    (lambda: FockState([0.6, 0.8]), "amplitude count 2 != basis size 15"),
+    (lambda: FockState(0.5 * VACUUM), "Fock state must be normalized to 1e-12"),
     (lambda: BeamSplitterSpec(1.5, -0.5, 0.5, 0.5), "t_x must be in [0, 1], got 1.5"),
     (lambda: BeamSplitterSpec(0.5, 0.4, 0.5, 0.5), "need t_x + r_x = 1 and t_y + r_y = 1 (within 1e-12)"),
     (lambda: PhysicalConstants(mass=0.0), "hbar and mass must be positive"),
@@ -200,7 +199,6 @@ def test_repr_literals():
     assert repr(TwoParticleWF(PACKET_A, PACKET_B)) == (
         "TwoParticleWF(packet_a=WavePacket(center=-1.5, width=0.8, wavenumber=0.6, start_time=0.25), "
         "packet_b=WavePacket(center=1.5, width=1.1, wavenumber=-0.4, start_time=0.0), form='product')")
-    assert repr(ModeIndex(2, "x")) == "ModeIndex(detector=2, polarization='x')"
     assert repr(SpinState((1, 0, 0))) == "SpinState(s=(1.0, 0.0, 0.0))"
     assert repr(MeasurementOp(np.eye(2), label="I")) == (
         "MeasurementOp(matrix=array([[1.+0.j, 0.+0.j],\n       [0.+0.j, 1.+0.j]]), label='I')")
