@@ -66,7 +66,7 @@ def main():
 
     print()
     print("=== The post-splitter state factorizes ===")
-    delta = np.max(np.abs(ou_mandel_state(bs).amplitudes - product_state(bs).amplitudes))
+    delta = np.max(np.abs(ou_mandel_state(bs) - product_state(bs)))
     print(f"max |ou_mandel_state - product_state| amplitude difference: {delta:.3e}")
     print("the joint detection amplitude is a product of single-photon")
     print("amplitudes — the coincidence pattern needs no nonlocal ingredient")

@@ -29,16 +29,15 @@ _PUBLIC = {
                   "ket", "tensor"),
     "chsh": ("TSIRELSON", "BellValue", "ChshSettings", "bell_operator", "chsh_value", "correlation",
              "identity_residual", "photon_pair_state", "singlet", "tsirelson_scan"),
-    "mermin": ("GhzState", "MerminSettings", "ghz", "ghz_expectation_shared", "mermin_operator",
+    "mermin": ("MerminSettings", "ghz", "ghz_expectation_shared", "mermin_operator",
                "mermin_shared_scan", "mermin_square_residual", "mermin_value"),
     "lhv": ("RNG_ALGORITHM", "ChshEstimate", "HiddenVariableModel", "chsh_deterministic_max", "make_rng",
             "mermin_deterministic_max", "sawtooth_correlation", "sign_model", "simulate_chsh_stats"),
-    "fock": ("MODE_ORDER", "STATES", "BeamSplitterSpec", "FockState", "annihilation", "coincidence_closed_form",
+    "fock": ("MODE_ORDER", "STATES", "BeamSplitterSpec", "annihilation", "coincidence_closed_form",
              "coincidence_correlation", "coincidence_probability", "creation", "detector_amplitude_op",
              "ou_mandel_state", "product_state", "vacuum"),
-    "dbb": ("PhysicalConstants", "SpinState", "SpinTrajectory", "Trajectory", "TwoParticleWF", "WavePacket",
-            "cross_coupling", "integrate_spin", "integrate_trajectory", "packet_overlap", "psi2_eval",
-            "velocity_2p"),
+    "dbb": ("PhysicalConstants", "SpinTrajectory", "Trajectory", "TwoParticleWF", "WavePacket", "cross_coupling",
+            "integrate_spin", "integrate_trajectory", "packet_overlap", "psi2_eval", "velocity_2p"),
 }
 
 

@@ -91,6 +91,7 @@ def _check_state(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).ravel()
     if psi.size != 4:
         raise ValueError(f"need a two-qubit ket (dim 4), got dim {psi.size}")
+    _require_finite("ket amplitudes", psi.view(np.float64))
     if abs(np.linalg.norm(psi) - 1.0) >= 1e-10:
         raise ValueError("state is not normalized to 1e-10")
     return psi

@@ -196,8 +196,9 @@ def psi2_eval(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
     _check_point(wf, x1, x2, t)
     ta, tb = _terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        if wf.form == "product":
-            return np.exp(_log_psi(ta, x1) + _log_psi(tb, x2))
+        if wf.form == "product":  # a NaN log psi, where x - xc overflows, fails > -inf too
+            log_psi = _log_psi(ta, x1) + _log_psi(tb, x2)
+            return np.where(log_psi.real > -np.inf, np.exp(log_psi), 0j)[()]
         lm, w1, sw2 = _exchange_terms(wf.form, ta, tb, x1, x2)
         psi = _norm_factor(wf, c) * np.exp(lm) * (w1 + sw2)
     return np.where(lm > -np.inf, psi, 0j)[()]  # at lm = -inf, exp(l1 - lm) is NaN
@@ -481,24 +482,17 @@ def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: flo
     return Trajectory(*_rk4(vel, y, t0, t1, dt))
 
 
-class SpinState(_Record):
-    s: tuple
-
-    def __post_init__(self):
-        s = tuple(float(v) for v in self.s)
-        if len(s) != 3:
-            raise ValueError("spin must be a 3-vector")
-        _require_finite("s", np.array(s))
-        if not any(s):
-            raise ValueError("spin vector must be nonzero")
-        # as _clock's packets: a square that is not a normal float loses the norm's digits or all of it
-        if not _NORMAL <= s[0] * s[0] + s[1] * s[1] + s[2] * s[2] < math.inf:
-            raise ValueError(f"spin algebra leaves float64: |s|^2 of s={s!r} is not a normal float")
-        object.__setattr__(self, "s", s)
-
-
-def _as_spin(s) -> tuple:
-    return (s if isinstance(s, SpinState) else SpinState(np.asarray(s, dtype=float).ravel())).s
+def _as_spin(s0) -> tuple:
+    s = tuple(np.asarray(s0, dtype=float).ravel().tolist())
+    if len(s) != 3:
+        raise ValueError("spin must be a 3-vector")
+    _require_finite("s", np.array(s))
+    if not any(s):
+        raise ValueError("spin vector must be nonzero")
+    # as _clock's packets: a square that is not a normal float loses the norm's digits or all of it
+    if not _NORMAL <= s[0] * s[0] + s[1] * s[1] + s[2] * s[2] < math.inf:
+        raise ValueError(f"spin algebra leaves float64: |s|^2 of s={s!r} is not a normal float")
+    return s
 
 
 def _as_field(b_field) -> list:
@@ -588,7 +582,7 @@ def _precess(s: tuple, b: list, g: float, t1: float, dt: float):
 
 
 def integrate_spin(s0, b_field, c: PhysicalConstants, t1: float, dt: float) -> SpinTrajectory:
-    """RK4 precession from t = 0 to t1; |s| and s.B are conserved quantities.
+    """RK4 precession of the 3-vector s0 from t = 0 to t1; |s| and s.B are conserved quantities.
 
     Steps of size dt, with one shorter final step to land on t1 exactly.
     The field is constant, so RK4 is linear in s and each step the same

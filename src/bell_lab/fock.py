@@ -4,6 +4,8 @@ Modes are (detector, polarization) pairs in the canonical order
 MODE_ORDER = (1,x), (1,y), (2,x), (2,y).  The one basis, STATES, holds the
 15 occupation 4-tuples with total photon number <= 2, listed
 lexicographically; every state and ladder matrix here is written in it.
+A state is a complex128 array of 15 amplitudes, read by STATES.index; the
+constructors return it read-only, and coincidence_probability checks it.
 
 The beam-splitter state
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import UndefinedCorrelationError
 from ._common import _Record, _require_finite
-from .operators import _unbox, dagger
+from .operators import _frozen, _unbox, dagger
 
 MODE_ORDER = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
 
@@ -37,21 +39,15 @@ def _slot(detector: int, polarization: str) -> int:
     return MODE_ORDER.index((detector, polarization))
 
 
-class FockState(_Record):
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if amps.size != len(STATES):
-            raise ValueError(f"amplitude count {amps.size} != basis size {len(STATES)}")
-        _require_finite("amplitudes", amps.view(np.float64))
-        if abs(np.linalg.norm(amps) - 1.0) >= 1e-12:
-            raise ValueError("Fock state must be normalized to 1e-12")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def amplitude(self, occ) -> complex:
-        return complex(self.amplitudes[STATES.index(tuple(occ))])
+def _check_state(state) -> np.ndarray:
+    """The state's 15 amplitudes in STATES order, checked finite and normalized to 1e-12."""
+    amps = np.asarray(state, dtype=complex).ravel()
+    if amps.size != len(STATES):
+        raise ValueError(f"amplitude count {amps.size} != basis size {len(STATES)}")
+    _require_finite("amplitudes", amps.view(np.float64))
+    if abs(np.linalg.norm(amps) - 1.0) >= 1e-12:
+        raise ValueError("Fock state must be normalized to 1e-12")
+    return amps
 
 
 class BeamSplitterSpec(_Record):
@@ -101,17 +97,17 @@ def vacuum() -> np.ndarray:
     return v
 
 
-def ou_mandel_state(bs: BeamSplitterSpec) -> FockState:
+def ou_mandel_state(bs: BeamSplitterSpec) -> np.ndarray:
     """The four-term two-photon state behind the beam splitter."""
     amps = np.zeros(len(STATES), dtype=complex)
     amps[STATES.index((1, 0, 0, 1))] = np.sqrt(bs.t_x * bs.t_y)  # |x1 y2>
     amps[STATES.index((0, 1, 1, 0))] = np.sqrt(bs.r_x * bs.r_y)  # |x2 y1>
     amps[STATES.index((1, 1, 0, 0))] = -1.0j * np.sqrt(bs.r_y * bs.t_x)  # |x1 y1>
     amps[STATES.index((0, 0, 1, 1))] = 1.0j * np.sqrt(bs.r_x * bs.t_y)  # |x2 y2>
-    return FockState(amps)
+    return _frozen(amps)
 
 
-def product_state(bs: BeamSplitterSpec) -> FockState:
+def product_state(bs: BeamSplitterSpec) -> np.ndarray:
     """[sqrt(Tx) a+(1,x) + i sqrt(Rx) a+(2,x)] [sqrt(Ty) a+(2,y) - i sqrt(Ry) a+(1,y)] |0>.
 
     Expands, term by term, to the same amplitudes as ou_mandel_state — the
@@ -120,7 +116,7 @@ def product_state(bs: BeamSplitterSpec) -> FockState:
     """
     op_x = np.sqrt(bs.t_x) * creation(1, "x") + 1.0j * np.sqrt(bs.r_x) * creation(2, "x")
     op_y = np.sqrt(bs.t_y) * creation(2, "y") - 1.0j * np.sqrt(bs.r_y) * creation(1, "y")
-    return FockState(op_x @ (op_y @ vacuum()))
+    return _frozen(op_x @ (op_y @ vacuum()))
 
 
 # the four annihilation matrices in MODE_ORDER, built once (read-only)
@@ -140,14 +136,14 @@ def detector_amplitude_op(detector: int, theta) -> np.ndarray:
     return np.cos(theta) * a_x + np.sin(theta) * a_y
 
 
-def coincidence_probability(state: FockState, theta1, theta2):
+def coincidence_probability(state, theta1, theta2):
     """||D2(theta2) D1(theta1) |Psi>||^2 (normal-ordered expectation, K = 1).
 
     Broadcasts over (theta1, theta2); scalar angles give a float.
     """
     d1 = detector_amplitude_op(1, theta1)
     d2 = detector_amplitude_op(2, theta2)
-    out = (d2 @ (d1 @ state.amplitudes)[..., None])[..., 0]
+    out = (d2 @ (d1 @ _check_state(state))[..., None])[..., 0]
     return _unbox(np.real(np.vecdot(out, out)))
 
 
@@ -159,7 +155,7 @@ def coincidence_closed_form(bs: BeamSplitterSpec, theta1, theta2):
     return _unbox(amp * amp)
 
 
-def coincidence_correlation(state: FockState, theta1, theta2):
+def coincidence_correlation(state, theta1, theta2):
     """Coincidence-normalized correlation of analyzer outcomes.
 
     Outcome labeling: at detector 1 the transmitted port (theta1) counts

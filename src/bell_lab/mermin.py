@@ -1,5 +1,8 @@
 """GHZ states and the n-particle Mermin parameter.
 
+A state is a ket, a 1-D complex128 array of size 2^n: ghz(n) returns one
+read-only, and mermin_value checks the size and finiteness of its ket.
+
 F_n = (1/2i) [ prod_j (A_j + i A_j') - prod_j (A_j - i A_j') ]
 
 with per-particle two-outcome operators in the transverse (x-y) plane,
@@ -37,18 +40,13 @@ def _check_n(n):
         raise ValueError(f"n must be an integer in [2, 10], got {n!r}")
 
 
-class GhzState(_Record):
-    n: int
-    ket: np.ndarray
-
-
-def ghz(n: int) -> GhzState:
-    """(|+...+> + i|-...->)/sqrt(2) on n qubits, 2 <= n <= 10."""
+def ghz(n: int) -> np.ndarray:
+    """(|+...+> + i|-...->)/sqrt(2) on n qubits, 2 <= n <= 10, as a read-only ket."""
     _check_n(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     amps[-1] = 1.0j
-    return GhzState(n=int(n), ket=ket(amps))
+    return ket(amps)
 
 
 class MerminSettings(_Record):
@@ -85,19 +83,18 @@ def mermin_operator(settings: MerminSettings) -> np.ndarray:
     return np.divide(np.subtract(m_plus, f, out=f), 2.0j, out=f)
 
 
-def mermin_value(state: GhzState, settings: MerminSettings) -> float:
-    """<F_n> on the given state; bounded by 2^(n-1) in magnitude."""
-    if settings.n != state.n:
-        raise ValueError(
-            f"settings are for {settings.n} particles but the state has {state.n}"
-        )
+def mermin_value(psi, settings: MerminSettings) -> float:
+    """<F_n> on a finite ket of size 2^n, n = settings.n; bounded by 2^(n-1) in magnitude for a unit ket."""
+    psi = phi = np.asarray(psi, dtype=complex).ravel()
+    if psi.size != 2**settings.n:
+        raise ValueError(f"need a ket of size {2**settings.n} for {settings.n} particles, got size {psi.size}")
+    _require_finite("ket amplitudes", psi.view(np.float64))
     # <F> = Im <psi|P|psi> with P = prod_j (A_j + i A_j'), each 2x2 factor
     # applied to its own axis of the ket: O(2^n) memory, no 2^n x 2^n matrix
     ops = _party_ops(settings.pairs, "transverse")
-    phi = state.ket
     for j, factor in enumerate(ops[:, 0] + 1.0j * ops[:, 1]):
         phi = (factor @ phi.reshape(2**j, 2, -1)).ravel()
-    return float(np.vdot(state.ket, phi).imag)
+    return float(np.vdot(psi, phi).imag)
 
 
 def mermin_square_residual(settings: MerminSettings) -> float:

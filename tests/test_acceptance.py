@@ -205,7 +205,7 @@ def test_criterion_07_factorization():
     for _ in range(100):
         tx, ty = rng.uniform(0.0, 1.0, size=2)
         bs = BeamSplitterSpec.from_transmissions(float(tx), float(ty))
-        delta = np.max(np.abs(ou_mandel_state(bs).amplitudes - product_state(bs).amplitudes))
+        delta = np.max(np.abs(ou_mandel_state(bs) - product_state(bs)))
         worst = max(worst, float(delta))
     _line(
         7,

@@ -169,6 +169,15 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             correlation(np.array([1.0, 0.0, 0.0, 1.0]), 0.0, 0.0, kind="spin_half")
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, complex(0.0, -np.inf)])
+    def test_nonfinite_state_rejected(self, bad):
+        # the norm check lets NaN through (abs(nan - 1) >= tol is False): s and E were nan
+        for psi in (np.array([bad, 0, 0, 0]), np.where(np.arange(4) == 2, bad, singlet())):
+            with pytest.raises(ValueError, match=r"^ket amplitudes must be finite, got array\(\["):
+                correlation(psi, 0.0, 1.0)
+            with pytest.raises(ValueError, match=r"^ket amplitudes must be finite, got array\(\["):
+                chsh_value(psi, ChshSettings(0.0, 1.0, 0.5, -0.5))
+
     def test_bad_kind(self):
         # "transverse" is the Mermin operators' kind, not a CHSH convention
         for kind in ("qutrit", "transverse"):

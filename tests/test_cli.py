@@ -941,7 +941,7 @@ class TestInstalledEntryPoint:
 
     def test_public_names_resolve_in_their_layer_module(self, monkeypatch):
         modules = {name: sys.modules[f"bell_lab.{name}"] for name in ("errors", *LAYERS)}
-        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 62
+        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 59
         for name in bell_lab.__all__:
             value = getattr(bell_lab, name)
             holders = [layer for layer, module in modules.items() if vars(module).get(name) is value]

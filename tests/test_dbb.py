@@ -12,7 +12,6 @@ from bell_lab import dbb
 from bell_lab.dbb import (
     FORMS,
     PhysicalConstants,
-    SpinState,
     TwoParticleWF,
     WavePacket,
     cross_coupling,
@@ -504,6 +503,15 @@ class TestArrayRoute:
             got = psi2_eval(wf, C, np.array([1e200, 0.1, -1e300]), np.array([0.0, 0.35, 1e300]), 0.5)
         assert got[0] == got[2] == 0j
         assert abs(got[1] - psi2_eval(wf, C, 0.1, 0.35, 0.5)) < 1e-15
+
+    def test_product_far_tail_with_a_nan_log_psi_is_zero(self):
+        # x - xc overflows to inf, so ik (x - x0) has real part 0 * inf: log psi is NaN, not -inf
+        wf = TwoParticleWF(WavePacket(-1e308, 1.0, 0.5), PACKET_B, "product")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psi2_eval(wf, C, 1e308, 0.0, 0.0) == 0j
+            got = psi2_eval(wf, C, np.array([1e308, -1e308]), np.array([0.0, 0.35]), 0.0)
+        assert got[0] == 0j and got[1] == psi2_eval(wf, C, -1e308, 0.35, 0.0) != 0j
 
     @pytest.mark.parametrize("form", ["symmetric", "antisymmetric"])
     def test_far_tail_refused_on_arrays(self, form):
@@ -1075,13 +1083,13 @@ class TestSpinPrecession:
 
     def test_derivative_parallel_field_vanishes(self):
         # s x B = 0: no stage moves the spin, so every row is the start
-        tr = integrate_spin(SpinState((0.0, 0.0, 1.0)), (0.0, 0.0, 2.0), C, t1=1.0, dt=0.1)
+        tr = integrate_spin((0.0, 0.0, 1.0), (0.0, 0.0, 2.0), C, t1=1.0, dt=0.1)
         assert np.array_equal(tr.spins, np.tile([0.0, 0.0, 1.0], (len(tr.times), 1)))
 
     def test_derivative_example(self):
         # ds/dt = (0, -3, 0) at s = x, B = 3z: one short step moves s by dt times it
         dt = 1e-7
-        tr = integrate_spin(SpinState((1.0, 0.0, 0.0)), (0.0, 0.0, 3.0), C, t1=dt, dt=dt)
+        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 3.0), C, t1=dt, dt=dt)
         assert np.max(np.abs((tr.spins[1] - tr.spins[0]) / dt - np.array([0.0, -3.0, 0.0]))) < 1e-6
 
     def test_derivative_orthogonal_to_spin(self):
@@ -1173,8 +1181,14 @@ class TestSpinPrecession:
         assert np.max(np.abs(tr.spins[-1] - np.array([1.0, 0.0, 0.0]))) < 1e-6
 
     def test_zero_spin_rejected(self):
-        with pytest.raises(ValueError):
-            SpinState((0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="^spin vector must be nonzero$"):
+            integrate_spin((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=1.0, dt=0.1)
+
+    def test_spin_given_any_way_is_three_floats(self):
+        for s0 in (np.array([0, 0, 2]), [0, 0, 2], np.array([[0.0], [0.0], [2.0]])):
+            s = dbb._as_spin(s0)
+            assert s == (0.0, 0.0, 2.0) and all(type(v) is float for v in s)
+            assert np.array_equal(integrate_spin(s0, (1.0, 0.0, 0.0), C, t1=1.0, dt=0.5).spins[0], s)
 
     @pytest.mark.parametrize("s0", [
         (1e-170, 1e-170, 0.0),  # |s|^2 underflows to 0 for a nonzero spin

@@ -11,7 +11,6 @@ from bell_lab.fock import (
     MODE_ORDER,
     STATES,
     BeamSplitterSpec,
-    FockState,
     annihilation,
     coincidence_closed_form,
     coincidence_correlation,
@@ -70,13 +69,13 @@ class TestBasis:
     def test_index_roundtrip(self):
         # a state with all its weight on STATES[i] reads amplitude 1 there, 0 elsewhere
         for i, occ in enumerate(STATES):
-            state = FockState(np.eye(15)[i])
-            assert [state.amplitude(other) for other in STATES] == [complex(j == i) for j in range(15)]
-            assert state.amplitude(list(occ)) == 1.0
+            state = fock._check_state(np.eye(15)[i])
+            assert STATES.index(occ) == i
+            assert [state[STATES.index(other)] for other in STATES] == [complex(j == i) for j in range(15)]
 
     def test_index_rejects_unknown(self):
         with pytest.raises(ValueError):
-            ou_mandel_state(BeamSplitterSpec.equal_split()).amplitude((3, 0, 0, 0))
+            STATES.index((3, 0, 0, 0))
 
 
 class TestLadderOperators:
@@ -143,37 +142,39 @@ class TestBeamSplitterSpec:
 class TestOuMandelState:
     def test_equal_split_amplitudes(self):
         st = ou_mandel_state(BeamSplitterSpec.equal_split())
-        assert abs(st.amplitude((1, 0, 0, 1)) - 0.5) < 1e-15
-        assert abs(st.amplitude((0, 1, 1, 0)) - 0.5) < 1e-15
-        assert abs(st.amplitude((1, 1, 0, 0)) - (-0.5j)) < 1e-15
-        assert abs(st.amplitude((0, 0, 1, 1)) - 0.5j) < 1e-15
+        assert abs(st[STATES.index((1, 0, 0, 1))] - 0.5) < 1e-15
+        assert abs(st[STATES.index((0, 1, 1, 0))] - 0.5) < 1e-15
+        assert abs(st[STATES.index((1, 1, 0, 0))] - (-0.5j)) < 1e-15
+        assert abs(st[STATES.index((0, 0, 1, 1))] - 0.5j) < 1e-15
 
     def test_full_transmission_routes_x1_y2(self):
         st = ou_mandel_state(BeamSplitterSpec.from_transmissions(1.0, 1.0))
-        assert abs(st.amplitude((1, 0, 0, 1)) - 1.0) < 1e-15
-        assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
+        assert abs(st[STATES.index((1, 0, 0, 1))] - 1.0) < 1e-15
+        assert abs(np.linalg.norm(st) - 1.0) < 1e-12
 
     def test_full_reflection_routes_x2_y1(self):
         st = ou_mandel_state(BeamSplitterSpec.from_transmissions(0.0, 0.0))
-        assert abs(st.amplitude((0, 1, 1, 0)) - 1.0) < 1e-15
+        assert abs(st[STATES.index((0, 1, 1, 0))] - 1.0) < 1e-15
 
     def test_normalized_random_splitters(self):
         rng = np.random.default_rng(107)
         for _ in range(100):
             st = ou_mandel_state(random_bs(rng))
-            assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(st) - 1.0) < 1e-12
 
     @hyp_settings(max_examples=300, deadline=None)
     @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS)
     def test_unit_norm_property(self, tx, ty):
         # (T_x + R_x)(T_y + R_y) = 1, whatever the split
         st = ou_mandel_state(BeamSplitterSpec.from_transmissions(tx, ty))
-        assert abs(np.linalg.norm(st.amplitudes) - 1.0) <= 1e-15
+        assert abs(np.linalg.norm(st) - 1.0) <= 1e-15
 
     def test_amplitudes_read_only(self):
-        st = ou_mandel_state(BeamSplitterSpec.equal_split())
-        with pytest.raises(ValueError):
-            st.amplitudes[0] = 1.0
+        for make in (ou_mandel_state, product_state):
+            st = make(BeamSplitterSpec.equal_split())
+            assert st.dtype == np.complex128 and st.shape == (15,)
+            with pytest.raises(ValueError):
+                st[0] = 1.0
 
 
 class TestFactorization:
@@ -183,19 +184,19 @@ class TestFactorization:
         rng = np.random.default_rng(109)
         for _ in range(100):
             bs = random_bs(rng)
-            direct = ou_mandel_state(bs).amplitudes
-            factored = product_state(bs).amplitudes
+            direct = ou_mandel_state(bs)
+            factored = product_state(bs)
             assert np.max(np.abs(direct - factored)) < 1e-12
 
     @hyp_settings(max_examples=300, deadline=None)
     @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS)
     def test_product_state_equals_pair_state_property(self, tx, ty):
         bs = BeamSplitterSpec.from_transmissions(tx, ty)
-        assert np.max(np.abs(ou_mandel_state(bs).amplitudes - product_state(bs).amplitudes)) <= 1e-15
+        assert np.max(np.abs(ou_mandel_state(bs) - product_state(bs))) <= 1e-15
 
     def test_equal_split_cross_term(self):
         st = product_state(BeamSplitterSpec.equal_split())
-        assert abs(st.amplitude((1, 1, 0, 0)) - (-0.5j)) < 1e-15
+        assert abs(st[STATES.index((1, 1, 0, 0))] - (-0.5j)) < 1e-15
 
 
 class TestDetectors:
@@ -218,7 +219,7 @@ class TestDetectors:
         p12 = coincidence_probability(st, 0.5, 1.2)
         d1 = detector_amplitude_op(1, 0.5)
         d2 = detector_amplitude_op(2, 1.2)
-        p21 = float(np.linalg.norm(d1 @ (d2 @ st.amplitudes)) ** 2)
+        p21 = float(np.linalg.norm(d1 @ (d2 @ st)) ** 2)
         assert abs(p12 - p21) < 1e-15
 
     def test_detector_validation(self):
@@ -274,6 +275,18 @@ class TestCoincidence:
         )
         assert abs(abs(s) - TSIRELSON) < 1e-12
 
+    @pytest.mark.parametrize("state, message", [
+        (np.array([0.6, 0.8]), "amplitude count 2 != basis size 15"),
+        (0.5 * np.eye(15)[0], "Fock state must be normalized to 1e-12"),
+        (np.where(np.arange(15) == 3, np.nan, 0.5), "amplitudes must be finite, got array(["),
+        (np.where(np.arange(15) == 3, complex(0.0, np.inf), 0.5), "amplitudes must be finite, got array(["),
+    ])
+    def test_state_is_checked_where_it_is_taken(self, state, message):
+        # a NaN amplitude fails the finiteness check, not the norm check, which NaN passes
+        for call in (coincidence_probability, coincidence_correlation):
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                call(state, 0.3, 1.1)
+
     def test_undefined_when_no_counts(self):
         # a fully transmitting x / fully reflecting y splitter sends both
         # photons to detector 1, so all four coincidence rates vanish
@@ -318,7 +331,7 @@ def ref_detector_op(detector, theta):
 
 
 def ref_probability(state, theta1, theta2):
-    out = ref_detector_op(2, theta2) @ (ref_detector_op(1, theta1) @ state.amplitudes)
+    out = ref_detector_op(2, theta2) @ (ref_detector_op(1, theta1) @ state)
     return float(np.real(np.vdot(out, out)))
 
 

@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from bell_lab.mermin import (
-    GhzState,
     MerminSettings,
     ghz,
     ghz_expectation_shared,
@@ -43,23 +43,28 @@ def reference_mermin_operator(pairs):
 
 class TestGhz:
     def test_n3_amplitudes(self):
-        st = ghz(3)
-        amps = st.ket
+        amps = ghz(3)
         assert len(amps) == 8
         assert abs(amps[0] - 1.0 / np.sqrt(2.0)) < 1e-15
         assert abs(amps[-1] - 1j / np.sqrt(2.0)) < 1e-15
         assert np.max(np.abs(amps[1:-1])) == 0.0
 
     def test_n2_exact(self):
-        st = ghz(2)
         want = np.array([1.0, 0.0, 0.0, 1j]) / np.sqrt(2.0)
-        assert np.max(np.abs(st.ket - want)) < 1e-15
+        assert np.max(np.abs(ghz(2) - want)) < 1e-15
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_a_read_only_complex_ket(self, n):
+        psi = ghz(n)
+        assert psi.dtype == np.complex128 and psi.shape == (2**n,) and not psi.flags.writeable
+        with pytest.raises(ValueError):
+            psi[0] = 0.0
 
     def test_sigma_z_chain_expectation_vanishes(self):
         # the two branches have opposite total-z parity for odd n
         st = ghz(3)
         zzz = kron_chain([SIGMA_Z] * 3)
-        assert abs(np.vdot(st.ket, zzz @ st.ket)) < 1e-15
+        assert abs(np.vdot(st, zzz @ st)) < 1e-15
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -182,13 +187,26 @@ class TestMerminValue:
                 assert abs(mermin_value(st, s)) <= 2.0 + 1e-9
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need a ket of size 4 for 2 particles, got size 8$"):
             mermin_value(ghz(3), MerminSettings.from_shared(2, 0.0, np.pi / 2))
+
+    @pytest.mark.parametrize("size", [1, 6, 7, 9])
+    def test_ket_of_no_qubit_count_refused(self, size):
+        # not a power of two: once this ended in numpy's "cannot reshape array"
+        with pytest.raises(ValueError, match=f"^need a ket of size 8 for 3 particles, got size {size}$"):
+            mermin_value(ket(np.ones(size)), MerminSettings.from_shared(3, 0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, complex(0.0, -np.inf)])
+    def test_nonfinite_ket_refused(self, bad):
+        # a NaN ket once gave <F> = nan
+        for psi in (np.full(8, bad), np.where(np.arange(8) == 5, bad, ghz(3))):
+            with pytest.raises(ValueError, match=f"^{re.escape('ket amplitudes must be finite, got array([')}"):
+                mermin_value(psi, MerminSettings.from_shared(3, 0.0, 1.0))
 
 
 def random_state(n, rng):
     """A normalized random ket on n qubits, passed where a GHZ state goes."""
-    return GhzState(n=n, ket=ket(rng.normal(size=2**n) + 1.0j * rng.normal(size=2**n)))
+    return ket(rng.normal(size=2**n) + 1.0j * rng.normal(size=2**n))
 
 
 class TestMatrixFreeValue:
@@ -199,7 +217,7 @@ class TestMatrixFreeValue:
         for state in (ghz(n), random_state(n, rng)):
             for _ in range(3):
                 s = MerminSettings(tuple(map(tuple, rng.uniform(-7.0, 7.0, size=(n, 2)))))
-                via_operator = expectation(state.ket, mermin_operator(s)).real
+                via_operator = expectation(state, mermin_operator(s)).real
                 assert abs(mermin_value(state, s) - via_operator) <= 1e-12 * 2.0 ** (n - 1)
 
     @hyp_settings(max_examples=60, deadline=None)
