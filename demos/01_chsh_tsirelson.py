@@ -56,17 +56,17 @@ def main():
     psi = singlet()
     e = {(a, b): correlation(psi, a * DEG, b * DEG) for a in (0, 90) for b in (45, 135)}
     s_alt = e[(0, 45)] + e[(90, 45)] - e[(0, 135)] + e[(90, 135)]
-    s_std = chsh_value(psi, ChshSettings(0.0, 90 * DEG, 45 * DEG, -45 * DEG)).s
+    s_std = chsh_value(psi, ChshSettings(0.0, 90 * DEG, 45 * DEG, -45 * DEG))
     print(f"E(a,b) + E(a',b) - E(a,b') + E(a',b') at (0,90,45,135): {s_alt:+.15f}")
     print(f"standard combination at (0,90,45,-45)                 : {s_std:+.15f}")
 
     print()
     print("=== Scanning for the maximum ===")
     for step_deg in (15, 5, 1):
-        v = tsirelson_scan("spin_half", grid_step=step_deg * DEG)
-        a, ap, b, bp = (x / DEG for x in v.settings.angles)
+        v, settings = tsirelson_scan("spin_half", grid_step=step_deg * DEG)
+        a, ap, b, bp = (x / DEG for x in settings.angles)
         print(
-            f"step {step_deg:>2} deg: |S| = {abs(v.s):.12f} "
+            f"step {step_deg:>2} deg: |S| = {abs(v):.12f} "
             f"at (a, a', b, b') = ({a:.0f}, {ap:.0f}, {b:.0f}, {bp:.0f})"
         )
 
@@ -76,7 +76,7 @@ def main():
     for _ in range(2000):
         psi = ket(rng.normal(size=4) + 1j * rng.normal(size=4))
         s = ChshSettings(*rng.uniform(0, 2 * np.pi, size=4))
-        worst = max(worst, abs(chsh_value(psi, s).s))
+        worst = max(worst, abs(chsh_value(psi, s)))
     print(f"max |S| over 2000 random (state, settings) draws: {worst:.12f}")
     print(f"never exceeds 2*sqrt(2) = {TSIRELSON:.12f}")
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from bell_lab.lhv import mermin_deterministic_max
 from bell_lab.mermin import (
-    MerminSettings,
     ghz,
     ghz_expectation_shared,
     mermin_operator,
@@ -28,7 +27,7 @@ DEG = np.pi / 180.0
 def main():
     print("=== The three-particle case ===")
     state = ghz(3)
-    settings = MerminSettings.from_shared(3, 0.0, 90 * DEG)
+    settings = [(0.0, 90 * DEG)] * 3
     f3 = mermin_value(state, settings)
     print(f"<F_3> on GHZ(3) at (a, a') = (0, 90) deg : {f3:.12f}")
     print(f"extremal eigenvalue of F_3               : "
@@ -40,9 +39,7 @@ def main():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(200):
-        pairs = tuple((float(a), float(ap))
-                      for a, ap in rng.uniform(0, 2 * np.pi, size=(3, 2)))
-        worst = max(worst, mermin_square_residual(MerminSettings(pairs)))
+        worst = max(worst, mermin_square_residual(rng.uniform(0, 2 * np.pi, size=(3, 2))))
     print(f"max residual of the F_3^2 identity over 200 random settings: {worst:.3e}")
 
     print()
@@ -60,7 +57,7 @@ def main():
     a, ap = 0.35, 1.9
     n = 4
     formula = ghz_expectation_shared(n, a, ap)
-    matrix = mermin_value(ghz(n), MerminSettings.from_shared(n, a, ap))
+    matrix = mermin_value(ghz(n), [(a, ap)] * n)
     print(f"n = {n}, (a, a') = ({a}, {ap}) rad")
     print(f"matrix route : {matrix:.15f}")
     print(f"formula route: {formula:.15f}")

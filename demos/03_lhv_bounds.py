@@ -43,22 +43,22 @@ def main():
     print("=== Monte Carlo at the CHSH-optimal axes ===")
     model = sign_model()
     optimal = ChshSettings(0.0, 90 * DEG, 45 * DEG, -45 * DEG)
-    est = simulate_chsh_stats(model, optimal, samples=200_000, seed=42)
-    print(f"sign model at (0, 90, 45, -45) deg: S = {est.estimate:+.6f} "
-          f"+- {est.stderr:.6f}  ({est.samples} samples)")
+    samples = 200_000
+    est, err = simulate_chsh_stats(model, optimal, samples=samples, seed=42)
+    print(f"sign model at (0, 90, 45, -45) deg: S = {est:+.6f} "
+          f"+- {err:.6f}  ({samples} samples)")
     print("every hidden value lands exactly on the bound |S| = 2 here,")
     print("so the standard error vanishes")
 
     quartet = ChshSettings(0.0, 45 * DEG, 22.5 * DEG, 67.5 * DEG)
-    est2 = simulate_chsh_stats(model, quartet, samples=200_000, seed=42)
-    print(f"sign model at (0, 45, 22.5, 67.5) deg: S = {est2.estimate:+.6f} "
-          f"+- {est2.stderr:.6f}")
+    est2, err2 = simulate_chsh_stats(model, quartet, samples=samples, seed=42)
+    print(f"sign model at (0, 45, 22.5, 67.5) deg: S = {est2:+.6f} "
+          f"+- {err2:.6f}")
 
     print()
     print("=== Reproducibility ===")
-    rerun = simulate_chsh_stats(model, optimal, samples=200_000, seed=42)
-    print(f"same seed reruns bit-identically: "
-          f"{est.estimate == rerun.estimate and est.stderr == rerun.stderr}")
+    rerun = simulate_chsh_stats(model, optimal, samples=samples, seed=42)
+    print(f"same seed reruns bit-identically: {rerun == (est, err)}")
 
 
 if __name__ == "__main__":

@@ -27,11 +27,11 @@ from .errors import NodeSingularityError, NumericalCheckError, UndefinedCorrelat
 _PUBLIC = {
     "operators": ("MeasurementOp", "commutator", "dagger", "expectation", "hermitian_extremal_eigenvalue",
                   "ket", "tensor"),
-    "chsh": ("TSIRELSON", "BellValue", "ChshSettings", "bell_operator", "chsh_value", "correlation",
-             "identity_residual", "photon_pair_state", "singlet", "tsirelson_scan"),
-    "mermin": ("MerminSettings", "ghz", "ghz_expectation_shared", "mermin_operator",
-               "mermin_shared_scan", "mermin_square_residual", "mermin_value"),
-    "lhv": ("RNG_ALGORITHM", "ChshEstimate", "HiddenVariableModel", "chsh_deterministic_max", "make_rng",
+    "chsh": ("TSIRELSON", "ChshSettings", "bell_operator", "chsh_value", "correlation", "identity_residual",
+             "photon_pair_state", "singlet", "tsirelson_scan"),
+    "mermin": ("ghz", "ghz_expectation_shared", "mermin_operator", "mermin_shared_scan", "mermin_square_residual",
+               "mermin_value"),
+    "lhv": ("RNG_ALGORITHM", "HiddenVariableModel", "chsh_deterministic_max", "make_rng",
             "mermin_deterministic_max", "sawtooth_correlation", "sign_model", "simulate_chsh_stats"),
     "fock": ("MODE_ORDER", "STATES", "BeamSplitterSpec", "annihilation", "coincidence_closed_form",
              "coincidence_correlation", "coincidence_probability", "creation", "detector_amplitude_op",

@@ -9,6 +9,10 @@ S^2 = 4*I - [A, A'] (x) [B, B'] identically.  On the singlet the spin
 correlation is E(a, b) = -cos(a - b); S reaches +-2*sqrt(2) at e.g.
 (0, pi/2, pi/4, -pi/4) for spin settings and (0, pi/4, -pi/8, pi/8) for
 photon settings.
+
+Values are plain: chsh_value returns S as a float, or an array shaped like
+a batch of settings, and tsirelson_scan returns (s, settings), the signed
+S at the grid maximizer and the ChshSettings that reach it.
 """
 
 import numpy as np
@@ -59,16 +63,6 @@ class ChshSettings(_Record):
     @property
     def angles(self):
         return (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
-
-
-class BellValue(_Record):
-    """A Bell parameter S together with the settings that produced it.
-
-    ``s`` is a float, or an array shaped like a batch of settings.
-    """
-
-    s: float | np.ndarray
-    settings: ChshSettings
 
 
 def singlet() -> np.ndarray:
@@ -128,11 +122,11 @@ def identity_residual(settings: ChshSettings) -> float | np.ndarray:
     return _unbox(np.max(np.abs(s @ s - rhs), axis=(-2, -1)))
 
 
-def chsh_value(psi, settings: ChshSettings) -> BellValue:
-    """S as the sum of four correlations; equals <psi|bell_operator|psi>."""
+def chsh_value(psi, settings: ChshSettings) -> float | np.ndarray:
+    """S as the sum of four correlations, a float or one per batch element; equals <psi|bell_operator|psi>."""
     psi = _check_state(psi)
     correlations = expectation(psi, _terms(_party_ops(settings.angles, settings.kind))).real
-    return BellValue(s=_unbox(_combine(correlations)), settings=settings)
+    return _unbox(_combine(correlations))
 
 
 # axis pairs whose span contains every measurement direction of each kind;
@@ -177,7 +171,7 @@ def _s_extremes(e: np.ndarray):
     return s_hi, s_lo
 
 
-def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) -> BellValue:
+def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) -> tuple[float, ChshSettings]:
     """Exhaustive |S| maximization over a 4-angle grid of spacing grid_step.
 
     The grid is all multiples of grid_step in [0, 2*pi); requires
@@ -185,7 +179,8 @@ def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) ->
     (spin) or the photon pair state (photon).  Values within 1e-12 of the
     maximum are treated as ties and resolved toward the lexicographically
     smallest (alpha, alpha_prime, beta, beta_prime) tuple, so the result
-    is independent of evaluation order.
+    is independent of evaluation order.  Returns (s, settings) with s
+    signed at the maximizer.
     """
     angles = _scan_angles(grid_step)
     _check_kind(kind)
@@ -216,5 +211,4 @@ def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) ->
         beta_prime=float(angles[ibp]),
         kind=kind,
     )
-    s = e[ia, ib] + e[iap, ib] + e[ia, ibp] - e[iap, ibp]
-    return BellValue(s=float(s), settings=settings)
+    return float(e[ia, ib] + e[iap, ib] + e[ia, ibp] - e[iap, ibp]), settings

@@ -183,7 +183,7 @@ def chsh(ctx, alpha, alpha_prime, beta, beta_prime, kind, out):
     state = singlet() if kind == "spin" else photon_pair_state()
     columns = {"alpha": alpha, "alpha_prime": alpha_prime, "beta": beta,
                "beta_prime": beta_prime, "kind": kind}
-    _write_csv(out, _meta("chsh", columns), {**columns, "s": chsh_value(state, settings).s})
+    _write_csv(out, _meta("chsh", columns), {**columns, "s": chsh_value(state, settings)})
 
 
 @chsh.command("scan")
@@ -195,11 +195,11 @@ def chsh_scan(step, kind, out):
     from .chsh import tsirelson_scan
 
     _check_grid(_scan_side(step))
-    result = tsirelson_scan(_KIND[kind], np.deg2rad(step))
-    best = np.rad2deg(result.settings.angles)
+    s, settings = tsirelson_scan(_KIND[kind], np.deg2rad(step))
+    best = np.rad2deg(settings.angles)
     names = ("best_alpha", "best_alpha_prime", "best_beta", "best_beta_prime")
     _write_csv(out, _meta("chsh-scan", {"step": step, "kind": kind}),
-               {**dict(zip(names, best)), "s_max": abs(result.s)})
+               {**dict(zip(names, best)), "s_max": abs(s)})
 
 
 @main.command()
@@ -238,15 +238,15 @@ def identity(kind, trials, seed, out):
 def mermin(n, scan, step, out):
     """<F_n> on the GHZ state plus the deterministic LHV maximum."""
     from .lhv import mermin_deterministic_max
-    from .mermin import MerminSettings, ghz, mermin_shared_scan, mermin_value
+    from .mermin import ghz, mermin_shared_scan, mermin_value
 
     if scan:
         _check_grid(_scan_side(step))
-        value, _settings = mermin_shared_scan(n, np.deg2rad(step))
+        value, _ = mermin_shared_scan(n, np.deg2rad(step))
         params = {"n": n, "scan": True, "step": step}
     else:
         # canonical shared pair (0, 90) degrees attains the quantum bound
-        value = mermin_value(ghz(n), MerminSettings.from_shared(n, 0.0, np.pi / 2.0))
+        value = mermin_value(ghz(n), [(0.0, np.pi / 2.0)] * n)
         params = {"n": n, "scan": False}
     _write_csv(out, _meta("mermin", params),
                {"n": n, "f_value_or_max": value, "deterministic_max": mermin_deterministic_max(n)})
@@ -272,10 +272,10 @@ def lhv(enumerate_, model, samples, seed, angles, out):
     from .lhv import sign_model, simulate_chsh_stats
 
     settings = ChshSettings(*np.deg2rad(_parse_floats(angles, "--angles", 4)), kind="spin_half")
-    stats = simulate_chsh_stats(sign_model(), settings, samples, seed)
+    estimate, stderr = simulate_chsh_stats(sign_model(), settings, samples, seed)
     meta = _meta("lhv", {"mode": "model", "model": model, "samples": samples, "angles": angles},
                  seed=seed)
-    _write_csv(out, meta, {"s_estimate": stats.estimate, "stderr": stats.stderr})
+    _write_csv(out, meta, {"s_estimate": estimate, "stderr": stderr})
 
 
 @main.command()

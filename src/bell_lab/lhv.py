@@ -10,6 +10,8 @@ The stochastic side is a seeded Monte Carlo over response-function models;
 the stock sign model reproduces the sawtooth correlation
 E(a, b) = -1 + 2*d/pi (d = angular distance between the settings folded
 to [0, pi]) whose CHSH value at (0, pi/2, pi/4, -pi/4) is exactly -2.
+simulate_chsh_stats takes one settings tuple and returns the plain pair
+(estimate, stderr).
 """
 
 from __future__ import annotations  # np.random stays unloaded until make_rng runs
@@ -48,13 +50,6 @@ class HiddenVariableModel(_Record):
     sample: Callable[[np.random.Generator, int], np.ndarray]
     alice_response: Callable[[float, np.ndarray], np.ndarray]
     bob_response: Callable[[float, np.ndarray], np.ndarray]
-
-
-class ChshEstimate(_Record):
-    estimate: float
-    stderr: float
-    samples: int
-    seed: int
 
 
 def _cos_sign(angle: float, lam) -> np.ndarray:
@@ -131,8 +126,8 @@ def mermin_deterministic_max(n: int) -> int:
 
 def simulate_chsh_stats(
     model: HiddenVariableModel, settings: ChshSettings, samples: int, seed: int
-) -> ChshEstimate:
-    """Monte Carlo CHSH estimate with standard error; reproducible per seed.
+) -> tuple[float, float]:
+    """Monte Carlo CHSH (estimate, stderr) at one settings tuple; reproducible per seed.
 
     Every hidden value is used to evaluate all four correlations at once
     (the simultaneous-values assumption that defines this model class),
@@ -144,6 +139,8 @@ def simulate_chsh_stats(
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if np.shape(settings.alpha) != ():
+        raise ValueError(f"need one settings tuple, got a batch of shape {np.shape(settings.alpha)}")
     rng = make_rng(seed)
     n, n_plus = int(samples), 0
     for start in range(0, n, _CHUNK):
@@ -159,5 +156,4 @@ def simulate_chsh_stats(
     est = 2 * (2 * n_plus - n) / n
     dp, dm = 2.0 - est, -2.0 - est  # deviations of a +2 and of a -2 outcome
     var = (n_plus * (dp * dp) + (n - n_plus) * (dm * dm)) / (n - 1) if n > 1 else 0.0
-    stderr = float(np.sqrt(var) / np.sqrt(n))
-    return ChshEstimate(estimate=est, stderr=stderr, samples=n, seed=int(seed))
+    return est, float(np.sqrt(var) / np.sqrt(n))

@@ -2,6 +2,9 @@
 
 A state is a ket, a 1-D complex128 array of size 2^n: ghz(n) returns one
 read-only, and mermin_value checks the size and finiteness of its ket.
+Settings are an (n, 2) array-like of angle pairs (a_j, a_j'), radians,
+1 <= n <= 10; the shared pair (a, a') on n particles is [(a, a')] * n.
+mermin_shared_scan returns (value, pairs), pairs an (n, 2) float array.
 
 F_n = (1/2i) [ prod_j (A_j + i A_j') - prod_j (A_j - i A_j') ]
 
@@ -24,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from ._common import _Record, _require_finite
+from ._common import _require_finite
 from .operators import (
     _party_ops,
     _scan_angles,
@@ -49,33 +52,25 @@ def ghz(n: int) -> np.ndarray:
     return ket(amps)
 
 
-class MerminSettings(_Record):
-    """Per-particle angle pairs (a_j, a_j'), radians, transverse plane."""
+def _pairs(pairs) -> np.ndarray:
+    """Mermin settings as an (n, 2) float array of finite angle pairs, 1 <= n <= 10.
 
-    pairs: tuple
-
-    def __post_init__(self):
-        pairs = tuple((float(a), float(ap)) for a, ap in self.pairs)
-        if len(pairs) < 1:
-            raise ValueError("need at least one angle pair")
-        for a, ap in pairs:
-            _require_finite("angle", a)
-            _require_finite("angle", ap)
-        object.__setattr__(self, "pairs", pairs)
-
-    @classmethod
-    def from_shared(cls, n: int, a: float, a_prime: float) -> "MerminSettings":
-        """The same (a, a') pair applied to all n particles."""
-        return cls(pairs=((a, a_prime),) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.pairs)
+    The cap is checked before any 2^n-sized array is built.
+    """
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.shape[:1] == (0,):
+        raise ValueError("need at least one angle pair")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"angle pairs must have shape (n, 2), got shape {pairs.shape}")
+    if len(pairs) > 10:
+        raise ValueError(f"need at most 10 angle pairs, got {len(pairs)}")
+    _require_finite("angle pairs", pairs)
+    return pairs
 
 
-def mermin_operator(settings: MerminSettings) -> np.ndarray:
-    """The 2^n x 2^n Hermitian Mermin operator for the given settings."""
-    ops = _party_ops(settings.pairs, "transverse")  # (n, 2, 2, 2): A_j, A_j'
+def mermin_operator(pairs) -> np.ndarray:
+    """The 2^n x 2^n Hermitian Mermin operator for n angle pairs (a_j, a_j')."""
+    ops = _party_ops(_pairs(pairs), "transverse")  # (n, 2, 2, 2): A_j, A_j'
     m_plus = reduce(tensor, ops[:, 0] + 1.0j * ops[:, 1])
     # (m_plus - m_plus^dagger) / 2i in one more buffer; a C-ordered out=
     # keeps the layout, and so the bits of m @ psi, of the plain formula
@@ -83,26 +78,29 @@ def mermin_operator(settings: MerminSettings) -> np.ndarray:
     return np.divide(np.subtract(m_plus, f, out=f), 2.0j, out=f)
 
 
-def mermin_value(psi, settings: MerminSettings) -> float:
-    """<F_n> on a finite ket of size 2^n, n = settings.n; bounded by 2^(n-1) in magnitude for a unit ket."""
+def mermin_value(psi, pairs) -> float:
+    """<F_n> on a finite ket of size 2^n for n angle pairs; bounded by 2^(n-1) in magnitude for a unit ket."""
+    pairs = _pairs(pairs)
+    n = len(pairs)
     psi = phi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size != 2**settings.n:
-        raise ValueError(f"need a ket of size {2**settings.n} for {settings.n} particles, got size {psi.size}")
+    if psi.size != 2**n:
+        raise ValueError(f"need a ket of size {2**n} for {n} particles, got size {psi.size}")
     _require_finite("ket amplitudes", psi.view(np.float64))
     # <F> = Im <psi|P|psi> with P = prod_j (A_j + i A_j'), each 2x2 factor
     # applied to its own axis of the ket: O(2^n) memory, no 2^n x 2^n matrix
-    ops = _party_ops(settings.pairs, "transverse")
+    ops = _party_ops(pairs, "transverse")
     for j, factor in enumerate(ops[:, 0] + 1.0j * ops[:, 1]):
         phi = (factor @ phi.reshape(2**j, 2, -1)).ravel()
     return float(np.vdot(psi, phi).imag)
 
 
-def mermin_square_residual(settings: MerminSettings) -> float:
+def mermin_square_residual(pairs) -> float:
     """Max-norm residual of the three-particle F^2 commutator identity."""
-    if settings.n != 3:
-        raise ValueError(f"the squared identity is for n = 3, got n = {settings.n}")
-    f = mermin_operator(settings)
-    ops = _party_ops(settings.pairs, "transverse")
+    pairs = _pairs(pairs)
+    if len(pairs) != 3:
+        raise ValueError(f"the squared identity is for n = 3, got n = {len(pairs)}")
+    f = mermin_operator(pairs)
+    ops = _party_ops(pairs, "transverse")
     comms = commutator(ops[:, 0], ops[:, 1])
     eye = np.eye(2, dtype=complex)
     rhs = 4.0 * np.eye(8, dtype=complex)
@@ -121,10 +119,13 @@ def ghz_expectation_shared(n: int, a, a_prime):
         <F_n> = sum over odd k of (-1)^((k-1)/2) * C(n, k)
                 * sin(k*a' + (n-k)*a)
 
-    Broadcasts over numpy arrays of angles.
+    Broadcasts over numpy arrays of finite angles; 2 <= n <= 10.
     """
+    _check_n(n)
     a = np.asarray(a, dtype=float)
     ap = np.asarray(a_prime, dtype=float)
+    _require_finite("angles", a)
+    _require_finite("angles", ap)
     total = np.zeros(np.broadcast(a, ap).shape)
     for k in range(1, n + 1, 2):
         sign = -1.0 if (k - 1) // 2 % 2 else 1.0
@@ -137,7 +138,8 @@ def mermin_shared_scan(n: int, grid_step: float = np.pi / 180.0):
 
     The grid is all multiples of grid_step in [0, 2*pi); ties within 1e-12
     of the maximum resolve to the lexicographically smallest (a, a').
-    Returns (value, settings) with value signed at the maximizer.
+    Returns (value, pairs) with value signed at the maximizer and pairs
+    the (n, 2) array of the maximizing (a, a'), one row per particle.
     """
     _check_n(n)
     angles = _scan_angles(grid_step)
@@ -146,5 +148,4 @@ def mermin_shared_scan(n: int, grid_step: float = np.pi / 180.0):
     tol = 1e-12 * max(1.0, best)
     # argwhere lists indices in row-major, i.e. lexicographic, order
     ia, iap = np.argwhere(np.abs(vals) >= best - tol)[0]
-    settings = MerminSettings.from_shared(n, float(angles[ia]), float(angles[iap]))
-    return float(vals[ia, iap]), settings
+    return float(vals[ia, iap]), np.full((n, 2), (angles[ia], angles[iap]))

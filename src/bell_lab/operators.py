@@ -154,12 +154,13 @@ def dagger(a) -> np.ndarray:
 
 
 def expectation(psi, m) -> complex | np.ndarray:
-    """<psi|M|psi>; real to 1e-12 when M is Hermitian.
+    """<psi|M|psi> for a finite ket; real to 1e-12 when M is Hermitian.
 
     For a stack of operators (..., d, d) it returns an array with one
     value per operator, each bitwise equal to np.vdot(psi, M @ psi).
     """
     psi = np.asarray(psi, dtype=complex).ravel()
+    _require_finite("ket amplitudes", psi.view(np.float64))
     m = _as_matrix(m)
     if m.ndim < 2 or m.shape[-2:] != (psi.size, psi.size):
         raise ValueError(f"dimension mismatch: ket dim {psi.size}, operator shape {m.shape}")

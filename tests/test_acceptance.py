@@ -29,7 +29,7 @@ from bell_lab.fock import (
     product_state,
 )
 from bell_lab.lhv import chsh_deterministic_max, mermin_deterministic_max, sign_model, simulate_chsh_stats
-from bell_lab.mermin import MerminSettings, mermin_shared_scan, mermin_square_residual
+from bell_lab.mermin import mermin_shared_scan, mermin_square_residual
 from bell_lab.operators import hermitian_extremal_eigenvalue, ket
 
 DEG = np.pi / 180.0
@@ -73,8 +73,8 @@ def test_criterion_02_tsirelson_value():
     }
     s_literal = e[(0.0, 45.0)] + e[(90.0, 45.0)] - e[(0.0, 135.0)] + e[(90.0, 135.0)]
     corrected = ChshSettings(0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
-    s_corrected = chsh_value(psi, corrected).s
-    scan = abs(tsirelson_scan("spin_half", grid_step=DEG).s)
+    s_corrected = chsh_value(psi, corrected)
+    scan = abs(tsirelson_scan("spin_half", grid_step=DEG)[0])
     ok = (
         abs(eig - TSIRELSON) < 1e-12
         and abs(abs(s_literal) - TSIRELSON) < 1e-12
@@ -98,12 +98,12 @@ def test_criterion_03_quantum_bound():
         kind = "spin_half" if rng.integers(2) else "photon"
         psi = ket(rng.normal(size=4) + 1j * rng.normal(size=4))
         s = ChshSettings(*rng.uniform(0.0, 2.0 * np.pi, size=4), kind=kind)
-        worst = max(worst, abs(chsh_value(psi, s).s))
+        worst = max(worst, abs(chsh_value(psi, s)))
     worst_deg = 0.0
     for _ in range(1000):
         psi = ket(rng.normal(size=4) + 1j * rng.normal(size=4))
         a, b = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        worst_deg = max(worst_deg, abs(chsh_value(psi, ChshSettings(a, a, b, b)).s))
+        worst_deg = max(worst_deg, abs(chsh_value(psi, ChshSettings(a, a, b, b))))
     ok = worst <= TSIRELSON + 1e-9 and worst_deg <= 2.0 + 1e-12
     _line(
         3,
@@ -117,15 +117,15 @@ def test_criterion_04_lhv_bounds():
     det_chsh = chsh_deterministic_max()
     det_mermin = mermin_deterministic_max(3)
     canonical = ChshSettings(0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
-    stats = simulate_chsh_stats(sign_model(), canonical, samples=1_000_000, seed=20260819)
-    within = abs(abs(stats.estimate) - 2.0) <= 5.0 * stats.stderr
+    estimate, stderr = simulate_chsh_stats(sign_model(), canonical, samples=1_000_000, seed=20260819)
+    within = abs(abs(estimate) - 2.0) <= 5.0 * stderr
     ok = det_chsh == 2 and det_mermin == 2 and within
     _line(
         4,
         ok,
         f"deterministic CHSH max {det_chsh} (exact), Mermin n=3 max {det_mermin} "
-        f"(exact); sign-model MC at the canonical axes: |S| = {abs(stats.estimate)} "
-        f"+- {stats.stderr} over 10^6 samples (within 5 stderr of 2.0)",
+        f"(exact); sign-model MC at the canonical axes: |S| = {abs(estimate)} "
+        f"+- {stderr} over 10^6 samples (within 5 stderr of 2.0)",
     )
 
 
@@ -138,7 +138,7 @@ def test_criterion_05_mermin_quantum_values():
         pairs = tuple(
             (float(a), float(ap)) for a, ap in rng.uniform(0.0, 2.0 * np.pi, size=(3, 2))
         )
-        worst = max(worst, mermin_square_residual(MerminSettings(pairs)))
+        worst = max(worst, mermin_square_residual(pairs))
     ok = abs(abs(v3) - 4.0) < 1e-6 and abs(abs(v4) - 8.0) < 1e-6 and worst < 1e-12
     _line(
         5,

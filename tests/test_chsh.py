@@ -92,7 +92,7 @@ def brute_scan(kind, step):
         for ap in grid:
             for b in grid:
                 for bp in grid:
-                    s = chsh_value(psi, ChshSettings(a, ap, b, bp, kind=kind)).s
+                    s = chsh_value(psi, ChshSettings(a, ap, b, bp, kind=kind))
                     if best is None or abs(s) > abs(best):
                         best = s
     return best
@@ -213,7 +213,7 @@ class TestBellOperator:
         psi = singlet()
         for _ in range(100):
             s = ChshSettings(*rng.uniform(0, 2 * np.pi, size=4))
-            direct = chsh_value(psi, s).s
+            direct = chsh_value(psi, s)
             via_op = expectation(psi, bell_operator(s)).real
             assert abs(direct - via_op) < 1e-12
 
@@ -235,19 +235,19 @@ class TestIdentityResidual:
 class TestChshValue:
     def test_corrected_spin_tuple_attains_tsirelson(self):
         v = chsh_value(singlet(), CORRECTED_SPIN)
-        assert abs(abs(v.s) - TSIRELSON) < 1e-12
+        assert abs(abs(v) - TSIRELSON) < 1e-12
 
     def test_literal_spin_tuple_vanishes(self):
         # the same four angles combined with the standard S signs cancel
-        assert abs(chsh_value(singlet(), LITERAL_SPIN).s) < 1e-12
+        assert abs(chsh_value(singlet(), LITERAL_SPIN)) < 1e-12
 
     def test_corrected_photon_tuple_attains_tsirelson(self):
         v = chsh_value(photon_pair_state(), CORRECTED_PHOTON)
-        assert abs(abs(v.s) - TSIRELSON) < 1e-12
+        assert abs(abs(v) - TSIRELSON) < 1e-12
 
     def test_all_equal_settings(self):
         v = chsh_value(singlet(), ChshSettings(0.7, 0.7, 0.7, 0.7))
-        assert abs(abs(v.s) - 2.0) < 1e-12
+        assert abs(abs(v) - 2.0) < 1e-12
 
     def test_quantum_bound_random(self):
         rng = np.random.default_rng(53)
@@ -255,14 +255,14 @@ class TestChshValue:
         for _ in range(10_000):
             kind = "spin_half" if rng.integers(2) else "photon"
             s = ChshSettings(*rng.uniform(0, 2 * np.pi, size=4), kind=kind)
-            assert abs(chsh_value(psi_by_kind[kind], s).s) <= TSIRELSON + 1e-12
+            assert abs(chsh_value(psi_by_kind[kind], s)) <= TSIRELSON + 1e-12
 
     def test_degenerate_settings_capped_at_two(self):
         rng = np.random.default_rng(59)
         psi = singlet()
         for _ in range(200):
             a, b = rng.uniform(0, 2 * np.pi, size=2)
-            assert abs(chsh_value(psi, ChshSettings(a, a, b, b)).s) <= 2.0 + 1e-12
+            assert abs(chsh_value(psi, ChshSettings(a, a, b, b))) <= 2.0 + 1e-12
 
     def test_photon_tracks_spin_at_doubled_angles(self):
         # photon ops at theta are unitarily the spin ops at 2*theta
@@ -275,23 +275,23 @@ class TestChshValue:
             psi = ket(rng.normal(size=4) + 1j * rng.normal(size=4))
             sp = chsh_value(ket(rr @ psi), ChshSettings(*(2 * t)))
             ph = chsh_value(psi, ChshSettings(*t, kind="photon"))
-            assert abs(sp.s - ph.s) < 1e-12
+            assert abs(sp - ph) < 1e-12
 
 
 class TestTsirelsonScan:
     def test_pi_over_4_step_attains_bound_spin(self):
-        v = tsirelson_scan("spin_half", grid_step=np.pi / 4)
-        assert abs(abs(v.s) - TSIRELSON) < 1e-12
+        v, _ = tsirelson_scan("spin_half", grid_step=np.pi / 4)
+        assert abs(abs(v) - TSIRELSON) < 1e-12
 
     def test_never_exceeds_bound(self):
         for kind in ("spin_half", "photon"):
-            v = tsirelson_scan(kind, grid_step=np.pi / 16)
-            assert abs(v.s) <= TSIRELSON + 1e-9
+            v, _ = tsirelson_scan(kind, grid_step=np.pi / 16)
+            assert abs(v) <= TSIRELSON + 1e-9
 
     def test_monotone_refinement(self):
         prev = 0.0
         for step in (np.pi / 4, np.pi / 8, np.pi / 16):
-            cur = abs(tsirelson_scan("photon", grid_step=step).s)
+            cur = abs(tsirelson_scan("photon", grid_step=step)[0])
             assert cur >= prev - 1e-12
             prev = cur
         assert prev > 2.8
@@ -299,31 +299,31 @@ class TestTsirelsonScan:
     def test_matches_brute_force_at_coarse_step(self):
         # dual route: the vectorized scan against 4 nested python loops
         for kind in ("spin_half", "photon"):
-            fast = tsirelson_scan(kind, grid_step=np.pi / 4)
+            fast, _ = tsirelson_scan(kind, grid_step=np.pi / 4)
             slow = brute_scan(kind, np.pi / 4)
-            assert abs(abs(fast.s) - abs(slow)) < 1e-12
+            assert abs(abs(fast) - abs(slow)) < 1e-12
 
     def test_scan_result_is_reproducible_by_chsh_value(self):
         psi = singlet()
-        v = tsirelson_scan("spin_half", grid_step=np.pi / 8)
-        assert abs(chsh_value(psi, v.settings).s - v.s) < 1e-12
+        v, settings = tsirelson_scan("spin_half", grid_step=np.pi / 8)
+        assert abs(chsh_value(psi, settings) - v) < 1e-12
 
     def test_one_degree_scan_spin(self):
-        v = tsirelson_scan("spin_half", grid_step=DEG)
-        assert 2.826 <= abs(v.s) <= TSIRELSON + 1e-9
-        got = tuple(round(np.rad2deg(x)) for x in v.settings.angles)
+        v, settings = tsirelson_scan("spin_half", grid_step=DEG)
+        assert 2.826 <= abs(v) <= TSIRELSON + 1e-9
+        got = tuple(round(np.rad2deg(x)) for x in settings.angles)
         assert got == (0, 90, 45, 315)
-        assert abs(v.s + TSIRELSON) < 1e-12  # signed value is -2*sqrt(2) here
+        assert abs(v + TSIRELSON) < 1e-12  # signed value is -2*sqrt(2) here
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bitwise_equal_to_eight_array_reference(self, kind):
         for step in (45.0, 22.5, 15.0, 10.0, 7.5, 5.0, 3.0, 2.0, 1.5):
             grid_step = np.deg2rad(step)
-            v = tsirelson_scan(kind, grid_step)
+            v, settings = tsirelson_scan(kind, grid_step)
             want_s, want_angles = reference_scan(kind, grid_step)
-            assert v.s == want_s
-            assert v.settings.angles == want_angles
-            assert v.settings.kind == kind
+            assert v == want_s
+            assert settings.angles == want_angles
+            assert settings.kind == kind
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_half_reduction_bitwise_equal_to_full_loop(self, kind):
@@ -383,7 +383,7 @@ class TestBatchedSettings:
         batch = ChshSettings(*angles.T, kind=kind)
         residuals = identity_residual(batch)
         operators = bell_operator(batch)
-        values = chsh_value(psi, batch).s
+        values = chsh_value(psi, batch)
         assert residuals.shape == values.shape == (2000,)
         assert operators.shape == (2000, 4, 4)
         for i, row in enumerate(angles):
@@ -406,7 +406,7 @@ class TestBatchedSettings:
         settings = ChshSettings(*fields, kind=kind)
         residual = identity_residual(settings)
         operator = bell_operator(settings)
-        value = chsh_value(psi, settings).s
+        value = chsh_value(psi, settings)
         if shape == ():
             assert type(residual) is float and type(value) is float
         assert np.shape(residual) == np.shape(value) == shape

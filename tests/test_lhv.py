@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -169,39 +170,38 @@ class TestRng:
 class TestSignModelSimulation:
     def test_reproducible_bit_identical(self):
         model = sign_model()
-        r1 = simulate_chsh_stats(model, SUPPLEMENTARY, samples=5000, seed=99)
-        r2 = simulate_chsh_stats(model, SUPPLEMENTARY, samples=5000, seed=99)
-        assert r1.estimate == r2.estimate
-        assert r1.stderr == r2.stderr
-        assert r1.samples == 5000 and r1.seed == 99
+        est1, err1 = simulate_chsh_stats(model, SUPPLEMENTARY, samples=5000, seed=99)
+        est2, err2 = simulate_chsh_stats(model, SUPPLEMENTARY, samples=5000, seed=99)
+        assert est1 == est2
+        assert err1 == err2
 
     def test_different_seeds_differ(self):
         model = sign_model()
-        r1 = simulate_chsh_stats(model, SUPPLEMENTARY, samples=5000, seed=1)
-        r2 = simulate_chsh_stats(model, SUPPLEMENTARY, samples=5000, seed=2)
-        assert r1.estimate != r2.estimate
+        est1, _ = simulate_chsh_stats(model, SUPPLEMENTARY, samples=5000, seed=1)
+        est2, _ = simulate_chsh_stats(model, SUPPLEMENTARY, samples=5000, seed=2)
+        assert est1 != est2
 
     def test_corrected_tuple_is_exactly_minus_two(self):
         # at (0, 90, 45, -45) degrees every lambda combination equals -2,
         # so the Monte Carlo average is exact with zero spread
         model = sign_model()
-        r = simulate_chsh_stats(model, CORRECTED_SPIN, samples=20_000, seed=7)
-        assert r.estimate == -2.0
-        assert r.stderr == 0.0
+        est, err = simulate_chsh_stats(model, CORRECTED_SPIN, samples=20_000, seed=7)
+        assert est == -2.0
+        assert err == 0.0
 
     def test_supplementary_tuple_near_minus_one(self):
         model = sign_model()
-        r = simulate_chsh_stats(model, SUPPLEMENTARY, samples=200_000, seed=11)
-        assert r.stderr > 0.0
-        assert abs(r.estimate - (-1.0)) < 5.0 * r.stderr
+        est, err = simulate_chsh_stats(model, SUPPLEMENTARY, samples=200_000, seed=11)
+        assert err > 0.0
+        assert abs(est - (-1.0)) < 5.0 * err
 
     def test_stays_inside_deterministic_bound(self):
         model = sign_model()
         rng = np.random.default_rng(101)
         for _ in range(20):
             settings = ChshSettings(*rng.uniform(0, 2 * np.pi, size=4))
-            r = simulate_chsh_stats(model, settings, samples=2000, seed=3)
-            assert abs(r.estimate) <= 2.0
+            est, _ = simulate_chsh_stats(model, settings, samples=2000, seed=3)
+            assert abs(est) <= 2.0
 
     def test_empirical_pair_correlation_matches_sawtooth(self):
         # route A: Monte Carlo over the model's responses
@@ -215,19 +215,26 @@ class TestSignModelSimulation:
 
     def test_single_sample_is_deterministic_pm_two(self):
         model = sign_model()
-        r = simulate_chsh_stats(model, SUPPLEMENTARY, samples=1, seed=0)
-        assert abs(r.estimate) == 2.0
-        assert r.stderr == 0.0
+        est, err = simulate_chsh_stats(model, SUPPLEMENTARY, samples=1, seed=0)
+        assert abs(est) == 2.0
+        assert err == 0.0
 
     def test_estimate_repeats_per_seed(self):
         model = sign_model()
-        a = simulate_chsh_stats(model, SUPPLEMENTARY, samples=100, seed=5).estimate
-        b = simulate_chsh_stats(model, SUPPLEMENTARY, samples=100, seed=5).estimate
+        a, _ = simulate_chsh_stats(model, SUPPLEMENTARY, samples=100, seed=5)
+        b, _ = simulate_chsh_stats(model, SUPPLEMENTARY, samples=100, seed=5)
         assert a == b
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             simulate_chsh_stats(sign_model(), SUPPLEMENTARY, samples=0, seed=1)
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2)])
+    def test_batched_settings_refused(self, shape):
+        # a batch once ended in _arc_sign's float(angle) TypeError
+        batch = ChshSettings(*np.zeros((4,) + shape))
+        with pytest.raises(ValueError, match=f"^need one settings tuple, got a batch of shape {re.escape(str(shape))}$"):
+            simulate_chsh_stats(sign_model(), batch, samples=10, seed=1)
 
     def test_alice_bob_anticorrelated_at_same_angle(self):
         model = sign_model()
@@ -246,9 +253,9 @@ class TestStreamedCounts:
     @pytest.mark.parametrize("settings", [SUPPLEMENTARY, *RANDOM_SETTINGS])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_estimate_within_five_se_of_exact(self, settings, seed):
-        r = simulate_chsh_stats(sign_model(), settings, samples=20_000, seed=seed)
-        assert r.stderr > 0.0
-        assert abs(r.estimate - exact_sign_model_chsh(settings)) <= 5.0 * r.stderr
+        est, err = simulate_chsh_stats(sign_model(), settings, samples=20_000, seed=seed)
+        assert err > 0.0
+        assert abs(est - exact_sign_model_chsh(settings)) <= 5.0 * err
 
     @pytest.mark.parametrize("samples", [2, 1000, 65537, 200_001])
     def test_matches_materialized_array(self, samples):
@@ -261,10 +268,10 @@ class TestStreamedCounts:
             b = model.bob_response(settings.beta, lam)
             bp = model.bob_response(settings.beta_prime, lam)
             per_lambda = a * b + ap * b + a * bp - ap * bp
-            r = simulate_chsh_stats(model, settings, samples, seed)
-            assert r.estimate == np.mean(per_lambda)
+            est, err = simulate_chsh_stats(model, settings, samples, seed)
+            assert est == np.mean(per_lambda)
             want = np.std(per_lambda, ddof=1) / np.sqrt(samples)
-            assert abs(r.stderr - want) <= 1e-15 * want
+            assert abs(err - want) <= 1e-15 * want
 
     def test_draws_one_chunk_at_a_time(self, monkeypatch):
         sizes = []
@@ -354,6 +361,6 @@ class TestArcScoring:
         sign_model().alice_response(0.3, np.array([0.1, 0.3 + 0.5 * np.pi, 2.0]))
         assert seen == [1]
         seen.clear()
-        r = simulate_chsh_stats(sign_model(), SUPPLEMENTARY, samples=1_000_000, seed=12)
-        assert abs(r.estimate - exact_sign_model_chsh(SUPPLEMENTARY)) <= 5.0 * r.stderr
+        est, err = simulate_chsh_stats(sign_model(), SUPPLEMENTARY, samples=1_000_000, seed=12)
+        assert abs(est - exact_sign_model_chsh(SUPPLEMENTARY)) <= 5.0 * err
         assert sum(seen) <= 100

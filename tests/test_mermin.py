@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from bell_lab.mermin import (
-    MerminSettings,
+    _pairs,
     ghz,
     ghz_expectation_shared,
     mermin_operator,
@@ -101,7 +103,7 @@ class TestMerminOperator:
     def test_bitwise_equal_to_per_op_reference(self, n):
         rng = np.random.default_rng(100 + n)
         pairs = rng.uniform(-10.0, 10.0, size=(n, 2))
-        f = mermin_operator(MerminSettings(pairs=pairs))
+        f = mermin_operator(pairs)
         ref = reference_mermin_operator(pairs)
         assert np.array_equal(f, ref)
         # the same C layout as the plain formula, so M @ psi keeps its bits
@@ -109,10 +111,29 @@ class TestMerminOperator:
         psi = rng.normal(size=2**n) + 1.0j * rng.normal(size=2**n)
         assert np.array_equal(f @ psi, ref @ psi)
 
+    @pytest.mark.parametrize("n", [11, 40])
+    def test_more_than_ten_pairs_refused_before_any_allocation(self, n):
+        # without the cap, reduce(tensor, ...) would build a 2^n x 2^n matrix
+        pairs = [(0.0, np.pi / 2)] * n
+        for call in (mermin_operator, mermin_square_residual, lambda p: mermin_value(ghz(3), p)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"^need at most 10 angle pairs, got {n}$"):
+                    call(pairs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((3, 3)), np.zeros((2, 2, 2))])
+    def test_pairs_must_be_an_n_by_2_array(self, bad):
+        with pytest.raises(ValueError, match="^angle pairs must have shape"):
+            mermin_operator(bad)
+
     def test_n1_is_sigma_y(self):
         # with one particle the ladder construction reduces to sin of the
         # single setting difference; at (0, pi/2) that is sigma_y exactly
-        s = MerminSettings.from_shared(1, 0.0, np.pi / 2)
+        s = [(0.0, np.pi / 2)] * 1
         f = mermin_operator(s)
         assert np.max(np.abs(f - SIGMA_Y)) < 1e-12
 
@@ -124,16 +145,16 @@ class TestMerminOperator:
                 (float(a), float(ap))
                 for a, ap in rng.uniform(0, 2 * np.pi, size=(n, 2))
             )
-            f = mermin_operator(MerminSettings(pairs))
+            f = mermin_operator(pairs)
             assert np.max(np.abs(f - f.conj().T)) < 1e-12
 
     def test_extremal_eigenvalue_n3_canonical(self):
-        s = MerminSettings.from_shared(3, 0.0, np.pi / 2)
+        s = [(0.0, np.pi / 2)] * 3
         f = mermin_operator(s)
         assert abs(hermitian_extremal_eigenvalue(f) - 4.0) < 1e-12
 
     def test_square_of_canonical_n3_operator(self):
-        s = MerminSettings.from_shared(3, 0.0, np.pi / 2)
+        s = [(0.0, np.pi / 2)] * 3
         f = mermin_operator(s)
         assert abs(hermitian_extremal_eigenvalue(f @ f) - 16.0) < 1e-10
 
@@ -146,20 +167,20 @@ class TestMerminSquareResidual:
                 (float(a), float(ap))
                 for a, ap in rng.uniform(0, 2 * np.pi, size=(3, 2))
             )
-            assert mermin_square_residual(MerminSettings(pairs)) < 1e-12
+            assert mermin_square_residual(pairs) < 1e-12
 
     def test_degenerate_settings(self):
-        s = MerminSettings.from_shared(3, 0.5, 0.5)
+        s = [(0.5, 0.5)] * 3
         assert mermin_square_residual(s) < 1e-12
 
     def test_requires_three_particles(self):
         with pytest.raises(ValueError):
-            mermin_square_residual(MerminSettings.from_shared(2, 0.0, np.pi / 2))
+            mermin_square_residual([(0.0, np.pi / 2)] * 2)
 
 
 class TestMerminValue:
     def test_canonical_n3(self):
-        s = MerminSettings.from_shared(3, 0.0, np.pi / 2)
+        s = [(0.0, np.pi / 2)] * 3
         assert abs(mermin_value(ghz(3), s) - 4.0) < 1e-12
 
     def test_bound_random(self):
@@ -172,7 +193,7 @@ class TestMerminValue:
                     (float(a), float(ap))
                     for a, ap in rng.uniform(0, 2 * np.pi, size=(n, 2))
                 )
-                v = mermin_value(st, MerminSettings(pairs))
+                v = mermin_value(st, pairs)
                 assert abs(v) <= cap + 1e-9
 
     def test_degenerate_settings_classical_cap(self):
@@ -183,25 +204,25 @@ class TestMerminValue:
             st = ghz(n)
             for _ in range(200):
                 a = float(rng.uniform(0, 2 * np.pi))
-                s = MerminSettings.from_shared(n, a, a)
+                s = [(a, a)] * n
                 assert abs(mermin_value(st, s)) <= 2.0 + 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="^need a ket of size 4 for 2 particles, got size 8$"):
-            mermin_value(ghz(3), MerminSettings.from_shared(2, 0.0, np.pi / 2))
+            mermin_value(ghz(3), [(0.0, np.pi / 2)] * 2)
 
     @pytest.mark.parametrize("size", [1, 6, 7, 9])
     def test_ket_of_no_qubit_count_refused(self, size):
         # not a power of two: once this ended in numpy's "cannot reshape array"
         with pytest.raises(ValueError, match=f"^need a ket of size 8 for 3 particles, got size {size}$"):
-            mermin_value(ket(np.ones(size)), MerminSettings.from_shared(3, 0.0, 1.0))
+            mermin_value(ket(np.ones(size)), [(0.0, 1.0)] * 3)
 
     @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, complex(0.0, -np.inf)])
     def test_nonfinite_ket_refused(self, bad):
         # a NaN ket once gave <F> = nan
         for psi in (np.full(8, bad), np.where(np.arange(8) == 5, bad, ghz(3))):
             with pytest.raises(ValueError, match=f"^{re.escape('ket amplitudes must be finite, got array([')}"):
-                mermin_value(psi, MerminSettings.from_shared(3, 0.0, 1.0))
+                mermin_value(psi, [(0.0, 1.0)] * 3)
 
 
 def random_state(n, rng):
@@ -216,7 +237,7 @@ class TestMatrixFreeValue:
         rng = np.random.default_rng(600 + n)
         for state in (ghz(n), random_state(n, rng)):
             for _ in range(3):
-                s = MerminSettings(tuple(map(tuple, rng.uniform(-7.0, 7.0, size=(n, 2)))))
+                s = tuple(map(tuple, rng.uniform(-7.0, 7.0, size=(n, 2))))
                 via_operator = expectation(state, mermin_operator(s)).real
                 assert abs(mermin_value(state, s) - via_operator) <= 1e-12 * 2.0 ** (n - 1)
 
@@ -226,7 +247,7 @@ class TestMatrixFreeValue:
         angle = st.floats(-10.0, 10.0, allow_nan=False)
         pairs = data.draw(st.lists(st.tuples(angle, angle), min_size=n, max_size=n))
         states = (random_state(n, np.random.default_rng(seed)), ghz(n))
-        for s in (MerminSettings(tuple(pairs)), MerminSettings.from_shared(n, 0.0, np.pi / 2)):
+        for s in (tuple(pairs), [(0.0, np.pi / 2)] * n):
             for state in states:
                 assert abs(mermin_value(state, s)) <= 2.0 ** (n - 1) * (1.0 + 1e-12)
 
@@ -240,8 +261,23 @@ class TestSharedFormula:
             for _ in range(50):
                 a, ap = rng.uniform(0, 2 * np.pi, size=2)
                 via_formula = ghz_expectation_shared(n, a, ap)
-                via_matrix = mermin_value(st, MerminSettings.from_shared(n, a, ap))
+                via_matrix = mermin_value(st, [(a, ap)] * n)
                 assert abs(via_formula - via_matrix) < 1e-10
+
+    @pytest.mark.parametrize("n", [0, -3, 1, 11, 1.5, 3.0])
+    def test_particle_count_validated(self, n):
+        # n = 0 and n = -3 once returned 0.0, n = 1.5 raised TypeError
+        with pytest.raises(ValueError, match=r"^n must be an integer in \[2, 10\]"):
+            ghz_expectation_shared(n, 0.0, np.pi / 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_angles_refused(self, bad):
+        # a NaN angle once returned nan with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, ap in ((bad, 0.0), (0.0, bad), (np.array([0.0, bad]), 1.0)):
+                with pytest.raises(ValueError, match="^angles must be finite"):
+                    ghz_expectation_shared(3, a, ap)
 
     def test_broadcasting(self):
         a = np.linspace(0, np.pi, 7)
@@ -259,7 +295,7 @@ def reference_shared_scan(n, grid_step):
     best = float(np.abs(vals).max())
     tol = 1e-12 * max(1.0, best)
     ia, iap = min((int(i), int(j)) for i, j in np.argwhere(np.abs(vals) >= best - tol))
-    settings = MerminSettings.from_shared(n, float(angles[ia]), float(angles[iap]))
+    settings = [(float(angles[ia]), float(angles[iap]))] * n
     return float(vals[ia, iap]), settings
 
 
@@ -267,7 +303,7 @@ class TestSharedScan:
     def test_n3_attains_four(self):
         v, s = mermin_shared_scan(3, grid_step=np.pi / 180)
         assert abs(abs(v) - 4.0) < 1e-6
-        assert s.n == 3
+        assert s.shape == (3, 2)
 
     def test_n4_attains_eight(self):
         v, _ = mermin_shared_scan(4, grid_step=np.pi / 180)
@@ -282,7 +318,7 @@ class TestSharedScan:
 
     def test_maximizer_is_canonical_pair(self):
         v, s = mermin_shared_scan(3, grid_step=np.pi / 4)
-        a, ap = s.pairs[0]
+        a, ap = s[0]
         assert abs(v) >= 4.0 - 1e-12
         assert (a, ap) == (0.0, np.pi / 2)
 
@@ -302,7 +338,8 @@ class TestSharedScan:
             v, s = mermin_shared_scan(n, grid_step)
             want_v, want_s = reference_shared_scan(n, grid_step)
             assert v == want_v
-            assert s.pairs == want_s.pairs
+            assert s.dtype == float and s.shape == (n, 2)
+            assert np.array_equal(s, want_s)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -317,17 +354,17 @@ class TestSharedScan:
 
 class TestSettings:
     def test_from_shared(self):
-        s = MerminSettings.from_shared(3, 0.1, 0.2)
-        assert s.pairs == ((0.1, 0.2),) * 3
-        assert s.n == 3
+        s = _pairs([(0.1, 0.2)] * 3)
+        assert s.dtype == float and s.shape == (3, 2)
+        assert np.array_equal(s, ((0.1, 0.2),) * 3)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            MerminSettings(())
+            _pairs(())
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            MerminSettings(((0.0, np.nan),))
+            _pairs(((0.0, np.nan),))
 
 
 class TestGapAgainstDeterministicBound:

@@ -315,6 +315,13 @@ class TestCommutatorDaggerExpectation:
         with pytest.raises(ValueError):
             expectation(np.array([1.0, 0.0]), np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, complex(0.0, -np.inf)])
+    def test_expectation_rejects_nonfinite_ket(self, bad):
+        # a NaN ket once gave (nan+nanj)
+        for m in (np.eye(4), np.stack([np.eye(4)] * 3)):
+            with pytest.raises(ValueError, match=r"^ket amplitudes must be finite, got array\(\["):
+                expectation(np.array([bad, 0.0, 0.0, 0.0]), m)
+
     def test_ket_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             ket([0.0, 0.0])

@@ -1,7 +1,7 @@
 """The semantics every record type keeps: frozen fields that construct,
 compare, hash, print, copy and pickle as the field tuple.
 
-The table gives each of the 12 records its fields in order, one value per
+The table gives each of the 9 records its fields in order, one value per
 field, and its defaults; every test walks the whole table.  States are not
 records but arrays; the messages of the functions that check them are
 pinned here with the records' own.
@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from bell_lab import lhv
-from bell_lab.chsh import BellValue, ChshSettings
+from bell_lab.chsh import ChshSettings
 from bell_lab.dbb import PhysicalConstants, SpinTrajectory, Trajectory, TwoParticleWF, WavePacket, integrate_spin
 from bell_lab.fock import BeamSplitterSpec, annihilation, coincidence_probability
-from bell_lab.lhv import ChshEstimate, HiddenVariableModel
-from bell_lab.mermin import MerminSettings
+from bell_lab.lhv import HiddenVariableModel
+from bell_lab.mermin import mermin_operator
 from bell_lab.operators import MeasurementOp
 
 
@@ -32,7 +32,6 @@ def _anti_sign(angle, lam):
     return -lhv._arc_sign(angle, lam)
 
 
-SETTINGS = ChshSettings(0.0, math.pi / 2, math.pi / 4, -math.pi / 4, "photon")
 VACUUM = np.eye(15, dtype=complex)[0]
 PACKET_A = WavePacket(-1.5, 0.8, 0.6, 0.25)
 PACKET_B = WavePacket(1.5, 1.1, -0.4)
@@ -42,11 +41,8 @@ RECORDS = [
     (MeasurementOp, ("matrix", "label"), (np.diag([1.0, -1.0]).astype(complex), "z"), {"label": ""}),
     (ChshSettings, ("alpha", "alpha_prime", "beta", "beta_prime", "kind"),
      (0.0, math.pi / 2, math.pi / 4, -math.pi / 4, "photon"), {"kind": "spin_half"}),
-    (BellValue, ("s", "settings"), (2.5, SETTINGS), {}),
-    (MerminSettings, ("pairs",), (((0.0, 1.0), (0.5, -1.0)),), {}),
     (HiddenVariableModel, ("name", "sample", "alice_response", "bob_response"),
      ("sign", _uniform, lhv._arc_sign, _anti_sign), {}),
-    (ChshEstimate, ("estimate", "stderr", "samples", "seed"), (2.0, 0.01, 100, 7), {}),
     (BeamSplitterSpec, ("t_x", "r_x", "t_y", "r_y"), (0.25, 0.75, 0.5, 0.5), {}),
     (PhysicalConstants, ("hbar", "mass", "gyro"), (2.0, 3.0, 0.5), {"hbar": 1.0, "mass": 1.0, "gyro": 1.0}),
     (WavePacket, ("center", "width", "wavenumber", "start_time"), (-1.5, 0.8, 0.6, 0.25),
@@ -73,8 +69,8 @@ def _assert_fields(record, cls, fields, values):
         assert _same(getattr(record, name), value), name
 
 
-def test_the_table_covers_twelve_records():
-    assert len({r[0] for r in RECORDS}) == 12
+def test_the_table_covers_nine_records():
+    assert len({r[0] for r in RECORDS}) == 9
 
 
 @each_record
@@ -117,7 +113,7 @@ VALIDATION = [
     (lambda: ChshSettings(0.0, 0.0, 0.0, 0.0, kind="spin"),
      "kind must be one of ('spin_half', 'photon'), got 'spin'"),
     (lambda: ChshSettings(np.zeros(2), 0.0, 0.0, 0.0), "angle fields must share one shape, got [(), (2,)]"),
-    (lambda: MerminSettings(()), "need at least one angle pair"),
+    (lambda: mermin_operator(()), "need at least one angle pair"),
     # a mode outside MODE_ORDER
     (lambda: annihilation(3, "x"),
      "mode must be one of ((1, 'x'), (1, 'y'), (2, 'x'), (2, 'y')), got (3, 'x')"),
@@ -146,7 +142,6 @@ def test_validation_errors_are_unchanged(make, message):
 
 
 def test_post_init_normalizes_every_way_of_calling():
-    assert MerminSettings(pairs=[[0, 1]]).pairs == ((0.0, 1.0),)
     op = MeasurementOp(label="x", matrix=[[0, 1], [1, 0]])
     assert op.matrix.dtype == complex and not op.matrix.flags.writeable
 
