@@ -12,10 +12,8 @@ named columns that broadcast against each other; a grid command passes
 its two axes as a column and a row, never as a meshgrid, so a grid is
 evaluated in one call.  Grids have at most MAX_GRID_SIDE points per axis.
 Each command imports from its layer modules in its own body, so a process
-compiles and runs only the modules its command uses.
-
-The process entry point is run(), which ``bell-lab`` and ``python -m
-bell_lab`` both call; in-process callers call main().
+compiles and runs only the modules its command uses.  main() parses the
+command line from the _COMMANDS table; ``bell-lab`` runs it through run().
 
 Exit codes: 0 success, 2 validation or usage error, 3 internal numerical
 check failure, 4 node-singularity halt.  Every failure of a command also
@@ -26,9 +24,8 @@ import gc
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 
-import click
 import numpy as np
 
 from . import __version__
@@ -66,20 +63,6 @@ def _meta(command: str, params: dict, seed=None) -> str:
     return "# " + " ".join(parts)
 
 
-def _open_out(ctx, param, path):
-    """Open --out before any work; append mode keeps an existing file as it was until _write_csv."""
-    if path is None:
-        return None
-    try:
-        return ctx.with_resource(open(path, "a", encoding="utf-8", newline=""))
-    except OSError as err:
-        raise click.UsageError(f"cannot open --out {path}: {err.strerror}") from None
-
-
-_OUT = click.option("--out", type=click.Path(dir_okay=False), default=None, callback=_open_out,
-                    help="CSV path (default stdout).")
-
-
 def _write_csv(out, meta_line: str, columns: dict):
     """Header, metadata line, then one row per element of the broadcast columns, to out or stdout.
 
@@ -98,35 +81,11 @@ def _write_csv(out, meta_line: str, columns: dict):
         text = ""
 
 
-_EXIT_CODES = {NodeSingularityError: EXIT_NODE, NumericalCheckError: EXIT_NUMERICAL,
-               ValueError: EXIT_VALIDATION, click.UsageError: EXIT_VALIDATION}
+class UsageError(ValueError):
+    """A command line that the table or a command body refuses; exits 2 like any ValueError."""
 
 
-@contextmanager
-def _exit_codes():
-    """Map a failure onto its exit code and one ``error=<code> detail=<text>`` line on stderr."""
-    try:
-        yield
-    except tuple(_EXIT_CODES) as err:
-        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
-        detail = err.format_message() if isinstance(err, click.UsageError) else str(err)
-        click.echo(f"error={code} detail={' '.join(detail.split())}", err=True)
-        sys.exit(code)
-
-
-class _Main(click.Group):
-    """The root group: maps a failure anywhere below it, or in its own arguments, onto its exit code."""
-
-    def parse_args(self, ctx, args):
-        if not args and not ctx.resilient_parsing:  # a bare bell-lab is --help
-            click.echo(ctx.get_help())
-            ctx.exit()
-        with _exit_codes():
-            return super().parse_args(ctx, args)
-
-    def invoke(self, ctx):
-        with _exit_codes():
-            return super().invoke(ctx)
+_EXIT_CODES = {NodeSingularityError: EXIT_NODE, NumericalCheckError: EXIT_NUMERICAL, ValueError: EXIT_VALIDATION}
 
 
 def _check_grid(side: float):
@@ -144,52 +103,23 @@ def _scan_side(step: float) -> float:
 def _parse_floats(text, name, count):
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != count:
-        raise click.UsageError(f"{name} must be {count} comma-separated numbers")
+        raise UsageError(f"{name} must be {count} comma-separated numbers")
     try:
         return tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise click.UsageError(f"could not parse {name}: {exc}")
+        raise UsageError(f"could not parse {name}: {exc}")
 
 
-@click.group(cls=_Main)
-@click.version_option(__version__, prog_name="bell-lab")
-def main():
-    """Bell/CHSH, Mermin, Ou-Mandel and de Broglie-Bohm numerics."""
-
-
-@main.group(invoke_without_command=True)
-@click.option("--alpha", type=float, default=None, help="Alice unprimed angle (degrees).")
-@click.option("--alpha-prime", type=float, default=None, help="Alice primed angle (degrees).")
-@click.option("--beta", type=float, default=None, help="Bob unprimed angle (degrees).")
-@click.option("--beta-prime", type=float, default=None, help="Bob primed angle (degrees).")
-@click.option("--kind", type=click.Choice(["spin", "photon"]), default="spin", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="CSV path (default stdout); a subcommand takes its own --out.")
-@click.pass_context
-def chsh(ctx, alpha, alpha_prime, beta, beta_prime, kind, out):
+def chsh(alpha, alpha_prime, beta, beta_prime, kind, out):
     """S for one settings tuple on the singlet / photon pair state."""
-    if ctx.invoked_subcommand is not None:  # runs before the subcommand parses, so no file is made
-        if out is not None:
-            raise click.UsageError(f"chsh --out does not apply to '{ctx.invoked_subcommand}'; "
-                                   f"give it after '{ctx.invoked_subcommand}'")
-        return
     from .chsh import ChshSettings, chsh_value, photon_pair_state, singlet
 
-    out = _open_out(ctx, None, out)
-    degs = (alpha, alpha_prime, beta, beta_prime)
-    if any(v is None for v in degs):
-        raise click.UsageError("chsh needs --alpha, --alpha-prime, --beta and --beta-prime")
-    settings = ChshSettings(*np.deg2rad(degs), kind=_KIND[kind])
+    settings = ChshSettings(*np.deg2rad((alpha, alpha_prime, beta, beta_prime)), kind=_KIND[kind])
     state = singlet() if kind == "spin" else photon_pair_state()
-    columns = {"alpha": alpha, "alpha_prime": alpha_prime, "beta": beta,
-               "beta_prime": beta_prime, "kind": kind}
+    columns = {"alpha": alpha, "alpha_prime": alpha_prime, "beta": beta, "beta_prime": beta_prime, "kind": kind}
     _write_csv(out, _meta("chsh", columns), {**columns, "s": chsh_value(state, settings)})
 
 
-@chsh.command("scan")
-@click.option("--step", type=float, required=True, help="Grid step (degrees), in (0, 45].")
-@click.option("--kind", type=click.Choice(["spin", "photon"]), default="spin", show_default=True)
-@_OUT
 def chsh_scan(step, kind, out):
     """Exhaustive grid maximization of |S|."""
     from .chsh import tsirelson_scan
@@ -198,19 +128,13 @@ def chsh_scan(step, kind, out):
     s, settings = tsirelson_scan(_KIND[kind], np.deg2rad(step))
     best = np.rad2deg(settings.angles)
     names = ("best_alpha", "best_alpha_prime", "best_beta", "best_beta_prime")
-    _write_csv(out, _meta("chsh-scan", {"step": step, "kind": kind}),
-               {**dict(zip(names, best)), "s_max": abs(s)})
+    _write_csv(out, _meta("chsh-scan", {"step": step, "kind": kind}), {**dict(zip(names, best)), "s_max": abs(s)})
 
 
-@main.command()
-@click.option("--kind", type=click.Choice(["spin", "photon"]), required=True)
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, required=True)
-@_OUT
 def identity(kind, trials, seed, out):
     """Max residual of S^2 = 4I - [A,A'](x)[B,B'] over random settings."""
     if trials < 1:
-        raise click.UsageError("--trials must be >= 1")
+        raise UsageError("--trials must be >= 1")
     from .chsh import ChshSettings, identity_residual
     from .lhv import make_rng
 
@@ -223,18 +147,11 @@ def identity(kind, trials, seed, out):
         batch = ChshSettings(*angles.T, kind=_KIND[kind])
         worst = max(worst, float(identity_residual(batch).max()))
     if worst >= IDENTITY_TOLERANCE:
-        raise NumericalCheckError(
-            f"identity residual {worst:.3e} exceeds {IDENTITY_TOLERANCE:.1e}"
-        )
+        raise NumericalCheckError(f"identity residual {worst:.3e} exceeds {IDENTITY_TOLERANCE:.1e}")
     meta = _meta("identity", {"kind": kind, "trials": trials}, seed=seed)
     _write_csv(out, meta, {"trials": trials, "max_residual": worst})
 
 
-@main.command()
-@click.option("--n", type=int, required=True, help="Number of particles (2..10).")
-@click.option("--scan", is_flag=True, help="Scan a shared (a, a') grid instead of the canonical pair.")
-@click.option("--step", type=float, default=1.0, show_default=True, help="Scan step (degrees).")
-@_OUT
 def mermin(n, scan, step, out):
     """<F_n> on the GHZ state plus the deterministic LHV maximum."""
     from .lhv import mermin_deterministic_max
@@ -252,13 +169,6 @@ def mermin(n, scan, step, out):
                {"n": n, "f_value_or_max": value, "deterministic_max": mermin_deterministic_max(n)})
 
 
-@main.command()
-@click.option("--enumerate", "enumerate_", is_flag=True, help="Exhaustive deterministic-strategy maximum.")
-@click.option("--model", type=click.Choice(["sign"]), default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--angles", type=str, default=None, help="alpha,alpha',beta,beta' in degrees.")
-@_OUT
 def lhv(enumerate_, model, samples, seed, angles, out):
     """Local hidden-variable baselines: enumeration or Monte Carlo."""
     if enumerate_:
@@ -267,25 +177,16 @@ def lhv(enumerate_, model, samples, seed, angles, out):
         _write_csv(out, _meta("lhv", {"mode": "enumerate"}), {"max_s": chsh_deterministic_max()})
         return
     if model is None or samples is None or seed is None or angles is None:
-        raise click.UsageError("lhv needs --enumerate, or --model --samples --seed --angles")
+        raise UsageError("lhv needs --enumerate, or --model --samples --seed --angles")
     from .chsh import ChshSettings
     from .lhv import sign_model, simulate_chsh_stats
 
     settings = ChshSettings(*np.deg2rad(_parse_floats(angles, "--angles", 4)), kind="spin_half")
     estimate, stderr = simulate_chsh_stats(sign_model(), settings, samples, seed)
-    meta = _meta("lhv", {"mode": "model", "model": model, "samples": samples, "angles": angles},
-                 seed=seed)
+    meta = _meta("lhv", {"mode": "model", "model": model, "samples": samples, "angles": angles}, seed=seed)
     _write_csv(out, meta, {"s_estimate": estimate, "stderr": stderr})
 
 
-@main.command()
-@click.option("--tx", type=float, required=True, help="x-polarization transmission probability.")
-@click.option("--ty", type=float, required=True, help="y-polarization transmission probability.")
-@click.option("--theta1", type=float, default=0.0, show_default=True, help="Analyzer 1 (degrees).")
-@click.option("--theta2", type=float, default=0.0, show_default=True, help="Analyzer 2 (degrees).")
-@click.option("--grid", type=int, default=None, help="Evaluate on an NxN angle grid over [0, 180] degrees.")
-@click.option("--correlation", is_flag=True, help="Coincidence-normalized correlation instead of probabilities.")
-@_OUT
 def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     """Two-photon coincidence probabilities / correlations behind the splitter."""
     from .fock import (BeamSplitterSpec, coincidence_closed_form, coincidence_correlation,
@@ -298,7 +199,7 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
         t1, t2 = theta1, theta2
     else:
         if grid < 2:
-            raise click.UsageError("--grid must be >= 2")
+            raise UsageError("--grid must be >= 2")
         _check_grid(grid)
         thetas = np.linspace(0.0, 180.0, grid)
         t1, t2 = thetas[:, None], thetas[None, :]
@@ -307,57 +208,32 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     meta = _meta("oumandel", params)
     r1, r2 = np.deg2rad(t1), np.deg2rad(t2)
     if correlation:
-        _write_csv(out, meta, {"theta1": t1, "theta2": t2,
-                               "e_value": coincidence_correlation(state, r1, r2)})
+        _write_csv(out, meta, {"theta1": t1, "theta2": t2, "e_value": coincidence_correlation(state, r1, r2)})
         return
     p = coincidence_probability(state, r1, r2)
     q = coincidence_closed_form(bs, r1, r2)
-    _write_csv(out, meta, {"theta1": t1, "theta2": t2, "p_numeric": p, "p_closed_form": q,
-                           "abs_diff": np.abs(p - q)})
+    _write_csv(out, meta, {"theta1": t1, "theta2": t2, "p_numeric": p, "p_closed_form": q, "abs_diff": np.abs(p - q)})
 
 
-@main.command()
-# dbb.FORMS, written out: building the command line must not run dbb
-@click.option("--form", type=click.Choice(["product", "symmetric", "antisymmetric"]), required=True)
-@click.option("--center-a", type=float, default=-1.5, show_default=True)
-@click.option("--width-a", type=float, default=0.8, show_default=True)
-@click.option("--k-a", type=float, default=0.6, show_default=True)
-@click.option("--center-b", type=float, default=1.5, show_default=True)
-@click.option("--width-b", type=float, default=1.1, show_default=True)
-@click.option("--k-b", type=float, default=-0.4, show_default=True)
-@click.option("--time", "time_", type=float, default=0.8, show_default=True, help="Evaluation time for the velocity grid.")
-@click.option("--grid", type=int, default=21, show_default=True)
-@click.option("--trajectory", is_flag=True, help="Integrate a trajectory instead of sampling the field.")
-@click.option("--start1", type=float, default=None, help="Trajectory start x1 (default: center of packet a).")
-@click.option("--start2", type=float, default=None, help="Trajectory start x2 (default: center of packet b).")
-@click.option("--t0", type=float, default=0.0, show_default=True)
-@click.option("--t1", type=float, default=2.0, show_default=True)
-@click.option("--dt", type=float, default=0.01, show_default=True)
-@_OUT
 def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, trajectory,
         start1, start2, t0, t1, dt, out):
     """Two-particle guidance velocities, cross-coupling, trajectories."""
     from .dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
 
     c = PhysicalConstants()
-    wf = TwoParticleWF(
-        packet_a=WavePacket(center=center_a, width=width_a, wavenumber=k_a),
-        packet_b=WavePacket(center=center_b, width=width_b, wavenumber=k_b),
-        form=form,
-    )
+    wf = TwoParticleWF(packet_a=WavePacket(center=center_a, width=width_a, wavenumber=k_a),
+                       packet_b=WavePacket(center=center_b, width=width_b, wavenumber=k_b), form=form)
     params = {"form": form, "center_a": center_a, "width_a": width_a, "k_a": k_a,
               "center_b": center_b, "width_b": width_b, "k_b": k_b}
     if trajectory:
         s1 = center_a if start1 is None else start1
         s2 = center_b if start2 is None else start2
         traj = integrate_trajectory(wf, c, (s1, s2), t0, t1, dt)
-        meta = _meta("dbb", {**params, "mode": "trajectory", "start1": s1, "start2": s2,
-                             "t0": t0, "t1": t1, "dt": dt})
-        _write_csv(out, meta, {"t": traj.times, "x1": traj.positions[:, 0],
-                               "x2": traj.positions[:, 1]})
+        meta = _meta("dbb", {**params, "mode": "trajectory", "start1": s1, "start2": s2, "t0": t0, "t1": t1, "dt": dt})
+        _write_csv(out, meta, {"t": traj.times, "x1": traj.positions[:, 0], "x2": traj.positions[:, 1]})
         return
     if grid < 2:
-        raise click.UsageError("--grid must be >= 2")
+        raise UsageError("--grid must be >= 2")
     _check_grid(grid)
     lo = min(center_a - 2.0 * width_a, center_b - 2.0 * width_b)
     hi = max(center_a + 2.0 * width_a, center_b + 2.0 * width_b)
@@ -374,17 +250,10 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
                            "cross_coupling": cross_coupling(wf, c, x1, x2, time_)})
 
 
-@main.command()
-@click.option("--bz", type=float, default=1.0, show_default=True, help="Field along z.")
-@click.option("--gyro", type=float, default=1.0, show_default=True)
-@click.option("--steps", type=int, default=10000, show_default=True)
-@click.option("--dt", type=float, default=0.002, show_default=True)
-@click.option("--s0", type=str, default="1,0,0", show_default=True, help="Initial spin sx,sy,sz.")
-@_OUT
 def spin(bz, gyro, steps, dt, s0, out):
     """RK4 Larmor precession with conservation diagnostics."""
     if steps < 1:
-        raise click.UsageError("--steps must be >= 1")
+        raise UsageError("--steps must be >= 1")
     s0v = _parse_floats(s0, "--s0", 3)
     from .dbb import PhysicalConstants, integrate_spin
 
@@ -396,18 +265,149 @@ def spin(bz, gyro, steps, dt, s0, out):
     _write_csv(out, meta, {"t": traj.times, "sx": sx, "sy": sy, "sz": sz, "norm_drift": np.abs(drift, out=drift)})
 
 
+_REQUIRED = object()  # the default of a flag that must be given
+_TYPE_NAMES = {float: "float", int: "integer", str: "text", bool: ""}  # help shows them in capitals
+
+# command -> (body, {name: (type, default[, help])}); the flag is --name for the body's keyword name, with
+# "-" for "_" and no trailing "_"; a bool type is a bare flag, a tuple the choices
+_COMMANDS = {command: (body, {**flags, "out": (str, None, "CSV path (default stdout).")})
+             for command, (body, flags) in {
+    "chsh": (chsh, {"alpha": (float, _REQUIRED, "Alice unprimed angle (degrees)."),
+                    "alpha_prime": (float, _REQUIRED, "Alice primed angle (degrees)."),
+                    "beta": (float, _REQUIRED, "Bob unprimed angle (degrees)."),
+                    "beta_prime": (float, _REQUIRED, "Bob primed angle (degrees)."), "kind": (tuple(_KIND), "spin")}),
+    "chsh scan": (chsh_scan, {"step": (float, _REQUIRED, "Grid step (degrees), in (0, 45]."),
+                              "kind": (tuple(_KIND), "spin")}),
+    "identity": (identity, {"kind": (tuple(_KIND), _REQUIRED), "trials": (int, 1000), "seed": (int, _REQUIRED)}),
+    "mermin": (mermin, {"n": (int, _REQUIRED, "Number of particles (2..10)."),
+                        "scan": (bool, False, "Scan a shared (a, a') grid instead of the canonical pair."),
+                        "step": (float, 1.0, "Scan step (degrees).")}),
+    "lhv": (lhv, {"enumerate_": (bool, False, "Exhaustive deterministic-strategy maximum."), "model": (("sign",), None),
+                  "samples": (int, None), "seed": (int, None),
+                  "angles": (str, None, "alpha,alpha',beta,beta' in degrees.")}),
+    "oumandel": (oumandel, {
+        "tx": (float, _REQUIRED, "x-polarization transmission probability."),
+        "ty": (float, _REQUIRED, "y-polarization transmission probability."),
+        "theta1": (float, 0.0, "Analyzer 1 (degrees)."), "theta2": (float, 0.0, "Analyzer 2 (degrees)."),
+        "grid": (int, None, "Evaluate on an NxN angle grid over [0, 180] degrees."),
+        "correlation": (bool, False, "Coincidence-normalized correlation instead of probabilities.")}),
+    "dbb": (dbb, {"form": (("product", "symmetric", "antisymmetric"), _REQUIRED),  # dbb.FORMS, without running dbb
+                  "center_a": (float, -1.5), "width_a": (float, 0.8), "k_a": (float, 0.6), "center_b": (float, 1.5),
+                  "width_b": (float, 1.1), "k_b": (float, -0.4), "grid": (int, 21), "t0": (float, 0.0),
+                  "t1": (float, 2.0), "dt": (float, 0.01), "time_": (float, 0.8, "Evaluation time for the field grid."),
+                  "trajectory": (bool, False, "Integrate a trajectory instead of sampling the field."),
+                  "start1": (float, None, "Trajectory start x1 (default: center of packet a)."),
+                  "start2": (float, None, "Trajectory start x2 (default: center of packet b).")}),
+    "spin": (spin, {"bz": (float, 1.0, "Field along z."), "gyro": (float, 1.0), "steps": (int, 10000),
+                    "dt": (float, 0.002), "s0": (str, "1,0,0", "Initial spin sx,sy,sz.")}),
+}.items()}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.rstrip("_").replace("_", "-")
+
+
+def _help(prog: str, command: str) -> str:
+    """Usage, the first line of the body's docstring, then the flags and the subcommands in columns."""
+    body, flags = _COMMANDS.get(command, (main, {}))
+    options = [("--version", "Show the version and exit.")] * (not command)
+    for name, (kind, default, *text) in flags.items():
+        metavar = f"[{'|'.join(kind)}]" if isinstance(kind, tuple) else _TYPE_NAMES[kind].upper()
+        tag = "[required]" if default is _REQUIRED else "" if kind is bool or default is None else \
+            f"[default: {default}]"
+        options.append((f"{_flag(name)} {metavar}".rstrip(), "  ".join([*text, tag]).strip()))
+    options.append(("--help", "Show this message and exit."))
+    commands = [(key.rpartition(" ")[2], sub.__doc__.partition("\n")[0])
+                for key, (sub, _) in _COMMANDS.items() if key.rpartition(" ")[0] == command]
+    width = max(len(left) for left, _ in options + commands)
+    lines = [f"Usage: {' '.join(filter(None, [prog, command]))} [OPTIONS]" + " COMMAND [ARGS]..." * bool(commands),
+             "", "  " + body.__doc__.partition("\n")[0]]
+    for heading, rows in (("Options:", options), ("Commands:", commands)):
+        lines += ["", heading, *(f"  {left:{width}}  {right}".rstrip() for left, right in rows)] * bool(rows)
+    return "\n".join(lines)
+
+
+def _dispatch(prog: str, command: str, args):
+    """Parse args against command's flags and run its body, or the subcommand that a word names.
+
+    A flag is ``--opt value`` (the value may start with "-"), ``--opt=value`` or a bare ``--opt``; the last
+    of a repeated flag counts.  Types, choices, then required flags are checked before --out is opened.
+    """
+    body, flags = _COMMANDS.get(command, (None, {}))
+    names = {_flag(name): name for name in flags}
+    given = {}  # name -> value, in the order first given
+    args = iter(args)
+    for arg in args:
+        if arg == "--help" or (arg == "--version" and not command):
+            print(_help(prog, command) if arg == "--help" else f"bell-lab, version {__version__}")
+            return
+        if not arg.startswith("-"):
+            if f"{command} {arg}".lstrip() not in _COMMANDS:
+                raise UsageError(f"No such command {arg!r}.")
+            if given:  # the subcommand would ignore it
+                raise UsageError(f"{command} {_flag(next(iter(given)))} does not apply to {arg!r}; "
+                                 f"give it after {arg!r}")
+            return _dispatch(prog, f"{command} {arg}".lstrip(), list(args))
+        flag, eq, value = arg.partition("=")
+        if flag not in names:
+            raise UsageError(f"No such option {flag!r}.")
+        if flags[names[flag]][0] is bool:
+            if eq:
+                raise UsageError(f"Option {flag!r} does not take a value.")
+            value = True
+        elif not eq and (value := next(args, None)) is None:
+            raise UsageError(f"Option {flag!r} requires an argument.")
+        given[names[flag]] = value
+    kwargs = {name: spec[1] for name, spec in flags.items()}
+    for name, value in given.items():
+        kind = flags[name][0]
+        try:  # tuple.index refuses a value that is not one of the choices
+            kwargs[name] = kind[kind.index(value)] if isinstance(kind, tuple) else kind(value)
+        except ValueError:
+            want = f"one of {', '.join(map(repr, kind))}" if isinstance(kind, tuple) else f"a valid {_TYPE_NAMES[kind]}"
+            raise UsageError(f"Invalid value for {_flag(name)!r}: {value!r} is not {want}.") from None
+    for name, value in kwargs.items():
+        if value is _REQUIRED:
+            raise UsageError(f"Missing option {_flag(name)!r}.")
+    if kwargs["out"] is not None:  # append mode keeps an existing file as it was until _write_csv
+        try:
+            kwargs["out"] = open(kwargs["out"], "a", encoding="utf-8", newline="")
+        except OSError as err:
+            raise UsageError(f"cannot open --out {kwargs['out']}: {err.strerror}") from None
+    with kwargs["out"] or nullcontext():
+        body(**kwargs)
+
+
+def main(args=None, prog_name="bell-lab", standalone_mode=True):
+    """Bell/CHSH, Mermin, Ou-Mandel and de Broglie-Bohm numerics.
+
+    Runs the command that args (default sys.argv[1:]) names.  A failure writes its error line and raises
+    SystemExit with its code; success raises SystemExit(0) in standalone mode and returns otherwise.
+    """
+    try:
+        _dispatch(prog_name, "", (sys.argv[1:] if args is None else list(args)) or ["--help"])  # bare: the help
+    except tuple(_EXIT_CODES) as err:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
+        print(f"error={code} detail={' '.join(str(err).split())}", file=sys.stderr)
+        sys.exit(code)
+    if standalone_mode:
+        sys.exit(0)
+
+
 def run():
     """The process entry point: main() after freezing the heap built by the imports.
 
-    gc.freeze() moves every object alive now (numpy's, click's and
-    bell_lab's module-level objects, about 22,000) into the permanent
-    generation, so the collections a command makes, and the ones
-    interpreter shutdown makes after the CSV is written, skip them.  Only a
-    process that ends with the command may freeze: an in-process caller of
-    main() would keep its garbage of the moment pinned for good.
+    gc.freeze() moves every object alive now (numpy's and bell_lab's module-level objects, about 20,000)
+    into the permanent generation, which the command's collections and interpreter shutdown's skip.  Only
+    a process that ends with the command may freeze: an in-process caller of main() would keep its garbage
+    pinned for good.  A reader that closes the pipe early (``| head``) ends the command with exit 1.
     """
     gc.freeze()
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # else the exit's flush fails again
+        sys.exit(1)
 
 
 if __name__ == "__main__":

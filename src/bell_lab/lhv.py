@@ -35,6 +35,9 @@ _CHUNK = 1 << 16  # hidden values drawn and scored per Monte Carlo step
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    """A PCG64 generator; the seed is checked here, once for every caller."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -134,6 +134,8 @@ def tensor(a, b) -> np.ndarray:
     to np.kron, which multiplies the same pairs with the same ufunc.
     """
     a, b = _as_matrix(a), _as_matrix(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"tensor needs matrices or stacks of them, got shapes {a.shape} and {b.shape}")
     out = np.multiply(a[..., :, None, :, None], b[..., None, :, None, :])
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
@@ -170,8 +172,8 @@ def expectation(psi, m) -> complex | np.ndarray:
 def hermitian_extremal_eigenvalue(m) -> float:
     """max |eigenvalue| of a finite Hermitian matrix (checked to 1e-10)."""
     a = _as_matrix(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"need a non-empty square matrix, got shape {a.shape}")
     _require_finite("matrix", a)
     if np.max(np.abs(a - a.conj().T)) >= 1e-10:
         raise ValueError("matrix is not Hermitian to 1e-10")

@@ -6,7 +6,6 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 import time
 
 import numpy as np
-from click.testing import CliRunner
 
 from bell_lab.chsh import (
     TSIRELSON,
@@ -18,7 +17,6 @@ from bell_lab.chsh import (
     singlet,
     tsirelson_scan,
 )
-from bell_lab.cli import main as cli_main
 from bell_lab.dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_spin
 from bell_lab.fock import (
     BeamSplitterSpec,
@@ -31,6 +29,7 @@ from bell_lab.fock import (
 from bell_lab.lhv import chsh_deterministic_max, mermin_deterministic_max, sign_model, simulate_chsh_stats
 from bell_lab.mermin import mermin_shared_scan, mermin_square_residual
 from bell_lab.operators import hermitian_extremal_eigenvalue, ket
+from clirun import invoke
 
 DEG = np.pi / 180.0
 
@@ -295,12 +294,11 @@ def test_criterion_10_cli_reproducibility(tmp_path):
         ["dbb", "--form", "antisymmetric", "--trajectory", "--t1", "0.5", "--dt", "0.05"],
         ["spin", "--steps", "100"],
     ]
-    runner = CliRunner()
     identical = 0
     for i, args in enumerate(commands):
         paths = [tmp_path / f"c{i}_{run}.csv" for run in (1, 2)]
         for p in paths:
-            result = runner.invoke(cli_main, args + ["--out", str(p)])
+            result = invoke(args + ["--out", str(p)])
             assert result.exit_code == 0, (args, result.stderr or result.output)
         if paths[0].read_bytes() == paths[1].read_bytes():
             identical += 1

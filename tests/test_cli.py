@@ -7,16 +7,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 import bell_lab
 from bell_lab import cli, dbb
 from bell_lab.chsh import TSIRELSON, ChshSettings, chsh_value, identity_residual, singlet
-from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CHUNK, MAX_GRID_SIDE, _fmt, main
+from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CHUNK, MAX_GRID_SIDE, _fmt
 from bell_lab.dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
 from bell_lab.errors import NodeSingularityError, NumericalCheckError
 from bell_lab.fock import (
@@ -28,6 +26,7 @@ from bell_lab.fock import (
 )
 from bell_lab.lhv import make_rng, sign_model, simulate_chsh_stats
 from bell_lab.operators import _scan_angles
+from clirun import invoke
 
 META_PREFIX = "# tool=bell-lab version=0.1.0 command="
 
@@ -69,7 +68,7 @@ COMMAND_MATRIX = [
 
 
 def run_ok(args):
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 0, result.stderr or result.output
     return result.output
 
@@ -133,9 +132,9 @@ class TestOutputFormat:
     def test_shape_and_reproducibility(self, args, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        r1 = CliRunner().invoke(main, args + ["--out", str(out1)])
+        r1 = invoke(args + ["--out", str(out1)])
         assert r1.exit_code == 0, r1.stderr or r1.output
-        r2 = CliRunner().invoke(main, args + ["--out", str(out2)])
+        r2 = invoke(args + ["--out", str(out2)])
         assert r2.exit_code == 0
         data = out1.read_bytes()
         assert data == out2.read_bytes()  # byte-identical reruns
@@ -152,7 +151,7 @@ class TestOutputFormat:
         args = ["mermin", "--n", "2"]
         stdout_text = run_ok(args)
         out = tmp_path / "m.csv"
-        CliRunner().invoke(main, args + ["--out", str(out)])
+        invoke(args + ["--out", str(out)])
         assert out.read_text(encoding="utf-8") == stdout_text
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -238,11 +237,11 @@ class TestChshCommand:
         assert abs(float(rows[0][4]) - TSIRELSON) < 1e-12
 
     def test_missing_angles_usage_error(self):
-        result = CliRunner().invoke(main, ["chsh"])
+        result = invoke(["chsh"])
         assert result.exit_code == 2
 
     def test_scan_step_out_of_range(self):
-        result = CliRunner().invoke(main, ["chsh", "scan", "--step", "50"])
+        result = invoke(["chsh", "scan", "--step", "50"])
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr.startswith("error=2 detail=")
 
@@ -260,7 +259,7 @@ class TestChshCommand:
         out, own = tmp_path / "a.csv", tmp_path / "b.csv"
         if earlier is not None:
             out.write_bytes(earlier)
-        result = CliRunner().invoke(main, ["chsh", "--out", str(out), "scan", "--step", "45", "--out", str(own)])
+        result = invoke(["chsh", "--out", str(out), "scan", "--step", "45", "--out", str(own)])
         assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
         assert result.stderr == "error=2 detail=chsh --out does not apply to 'scan'; give it after 'scan'\n"
         assert not own.exists()
@@ -268,6 +267,19 @@ class TestChshCommand:
             assert not out.exists()
         else:
             assert out.read_bytes() == earlier
+
+    @pytest.mark.parametrize("option", [["--alpha", "10"], ["--alpha-prime", "90"], ["--beta", "45"],
+                                        ["--beta-prime=-45"], ["--kind", "photon"]], ids=lambda o: o[0])
+    def test_group_option_before_a_subcommand_refused(self, monkeypatch, tmp_path, option):
+        # chsh --kind photon scan once scanned spin and printed kind=spin; refused before
+        # the scan's own --out is opened
+        reach_fails(monkeypatch, "tsirelson_scan")
+        own = tmp_path / "b.csv"
+        result = invoke(["chsh", *option, "scan", "--step", "45", "--out", str(own)])
+        assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+        flag = option[0].partition("=")[0]
+        assert result.stderr == f"error=2 detail=chsh {flag} does not apply to 'scan'; give it after 'scan'\n"
+        assert not own.exists()
 
 
 class TestIdentityCommand:
@@ -312,7 +324,7 @@ class TestIdentityCommand:
         assert parse_csv(text)[2][0] == ["8", _fmt(worst)]
 
     def test_trials_validation(self):
-        result = CliRunner().invoke(main, ["identity", "--kind", "spin",
+        result = invoke(["identity", "--kind", "spin",
                                            "--trials", "0", "--seed", "1"])
         assert result.exit_code == 2
 
@@ -335,8 +347,11 @@ class TestMerminCommand:
         assert rows[0][2] == "4"
 
     def test_n_validation(self):
-        assert CliRunner().invoke(main, ["mermin", "--n", "1"]).exit_code == 2
-        assert CliRunner().invoke(main, ["mermin", "--n", "11"]).exit_code == 2
+        assert invoke(["mermin", "--n", "1"]).exit_code == 2
+        assert invoke(["mermin", "--n", "11"]).exit_code == 2
+
+    def test_repeated_flag_keeps_its_last_value(self):
+        assert run_ok(["mermin", "--n", "2", "--n=3"]) == run_ok(["mermin", "--n", "3"])
 
 
 class TestLhvCommand:
@@ -359,11 +374,11 @@ class TestLhvCommand:
         assert abs(estimate) <= 2.0
 
     def test_incomplete_model_options(self):
-        result = CliRunner().invoke(main, ["lhv", "--model", "sign"])
+        result = invoke(["lhv", "--model", "sign"])
         assert result.exit_code == 2
 
     def test_bad_angles(self):
-        result = CliRunner().invoke(main, ["lhv", "--model", "sign", "--samples", "10",
+        result = invoke(["lhv", "--model", "sign", "--samples", "10",
                                            "--seed", "1", "--angles", "1,2,3"])
         assert result.exit_code == 2
 
@@ -395,19 +410,19 @@ class TestOumandelCommand:
         assert float(rows[0][2]) == pytest.approx(np.cos(np.deg2rad(60.0)), abs=1e-12)
 
     def test_transmission_validation(self):
-        result = CliRunner().invoke(main, ["oumandel", "--tx", "1.3", "--ty", "0.5"])
+        result = invoke(["oumandel", "--tx", "1.3", "--ty", "0.5"])
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr.startswith("error=2 detail=")
 
     def test_undefined_correlation_is_validation_error(self):
-        result = CliRunner().invoke(main, ["oumandel", "--tx", "1", "--ty", "0",
+        result = invoke(["oumandel", "--tx", "1", "--ty", "0",
                                            "--correlation"])
         assert result.exit_code == EXIT_VALIDATION
 
     @pytest.mark.parametrize("ty", ["5e-324", "1e-310"])
     def test_subnormal_coincidence_total_is_refused(self, ty):
         # these totals are subnormal: the ratio printed -1 and -0.25 + 1.2e-14
-        result = CliRunner().invoke(main, ["oumandel", "--tx", "1", "--ty", ty, "--theta1", "30",
+        result = invoke(["oumandel", "--tx", "1", "--ty", ty, "--theta1", "30",
                                            "--theta2", "60", "--correlation"])
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr.startswith("error=2 detail=") and "subnormal" in result.stderr
@@ -472,13 +487,13 @@ class TestDbbCommand:
 
     def test_nan_log_density_on_a_trajectory_exits_four(self):
         # x1 - xc overflows at the start, so the log density is NaN: a node, not a non-finite stage
-        result = CliRunner().invoke(main, ["dbb", "--form", "product", "--center-a=-1e308", "--trajectory",
+        result = invoke(["dbb", "--form", "product", "--center-a=-1e308", "--trajectory",
                                            "--start1=1e308", "--t1", "0.02", "--dt", "0.01"])
         assert (result.exit_code, result.stdout) == (EXIT_NODE, "")
         assert result.stderr == "error=4 detail=density below 1e-300 at (1e+308, 1.5), t=0.0\n"
 
     def test_node_start_exits_four(self):
-        result = CliRunner().invoke(main, ["dbb", "--form", "antisymmetric",
+        result = invoke(["dbb", "--form", "antisymmetric",
                                            "--trajectory", "--start1", "0.2",
                                            "--start2", "0.2"])
         assert result.exit_code == EXIT_NODE
@@ -491,7 +506,7 @@ class TestDbbCommand:
          ("0.2", "0.2")),
     ])
     def test_node_stderr_is_one_line_naming_one_point(self, args, point):
-        result = CliRunner().invoke(main, ["dbb", *args])
+        result = invoke(["dbb", *args])
         assert result.exit_code == EXIT_NODE
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error=4 detail=")
@@ -499,7 +514,7 @@ class TestDbbCommand:
         assert "array(" not in lines[0] and "np.float64(" not in lines[0]
 
     def test_grid_validation(self):
-        result = CliRunner().invoke(main, ["dbb", "--form", "product", "--grid", "1"])
+        result = invoke(["dbb", "--form", "product", "--grid", "1"])
         assert result.exit_code == 2
 
     def test_grid_is_one_broadcast_evaluation(self, monkeypatch):
@@ -529,7 +544,7 @@ class TestDbbCommand:
         # a square that overflows or is not normal, or a tau that overflows by the
         # evaluation time (by t1 for a trajectory, before integrating)
         monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
-        result = CliRunner().invoke(main, ["dbb", *args])
+        result = invoke(["dbb", *args])
         assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error=2 detail=packet algebra leaves float64 by t=")
@@ -537,7 +552,7 @@ class TestDbbCommand:
     def test_dt_that_cannot_advance_time_exits_two(self, monkeypatch):
         # t + 0.001 == t at t = 1e20, so the span must be refused before integrating
         monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
-        result = CliRunner().invoke(main, ["dbb", "--form", "product", "--trajectory",
+        result = invoke(["dbb", "--form", "product", "--trajectory",
                                            "--t0", "1e20", "--t1", "2e20", "--dt", "0.001"])
         assert result.exit_code == EXIT_VALIDATION
         lines = result.stderr.splitlines()
@@ -552,7 +567,7 @@ def test_span_of_too_many_steps_exits_two(monkeypatch, args):
     # 10^12 and 1000001 steps: refused before integrating, never run for real
     for name in ("_rk4", "_precess"):  # dbb's stepwise RK4 and spin's propagated one
         monkeypatch.setattr(dbb, name, lambda *args: pytest.fail("integration started"))
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == EXIT_VALIDATION
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error=2 detail=") and "steps exceeds" in lines[0]
@@ -610,15 +625,15 @@ class TestSpinCommand:
         monkeypatch.setattr(cli, "_write_csv", lambda out, meta, columns: written.append(columns))
         vecdot = np.vecdot
         monkeypatch.setattr(np, "vecdot", lambda *args: vecdots.append(args) or vecdot(*args))
-        assert CliRunner().invoke(main, ["spin", "--steps", "100", "--s0=0.3,-0.8,0.5"]).exit_code == 0
+        assert invoke(["spin", "--steps", "100", "--s0=0.3,-0.8,0.5"]).exit_code == 0
         (columns,) = written
         assert all(column.flags.c_contiguous and column.shape == (101,) for column in columns.values())
         assert len(vecdots) == 1  # integrate_spin's finiteness check and norm_drift share it
 
     def test_s0_validation(self):
-        result = CliRunner().invoke(main, ["spin", "--s0", "1,0"])
+        result = invoke(["spin", "--s0", "1,0"])
         assert result.exit_code == 2
-        result = CliRunner().invoke(main, ["spin", "--s0", "a,b,c"])
+        result = invoke(["spin", "--s0", "a,b,c"])
         assert result.exit_code == 2
 
 
@@ -634,8 +649,8 @@ class TestGridCap:
     ])
     def test_grid_side_boundary(self, monkeypatch, args, target):
         reach_fails(monkeypatch, target)
-        assert CliRunner().invoke(main, args + [str(MAX_GRID_SIDE)]).exit_code == EXIT_NUMERICAL
-        result = CliRunner().invoke(main, args + [str(MAX_GRID_SIDE + 1)])
+        assert invoke(args + [str(MAX_GRID_SIDE)]).exit_code == EXIT_NUMERICAL
+        result = invoke(args + [str(MAX_GRID_SIDE + 1)])
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr == f"error=2 detail=grid of {MAX_GRID_SIDE + 1} points per axis exceeds {MAX_GRID_SIDE}\n"
 
@@ -648,15 +663,15 @@ class TestGridCap:
         assert len(_scan_angles(np.deg2rad(float(SCAN_STEPS["at"])))) == MAX_GRID_SIDE
         assert len(_scan_angles(np.deg2rad(float(SCAN_STEPS["over"])))) == MAX_GRID_SIDE + 1
         reach_fails(monkeypatch, target)
-        assert CliRunner().invoke(main, args + [SCAN_STEPS["at"]]).exit_code == EXIT_NUMERICAL
-        result = CliRunner().invoke(main, args + [SCAN_STEPS["over"]])
+        assert invoke(args + [SCAN_STEPS["at"]]).exit_code == EXIT_NUMERICAL
+        result = invoke(args + [SCAN_STEPS["over"]])
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr.startswith("error=2 detail=grid of 512") and "exceeds" in result.stderr
 
     def test_subnormal_scan_step_is_refused_by_the_cap(self, monkeypatch):
         # 2 pi / step overflows to inf, which the cap refuses like any large count
         reach_fails(monkeypatch, "tsirelson_scan")
-        result = CliRunner().invoke(main, ["chsh", "scan", "--step", "1e-320"])
+        result = invoke(["chsh", "scan", "--step", "1e-320"])
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr == f"error=2 detail=grid of inf points per axis exceeds {MAX_GRID_SIDE}\n"
 
@@ -666,7 +681,7 @@ ERRORS = [
     (NumericalCheckError("residual too large"), EXIT_NUMERICAL, "error=3 detail=residual too large"),
     # whitespace collapses so the stderr line stays single-line parsable
     (ValueError("bad   input\nvalue"), EXIT_VALIDATION, "error=2 detail=bad input value"),
-    (click.UsageError("needs --flag"), EXIT_VALIDATION, "error=2 detail=needs --flag"),
+    (cli.UsageError("needs --flag"), EXIT_VALIDATION, "error=2 detail=needs --flag"),
 ]
 
 
@@ -695,7 +710,7 @@ class TestErrorMapping:
             raise err
 
         monkeypatch.setattr(home(target), target, boom)
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == code
         assert result.stderr == line + "\n"
         assert result.stdout == ""
@@ -709,27 +724,49 @@ class TestErrorMapping:
         (["nosuch"], "error=2 detail=No such command 'nosuch'."),
         (["dbb", "--form", "symmetric", "--trajectory", "--start2", "nan"],
          "error=2 detail=x2 must be finite, got nan"),
-    ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command", "nan-start"])
+        (["identity", "--kind", "spin", "--seed", "-1"], "error=2 detail=seed must be a non-negative integer, got -1"),
+        (["identity", "--kind", "spin", "--seed", "1.5"],
+         "error=2 detail=Invalid value for '--seed': '1.5' is not a valid integer."),
+        (["identity", "--kind", "foo", "--seed", "1"],
+         "error=2 detail=Invalid value for '--kind': 'foo' is not one of 'spin', 'photon'."),
+        (["lhv", "--model"], "error=2 detail=Option '--model' requires an argument."),
+        (["dbb", "--form", "product", "--trajectory=1"], "error=2 detail=Option '--trajectory' does not take a value."),
+    ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command", "nan-start",
+            "negative-seed", "bad-integer", "bad-choice", "no-value", "flag-with-value"])
     def test_usage_error_gives_one_line(self, args, line):
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr == line + "\n"
 
     @pytest.mark.parametrize("args", [["--bogus"], ["--bogus", "lhv", "--enumerate"]],
                              ids=["alone", "before-a-command"])
     def test_root_usage_error_gives_one_line(self, args):
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
         assert result.stderr == "error=2 detail=No such option '--bogus'.\n"
 
     def test_bare_command_prints_the_help(self):
-        bare, help_ = CliRunner().invoke(main, []), CliRunner().invoke(main, ["--help"])
+        bare, help_ = invoke([]), invoke(["--help"])
         assert (bare.exit_code, bare.stderr) == (0, "")
         assert bare.stdout == help_.stdout and bare.stdout.startswith("Usage: ")
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_command_has_help(self, command):
+        result = invoke([*command.split(), "--help"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith(f"Usage: bell-lab {command} [OPTIONS]")
+        lines = result.stdout.splitlines()
+        for name, (kind, default, *_) in cli._COMMANDS[command][1].items():
+            flag = "--" + name.rstrip("_").replace("_", "-")
+            (line,) = [line for line in lines if line.split()[:1] == [flag]]
+            if default is cli._REQUIRED:
+                assert line.endswith("[required]")
+            elif kind is not bool and default is not None:
+                assert line.endswith(f"[default: {default}]")
+
     def test_out_that_cannot_be_opened_exits_two(self, tmp_path):
         out = tmp_path / "missing" / "x.csv"
-        result = CliRunner().invoke(main, ["lhv", "--enumerate", "--out", str(out)])
+        result = invoke(["lhv", "--enumerate", "--out", str(out)])
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr == f"error=2 detail=cannot open --out {out}: No such file or directory\n"
 
@@ -737,7 +774,7 @@ class TestErrorMapping:
     def test_out_that_cannot_be_opened_exits_two_before_any_work(self, monkeypatch, tmp_path, args, target):
         reach_fails(monkeypatch, target)
         out = tmp_path / "missing" / "x.csv"
-        result = CliRunner().invoke(main, args + ["--out", str(out)])
+        result = invoke(args + ["--out", str(out)])
         assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
         assert result.stderr == f"error=2 detail=cannot open --out {out}: No such file or directory\n"
 
@@ -746,7 +783,7 @@ class TestErrorMapping:
         reach_fails(monkeypatch, target)
         out = tmp_path / "x.csv"
         out.write_bytes(b"earlier,run\n")
-        result = CliRunner().invoke(main, args + ["--out", str(out)])
+        result = invoke(args + ["--out", str(out)])
         assert result.exit_code == EXIT_NUMERICAL
         assert out.read_bytes() == b"earlier,run\n"
 
@@ -756,7 +793,7 @@ class TestErrorMapping:
     def test_out_replaces_a_longer_file(self, tmp_path):
         out = tmp_path / "x.csv"
         out.write_bytes(b"x" * 10000)
-        CliRunner().invoke(main, ["lhv", "--enumerate", "--out", str(out)])
+        invoke(["lhv", "--enumerate", "--out", str(out)])
         assert out.read_text(encoding="utf-8") == run_ok(["lhv", "--enumerate"])
 
 
@@ -902,10 +939,12 @@ class TestInstalledEntryPoint:
     def test_numpy_random_loads_only_for_commands_that_draw(self):
         # numpy.random costs every command about 13 ms of import; only the seeded
         # commands need it.  No command loads dataclasses: the records are not
-        # dataclasses.  A bare import bell_lab still puts every layer module in
-        # sys.modules, where the benchmark's tracer finds it
+        # dataclasses; nor click or argparse (about 15 and 3 ms): the command line is
+        # parsed from cli's own table.  A bare import bell_lab still puts every layer
+        # module in sys.modules, where the benchmark's tracer finds it
         layers = [f"bell_lab.{name}" for name in LAYERS]
-        flags = "'numpy.random' in sys.modules, 'dataclasses' in sys.modules"
+        flags = ("'numpy.random' in sys.modules, 'dataclasses' in sys.modules, "
+                 "'click' in sys.modules or 'argparse' in sys.modules")
         launcher = ("import sys; import bell_lab; "
                     f"print(all(name in sys.modules for name in {layers!r}), {flags}, "
                     "file=sys.stderr); from bell_lab.cli import main\n"
@@ -922,8 +961,8 @@ class TestInstalledEntryPoint:
         for commands, loaded in ((lazy + drawing[:1], [False] * len(lazy) + [True]), (drawing[1:], [True])):
             proc = subprocess.run([sys.executable, "-c", launcher, *commands], stdout=subprocess.DEVNULL,
                                   stderr=subprocess.PIPE, text=True, timeout=120)
-            assert proc.stderr.splitlines() == ["True False False"] + [
-                f"{args} 0 {flag} False" for args, flag in zip(commands, loaded)]
+            assert proc.stderr.splitlines() == ["True False False False"] + [
+                f"{args} 0 {flag} False False" for args, flag in zip(commands, loaded)]
 
     @pytest.mark.parametrize("args, ran", LAYERS_RUN, ids=[args for args, _ in LAYERS_RUN])
     def test_a_command_runs_only_its_own_layer_modules(self, args, ran):
@@ -957,8 +996,7 @@ class TestInstalledEntryPoint:
         namespace = {}
         exec("from bell_lab import *", namespace)
         assert set(namespace) - {"__builtins__"} == set(bell_lab.__all__)
-        (form,) = [param for param in main.commands["dbb"].params if param.name == "form"]
-        assert tuple(form.type.choices) == dbb.FORMS
+        assert cli._COMMANDS["dbb"][1]["form"][0] == dbb.FORMS
 
     @staticmethod
     def after_import(first, value=None):

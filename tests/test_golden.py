@@ -16,9 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from bell_lab.cli import main
+from clirun import invoke
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -59,7 +58,7 @@ GOLDEN = {
 
 
 def _stdout(args) -> bytes:
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 0, result.stderr or result.output
     return result.stdout_bytes
 

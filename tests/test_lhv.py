@@ -166,6 +166,15 @@ class TestRng:
     def test_seed_changes_stream(self):
         assert not np.array_equal(make_rng(1).random(8), make_rng(2).random(8))
 
+    @pytest.mark.parametrize("seed", [1.5, -1, np.int64(-1), "1"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy raised its own TypeError for 1.5 and "expected non-negative integer" for -1
+        match = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=match):
+            make_rng(seed)
+        with pytest.raises(ValueError, match=match):
+            simulate_chsh_stats(sign_model(), SUPPLEMENTARY, samples=10, seed=seed)
+
 
 class TestSignModelSimulation:
     def test_reproducible_bit_identical(self):

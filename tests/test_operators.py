@@ -1,3 +1,4 @@
+import re
 import sys
 from functools import reduce
 
@@ -251,6 +252,12 @@ class TestTensor:
         assert chain.shape == (1024, 1024)
         assert np.array_equal(chain, reduce(np.kron, factors))
 
+    @pytest.mark.parametrize("a, b", [(np.eye(2), np.zeros(3)), (np.zeros(3), np.eye(2)), (1.0, np.eye(2))])
+    def test_refuses_an_operand_that_is_not_a_matrix(self, a, b):
+        # a 1-D operand ended in numpy's "too many indices for array" IndexError
+        with pytest.raises(ValueError, match="^tensor needs matrices or stacks of them, got shapes"):
+            tensor(a, b)
+
     def test_broadcasts_over_stacks(self):
         rng = np.random.default_rng(19)
         a = rng.normal(size=(3, 1, 2, 2)) + 1j * rng.normal(size=(3, 1, 2, 2))
@@ -389,3 +396,8 @@ class TestEigensolver:
 
     def test_one_by_one(self):
         assert hermitian_extremal_eigenvalue(np.array([[-4.0]])) == 4.0
+
+    def test_rejects_an_empty_matrix(self):
+        # 0x0 passed the square check and ended in numpy's "zero-size array to reduction operation"
+        with pytest.raises(ValueError, match=re.escape("need a non-empty square matrix, got shape (0, 0)")):
+            hermitian_extremal_eigenvalue(np.eye(0))
