@@ -12,7 +12,8 @@ photon settings.
 
 Values are plain: chsh_value returns S as a float, or an array shaped like
 a batch of settings, and tsirelson_scan returns (s, settings), the signed
-S at the grid maximizer and the ChshSettings that reach it.
+S at the grid maximizer and the ChshSettings that reach it; it reduces only
+the (alpha, alpha') pairs that a bound from the correlation matrix leaves.
 """
 
 import numpy as np
@@ -146,29 +147,54 @@ def _correlation_matrix(psi, kind):
     return c, freq
 
 
-def _s_extremes(e: np.ndarray):
-    """Largest and smallest S over (beta, beta') per (alpha, alpha'), from e[i, j] = E(i, j).
+_BLOCK = 2**15  # table entries reduced at once: a block's arrays stay in cache
 
-    For fixed (alpha, alpha'), S(beta, beta') = f(beta) + g(beta') with
-    f = E(alpha, .) + E(alpha', .) and g = E(alpha, .) - E(alpha', .), so
-    the inner maximization separates.  Swapping alpha and alpha' keeps f
-    and negates g exactly, so only alpha <= alpha' is reduced and the
-    mirror entries are max f - min g and min f - max g, bitwise equal to
-    reducing them.
+
+def _pair_extremes(e, i, j):
+    """Per pair, max f, min f, max g and min g over beta for f = e[i] + e[j] and g = e[i] - e[j], in blocks."""
+    out, rows = np.empty((4, i.size)), max(1, _BLOCK // e.shape[1])
+    for k in range(0, i.size, rows):
+        ei, ej = e[i[k:k + rows]], e[j[k:k + rows]]
+        f, g = ei + ej, np.subtract(ei, ej, out=ei)  # f first: g overwrites ei
+        # e is finite, so fmax and fmin are max and min without the NaN checks
+        out[:, k:k + rows] = np.fmax.reduce(f, 1), np.fmin.reduce(f, 1), np.fmax.reduce(g, 1), np.fmin.reduce(g, 1)
+    return out
+
+
+def _select(c, u):
+    """tsirelson_scan's pick (s, (ia, iap, ib, ibp)) from e = u.T @ c @ u, reducing only the pairs that can win.
+
+    S = f(beta) + g(beta') with f, g = E(alpha, .) +- E(alpha', .) = (v_a +- v_a') . u_beta for v = u^T c, so
+    |S| at (alpha, alpha'), in either order, is at most |v_a + v_a'| + |v_a - v_a'| times max |u_beta|, which
+    G = v v^T gives in O(n^2).  A pair whose bound is below b0 - 1e-12 max(1, b0), b0 the exact |S| of the 8
+    top-bound pairs, cannot tie the maximum and is skipped.  Rounding (eps = 2**-53): e, f, g and S add at most
+    7 eps relative, the computed max |u_beta| hides 3 eps; |v_a +- v_a'|^2 = G_aa + G_a'a' +- 2 G_aa' comes within
+    8 eps (G_aa + G_a'a'), so the roots within 8 sqrt(eps max G_aa) < 2**-23 sqrt(max G_aa); 1 + 2**-48 covers
+    the relative terms and their own rounding.  A reduced pair gives its mirror: the swap keeps f, negates g.
     """
-    n = e.shape[0]
-    s_hi = np.empty((n, n))
-    s_lo = np.empty((n, n))
-    for ia in range(n):
-        f = e[ia][None, :] + e[ia:]  # rows: alpha' index from ia, cols: beta
-        g = e[ia][None, :] - e[ia:]
-        fmax, fmin, gmax, gmin = f.max(axis=1), f.min(axis=1), g.max(axis=1), g.min(axis=1)
-        s_hi[ia, ia:] = fmax + gmax
-        s_lo[ia, ia:] = fmin + gmin
-        # the diagonal (g == +0.0) keeps the row's sum: fmax - gmin could be -0.0
-        s_hi[ia + 1:, ia] = (fmax - gmin)[1:]
-        s_lo[ia + 1:, ia] = (fmin - gmax)[1:]
-    return s_hi, s_lo
+    v = u.T @ c
+    e = v @ u  # the two products of u.T @ c @ u: e[i, j] == E(angles[i], angles[j])
+    d = (v * v).sum(axis=1)
+    sq, g2 = d[:, None] + d[None, :], 2.0 * (v @ v.T)
+    bound = np.sqrt(np.maximum(sq + g2, 0.0)) + np.sqrt(np.maximum(sq - g2, 0.0)) + 2.0**-23 * np.sqrt(d.max())
+    bound *= np.sqrt((u * u).sum(axis=0)).max() * (1.0 + 2.0**-48)
+    fmax, fmin, gmax, gmin = _pair_extremes(e, *np.unravel_index(np.argpartition(bound, -8, None)[-8:], e.shape))
+    b0 = max(float((fmax + gmax).max()), float(-(fmin + gmin).min()))
+    ia, iap = np.nonzero(np.triu(bound >= b0 - 1e-12 * max(1.0, b0)))
+    fmax, fmin, gmax, gmin = _pair_extremes(e, ia, iap)
+    keys = np.ravel_multi_index((np.r_[ia, iap], np.r_[iap, ia]), e.shape)  # row-major: the pairs, then mirrors
+    s_hi, s_lo = np.concatenate([fmax + gmax, fmax - gmin]), np.concatenate([fmin + gmin, fmin - gmax])
+    best = max(float(s_hi.max()), float(-s_lo.min()))
+    # only the row-major first tie of each sign can win; argmax finds its beta and beta' (first = smallest)
+    candidates = []
+    for sign, s_ext in ((1.0, s_hi), (-1.0, s_lo)):
+        key = keys[sign * s_ext >= best - 1e-12 * max(1.0, best)].min(initial=e.size)
+        if key < e.size:
+            ia, iap = np.unravel_index(key, e.shape)
+            f, g = e[ia] + e[iap], e[ia] - e[iap]
+            candidates.append((ia, iap, np.argmax(sign * f), np.argmax(sign * g)))
+    ia, iap, ib, ibp = min(candidates)
+    return float(e[ia, ib] + e[iap, ib] + e[ia, ibp] - e[iap, ibp]), (ia, iap, ib, ibp)
 
 
 def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) -> tuple[float, ChshSettings]:
@@ -184,31 +210,6 @@ def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) ->
     """
     angles = _scan_angles(grid_step)
     _check_kind(kind)
-
-    psi = singlet() if kind == "spin_half" else photon_pair_state()
-    c, freq = _correlation_matrix(psi, kind)
-
-    u = np.vstack([np.cos(freq * angles), np.sin(freq * angles)])
-    e = u.T @ c @ u  # e[i, j] == correlation(psi, angles[i], angles[j], kind)
-
-    s_hi, s_lo = _s_extremes(e)
-    best = max(float(s_hi.max()), float(-s_lo.min()))
-    tol = 1e-12 * max(1.0, best)
-
-    # argwhere lists ties lexicographically, so only the first of each sign can
-    # win; its beta and beta' are found again by argmax (first = smallest)
-    candidates = []
-    for sign, s_ext in ((1.0, s_hi), (-1.0, s_lo)):
-        for ia, iap in np.argwhere(sign * s_ext >= best - tol)[:1]:
-            f, g = e[ia] + e[iap], e[ia] - e[iap]
-            candidates.append((ia, iap, np.argmax(sign * f), np.argmax(sign * g)))
-    ia, iap, ib, ibp = min(candidates)
-
-    settings = ChshSettings(
-        alpha=float(angles[ia]),
-        alpha_prime=float(angles[iap]),
-        beta=float(angles[ib]),
-        beta_prime=float(angles[ibp]),
-        kind=kind,
-    )
-    return float(e[ia, ib] + e[iap, ib] + e[ia, ibp] - e[iap, ibp]), settings
+    c, freq = _correlation_matrix(singlet() if kind == "spin_half" else photon_pair_state(), kind)
+    s, best = _select(c, np.vstack([np.cos(freq * angles), np.sin(freq * angles)]))
+    return s, ChshSettings(*(float(angles[i]) for i in best), kind=kind)

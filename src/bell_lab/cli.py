@@ -37,6 +37,7 @@ EXIT_NODE = 4
 
 IDENTITY_TOLERANCE = 1e-12
 IDENTITY_CHUNK = 4096
+_MAX_TRIALS = 10**7  # identity trials one run may take: about 45 s on a 2-core Xeon
 # a grid is evaluated whole, so this bounds its arrays: at most 512**2 points
 MAX_GRID_SIDE = 512
 
@@ -105,9 +106,12 @@ def _parse_floats(text, name, count):
     if len(parts) != count:
         raise UsageError(f"{name} must be {count} comma-separated numbers")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"could not parse {name}: {exc}")
+    if not all(map(math.isfinite, values)):  # quoted as given, before any conversion to radians
+        raise UsageError(f"{name} must be finite, got {text}")
+    return values
 
 
 def chsh(alpha, alpha_prime, beta, beta_prime, kind, out):
@@ -133,8 +137,8 @@ def chsh_scan(step, kind, out):
 
 def identity(kind, trials, seed, out):
     """Max residual of S^2 = 4I - [A,A'](x)[B,B'] over random settings."""
-    if trials < 1:
-        raise UsageError("--trials must be >= 1")
+    if not 1 <= trials <= _MAX_TRIALS:  # refused before any draw
+        raise UsageError("--trials must be >= 1" if trials < 1 else f"--trials {trials} exceeds {_MAX_TRIALS}")
     from .chsh import ChshSettings, identity_residual
     from .lhv import make_rng
 
@@ -266,6 +270,10 @@ def spin(bz, gyro, steps, dt, s0, out):
 
 
 _REQUIRED = object()  # the default of a flag that must be given
+# command -> (mode flag, whether the flags after it need the mode or are ignored by it, the flags)
+_MODES = {"oumandel": ("grid", False, "theta1", "theta2"), "mermin": ("scan", True, "step"),
+          "dbb": ("trajectory", True, "start1", "start2"),
+          "lhv": ("enumerate_", False, "model", "samples", "seed", "angles")}
 _TYPE_NAMES = {float: "float", int: "integer", str: "text", bool: ""}  # help shows them in capitals
 
 # command -> (body, {name: (type, default[, help])}); the flag is --name for the body's keyword name, with
@@ -358,6 +366,10 @@ def _dispatch(prog: str, command: str, args):
         elif not eq and (value := next(args, None)) is None:
             raise UsageError(f"Option {flag!r} requires an argument.")
         given[names[flag]] = value
+    mode, needed, *dependent = _MODES.get(command, (None, True))
+    for name in filter(dependent.__contains__, given):
+        if (mode in given) != needed:  # the body would ignore the flag
+            raise UsageError(f"{command} {_flag(name)} does not apply to {'a run without ' * needed}{_flag(mode)}")
     kwargs = {name: spec[1] for name, spec in flags.items()}
     for name, value in given.items():
         kind = flags[name][0]

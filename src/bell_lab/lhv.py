@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # an annotation only: mermin and lhv --enumerate need not run
 RNG_ALGORITHM = "pcg64"
 
 _CHUNK = 1 << 16  # hidden values drawn and scored per Monte Carlo step
+_MAX_SAMPLES = 10**9  # hidden values one run may draw: about 20 s on a 2-core Xeon
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -140,8 +141,8 @@ def simulate_chsh_stats(
     Chunked draws equal one draw of all ``samples`` only for a sampler that
     is chunk-invariant, as the sign model's PCG64 uniform draws are.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if not isinstance(samples, (int, np.integer)) or not 1 <= samples <= _MAX_SAMPLES:
+        raise ValueError(f"samples must be an integer in [1, {_MAX_SAMPLES}], got {samples!r}")
     if np.shape(settings.alpha) != ():
         raise ValueError(f"need one settings tuple, got a batch of shape {np.shape(settings.alpha)}")
     rng = make_rng(seed)

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from bell_lab import chsh
 from bell_lab.chsh import (
     KINDS,
     TSIRELSON,
     ChshSettings,
     _correlation_matrix,
-    _s_extremes,
+    _select,
     bell_operator,
     chsh_value,
     correlation,
@@ -98,6 +101,30 @@ def brute_scan(kind, step):
     return best
 
 
+def half_loop_extremes(e):
+    """The largest and smallest S per (alpha, alpha'), only alpha <= alpha' reduced.
+
+    The scan's exhaustive route before it pruned pairs: for fixed (alpha,
+    alpha'), S(beta, beta') = f(beta) + g(beta') with f = E(alpha, .) +
+    E(alpha', .) and g = E(alpha, .) - E(alpha', .).  Swapping alpha and
+    alpha' keeps f and negates g exactly, so the mirror entries are max f -
+    min g and min f - max g, bitwise equal to reducing them.
+    """
+    n = e.shape[0]
+    s_hi = np.empty((n, n))
+    s_lo = np.empty((n, n))
+    for ia in range(n):
+        f = e[ia][None, :] + e[ia:]  # rows: alpha' index from ia, cols: beta
+        g = e[ia][None, :] - e[ia:]
+        fmax, fmin, gmax, gmin = f.max(axis=1), f.min(axis=1), g.max(axis=1), g.min(axis=1)
+        s_hi[ia, ia:] = fmax + gmax
+        s_lo[ia, ia:] = fmin + gmin
+        # the diagonal (g == +0.0) keeps the row's sum: fmax - gmin could be -0.0
+        s_hi[ia + 1:, ia] = (fmax - gmin)[1:]
+        s_lo[ia + 1:, ia] = (fmin - gmax)[1:]
+    return s_hi, s_lo
+
+
 def full_loop_extremes(e):
     """The largest and smallest S per (alpha, alpha'), every row reduced in full."""
     n = e.shape[0]
@@ -114,16 +141,21 @@ def correlation_table(kind, grid_step):
     """The scan's angle grid and its table e[i, j] = E(angles[i], angles[j])."""
     psi = singlet() if kind == "spin_half" else photon_pair_state()
     c, freq = _correlation_matrix(psi, kind)
-    angles = np.arange(0.0, 2.0 * np.pi, grid_step)
-    u = np.vstack([np.cos(freq * angles), np.sin(freq * angles)])
-    return angles, u.T @ c @ u
+    u = grid_directions(grid_step, freq)
+    return np.arange(0.0, 2.0 * np.pi, grid_step), u.T @ c @ u
 
 
-def reference_scan(kind, grid_step):
-    """tsirelson_scan as it was with eight (n, n) arrays: the extrema and
-    their argmax/argmin indices for every (alpha, alpha'); a bitwise oracle."""
-    angles, e = correlation_table(kind, grid_step)
-    n = angles.size
+def grid_directions(step, freq):
+    """The scan's angle grid as the unit vectors u of e = u.T @ c @ u."""
+    angles = np.arange(0.0, 2.0 * np.pi, step)
+    return np.vstack([np.cos(freq * angles), np.sin(freq * angles)])
+
+
+def reference_select(e):
+    """tsirelson_scan's pick (s, (ia, iap, ib, ibp)) as it was made with eight
+    (n, n) arrays: the extrema and their argmax/argmin indices for every
+    (alpha, alpha'), every pair reduced in full; a bitwise oracle."""
+    n = e.shape[0]
     fmax, fmin, gmax, gmin = (np.empty((n, n)) for _ in range(4))
     afmax, afmin, agmax, agmin = (np.empty((n, n), dtype=np.intp) for _ in range(4))
     for ia in range(n):
@@ -143,8 +175,14 @@ def reference_scan(kind, grid_step):
     for ia, iap in np.argwhere(-s_lo >= best - tol):
         candidates.append((ia, iap, afmin[ia, iap], agmin[ia, iap]))
     ia, iap, ib, ibp = min(candidates)
-    s = e[ia, ib] + e[iap, ib] + e[ia, ibp] - e[iap, ibp]
-    return float(s), tuple(float(angles[i]) for i in (ia, iap, ib, ibp))
+    return float(e[ia, ib] + e[iap, ib] + e[ia, ibp] - e[iap, ibp]), (ia, iap, ib, ibp)
+
+
+def reference_scan(kind, grid_step):
+    """reference_select on the scan's table: (s, the four angles)."""
+    angles, e = correlation_table(kind, grid_step)
+    s, picked = reference_select(e)
+    return s, tuple(float(angles[i]) for i in picked)
 
 
 class TestCorrelation:
@@ -317,7 +355,7 @@ class TestTsirelsonScan:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bitwise_equal_to_eight_array_reference(self, kind):
-        for step in (45.0, 22.5, 15.0, 10.0, 7.5, 5.0, 3.0, 2.0, 1.5):
+        for step in (45.0, 22.5, 15.0, 13.0, 10.0, 7.5, 5.0, 4.7, 3.0, 2.0, 1.5, 1.0, 0.75, 0.71):
             grid_step = np.deg2rad(step)
             v, settings = tsirelson_scan(kind, grid_step)
             want_s, want_angles = reference_scan(kind, grid_step)
@@ -330,15 +368,63 @@ class TestTsirelsonScan:
         # the scan reduces alpha <= alpha' only and mirrors the rest
         for step in (45.0, 22.5, 7.5, 5.0, 2.0, 1.5, 1.0):
             _, e = correlation_table(kind, np.deg2rad(step))
-            for got, want in zip(_s_extremes(e), full_loop_extremes(e)):
+            for got, want in zip(half_loop_extremes(e), full_loop_extremes(e)):
                 assert got.tobytes() == want.tobytes()
 
     def test_half_reduction_needs_no_symmetry_in_e(self):
         rng = np.random.default_rng(15)
         for n in (1, 2, 3, 17, 64):
             e = rng.normal(size=(n, n))
-            for got, want in zip(_s_extremes(e), full_loop_extremes(e)):
+            for got, want in zip(half_loop_extremes(e), full_loop_extremes(e)):
                 assert got.tobytes() == want.tobytes()
+
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(["zero", "rank one", "diagonal", "random"]),
+        signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+        scale=st.sampled_from([1.0, 0.3, 0.1, 1e-2, 1e-3]),
+        freq=st.sampled_from([1.0, 2.0]),
+        step=st.sampled_from([45.0, 15.0, 7.5, 5.0, 4.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pruned_pick_bitwise_equal_to_full_reduction(self, shape, signs, scale, freq, step, seed):
+        # the pruned selection on a given correlation matrix against every pair reduced in full
+        rng = np.random.default_rng(seed)
+        if shape == "zero":
+            c = np.zeros((2, 2))
+        elif shape == "rank one":
+            c = np.outer(rng.normal(size=2), rng.normal(size=2))
+        elif shape == "diagonal":
+            c = np.diag(signs)
+        else:
+            c = rng.uniform(-1.0, 1.0, size=(2, 2))
+        u = grid_directions(np.deg2rad(step), freq)
+        c = scale * c
+        (s, picked), (want_s, want_picked) = _select(c, u), reference_select(u.T @ c @ u)
+        assert np.float64(s).tobytes() == np.float64(want_s).tobytes() and picked == want_picked
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reduces_few_pairs_on_the_pair_states(self, kind, monkeypatch):
+        # the bound leaves under 2% of the 240**2 (alpha, alpha') pairs of a 1.5 degree scan
+        reduced = []
+        real = chsh._pair_extremes
+        monkeypatch.setattr(chsh, "_pair_extremes", lambda e, i, j: reduced.append(i.size) or real(e, i, j))
+        tsirelson_scan(kind, np.deg2rad(1.5))
+        assert sum(reduced) < 0.02 * 240**2
+
+    def test_correlation_free_table_keeps_memory_quadratic(self):
+        # c = 0 leaves every pair; they are reduced a block at a time, so the peak stays
+        # a few (n, n) tables, where gathering all pairs at once would take n**3 / 2 floats
+        u = grid_directions(np.deg2rad(1.5), 1.0)
+        n = u.shape[1]
+        tracemalloc.start()
+        try:
+            got = _select(np.zeros((2, 2)), u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == reference_select(np.zeros((n, n)))
+        assert peak < 16 * n * n * 8
 
     def test_step_validation(self):
         for bad in (0.0, np.pi / 2, -0.1, np.nan, np.inf):

@@ -328,6 +328,16 @@ class TestIdentityCommand:
                                            "--trials", "0", "--seed", "1"])
         assert result.exit_code == 2
 
+    def test_trials_cap_refused_before_any_draw(self, monkeypatch):
+        # --trials 99999999999 once ran for minutes; the cap itself still reaches the generator
+        reach_fails(monkeypatch, "make_rng")
+        args = ["identity", "--kind", "spin", "--seed", "1", "--trials"]
+        assert invoke(args + [str(cli._MAX_TRIALS)]).exit_code == EXIT_NUMERICAL
+        for trials in (cli._MAX_TRIALS + 1, 99999999999):
+            result = invoke(args + [str(trials)])
+            assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+            assert result.stderr == f"error=2 detail=--trials {trials} exceeds {cli._MAX_TRIALS}\n"
+
 
 class TestMerminCommand:
     def test_default_canonical_pair(self):
@@ -381,6 +391,22 @@ class TestLhvCommand:
         result = invoke(["lhv", "--model", "sign", "--samples", "10",
                                            "--seed", "1", "--angles", "1,2,3"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("angles", ["0,45,22.5,nan", "inf,0,0,0", "0,-inf,1e400,0"])
+    def test_nonfinite_angles_quoted_as_given(self, monkeypatch, angles):
+        # once "settings angles must be finite, got array([0. , 0.78539816, ...])", in radians
+        reach_fails(monkeypatch, "simulate_chsh_stats")
+        result = invoke(["lhv", "--model", "sign", "--samples", "10", "--seed", "1", "--angles", angles])
+        assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+        assert result.stderr == f"error=2 detail=--angles must be finite, got {angles}\n"
+
+    def test_samples_cap_refused_before_any_draw(self, monkeypatch):
+        reach_fails(monkeypatch, "make_rng")
+        args = ["lhv", "--model", "sign", "--seed", "1", "--angles", "0,90,45,-45", "--samples"]
+        assert invoke(args + [str(10**9)]).exit_code == EXIT_NUMERICAL
+        result = invoke(args + [str(10**9 + 1)])
+        assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+        assert result.stderr == f"error=2 detail=samples must be an integer in [1, {10**9}], got {10**9 + 1}\n"
 
 
 class TestOumandelCommand:
@@ -676,6 +702,46 @@ class TestGridCap:
         assert result.stderr == f"error=2 detail=grid of inf points per axis exceeds {MAX_GRID_SIDE}\n"
 
 
+# a flag that its command's mode ignores, and the flags that set that mode
+IGNORED_FLAGS = [
+    (["oumandel", "--tx", "0.5", "--ty", "0.5", "--grid", "2"], ["--theta1", "30"],
+     "oumandel --theta1 does not apply to --grid"),
+    (["oumandel", "--tx", "0.5", "--ty", "0.5", "--grid=2", "--correlation"], ["--theta2=0"],
+     "oumandel --theta2 does not apply to --grid"),
+    (["mermin", "--n", "3"], ["--step", "5"], "mermin --step does not apply to a run without --scan"),
+    (["dbb", "--form", "product"], ["--start1", "1"], "dbb --start1 does not apply to a run without --trajectory"),
+    (["dbb", "--form", "symmetric", "--grid", "3"], ["--start2=-1"],
+     "dbb --start2 does not apply to a run without --trajectory"),
+    (["lhv", "--enumerate"], ["--model", "sign"], "lhv --model does not apply to --enumerate"),
+    (["lhv", "--enumerate"], ["--samples", "10"], "lhv --samples does not apply to --enumerate"),
+    (["lhv", "--enumerate"], ["--seed", "1"], "lhv --seed does not apply to --enumerate"),
+    (["lhv", "--enumerate"], ["--angles", "0,90,45,-45"], "lhv --angles does not apply to --enumerate"),
+]
+
+
+@pytest.mark.parametrize("before", [False, True], ids=["after", "before"])
+@pytest.mark.parametrize("args, flag, line", IGNORED_FLAGS, ids=[f[0] for _, f, _ in IGNORED_FLAGS])
+def test_flag_that_the_mode_ignores_is_refused(tmp_path, args, flag, line, before):
+    # oumandel --grid 2 --theta1 30 once printed theta1=30 over a 0-180 degree grid;
+    # refused in either order, before --out is opened
+    out = tmp_path / "x.csv"
+    words = [args[0], *flag, *args[1:]] if before else [*args, *flag]
+    result = invoke([*words, "--out", str(out)])
+    assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+    assert result.stderr == f"error=2 detail={line}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["oumandel", "--tx", "0.5", "--ty", "0.5", "--theta1", "30", "--theta2", "0"],
+    ["mermin", "--n", "3", "--scan", "--step", "45"],
+    ["dbb", "--form", "product", "--trajectory", "--start1", "-1.5", "--start2", "1.5", "--t1", "0.1"],
+    ["lhv", "--model", "sign", "--samples", "10", "--seed", "1", "--angles", "0,90,45,-45"],
+])
+def test_flag_in_its_own_mode_is_taken(args):
+    assert run_ok(args)
+
+
 ERRORS = [
     (NodeSingularityError("hit a node"), EXIT_NODE, "error=4 detail=hit a node"),
     (NumericalCheckError("residual too large"), EXIT_NUMERICAL, "error=3 detail=residual too large"),
@@ -731,8 +797,9 @@ class TestErrorMapping:
          "error=2 detail=Invalid value for '--kind': 'foo' is not one of 'spin', 'photon'."),
         (["lhv", "--model"], "error=2 detail=Option '--model' requires an argument."),
         (["dbb", "--form", "product", "--trajectory=1"], "error=2 detail=Option '--trajectory' does not take a value."),
+        (["spin", "--s0", "nan,0,0"], "error=2 detail=--s0 must be finite, got nan,0,0"),
     ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command", "nan-start",
-            "negative-seed", "bad-integer", "bad-choice", "no-value", "flag-with-value"])
+            "negative-seed", "bad-integer", "bad-choice", "no-value", "flag-with-value", "nan-s0"])
     def test_usage_error_gives_one_line(self, args, line):
         result = invoke(args)
         assert result.exit_code == EXIT_VALIDATION

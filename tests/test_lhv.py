@@ -238,6 +238,17 @@ class TestSignModelSimulation:
         with pytest.raises(ValueError):
             simulate_chsh_stats(sign_model(), SUPPLEMENTARY, samples=0, seed=1)
 
+    def test_sample_cap_refused_before_any_draw(self):
+        # the cap bounds a run's time; refused before the model draws a hidden value
+        def no_draw(rng, n):
+            raise AssertionError("drew hidden values")
+
+        sign = sign_model()
+        model = lhv.HiddenVariableModel("sign", no_draw, sign.alice_response, sign.bob_response)
+        for samples in (lhv._MAX_SAMPLES + 1, 10**12, np.int64(2**62)):
+            with pytest.raises(ValueError, match=rf"^samples must be an integer in \[1, {lhv._MAX_SAMPLES}\], got "):
+                simulate_chsh_stats(model, SUPPLEMENTARY, samples=samples, seed=1)
+
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2)])
     def test_batched_settings_refused(self, shape):
         # a batch once ended in _arc_sign's float(angle) TypeError
