@@ -10,7 +10,7 @@ difference where the quantum correlation is a cosine.
 
 import numpy as np
 
-from bell_lab.chsh import ChshSettings, correlation, singlet
+from bell_lab.chsh import correlation, singlet
 from bell_lab.lhv import (
     chsh_deterministic_max,
     mermin_deterministic_max,
@@ -42,7 +42,7 @@ def main():
     print()
     print("=== Monte Carlo at the CHSH-optimal axes ===")
     model = sign_model()
-    optimal = ChshSettings(0.0, 90 * DEG, 45 * DEG, -45 * DEG)
+    optimal = (0.0, 90 * DEG, 45 * DEG, -45 * DEG)
     samples = 200_000
     est, err = simulate_chsh_stats(model, optimal, samples=samples, seed=42)
     print(f"sign model at (0, 90, 45, -45) deg: S = {est:+.6f} "
@@ -50,7 +50,7 @@ def main():
     print("every hidden value lands exactly on the bound |S| = 2 here,")
     print("so the standard error vanishes")
 
-    quartet = ChshSettings(0.0, 45 * DEG, 22.5 * DEG, 67.5 * DEG)
+    quartet = (0.0, 45 * DEG, 22.5 * DEG, 67.5 * DEG)
     est2, err2 = simulate_chsh_stats(model, quartet, samples=samples, seed=42)
     print(f"sign model at (0, 45, 22.5, 67.5) deg: S = {est2:+.6f} "
           f"+- {err2:.6f}")

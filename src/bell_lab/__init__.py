@@ -27,7 +27,7 @@ from .errors import NodeSingularityError, NumericalCheckError, UndefinedCorrelat
 _PUBLIC = {
     "operators": ("MeasurementOp", "commutator", "dagger", "expectation", "hermitian_extremal_eigenvalue",
                   "ket", "tensor"),
-    "chsh": ("TSIRELSON", "ChshSettings", "bell_operator", "chsh_value", "correlation", "identity_residual",
+    "chsh": ("TSIRELSON", "bell_operator", "chsh_value", "correlation", "identity_residual",
              "photon_pair_state", "singlet", "tsirelson_scan"),
     "mermin": ("ghz", "ghz_expectation_shared", "mermin_operator", "mermin_shared_scan", "mermin_square_residual",
                "mermin_value"),

@@ -1,4 +1,4 @@
-"""The frozen record base and the finiteness check that every layer module shares."""
+"""The frozen record base and the input checks that more than one layer module shares."""
 
 import numpy as np
 
@@ -6,6 +6,15 @@ import numpy as np
 def _require_finite(name, value):
     if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _chsh_angles(settings) -> np.ndarray:
+    """CHSH settings of shape (..., 4) as a C-contiguous (4, ...) array: alpha, alpha', beta, beta' rows."""
+    angles = np.asarray(settings, dtype=float)
+    if angles.shape[-1:] != (4,):
+        raise ValueError(f"settings must have shape (..., 4), got {angles.shape}")
+    _require_finite("settings angles", angles)
+    return np.ascontiguousarray(np.moveaxis(angles, -1, 0))
 
 
 class _Record:

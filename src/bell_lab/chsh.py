@@ -10,15 +10,18 @@ correlation is E(a, b) = -cos(a - b); S reaches +-2*sqrt(2) at e.g.
 (0, pi/2, pi/4, -pi/4) for spin settings and (0, pi/4, -pi/8, pi/8) for
 photon settings.
 
-Values are plain: chsh_value returns S as a float, or an array shaped like
-a batch of settings, and tsirelson_scan returns (s, settings), the signed
-S at the grid maximizer and the ChshSettings that reach it; it reduces only
-the (alpha, alpha') pairs that a bound from the correlation matrix leaves.
+Settings are a float array-like of shape (..., 4), (alpha, alpha', beta,
+beta') on the last axis and a batch on the leading ones, checked once per
+call; kind is an argument.  Values are plain: chsh_value returns S as a
+float, or an array shaped like the batch, and tsirelson_scan returns
+(s, settings), the signed S at the grid maximizer and the (4,) angle array
+that reaches it; it reduces only the (alpha, alpha') pairs that a bound
+from the correlation matrix leaves.
 """
 
 import numpy as np
 
-from ._common import _Record, _require_finite
+from ._common import _chsh_angles, _require_finite
 from .operators import (
     _SIGMA,
     KINDS,
@@ -37,33 +40,7 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 def _check_kind(kind):
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
-class ChshSettings(_Record):
-    """Four analyzer angles (radians) plus the measurement convention.
-
-    The four angle fields may be numpy arrays of one common shape; the
-    settings are then a batch, and bell_operator, identity_residual and
-    chsh_value broadcast over it, returning one result per element.
-    Finiteness, shape and kind are checked once for the whole batch.
-    """
-
-    alpha: float | np.ndarray
-    alpha_prime: float | np.ndarray
-    beta: float | np.ndarray
-    beta_prime: float | np.ndarray
-    kind: str = "spin_half"
-
-    def __post_init__(self):
-        shapes = {np.shape(angle) for angle in self.angles}
-        if len(shapes) > 1:
-            raise ValueError(f"angle fields must share one shape, got {sorted(shapes)}")
-        _require_finite("settings angles", np.asarray(self.angles, dtype=float))
-        _check_kind(self.kind)
-
-    @property
-    def angles(self):
-        return (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
+    return kind
 
 
 def singlet() -> np.ndarray:
@@ -109,25 +86,24 @@ def correlation(psi, a, b, kind: str = "spin_half") -> float | np.ndarray:
     return expectation(psi, tensor(_party_ops(a, kind), _party_ops(b, kind))).real
 
 
-def bell_operator(settings: ChshSettings) -> np.ndarray:
+def bell_operator(settings, kind: str = "spin_half") -> np.ndarray:
     """A(x)B + A'(x)B + A(x)B' - A'(x)B' as a 4x4 Hermitian matrix, or a stack."""
-    return _combine(_terms(_party_ops(settings.angles, settings.kind)))
+    return _combine(_terms(_party_ops(_chsh_angles(settings), _check_kind(kind))))
 
 
-def identity_residual(settings: ChshSettings) -> float | np.ndarray:
+def identity_residual(settings, kind: str = "spin_half") -> float | np.ndarray:
     """Max-norm of S^2 - (4I - [A,A'] (x) [B,B']); exactly zero in theory."""
-    ops = _party_ops(settings.angles, settings.kind)
+    ops = _party_ops(_chsh_angles(settings), _check_kind(kind))
     a, ap, b, bp = ops
     s = _combine(_terms(ops))
     rhs = 4.0 * np.eye(4) - tensor(commutator(a, ap), commutator(b, bp))
     return _unbox(np.max(np.abs(s @ s - rhs), axis=(-2, -1)))
 
 
-def chsh_value(psi, settings: ChshSettings) -> float | np.ndarray:
+def chsh_value(psi, settings, kind: str = "spin_half") -> float | np.ndarray:
     """S as the sum of four correlations, a float or one per batch element; equals <psi|bell_operator|psi>."""
-    psi = _check_state(psi)
-    correlations = expectation(psi, _terms(_party_ops(settings.angles, settings.kind))).real
-    return _unbox(_combine(correlations))
+    ops = _party_ops(_chsh_angles(settings), _check_kind(kind))
+    return _unbox(_combine(expectation(_check_state(psi), _terms(ops)).real))
 
 
 # axis pairs whose span contains every measurement direction of each kind;
@@ -197,7 +173,7 @@ def _select(c, u):
     return float(e[ia, ib] + e[iap, ib] + e[ia, ibp] - e[iap, ibp]), (ia, iap, ib, ibp)
 
 
-def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) -> tuple[float, ChshSettings]:
+def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) -> tuple[float, np.ndarray]:
     """Exhaustive |S| maximization over a 4-angle grid of spacing grid_step.
 
     The grid is all multiples of grid_step in [0, 2*pi); requires
@@ -206,10 +182,10 @@ def tsirelson_scan(kind: str = "spin_half", grid_step: float = np.pi / 180.0) ->
     maximum are treated as ties and resolved toward the lexicographically
     smallest (alpha, alpha_prime, beta, beta_prime) tuple, so the result
     is independent of evaluation order.  Returns (s, settings) with s
-    signed at the maximizer.
+    signed at the maximizer and settings the (4,) array of its angles.
     """
     angles = _scan_angles(grid_step)
     _check_kind(kind)
     c, freq = _correlation_matrix(singlet() if kind == "spin_half" else photon_pair_state(), kind)
     s, best = _select(c, np.vstack([np.cos(freq * angles), np.sin(freq * angles)]))
-    return s, ChshSettings(*(float(angles[i]) for i in best), kind=kind)
+    return s, angles[list(best)]

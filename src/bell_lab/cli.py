@@ -95,10 +95,24 @@ def _check_grid(side: float):
         raise ValueError(f"grid of {side:.6g} points per axis exceeds {MAX_GRID_SIDE}")
 
 
-def _scan_side(step: float) -> float:
-    """2 pi / step in radians; the scan's ceil of it exceeds the cap exactly when it does."""
-    rad = float(np.deg2rad(step))
-    return 2.0 * math.pi / rad if rad > 0.0 else 0.0  # the scan refuses rad <= 0 itself
+def _typed(value: float) -> str:
+    """A number flag's value as one would type it: its shortest repr, less a trailing ".0"."""
+    return repr(value).removesuffix(".0")
+
+
+def _check_degrees(**angles):
+    """Refuse a non-finite angle flag before the body converts it to radians."""
+    for name, value in angles.items():
+        if not math.isfinite(value):
+            raise UsageError(f"{_flag(name)} must be finite, got {_typed(value)}")
+
+
+def _check_step(step: float):
+    """Refuse a scan step outside (0, 45] degrees (the scans' grid_step range), then a grid over the cap."""
+    if not 0.0 < step <= 45.0:  # also NaN
+        raise UsageError(f"--step must be in (0, 45], got {_typed(step)}")
+    rad = float(np.deg2rad(step))  # the scan's ceil of 2 pi / rad exceeds the cap exactly when this does
+    _check_grid(2.0 * math.pi / rad if rad > 0.0 else math.inf)  # a step that underflows to 0 rad never ends
 
 
 def _parse_floats(text, name, count):
@@ -116,30 +130,30 @@ def _parse_floats(text, name, count):
 
 def chsh(alpha, alpha_prime, beta, beta_prime, kind, out):
     """S for one settings tuple on the singlet / photon pair state."""
-    from .chsh import ChshSettings, chsh_value, photon_pair_state, singlet
+    _check_degrees(alpha=alpha, alpha_prime=alpha_prime, beta=beta, beta_prime=beta_prime)
+    from .chsh import chsh_value, photon_pair_state, singlet
 
-    settings = ChshSettings(*np.deg2rad((alpha, alpha_prime, beta, beta_prime)), kind=_KIND[kind])
+    settings = np.deg2rad((alpha, alpha_prime, beta, beta_prime))
     state = singlet() if kind == "spin" else photon_pair_state()
     columns = {"alpha": alpha, "alpha_prime": alpha_prime, "beta": beta, "beta_prime": beta_prime, "kind": kind}
-    _write_csv(out, _meta("chsh", columns), {**columns, "s": chsh_value(state, settings)})
+    _write_csv(out, _meta("chsh", columns), {**columns, "s": chsh_value(state, settings, _KIND[kind])})
 
 
 def chsh_scan(step, kind, out):
     """Exhaustive grid maximization of |S|."""
+    _check_step(step)
     from .chsh import tsirelson_scan
 
-    _check_grid(_scan_side(step))
     s, settings = tsirelson_scan(_KIND[kind], np.deg2rad(step))
-    best = np.rad2deg(settings.angles)
-    names = ("best_alpha", "best_alpha_prime", "best_beta", "best_beta_prime")
-    _write_csv(out, _meta("chsh-scan", {"step": step, "kind": kind}), {**dict(zip(names, best)), "s_max": abs(s)})
+    best = dict(zip(("best_alpha", "best_alpha_prime", "best_beta", "best_beta_prime"), np.rad2deg(settings)))
+    _write_csv(out, _meta("chsh-scan", {"step": step, "kind": kind}), {**best, "s_max": abs(s)})
 
 
 def identity(kind, trials, seed, out):
     """Max residual of S^2 = 4I - [A,A'](x)[B,B'] over random settings."""
     if not 1 <= trials <= _MAX_TRIALS:  # refused before any draw
         raise UsageError("--trials must be >= 1" if trials < 1 else f"--trials {trials} exceeds {_MAX_TRIALS}")
-    from .chsh import ChshSettings, identity_residual
+    from .chsh import identity_residual
     from .lhv import make_rng
 
     rng = make_rng(seed)
@@ -148,8 +162,7 @@ def identity(kind, trials, seed, out):
     # any --trials; PCG64 uniform draws do not depend on the chunking
     for start in range(0, trials, IDENTITY_CHUNK):
         angles = rng.uniform(0.0, 2.0 * np.pi, size=(min(IDENTITY_CHUNK, trials - start), 4))
-        batch = ChshSettings(*angles.T, kind=_KIND[kind])
-        worst = max(worst, float(identity_residual(batch).max()))
+        worst = max(worst, float(identity_residual(angles, _KIND[kind]).max()))
     if worst >= IDENTITY_TOLERANCE:
         raise NumericalCheckError(f"identity residual {worst:.3e} exceeds {IDENTITY_TOLERANCE:.1e}")
     meta = _meta("identity", {"kind": kind, "trials": trials}, seed=seed)
@@ -162,7 +175,7 @@ def mermin(n, scan, step, out):
     from .mermin import ghz, mermin_shared_scan, mermin_value
 
     if scan:
-        _check_grid(_scan_side(step))
+        _check_step(step)
         value, _ = mermin_shared_scan(n, np.deg2rad(step))
         params = {"n": n, "scan": True, "step": step}
     else:
@@ -182,10 +195,9 @@ def lhv(enumerate_, model, samples, seed, angles, out):
         return
     if model is None or samples is None or seed is None or angles is None:
         raise UsageError("lhv needs --enumerate, or --model --samples --seed --angles")
-    from .chsh import ChshSettings
     from .lhv import sign_model, simulate_chsh_stats
 
-    settings = ChshSettings(*np.deg2rad(_parse_floats(angles, "--angles", 4)), kind="spin_half")
+    settings = np.deg2rad(_parse_floats(angles, "--angles", 4))
     estimate, stderr = simulate_chsh_stats(sign_model(), settings, samples, seed)
     meta = _meta("lhv", {"mode": "model", "model": model, "samples": samples, "angles": angles}, seed=seed)
     _write_csv(out, meta, {"s_estimate": estimate, "stderr": stderr})
@@ -193,6 +205,7 @@ def lhv(enumerate_, model, samples, seed, angles, out):
 
 def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     """Two-photon coincidence probabilities / correlations behind the splitter."""
+    _check_degrees(theta1=theta1, theta2=theta2)
     from .fock import (BeamSplitterSpec, coincidence_closed_form, coincidence_correlation,
                        coincidence_probability, ou_mandel_state)
 

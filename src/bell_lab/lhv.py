@@ -10,22 +10,19 @@ The stochastic side is a seeded Monte Carlo over response-function models;
 the stock sign model reproduces the sawtooth correlation
 E(a, b) = -1 + 2*d/pi (d = angular distance between the settings folded
 to [0, pi]) whose CHSH value at (0, pi/2, pi/4, -pi/4) is exactly -2.
-simulate_chsh_stats takes one settings tuple and returns the plain pair
-(estimate, stderr).
+simulate_chsh_stats takes one setting, the (4,) array-like (alpha, alpha',
+beta, beta') in radians, and returns the plain pair (estimate, stderr).
 """
 
 from __future__ import annotations  # np.random stays unloaded until make_rng runs
 
 from itertools import product
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericalCheckError
-from ._common import _Record
-
-if TYPE_CHECKING:  # an annotation only: mermin and lhv --enumerate need not run chsh
-    from .chsh import ChshSettings
+from ._common import _chsh_angles, _Record
 
 # Fixed, documented generator family: numpy's PCG64 behind Generator.
 # Recorded in CLI metadata so seeded runs name their algorithm.
@@ -129,9 +126,9 @@ def mermin_deterministic_max(n: int) -> int:
 
 
 def simulate_chsh_stats(
-    model: HiddenVariableModel, settings: ChshSettings, samples: int, seed: int
+    model: HiddenVariableModel, settings, samples: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo CHSH (estimate, stderr) at one settings tuple; reproducible per seed.
+    """Monte Carlo CHSH (estimate, stderr) at one (4,) settings array-like; reproducible per seed.
 
     Every hidden value is used to evaluate all four correlations at once
     (the simultaneous-values assumption that defines this model class),
@@ -143,16 +140,15 @@ def simulate_chsh_stats(
     """
     if not isinstance(samples, (int, np.integer)) or not 1 <= samples <= _MAX_SAMPLES:
         raise ValueError(f"samples must be an integer in [1, {_MAX_SAMPLES}], got {samples!r}")
-    if np.shape(settings.alpha) != ():
-        raise ValueError(f"need one settings tuple, got a batch of shape {np.shape(settings.alpha)}")
+    angles = _chsh_angles(settings)
+    if angles.ndim != 1:
+        raise ValueError(f"need one settings tuple, got a batch of shape {angles.shape[1:]}")
     rng = make_rng(seed)
     n, n_plus = int(samples), 0
     for start in range(0, n, _CHUNK):
         lam = model.sample(rng, min(_CHUNK, n - start))
-        a = model.alice_response(settings.alpha, lam)
-        ap = model.alice_response(settings.alpha_prime, lam)
-        b = model.bob_response(settings.beta, lam)
-        bp = model.bob_response(settings.beta_prime, lam)
+        a, ap = (model.alice_response(angle, lam) for angle in angles[:2])
+        b, bp = (model.bob_response(angle, lam) for angle in angles[2:])
         per_lambda = a * b + ap * b + a * bp - ap * bp
         if not np.all(np.abs(per_lambda) == 2):
             raise NumericalCheckError("per-lambda CHSH combination left {-2, +2}")

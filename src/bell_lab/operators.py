@@ -46,12 +46,17 @@ def _frozen(a):
 
 
 def ket(amplitudes) -> np.ndarray:
-    """Normalizing ket constructor: complex vector scaled to unit norm."""
+    """Normalizing ket constructor: complex vector scaled to unit norm, at any finite scale."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
     _require_finite("ket amplitudes", v.view(np.float64))
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if not 2.0**-500 <= n < np.inf:  # overflowed, or its squares lost bits to underflow
+        big = np.abs(v.view(np.float64)).max(initial=0.0)
+        if big == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        v = (v.view(np.float64) / big).view(complex)  # real division: each part in [-1, 1]
+        n = np.linalg.norm(v)
     return _frozen(v / n)
 
 

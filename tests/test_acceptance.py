@@ -9,7 +9,6 @@ import numpy as np
 
 from bell_lab.chsh import (
     TSIRELSON,
-    ChshSettings,
     bell_operator,
     chsh_value,
     correlation,
@@ -45,8 +44,8 @@ def test_criterion_01_chsh_operator_identity():
     worst = 0.0
     for kind in ("spin_half", "photon"):
         for _ in range(1000):
-            s = ChshSettings(*rng.uniform(0.0, 2.0 * np.pi, size=4), kind=kind)
-            worst = max(worst, identity_residual(s))
+            s = rng.uniform(0.0, 2.0 * np.pi, size=4)
+            worst = max(worst, identity_residual(s, kind))
     elapsed = time.perf_counter() - t0
     _line(
         1,
@@ -62,7 +61,7 @@ def test_criterion_02_tsirelson_value():
     # combination that attains it on the singlet puts the minus sign on
     # the (alpha, beta') term — equivalently, the standard combination at
     # beta' = -45 degrees.  Both routes are checked, plus the 1-degree scan.
-    literal = ChshSettings(0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4)
+    literal = (0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4)
     eig = hermitian_extremal_eigenvalue(bell_operator(literal))
     psi = singlet()
     e = {
@@ -71,7 +70,7 @@ def test_criterion_02_tsirelson_value():
         for b in (45.0, 135.0)
     }
     s_literal = e[(0.0, 45.0)] + e[(90.0, 45.0)] - e[(0.0, 135.0)] + e[(90.0, 135.0)]
-    corrected = ChshSettings(0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
+    corrected = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
     s_corrected = chsh_value(psi, corrected)
     scan = abs(tsirelson_scan("spin_half", grid_step=DEG)[0])
     ok = (
@@ -96,13 +95,13 @@ def test_criterion_03_quantum_bound():
     for _ in range(10_000):
         kind = "spin_half" if rng.integers(2) else "photon"
         psi = ket(rng.normal(size=4) + 1j * rng.normal(size=4))
-        s = ChshSettings(*rng.uniform(0.0, 2.0 * np.pi, size=4), kind=kind)
-        worst = max(worst, abs(chsh_value(psi, s)))
+        s = rng.uniform(0.0, 2.0 * np.pi, size=4)
+        worst = max(worst, abs(chsh_value(psi, s, kind)))
     worst_deg = 0.0
     for _ in range(1000):
         psi = ket(rng.normal(size=4) + 1j * rng.normal(size=4))
         a, b = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        worst_deg = max(worst_deg, abs(chsh_value(psi, ChshSettings(a, a, b, b))))
+        worst_deg = max(worst_deg, abs(chsh_value(psi, (a, a, b, b))))
     ok = worst <= TSIRELSON + 1e-9 and worst_deg <= 2.0 + 1e-12
     _line(
         3,
@@ -115,7 +114,7 @@ def test_criterion_03_quantum_bound():
 def test_criterion_04_lhv_bounds():
     det_chsh = chsh_deterministic_max()
     det_mermin = mermin_deterministic_max(3)
-    canonical = ChshSettings(0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
+    canonical = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
     estimate, stderr = simulate_chsh_stats(sign_model(), canonical, samples=1_000_000, seed=20260819)
     within = abs(abs(estimate) - 2.0) <= 5.0 * stderr
     ok = det_chsh == 2 and det_mermin == 2 and within

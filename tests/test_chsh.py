@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,6 @@ from bell_lab import chsh
 from bell_lab.chsh import (
     KINDS,
     TSIRELSON,
-    ChshSettings,
     _correlation_matrix,
     _select,
     bell_operator,
@@ -23,14 +23,18 @@ from bell_lab.operators import commutator, expectation, hermitian_extremal_eigen
 
 DEG = np.pi / 180.0
 
-CORRECTED_SPIN = ChshSettings(0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
-LITERAL_SPIN = ChshSettings(0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4)
-CORRECTED_PHOTON = ChshSettings(
-    0.0, np.pi / 4, -np.pi / 8, np.pi / 8, kind="photon"
-)
-LITERAL_PHOTON = ChshSettings(
-    0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8, kind="photon"
-)
+CORRECTED_SPIN = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
+LITERAL_SPIN = (0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4)
+CORRECTED_PHOTON = (0.0, np.pi / 4, -np.pi / 8, np.pi / 8)
+LITERAL_PHOTON = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
+
+
+# every function that takes CHSH settings, as f(settings, kind)
+TAKES_SETTINGS = {
+    "bell_operator": bell_operator,
+    "identity_residual": identity_residual,
+    "chsh_value": lambda settings, kind="spin_half": chsh_value(singlet(), settings, kind),
+}
 
 
 # Per-call reference route, as the library computed one settings tuple
@@ -54,9 +58,9 @@ def ref_correlation(psi, a, b, kind):
     return complex(np.vdot(psi, m @ psi)).real
 
 
-def reference(psi, settings):
+def reference(psi, settings, kind):
     """(identity residual, Bell operator, S) for one settings tuple."""
-    a, ap, b, bp = (ref_party_op(x, settings.kind) for x in settings.angles)
+    a, ap, b, bp = (ref_party_op(float(x), kind) for x in settings)
     terms = [np.kron(a, b), np.kron(ap, b), np.kron(a, bp), np.kron(ap, bp)]
     bell = terms[0] + terms[1] + terms[2] - terms[3]
     rhs = 4.0 * np.eye(4) - np.kron(commutator(a, ap), commutator(b, bp))
@@ -95,7 +99,7 @@ def brute_scan(kind, step):
         for ap in grid:
             for b in grid:
                 for bp in grid:
-                    s = chsh_value(psi, ChshSettings(a, ap, b, bp, kind=kind))
+                    s = chsh_value(psi, (a, ap, b, bp), kind)
                     if best is None or abs(s) > abs(best):
                         best = s
     return best
@@ -214,7 +218,7 @@ class TestCorrelation:
             with pytest.raises(ValueError, match=r"^ket amplitudes must be finite, got array\(\["):
                 correlation(psi, 0.0, 1.0)
             with pytest.raises(ValueError, match=r"^ket amplitudes must be finite, got array\(\["):
-                chsh_value(psi, ChshSettings(0.0, 1.0, 0.5, -0.5))
+                chsh_value(psi, (0.0, 1.0, 0.5, -0.5))
 
     def test_bad_kind(self):
         # "transverse" is the Mermin operators' kind, not a CHSH convention
@@ -222,7 +226,7 @@ class TestCorrelation:
             with pytest.raises(ValueError, match="kind"):
                 correlation(singlet(), 0.0, 0.0, kind=kind)
             with pytest.raises(ValueError, match="kind"):
-                ChshSettings(0.0, 0.0, 0.0, 0.0, kind=kind)
+                chsh_value(singlet(), (0.0, 0.0, 0.0, 0.0), kind=kind)
 
 
 class TestBellOperator:
@@ -230,12 +234,12 @@ class TestBellOperator:
         rng = np.random.default_rng(41)
         for _ in range(50):
             kind = "spin_half" if rng.integers(2) else "photon"
-            s = ChshSettings(*rng.uniform(0, 2 * np.pi, size=4), kind=kind)
-            m = bell_operator(s)
+            s = rng.uniform(0, 2 * np.pi, size=4)
+            m = bell_operator(s, kind)
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
     def test_degenerate_settings_extremal_two(self):
-        s = ChshSettings(0.3, 0.3, 1.2, 1.2)
+        s = (0.3, 0.3, 1.2, 1.2)
         assert abs(hermitian_extremal_eigenvalue(bell_operator(s)) - 2.0) < 1e-12
 
     def test_literal_spin_tuple_extremal_tsirelson(self):
@@ -243,14 +247,14 @@ class TestBellOperator:
         assert abs(hermitian_extremal_eigenvalue(m) - TSIRELSON) < 1e-12
 
     def test_literal_photon_tuple_extremal_tsirelson(self):
-        m = bell_operator(LITERAL_PHOTON)
+        m = bell_operator(LITERAL_PHOTON, "photon")
         assert abs(hermitian_extremal_eigenvalue(m) - TSIRELSON) < 1e-12
 
     def test_chsh_value_matches_expectation_route(self):
         rng = np.random.default_rng(43)
         psi = singlet()
         for _ in range(100):
-            s = ChshSettings(*rng.uniform(0, 2 * np.pi, size=4))
+            s = rng.uniform(0, 2 * np.pi, size=4)
             direct = chsh_value(psi, s)
             via_op = expectation(psi, bell_operator(s)).real
             assert abs(direct - via_op) < 1e-12
@@ -262,12 +266,12 @@ class TestIdentityResidual:
         for kind in ("spin_half", "photon"):
             worst = 0.0
             for _ in range(1000):
-                s = ChshSettings(*rng.uniform(0, 2 * np.pi, size=4), kind=kind)
-                worst = max(worst, identity_residual(s))
+                s = rng.uniform(0, 2 * np.pi, size=4)
+                worst = max(worst, identity_residual(s, kind))
             assert worst < 1e-12
 
     def test_degenerate_settings(self):
-        assert identity_residual(ChshSettings(0.0, 0.0, 0.0, 0.0)) < 1e-12
+        assert identity_residual((0.0, 0.0, 0.0, 0.0)) < 1e-12
 
 
 class TestChshValue:
@@ -280,11 +284,11 @@ class TestChshValue:
         assert abs(chsh_value(singlet(), LITERAL_SPIN)) < 1e-12
 
     def test_corrected_photon_tuple_attains_tsirelson(self):
-        v = chsh_value(photon_pair_state(), CORRECTED_PHOTON)
+        v = chsh_value(photon_pair_state(), CORRECTED_PHOTON, "photon")
         assert abs(abs(v) - TSIRELSON) < 1e-12
 
     def test_all_equal_settings(self):
-        v = chsh_value(singlet(), ChshSettings(0.7, 0.7, 0.7, 0.7))
+        v = chsh_value(singlet(), (0.7, 0.7, 0.7, 0.7))
         assert abs(abs(v) - 2.0) < 1e-12
 
     def test_quantum_bound_random(self):
@@ -292,15 +296,15 @@ class TestChshValue:
         psi_by_kind = {"spin_half": singlet(), "photon": photon_pair_state()}
         for _ in range(10_000):
             kind = "spin_half" if rng.integers(2) else "photon"
-            s = ChshSettings(*rng.uniform(0, 2 * np.pi, size=4), kind=kind)
-            assert abs(chsh_value(psi_by_kind[kind], s)) <= TSIRELSON + 1e-12
+            s = rng.uniform(0, 2 * np.pi, size=4)
+            assert abs(chsh_value(psi_by_kind[kind], s, kind)) <= TSIRELSON + 1e-12
 
     def test_degenerate_settings_capped_at_two(self):
         rng = np.random.default_rng(59)
         psi = singlet()
         for _ in range(200):
             a, b = rng.uniform(0, 2 * np.pi, size=2)
-            assert abs(chsh_value(psi, ChshSettings(a, a, b, b))) <= 2.0 + 1e-12
+            assert abs(chsh_value(psi, (a, a, b, b))) <= 2.0 + 1e-12
 
     def test_photon_tracks_spin_at_doubled_angles(self):
         # photon ops at theta are unitarily the spin ops at 2*theta
@@ -311,8 +315,8 @@ class TestChshValue:
         for _ in range(200):
             t = rng.uniform(0, np.pi, size=4)
             psi = ket(rng.normal(size=4) + 1j * rng.normal(size=4))
-            sp = chsh_value(ket(rr @ psi), ChshSettings(*(2 * t)))
-            ph = chsh_value(psi, ChshSettings(*t, kind="photon"))
+            sp = chsh_value(ket(rr @ psi), 2 * t)
+            ph = chsh_value(psi, t, "photon")
             assert abs(sp - ph) < 1e-12
 
 
@@ -349,7 +353,7 @@ class TestTsirelsonScan:
     def test_one_degree_scan_spin(self):
         v, settings = tsirelson_scan("spin_half", grid_step=DEG)
         assert 2.826 <= abs(v) <= TSIRELSON + 1e-9
-        got = tuple(round(np.rad2deg(x)) for x in settings.angles)
+        got = tuple(round(np.rad2deg(x)) for x in settings)
         assert got == (0, 90, 45, 315)
         assert abs(v + TSIRELSON) < 1e-12  # signed value is -2*sqrt(2) here
 
@@ -360,8 +364,8 @@ class TestTsirelsonScan:
             v, settings = tsirelson_scan(kind, grid_step)
             want_s, want_angles = reference_scan(kind, grid_step)
             assert v == want_s
-            assert settings.angles == want_angles
-            assert settings.kind == kind
+            assert settings.shape == (4,) and settings.dtype == np.float64
+            assert settings.tolist() == list(want_angles)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_half_reduction_bitwise_equal_to_full_loop(self, kind):
@@ -437,21 +441,34 @@ class TestTsirelsonScan:
 
 
 class TestSettingsAndParties:
-    def test_angles_property(self):
-        s = ChshSettings(0.1, 0.2, 0.3, 0.4)
-        assert s.angles == (0.1, 0.2, 0.3, 0.4)
+    @pytest.mark.parametrize("name", TAKES_SETTINGS)
+    def test_any_array_like_of_four_angles_is_one_setting(self, name):
+        # a tuple, a list, an array and a strided view of one give the same bits
+        f = TAKES_SETTINGS[name]
+        row = np.array([[0.1, 9.0], [0.2, 9.0], [0.3, 9.0], [0.4, 9.0]])[:, 0]
+        want = f(np.array([0.1, 0.2, 0.3, 0.4]))
+        for settings in ((0.1, 0.2, 0.3, 0.4), [0.1, 0.2, 0.3, 0.4], row):
+            assert np.asarray(f(settings)).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("name", TAKES_SETTINGS)
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_settings_rejects_a_last_axis_other_than_four(self, name, shape):
+        with pytest.raises(ValueError, match=rf"^settings must have shape \(\.\.\., 4\), got {re.escape(str(shape))}$"):
+            TAKES_SETTINGS[name](np.zeros(shape))
 
     def test_settings_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            ChshSettings(np.inf, 0.0, 0.0, 0.0)
-        batch = np.zeros(4)
-        batch[2] = np.nan
-        with pytest.raises(ValueError):
-            ChshSettings(np.zeros(4), np.zeros(4), batch, np.zeros(4))
+        batch = np.zeros((3, 4))
+        batch[1, 2] = np.nan
+        for f in TAKES_SETTINGS.values():
+            for settings in ((np.inf, 0.0, 0.0, 0.0), (0.0, 0.0, np.nan, 0.0), batch):
+                with pytest.raises(ValueError, match=r"^settings angles must be finite, got array\(\["):
+                    f(settings)
 
     def test_settings_rejects_bad_kind(self):
-        with pytest.raises(ValueError):
-            ChshSettings(0.0, 0.0, 0.0, 0.0, kind="other")
+        for f in TAKES_SETTINGS.values():
+            for kind in ("other", "spin", "transverse"):
+                with pytest.raises(ValueError, match=rf"^kind must be one of \('spin_half', 'photon'\), got '{kind}'$"):
+                    f((0.0, 0.0, 0.0, 0.0), kind)
 
     def test_states_are_normalized(self):
         assert abs(np.linalg.norm(singlet()) - 1.0) < 1e-15
@@ -466,16 +483,17 @@ class TestBatchedSettings:
         rng = np.random.default_rng(67 if kind == "spin_half" else 71)
         angles = rng.uniform(0.0, 2.0 * np.pi, size=(2000, 4))
         psi = random_ket(rng)
-        batch = ChshSettings(*angles.T, kind=kind)
-        residuals = identity_residual(batch)
-        operators = bell_operator(batch)
-        values = chsh_value(psi, batch)
+        residuals = identity_residual(angles, kind)
+        operators = bell_operator(angles, kind)
+        values = chsh_value(psi, angles, kind)
         assert residuals.shape == values.shape == (2000,)
         assert operators.shape == (2000, 4, 4)
         for i, row in enumerate(angles):
-            residual, bell, s = reference(psi, ChshSettings(*row, kind=kind))
+            residual, bell, s = reference(psi, row, kind)
             assert residuals[i] == residual and values[i] == s
             assert np.array_equal(operators[i], bell)
+            # the row alone, one setting, gives the batch's bits
+            assert identity_residual(row, kind) == residual and chsh_value(psi, row, kind) == s
         assert residuals.max() < 1e-12
 
     @hyp_settings(max_examples=60, deadline=None)
@@ -488,18 +506,17 @@ class TestBatchedSettings:
         rng = np.random.default_rng(seed)
         angles = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=(4,) + shape)
         psi = random_ket(rng)
-        fields = [float(x) for x in angles] if shape == () else list(angles)
-        settings = ChshSettings(*fields, kind=kind)
-        residual = identity_residual(settings)
-        operator = bell_operator(settings)
-        value = chsh_value(psi, settings)
+        settings = [float(x) for x in angles] if shape == () else np.moveaxis(angles, 0, -1)  # a strided view
+        residual = identity_residual(settings, kind)
+        operator = bell_operator(settings, kind)
+        value = chsh_value(psi, settings, kind)
         if shape == ():
             assert type(residual) is float and type(value) is float
         assert np.shape(residual) == np.shape(value) == shape
         assert operator.shape == shape + (4, 4)
         for i in np.ndindex(shape):
-            one = ChshSettings(*(float(x) for x in angles[(slice(None),) + i]), kind=kind)
-            want_residual, want_bell, want_s = reference(psi, one)
+            one = [float(x) for x in angles[(slice(None),) + i]]
+            want_residual, want_bell, want_s = reference(psi, one, kind)
             assert np.asarray(residual)[i] == want_residual
             assert np.asarray(value)[i] == want_s
             assert np.array_equal(operator[i], want_bell)
@@ -516,9 +533,11 @@ class TestBatchedSettings:
                 for j in range(5):
                     assert e[i, j] == ref_correlation(psi, a[i], b[j], kind)
 
-    def test_fields_must_share_one_shape(self):
-        with pytest.raises(ValueError, match="share one shape"):
-            ChshSettings(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
+    def test_last_axis_must_hold_four_angles(self):
+        # a batch of three settings laid out along the first axis, not the last
+        for f in TAKES_SETTINGS.values():
+            with pytest.raises(ValueError, match=r"^settings must have shape \(\.\.\., 4\), got \(4, 3\)$"):
+                f(np.zeros((4, 3)))
 
 
 class TestPlanarClosedForm:

@@ -13,7 +13,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 import bell_lab
 from bell_lab import cli, dbb
-from bell_lab.chsh import TSIRELSON, ChshSettings, chsh_value, identity_residual, singlet
+from bell_lab.chsh import TSIRELSON, chsh_value, identity_residual, singlet
 from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CHUNK, MAX_GRID_SIDE, _fmt
 from bell_lab.dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
 from bell_lab.errors import NodeSingularityError, NumericalCheckError
@@ -39,7 +39,7 @@ LAYERS_RUN = [
     ("chsh scan --step 45", ["operators", "chsh"]),
     ("identity --kind spin --trials 10 --seed 1", ["operators", "chsh", "lhv"]),
     ("lhv --enumerate", ["lhv"]),
-    ("lhv --model sign --samples 100 --seed 1 --angles 0,45,22.5,67.5", ["operators", "chsh", "lhv"]),
+    ("lhv --model sign --samples 100 --seed 1 --angles 0,45,22.5,67.5", ["lhv"]),
     ("mermin --n 3", ["operators", "mermin", "lhv"]),
     ("oumandel --tx 0.5 --ty 0.5", ["operators", "fock"]),
     ("dbb --form symmetric --grid 3", ["dbb"]),
@@ -196,9 +196,7 @@ class TestOutputFormat:
         text = run_ok(["chsh", "--alpha", "0", "--alpha-prime", "90",
                        "--beta", "45", "--beta-prime", "-45"])
         _, _, rows = parse_csv(text)
-        expected = chsh_value(
-            singlet(), ChshSettings(0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
-        )
+        expected = chsh_value(singlet(), (0.0, np.pi / 2, np.pi / 4, -np.pi / 4))
         assert float(rows[0][5]) == expected
 
 
@@ -241,9 +239,10 @@ class TestChshCommand:
         assert result.exit_code == 2
 
     def test_scan_step_out_of_range(self):
+        # once "grid_step must be in (0, pi/4], got 0.8726646259971648", in radians
         result = invoke(["chsh", "scan", "--step", "50"])
-        assert result.exit_code == EXIT_VALIDATION
-        assert result.stderr.startswith("error=2 detail=")
+        assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+        assert result.stderr == "error=2 detail=--step must be in (0, 45], got 50\n"
 
     def test_out_writes_the_single_value(self, tmp_path):
         args = ["chsh", "--alpha", "0", "--alpha-prime", "90", "--beta", "45", "--beta-prime", "-45"]
@@ -301,7 +300,7 @@ class TestIdentityCommand:
         text = run_ok(["identity", "--kind", "photon", "--trials", str(trials), "--seed", "5"])
         _, _, rows = parse_csv(text)
         angles = make_rng(5).uniform(0.0, 2.0 * np.pi, size=(trials, 4))
-        worst = identity_residual(ChshSettings(*angles.T, kind="photon")).max()
+        worst = identity_residual(angles, "photon").max()
         assert rows[0] == [str(trials), _fmt(worst)]
 
     def test_draws_one_chunk_at_a_time(self, monkeypatch):
@@ -320,7 +319,7 @@ class TestIdentityCommand:
         text = run_ok(["identity", "--kind", "spin", "--trials", "8", "--seed", "5"])
         assert draws == [(3, 4), (3, 4), (2, 4)]
         angles = make_rng(5).uniform(0.0, 2.0 * np.pi, size=(8, 4))
-        worst = identity_residual(ChshSettings(*angles.T)).max()
+        worst = identity_residual(angles).max()
         assert parse_csv(text)[2][0] == ["8", _fmt(worst)]
 
     def test_trials_validation(self):
@@ -377,7 +376,7 @@ class TestLhvCommand:
         header, meta, rows = parse_csv(text)
         assert header == ["s_estimate", "stderr"]
         assert "seed=3 rng=pcg64" in meta
-        settings = ChshSettings(*np.deg2rad([0.0, 45.0, 22.5, 67.5]))
+        settings = np.deg2rad([0.0, 45.0, 22.5, 67.5])
         estimate, stderr = simulate_chsh_stats(sign_model(), settings, 10000, 3)
         assert float(rows[0][0]) == estimate
         assert float(rows[0][1]) == stderr
@@ -798,8 +797,25 @@ class TestErrorMapping:
         (["lhv", "--model"], "error=2 detail=Option '--model' requires an argument."),
         (["dbb", "--form", "product", "--trajectory=1"], "error=2 detail=Option '--trajectory' does not take a value."),
         (["spin", "--s0", "nan,0,0"], "error=2 detail=--s0 must be finite, got nan,0,0"),
+        # angle flags quoted in degrees, as given, not in radians or numpy's repr
+        (["chsh", "--alpha", "nan", "--alpha-prime", "90", "--beta", "45", "--beta-prime", "-45"],
+         "error=2 detail=--alpha must be finite, got nan"),
+        (["chsh", "--alpha", "0", "--alpha-prime", "90", "--beta", "45", "--beta-prime", "-inf"],
+         "error=2 detail=--beta-prime must be finite, got -inf"),
+        (["chsh", "scan", "--step", "nan"], "error=2 detail=--step must be in (0, 45], got nan"),
+        (["chsh", "scan", "--step", "-1.5"], "error=2 detail=--step must be in (0, 45], got -1.5"),
+        (["chsh", "scan", "--step", "0.1"], "error=2 detail=grid of 3600 points per axis exceeds 512"),
+        (["chsh", "scan", "--step", "5e-324"], "error=2 detail=grid of inf points per axis exceeds 512"),
+        (["mermin", "--n", "3", "--scan", "--step", "50"], "error=2 detail=--step must be in (0, 45], got 50"),
+        (["mermin", "--n", "3", "--scan", "--step", "0"], "error=2 detail=--step must be in (0, 45], got 0"),
+        (["oumandel", "--tx", "0.5", "--ty", "0.5", "--theta1", "nan"],
+         "error=2 detail=--theta1 must be finite, got nan"),
+        (["oumandel", "--tx", "0.5", "--ty", "0.5", "--theta2", "1e999"],
+         "error=2 detail=--theta2 must be finite, got inf"),
     ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command", "nan-start",
-            "negative-seed", "bad-integer", "bad-choice", "no-value", "flag-with-value", "nan-s0"])
+            "negative-seed", "bad-integer", "bad-choice", "no-value", "flag-with-value", "nan-s0", "nan-alpha",
+            "inf-beta-prime", "nan-step", "negative-step", "step-over-grid-cap", "step-underflowing-to-zero-radians",
+            "mermin-step-over-45", "mermin-zero-step", "nan-theta1", "overflowing-theta2"])
     def test_usage_error_gives_one_line(self, args, line):
         result = invoke(args)
         assert result.exit_code == EXIT_VALIDATION
@@ -1047,7 +1063,7 @@ class TestInstalledEntryPoint:
 
     def test_public_names_resolve_in_their_layer_module(self, monkeypatch):
         modules = {name: sys.modules[f"bell_lab.{name}"] for name in ("errors", *LAYERS)}
-        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 56
+        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 55
         for name in bell_lab.__all__:
             value = getattr(bell_lab, name)
             holders = [layer for layer, module in modules.items() if vars(module).get(name) is value]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bell_lab import lhv
-from bell_lab.chsh import ChshSettings
 from bell_lab.errors import NumericalCheckError
 from bell_lab.lhv import (
     RNG_ALGORITHM,
@@ -20,8 +19,8 @@ from bell_lab.lhv import (
 
 DEG = np.pi / 180.0
 
-CORRECTED_SPIN = ChshSettings(0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
-SUPPLEMENTARY = ChshSettings(0.0, 45 * DEG, 22.5 * DEG, 67.5 * DEG)
+CORRECTED_SPIN = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
+SUPPLEMENTARY = (0.0, 45 * DEG, 22.5 * DEG, 67.5 * DEG)
 
 
 def mermin_brute_force(n):
@@ -60,7 +59,7 @@ def exact_sign_model_chsh(settings):
     so the per-lambda combination is constant on each arc between those 8
     breakpoints; it is read at the arc's midpoint.
     """
-    angles = np.array([settings.alpha, settings.alpha_prime, settings.beta, settings.beta_prime])
+    angles = np.array(settings, dtype=float)
     cuts = np.sort(np.concatenate([angles + np.pi / 2, angles - np.pi / 2]) % (2.0 * np.pi))
     edges = np.append(cuts, cuts[0] + 2.0 * np.pi)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -72,15 +71,16 @@ def exact_sign_model_chsh(settings):
 
 
 def sawtooth_chsh(settings):
+    alpha, alpha_prime, beta, beta_prime = settings
     return (
-        sawtooth_correlation(settings.alpha, settings.beta)
-        + sawtooth_correlation(settings.alpha_prime, settings.beta)
-        + sawtooth_correlation(settings.alpha, settings.beta_prime)
-        - sawtooth_correlation(settings.alpha_prime, settings.beta_prime)
+        sawtooth_correlation(alpha, beta)
+        + sawtooth_correlation(alpha_prime, beta)
+        + sawtooth_correlation(alpha, beta_prime)
+        - sawtooth_correlation(alpha_prime, beta_prime)
     )
 
 
-RANDOM_SETTINGS = [ChshSettings(*v) for v in np.random.default_rng(404).uniform(-7.0, 7.0, size=(6, 4))]
+RANDOM_SETTINGS = list(np.random.default_rng(404).uniform(-7.0, 7.0, size=(6, 4)))
 
 
 def reference_sign_response(angle, lam):
@@ -208,7 +208,7 @@ class TestSignModelSimulation:
         model = sign_model()
         rng = np.random.default_rng(101)
         for _ in range(20):
-            settings = ChshSettings(*rng.uniform(0, 2 * np.pi, size=4))
+            settings = rng.uniform(0, 2 * np.pi, size=4)
             est, _ = simulate_chsh_stats(model, settings, samples=2000, seed=3)
             assert abs(est) <= 2.0
 
@@ -252,9 +252,23 @@ class TestSignModelSimulation:
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2)])
     def test_batched_settings_refused(self, shape):
         # a batch once ended in _arc_sign's float(angle) TypeError
-        batch = ChshSettings(*np.zeros((4,) + shape))
+        batch = np.zeros(shape + (4,))
         with pytest.raises(ValueError, match=f"^need one settings tuple, got a batch of shape {re.escape(str(shape))}$"):
             simulate_chsh_stats(sign_model(), batch, samples=10, seed=1)
+
+    @pytest.mark.parametrize("settings, message", [
+        ((0.0, 1.0, 2.0), r"settings must have shape \(\.\.\., 4\), got \(3,\)"),
+        (np.zeros((2, 3)), r"settings must have shape \(\.\.\., 4\), got \(2, 3\)"),
+        ((0.0, np.nan, 0.0, 0.0), r"settings angles must be finite, got array\(\[ 0., nan,  0.,  0.\]\)"),
+    ], ids=["three-angles", "three-angle-rows", "nan"])
+    def test_bad_settings_refused_before_any_draw(self, settings, message):
+        def no_draw(rng, n):
+            raise AssertionError("drew hidden values")
+
+        sign = sign_model()
+        model = lhv.HiddenVariableModel("sign", no_draw, sign.alice_response, sign.bob_response)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_chsh_stats(model, settings, samples=10, seed=1)
 
     def test_alice_bob_anticorrelated_at_same_angle(self):
         model = sign_model()
@@ -283,10 +297,11 @@ class TestStreamedCounts:
         model = sign_model()
         for settings, seed in [(SUPPLEMENTARY, 4), (RANDOM_SETTINGS[0], 9)]:
             lam = model.sample(make_rng(seed), samples)
-            a = model.alice_response(settings.alpha, lam)
-            ap = model.alice_response(settings.alpha_prime, lam)
-            b = model.bob_response(settings.beta, lam)
-            bp = model.bob_response(settings.beta_prime, lam)
+            alpha, alpha_prime, beta, beta_prime = settings
+            a = model.alice_response(alpha, lam)
+            ap = model.alice_response(alpha_prime, lam)
+            b = model.bob_response(beta, lam)
+            bp = model.bob_response(beta_prime, lam)
             per_lambda = a * b + ap * b + a * bp - ap * bp
             est, err = simulate_chsh_stats(model, settings, samples, seed)
             assert est == np.mean(per_lambda)

@@ -1,5 +1,6 @@
 import re
 import sys
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -336,6 +337,38 @@ class TestCommutatorDaggerExpectation:
     def test_ket_rejects_nan(self):
         with pytest.raises(ValueError):
             ket([np.nan, 1.0])
+
+    @pytest.mark.parametrize("amplitudes, want", [([1e200, 0.0], [1.0, 0.0]), ([1e-170, 0.0], [1.0, 0.0]),
+                                                  ([3e-162, 0.0], [1.0, 0.0]), ([0.0, -1e308j], [0.0, -1j]),
+                                                  ([5e-324, 0.0], [1.0, 0.0])])
+    def test_ket_of_one_extreme_amplitude_is_a_basis_vector(self, amplitudes, want):
+        # once [0, 0] with an overflow warning, "cannot normalize the zero vector", and norm 0.954
+        assert np.array_equal(ket(amplitudes), want)
+
+    def test_ket_keeps_the_bits_of_a_normal_norm(self):
+        rng = np.random.default_rng(31)
+        ghz = np.zeros(8, dtype=complex)
+        ghz[[0, -1]] = 1.0
+        for v in ([0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0], ghz, rng.normal(size=6) + 1j * rng.normal(size=6),
+                  [2.0**-490, 0.0], [1e150, 1e150j]):
+            v = np.asarray(v, dtype=complex)
+            assert ket(v).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(
+        st.just(0.0),
+        st.tuples(st.floats(1e-300, 1e300) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e), st.booleans())
+        .map(lambda m: -m[0] if m[1] else m[0]))] * 2), min_size=1, max_size=8)
+        .map(lambda parts: np.array([complex(*p) for p in parts])).filter(lambda v: v.any()))
+    def test_ket_normalizes_across_the_float_range(self, v):
+        # finite nonzero amplitudes from 1e-300 to 1e300 give a unit ket along v, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = ket(v)
+        assert abs(np.linalg.norm(k) - 1.0) <= 1e-15
+        parts = v.view(np.float64)
+        w = parts * 2.0 ** -np.frexp(np.abs(parts).max())[1]  # a power of two: exact but for the far tail
+        assert np.abs(k.view(np.float64) - w / np.linalg.norm(w)).max() <= 1e-15
 
 
 class TestEigensolver:

@@ -1,10 +1,10 @@
 """The semantics every record type keeps: frozen fields that construct,
 compare, hash, print, copy and pickle as the field tuple.
 
-The table gives each of the 9 records its fields in order, one value per
-field, and its defaults; every test walks the whole table.  States are not
-records but arrays; the messages of the functions that check them are
-pinned here with the records' own.
+The table gives each of the 8 records its fields in order, one value per
+field, and its defaults; every test walks the whole table.  States and CHSH
+settings are not records but arrays; the messages of the functions that
+check them are pinned here with the records' own.
 """
 
 import copy
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bell_lab import lhv
-from bell_lab.chsh import ChshSettings
+from bell_lab.chsh import chsh_value, singlet
 from bell_lab.dbb import PhysicalConstants, SpinTrajectory, Trajectory, TwoParticleWF, WavePacket, integrate_spin
 from bell_lab.fock import BeamSplitterSpec, annihilation, coincidence_probability
 from bell_lab.lhv import HiddenVariableModel
@@ -39,8 +39,6 @@ PACKET_B = WavePacket(1.5, 1.1, -0.4)
 # class, its fields in order, one value per field, and the defaults
 RECORDS = [
     (MeasurementOp, ("matrix", "label"), (np.diag([1.0, -1.0]).astype(complex), "z"), {"label": ""}),
-    (ChshSettings, ("alpha", "alpha_prime", "beta", "beta_prime", "kind"),
-     (0.0, math.pi / 2, math.pi / 4, -math.pi / 4, "photon"), {"kind": "spin_half"}),
     (HiddenVariableModel, ("name", "sample", "alice_response", "bob_response"),
      ("sign", _uniform, lhv._arc_sign, _anti_sign), {}),
     (BeamSplitterSpec, ("t_x", "r_x", "t_y", "r_y"), (0.25, 0.75, 0.5, 0.5), {}),
@@ -69,8 +67,8 @@ def _assert_fields(record, cls, fields, values):
         assert _same(getattr(record, name), value), name
 
 
-def test_the_table_covers_nine_records():
-    assert len({r[0] for r in RECORDS}) == 9
+def test_the_table_covers_eight_records():
+    assert len({r[0] for r in RECORDS}) == 8
 
 
 @each_record
@@ -110,9 +108,8 @@ def test_missing_extra_and_duplicate_arguments(cls, fields, values, defaults):
 VALIDATION = [
     (lambda: MeasurementOp(np.ones((2, 3))), "measurement operator must be square, got shape (2, 3)"),
     (lambda: MeasurementOp(np.array([[0.0, 1.0], [0.0, 0.0]]), label="up"), "not Hermitian to 1e-12: up"),
-    (lambda: ChshSettings(0.0, 0.0, 0.0, 0.0, kind="spin"),
+    (lambda: chsh_value(singlet(), (0.0, 0.0, 0.0, 0.0), kind="spin"),
      "kind must be one of ('spin_half', 'photon'), got 'spin'"),
-    (lambda: ChshSettings(np.zeros(2), 0.0, 0.0, 0.0), "angle fields must share one shape, got [(), (2,)]"),
     (lambda: mermin_operator(()), "need at least one angle pair"),
     # a mode outside MODE_ORDER
     (lambda: annihilation(3, "x"),
