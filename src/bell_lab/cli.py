@@ -20,10 +20,12 @@ check failure, 4 node-singularity halt.  Every failure of a command also
 writes one machine-parsable line ``error=<code> detail=<text>`` to stderr.
 """
 
+import atexit
 import gc
 import math
 import os
 import sys
+import threading
 from contextlib import nullcontext
 
 import numpy as np
@@ -100,9 +102,9 @@ def _typed(value: float) -> str:
     return repr(value).removesuffix(".0")
 
 
-def _check_degrees(**angles):
-    """Refuse a non-finite angle flag before the body converts it to radians."""
-    for name, value in angles.items():
+def _check_finite(**flags):
+    """Refuse a non-finite number flag, quoted as typed, before the body converts or uses it."""
+    for name, value in flags.items():
         if not math.isfinite(value):
             raise UsageError(f"{_flag(name)} must be finite, got {_typed(value)}")
 
@@ -130,7 +132,7 @@ def _parse_floats(text, name, count):
 
 def chsh(alpha, alpha_prime, beta, beta_prime, kind, out):
     """S for one settings tuple on the singlet / photon pair state."""
-    _check_degrees(alpha=alpha, alpha_prime=alpha_prime, beta=beta, beta_prime=beta_prime)
+    _check_finite(alpha=alpha, alpha_prime=alpha_prime, beta=beta, beta_prime=beta_prime)
     from .chsh import chsh_value, photon_pair_state, singlet
 
     settings = np.deg2rad((alpha, alpha_prime, beta, beta_prime))
@@ -205,7 +207,7 @@ def lhv(enumerate_, model, samples, seed, angles, out):
 
 def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     """Two-photon coincidence probabilities / correlations behind the splitter."""
-    _check_degrees(theta1=theta1, theta2=theta2)
+    _check_finite(tx=tx, ty=ty, theta1=theta1, theta2=theta2)
     from .fock import (BeamSplitterSpec, coincidence_closed_form, coincidence_correlation,
                        coincidence_probability, ou_mandel_state)
 
@@ -235,6 +237,8 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
 def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, trajectory,
         start1, start2, t0, t1, dt, out):
     """Two-particle guidance velocities, cross-coupling, trajectories."""
+    _check_finite(center_a=center_a, width_a=width_a, k_a=k_a, center_b=center_b, width_b=width_b, k_b=k_b,
+                  time_=time_, t0=t0, t1=t1, dt=dt)  # not --start1/--start2: the library refuses them as x1, x2
     from .dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
 
     c = PhysicalConstants()
@@ -271,6 +275,7 @@ def spin(bz, gyro, steps, dt, s0, out):
     """RK4 Larmor precession with conservation diagnostics."""
     if steps < 1:
         raise UsageError("--steps must be >= 1")
+    _check_finite(bz=bz, gyro=gyro, dt=dt)
     s0v = _parse_floats(s0, "--s0", 3)
     from .dbb import PhysicalConstants, integrate_spin
 
@@ -419,17 +424,34 @@ def main(args=None, prog_name="bell-lab", standalone_mode=True):
         sys.exit(0)
 
 
+def _watched() -> bool:
+    """Whether a tracer, a profiler or ``python -i`` waits for the normal exit (coverage, cProfile)."""
+    mon = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile and coverage may hook in here instead
+    return bool(sys.gettrace() or sys.getprofile() or sys.flags.inspect or mon and any(map(mon.get_tool, range(6))))
+
+
 def run():
-    """The process entry point: main() after freezing the heap built by the imports.
+    """The process entry point: main() after freezing the heap built by the imports, ended at its last write.
 
     gc.freeze() moves every object alive now (numpy's and bell_lab's module-level objects, about 20,000)
-    into the permanent generation, which the command's collections and interpreter shutdown's skip.  Only
-    a process that ends with the command may freeze: an in-process caller of main() would keep its garbage
-    pinned for good.  A reader that closes the pipe early (``| head``) ends the command with exit 1.
+    into the permanent generation, which the command's collections skip.  Only a process that ends with the
+    command may freeze: an in-process caller of main() would keep its garbage pinned for good.  Once main
+    exits with an int or None code, the atexit callbacks run, stdout and stderr are flushed and os._exit
+    skips the rest of shutdown, unless _watched(), a second thread or a missing atexit._run_exitfuncs asks
+    for the normal exit.  A reader that closes the pipe early (``| head``) ends the command with exit 1.
     """
     gc.freeze()
     try:
-        main()
+        try:
+            main()
+        except SystemExit as done:
+            if (not isinstance(done.code, (int, type(None))) or _watched() or threading.active_count() > 1
+                    or not hasattr(atexit, "_run_exitfuncs")):
+                raise
+            atexit._run_exitfuncs()
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(done.code or 0)
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # else the exit's flush fails again
         sys.exit(1)

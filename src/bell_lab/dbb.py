@@ -418,30 +418,28 @@ def _grid(t0: float, t1: float, dt: float):
         t = end if left else t1
 
 
-def _rk4(f, y0: tuple, t0: float, t1: float, dt: float):
-    """Classical RK4 for dy/dt = f(y, t) on _grid's steps; returns (times, states) as arrays.
+def _rk4(f, x1: float, x2: float, t0: float, t1: float, dt: float):
+    """Classical RK4 for the pair (x1, x2)' = f(x1, x2, t) on _grid's steps; returns (times, positions) arrays.
 
-    The stages see lists and the states are tuples, each component stepped IEEE-identically to an
-    array element; they are kept as flat doubles (8 bytes a component) and returned as views of those
-    buffers, states shaped (steps + 1, len(y0)).  A NodeSingularityError from f halts integration and
-    is re-raised carrying the completed steps as a Trajectory in ``partial_trajectory``.
+    The pair is stepped as two floats, each IEEE-identically to an array element, and kept as flat doubles
+    (views of them are returned, positions shaped (steps + 1, 2)).  A NodeSingularityError from f halts
+    integration and is re-raised carrying the completed steps as a Trajectory in ``partial_trajectory``.
     """
-    times, states = array("d", [t0]), array("d", y0)
+    times, states = array("d", [t0]), array("d", (x1, x2))
 
     def stacked():
-        return np.frombuffer(times), np.frombuffer(states).reshape(-1, len(y0))
+        return np.frombuffer(times), np.frombuffer(states).reshape(-1, 2)
 
-    y = y0
     try:
         for t, step, mid, end, row in _grid(t0, t1, dt):
             half, sixth = 0.5 * step, step / 6.0
-            k1 = f(y, t)
-            k2 = f([a + half * k for a, k in zip(y, k1)], mid)
-            k3 = f([a + half * k for a, k in zip(y, k2)], mid)
-            k4 = f([a + step * k for a, k in zip(y, k3)], end)
-            y = tuple([a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
+            p1, p2 = f(x1, x2, t)
+            q1, q2 = f(x1 + half * p1, x2 + half * p2, mid)
+            r1, r2 = f(x1 + half * q1, x2 + half * q2, mid)
+            s1, s2 = f(x1 + step * r1, x2 + step * r2, end)
+            x1, x2 = x1 + sixth * (p1 + 2.0 * q1 + 2.0 * r1 + s1), x2 + sixth * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
             times.append(row)
-            states.extend(y)
+            states.extend((x1, x2))
     except NodeSingularityError as err:
         raise NodeSingularityError(str(err), partial_trajectory=Trajectory(*stacked())) from None
     return stacked()
@@ -451,14 +449,15 @@ def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: flo
                          dt: float) -> Trajectory:
     """Classical RK4 integration of the guidance velocity field from the pair start.
 
-    Steps of size dt, with one shorter final step to land on t1 exactly; the stages call the float
-    kernel on the packets' terms, worked out _BLOCK stage times at a time.  Hitting a node halts
-    integration: the raised NodeSingularityError carries the completed steps as ``partial_trajectory``.
+    Steps of size dt, with one shorter final step to land on t1 exactly; _rk4 steps the pair as two floats,
+    each stage calling the float kernel on the packets' terms, worked out _BLOCK stage times at a time.
+    Hitting a node halts integration: the raised NodeSingularityError carries the completed steps as
+    ``partial_trajectory``.
     """
     _check_span(t0, t1, dt)
     if not isinstance(wf, TwoParticleWF):
         raise ValueError(f"wf must be a TwoParticleWF, got {type(wf)!r}")
-    y = tuple(np.asarray(start, dtype=float).ravel().tolist())
+    y = np.asarray(start, dtype=float).ravel().tolist()
     if len(y) != 2:
         raise ValueError("two-particle start must be a pair (x1, x2)")
     # the stages call the float kernel: times only grow from the checked t0, the clocks
@@ -469,9 +468,8 @@ def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: flo
     # each distinct stage time as the stages reach it: t0, each step's midpoint and end (the next step's start)
     times, block = chain([t0], chain.from_iterable(g[2:4] for g in _grid(t0, t1, dt))), {}
 
-    def vel(y, t):
+    def vel(x1, x2, t):
         nonlocal block
-        x1, x2 = y
         if not (math.isfinite(x1) and math.isfinite(x2)):
             _check_point(wf, x1, x2, t)
         if t not in block:  # both packets' terms at the next _BLOCK stage times, in one numpy pass each
@@ -479,7 +477,7 @@ def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: flo
             block = dict(zip(ts.tolist(), zip(clock_a(ts), clock_b(ts))))
         return kernel(x1, x2, t, block[t])
 
-    return Trajectory(*_rk4(vel, y, t0, t1, dt))
+    return Trajectory(*_rk4(vel, *y, t0, t1, dt))
 
 
 def _as_spin(s0) -> tuple:

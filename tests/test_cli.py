@@ -1,9 +1,11 @@
+import atexit
 import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -821,6 +823,23 @@ class TestErrorMapping:
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr == line + "\n"
 
+    @pytest.mark.parametrize("args, flag", [
+        *((["spin"], flag) for flag in ("--bz", "--gyro", "--dt")),
+        *((["oumandel", "--tx=0.5", "--ty=0.5"], flag) for flag in ("--tx", "--ty")),
+        *((["dbb", "--form", "symmetric"], flag)
+          for flag in ("--center-a", "--width-a", "--k-a", "--center-b", "--width-b", "--k-b", "--time")),
+        *((["dbb", "--form", "product", "--trajectory"], flag) for flag in ("--t0", "--t1", "--dt")),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    @pytest.mark.parametrize("value, typed", [("nan", "nan"), ("-inf", "-inf"), ("1e999", "inf")])
+    def test_nonfinite_number_flag_is_quoted_as_typed(self, monkeypatch, args, flag, value, typed):
+        # the flag as typed, not the library's name for what the body built from it
+        # (spin --bz nan gave "b_field must be finite, got array([ 0., 0., nan])")
+        for name in ("integrate_spin", "integrate_trajectory", "velocity_2p", "ou_mandel_state"):
+            reach_fails(monkeypatch, name)
+        result = invoke([*args, f"{flag}={value}"])
+        assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
+        assert result.stderr == f"error=2 detail={flag} must be finite, got {typed}\n"
+
     @pytest.mark.parametrize("args", [["--bogus"], ["--bogus", "lhv", "--enumerate"]],
                              ids=["alone", "before-a-command"])
     def test_root_usage_error_gives_one_line(self, args):
@@ -880,6 +899,85 @@ class TestErrorMapping:
         assert out.read_text(encoding="utf-8") == run_ok(["lhv", "--enumerate"])
 
 
+class Ended(Exception):
+    """What the stubbed os._exit raises, so that run() returns control to the test."""
+
+
+@pytest.fixture
+def end(monkeypatch, capsys):
+    """run() in-process on args, with gc.freeze, atexit's callbacks and os._exit stubbed.
+
+    Returns ("os._exit", [what ran]) or ("sys.exit", code, [what ran]) and the captured stdout.
+    """
+    ran = []
+
+    def stub_exit(code):
+        ran.append(code)
+        raise Ended
+
+    monkeypatch.setattr(gc, "freeze", lambda: None)  # as test_in_process_main_does_not_freeze asks
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: ran.append("atexit"))
+    monkeypatch.setattr(os, "_exit", stub_exit)
+    monkeypatch.setattr(cli, "_watched", lambda: False)  # a coverage run's tracer would take the normal exit
+
+    def run(args):
+        monkeypatch.setattr(sys, "argv", ["bell-lab", *args])
+        try:
+            cli.run()
+        except Ended:
+            return ("os._exit", ran), capsys.readouterr().out
+        except SystemExit as done:
+            return ("sys.exit", done.code, ran), capsys.readouterr().out
+
+    return run
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("args, code", [(["lhv", "--enumerate"], 0), (["--version"], 0), (["--bogus"], 2)])
+    def test_ends_at_the_last_write(self, end, args, code):
+        how, out = end(args)
+        assert how == ("os._exit", ["atexit", code])
+        assert out == invoke(args).stdout
+
+    def test_a_second_thread_takes_the_normal_exit(self, end):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert end(["lhv", "--enumerate"])[0] == ("sys.exit", 0, [])
+        finally:
+            stop.set()
+            thread.join()
+
+    def test_a_tracer_or_profiler_takes_the_normal_exit(self, end, monkeypatch):
+        monkeypatch.setattr(cli, "_watched", lambda: True)
+        assert end(["--bogus"])[0] == ("sys.exit", 2, [])
+
+    def test_without_run_exitfuncs_takes_the_normal_exit(self, end, monkeypatch):
+        monkeypatch.delattr(atexit, "_run_exitfuncs")
+        assert end(["lhv", "--enumerate"])[0] == ("sys.exit", 0, [])
+
+    def test_a_text_exit_code_takes_the_normal_exit(self, end, monkeypatch):
+        monkeypatch.setattr(cli, "main", lambda: sys.exit("stopped"))
+        assert end([])[0] == ("sys.exit", "stopped", [])
+
+    def test_another_exception_propagates(self, end, monkeypatch):
+        def boom():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(home("chsh_deterministic_max"), "chsh_deterministic_max", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            end(["lhv", "--enumerate"])
+
+    def test_a_profile_function_is_watching(self):
+        before = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            assert cli._watched()
+        finally:
+            sys.setprofile(before)
+
+
 class TestInstalledEntryPoint:
     def test_subprocess_smoke(self):
         proc = subprocess.run(
@@ -901,6 +999,69 @@ class TestInstalledEntryPoint:
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "max_s\n" + META_PREFIX + "lhv mode=enumerate\n2\n")
         assert int(proc.stderr) > 0
+
+    def test_reader_that_leaves_early_gets_exit_1_and_no_traceback(self):
+        # as | head -1: the command is still writing its first 2**16 rows when the pipe closes
+        with subprocess.Popen([sys.executable, "-m", "bell_lab", "spin", "--steps", "200000"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"t,sx,sy,sz,norm_drift\n"
+            proc.stdout.close()
+            assert (proc.wait(timeout=120), proc.stderr.read()) == (1, b"")
+
+    @staticmethod
+    def buffered_env():
+        """The environment less PYTHONUNBUFFERED: a pipe's stdout is then block-buffered, as it is by default."""
+        return {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+    def test_buffered_stdout_is_flushed_at_exit(self):
+        # the CSV of a short command sits in stdout's buffer until the process ends
+        proc = subprocess.run([sys.executable, "-m", "bell_lab", "lhv", "--enumerate"], capture_output=True,
+                              env=self.buffered_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == f"max_s\n{META_PREFIX}lhv mode=enumerate\n2\n".encode()
+
+    def test_reader_that_leaves_before_the_flush_gets_exit_1_and_no_traceback(self):
+        # the pipe closes while the command imports; the exit's flush of the buffered CSV meets it
+        # (the normal exit printed "Exception ignored ... BrokenPipeError" and exited 120)
+        with subprocess.Popen([sys.executable, "-m", "bell_lab", "lhv", "--enumerate"], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=self.buffered_env()) as proc:
+            proc.stdout.close()
+            assert (proc.wait(timeout=120), proc.stderr.read()) == (1, b"")
+
+    def test_profiled_run_prints_its_profile(self):
+        # cProfile reports once main has ended: under a profiler the process takes the normal exit
+        proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "bell_lab", "lhv", "--enumerate"],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("max_s\n" + META_PREFIX + "lhv mode=enumerate\n2\n")
+        assert " function calls " in proc.stdout
+
+    def test_python_i_still_reaches_its_prompt(self):
+        # python -i runs its prompt once the module has ended: the process takes the normal exit for it
+        proc = subprocess.run([sys.executable, "-i", "-m", "bell_lab", "lhv", "--enumerate"], input="print('prompt')\n",
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout == f"max_s\n{META_PREFIX}lhv mode=enumerate\n2\nprompt\n"
+
+    def test_out_file_is_complete_at_exit(self, tmp_path):
+        # two chunks of rows, the file closed before the process ends
+        out = tmp_path / "spin.csv"
+        proc = subprocess.run([sys.executable, "-m", "bell_lab", "spin", "--steps", "70000", "--out", str(out)],
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert out.read_text(encoding="utf-8") == run_ok(["spin", "--steps", "70000"])
+
+    @pytest.mark.parametrize("error, code", [("ValueError", EXIT_VALIDATION), ("NumericalCheckError", EXIT_NUMERICAL),
+                                             ("NodeSingularityError", EXIT_NODE)])
+    def test_each_failure_writes_one_stderr_line(self, error, code):
+        # the library call raises the error; the process then ends through run() as bell-lab does
+        launcher = ("import sys; from bell_lab import cli, errors, lhv\n"
+                    "error = getattr(errors, sys.argv[1], ValueError)\n"
+                    "def boom(): raise error('boom')\n"
+                    "lhv.chsh_deterministic_max = boom\n"
+                    "sys.argv[1:] = ['lhv', '--enumerate']\n"
+                    "cli.run()")
+        proc = subprocess.run([sys.executable, "-c", launcher, error], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"error={code} detail=boom\n")
 
     def test_in_process_main_does_not_freeze(self):
         # a frozen heap is never collected: under pytest it would pin every later test's garbage

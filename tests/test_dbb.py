@@ -2,6 +2,7 @@ import cmath
 import re
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -645,23 +646,23 @@ class TestTrajectories:
     def test_tiny_dt_takes_the_final_remainder(self):
         # dt = 1e-14 is far below the 1e-12 end tolerance; the 0.4 dt left
         # after one step is still a step, not rounding
-        times, states = dbb._rk4(lambda y, t: (1.0,), (0.0,), 0.0, 1.4e-14, 1e-14)
+        times, states = dbb._rk4(lambda x1, x2, t: (1.0, 1.0), 0.0, 0.0, 0.0, 1.4e-14, 1e-14)
         assert times.tolist() == [0.0, 1e-14, 1.4e-14]
-        assert states[-1] == pytest.approx(1.4e-14, rel=1e-15)
-        times, _ = dbb._rk4(lambda y, t: (1.0,), (0.0,), 0.0, 1e-14 * (1 + 2e-3), 1e-14)
+        assert states[-1, 0] == pytest.approx(1.4e-14, rel=1e-15)
+        times, _ = dbb._rk4(lambda x1, x2, t: (1.0, 1.0), 0.0, 0.0, 0.0, 1e-14 * (1 + 2e-3), 1e-14)
         assert times[-1] == 1e-14 * (1 + 2e-3) and len(times) == 3
 
     def test_long_span_takes_its_step_count(self):
         # 300 / 0.003 steps: t summed step by step ends 8.0e-10 short of t1, above the
         # 3e-10 end tolerance, and a loop on t took a 100,001st step of that size
-        times, states = dbb._rk4(lambda y, t: (1.0,), (0.0,), 0.0, 300.0, 0.003)
+        times, states = dbb._rk4(lambda x1, x2, t: (1.0, 1.0), 0.0, 0.0, 0.0, 300.0, 0.003)
         assert len(times) == 100_001 and times[-1] == 300.0
         assert np.all(np.diff(times[:-1]) > 0.0029) and np.all(np.diff(states[:, 0]) > 0.0029)
 
     def test_long_span_lands_on_t1(self):
         # 1000 / 0.01 steps: t summed step by step ends 7.6e-10 short of t1, below the
         # 1e-9 end tolerance, so a loop on t stopped there; the last counted step's row is at t1
-        times, _ = dbb._rk4(lambda y, t: (1.0,), (0.0,), 0.0, 1000.0, 0.01)
+        times, _ = dbb._rk4(lambda x1, x2, t: (1.0, 1.0), 0.0, 0.0, 0.0, 1000.0, 0.01)
         assert len(times) == 100_001 and times[-1] == 1000.0
         assert 0.01 < times[-1] - times[-2] < 0.01 + 1e-9
 
@@ -723,18 +724,30 @@ def reference_rk4(vel, x, t0, t1, dt):
 
 
 def stepwise_spin(s0, b, gyro, t1, dt):
-    """(times, spins): RK4 precession one step at a time through dbb._rk4, the torque
-    gyro * (s x B) written out on floats.  integrate_spin's route before it raised the
-    step map to a power; bitwise equal to reference_rk4 with np.cross
-    (test_derivative_bitwise_equal_to_np_cross) at a twentieth of its cost.
+    """(times, spins): RK4 precession one step at a time on dbb._grid's steps, the state a float
+    tuple and the torque gyro * (s x B) written out on floats.  integrate_spin's route before it
+    raised the step map to a power, in the generic loop that dbb._rk4 ran before it stepped a pair;
+    bitwise equal to reference_rk4 with np.cross (test_derivative_bitwise_equal_to_np_cross) at a
+    twentieth of its cost.
     """
     b0, b1, b2 = map(float, b)
 
-    def torque(y, t):
+    def torque(y):
         y0, y1, y2 = y
         return gyro * (y1 * b2 - y2 * b1), gyro * (y2 * b0 - y0 * b2), gyro * (y0 * b1 - y1 * b0)
 
-    return dbb._rk4(torque, tuple(map(float, s0)), 0.0, t1, dt)
+    y = tuple(map(float, s0))
+    times, spins = array("d", [0.0]), array("d", y)
+    for _, step, _, _, row in dbb._grid(0.0, t1, dt):
+        half, sixth = 0.5 * step, step / 6.0
+        k1 = torque(y)
+        k2 = torque([a + half * k for a, k in zip(y, k1)])
+        k3 = torque([a + half * k for a, k in zip(y, k2)])
+        k4 = torque([a + step * k for a, k in zip(y, k3)])
+        y = tuple([a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
+        times.append(row)
+        spins.extend(y)
+    return np.frombuffer(times), np.frombuffer(spins).reshape(-1, 3)
 
 
 def larmor(s0, b, gyro, t):
