@@ -1,6 +1,8 @@
-"""The frozen record base and the input checks that more than one layer module shares."""
+"""The frozen record base and the input checks and limits that more than one module shares."""
 
 import numpy as np
+
+_MAX_STEPS = 10**6  # RK4 steps one span may take: dbb's cap, which spin's --steps is checked against
 
 
 def _require_finite(name, value):

@@ -69,19 +69,29 @@ def _meta(command: str, params: dict, seed=None) -> str:
 def _write_csv(out, meta_line: str, columns: dict):
     """Header, metadata line, then one row per element of the broadcast columns, to out or stdout.
 
-    The rows are formatted and written _CSV_CHUNK at a time.
+    The rows are formatted and written _CSV_CHUNK at a time, a chunk's repeated floats once per bit
+    pattern (a constant, an axis, a few-valued drift): the same bytes as formatting every cell.
     """
     # reshape, not ravel: a strided 1-D column (a trajectory's positions[:, i]) stays a view
     cells = [cell.reshape(-1) for cell in np.broadcast_arrays(*columns.values())]
-    row = ",".join(_FORMATS.get(cell.dtype.kind, "%s") for cell in cells) + "\n"
     if out is not None and os.path.isfile(out.name):  # a pipe or device takes no truncate
         out.truncate(0)
     out = out or sys.stdout
     text = f"{','.join(columns)}\n{meta_line}\n"  # goes with the first chunk: one write up to a chunk
     for start in range(0, cells[0].size, _CSV_CHUNK):
-        chunk = (cell[start:start + _CSV_CHUNK].tolist() for cell in cells)
-        out.write("".join([text, *map(row.__mod__, zip(*chunk))]))
+        fmts, chunk = zip(*(_formatted(cell[start:start + _CSV_CHUNK]) for cell in cells))
+        chunk = iter([text, *map((",".join(fmts) + "\n").__mod__, zip(*chunk))])  # frees the values before the join
+        out.write("".join(chunk))  # join exhausts the iterator, which frees the rows before the write
         text = ""
+
+
+def _formatted(part):
+    """(printf format, cells) of a column's chunk; a float64 one as text if it has at most half as many bit patterns."""
+    if part.dtype == np.float64 and part.size > 2:  # one- and two-row chunks never sort
+        bits, inverse = np.unique(part.view(np.uint64), return_inverse=True)  # -0.0 and NaN payloads kept apart
+        if 2 * bits.size <= part.size:
+            return "%s", np.array([_FORMATS["f"] % v for v in bits.view(float).tolist()], object)[inverse].tolist()
+    return _FORMATS.get(part.dtype.kind, "%s"), part.tolist()
 
 
 class UsageError(ValueError):
@@ -273,9 +283,13 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
 
 def spin(bz, gyro, steps, dt, s0, out):
     """RK4 Larmor precession with conservation diagnostics."""
-    if steps < 1:
-        raise UsageError("--steps must be >= 1")
+    from ._common import _MAX_STEPS
+    if not 1 <= steps <= _MAX_STEPS:  # the span is refused in spin's own flags: t1 = steps * dt is none of them
+        raise UsageError("--steps must be >= 1" if steps < 1 else f"--steps {_typed(steps)} exceeds {_MAX_STEPS}")
     _check_finite(bz=bz, gyro=gyro, dt=dt)
+    if not (dt > 0.0 and math.isfinite(steps * dt)):
+        raise UsageError(f"--dt must be positive, got {_typed(dt)}" if dt <= 0.0 else
+                         f"--steps {_typed(steps)} times --dt {_typed(dt)} leaves float64")
     s0v = _parse_floats(s0, "--s0", 3)
     from .dbb import PhysicalConstants, integrate_spin
 

@@ -25,11 +25,10 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import NodeSingularityError
-from ._common import _Record, _require_finite
+from ._common import _MAX_STEPS, _Record, _require_finite
 
 FORMS = ("product", "symmetric", "antisymmetric")
 
-_MAX_STEPS = 10**6  # RK4 steps one span may take
 _BLOCK = 1024  # stage times whose packet terms a trajectory works out in one pass
 
 # densities below this are nodes for all practical purposes
@@ -267,10 +266,10 @@ def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, nf: float):
     """The RK4 stages' kernel (x1, x2, t, (ta, tb)) -> (v1, v2), with hbar/m, the exchange sign and
     2 log nf bound: _velocity(wf, c, x1, x2, t, nf, (ta, tb)) at a point of Python floats, bitwise.
 
-    _velocity's operations in its order, with _log_psi, _dlog_psi and _cmul written out, on CPython
-    floats but for cmath.exp, which gives np.exp's bits here, and numpy's /den formula.  A far tail
-    (lm = -inf) or an infinite phase at a finite modulus (where cmath.exp raises and np.exp gives
-    NaN) makes den NaN; that, a tiny den or a node test near the floor falls back to _velocity.
+    _velocity's operations in its order, on CPython numbers: _log_psi and _dlog_psi written out, each _cmul
+    a complex product (two rounded products and a rounded sum per part, as _cmul), cmath.exp (np.exp's bits
+    here) and numpy's /den formula.  A far tail (lm = -inf) or an infinite phase at a finite modulus (cmath.exp
+    raises, np.exp gives NaN) makes den NaN; that, a tiny den or a node test near the floor falls back to _velocity.
     """
     hm, product = c.hbar / c.mass, wf.form == "product"
     sign, log_nf2 = 1.0 if wf.form == "symmetric" else -1.0, 2.0 * math.log(nf)
@@ -297,12 +296,7 @@ def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, nf: float):
             return tuple(float(v) for v in _velocity(wf, c, x1, x2, t, nf, terms))
         if log_rho < _LOG_DENSITY_FLOOR:
             _refuse_nodes(True, x1, x2, t)
-        wr, wi, sr, si = w1.real, w1.imag, sw2.real, sw2.imag
-        gb1, ga2 = -b1 / sb + kb, -a2 / sa + ka
-        n1 = ((wr * ga1.real - wi * ga1.imag) + 1j * (wr * ga1.imag + wi * ga1.real)
-              + ((sr * gb1.real - si * gb1.imag) + 1j * (sr * gb1.imag + si * gb1.real)))
-        n2 = ((wr * gb2.real - wi * gb2.imag) + 1j * (wr * gb2.imag + wi * gb2.real)
-              + ((sr * ga2.real - si * ga2.imag) + 1j * (sr * ga2.imag + si * ga2.real)))
+        n1, n2 = w1 * ga1 + sw2 * (-b1 / sb + kb), w1 * gb2 + sw2 * (-a2 / sa + ka)
         if abs(den.real) >= abs(den.imag):  # Im(n / den) by numpy's formula, not CPython's
             rat = den.imag / den.real
             scl = 1.0 / (den.real + den.imag * rat)
@@ -389,7 +383,7 @@ def _check_span(t0: float, t1: float, dt: float):
     t_max = max(abs(t0), abs(t1))
     if dt <= 0.5 * math.ulp(t_max):
         raise ValueError(f"dt={dt!r} cannot advance t={t_max!r} in float64")
-    if (t1 - t0) / dt > _MAX_STEPS:  # every step is kept, so this bounds memory
+    if (t1 - t0) / dt > _MAX_STEPS + 1.0 or _step_count(t0, t1, dt) > _MAX_STEPS:  # the steps taken, all kept
         raise ValueError(f"(t1 - t0) / dt = {(t1 - t0) / dt:.6g} steps exceeds {_MAX_STEPS}")
 
 

@@ -1,6 +1,7 @@
 import atexit
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -110,6 +111,20 @@ def one_shot_csv(meta_line, columns):
     return "\n".join([",".join(columns), meta_line, *lines]) + "\n"
 
 
+# floats whose bit patterns differ though their values may not: signed zeros, NaNs with two payloads,
+# infinities and subnormals
+CSV_SPECIALS = [0.0, -0.0, np.nan, float(np.uint64(0x7FF8000000000001).view(np.float64)), np.inf, -np.inf,
+                5e-324, -2.2250738585072009e-308, 1.5, 1 / 3]
+
+
+def per_row_csv(meta_line, columns):
+    """The CSV text by the printf rule of each cell, row by row: ints and bools %d, floats %.17g, else %s."""
+    cells = [cell.ravel() for cell in np.broadcast_arrays(*map(np.asarray, columns.values()))]
+    rules = [{"b": "%d", "i": "%d", "f": "%.17g"}.get(cell.dtype.kind, "%s") for cell in cells]
+    rows = [",".join(rule % cell[i].item() for rule, cell in zip(rules, cells)) for i in range(cells[0].size)]
+    return "\n".join([",".join(columns), meta_line, *rows]) + "\n"
+
+
 def parse_csv(text):
     lines = text.splitlines()
     header = lines[0].split(",")
@@ -173,6 +188,39 @@ class TestOutputFormat:
         assert out.read_text(encoding="utf-8") == want
         cli._write_csv(None, "# meta", columns)
         assert capsys.readouterr().out == want
+
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(data=st.data(), side=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           chunk=st.sampled_from([1, 2, 3, 5, 8, 64]))
+    def test_repeated_values_give_the_per_row_bytes(self, data, side, chunk):
+        # constant, few-valued and axis columns take the distinct-value path, the others not; chunks
+        # from one row to more than the grid, so boundaries fall anywhere
+        pool = st.sampled_from(CSV_SPECIALS) if data.draw(st.booleans()) else st.sampled_from(
+            data.draw(st.lists(st.sampled_from(CSV_SPECIALS), min_size=1, max_size=3)))
+        floats = st.one_of(pool, st.floats(width=64))
+        k, m = side
+        def column(values, size):
+            return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+        columns = {"row": column(pool, k)[:, None], "column": column(floats, m)[None, :], "const": data.draw(pool),
+                   "few": column(pool, k * m).reshape(k, m), "any": column(floats, k * m).reshape(k, m),
+                   "step": np.arange(k * m).reshape(k, m), "flag": np.arange(m) % 2 == 0, "kind": "photon"}
+        stream = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CSV_CHUNK", chunk)
+            patch.setattr(stream, "name", "<memory>", raising=False)
+            cli._write_csv(stream, "# meta", columns)
+        assert stream.getvalue() == per_row_csv("# meta", columns)
+
+    def test_repeated_values_across_a_real_chunk(self, capsys):
+        # two rows past _CSV_CHUNK: the last chunk, of two rows, formats each cell
+        n = cli._CSV_CHUNK + 2
+        few = np.array(CSV_SPECIALS * n)[:n]
+        columns = {"t": np.arange(n) * 0.25, "few": few, "sz": -0.0, "drift": np.repeat(few[:n // 7 + 1], 7)[:n]}
+        parts = np.full(3, -0.0), np.full(2, -0.0), np.arange(3.0)
+        assert [cli._formatted(part)[0] for part in parts] == ["%s", "%.17g", "%.17g"]
+        cli._write_csv(None, "# meta", columns)
+        assert capsys.readouterr().out == per_row_csv("# meta", columns)
 
     def test_strided_columns_are_not_copied(self, monkeypatch):
         # a trajectory's positions[:, i] are strided 1-D views: flattened, not copied
@@ -596,8 +644,9 @@ def test_span_of_too_many_steps_exits_two(monkeypatch, args):
         monkeypatch.setattr(dbb, name, lambda *args: pytest.fail("integration started"))
     result = invoke(args)
     assert result.exit_code == EXIT_VALIDATION
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error=2 detail=") and "steps exceeds" in lines[0]
+    # --t0, --t1 and --dt are dbb's own flags; spin quotes its --steps
+    span = "(t1 - t0) / dt = 1e+12 steps" if args[0] == "dbb" else "--steps 1000001"
+    assert result.stderr.splitlines() == [f"error=2 detail={span} exceeds 1000000"]
 
 
 @pytest.mark.parametrize("args, t1, n_rows", [
@@ -656,6 +705,35 @@ class TestSpinCommand:
         (columns,) = written
         assert all(column.flags.c_contiguous and column.shape == (101,) for column in columns.values())
         assert len(vecdots) == 1  # integrate_spin's finiteness check and norm_drift share it
+
+    @pytest.mark.parametrize("args, detail", [
+        (["--steps", "2000000"], "--steps 2000000 exceeds 1000000"),
+        (["--dt", "-0.5"], "--dt must be positive, got -0.5"),
+        (["--dt", "1e308", "--steps", "10"], "--steps 10 times --dt 1e+308 leaves float64"),
+    ])
+    def test_span_refused_in_spins_own_flags_before_dbb_runs(self, args, detail):
+        # t0 and t1 are no flags of spin's: the library's span messages would name them
+        launcher = ("import sys, types; from bell_lab.cli import main\n"
+                    "try:\n"
+                    "    main(sys.argv[1:])\n"
+                    "except SystemExit as exit_:\n"
+                    "    print(exit_.code, type(sys.modules['bell_lab.dbb']) is types.ModuleType, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", launcher, "spin", *args], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.stderr == f"error=2 detail={detail}\n2 False\n"
+
+    @pytest.mark.parametrize("steps", [999_999, 1_000_000])
+    def test_steps_up_to_the_cap_pass_the_span_check(self, monkeypatch, steps):
+        # 10^6 * dt / dt rounds above 10^6 at this dt; the span is the 10^6 steps it takes
+        dt = 0.22947474961030467
+        assert (1_000_000 * dt) / dt > 1e6
+
+        def reached(*args):  # integrate_spin checks the span, then calls _precess
+            raise NumericalCheckError("_precess reached")
+
+        monkeypatch.setattr(dbb, "_precess", reached)
+        result = invoke(["spin", "--steps", str(steps), "--dt", repr(dt)])
+        assert (result.exit_code, result.stderr) == (EXIT_NUMERICAL, "error=3 detail=_precess reached\n")
 
     def test_s0_validation(self):
         result = invoke(["spin", "--s0", "1,0"])

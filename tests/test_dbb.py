@@ -1,4 +1,5 @@
 import cmath
+import math
 import re
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings as hyp_settings, strategies as st
+from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 from scipy.integrate import quad
 
 from bell_lab import dbb
@@ -643,6 +644,18 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="steps exceeds"):
             integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=2e6, dt=1.0)
 
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.just(10**6), st.integers(1, 10**6)),
+           dt=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-300, 1e300), st.floats(1e-4, 1.0)))
+    @example(n=10**6, dt=0.22947474961030467)
+    def test_span_of_n_steps_of_dt_takes_n_and_is_not_refused(self, n, dt):
+        # spin's span, t1 = n * dt: the ratio (t1 - t0) / dt may round above n, even above the cap at
+        # n = 10^6 (as at the example's dt); the span is counted by the steps it takes
+        t1 = n * dt
+        assume(math.isfinite(t1))
+        dbb._check_span(0.0, t1, dt)
+        assert dbb._step_count(0.0, t1, dt) == n
+
     def test_tiny_dt_takes_the_final_remainder(self):
         # dt = 1e-14 is far below the 1e-12 end tolerance; the 0.4 dt left
         # after one step is still a step, not rounding
@@ -872,6 +885,10 @@ _POINTS = st.lists(st.tuples(
 ), min_size=1, max_size=30)
 
 
+# nonzero finite parts of a complex factor, subnormals among them; products stay finite
+_NONZERO = st.one_of(st.floats(-1e150, 1e150), st.floats(-1e-300, 1e-300)).filter(bool)
+
+
 class TestFloatStageKernel:
     """The RK4 stages' float kernel, for every form, against _velocity, its array oracle, on Python floats."""
 
@@ -928,6 +945,42 @@ class TestFloatStageKernel:
         # where the kernel takes exp: Re(l - lm) <= 0, at any finite phase; signs of zero included
         z = complex(re, im)
         assert _bits([cmath.exp(z)]) == _bits([complex(np.exp(z))])
+
+    @hyp_settings(max_examples=500, deadline=None)
+    @given(st.lists(st.builds(complex, _NONZERO, _NONZERO), min_size=4, max_size=4))
+    def test_complex_products_are_the_written_out_ones(self, values):
+        # the kernel's numerators w1 * g + sw2 * g': each part of a CPython complex product is _cmul's two
+        # rounded products and one rounded sum (no FMA), so the sum of two products has the bits of the
+        # written-out form; the one freedom is the sign of a part that is exactly zero, here where
+        # subnormal products underflow (the exact-zero points below pin what the kernel makes of it)
+        a, b, c, d = values
+        for x, y in ((a, b), (c, d)):
+            parts = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+            assert _bits([x * y]) == _bits([complex(*parts)])
+        got = a * b + c * d
+        want = ((a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+                + ((c.real * d.real - c.imag * d.imag) + 1j * (c.real * d.imag + c.imag * d.real)))
+        for g, w in ((got.real, want.real), (got.imag, want.imag)):
+            assert g.hex() == w.hex() if w else g == w == 0.0
+
+    @pytest.mark.parametrize("form", FORMS[1:])
+    @pytest.mark.parametrize("ka, kb", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.6, 0.0), (0.0, -0.4),
+                                        (0.6, -0.4)])
+    @pytest.mark.parametrize("centres", [(-1.5, 1.5), (0.0, 1.5), (-0.0, 2.0), (5e-324, -1.5)])
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_exact_zero_points_equal_velocity(self, form, ka, kb, centres, t):
+        # zero wavenumbers at the start time make every imaginary part an exact zero, stage points at
+        # the packet centres and at x = +-0.0 real parts too: each v and its sign of zero as _velocity's
+        a, b = WavePacket(centres[0], 0.8, ka), WavePacket(centres[1], 1.1, kb)
+        wf = TwoParticleWF(a, b, form=form)
+        nf, terms = dbb._norm_factor(wf, C), (dbb._terms(a, C, t), dbb._terms(b, C, t))
+        kernel = dbb._stage_velocity(wf, C, nf)
+        xs = list(dict.fromkeys([0.0, -0.0, 5e-324, *centres, terms[0][1], terms[1][1]]))
+        outcomes = [(_outcome(kernel, x1, x2, t, terms), _outcome(dbb._velocity, wf, C, x1, x2, t, nf))
+                    for x1 in xs for x2 in xs]
+        assert [pair for pair in outcomes if pair[0] != pair[1]] == []
+        if ka == kb == 0.0 and t == 0.0:  # antisymmetric: x1 == x2 is a node, refused by both
+            assert all(v in ("0x0.0p+0", "-0x0.0p+0") for got, _ in outcomes if type(got) is tuple for v in got)
 
     def test_exp_differs_only_at_an_infinite_phase(self):
         for z in (complex(0.0, np.inf), complex(-3.0, -np.inf)):
