@@ -8,6 +8,7 @@ _MAX_STEPS = 10**6  # RK4 steps one span may take: dbb's cap, which spin's --ste
 def _require_finite(name, value):
     if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _chsh_angles(settings) -> np.ndarray:

@@ -22,17 +22,7 @@ from the correlation matrix leaves.
 import numpy as np
 
 from ._common import _chsh_angles, _require_finite
-from .operators import (
-    _SIGMA,
-    KINDS,
-    _party_ops,
-    _scan_angles,
-    _unbox,
-    commutator,
-    expectation,
-    ket,
-    tensor,
-)
+from .operators import _SIGMA, KINDS, _kron, _party_ops, _scan_angles, _unbox, ket
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -71,7 +61,7 @@ def _check_state(psi) -> np.ndarray:
 
 def _terms(ops) -> np.ndarray:
     """A(x)B, A'(x)B, A(x)B', A'(x)B' from ops = (A, A', B, B') stacked on axis 0."""
-    return tensor(ops[[0, 1, 0, 1]], ops[[2, 2, 3, 3]])
+    return _kron(ops[[0, 1, 0, 1]], ops[[2, 2, 3, 3]])
 
 
 def _combine(terms):
@@ -83,7 +73,8 @@ def correlation(psi, a, b, kind: str = "spin_half") -> float | np.ndarray:
     """E(a, b) = <psi| Op(a) (x) Op(b) |psi>; a and b broadcast."""
     _check_kind(kind)
     psi = _check_state(psi)
-    return expectation(psi, tensor(_party_ops(a, kind), _party_ops(b, kind))).real
+    a, b = (_require_finite("angles", np.asarray(x, dtype=float)) for x in (a, b))
+    return _unbox(np.vecdot(psi, _kron(_party_ops(a, kind), _party_ops(b, kind)) @ psi).real)
 
 
 def bell_operator(settings, kind: str = "spin_half") -> np.ndarray:
@@ -96,14 +87,15 @@ def identity_residual(settings, kind: str = "spin_half") -> float | np.ndarray:
     ops = _party_ops(_chsh_angles(settings), _check_kind(kind))
     a, ap, b, bp = ops
     s = _combine(_terms(ops))
-    rhs = 4.0 * np.eye(4) - tensor(commutator(a, ap), commutator(b, bp))
+    rhs = 4.0 * np.eye(4) - _kron(a @ ap - ap @ a, b @ bp - bp @ b)
     return _unbox(np.max(np.abs(s @ s - rhs), axis=(-2, -1)))
 
 
 def chsh_value(psi, settings, kind: str = "spin_half") -> float | np.ndarray:
     """S as the sum of four correlations, a float or one per batch element; equals <psi|bell_operator|psi>."""
     ops = _party_ops(_chsh_angles(settings), _check_kind(kind))
-    return _unbox(_combine(expectation(_check_state(psi), _terms(ops)).real))
+    psi = _check_state(psi)
+    return _unbox(_combine(np.vecdot(psi, _terms(ops) @ psi).real))
 
 
 # axis pairs whose span contains every measurement direction of each kind;
@@ -119,7 +111,7 @@ def _correlation_matrix(psi, kind):
     c = np.empty((2, 2))
     for i, pa in enumerate((ax0, ax1)):
         for j, pb in enumerate((ax0, ax1)):
-            c[i, j] = expectation(psi, tensor(_SIGMA[pa], _SIGMA[pb])).real
+            c[i, j] = np.vecdot(psi, _kron(_SIGMA[pa], _SIGMA[pb]) @ psi).real
     return c, freq
 
 

@@ -102,7 +102,9 @@ _EXIT_CODES = {NodeSingularityError: EXIT_NODE, NumericalCheckError: EXIT_NUMERI
 
 
 def _check_grid(side: float):
-    """Refuse a grid of more than MAX_GRID_SIDE points per axis before building it."""
+    """Refuse a grid of fewer than 2 or more than MAX_GRID_SIDE points per axis before building it."""
+    if side < 2:
+        raise UsageError("--grid must be >= 2")
     if side > MAX_GRID_SIDE:
         raise ValueError(f"grid of {side:.6g} points per axis exceeds {MAX_GRID_SIDE}")
 
@@ -227,8 +229,6 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     if grid is None:
         t1, t2 = theta1, theta2
     else:
-        if grid < 2:
-            raise UsageError("--grid must be >= 2")
         _check_grid(grid)
         thetas = np.linspace(0.0, 180.0, grid)
         t1, t2 = thetas[:, None], thetas[None, :]
@@ -263,8 +263,6 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
         meta = _meta("dbb", {**params, "mode": "trajectory", "start1": s1, "start2": s2, "t0": t0, "t1": t1, "dt": dt})
         _write_csv(out, meta, {"t": traj.times, "x1": traj.positions[:, 0], "x2": traj.positions[:, 1]})
         return
-    if grid < 2:
-        raise UsageError("--grid must be >= 2")
     _check_grid(grid)
     lo = min(center_a - 2.0 * width_a, center_b - 2.0 * width_b)
     hi = max(center_a + 2.0 * width_a, center_b + 2.0 * width_b)

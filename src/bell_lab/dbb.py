@@ -80,9 +80,10 @@ class TwoParticleWF(_Record):
             raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
 
 
-def _check_time(wp: WavePacket, t: float):
-    if t < wp.start_time:
-        raise ValueError(f"t = {t!r} is before the packet's start_time {wp.start_time!r}")
+def _check_time(t: float, *packets: WavePacket):
+    for wp in packets:
+        if t < wp.start_time:
+            raise ValueError(f"t = {t!r} is before the packet's start_time {wp.start_time!r}")
 
 
 def _clock(wp: WavePacket, c: PhysicalConstants, t_end: float):
@@ -149,11 +150,11 @@ def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, c: PhysicalConstants, t: 
     Free evolution makes this constant in t; the default evaluates at the
     later of the two start times.
     """
-    if t is None:
+    if t is None:  # the later start time, finite and at or after both: nothing to check
         t = max(wp_a.start_time, wp_b.start_time)
-    _require_finite("t", t)
-    _check_time(wp_a, t)
-    _check_time(wp_b, t)
+    else:
+        _require_finite("t", t)
+        _check_time(t, wp_a, wp_b)
     ta, tb = _terms(wp_a, c, t), _terms(wp_b, c, t)
     coeffs = []
     for const, xc, quad, slope, ik, x0, phase in (ta, tb):
@@ -192,7 +193,7 @@ def psi2_eval(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
 
     A far tail, where (x - xc)^2 overflows, has the value 0.
     """
-    _check_point(wf, x1, x2, t)
+    x1, x2 = _check_point(wf, x1, x2, t)
     ta, tb = _terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)
     with np.errstate(over="ignore", invalid="ignore"):
         if wf.form == "product":  # a NaN log psi, where x - xc overflows, fails > -inf too
@@ -309,10 +310,11 @@ def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, nf: float):
 
 
 def _check_point(wf: TwoParticleWF, x1, x2, t: float):
+    """(x1, x2) once they and t are checked: scalars and arrays as given (the kernels' bits), array-likes as floats."""
     for name, v in (("x1", x1), ("x2", x2), ("t", t)):
         _require_finite(name, v)
-    _check_time(wf.packet_a, t)
-    _check_time(wf.packet_b, t)
+    _check_time(t, wf.packet_a, wf.packet_b)
+    return [x if np.isscalar(x) or isinstance(x, np.ndarray) else np.asarray(x, dtype=float) for x in (x1, x2)]
 
 
 def _as_result(value, shape):
@@ -326,7 +328,7 @@ def velocity_2p(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
     Broadcasts over (x1, x2): scalar points give two floats, arrays two
     arrays of the broadcast shape.  A node at any point refuses the call.
     """
-    _check_point(wf, x1, x2, t)
+    x1, x2 = _check_point(wf, x1, x2, t)
     with np.errstate(over="ignore", invalid="ignore"):  # a product far tail's log psi is -inf: a node
         v1, v2 = _velocity(wf, c, x1, x2, t, _norm_factor(wf, c))
     shape = np.broadcast(x1, x2).shape
@@ -340,7 +342,7 @@ def cross_coupling(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
     (4 D(h/2) - D(h)) / 3 removes the leading O(h^2) error.  Broadcasts
     over (x1, x2) like velocity_2p.
     """
-    _check_point(wf, x1, x2, t)
+    x1, x2 = _check_point(wf, x1, x2, t)
     nf = _norm_factor(wf, c)
     h = 1e-5 * min(wf.packet_a.width, wf.packet_b.width)
 
@@ -383,8 +385,9 @@ def _check_span(t0: float, t1: float, dt: float):
     t_max = max(abs(t0), abs(t1))
     if dt <= 0.5 * math.ulp(t_max):
         raise ValueError(f"dt={dt!r} cannot advance t={t_max!r} in float64")
-    if (t1 - t0) / dt > _MAX_STEPS + 1.0 or _step_count(t0, t1, dt) > _MAX_STEPS:  # the steps taken, all kept
-        raise ValueError(f"(t1 - t0) / dt = {(t1 - t0) / dt:.6g} steps exceeds {_MAX_STEPS}")
+    if (ratio := (t1 - t0) / dt) > _MAX_STEPS + 1.0 or (n := _step_count(t0, t1, dt)) > _MAX_STEPS:
+        steps = f"{ratio:.6g}" if ratio > _MAX_STEPS + 1.0 else n  # the steps taken, all kept; 6 digits round n
+        raise ValueError(f"(t1 - t0) / dt = {steps} steps exceeds {_MAX_STEPS}")
 
 
 def _step_count(t0: float, t1: float, dt: float) -> int:
@@ -456,7 +459,9 @@ def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: flo
         raise ValueError("two-particle start must be a pair (x1, x2)")
     # the stages call the float kernel: times only grow from the checked t0, the clocks
     # are checked at t1, and a stage position is refused if it is not finite
-    _check_point(wf, *y, t0)
+    for name, v in zip(("x1", "x2"), y):  # t0 is checked with the span
+        _require_finite(name, v)
+    _check_time(t0, wf.packet_a, wf.packet_b)
     (clock_a, _), (clock_b, _) = _clock(wf.packet_a, c, t1), _clock(wf.packet_b, c, t1)
     kernel = _stage_velocity(wf, c, _norm_factor(wf, c))
     # each distinct stage time as the stages reach it: t0, each step's midpoint and end (the next step's start)
@@ -465,7 +470,7 @@ def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: flo
     def vel(x1, x2, t):
         nonlocal block
         if not (math.isfinite(x1) and math.isfinite(x2)):
-            _check_point(wf, x1, x2, t)
+            _check_point(wf, x1, x2, t)  # refuses x1 or x2
         if t not in block:  # both packets' terms at the next _BLOCK stage times, in one numpy pass each
             ts = np.fromiter(islice(times, _BLOCK), float)
             block = dict(zip(ts.tolist(), zip(clock_a(ts), clock_b(ts))))

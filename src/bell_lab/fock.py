@@ -131,20 +131,27 @@ def detector_amplitude_op(detector: int, theta) -> np.ndarray:
     """
     slot = _slot(detector, "x")
     _require_finite("theta", theta)
+    return _amplitude_op(slot, theta)
+
+
+def _amplitude_op(slot: int, theta) -> np.ndarray:
     a_x, a_y = _LADDERS[slot:slot + 2]
     theta = np.asarray(theta)[..., None, None]
     return np.cos(theta) * a_x + np.sin(theta) * a_y
 
 
+def _probability(amps: np.ndarray, theta1, theta2):  # coincidence_probability, unchecked
+    out = (_amplitude_op(2, theta2) @ (_amplitude_op(0, theta1) @ amps)[..., None])[..., 0]
+    return _unbox(np.real(np.vecdot(out, out)))
+
+
 def coincidence_probability(state, theta1, theta2):
     """||D2(theta2) D1(theta1) |Psi>||^2 (normal-ordered expectation, K = 1).
 
-    Broadcasts over (theta1, theta2); scalar angles give a float.
+    Broadcasts over (theta1, theta2), array-likes included; scalar angles give a float.
     """
-    d1 = detector_amplitude_op(1, theta1)
-    d2 = detector_amplitude_op(2, theta2)
-    out = (d2 @ (d1 @ _check_state(state))[..., None])[..., 0]
-    return _unbox(np.real(np.vecdot(out, out)))
+    theta1, theta2 = (_require_finite("theta", theta) for theta in (theta1, theta2))
+    return _probability(_check_state(state), theta1, theta2)
 
 
 def coincidence_closed_form(bs: BeamSplitterSpec, theta1, theta2):
@@ -171,12 +178,13 @@ def coincidence_correlation(state, theta1, theta2):
     coincidence_probability; one undefined point rejects the whole call.
     A subnormal total, which has lost its relative precision, is undefined too.
     """
-    t1p = theta1 + np.pi / 2.0
-    t2p = theta2 + np.pi / 2.0
-    p_ss = coincidence_probability(state, theta1, theta2)
-    p_sp = coincidence_probability(state, theta1, t2p)
-    p_ps = coincidence_probability(state, t1p, theta2)
-    p_pp = coincidence_probability(state, t1p, t2p)
+    theta1, theta2 = (np.asarray(_require_finite("theta", theta)) for theta in (theta1, theta2))  # lists too
+    amps = _check_state(state)
+    t1p, t2p = theta1 + np.pi / 2.0, theta2 + np.pi / 2.0
+    p_ss = _probability(amps, theta1, theta2)
+    p_sp = _probability(amps, theta1, t2p)
+    p_ps = _probability(amps, t1p, theta2)
+    p_pp = _probability(amps, t1p, t2p)
     total = p_ss + p_sp + p_ps + p_pp
     if np.any(total < np.finfo(float).tiny):
         raise UndefinedCorrelationError(

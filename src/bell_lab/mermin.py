@@ -28,14 +28,7 @@ from math import comb
 import numpy as np
 
 from ._common import _require_finite
-from .operators import (
-    _party_ops,
-    _scan_angles,
-    _unbox,
-    commutator,
-    ket,
-    tensor,
-)
+from .operators import _kron, _party_ops, _scan_angles, _unbox, ket
 
 
 def _check_n(n):
@@ -70,8 +63,11 @@ def _pairs(pairs) -> np.ndarray:
 
 def mermin_operator(pairs) -> np.ndarray:
     """The 2^n x 2^n Hermitian Mermin operator for n angle pairs (a_j, a_j')."""
-    ops = _party_ops(_pairs(pairs), "transverse")  # (n, 2, 2, 2): A_j, A_j'
-    m_plus = reduce(tensor, ops[:, 0] + 1.0j * ops[:, 1])
+    return _operator(_party_ops(_pairs(pairs), "transverse"))
+
+
+def _operator(ops) -> np.ndarray:  # from the (n, 2, 2, 2) stack of A_j, A_j'
+    m_plus = reduce(_kron, ops[:, 0] + 1.0j * ops[:, 1])
     # (m_plus - m_plus^dagger) / 2i in one more buffer; a C-ordered out=
     # keeps the layout, and so the bits of m @ psi, of the plain formula
     f = np.conjugate(m_plus.T, out=np.empty_like(m_plus))
@@ -99,14 +95,14 @@ def mermin_square_residual(pairs) -> float:
     pairs = _pairs(pairs)
     if len(pairs) != 3:
         raise ValueError(f"the squared identity is for n = 3, got n = {len(pairs)}")
-    f = mermin_operator(pairs)
     ops = _party_ops(pairs, "transverse")
-    comms = commutator(ops[:, 0], ops[:, 1])
+    f = _operator(ops)
+    comms = ops[:, 0] @ ops[:, 1] - ops[:, 1] @ ops[:, 0]
     eye = np.eye(2, dtype=complex)
     rhs = 4.0 * np.eye(8, dtype=complex)
     for pair in ((0, 1), (1, 2), (2, 0)):
         # the two commutators on their own slots, identity on the third
-        rhs -= reduce(tensor, [comms[j] if j in pair else eye for j in range(3)])
+        rhs -= reduce(_kron, [comms[j] if j in pair else eye for j in range(3)])
     return float(np.max(np.abs(f @ f - rhs)))
 
 
@@ -122,15 +118,16 @@ def ghz_expectation_shared(n: int, a, a_prime):
     Broadcasts over numpy arrays of finite angles; 2 <= n <= 10.
     """
     _check_n(n)
-    a = np.asarray(a, dtype=float)
-    ap = np.asarray(a_prime, dtype=float)
-    _require_finite("angles", a)
-    _require_finite("angles", ap)
+    a, ap = (_require_finite("angles", np.asarray(x, dtype=float)) for x in (a, a_prime))
+    return _unbox(_corner_sum(n, a, ap))
+
+
+def _corner_sum(n, a, ap) -> np.ndarray:  # on float arrays of checked angles
     total = np.zeros(np.broadcast(a, ap).shape)
     for k in range(1, n + 1, 2):
         sign = -1.0 if (k - 1) // 2 % 2 else 1.0
         total = total + sign * comb(n, k) * np.sin(k * ap + (n - k) * a)
-    return _unbox(total)
+    return total
 
 
 def mermin_shared_scan(n: int, grid_step: float = np.pi / 180.0):
@@ -143,7 +140,7 @@ def mermin_shared_scan(n: int, grid_step: float = np.pi / 180.0):
     """
     _check_n(n)
     angles = _scan_angles(grid_step)
-    vals = ghz_expectation_shared(n, angles[:, None], angles[None, :])
+    vals = _corner_sum(n, angles[:, None], angles[None, :])
     best = float(np.abs(vals).max())
     tol = 1e-12 * max(1.0, best)
     # argwhere lists indices in row-major, i.e. lexicographic, order

@@ -15,7 +15,8 @@ Conventions used throughout the package:
   which is ``cos(2t)*sigma_z + sin(2t)*sigma_x``; and the Mermin operators,
   kind ``transverse``, ``cos(a)*sigma_x + sin(a)*sigma_y``,
 * ``MeasurementOp`` wraps a caller's own matrix, checked Hermitian and
-  involutory on construction.
+  involutory on construction,
+* a public function checks each input once, for private cores that trust it.
 
 The spin and photon kinds are unitarily equivalent at doubled angles:
 ``R @ photon(t) @ R.conj().T == spin_half(2t)`` for ``R = diag(1, i)``.
@@ -98,23 +99,16 @@ def _party_ops(angles, kind: str) -> np.ndarray:
 
     kind is one of KINDS, or "transverse" for the Mermin operators
     cos(a)*sigma_x + sin(a)*sigma_y.  A scalar angle gives one 2x2 matrix.
-    The angles must be finite; every finite angle gives a Hermitian,
-    involutory matrix.
+    The caller has checked the kind and the angles, finite floats; every
+    finite angle gives a Hermitian, involutory matrix.
     """
-    angles = np.asarray(angles, dtype=float)
-    _require_finite("angles", angles)
     c, s = np.cos(angles), np.sin(angles)
-    if kind == "spin_half":
-        m = c[..., None, None] * _SIGMA["z"] + s[..., None, None] * _SIGMA["y"]
-    elif kind == "transverse":
-        m = c[..., None, None] * _SIGMA["x"] + s[..., None, None] * _SIGMA["y"]
-    elif kind == "photon":
+    if kind == "photon":
         # 2*P(theta) - 1 with P the projector onto e = (cos theta, sin theta)
         e = np.stack([c, s], axis=-1).astype(complex)
-        m = 2.0 * (e[..., :, None] * e[..., None, :]) - _EYE2
-    else:
-        raise ValueError(f"kind must be one of {KINDS} or 'transverse', got {kind!r}")
-    return m
+        return 2.0 * (e[..., :, None] * e[..., None, :]) - _EYE2
+    axis = _SIGMA["x"] if kind == "transverse" else _SIGMA["z"]  # else spin_half
+    return c[..., None, None] * axis + s[..., None, None] * _SIGMA["y"]
 
 
 def _unbox(x):
@@ -141,6 +135,10 @@ def tensor(a, b) -> np.ndarray:
     a, b = _as_matrix(a), _as_matrix(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"tensor needs matrices or stacks of them, got shapes {a.shape} and {b.shape}")
+    return _kron(a, b)
+
+
+def _kron(a, b) -> np.ndarray:  # tensor of arrays of 2 or more dimensions, unchecked
     out = np.multiply(a[..., :, None, :, None], b[..., None, :, None, :])
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 

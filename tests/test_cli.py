@@ -649,6 +649,14 @@ def test_span_of_too_many_steps_exits_two(monkeypatch, args):
     assert result.stderr.splitlines() == [f"error=2 detail={span} exceeds 1000000"]
 
 
+def test_span_one_step_over_the_cap_quotes_its_step_count(monkeypatch):
+    # (t1 - t0) / dt = 1000000.5 takes 1000001 steps, which the ratio's six significant digits print as 1e+06
+    monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+    result = invoke(["dbb", "--form", "product", "--trajectory", "--t1", "1000000.5", "--dt", "1"])
+    assert result.exit_code == EXIT_VALIDATION
+    assert result.stderr.splitlines() == ["error=2 detail=(t1 - t0) / dt = 1000001 steps exceeds 1000000"]
+
+
 @pytest.mark.parametrize("args, t1, n_rows", [
     (["spin", "--steps", "5", "--dt", "1e-14"], 5e-14, 6),
     (["dbb", "--form", "product", "--trajectory", "--t1", "1e-13", "--dt", "1e-14"], 1e-13, 11),
@@ -758,6 +766,9 @@ class TestGridCap:
         result = invoke(args + [str(MAX_GRID_SIDE + 1)])
         assert result.exit_code == EXIT_VALIDATION
         assert result.stderr == f"error=2 detail=grid of {MAX_GRID_SIDE + 1} points per axis exceeds {MAX_GRID_SIDE}\n"
+        # and the lower side, which the same check refuses
+        assert invoke(args + ["2"]).exit_code == EXIT_NUMERICAL
+        assert invoke(args + ["1"]).stderr == "error=2 detail=--grid must be >= 2\n"
 
     @pytest.mark.parametrize("args, target", [
         (["chsh", "scan", "--step"], "tsirelson_scan"),

@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 import warnings
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -81,9 +81,13 @@ class TestTransverseSpinOp:
             assert np.array_equal(_party_ops(a, "transverse"), reference_transverse(a))
 
     def test_rejects_nonfinite(self):
+        # _party_ops trusts its angles: each Mermin entry refuses a non-finite one first
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
-                _party_ops(bad, "transverse")
+            for call in (partial(mermin_operator, [(bad, 0.0)]),
+                         partial(mermin_value, ghz(2), [(0.0, 0.1), (0.2, bad)]),
+                         partial(mermin_square_residual, [(0.0, 0.1)] * 2 + [(bad, 0.0)])):
+                with pytest.raises(ValueError, match="angle pairs must be finite"):
+                    call()
 
     def test_a_zero_is_sigma_x(self):
         assert np.array_equal(_party_ops(0.0, "transverse"), SIGMA_X)

@@ -1,7 +1,7 @@
 import re
 import sys
 import warnings
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -112,8 +112,12 @@ class TestSpinOp:
         assert involution < 1e-12
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            _party_ops(np.nan, "spin_half")
+        # _party_ops trusts its angles: correlation, which takes one angle per party, refuses either
+        from bell_lab.chsh import correlation, singlet
+
+        for a, b in ((np.nan, 0.0), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="angles must be finite"):
+                correlation(singlet(), a, b)
 
 
 class TestPhotonOps:
@@ -195,13 +199,28 @@ class TestPartyOps:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_angles(self, bad):
-        for kind in KINDS + ("transverse",):
+        # _party_ops trusts its angles: every public entry that builds a stack refuses them first
+        from bell_lab.chsh import bell_operator, chsh_value, correlation, identity_residual, singlet
+        from bell_lab.mermin import ghz, mermin_operator, mermin_value
+
+        settings = np.array([0.1, bad, 0.3, 0.4])
+        calls = [partial(mermin_operator, [(0.1, bad)]), partial(mermin_value, ghz(2), [(0.1, 0.2), (bad, 0.3)])]
+        for kind in KINDS:
+            calls += [partial(bell_operator, settings, kind), partial(identity_residual, settings, kind),
+                      partial(chsh_value, singlet(), settings, kind), partial(correlation, singlet(), 0.1, settings, kind)]
+        for call in calls:
             with pytest.raises(ValueError, match="finite"):
-                _party_ops(np.array([0.1, bad, 0.3]), kind)
+                call()
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            _party_ops(np.zeros(3), "qutrit")
+        # _party_ops trusts its kind: every chsh entry refuses an unknown one before building a stack
+        from bell_lab.chsh import bell_operator, chsh_value, correlation, identity_residual, singlet, tsirelson_scan
+
+        for call in (partial(bell_operator, np.zeros(4)), partial(identity_residual, np.zeros(4)),
+                     partial(chsh_value, singlet(), np.zeros(4)), partial(correlation, singlet(), 0.0, 0.0),
+                     tsirelson_scan):
+            with pytest.raises(ValueError, match="kind must be one of"):
+                call(kind="qutrit")
 
 
 class TestMeasurementOpValidation:
