@@ -25,17 +25,15 @@ __version__ = "0.1.0"
 from .errors import NodeSingularityError, NumericalCheckError, UndefinedCorrelationError
 
 _PUBLIC = {
-    "operators": ("MeasurementOp", "commutator", "dagger", "expectation", "hermitian_extremal_eigenvalue",
-                  "ket", "tensor"),
+    "operators": ("MeasurementOp", "commutator", "expectation", "hermitian_extremal_eigenvalue", "ket", "tensor"),
     "chsh": ("TSIRELSON", "bell_operator", "chsh_value", "correlation", "identity_residual",
              "photon_pair_state", "singlet", "tsirelson_scan"),
     "mermin": ("ghz", "ghz_expectation_shared", "mermin_operator", "mermin_shared_scan", "mermin_square_residual",
                "mermin_value"),
     "lhv": ("RNG_ALGORITHM", "HiddenVariableModel", "chsh_deterministic_max", "make_rng",
             "mermin_deterministic_max", "sawtooth_correlation", "sign_model", "simulate_chsh_stats"),
-    "fock": ("MODE_ORDER", "STATES", "BeamSplitterSpec", "annihilation", "coincidence_closed_form",
-             "coincidence_correlation", "coincidence_probability", "creation", "detector_amplitude_op",
-             "ou_mandel_state", "product_state", "vacuum"),
+    "fock": ("STATES", "BeamSplitterSpec", "coincidence_closed_form", "coincidence_correlation",
+             "coincidence_probability", "detector_amplitude_op", "ou_mandel_state", "product_state"),
     "dbb": ("PhysicalConstants", "SpinTrajectory", "Trajectory", "TwoParticleWF", "WavePacket", "cross_coupling",
             "integrate_spin", "integrate_trajectory", "packet_overlap", "psi2_eval", "velocity_2p"),
 }

@@ -22,7 +22,7 @@ from the correlation matrix leaves.
 import numpy as np
 
 from ._common import _chsh_angles, _require_finite
-from .operators import _SIGMA, KINDS, _kron, _party_ops, _scan_angles, _unbox, ket
+from .operators import _SIGMA, KINDS, _frozen, _kron, _party_ops, _scan_angles, _unbox
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -35,7 +35,7 @@ def _check_kind(kind):
 
 def singlet() -> np.ndarray:
     """(|+-> - |-+>)/sqrt(2); spin correlation -cos(a - b)."""
-    return ket([0.0, 1.0, -1.0, 0.0])
+    return _frozen(np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0))
 
 
 def photon_pair_state() -> np.ndarray:
@@ -46,7 +46,7 @@ def photon_pair_state() -> np.ndarray:
     coincide with the coincidence-normalized correlation of the
     equal-split two-photon state in the Fock module.
     """
-    return ket([1.0, 0.0, 0.0, -1.0])
+    return _frozen(np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0))
 
 
 def _check_state(psi) -> np.ndarray:

@@ -114,17 +114,16 @@ def _typed(value: float) -> str:
     return repr(value).removesuffix(".0")
 
 
-def _check_finite(**flags):
-    """Refuse a non-finite number flag, quoted as typed, before the body converts or uses it."""
+def _check_flags(valid=math.isfinite, must="finite", **flags):
+    """Refuse a number flag that is not valid (by default, not finite), quoted as typed, before the body uses it."""
     for name, value in flags.items():
-        if not math.isfinite(value):
-            raise UsageError(f"{_flag(name)} must be finite, got {_typed(value)}")
+        if not valid(value):
+            raise UsageError(f"{_flag(name)} must be {must}, got {_typed(value)}")
 
 
 def _check_step(step: float):
     """Refuse a scan step outside (0, 45] degrees (the scans' grid_step range), then a grid over the cap."""
-    if not 0.0 < step <= 45.0:  # also NaN
-        raise UsageError(f"--step must be in (0, 45], got {_typed(step)}")
+    _check_flags(lambda v: 0.0 < v <= 45.0, "in (0, 45]", step=step)  # also NaN
     rad = float(np.deg2rad(step))  # the scan's ceil of 2 pi / rad exceeds the cap exactly when this does
     _check_grid(2.0 * math.pi / rad if rad > 0.0 else math.inf)  # a step that underflows to 0 rad never ends
 
@@ -144,7 +143,7 @@ def _parse_floats(text, name, count):
 
 def chsh(alpha, alpha_prime, beta, beta_prime, kind, out):
     """S for one settings tuple on the singlet / photon pair state."""
-    _check_finite(alpha=alpha, alpha_prime=alpha_prime, beta=beta, beta_prime=beta_prime)
+    _check_flags(alpha=alpha, alpha_prime=alpha_prime, beta=beta, beta_prime=beta_prime)
     from .chsh import chsh_value, photon_pair_state, singlet
 
     settings = np.deg2rad((alpha, alpha_prime, beta, beta_prime))
@@ -219,7 +218,8 @@ def lhv(enumerate_, model, samples, seed, angles, out):
 
 def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     """Two-photon coincidence probabilities / correlations behind the splitter."""
-    _check_finite(tx=tx, ty=ty, theta1=theta1, theta2=theta2)
+    _check_flags(tx=tx, ty=ty, theta1=theta1, theta2=theta2)
+    _check_flags(lambda v: 0.0 <= v <= 1.0, "in [0, 1]", tx=tx, ty=ty)  # as typed, not as BeamSplitterSpec's t_x
     from .fock import (BeamSplitterSpec, coincidence_closed_form, coincidence_correlation,
                        coincidence_probability, ou_mandel_state)
 
@@ -247,8 +247,9 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
 def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, trajectory,
         start1, start2, t0, t1, dt, out):
     """Two-particle guidance velocities, cross-coupling, trajectories."""
-    _check_finite(center_a=center_a, width_a=width_a, k_a=k_a, center_b=center_b, width_b=width_b, k_b=k_b,
-                  time_=time_, t0=t0, t1=t1, dt=dt)  # not --start1/--start2: the library refuses them as x1, x2
+    _check_flags(center_a=center_a, width_a=width_a, k_a=k_a, center_b=center_b, width_b=width_b, k_b=k_b,
+                 time_=time_, t0=t0, t1=t1, dt=dt)  # not --start1/--start2: the library refuses them as x1, x2
+    _check_flags(lambda v: v > 0.0, "positive", width_a=width_a, width_b=width_b)  # WavePacket names neither
     from .dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
 
     c = PhysicalConstants()
@@ -284,7 +285,7 @@ def spin(bz, gyro, steps, dt, s0, out):
     from ._common import _MAX_STEPS
     if not 1 <= steps <= _MAX_STEPS:  # the span is refused in spin's own flags: t1 = steps * dt is none of them
         raise UsageError("--steps must be >= 1" if steps < 1 else f"--steps {_typed(steps)} exceeds {_MAX_STEPS}")
-    _check_finite(bz=bz, gyro=gyro, dt=dt)
+    _check_flags(bz=bz, gyro=gyro, dt=dt)
     if not (dt > 0.0 and math.isfinite(steps * dt)):
         raise UsageError(f"--dt must be positive, got {_typed(dt)}" if dt <= 0.0 else
                          f"--steps {_typed(steps)} times --dt {_typed(dt)} leaves float64")

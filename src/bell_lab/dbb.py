@@ -385,8 +385,10 @@ def _check_span(t0: float, t1: float, dt: float):
     t_max = max(abs(t0), abs(t1))
     if dt <= 0.5 * math.ulp(t_max):
         raise ValueError(f"dt={dt!r} cannot advance t={t_max!r} in float64")
-    if (ratio := (t1 - t0) / dt) > _MAX_STEPS + 1.0 or (n := _step_count(t0, t1, dt)) > _MAX_STEPS:
-        steps = f"{ratio:.6g}" if ratio > _MAX_STEPS + 1.0 else n  # the steps taken, all kept; 6 digits round n
+    if (ratio := (t1 - t0) / dt) > _MAX_STEPS + 1.0 or _step_count(t0, t1, dt) > _MAX_STEPS:
+        steps = f"{ratio:.6g}"
+        if float(steps) != ratio and ratio < 2.0**53:  # 6 digits round it: quote the count, exact below 2**53
+            steps = _step_count(t0, t1, dt)
         raise ValueError(f"(t1 - t0) / dt = {steps} steps exceeds {_MAX_STEPS}")
 
 

@@ -1,9 +1,10 @@
 """The two-photon, four-mode bosonic Fock space behind the coincidences.
 
 Modes are (detector, polarization) pairs in the canonical order
-MODE_ORDER = (1,x), (1,y), (2,x), (2,y).  The one basis, STATES, holds the
+(1,x), (1,y), (2,x), (2,y).  The one basis, STATES, holds the
 15 occupation 4-tuples with total photon number <= 2, listed
 lexicographically; every state and ladder matrix here is written in it.
+The four ladder matrices are one private table, built when the module loads.
 A state is a complex128 array of 15 amplitudes, read by STATES.index; the
 constructors return it read-only, and coincidence_probability checks it.
 
@@ -24,19 +25,27 @@ import numpy as np
 
 from .errors import UndefinedCorrelationError
 from ._common import _Record, _require_finite
-from .operators import _frozen, _unbox, dagger
+from .operators import _frozen, _unbox
 
-MODE_ORDER = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
+_MODE_ORDER = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
 
 # the basis: every occupation 4-tuple with total <= 2, lexicographic
 STATES = tuple(occ for occ in _iproduct(range(3), repeat=4) if sum(occ) <= 2)
 
+# the four annihilation matrices in _MODE_ORDER, built once (read-only): slot k lowers occupation k by one
+_LADDERS = np.zeros((len(_MODE_ORDER), len(STATES), len(STATES)), dtype=complex)
+for _j, _occ in enumerate(STATES):
+    for _k, _n in enumerate(_occ):
+        if _n:
+            _LADDERS[_k, STATES.index(_occ[:_k] + (_n - 1,) + _occ[_k + 1:]), _j] = np.sqrt(_n)
+_LADDERS.setflags(write=False)
+
 
 def _slot(detector: int, polarization: str) -> int:
-    """The position of mode (detector, polarization) in MODE_ORDER."""
-    if (detector, polarization) not in MODE_ORDER:
-        raise ValueError(f"mode must be one of {MODE_ORDER}, got ({detector!r}, {polarization!r})")
-    return MODE_ORDER.index((detector, polarization))
+    """The position of mode (detector, polarization) in _MODE_ORDER."""
+    if (detector, polarization) not in _MODE_ORDER:
+        raise ValueError(f"mode must be one of {_MODE_ORDER}, got ({detector!r}, {polarization!r})")
+    return _MODE_ORDER.index((detector, polarization))
 
 
 def _check_state(state) -> np.ndarray:
@@ -76,27 +85,6 @@ class BeamSplitterSpec(_Record):
         return cls(t_x, 1.0 - t_x, t_y, 1.0 - t_y)
 
 
-def annihilation(detector: int, polarization: str) -> np.ndarray:
-    """Ladder matrix with elements sqrt(n) lowering mode (detector, polarization)."""
-    slot = _slot(detector, polarization)
-    a = np.zeros((len(STATES), len(STATES)), dtype=complex)
-    for i, occ in enumerate(STATES):
-        n = occ[slot]
-        if n:
-            a[STATES.index(occ[:slot] + (n - 1,) + occ[slot + 1:]), i] = np.sqrt(n)
-    return a
-
-
-def creation(detector: int, polarization: str) -> np.ndarray:
-    return dagger(annihilation(detector, polarization))
-
-
-def vacuum() -> np.ndarray:
-    v = np.zeros(len(STATES), dtype=complex)
-    v[STATES.index((0, 0, 0, 0))] = 1.0
-    return v
-
-
 def ou_mandel_state(bs: BeamSplitterSpec) -> np.ndarray:
     """The four-term two-photon state behind the beam splitter."""
     amps = np.zeros(len(STATES), dtype=complex)
@@ -114,14 +102,10 @@ def product_state(bs: BeamSplitterSpec) -> np.ndarray:
     four-term state is a product of one x-photon factor and one y-photon
     factor, so it generates local trajectories despite its appearance.
     """
-    op_x = np.sqrt(bs.t_x) * creation(1, "x") + 1.0j * np.sqrt(bs.r_x) * creation(2, "x")
-    op_y = np.sqrt(bs.t_y) * creation(2, "y") - 1.0j * np.sqrt(bs.r_y) * creation(1, "y")
-    return _frozen(op_x @ (op_y @ vacuum()))
-
-
-# the four annihilation matrices in MODE_ORDER, built once (read-only)
-_LADDERS = np.stack([annihilation(det, pol) for det, pol in MODE_ORDER])
-_LADDERS.setflags(write=False)
+    x1, y1, x2, y2 = _LADDERS.conj().transpose(0, 2, 1)  # the creation matrices a+, in _MODE_ORDER
+    op_x = np.sqrt(bs.t_x) * x1 + 1.0j * np.sqrt(bs.r_x) * x2
+    op_y = np.sqrt(bs.t_y) * y2 - 1.0j * np.sqrt(bs.r_y) * y1
+    return _frozen(op_x @ (op_y @ np.eye(len(STATES), dtype=complex)[0]))  # on the vacuum, STATES[0]
 
 
 def detector_amplitude_op(detector: int, theta) -> np.ndarray:

@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from ._common import _require_finite
-from .operators import _kron, _party_ops, _scan_angles, _unbox, ket
+from .operators import _frozen, _kron, _party_ops, _scan_angles, _unbox
 
 
 def _check_n(n):
@@ -42,7 +42,7 @@ def ghz(n: int) -> np.ndarray:
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     amps[-1] = 1.0j
-    return ket(amps)
+    return _frozen(amps / np.sqrt(2.0))
 
 
 def _pairs(pairs) -> np.ndarray:

@@ -83,10 +83,6 @@ class MeasurementOp(_Record):
             raise ValueError(f"not involutory to {ATOL}: {label}")
         object.__setattr__(self, "matrix", _frozen(m))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _as_matrix(a) -> np.ndarray:
     if isinstance(a, MeasurementOp):
@@ -151,11 +147,6 @@ def commutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch in commutator: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
 
 
 def expectation(psi, m) -> complex | np.ndarray:

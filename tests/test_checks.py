@@ -51,9 +51,12 @@ ONE_CHECK_PER_INPUT = {
     "bell_operator": (lambda: chsh.bell_operator(S), ["settings angles"]),
     "chsh_value": (lambda: chsh.chsh_value(PSI, S), ["settings angles", "ket amplitudes"]),
     "correlation": (lambda: chsh.correlation(PSI, 0.1, [0.2, 0.3]), ["ket amplitudes", "angles", "angles"]),
-    # the scanned singlet is built by ket, which checks its amplitudes
-    "tsirelson_scan": (lambda: chsh.tsirelson_scan(grid_step=np.pi / 4), ["grid_step", "ket amplitudes"]),
+    # the scanned singlet is a constant ket, built without a check
+    "tsirelson_scan": (lambda: chsh.tsirelson_scan(grid_step=np.pi / 4), ["grid_step"]),
     "mermin_value": (lambda: mermin.mermin_value(GHZ2, [(0.0, np.pi / 2)] * 2), ["angle pairs", "ket amplitudes"]),
+    "constant kets": (lambda: (chsh.singlet(), chsh.photon_pair_state(), mermin.ghz(10)), []),
+    "mermin_value of ghz(10)": (lambda: mermin.mermin_value(mermin.ghz(10), [(0.0, np.pi / 2)] * 10),
+                                ["angle pairs", "ket amplitudes"]),
     "mermin_operator": (lambda: mermin.mermin_operator(PAIRS3), ["angle pairs"]),
     "mermin_square_residual": (lambda: mermin.mermin_square_residual(PAIRS3), ["angle pairs"]),
     "mermin_shared_scan": (lambda: mermin.mermin_shared_scan(3, np.pi / 4), ["grid_step"]),

@@ -1,9 +1,11 @@
 import atexit
 import gc
 import hashlib
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -657,6 +659,19 @@ def test_span_one_step_over_the_cap_quotes_its_step_count(monkeypatch):
     assert result.stderr.splitlines() == ["error=2 detail=(t1 - t0) / dt = 1000001 steps exceeds 1000000"]
 
 
+@pytest.mark.parametrize("t1, dt, steps", [
+    ("1000001.5", "1", "1000002"),  # six digits print 1e+06, the cap itself
+    ("1000004.5", "1", "1000005"),
+    ("1234567.89", "0.1", "12345679"),
+    ("2000000", "1", "2e+06"),  # six digits hold the ratio: quoted as before
+])
+def test_span_over_the_cap_quotes_its_step_count_where_six_digits_round(monkeypatch, t1, dt, steps):
+    monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
+    result = invoke(["dbb", "--form", "product", "--trajectory", "--t1", t1, "--dt", dt])
+    assert result.exit_code == EXIT_VALIDATION
+    assert result.stderr.splitlines() == [f"error=2 detail=(t1 - t0) / dt = {steps} steps exceeds 1000000"]
+
+
 @pytest.mark.parametrize("args, t1, n_rows", [
     (["spin", "--steps", "5", "--dt", "1e-14"], 5e-14, 6),
     (["dbb", "--form", "product", "--trajectory", "--t1", "1e-13", "--dt", "1e-14"], 1e-13, 11),
@@ -903,10 +918,17 @@ class TestErrorMapping:
          "error=2 detail=--theta1 must be finite, got nan"),
         (["oumandel", "--tx", "0.5", "--ty", "0.5", "--theta2", "1e999"],
          "error=2 detail=--theta2 must be finite, got inf"),
+        # range errors name the flag, not the library's field (width, t_x) that the body builds from it
+        (["dbb", "--form", "product", "--width-a", "0"], "error=2 detail=--width-a must be positive, got 0"),
+        (["dbb", "--form", "symmetric", "--trajectory", "--width-b=-1.5"],
+         "error=2 detail=--width-b must be positive, got -1.5"),
+        (["oumandel", "--tx", "1.5", "--ty", "0.5"], "error=2 detail=--tx must be in [0, 1], got 1.5"),
+        (["oumandel", "--tx", "0.5", "--ty=-0.25", "--grid", "3"], "error=2 detail=--ty must be in [0, 1], got -0.25"),
     ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command", "nan-start",
             "negative-seed", "bad-integer", "bad-choice", "no-value", "flag-with-value", "nan-s0", "nan-alpha",
             "inf-beta-prime", "nan-step", "negative-step", "step-over-grid-cap", "step-underflowing-to-zero-radians",
-            "mermin-step-over-45", "mermin-zero-step", "nan-theta1", "overflowing-theta2"])
+            "mermin-step-over-45", "mermin-zero-step", "nan-theta1", "overflowing-theta2", "zero-width-a",
+            "negative-width-b", "tx-over-1", "negative-ty"])
     def test_usage_error_gives_one_line(self, args, line):
         result = invoke(args)
         assert result.exit_code == EXIT_VALIDATION
@@ -1313,7 +1335,7 @@ class TestInstalledEntryPoint:
 
     def test_public_names_resolve_in_their_layer_module(self, monkeypatch):
         modules = {name: sys.modules[f"bell_lab.{name}"] for name in ("errors", *LAYERS)}
-        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 55
+        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 50
         for name in bell_lab.__all__:
             value = getattr(bell_lab, name)
             holders = [layer for layer, module in modules.items() if vars(module).get(name) is value]
@@ -1330,6 +1352,16 @@ class TestInstalledEntryPoint:
         exec("from bell_lab import *", namespace)
         assert set(namespace) - {"__builtins__"} == set(bell_lab.__all__)
         assert cli._COMMANDS["dbb"][1]["form"][0] == dbb.FORMS
+
+    def test_every_public_name_is_used_by_a_command_a_demo_or_readme(self):
+        # the public surface is what a command body, a demo or a README section names
+        root = Path(__file__).parents[1]
+        texts = [inspect.getsource(body) for body, _ in cli._COMMANDS.values()]
+        texts += [path.read_text(encoding="utf-8") for path in sorted(root.glob("demos/*.py"))]
+        texts.append((root / "README.md").read_text(encoding="utf-8"))
+        assert len(bell_lab.__all__) == 50
+        unused = [name for name in bell_lab.__all__ if not any(re.search(rf"\b{name}\b", t) for t in texts)]
+        assert unused == []
 
     @staticmethod
     def after_import(first, value=None):

@@ -2,27 +2,26 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from bell_lab import fock
 from bell_lab.chsh import TSIRELSON
 from bell_lab.errors import UndefinedCorrelationError
 from bell_lab.fock import (
-    MODE_ORDER,
     STATES,
     BeamSplitterSpec,
-    annihilation,
     coincidence_closed_form,
     coincidence_correlation,
     coincidence_probability,
-    creation,
     detector_amplitude_op,
     ou_mandel_state,
     product_state,
-    vacuum,
 )
 
 DEG = np.pi / 180.0
+# the (detector, polarization) modes in the order of fock's ladder table
+MODES = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
+VACUUM = np.eye(15, dtype=complex)[0]
 
 
 # transmissions in [0, 1], with the ends and subnormals drawn often
@@ -44,17 +43,15 @@ def bad_mode(detector, polarization):
 
 class TestBasis:
     def test_mode_order(self):
-        assert MODE_ORDER == ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
+        assert fock._MODE_ORDER == MODES
         assert fock._slot(1, "y") == 1
         assert fock._slot(2, "y") == 3
 
     def test_mode_validation(self):
         with bad_mode(3, "x"):
-            annihilation(3, "x")
+            detector_amplitude_op(3, 0.0)
         with bad_mode(1, "z"):
-            annihilation(1, "z")
-        with bad_mode(1, "z"):
-            creation(1, "z")
+            fock._slot(1, "z")
 
     def test_fifteen_states_lexicographic_no_dups(self):
         assert type(STATES) is tuple and len(STATES) == 15
@@ -79,29 +76,26 @@ class TestBasis:
 
 
 class TestLadderOperators:
+    """fock's ladder table, slot by slot against ref_ladder, and the algebra it must obey."""
+
     def test_annihilation_kills_vacuum(self):
-        v = vacuum()
-        assert v.shape == (15,) and v[STATES.index((0, 0, 0, 0))] == 1.0 and np.count_nonzero(v) == 1
-        for det, pol in MODE_ORDER:
-            assert np.max(np.abs(annihilation(det, pol) @ v)) == 0.0
+        for a in fock._LADDERS:
+            assert np.max(np.abs(a @ VACUUM)) == 0.0
 
     def test_sqrt2_matrix_element(self):
-        a = annihilation(1, "x")
+        a = fock._LADDERS[0]
+        assert np.array_equal(a, ref_ladder(1, "x"))
         two = STATES.index((2, 0, 0, 0))
         one = STATES.index((1, 0, 0, 0))
         assert a[one, two] == np.sqrt(2.0)
-
-    def test_creation_is_dagger_of_annihilation(self):
-        for det, pol in MODE_ORDER:
-            assert np.array_equal(creation(det, pol), annihilation(det, pol).conj().T)
 
     def test_canonical_commutator(self):
         # [a, a+] = 1 on the subspace the truncated basis can represent.
         # Off-diagonal entries vanish exactly; the diagonal picks up a
         # one-ulp residual from (sqrt(2))^2, so compare at 1e-15.
-        for det, pol in MODE_ORDER:
-            a = annihilation(det, pol)
-            ad = creation(det, pol)
+        for a, mode in zip(fock._LADDERS, MODES, strict=True):
+            assert np.array_equal(a, ref_ladder(*mode))
+            ad = a.conj().T
             c = a @ ad - ad @ a
             # rows whose occupation is already maximal are clipped by the
             # truncation and must be excluded from the identity check
@@ -112,8 +106,8 @@ class TestLadderOperators:
             assert np.max(np.abs(np.diag(block) - 1.0)) < 1e-15
 
     def test_cross_mode_commutator_vanishes(self):
-        a1 = annihilation(1, "x")
-        ad2 = creation(2, "y")
+        a1, ad2 = fock._LADDERS[0], fock._LADDERS[3].conj().T
+        assert np.array_equal(a1, ref_ladder(1, "x")) and np.array_equal(ad2, ref_ladder(2, "y").conj().T)
         c = a1 @ ad2 - ad2 @ a1
         # columns at maximal occupation are clipped by the truncation
         keep = [j for j, occ in enumerate(STATES) if sum(occ) < 2]
@@ -193,6 +187,19 @@ class TestFactorization:
     def test_product_state_equals_pair_state_property(self, tx, ty):
         bs = BeamSplitterSpec.from_transmissions(tx, ty)
         assert np.max(np.abs(ou_mandel_state(bs) - product_state(bs))) <= 1e-15
+
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS)
+    @example(tx=0.0, ty=1.0)
+    @example(tx=5e-324, ty=1e-310)
+    @example(tx=1.0, ty=1e-300)
+    def test_product_state_is_bitwise_the_reference_construction(self, tx, ty):
+        # the factors of the docstring, built from ref_ladder's creation matrices, applied to the vacuum
+        bs = BeamSplitterSpec.from_transmissions(tx, ty)
+        x1, y1, x2, y2 = (ref_ladder(*mode).conj().T for mode in MODES)
+        op_x = np.sqrt(bs.t_x) * x1 + 1.0j * np.sqrt(bs.r_x) * x2
+        op_y = np.sqrt(bs.t_y) * y2 - 1.0j * np.sqrt(bs.r_y) * y1
+        assert product_state(bs).tobytes() == (op_x @ (op_y @ VACUUM)).tobytes()
 
     def test_equal_split_cross_term(self):
         st = product_state(BeamSplitterSpec.equal_split())
@@ -316,7 +323,7 @@ class TestCoincidence:
 
 def ref_ladder(detector, polarization):
     """The lowering matrix of one mode, built from STATES entry by entry."""
-    slot = MODE_ORDER.index((detector, polarization))
+    slot = MODES.index((detector, polarization))
     a = np.zeros((len(STATES), len(STATES)), dtype=complex)
     for j, occ in enumerate(STATES):
         for i, lowered in enumerate(STATES):
@@ -386,9 +393,8 @@ class TestArrayRoute:
 
     def test_ladders_are_the_four_annihilation_matrices(self):
         assert fock._LADDERS.shape == (4, 15, 15) and fock._LADDERS.dtype == complex
-        for ladder, (det, pol) in zip(fock._LADDERS, MODE_ORDER, strict=True):
-            assert np.array_equal(ladder, annihilation(det, pol))
-            assert np.array_equal(ladder, ref_ladder(det, pol))
+        for ladder, mode in zip(fock._LADDERS, MODES, strict=True):
+            assert np.array_equal(ladder, ref_ladder(*mode))
 
     def test_cached_ladders_are_read_only(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from bell_lab.operators import (
     MeasurementOp,
     _party_ops,
     commutator,
-    dagger,
     expectation,
     hermitian_extremal_eigenvalue,
     ket,
@@ -312,13 +311,6 @@ class TestCommutatorDaggerExpectation:
     def test_commutator_dimension_mismatch(self):
         with pytest.raises(ValueError):
             commutator(np.eye(2), np.eye(4))
-
-    def test_dagger(self):
-        assert np.array_equal(dagger(np.eye(2)), np.eye(2))
-        assert np.allclose(dagger(1j * np.eye(2)), -1j * np.eye(2))
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(dagger(dagger(m)), m)
 
     def test_expectation_eigenstate(self):
         plus = np.array([1.0, 0.0])

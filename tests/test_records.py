@@ -18,7 +18,7 @@ import pytest
 from bell_lab import lhv
 from bell_lab.chsh import chsh_value, singlet
 from bell_lab.dbb import PhysicalConstants, SpinTrajectory, Trajectory, TwoParticleWF, WavePacket, integrate_spin
-from bell_lab.fock import BeamSplitterSpec, annihilation, coincidence_probability
+from bell_lab.fock import BeamSplitterSpec, coincidence_probability, detector_amplitude_op
 from bell_lab.lhv import HiddenVariableModel
 from bell_lab.mermin import mermin_operator
 from bell_lab.operators import MeasurementOp
@@ -111,8 +111,8 @@ VALIDATION = [
     (lambda: chsh_value(singlet(), (0.0, 0.0, 0.0, 0.0), kind="spin"),
      "kind must be one of ('spin_half', 'photon'), got 'spin'"),
     (lambda: mermin_operator(()), "need at least one angle pair"),
-    # a mode outside MODE_ORDER
-    (lambda: annihilation(3, "x"),
+    # a mode outside the four (detector, polarization) modes
+    (lambda: detector_amplitude_op(3, 0.0),
      "mode must be one of ((1, 'x'), (1, 'y'), (2, 'x'), (2, 'y')), got (3, 'x')"),
     # the state checks of coincidence_probability and integrate_spin
     (lambda: coincidence_probability([0.6, 0.8], 0.0, 0.0), "amplitude count 2 != basis size 15"),
