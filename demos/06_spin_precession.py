@@ -12,16 +12,15 @@ thousand steps.
 
 import numpy as np
 
-from bell_lab.dbb import PhysicalConstants, integrate_spin
+from bell_lab.dbb import integrate_spin
 
 
 def main():
-    c = PhysicalConstants()
     s0 = (0.6, 0.0, 0.8)
     b = (0.0, 0.0, 1.0)
 
     print("=== Ten thousand RK4 steps in a z field ===")
-    tr = integrate_spin(s0, b, c, t1=20.0, dt=0.002)
+    tr = integrate_spin(s0, b, t1=20.0, dt=0.002)
     norms = np.linalg.norm(tr.spins, axis=1)
     print(f"steps                : {len(tr.times) - 1}")
     print(f"max | |s| - 1 |      : {np.max(np.abs(norms - 1.0)):.3e}")
@@ -42,8 +41,7 @@ def main():
 
     print()
     print("=== Doubling the gyromagnetic ratio halves the period ===")
-    fast = PhysicalConstants(gyro=2.0)
-    tr2 = integrate_spin(s0, b, fast, t1=np.pi, dt=0.001)
+    tr2 = integrate_spin(s0, b, t1=np.pi, dt=0.001, gyro=2.0)
     print(f"s(0)       = ({s0[0]:+.6f}, {s0[1]:+.6f}, {s0[2]:+.6f})")
     print(f"s(pi), g=2 = ({tr2.spins[-1, 0]:+.6f}, {tr2.spins[-1, 1]:+.6f}, "
           f"{tr2.spins[-1, 2]:+.6f})")
@@ -51,7 +49,7 @@ def main():
 
     print()
     print("=== Aligned spin is stationary ===")
-    tr3 = integrate_spin((0.0, 0.0, 1.0), b, c, t1=5.0, dt=0.01)
+    tr3 = integrate_spin((0.0, 0.0, 1.0), b, t1=5.0, dt=0.01)
     drift = np.max(np.linalg.norm(tr3.spins - np.array([0.0, 0.0, 1.0]), axis=1))
     print(f"max |s(t) - s(0)| with s parallel to B: {drift:.3e}")
 

@@ -34,8 +34,8 @@ _PUBLIC = {
             "mermin_deterministic_max", "sawtooth_correlation", "sign_model", "simulate_chsh_stats"),
     "fock": ("STATES", "BeamSplitterSpec", "coincidence_closed_form", "coincidence_correlation",
              "coincidence_probability", "detector_amplitude_op", "ou_mandel_state", "product_state"),
-    "dbb": ("PhysicalConstants", "SpinTrajectory", "Trajectory", "TwoParticleWF", "WavePacket", "cross_coupling",
-            "integrate_spin", "integrate_trajectory", "packet_overlap", "psi2_eval", "velocity_2p"),
+    "dbb": ("SpinTrajectory", "Trajectory", "TwoParticleWF", "WavePacket", "cross_coupling", "integrate_spin",
+            "integrate_trajectory", "packet_overlap", "psi2_eval", "velocity_2p"),
 }
 
 

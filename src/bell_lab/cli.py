@@ -250,9 +250,8 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
     _check_flags(center_a=center_a, width_a=width_a, k_a=k_a, center_b=center_b, width_b=width_b, k_b=k_b,
                  time_=time_, t0=t0, t1=t1, dt=dt)  # not --start1/--start2: the library refuses them as x1, x2
     _check_flags(lambda v: v > 0.0, "positive", width_a=width_a, width_b=width_b)  # WavePacket names neither
-    from .dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
+    from .dbb import TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
 
-    c = PhysicalConstants()
     wf = TwoParticleWF(packet_a=WavePacket(center=center_a, width=width_a, wavenumber=k_a),
                        packet_b=WavePacket(center=center_b, width=width_b, wavenumber=k_b), form=form)
     params = {"form": form, "center_a": center_a, "width_a": width_a, "k_a": k_a,
@@ -260,7 +259,7 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
     if trajectory:
         s1 = center_a if start1 is None else start1
         s2 = center_b if start2 is None else start2
-        traj = integrate_trajectory(wf, c, (s1, s2), t0, t1, dt)
+        traj = integrate_trajectory(wf, (s1, s2), t0, t1, dt)
         meta = _meta("dbb", {**params, "mode": "trajectory", "start1": s1, "start2": s2, "t0": t0, "t1": t1, "dt": dt})
         _write_csv(out, meta, {"t": traj.times, "x1": traj.positions[:, 0], "x2": traj.positions[:, 1]})
         return
@@ -275,9 +274,9 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
     xs1 = np.linspace(lo, hi, grid)
     x1, x2 = xs1[:, None], (xs1 + shift)[None, :]
     meta = _meta("dbb", {**params, "mode": "field", "time": time_, "grid": grid})
-    v1, v2 = velocity_2p(wf, c, x1, x2, time_)
+    v1, v2 = velocity_2p(wf, x1, x2, time_)
     _write_csv(out, meta, {"x1": x1, "x2": x2, "v1": v1, "v2": v2,
-                           "cross_coupling": cross_coupling(wf, c, x1, x2, time_)})
+                           "cross_coupling": cross_coupling(wf, x1, x2, time_)})
 
 
 def spin(bz, gyro, steps, dt, s0, out):
@@ -290,10 +289,9 @@ def spin(bz, gyro, steps, dt, s0, out):
         raise UsageError(f"--dt must be positive, got {_typed(dt)}" if dt <= 0.0 else
                          f"--steps {_typed(steps)} times --dt {_typed(dt)} leaves float64")
     s0v = _parse_floats(s0, "--s0", 3)
-    from .dbb import PhysicalConstants, integrate_spin
+    from .dbb import integrate_spin
 
-    c = PhysicalConstants(gyro=gyro)
-    traj = integrate_spin(s0v, (0.0, 0.0, bz), c, t1=steps * dt, dt=dt)
+    traj = integrate_spin(s0v, (0.0, 0.0, bz), t1=steps * dt, dt=dt, gyro=gyro)
     sx, sy, sz = traj.spins.T  # contiguous: integrate_spin keeps each component so
     drift = traj.norms - float(np.linalg.norm(s0v))
     meta = _meta("spin", {"bz": bz, "gyro": gyro, "steps": steps, "dt": dt, "s0": s0})

@@ -1,18 +1,18 @@
 """De Broglie-Bohm guidance for pairs of free Gaussian packets, and spin precession.
 
-Everything is built on the exactly-evolved free Gaussian
+Everything is built on the exactly-evolved free Gaussian, in units ħ = m = 1
+from a start at t = 0,
 
     psi(x, t) = (2 pi s^2)^(-1/4) (1 + i tau)^(-1/2)
-                * exp( -(x - xc)^2 / (4 s^2 (1 + i tau))
-                       + i k (x - x0) - i hbar k^2 (t - t0) / (2 m) )
+                * exp( -(x - xc)^2 / (4 s^2 (1 + i tau)) + i k (x - x0) - i k^2 t / 2 )
 
-with tau = hbar (t - t0) / (2 m s^2) and xc = x0 + hbar k (t - t0) / m,
-evaluated in log form so that far tails and near-node points stay
-well-conditioned.  The guidance velocity is the probability-current form
-v = (hbar/m) * Im(grad psi / psi); for the symmetrized two-particle
-wavefunctions this makes v1 depend on x2 (and vice versa), which
-cross_coupling quantifies as |dv1/dx2|.  Densities below 1e-300 are
-treated as nodes and refused rather than extrapolated.
+with tau = t / (2 s^2) and xc = x0 + k t; ħ and m enter only as r = ħ/m,
+so in other units a path is x_r(t) = x_1(r t).  It is evaluated in log form
+so that far tails and near-node points stay well-conditioned.  The guidance
+velocity is the probability-current form v = Im(grad psi / psi); for the
+symmetrized two-particle wavefunctions this makes v1 depend on x2 (and vice
+versa), which cross_coupling quantifies as |dv1/dx2|.  Densities below 1e-300
+are treated as nodes and refused rather than extrapolated.
 """
 
 import cmath
@@ -36,33 +36,20 @@ _LOG_DENSITY_FLOOR = float(np.log(1e-300))
 _NORMAL = sys.float_info.min  # the least normal float64
 
 
-class PhysicalConstants(_Record):
-    hbar: float = 1.0
-    mass: float = 1.0
-    gyro: float = 1.0
-
-    def __post_init__(self):
-        for name in ("hbar", "mass", "gyro"):
-            _require_finite(name, getattr(self, name))
-        if self.hbar <= 0.0 or self.mass <= 0.0:
-            raise ValueError("hbar and mass must be positive")
-
-
 class WavePacket(_Record):
-    """Initial Gaussian packet.
+    """Gaussian packet at t = 0.
 
     width is the initial position standard deviation (|psi|^2 is a
-    Gaussian of std ``width`` at ``start_time``); wavenumber is the
-    carrier k, so the group velocity is hbar*k/m.
+    Gaussian of std ``width`` at t = 0); wavenumber is the carrier k,
+    so the group velocity is k.
     """
 
     center: float
     width: float
     wavenumber: float
-    start_time: float = 0.0
 
     def __post_init__(self):
-        for name in ("center", "width", "wavenumber", "start_time"):
+        for name in ("center", "width", "wavenumber"):
             _require_finite(name, getattr(self, name))
         if self.width <= 0.0:
             raise ValueError(f"width must be positive, got {self.width!r}")
@@ -80,14 +67,13 @@ class TwoParticleWF(_Record):
             raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
 
 
-def _check_time(t: float, *packets: WavePacket):
-    for wp in packets:
-        if t < wp.start_time:
-            raise ValueError(f"t = {t!r} is before the packet's start_time {wp.start_time!r}")
+def _check_time(t: float):
+    if t < 0.0:
+        raise ValueError(f"t = {t!r} is before the packets' start time 0.0")
 
 
-def _clock(wp: WavePacket, c: PhysicalConstants, t_end: float):
-    """(at, the terms at t_end): at(t) is the packet's _terms at a time start_time <= t <= t_end,
+def _clock(wp: WavePacket, t_end: float):
+    """(at, the terms at t_end): at(t) is the packet's _terms at a time 0 <= t <= t_end,
     and at(ts) a list of them, one per time of a float array ts, bitwise equal to at(t) at each.
 
     The parts that do not depend on t are worked out once, and each time takes the same float
@@ -99,24 +85,21 @@ def _clock(wp: WavePacket, c: PhysicalConstants, t_end: float):
         w2, k2 = wp.width**2, wp.wavenumber**2
     except OverflowError:  # float ** raises where float * gives inf
         w2 = k2 = math.inf
-    s, x0, hbar, m = wp.start_time, wp.center, c.hbar, c.mass
-    two_m_w2, hk, four_w2, two_w2 = 2.0 * m * w2, hbar * wp.wavenumber, 4.0 * w2, 2.0 * w2
-    ik, half_hk2 = 1.0j * wp.wavenumber, 0.5 * hbar * k2
+    x0, k, four_w2, two_w2 = wp.center, wp.wavenumber, 4.0 * w2, 2.0 * w2
+    ik, half_k2 = 1.0j * k, 0.5 * k2
 
     def at(t):
-        el = t - s
-        a = 1.0 + 1.0j * (hbar * el / two_m_w2)
-        # the phase i hbar k^2 el / 2m from its imaginary part, as CPython's complex / m rounds it, not numpy's
-        terms = (lw - 0.5 * np.log(a), x0 + hk * el / m, four_w2 * a, two_w2 * a,
-                 1.0j * ((0.0 + half_hk2 * el) / m))
-        if isinstance(el, np.ndarray):
+        a = 1.0 + 1.0j * (t / two_w2)
+        # the phase i k^2 t / 2; 0.0 + makes it +0j at t = -0.0 as at t = 0.0
+        terms = (lw - 0.5 * np.log(a), x0 + k * t, four_w2 * a, two_w2 * a, 1.0j * (0.0 + half_k2 * t))
+        if isinstance(t, np.ndarray):
             cols = zip(*(v.tolist() for v in terms))
             return [(const, xc, quad, slope, ik, x0, phase) for const, xc, quad, slope, phase in cols]
         return complex(terms[0]), *terms[1:4], ik, x0, terms[4]
 
     # tau first: where it is finite, at's numpy operations see finite values and cannot warn
-    if (_NORMAL <= w2 < math.inf and (wp.wavenumber == 0.0 or _NORMAL <= k2 < math.inf)
-            and two_m_w2 > 0.0 and math.isfinite(hbar * (t_end - s) / two_m_w2)):
+    if (_NORMAL <= w2 < math.inf and (k == 0.0 or _NORMAL <= k2 < math.inf)
+            and math.isfinite(t_end / two_w2)):
         lw = -0.25 * np.log(2.0 * np.pi * w2)
         end = at(t_end)
         if all(math.isfinite(v.real) and math.isfinite(v.imag) for v in end):
@@ -125,13 +108,13 @@ def _clock(wp: WavePacket, c: PhysicalConstants, t_end: float):
                      f"width={wp.width!r}, wavenumber={wp.wavenumber!r}")
 
 
-def _terms(wp: WavePacket, c: PhysicalConstants, t: float):
+def _terms(wp: WavePacket, t: float):
     """(const, xc, quad, slope, ik, x0, phase), Python numbers all: the x-independent parts of
 
         log psi(x)   = const - (x - xc)^2 / quad + ik (x - x0) - phase,
         d log psi/dx = -(x - xc) / slope + ik.
     """
-    return _clock(wp, c, t)[1]
+    return _clock(wp, t)[1]
 
 
 def _log_psi(terms, x):
@@ -144,18 +127,17 @@ def _dlog_psi(terms, x):
     return -(x - xc) / slope + ik
 
 
-def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, c: PhysicalConstants, t: float = None) -> complex:
+def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, t: float = None) -> complex:
     """<psi_a(t)|psi_b(t)> by the closed Gaussian integral.
 
-    Free evolution makes this constant in t; the default evaluates at the
-    later of the two start times.
+    Free evolution makes this constant in t; the default evaluates at t = 0.
     """
-    if t is None:  # the later start time, finite and at or after both: nothing to check
-        t = max(wp_a.start_time, wp_b.start_time)
+    if t is None:  # the start: nothing to check
+        t = 0.0
     else:
         _require_finite("t", t)
-        _check_time(t, wp_a, wp_b)
-    ta, tb = _terms(wp_a, c, t), _terms(wp_b, c, t)
+        _check_time(t)
+    ta, tb = _terms(wp_a, t), _terms(wp_b, t)
     coeffs = []
     for const, xc, quad, slope, ik, x0, phase in (ta, tb):
         # log psi = qa y^2 + qb y + qc in y = x - xc_a: only the packets' separation is squared
@@ -172,14 +154,14 @@ def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, c: PhysicalConstants, t: 
     return overlap
 
 
-def _norm_factor(wf: TwoParticleWF, c: PhysicalConstants) -> float:
+def _norm_factor(wf: TwoParticleWF) -> float:
     """1/sqrt(2 +- 2|<a|b>|^2) for the symmetrized forms, 1 for product.
 
     One packet_overlap; each public call and each trajectory takes it once.
     """
     if wf.form == "product":
         return 1.0
-    o2 = abs(packet_overlap(wf.packet_a, wf.packet_b, c)) ** 2
+    o2 = abs(packet_overlap(wf.packet_a, wf.packet_b)) ** 2
     if wf.form == "symmetric":
         return 1.0 / np.sqrt(2.0 + 2.0 * o2)
     denom = 2.0 - 2.0 * o2
@@ -188,19 +170,19 @@ def _norm_factor(wf: TwoParticleWF, c: PhysicalConstants) -> float:
     return 1.0 / np.sqrt(denom)
 
 
-def psi2_eval(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
+def psi2_eval(wf: TwoParticleWF, x1, x2, t: float):
     """Two-particle wavefunction value; broadcasts over (x1, x2).
 
     A far tail, where (x - xc)^2 overflows, has the value 0.
     """
-    x1, x2 = _check_point(wf, x1, x2, t)
-    ta, tb = _terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t)
+    x1, x2 = _check_point(x1, x2, t)
+    ta, tb = _terms(wf.packet_a, t), _terms(wf.packet_b, t)
     with np.errstate(over="ignore", invalid="ignore"):
         if wf.form == "product":  # a NaN log psi, where x - xc overflows, fails > -inf too
             log_psi = _log_psi(ta, x1) + _log_psi(tb, x2)
             return np.where(log_psi.real > -np.inf, np.exp(log_psi), 0j)[()]
         lm, w1, sw2 = _exchange_terms(wf.form, ta, tb, x1, x2)
-        psi = _norm_factor(wf, c) * np.exp(lm) * (w1 + sw2)
+        psi = _norm_factor(wf) * np.exp(lm) * (w1 + sw2)
     return np.where(lm > -np.inf, psi, 0j)[()]  # at lm = -inf, exp(l1 - lm) is NaN
 
 
@@ -237,20 +219,19 @@ def _refuse_nodes(node, x1, x2, t):
         raise NodeSingularityError(f"density below 1e-300 at ({p1!r}, {p2!r}), t={float(t)!r}")
 
 
-def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: float, terms=None):
+def _velocity(wf: TwoParticleWF, x1, x2, t: float, nf: float, terms=None):
     """(v1, v2) at points (x1, x2) that broadcast; the caller validates them.
 
-    nf is _norm_factor(wf, c) and terms the packets' _terms at t, if the
+    nf is _norm_factor(wf) and terms the packets' _terms at t, if the
     caller has them.  For the product form v1 keeps x1's shape and v2 x2's.
     """
-    hm = c.hbar / c.mass
-    ta, tb = terms or (_terms(wf.packet_a, c, t), _terms(wf.packet_b, c, t))
+    ta, tb = terms or (_terms(wf.packet_a, t), _terms(wf.packet_b, t))
     if wf.form == "product":
         la1, lb2 = _log_psi(ta, x1), _log_psi(tb, x2)
         # not >=, so that a NaN log density (inf - inf beyond float64) is a node too
         ok = (2.0 * la1.real >= _LOG_DENSITY_FLOOR) & (2.0 * lb2.real >= _LOG_DENSITY_FLOOR)
         _refuse_nodes(np.logical_not(ok), x1, x2, t)
-        return hm * _dlog_psi(ta, x1).imag, hm * _dlog_psi(tb, x2).imag
+        return _dlog_psi(ta, x1).imag, _dlog_psi(tb, x2).imag
     # refused as nodes below: den == 0, and a far tail, where (x - xc)^2
     # overflows, lm is -inf and log_rho NaN (beyond about 1e154 from the packets)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -260,19 +241,19 @@ def _velocity(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float, nf: flo
     _refuse_nodes((den == 0.0) | ~(log_rho >= _LOG_DENSITY_FLOOR), x1, x2, t)
     v1 = (_cmul(w1, _dlog_psi(ta, x1)) + _cmul(sw2, _dlog_psi(tb, x1))) / den
     v2 = (_cmul(w1, _dlog_psi(tb, x2)) + _cmul(sw2, _dlog_psi(ta, x2))) / den
-    return hm * v1.imag, hm * v2.imag
+    return v1.imag, v2.imag
 
 
-def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, nf: float):
-    """The RK4 stages' kernel (x1, x2, t, (ta, tb)) -> (v1, v2), with hbar/m, the exchange sign and
-    2 log nf bound: _velocity(wf, c, x1, x2, t, nf, (ta, tb)) at a point of Python floats, bitwise.
+def _stage_velocity(wf: TwoParticleWF, nf: float):
+    """The RK4 stages' kernel (x1, x2, t, (ta, tb)) -> (v1, v2), with the exchange sign and
+    2 log nf bound: _velocity(wf, x1, x2, t, nf, (ta, tb)) at a point of Python floats, bitwise.
 
     _velocity's operations in its order, on CPython numbers: _log_psi and _dlog_psi written out, each _cmul
     a complex product (two rounded products and a rounded sum per part, as _cmul), cmath.exp (np.exp's bits
     here) and numpy's /den formula.  A far tail (lm = -inf) or an infinite phase at a finite modulus (cmath.exp
     raises, np.exp gives NaN) makes den NaN; that, a tiny den or a node test near the floor falls back to _velocity.
     """
-    hm, product = c.hbar / c.mass, wf.form == "product"
+    product = wf.form == "product"
     sign, log_nf2 = 1.0 if wf.form == "symmetric" else -1.0, 2.0 * math.log(nf)
 
     def kernel(x1, x2, t, terms):
@@ -283,7 +264,7 @@ def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, nf: float):
         if product:
             if not (2.0 * la1.real >= _LOG_DENSITY_FLOOR and 2.0 * lb2.real >= _LOG_DENSITY_FLOOR):
                 _refuse_nodes(True, x1, x2, t)
-            return hm * ga1.imag, hm * gb2.imag
+            return ga1.imag, gb2.imag
         l1, l2 = la1 + lb2, (ca - a2 * a2 / qa + ka * (x2 - oa) - pa) + (cb - b1 * b1 / qb + kb * (x1 - ob) - pb)
         lm = l1.real if l1.real > l2.real else l2.real  # np.maximum's choice on ties
         try:
@@ -294,26 +275,26 @@ def _stage_velocity(wf: TwoParticleWF, c: PhysicalConstants, nf: float):
         ad = abs(den)  # abs and math.log may be an ulp off np.abs and np.log
         log_rho = 2.0 * (lm + math.log(ad)) + log_nf2 if ad > 1e-300 else math.nan
         if not abs(log_rho - _LOG_DENSITY_FLOOR) > 1e-6:
-            return tuple(float(v) for v in _velocity(wf, c, x1, x2, t, nf, terms))
+            return tuple(float(v) for v in _velocity(wf, x1, x2, t, nf, terms))
         if log_rho < _LOG_DENSITY_FLOOR:
             _refuse_nodes(True, x1, x2, t)
         n1, n2 = w1 * ga1 + sw2 * (-b1 / sb + kb), w1 * gb2 + sw2 * (-a2 / sa + ka)
         if abs(den.real) >= abs(den.imag):  # Im(n / den) by numpy's formula, not CPython's
             rat = den.imag / den.real
             scl = 1.0 / (den.real + den.imag * rat)
-            return hm * ((n1.imag - n1.real * rat) * scl), hm * ((n2.imag - n2.real * rat) * scl)
+            return (n1.imag - n1.real * rat) * scl, (n2.imag - n2.real * rat) * scl
         rat = den.real / den.imag
         scl = 1.0 / (den.imag + den.real * rat)
-        return hm * ((n1.imag * rat - n1.real) * scl), hm * ((n2.imag * rat - n2.real) * scl)
+        return (n1.imag * rat - n1.real) * scl, (n2.imag * rat - n2.real) * scl
 
     return kernel
 
 
-def _check_point(wf: TwoParticleWF, x1, x2, t: float):
+def _check_point(x1, x2, t: float):
     """(x1, x2) once they and t are checked: scalars and arrays as given (the kernels' bits), array-likes as floats."""
     for name, v in (("x1", x1), ("x2", x2), ("t", t)):
         _require_finite(name, v)
-    _check_time(t, wf.packet_a, wf.packet_b)
+    _check_time(t)
     return [x if np.isscalar(x) or isinstance(x, np.ndarray) else np.asarray(x, dtype=float) for x in (x1, x2)]
 
 
@@ -322,34 +303,34 @@ def _as_result(value, shape):
     return float(value) if shape == () else np.broadcast_to(value, shape).copy()
 
 
-def velocity_2p(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
+def velocity_2p(wf: TwoParticleWF, x1, x2, t: float):
     """(v1, v2) from per-coordinate j/rho on the two-particle wavefunction.
 
     Broadcasts over (x1, x2): scalar points give two floats, arrays two
     arrays of the broadcast shape.  A node at any point refuses the call.
     """
-    x1, x2 = _check_point(wf, x1, x2, t)
+    x1, x2 = _check_point(x1, x2, t)
     with np.errstate(over="ignore", invalid="ignore"):  # a product far tail's log psi is -inf: a node
-        v1, v2 = _velocity(wf, c, x1, x2, t, _norm_factor(wf, c))
+        v1, v2 = _velocity(wf, x1, x2, t, _norm_factor(wf))
     shape = np.broadcast(x1, x2).shape
     return _as_result(v1, shape), _as_result(v2, shape)
 
 
-def cross_coupling(wf: TwoParticleWF, c: PhysicalConstants, x1, x2, t: float):
+def cross_coupling(wf: TwoParticleWF, x1, x2, t: float):
     """|dv1/dx2| by central differences with one Richardson refinement.
 
     Step h = 1e-5 * the smaller packet width; the Richardson combination
     (4 D(h/2) - D(h)) / 3 removes the leading O(h^2) error.  Broadcasts
     over (x1, x2) like velocity_2p.
     """
-    x1, x2 = _check_point(wf, x1, x2, t)
-    nf = _norm_factor(wf, c)
+    x1, x2 = _check_point(x1, x2, t)
+    nf = _norm_factor(wf)
     h = 1e-5 * min(wf.packet_a.width, wf.packet_b.width)
 
     def d(step):
         with np.errstate(over="ignore", invalid="ignore"):  # as in velocity_2p
-            vp = _velocity(wf, c, x1, x2 + step, t, nf)[0]
-            vm = _velocity(wf, c, x1, x2 - step, t, nf)[0]
+            vp = _velocity(wf, x1, x2 + step, t, nf)[0]
+            vm = _velocity(wf, x1, x2 - step, t, nf)[0]
         return (vp - vm) / (2.0 * step)
 
     return _as_result(np.abs((4.0 * d(h / 2.0) - d(h)) / 3.0), np.broadcast(x1, x2).shape)
@@ -377,14 +358,14 @@ class Trajectory(_Record):
 def _check_span(t0: float, t1: float, dt: float):
     for name, v in (("t0", t0), ("t1", t1), ("dt", dt)):
         _require_finite(name, v)
+    _check_time(t0)  # t1 > t0 >= 0 below, so t1 - t0 <= t1 cannot overflow
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
     # a dt of at most half an ulp leaves t + dt == t somewhere in [t0, t1]
-    t_max = max(abs(t0), abs(t1))
-    if dt <= 0.5 * math.ulp(t_max):
-        raise ValueError(f"dt={dt!r} cannot advance t={t_max!r} in float64")
+    if dt <= 0.5 * math.ulp(t1):
+        raise ValueError(f"dt={dt!r} cannot advance t={t1!r} in float64")
     if (ratio := (t1 - t0) / dt) > _MAX_STEPS + 1.0 or _step_count(t0, t1, dt) > _MAX_STEPS:
         steps = f"{ratio:.6g}"
         if float(steps) != ratio and ratio < 2.0**53:  # 6 digits round it: quote the count, exact below 2**53
@@ -444,8 +425,7 @@ def _rk4(f, x1: float, x2: float, t0: float, t1: float, dt: float):
     return stacked()
 
 
-def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: float, t1: float,
-                         dt: float) -> Trajectory:
+def integrate_trajectory(wf: TwoParticleWF, start, t0: float, t1: float, dt: float) -> Trajectory:
     """Classical RK4 integration of the guidance velocity field from the pair start.
 
     Steps of size dt, with one shorter final step to land on t1 exactly; _rk4 steps the pair as two floats,
@@ -463,16 +443,15 @@ def integrate_trajectory(wf: TwoParticleWF, c: PhysicalConstants, start, t0: flo
     # are checked at t1, and a stage position is refused if it is not finite
     for name, v in zip(("x1", "x2"), y):  # t0 is checked with the span
         _require_finite(name, v)
-    _check_time(t0, wf.packet_a, wf.packet_b)
-    (clock_a, _), (clock_b, _) = _clock(wf.packet_a, c, t1), _clock(wf.packet_b, c, t1)
-    kernel = _stage_velocity(wf, c, _norm_factor(wf, c))
+    (clock_a, _), (clock_b, _) = _clock(wf.packet_a, t1), _clock(wf.packet_b, t1)
+    kernel = _stage_velocity(wf, _norm_factor(wf))
     # each distinct stage time as the stages reach it: t0, each step's midpoint and end (the next step's start)
     times, block = chain([t0], chain.from_iterable(g[2:4] for g in _grid(t0, t1, dt))), {}
 
     def vel(x1, x2, t):
         nonlocal block
         if not (math.isfinite(x1) and math.isfinite(x2)):
-            _check_point(wf, x1, x2, t)  # refuses x1 or x2
+            _check_point(x1, x2, t)  # refuses x1 or x2
         if t not in block:  # both packets' terms at the next _BLOCK stage times, in one numpy pass each
             ts = np.fromiter(islice(times, _BLOCK), float)
             block = dict(zip(ts.tolist(), zip(clock_a(ts), clock_b(ts))))
@@ -580,8 +559,8 @@ def _precess(s: tuple, b: list, g: float, t1: float, dt: float):
     return times, spins.T
 
 
-def integrate_spin(s0, b_field, c: PhysicalConstants, t1: float, dt: float) -> SpinTrajectory:
-    """RK4 precession of the 3-vector s0 from t = 0 to t1; |s| and s.B are conserved quantities.
+def integrate_spin(s0, b_field, t1: float, dt: float, gyro: float = 1.0) -> SpinTrajectory:
+    """RK4 precession ds/dt = gyro (s x B) of the 3-vector s0 from t = 0 to t1; |s| and s.B are conserved.
 
     Steps of size dt, with one shorter final step to land on t1 exactly.
     The field is constant, so RK4 is linear in s and each step the same
@@ -589,12 +568,13 @@ def integrate_spin(s0, b_field, c: PhysicalConstants, t1: float, dt: float) -> S
     stepping.  Refuses a run whose states or |s|^2 leave float64 (a large
     gyro * B * |s| overflows the torque), at the first such row.
     """
+    _require_finite("gyro", gyro)
     _check_span(0.0, t1, dt)
-    s, b, g = _as_spin(s0), _as_field(b_field), c.gyro
-    traj = SpinTrajectory(*_precess(s, b, g, t1, dt))
+    s, b = _as_spin(s0), _as_field(b_field)
+    traj = SpinTrajectory(*_precess(s, b, gyro, t1, dt))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state makes its |s| inf or NaN
         bad = ~np.isfinite(traj.norms)
     if bad.any():
         raise ValueError(f"spin algebra leaves float64 by t={float(traj.times[bad.argmax()])!r}: "
-                         f"s0={s!r}, b_field={tuple(b)!r}, gyro={g!r}")
+                         f"s0={s!r}, b_field={tuple(b)!r}, gyro={gyro!r}")
     return traj

@@ -16,7 +16,7 @@ from bell_lab.chsh import (
     singlet,
     tsirelson_scan,
 )
-from bell_lab.dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_spin
+from bell_lab.dbb import TwoParticleWF, WavePacket, cross_coupling, integrate_spin
 from bell_lab.fock import (
     BeamSplitterSpec,
     coincidence_closed_form,
@@ -214,7 +214,6 @@ def test_criterion_07_factorization():
 
 
 def test_criterion_08_dbb_locality_dichotomy():
-    c = PhysicalConstants()
     rng = np.random.default_rng(2031)
     worst_product = 0.0
     for _ in range(5):
@@ -232,17 +231,17 @@ def test_criterion_08_dbb_locality_dichotomy():
         t = float(rng.uniform(0.1, 1.5))
         for x1 in np.linspace(-2.5, 2.5, 21):
             for x2 in np.linspace(-2.5, 2.5, 21):
-                g = abs(cross_coupling(wf, c, float(x1), float(x2), t))
+                g = abs(cross_coupling(wf, float(x1), float(x2), t))
                 worst_product = max(worst_product, g)
     packet_a = WavePacket(center=-1.5, width=0.8, wavenumber=0.6)
     packet_b = WavePacket(center=1.5, width=1.1, wavenumber=-0.4)
     golden_anti = 0.274334872102655
     golden_sym = 0.852541359356584
     g_anti = abs(cross_coupling(
-        TwoParticleWF(packet_a, packet_b, form="antisymmetric"), c, 0.1, 0.35, 0.8
+        TwoParticleWF(packet_a, packet_b, form="antisymmetric"), 0.1, 0.35, 0.8
     ))
     g_sym = abs(cross_coupling(
-        TwoParticleWF(packet_a, packet_b, form="symmetric"), c, 0.1, 0.35, 0.8
+        TwoParticleWF(packet_a, packet_b, form="symmetric"), 0.1, 0.35, 0.8
     ))
     ok = (
         worst_product < 1e-8
@@ -260,10 +259,9 @@ def test_criterion_08_dbb_locality_dichotomy():
 
 
 def test_criterion_09_spin_precession():
-    c = PhysicalConstants()
     b = (0.0, 0.0, 1.0)
     s0 = (0.6, 0.0, 0.8)
-    tr = integrate_spin(s0, b, c, t1=20.0, dt=0.002)  # 10^4 steps
+    tr = integrate_spin(s0, b, t1=20.0, dt=0.002)  # 10^4 steps
     norms = np.linalg.norm(tr.spins, axis=1)
     norm_drift = float(np.max(np.abs(norms - 1.0)))
     along_b = tr.spins[:, 2]

@@ -20,7 +20,6 @@ GHZ2 = mermin.ghz(2)
 PAIRS3 = [(0.0, np.pi / 2)] * 3
 ST = fock.ou_mandel_state(fock.BeamSplitterSpec.equal_split())
 BAD_ST = np.r_[NAN, np.zeros(14)]
-C = dbb.PhysicalConstants()
 WF = dbb.TwoParticleWF(dbb.WavePacket(-1.5, 0.8, 0.6), dbb.WavePacket(1.5, 1.1, -0.4), "symmetric")
 
 
@@ -64,13 +63,15 @@ ONE_CHECK_PER_INPUT = {
     "coincidence_probability": (lambda: fock.coincidence_probability(ST, 0.1, 0.2), ["theta", "theta", "amplitudes"]),
     "coincidence_correlation": (lambda: fock.coincidence_correlation(ST, 0.1, [0.2, 0.3]),
                                 ["theta", "theta", "amplitudes"]),
-    "velocity_2p": (lambda: dbb.velocity_2p(WF, C, 0.1, 0.2, 0.8), ["x1", "x2", "t"]),
-    "cross_coupling": (lambda: dbb.cross_coupling(WF, C, [0.1, 0.2], 0.3, 0.8), ["x1", "x2", "t"]),
-    "psi2_eval": (lambda: dbb.psi2_eval(WF, C, 0.1, 0.2, 0.8), ["x1", "x2", "t"]),
-    "packet_overlap": (lambda: dbb.packet_overlap(WF.packet_a, WF.packet_b, C, 0.5), ["t"]),
-    "packet_overlap at the later start": (lambda: dbb.packet_overlap(WF.packet_a, WF.packet_b, C), []),
-    "integrate_trajectory": (lambda: dbb.integrate_trajectory(WF, C, (0.1, 0.2), 0.0, 0.1, 0.01),
+    "velocity_2p": (lambda: dbb.velocity_2p(WF, 0.1, 0.2, 0.8), ["x1", "x2", "t"]),
+    "cross_coupling": (lambda: dbb.cross_coupling(WF, [0.1, 0.2], 0.3, 0.8), ["x1", "x2", "t"]),
+    "psi2_eval": (lambda: dbb.psi2_eval(WF, 0.1, 0.2, 0.8), ["x1", "x2", "t"]),
+    "packet_overlap": (lambda: dbb.packet_overlap(WF.packet_a, WF.packet_b, 0.5), ["t"]),
+    "packet_overlap at the later start": (lambda: dbb.packet_overlap(WF.packet_a, WF.packet_b), []),
+    "integrate_trajectory": (lambda: dbb.integrate_trajectory(WF, (0.1, 0.2), 0.0, 0.1, 0.01),
                              ["t0", "t1", "dt", "x1", "x2"]),
+    "integrate_spin": (lambda: dbb.integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.1, 0.01, gyro=2.0),
+                       ["gyro", "t0", "t1", "dt", "s", "b_field"]),
 }
 
 
@@ -146,28 +147,28 @@ NONFINITE_MESSAGES = {
                                                "theta must be finite, got nan"),
     "coincidence_correlation(theta1, theta2)": (lambda: fock.coincidence_correlation(ST, np.inf, NAN),
                                                 "theta must be finite, got inf"),
-    "velocity_2p(x1)": (lambda: dbb.velocity_2p(WF, C, NAN, 0.2, 0.8), "x1 must be finite, got nan"),
-    "velocity_2p(x1 as a list)": (lambda: dbb.velocity_2p(WF, C, [0.1, NAN], 0.2, 0.8),
+    "velocity_2p(x1)": (lambda: dbb.velocity_2p(WF, NAN, 0.2, 0.8), "x1 must be finite, got nan"),
+    "velocity_2p(x1 as a list)": (lambda: dbb.velocity_2p(WF, [0.1, NAN], 0.2, 0.8),
                                   "x1 must be finite, got [0.1, nan]"),
-    "velocity_2p(x2)": (lambda: dbb.velocity_2p(WF, C, 0.1, np.array([0.2, NAN]), 0.8),
+    "velocity_2p(x2)": (lambda: dbb.velocity_2p(WF, 0.1, np.array([0.2, NAN]), 0.8),
                         "x2 must be finite, got array([0.2, nan])"),
-    "velocity_2p(t)": (lambda: dbb.velocity_2p(WF, C, 0.1, 0.2, NAN), "t must be finite, got nan"),
-    "velocity_2p(x2, t)": (lambda: dbb.velocity_2p(WF, C, 0.1, NAN, NAN), "x2 must be finite, got nan"),
-    "cross_coupling(x1)": (lambda: dbb.cross_coupling(WF, C, np.inf, 0.2, 0.8), "x1 must be finite, got inf"),
-    "cross_coupling(t)": (lambda: dbb.cross_coupling(WF, C, 0.1, 0.2, NAN), "t must be finite, got nan"),
-    "cross_coupling(x1, t)": (lambda: dbb.cross_coupling(WF, C, NAN, 0.2, -np.inf), "x1 must be finite, got nan"),
-    "psi2_eval(x2)": (lambda: dbb.psi2_eval(WF, C, 0.1, NAN, 0.8), "x2 must be finite, got nan"),
-    "psi2_eval(t)": (lambda: dbb.psi2_eval(WF, C, 0.1, 0.2, np.inf), "t must be finite, got inf"),
-    "packet_overlap(t)": (lambda: dbb.packet_overlap(WF.packet_a, WF.packet_b, C, NAN), "t must be finite, got nan"),
-    "integrate_trajectory(start)": (lambda: dbb.integrate_trajectory(WF, C, (NAN, 0.2), 0.0, 0.1, 0.01),
+    "velocity_2p(t)": (lambda: dbb.velocity_2p(WF, 0.1, 0.2, NAN), "t must be finite, got nan"),
+    "velocity_2p(x2, t)": (lambda: dbb.velocity_2p(WF, 0.1, NAN, NAN), "x2 must be finite, got nan"),
+    "cross_coupling(x1)": (lambda: dbb.cross_coupling(WF, np.inf, 0.2, 0.8), "x1 must be finite, got inf"),
+    "cross_coupling(t)": (lambda: dbb.cross_coupling(WF, 0.1, 0.2, NAN), "t must be finite, got nan"),
+    "cross_coupling(x1, t)": (lambda: dbb.cross_coupling(WF, NAN, 0.2, -np.inf), "x1 must be finite, got nan"),
+    "psi2_eval(x2)": (lambda: dbb.psi2_eval(WF, 0.1, NAN, 0.8), "x2 must be finite, got nan"),
+    "psi2_eval(t)": (lambda: dbb.psi2_eval(WF, 0.1, 0.2, np.inf), "t must be finite, got inf"),
+    "packet_overlap(t)": (lambda: dbb.packet_overlap(WF.packet_a, WF.packet_b, NAN), "t must be finite, got nan"),
+    "integrate_trajectory(start)": (lambda: dbb.integrate_trajectory(WF, (NAN, 0.2), 0.0, 0.1, 0.01),
                                     "x1 must be finite, got nan"),
-    "integrate_trajectory(t0)": (lambda: dbb.integrate_trajectory(WF, C, (0.1, 0.2), NAN, 0.1, 0.01),
+    "integrate_trajectory(t0)": (lambda: dbb.integrate_trajectory(WF, (0.1, 0.2), NAN, 0.1, 0.01),
                                  "t0 must be finite, got nan"),
-    "integrate_trajectory(t1)": (lambda: dbb.integrate_trajectory(WF, C, (0.1, 0.2), 0.0, NAN, 0.01),
+    "integrate_trajectory(t1)": (lambda: dbb.integrate_trajectory(WF, (0.1, 0.2), 0.0, NAN, 0.01),
                                  "t1 must be finite, got nan"),
-    "integrate_trajectory(dt)": (lambda: dbb.integrate_trajectory(WF, C, (0.1, 0.2), 0.0, 0.1, NAN),
+    "integrate_trajectory(dt)": (lambda: dbb.integrate_trajectory(WF, (0.1, 0.2), 0.0, 0.1, NAN),
                                  "dt must be finite, got nan"),
-    "integrate_trajectory(start, t0)": (lambda: dbb.integrate_trajectory(WF, C, (0.1, NAN), NAN, 0.1, 0.01),
+    "integrate_trajectory(start, t0)": (lambda: dbb.integrate_trajectory(WF, (0.1, NAN), NAN, 0.1, 0.01),
                                         "t0 must be finite, got nan"),
 }
 
@@ -185,7 +186,7 @@ def test_array_like_points_broadcast_as_arrays(form):
     wf = dbb.TwoParticleWF(WF.packet_a, WF.packet_b, form)
     for f in (dbb.velocity_2p, dbb.cross_coupling, dbb.psi2_eval):
         for x1, x2 in (([0.1, 0.2], 0.3), (0.1, [0.3, 0.4]), ([[0.1], [0.2]], [0.3, 0.4])):
-            got, want = f(wf, C, x1, x2, 0.8), f(wf, C, np.array(x1), np.array(x2), 0.8)
+            got, want = f(wf, x1, x2, 0.8), f(wf, np.array(x1), np.array(x2), 0.8)
             for g, w in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want))):
                 assert g.shape == w.shape and np.array_equal(g, w)
 

@@ -20,7 +20,7 @@ import bell_lab
 from bell_lab import cli, dbb
 from bell_lab.chsh import TSIRELSON, chsh_value, identity_residual, singlet
 from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CHUNK, MAX_GRID_SIDE, _fmt
-from bell_lab.dbb import PhysicalConstants, TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
+from bell_lab.dbb import TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
 from bell_lab.errors import NodeSingularityError, NumericalCheckError
 from bell_lab.fock import (
     BeamSplitterSpec,
@@ -558,7 +558,7 @@ class TestDbbCommand:
             WavePacket(center=1.5, width=1.1, wavenumber=-0.4),
             form="antisymmetric",
         )
-        tr = integrate_trajectory(wf, PhysicalConstants(), (-1.5, 1.5), 0.0, 0.5, 0.05)
+        tr = integrate_trajectory(wf, (-1.5, 1.5), 0.0, 0.5, 0.05)
         assert float(rows[-1][1]) == tr.positions[-1, 0]
         assert float(rows[-1][2]) == tr.positions[-1, 1]
 
@@ -598,14 +598,13 @@ class TestDbbCommand:
         velocity, coupling = spy(monkeypatch, "velocity_2p"), spy(monkeypatch, "cross_coupling")
         _, _, rows = parse_csv(run_ok(["dbb", "--form", "symmetric", "--grid", "35"]))
         for calls in (velocity, coupling):
-            assert [(np.shape(x1), np.shape(x2)) for _, _, x1, x2, _ in calls] == [((35, 1), (1, 35))]
+            assert [(np.shape(x1), np.shape(x2)) for _, x1, x2, _ in calls] == [((35, 1), (1, 35))]
         # bit for bit what one call per x1 row gives
         wf = TwoParticleWF(WavePacket(center=-1.5, width=0.8, wavenumber=0.6),
                            WavePacket(center=1.5, width=1.1, wavenumber=-0.4), form="symmetric")
         got = np.array([[float(cell) for cell in r] for r in rows])
         xs1, xs2 = got[::35, 0], got[:35, 1]
-        c = PhysicalConstants()
-        want = [(*velocity_2p(wf, c, x1, xs2, 0.8), cross_coupling(wf, c, x1, xs2, 0.8)) for x1 in xs1]
+        want = [(*velocity_2p(wf, x1, xs2, 0.8), cross_coupling(wf, x1, xs2, 0.8)) for x1 in xs1]
         assert np.array_equal(got[:, 2:], np.concatenate([np.stack(w, axis=1) for w in want]))
 
     @pytest.mark.parametrize("args", [
@@ -922,13 +921,16 @@ class TestErrorMapping:
         (["dbb", "--form", "product", "--width-a", "0"], "error=2 detail=--width-a must be positive, got 0"),
         (["dbb", "--form", "symmetric", "--trajectory", "--width-b=-1.5"],
          "error=2 detail=--width-b must be positive, got -1.5"),
+        # a span from before the start, refused before its step count (whose t1 - t0 overflowed)
+        (["dbb", "--form", "product", "--trajectory", "--t0=-1e308", "--t1", "1e308", "--dt", "1e300"],
+         "error=2 detail=t = -1e+308 is before the packets' start time 0.0"),
         (["oumandel", "--tx", "1.5", "--ty", "0.5"], "error=2 detail=--tx must be in [0, 1], got 1.5"),
         (["oumandel", "--tx", "0.5", "--ty=-0.25", "--grid", "3"], "error=2 detail=--ty must be in [0, 1], got -0.25"),
     ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command", "nan-start",
             "negative-seed", "bad-integer", "bad-choice", "no-value", "flag-with-value", "nan-s0", "nan-alpha",
             "inf-beta-prime", "nan-step", "negative-step", "step-over-grid-cap", "step-underflowing-to-zero-radians",
             "mermin-step-over-45", "mermin-zero-step", "nan-theta1", "overflowing-theta2", "zero-width-a",
-            "negative-width-b", "tx-over-1", "negative-ty"])
+            "negative-width-b", "t0-before-the-start", "tx-over-1", "negative-ty"])
     def test_usage_error_gives_one_line(self, args, line):
         result = invoke(args)
         assert result.exit_code == EXIT_VALIDATION
@@ -1335,7 +1337,7 @@ class TestInstalledEntryPoint:
 
     def test_public_names_resolve_in_their_layer_module(self, monkeypatch):
         modules = {name: sys.modules[f"bell_lab.{name}"] for name in ("errors", *LAYERS)}
-        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 50
+        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 49
         for name in bell_lab.__all__:
             value = getattr(bell_lab, name)
             holders = [layer for layer, module in modules.items() if vars(module).get(name) is value]
@@ -1359,7 +1361,7 @@ class TestInstalledEntryPoint:
         texts = [inspect.getsource(body) for body, _ in cli._COMMANDS.values()]
         texts += [path.read_text(encoding="utf-8") for path in sorted(root.glob("demos/*.py"))]
         texts.append((root / "README.md").read_text(encoding="utf-8"))
-        assert len(bell_lab.__all__) == 50
+        assert len(bell_lab.__all__) == 49
         unused = [name for name in bell_lab.__all__ if not any(re.search(rf"\b{name}\b", t) for t in texts)]
         assert unused == []
 

@@ -13,7 +13,6 @@ from scipy.integrate import quad
 from bell_lab import dbb
 from bell_lab.dbb import (
     FORMS,
-    PhysicalConstants,
     TwoParticleWF,
     WavePacket,
     cross_coupling,
@@ -25,8 +24,6 @@ from bell_lab.dbb import (
 )
 from bell_lab.errors import NodeSingularityError
 
-C = PhysicalConstants()
-
 PACKET_A = WavePacket(center=-1.5, width=0.8, wavenumber=0.6)
 PACKET_B = WavePacket(center=1.5, width=1.1, wavenumber=-0.4)
 GOLDEN_POINT = (0.1, 0.35)
@@ -37,19 +34,19 @@ GOLDEN_SYM = 0.852541359356584
 
 def gaussian(wp, x, t):
     """One free packet's psi(x, t), written out from the dbb module docstring."""
-    tau = C.hbar * (t - wp.start_time) / (2.0 * C.mass * wp.width**2)
-    xc = wp.center + C.hbar * wp.wavenumber * (t - wp.start_time) / C.mass
+    tau = t / (2.0 * wp.width**2)
+    xc = wp.center + wp.wavenumber * t
     return ((2.0 * np.pi * wp.width**2) ** -0.25 / np.sqrt(1.0 + 1.0j * tau)
             * np.exp(-(x - xc) ** 2 / (4.0 * wp.width**2 * (1.0 + 1.0j * tau))
                      + 1.0j * wp.wavenumber * (x - wp.center)
-                     - 0.5j * C.hbar * wp.wavenumber**2 * (t - wp.start_time) / C.mass))
+                     - 0.5j * wp.wavenumber**2 * t))
 
 
 def gaussian_velocity(wp, x, t):
-    """One free packet's guidance velocity in real arithmetic: hbar k / m plus the spreading term."""
-    tau = C.hbar * (t - wp.start_time) / (2.0 * C.mass * wp.width**2)
-    xc = wp.center + C.hbar * wp.wavenumber * (t - wp.start_time) / C.mass
-    return C.hbar / C.mass * (wp.wavenumber + (x - xc) * tau / (2.0 * wp.width**2 * (1.0 + tau * tau)))
+    """One free packet's guidance velocity in real arithmetic: k plus the spreading term."""
+    tau = t / (2.0 * wp.width**2)
+    xc = wp.center + wp.wavenumber * t
+    return wp.wavenumber + (x - xc) * tau / (2.0 * wp.width**2 * (1.0 + tau * tau))
 
 
 def product(wp):
@@ -64,33 +61,33 @@ class TestSinglePacket:
         wf = product(WavePacket(center=0.3, width=0.7, wavenumber=1.2))
         xs = np.linspace(-16.0, 16.0, 801)
         for t in (0.0, 0.5, 2.0):
-            rho = np.abs(psi2_eval(wf, C, xs[:, None], xs[None, :], t)) ** 2
+            rho = np.abs(psi2_eval(wf, xs[:, None], xs[None, :], t)) ** 2
             assert abs(np.trapezoid(np.trapezoid(rho, xs, axis=1), xs) - 1.0) < 1e-8
 
     def test_center_moves_at_group_velocity(self):
         wf = product(WavePacket(center=-1.0, width=0.5, wavenumber=2.0))
         t = 1.3
-        xc = -1.0 + C.hbar * 2.0 * t / C.mass
+        xc = -1.0 + 2.0 * t
         # at a fixed x2 the x1 density is the packet's, up to a constant factor
-        n, _ = quad(lambda x: abs(psi2_eval(wf, C, x, 0.4, t)) ** 2, -60, 60, limit=200)
-        m, _ = quad(lambda x: x * abs(psi2_eval(wf, C, x, 0.4, t)) ** 2, -60, 60, limit=200)
+        n, _ = quad(lambda x: abs(psi2_eval(wf, x, 0.4, t)) ** 2, -60, 60, limit=200)
+        m, _ = quad(lambda x: x * abs(psi2_eval(wf, x, 0.4, t)) ** 2, -60, 60, limit=200)
         assert abs(m / n - xc) < 1e-8
 
     def test_k_zero_initial_velocity_vanishes(self):
         wf = product(WavePacket(center=0.0, width=1.0, wavenumber=0.0))
         for x in (-0.7, 0.0, 1.3):
-            assert abs(velocity_2p(wf, C, x, 0.4, 0.0)[0]) < 1e-14
+            assert abs(velocity_2p(wf, x, 0.4, 0.0)[0]) < 1e-14
 
     def test_wide_packet_moves_at_hbar_k_over_m(self):
         wf = product(WavePacket(center=0.0, width=50.0, wavenumber=1.5))
-        v = velocity_2p(wf, C, 0.2, 0.4, 0.4)[0]
-        assert abs(v - C.hbar * 1.5 / C.mass) < 1e-4
+        v = velocity_2p(wf, 0.2, 0.4, 0.4)[0]
+        assert abs(v - 1.5) < 1e-4
 
     def test_spreading_term_is_odd_in_displacement(self):
         # for k = 0 at t > 0 the velocity field is linear in (x - center)
         wf = product(WavePacket(center=0.0, width=0.6, wavenumber=0.0))
-        v1 = velocity_2p(wf, C, 0.5, 0.4, 1.0)[0]
-        v2 = velocity_2p(wf, C, -0.5, 0.4, 1.0)[0]
+        v1 = velocity_2p(wf, 0.5, 0.4, 1.0)[0]
+        v2 = velocity_2p(wf, -0.5, 0.4, 1.0)[0]
         assert abs(v1 + v2) < 1e-12
         assert v1 > 0.0  # spreading pushes probability outward
 
@@ -98,27 +95,33 @@ class TestSinglePacket:
         wf = product(WavePacket(center=-0.4, width=0.9, wavenumber=0.8))
         h = 1e-6
         for x, t in [(0.3, 0.2), (-1.0, 1.5), (2.0, 0.7)]:
-            dphase = np.angle(psi2_eval(wf, C, x + h, 0.4, t) / psi2_eval(wf, C, x - h, 0.4, t)) / (2 * h)
-            assert abs(velocity_2p(wf, C, x, 0.4, t)[0] - C.hbar * dphase / C.mass) < 1e-6
+            dphase = np.angle(psi2_eval(wf, x + h, 0.4, t) / psi2_eval(wf, x - h, 0.4, t)) / (2 * h)
+            assert abs(velocity_2p(wf, x, 0.4, t)[0] - dphase) < 1e-6
 
     def test_far_tail_raises_node_error(self):
         wf = product(WavePacket(center=0.0, width=0.1, wavenumber=0.0))
         with pytest.raises(NodeSingularityError):
-            velocity_2p(wf, C, 1e6, 0.4, 0.0)
+            velocity_2p(wf, 1e6, 0.4, 0.0)
 
     def test_start_time_validation(self):
-        wf = product(WavePacket(center=0.0, width=1.0, wavenumber=0.0, start_time=1.0))
-        for fn in (psi2_eval, velocity_2p):
-            with pytest.raises(ValueError, match="before the packet's start_time"):
-                fn(wf, C, 0.0, 0.4, 0.5)
+        # every packet starts at t = 0: each entry point refuses an earlier time with one message
+        wf = product(WavePacket(center=0.0, width=1.0, wavenumber=0.0))
+        message = r"^t = -0\.5 is before the packets' start time 0\.0$"
+        for fn in (psi2_eval, velocity_2p, cross_coupling):
+            with pytest.raises(ValueError, match=message):
+                fn(wf, 0.0, 0.4, -0.5)
+        with pytest.raises(ValueError, match=message):
+            packet_overlap(wf.packet_a, wf.packet_b, -0.5)
+        with pytest.raises(ValueError, match=message):
+            integrate_trajectory(wf, (0.0, 0.4), -0.5, 1.0, 0.1)
 
     def test_nonfinite_x_refused(self):
         wf = product(WavePacket(center=0.0, width=1.0, wavenumber=0.0))
         for fn in (psi2_eval, velocity_2p):
             with pytest.raises(ValueError, match="x1 must be finite"):
-                fn(wf, C, np.nan, 0.4, 0.0)
+                fn(wf, np.nan, 0.4, 0.0)
             with pytest.raises(ValueError, match="x1 must be finite"):
-                fn(wf, C, np.array([0.0, np.inf]), 0.4, 0.0)
+                fn(wf, np.array([0.0, np.inf]), 0.4, 0.0)
 
     def test_width_validation(self):
         with pytest.raises(ValueError):
@@ -138,74 +141,74 @@ class TestOverlap:
 
             re, _ = quad(integrand_re, -80, 80, limit=300)
             im, _ = quad(integrand_im, -80, 80, limit=300)
-            got = packet_overlap(PACKET_A, PACKET_B, C, t=t)
+            got = packet_overlap(PACKET_A, PACKET_B, t=t)
             assert abs(got - complex(re, im)) < 1e-10
 
     def test_time_invariant_modulus(self):
         # free evolution is unitary, so |<a|b>| is conserved
         vals = [
-            abs(packet_overlap(PACKET_A, PACKET_B, C, t=t))
+            abs(packet_overlap(PACKET_A, PACKET_B, t=t))
             for t in (0.0, 0.8, 3.0, 10.0)
         ]
         assert max(vals) - min(vals) < 1e-12
 
     def test_self_overlap_is_one(self):
-        assert abs(packet_overlap(PACKET_A, PACKET_A, C) - 1.0) < 1e-12
+        assert abs(packet_overlap(PACKET_A, PACKET_A) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("shift", [1e4, -1e8, 1e12])
     def test_translation_invariant(self, shift):
         # moving both packets changes nothing, however far from the origin they go
         a, b = (WavePacket(wp.center + shift, wp.width, wp.wavenumber) for wp in (PACKET_A, PACKET_B))
-        assert abs(packet_overlap(a, b, C) - packet_overlap(PACKET_A, PACKET_B, C)) < 1e-12
+        assert abs(packet_overlap(a, b) - packet_overlap(PACKET_A, PACKET_B)) < 1e-12
 
     def test_packets_too_far_apart_are_refused(self):
         # the separation squared overflows float64; both symmetrized forms refuse alike
         a, b = WavePacket(-1e300, 0.8, 0.6), WavePacket(1e300, 1.1, -0.4)
         message = r"^packet overlap overflows float64: centres -1e\+300 and 1e\+300 at t=0\.0$"
         with pytest.raises(ValueError, match=message):
-            packet_overlap(a, b, C)
+            packet_overlap(a, b)
         for form in ("symmetric", "antisymmetric"):
             wf = TwoParticleWF(a, b, form=form)
             for fn in (velocity_2p, cross_coupling):
                 with pytest.raises(ValueError, match=message):
-                    fn(wf, C, np.array([-1e300, 0.0]), 1e300, 0.8)
+                    fn(wf, np.array([-1e300, 0.0]), 1e300, 0.8)
 
 
 class TestTwoParticleDensity:
     def test_product_density_factorizes(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="product")
         x1, x2, t = 0.3, -0.8, 0.6
-        rho = psi2_eval(wf, C, x1, x2, t)
+        rho = psi2_eval(wf, x1, x2, t)
         want = gaussian(PACKET_A, x1, t) * gaussian(PACKET_B, x2, t)
         assert abs(rho - want) < 1e-12
 
     def test_antisym_vanishes_on_diagonal(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
-        assert abs(psi2_eval(wf, C, 0.4, 0.4, 0.7)) < 1e-12
+        assert abs(psi2_eval(wf, 0.4, 0.4, 0.7)) < 1e-12
 
     def test_exchange_symmetry(self):
         sym = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
         anti = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
         x1, x2, t = -0.2, 0.9, 0.5
-        assert abs(psi2_eval(sym, C, x1, x2, t) - psi2_eval(sym, C, x2, x1, t)) < 1e-12
+        assert abs(psi2_eval(sym, x1, x2, t) - psi2_eval(sym, x2, x1, t)) < 1e-12
         assert (
-            abs(psi2_eval(anti, C, x1, x2, t) + psi2_eval(anti, C, x2, x1, t)) < 1e-12
+            abs(psi2_eval(anti, x1, x2, t) + psi2_eval(anti, x2, x1, t)) < 1e-12
         )
 
     def test_symmetrized_norm_via_quadrature(self):
         # the exchange integral gives N = 1/sqrt(2 +- 2|<a|b>|^2); check
         # both the total probability and the constant itself
-        o2 = abs(packet_overlap(PACKET_A, PACKET_B, C)) ** 2
+        o2 = abs(packet_overlap(PACKET_A, PACKET_B)) ** 2
         for form, sign in (("symmetric", 1.0), ("antisymmetric", -1.0)):
             wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
             xs = np.linspace(-8.0, 8.0, 401)
             rho = np.empty((len(xs), len(xs)))
             for i, x1 in enumerate(xs):
-                rho[i] = np.abs(psi2_eval(wf, C, float(x1), xs, 0.0)) ** 2
+                rho[i] = np.abs(psi2_eval(wf, float(x1), xs, 0.0)) ** 2
             total = np.trapezoid(np.trapezoid(rho, xs, axis=1), xs)
             assert abs(total - 1.0) < 1e-6
             expected = 1.0 / np.sqrt(2.0 + sign * 2.0 * o2)
-            val = psi2_eval(wf, C, 0.1, 0.35, 0.0)
+            val = psi2_eval(wf, 0.1, 0.35, 0.0)
             a = gaussian(PACKET_A, 0.1, 0.0) * gaussian(PACKET_B, 0.35, 0.0)
             b = gaussian(PACKET_A, 0.35, 0.0) * gaussian(PACKET_B, 0.1, 0.0)
             assert abs(val - expected * (a + sign * b)) < 1e-12
@@ -213,7 +216,7 @@ class TestTwoParticleDensity:
     def test_antisym_identical_packets_rejected(self):
         with pytest.raises(ValueError):
             wf = TwoParticleWF(PACKET_A, PACKET_A, form="antisymmetric")
-            psi2_eval(wf, C, 0.0, 1.0, 0.0)
+            psi2_eval(wf, 0.0, 1.0, 0.0)
 
     def test_form_validation(self):
         with pytest.raises(ValueError):
@@ -221,15 +224,14 @@ class TestTwoParticleDensity:
 
     @pytest.mark.parametrize("form", ["product", "symmetric", "antisymmetric"])
     def test_point_validation(self, form):
-        late_a = WavePacket(center=-1.0, width=0.5, wavenumber=1.0, start_time=1.0)
-        late_b = WavePacket(center=1.0, width=0.7, wavenumber=-1.0, start_time=1.0)
-        wf = TwoParticleWF(late_a, late_b, form=form)
-        with pytest.raises(ValueError, match="before the packet's start_time"):
-            psi2_eval(wf, C, 0.1, 0.2, 0.0)
+        wf = TwoParticleWF(WavePacket(center=-1.0, width=0.5, wavenumber=1.0),
+                           WavePacket(center=1.0, width=0.7, wavenumber=-1.0), form=form)
+        with pytest.raises(ValueError, match="before the packets' start time"):
+            psi2_eval(wf, 0.1, 0.2, -0.5)
         with pytest.raises(ValueError, match="x1 must be finite"):
-            psi2_eval(wf, C, np.nan, 0.2, 1.5)
+            psi2_eval(wf, np.nan, 0.2, 1.5)
         with pytest.raises(ValueError, match="x2 must be finite"):
-            psi2_eval(wf, C, 0.1, np.array([0.2, np.inf]), 1.5)
+            psi2_eval(wf, 0.1, np.array([0.2, np.inf]), 1.5)
 
 
 # a coordinate near the packets or anywhere out to the far tails
@@ -242,7 +244,7 @@ class TestVelocities:
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="product")
         v1s = set()
         for x2 in (-2.0, 0.0, 3.0):
-            v1, v2 = velocity_2p(wf, C, 0.25, x2, 0.9)
+            v1, v2 = velocity_2p(wf, 0.25, x2, 0.9)
             assert v1 == pytest.approx(gaussian_velocity(PACKET_A, 0.25, 0.9), rel=1e-14)
             assert v2 == pytest.approx(gaussian_velocity(PACKET_B, x2, 0.9), rel=1e-14)
             v1s.add(v1)
@@ -253,12 +255,12 @@ class TestVelocities:
             wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
             x1, x2, t = 0.1, 0.35, GOLDEN_TIME
             h = 1e-6
-            p0 = psi2_eval(wf, C, x1, x2, t)
-            dp1 = (psi2_eval(wf, C, x1 + h, x2, t) - psi2_eval(wf, C, x1 - h, x2, t)) / (2 * h)
-            dp2 = (psi2_eval(wf, C, x1, x2 + h, t) - psi2_eval(wf, C, x1, x2 - h, t)) / (2 * h)
-            v1, v2 = velocity_2p(wf, C, x1, x2, t)
-            assert abs(v1 - C.hbar / C.mass * (dp1 / p0).imag) < 1e-5
-            assert abs(v2 - C.hbar / C.mass * (dp2 / p0).imag) < 1e-5
+            p0 = psi2_eval(wf, x1, x2, t)
+            dp1 = (psi2_eval(wf, x1 + h, x2, t) - psi2_eval(wf, x1 - h, x2, t)) / (2 * h)
+            dp2 = (psi2_eval(wf, x1, x2 + h, t) - psi2_eval(wf, x1, x2 - h, t)) / (2 * h)
+            v1, v2 = velocity_2p(wf, x1, x2, t)
+            assert abs(v1 - (dp1 / p0).imag) < 1e-5
+            assert abs(v2 - (dp2 / p0).imag) < 1e-5
 
     @hyp_settings(max_examples=200, deadline=None)
     @given(form=st.sampled_from(["symmetric", "antisymmetric"]),
@@ -269,12 +271,12 @@ class TestVelocities:
         # equal, and a node (far tails included) is refused at both points
         wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
         try:
-            v1, v2 = velocity_2p(wf, C, x1, x2, t)
+            v1, v2 = velocity_2p(wf, x1, x2, t)
         except NodeSingularityError:
             with pytest.raises(NodeSingularityError, match=re.escape(f"({x2!r}, {x1!r}), t=")):
-                velocity_2p(wf, C, x2, x1, t)
+                velocity_2p(wf, x2, x1, t)
             return
-        assert velocity_2p(wf, C, x2, x1, t) == (v2, v1)
+        assert velocity_2p(wf, x2, x1, t) == (v2, v1)
 
     @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("x1, x2", [(1e200, 0.0), (0.0, 1e200), (1e155, 0.0), (-1e300, 1e300)])
@@ -282,15 +284,15 @@ class TestVelocities:
         # beyond about 1e154 from the packets (x - xc)^2 overflows; every form refuses the point
         wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
         with pytest.raises(NodeSingularityError, match=re.escape(f"({x1!r}, {x2!r}), t=0.5") + "$"):
-            velocity_2p(wf, C, x1, x2, 0.5)
+            velocity_2p(wf, x1, x2, 0.5)
 
     def test_nan_log_density_refused_as_a_node(self):
         # x1 - xc overflows to inf and Re log psi_a(x1) is inf - inf = NaN: a node, not a NaN velocity
         wf = TwoParticleWF(WavePacket(-1e308, 1.0, 0.5), PACKET_B, form="product")
         with pytest.raises(NodeSingularityError, match=re.escape("at (1e+308, 0.0), t=0.0") + "$"):
-            velocity_2p(wf, C, 1e308, 0.0, 0.0)
+            velocity_2p(wf, 1e308, 0.0, 0.0)
         with pytest.raises(NodeSingularityError, match=re.escape("at (1e+308, 0.0), t=0.0") + "$"):
-            velocity_2p(wf, C, np.array([-1e308, 1e308]), 0.0, 0.0)
+            velocity_2p(wf, np.array([-1e308, 1e308]), 0.0, 0.0)
 
 
 class TestCrossCoupling:
@@ -315,25 +317,25 @@ class TestCrossCoupling:
             for x1 in xs:
                 for x2 in xs:
                     worst = max(
-                        worst, abs(cross_coupling(wf, C, float(x1), float(x2), 0.9))
+                        worst, abs(cross_coupling(wf, float(x1), float(x2), 0.9))
                     )
             assert worst < 1e-8
 
     def test_antisymmetric_golden_value(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
-        g = cross_coupling(wf, C, *GOLDEN_POINT, GOLDEN_TIME)
+        g = cross_coupling(wf, *GOLDEN_POINT, GOLDEN_TIME)
         assert abs(g) >= 0.99 * GOLDEN_ANTISYM
 
     def test_symmetric_golden_value(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
-        g = cross_coupling(wf, C, *GOLDEN_POINT, GOLDEN_TIME)
+        g = cross_coupling(wf, *GOLDEN_POINT, GOLDEN_TIME)
         assert abs(abs(g) - GOLDEN_SYM) < 1e-6 * GOLDEN_SYM
 
     def test_forms_differ_at_golden_point(self):
         anti = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
         sym = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
-        ga = cross_coupling(anti, C, *GOLDEN_POINT, GOLDEN_TIME)
-        gs = cross_coupling(sym, C, *GOLDEN_POINT, GOLDEN_TIME)
+        ga = cross_coupling(anti, *GOLDEN_POINT, GOLDEN_TIME)
+        gs = cross_coupling(sym, *GOLDEN_POINT, GOLDEN_TIME)
         assert abs(ga - gs) > 0.1
 
     def test_identical_packets_symmetric_form_uncoupled(self):
@@ -341,21 +343,21 @@ class TestCrossCoupling:
         # the coupling must vanish despite the symmetrized formula
         wf = TwoParticleWF(PACKET_A, PACKET_A, form="symmetric")
         for x1, x2 in [(-0.5, 0.7), (0.1, 0.35), (1.2, -1.0)]:
-            assert abs(cross_coupling(wf, C, x1, x2, 0.6)) < 1e-8
+            assert abs(cross_coupling(wf, x1, x2, 0.6)) < 1e-8
 
 
-def analytic_cross_coupling(wf, c, x1, x2, t):
+def analytic_cross_coupling(wf, x1, x2, t):
     """|dv1/dx2| in closed form.
 
     d log psi is linear in x for a free Gaussian, so with psi = psi1 + s psi2,
     psi1 = a(x1) b(x2) and psi2 = a(x2) b(x1),
-    dv1/dx2 = (hbar/m) Im(d1 d2 psi / psi - d1 psi d2 psi / psi^2).
+    dv1/dx2 = Im(d1 d2 psi / psi - d1 psi d2 psi / psi^2).
     """
 
     def log_and_slope(wp, x):
-        tau = c.hbar * (t - wp.start_time) / (2.0 * c.mass * wp.width**2)
+        tau = t / (2.0 * wp.width**2)
         a = 1.0 + 1.0j * tau
-        xc = wp.center + c.hbar * wp.wavenumber * (t - wp.start_time) / c.mass
+        xc = wp.center + wp.wavenumber * t
         slope = -(x - xc) / (2.0 * wp.width**2 * a) + 1.0j * wp.wavenumber
         log = -0.5 * np.log(a) - (x - xc) ** 2 / (4.0 * wp.width**2 * a) + 1.0j * wp.wavenumber * x
         return log, slope
@@ -372,7 +374,7 @@ def analytic_cross_coupling(wf, c, x1, x2, t):
     d1 = w1 * da1 + w2 * db1
     d2 = w1 * db2 + w2 * da2
     d12 = w1 * da1 * db2 + w2 * db1 * da2
-    return np.abs(c.hbar / c.mass * np.imag(d12 / psi - d1 * d2 / psi**2))
+    return np.abs(np.imag(d12 / psi - d1 * d2 / psi**2))
 
 
 class TestArrayRoute:
@@ -396,15 +398,15 @@ class TestArrayRoute:
         # take CPython's complex arithmetic, which rounds differently
         x1 = rng.uniform(-4.0, 4.0, size=shape)[()]
         x2 = rng.uniform(-4.0, 4.0, size=shape)[()]
-        v1, v2 = velocity_2p(wf, C, x1, x2, t)
-        cc = cross_coupling(wf, C, x1, x2, t)
+        v1, v2 = velocity_2p(wf, x1, x2, t)
+        cc = cross_coupling(wf, x1, x2, t)
         if shape == ():
             assert type(v1) is float and type(v2) is float and type(cc) is float
         assert np.shape(v1) == np.shape(v2) == np.shape(cc) == shape
         for i in np.ndindex(shape):
             a, b = np.float64(np.asarray(x1)[i]), np.float64(np.asarray(x2)[i])
-            assert (np.asarray(v1)[i], np.asarray(v2)[i]) == velocity_2p(wf, C, a, b, t)
-            assert np.asarray(cc)[i] == cross_coupling(wf, C, a, b, t)
+            assert (np.asarray(v1)[i], np.asarray(v2)[i]) == velocity_2p(wf, a, b, t)
+            assert np.asarray(cc)[i] == cross_coupling(wf, a, b, t)
 
     @pytest.mark.parametrize("form", FORMS)
     def test_row_broadcast_matches_points(self, form):
@@ -413,11 +415,11 @@ class TestArrayRoute:
         xs1 = np.linspace(-3.1, 3.55, 15)
         xs2 = xs1 + 0.2375
         for x1 in xs1:
-            v1, v2 = velocity_2p(wf, C, x1, xs2, GOLDEN_TIME)
-            cc = cross_coupling(wf, C, x1, xs2, GOLDEN_TIME)
+            v1, v2 = velocity_2p(wf, x1, xs2, GOLDEN_TIME)
+            cc = cross_coupling(wf, x1, xs2, GOLDEN_TIME)
             for j, x2 in enumerate(xs2):
-                assert (v1[j], v2[j]) == velocity_2p(wf, C, x1, x2, GOLDEN_TIME)
-                assert cc[j] == cross_coupling(wf, C, x1, x2, GOLDEN_TIME)
+                assert (v1[j], v2[j]) == velocity_2p(wf, x1, x2, GOLDEN_TIME)
+                assert cc[j] == cross_coupling(wf, x1, x2, GOLDEN_TIME)
 
     def test_square_rounds_alike_on_scalars_and_arrays(self):
         # at these x1 the libm pow(d, 2) that a scalar ** 2 calls differs from
@@ -426,9 +428,9 @@ class TestArrayRoute:
         x1 = np.array([-1.8016008307514264, 2.285567725566442, 0.5381448676347205,
                        2.3182707445626907])
         x2 = np.float64(0.35)
-        v1, v2 = velocity_2p(wf, C, x1, x2, GOLDEN_TIME)
+        v1, v2 = velocity_2p(wf, x1, x2, GOLDEN_TIME)
         for i, x in enumerate(x1):
-            assert (v1[i], v2[i]) == velocity_2p(wf, C, x, x2, GOLDEN_TIME)
+            assert (v1[i], v2[i]) == velocity_2p(wf, x, x2, GOLDEN_TIME)
 
     @pytest.mark.parametrize("form", FORMS)
     def test_analytic_cross_coupling(self, form):
@@ -437,12 +439,12 @@ class TestArrayRoute:
         xs = np.linspace(-3.0, 3.0, 25)
         x1, x2 = xs[:, None], xs[None, :] + 0.125
         for t in (0.0, GOLDEN_TIME, 1.7):
-            got = cross_coupling(wf, C, x1, x2, t)
-            want = analytic_cross_coupling(wf, C, x1, x2, t)
+            got = cross_coupling(wf, x1, x2, t)
+            want = analytic_cross_coupling(wf, x1, x2, t)
             assert got.shape == (25, 25)
             assert np.max(np.abs(got - want)) < 1e-6
         if form == "antisymmetric":
-            assert abs(float(analytic_cross_coupling(wf, C, *GOLDEN_POINT, GOLDEN_TIME))
+            assert abs(float(analytic_cross_coupling(wf, *GOLDEN_POINT, GOLDEN_TIME))
                        - GOLDEN_ANTISYM) < 1e-9
 
     def test_one_overlap_per_call(self, monkeypatch):
@@ -458,10 +460,10 @@ class TestArrayRoute:
         xs = np.linspace(-3.0, 3.0, 7)
         for form in FORMS:
             wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
-            velocity_2p(wf, C, xs[:, None], xs[None, :] + 0.1, GOLDEN_TIME)
-            cross_coupling(wf, C, xs[:, None], xs[None, :] + 0.1, GOLDEN_TIME)
-            psi2_eval(wf, C, xs, xs + 0.1, GOLDEN_TIME)
-            traj = integrate_trajectory(wf, C, (-1.5, 1.5), 0.0, 0.1, 0.01)
+            velocity_2p(wf, xs[:, None], xs[None, :] + 0.1, GOLDEN_TIME)
+            cross_coupling(wf, xs[:, None], xs[None, :] + 0.1, GOLDEN_TIME)
+            psi2_eval(wf, xs, xs + 0.1, GOLDEN_TIME)
+            traj = integrate_trajectory(wf, (-1.5, 1.5), 0.0, 0.1, 0.01)
             assert traj.times.size == 11
         # four calls for each of the two symmetrized forms, none for product
         assert len(calls) == 8
@@ -469,9 +471,9 @@ class TestArrayRoute:
     def test_rejects_nan_points(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
         with pytest.raises(ValueError):
-            velocity_2p(wf, C, np.array([0.1, np.nan]), 0.3, 0.5)
+            velocity_2p(wf, np.array([0.1, np.nan]), 0.3, 0.5)
         with pytest.raises(ValueError):
-            cross_coupling(wf, C, 0.1, np.array([0.3, np.nan]), 0.5)
+            cross_coupling(wf, 0.1, np.array([0.3, np.nan]), 0.5)
 
     @pytest.mark.parametrize("form", FORMS)
     def test_node_error_names_first_point(self, form):
@@ -486,14 +488,14 @@ class TestArrayRoute:
         for fn, point in ((velocity_2p, r"\(-30\.0, -23\.25\)"),
                           (cross_coupling, r"\(-30\.0, -23\.2[45]\d*\)")):
             with pytest.raises(NodeSingularityError, match=point + ", t=0.0$") as exc_info:
-                fn(far, C, x1, x2, 0.0)
+                fn(far, x1, x2, 0.0)
             message = str(exc_info.value)
             assert "array(" not in message and "np.float64(" not in message
 
     def test_antisymmetric_exchange_node_refused_on_arrays(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
         with pytest.raises(NodeSingularityError, match=r"\(0\.2, 0\.2\)"):
-            velocity_2p(wf, C, np.array([0.1, 0.2]), np.array([0.3, 0.2]), 0.5)
+            velocity_2p(wf, np.array([0.1, 0.2]), np.array([0.3, 0.2]), 0.5)
 
     @pytest.mark.parametrize("form", FORMS)
     def test_far_tail_value_is_zero(self, form):
@@ -501,25 +503,25 @@ class TestArrayRoute:
         wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert psi2_eval(wf, C, 1e200, 0.0, 0.5) == 0j
-            got = psi2_eval(wf, C, np.array([1e200, 0.1, -1e300]), np.array([0.0, 0.35, 1e300]), 0.5)
+            assert psi2_eval(wf, 1e200, 0.0, 0.5) == 0j
+            got = psi2_eval(wf, np.array([1e200, 0.1, -1e300]), np.array([0.0, 0.35, 1e300]), 0.5)
         assert got[0] == got[2] == 0j
-        assert abs(got[1] - psi2_eval(wf, C, 0.1, 0.35, 0.5)) < 1e-15
+        assert abs(got[1] - psi2_eval(wf, 0.1, 0.35, 0.5)) < 1e-15
 
     def test_product_far_tail_with_a_nan_log_psi_is_zero(self):
         # x - xc overflows to inf, so ik (x - x0) has real part 0 * inf: log psi is NaN, not -inf
         wf = TwoParticleWF(WavePacket(-1e308, 1.0, 0.5), PACKET_B, "product")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert psi2_eval(wf, C, 1e308, 0.0, 0.0) == 0j
-            got = psi2_eval(wf, C, np.array([1e308, -1e308]), np.array([0.0, 0.35]), 0.0)
-        assert got[0] == 0j and got[1] == psi2_eval(wf, C, -1e308, 0.35, 0.0) != 0j
+            assert psi2_eval(wf, 1e308, 0.0, 0.0) == 0j
+            got = psi2_eval(wf, np.array([1e308, -1e308]), np.array([0.0, 0.35]), 0.0)
+        assert got[0] == 0j and got[1] == psi2_eval(wf, -1e308, 0.35, 0.0) != 0j
 
     @pytest.mark.parametrize("form", ["symmetric", "antisymmetric"])
     def test_far_tail_refused_on_arrays(self, form):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
         with pytest.raises(NodeSingularityError, match=r"\(1e\+300, 0\.2\)"):
-            velocity_2p(wf, C, np.array([0.1, 1e300]), np.array([0.3, 0.2]), 0.5)
+            velocity_2p(wf, np.array([0.1, 1e300]), np.array([0.3, 0.2]), 0.5)
 
     @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("t", [0.0, 0.5])
@@ -527,9 +529,9 @@ class TestArrayRoute:
         # (x - xc)^2 overflows there; Tier-1 turns a numpy warning of it into an error
         wf = TwoParticleWF(PACKET_A, PACKET_B, form=form)
         with pytest.raises(NodeSingularityError, match=r"\(1e\+300, 0\.2\)"):
-            velocity_2p(wf, C, np.array([0.1, 1e300]), np.array([0.3, 0.2]), t)
+            velocity_2p(wf, np.array([0.1, 1e300]), np.array([0.3, 0.2]), t)
         with pytest.raises(NodeSingularityError, match=r"\(1e\+300, 0\.2"):
-            cross_coupling(wf, C, np.array([0.1, 1e300]), np.array([0.3, 0.2]), t)
+            cross_coupling(wf, np.array([0.1, 1e300]), np.array([0.3, 0.2]), t)
 
 
 class TestTrajectories:
@@ -537,19 +539,19 @@ class TestTrajectories:
 
     def test_k_zero_stays_at_center(self):
         wf = product(WavePacket(center=0.4, width=1.0, wavenumber=0.0))
-        tr = integrate_trajectory(wf, C, start=(0.4, 1.5), t0=0.0, t1=2.0, dt=0.01)
+        tr = integrate_trajectory(wf, start=(0.4, 1.5), t0=0.0, t1=2.0, dt=0.01)
         assert np.max(np.abs(tr.positions[:, 0] - 0.4)) < 1e-10
 
     def test_wide_packet_advances_ballistically(self):
         wf = product(WavePacket(center=0.0, width=80.0, wavenumber=1.0))
-        tr = integrate_trajectory(wf, C, start=(0.0, 1.5), t0=0.0, t1=2.0, dt=0.01)
-        assert abs(tr.positions[-1, 0] - C.hbar * 1.0 * 2.0 / C.mass) < 1e-3
+        tr = integrate_trajectory(wf, start=(0.0, 1.5), t0=0.0, t1=2.0, dt=0.01)
+        assert abs(tr.positions[-1, 0] - 2.0) < 1e-3  # k t
 
     def test_rk4_order(self):
         wf = product(WavePacket(center=0.0, width=0.5, wavenumber=1.0))
 
         def endpoint(dt):
-            return integrate_trajectory(wf, C, start=(0.3, 1.5), t0=0.0, t1=1.0, dt=dt).positions[-1, 0]
+            return integrate_trajectory(wf, start=(0.3, 1.5), t0=0.0, t1=1.0, dt=dt).positions[-1, 0]
 
         ref = endpoint(0.0005)
         e1 = abs(endpoint(0.02) - ref)
@@ -559,12 +561,12 @@ class TestTrajectories:
 
     def test_final_partial_step_lands_on_t1(self):
         wf = product(WavePacket(center=0.0, width=1.0, wavenumber=0.5))
-        tr = integrate_trajectory(wf, C, start=(0.0, 1.5), t0=0.0, t1=1.05, dt=0.1)
+        tr = integrate_trajectory(wf, start=(0.0, 1.5), t0=0.0, t1=1.05, dt=0.1)
         assert abs(tr.times[-1] - 1.05) < 1e-12
 
     def test_two_particle_product_matches_two_singles(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="product")
-        tr = integrate_trajectory(wf, C, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
+        tr = integrate_trajectory(wf, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
         assert tr.positions.shape == (len(tr.times), 2)
         for i, (wp, x) in enumerate(((PACKET_A, -1.5), (PACKET_B, 1.5))):
             # each particle by RK4 on its own packet's closed-form velocity
@@ -575,7 +577,7 @@ class TestTrajectories:
     def test_node_start_halts_immediately(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
         with pytest.raises(NodeSingularityError) as exc_info:
-            integrate_trajectory(wf, C, start=(0.2, 0.2), t0=0.0, t1=1.0, dt=0.01)
+            integrate_trajectory(wf, start=(0.2, 0.2), t0=0.0, t1=1.0, dt=0.01)
         partial = exc_info.value.partial_trajectory
         assert partial is not None
         assert len(partial.times) == 1
@@ -583,19 +585,19 @@ class TestTrajectories:
     def test_antisym_trajectories_never_cross(self):
         # the diagonal is a nodal surface, so particle ordering persists
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
-        tr = integrate_trajectory(wf, C, start=(-0.3, 0.3), t0=0.0, t1=1.5, dt=0.005)
+        tr = integrate_trajectory(wf, start=(-0.3, 0.3), t0=0.0, t1=1.5, dt=0.005)
         assert np.all(tr.positions[:, 1] > tr.positions[:, 0])
 
     def test_validation(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="product")
         with pytest.raises(ValueError):
-            integrate_trajectory(wf, C, start=(0.0, 0.0), t0=0.0, t1=1.0, dt=0.0)
+            integrate_trajectory(wf, start=(0.0, 0.0), t0=0.0, t1=1.0, dt=0.0)
         with pytest.raises(ValueError):
-            integrate_trajectory(wf, C, start=(0.0, 0.0), t0=1.0, t1=0.5, dt=0.01)
+            integrate_trajectory(wf, start=(0.0, 0.0), t0=1.0, t1=0.5, dt=0.01)
         with pytest.raises(ValueError):
-            integrate_trajectory(wf, C, start=0.0, t0=0.0, t1=1.0, dt=0.01)
+            integrate_trajectory(wf, start=0.0, t0=0.0, t1=1.0, dt=0.01)
         with pytest.raises(ValueError, match="x2 must be finite"):
-            integrate_trajectory(wf, C, start=(0.0, np.nan), t0=0.0, t1=1.0, dt=0.01)
+            integrate_trajectory(wf, start=(0.0, np.nan), t0=0.0, t1=1.0, dt=0.01)
 
     @hyp_settings(max_examples=300, deadline=None)
     @given(times=st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308])),
@@ -625,7 +627,7 @@ class TestTrajectories:
     def test_dt_that_cannot_advance_time_refused(self, monkeypatch):
         # at |t| = 2e20 an ulp is 32768: t + dt == t for dt up to half of that
         half_ulp = 0.5 * np.spacing(2e20)
-        for t0, t1 in ((1e20, 2e20), (-2e20, 0.0)):
+        for t0, t1 in ((1e20, 2e20), (0.0, 2e20)):
             with pytest.raises(ValueError, match="cannot advance"):
                 dbb._check_span(t0, t1, half_ulp)
         # just above half an ulp time advances; a span of 1e9 keeps the step
@@ -633,16 +635,20 @@ class TestTrajectories:
         dbb._check_span(2e20 - 1e9, 2e20, np.nextafter(half_ulp, np.inf))
         no_integration(monkeypatch)
         with pytest.raises(ValueError, match="cannot advance"):
-            integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=1e20, dt=1e3)
+            integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=1e20, dt=1e3)
 
     def test_span_of_too_many_steps_refused(self, monkeypatch):
         no_integration(monkeypatch)
         dbb._check_span(0.0, 1e6, 1.0)  # exactly _MAX_STEPS steps
-        for t0, t1, dt in ((0.0, 1e6 + 1.0, 1.0), (-1e308, 1e308, 1e300), (0.0, 1e9, 0.001)):
-            with pytest.raises(ValueError, match="steps exceeds"):
+        for t0, t1, dt, steps in ((0.0, 1e6 + 1.0, 1.0, "1000001"), (0.0, 1.7e308, 1e300, "170000000"),
+                                  (0.0, 1e9, 0.001, "1e+12")):
+            with pytest.raises(ValueError, match=re.escape(f"= {steps} steps exceeds")):
                 dbb._check_span(t0, t1, dt)
+        # a span from before the start is refused first, so t1 - t0 <= t1 cannot overflow
+        with pytest.raises(ValueError, match=r"^t = -1e\+308 is before the packets' start time 0\.0$"):
+            dbb._check_span(-1e308, 1e308, 1e300)
         with pytest.raises(ValueError, match="steps exceeds"):
-            integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=2e6, dt=1.0)
+            integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=2e6, dt=1.0)
 
     @hyp_settings(max_examples=300, deadline=None)
     @given(n=st.one_of(st.just(10**6), st.integers(1, 10**6)),
@@ -693,13 +699,13 @@ class TestTrajectories:
         monkeypatch.setattr(dbb, "_stage_velocity", lambda *args: lambda *stage: (np.inf, 0.0))
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
         with pytest.raises(ValueError, match="x1 must be finite"):
-            integrate_trajectory(wf, C, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
+            integrate_trajectory(wf, start=(-1.5, 1.5), t0=0.0, t1=1.0, dt=0.01)
 
     def test_one_packet_validation(self):
         # trajectories are of pairs: a lone packet is refused before integrating
         wp = WavePacket(center=0.0, width=1.0, wavenumber=0.0)
         with pytest.raises(ValueError, match="wf must be a TwoParticleWF, got <class 'bell_lab.dbb.WavePacket'>"):
-            integrate_trajectory(wp, C, start=0.0, t0=0.0, t1=1.0, dt=0.01)
+            integrate_trajectory(wp, start=0.0, t0=0.0, t1=1.0, dt=0.01)
 
 
 def no_integration(monkeypatch):
@@ -792,7 +798,7 @@ SPIN_CASES = [((0.6, -0.3, 0.742), (0.0, 0.0, 1.0), 1.0, 0.002), ((0.3, -0.8, 0.
 
 def reference_trajectory(wf, start, t0, t1, dt):
     def vel(x, t):
-        return np.array(velocity_2p(wf, C, float(x[0]), float(x[1]), t))
+        return np.array(velocity_2p(wf, float(x[0]), float(x[1]), t))
     return reference_rk4(vel, np.array(start, dtype=float), t0, t1, dt)
 
 
@@ -811,7 +817,7 @@ class TestSharedRk4:
     def test_trajectory_matches_reference(self, wf, start, t0, t1, dt):
         times, points, halted = reference_trajectory(wf, start, t0, t1, dt)
         assert not halted
-        tr = integrate_trajectory(wf, C, start, t0, t1, dt)
+        tr = integrate_trajectory(wf, start, t0, t1, dt)
         assert np.array_equal(tr.times, times)
         assert np.array_equal(tr.positions, points)
 
@@ -824,7 +830,7 @@ class TestSharedRk4:
         times, points, halted = reference_trajectory(wf, start, 0.0, 3.05, 0.1)
         assert halted and len(times) > 5
         with pytest.raises(NodeSingularityError) as exc_info:
-            integrate_trajectory(wf, C, start, 0.0, 3.05, 0.1)
+            integrate_trajectory(wf, start, 0.0, 3.05, 0.1)
         partial = exc_info.value.partial_trajectory
         assert np.array_equal(partial.times, times)
         assert np.array_equal(partial.positions, points)
@@ -838,7 +844,7 @@ class TestSharedRk4:
         # the same RK4 map, raised to a power instead of stepped: equal to rounding
         bv = np.array(b)
         times, spins, _ = reference_rk4(lambda s, t: gyro * np.cross(s, bv), np.array(s0), 0.0, t1, dt)
-        tr = integrate_spin(s0, b, PhysicalConstants(gyro=gyro), t1=t1, dt=dt)
+        tr = integrate_spin(s0, b, t1=t1, dt=dt, gyro=gyro)
         n = len(times) - 1
         assert len(tr.times) == n + 1 and tr.times[-1] == times[-1] == t1
         assert np.max(np.abs(tr.times - times)) <= n * EPS * t1  # k dt against t summed step by step
@@ -848,7 +854,7 @@ class TestSharedRk4:
     @pytest.mark.parametrize("s0, b, gyro, dt", SPIN_CASES[::2])
     def test_spin_matches_stepwise_rk4(self, s0, b, gyro, dt, n):
         times, spins = stepwise_spin(s0, b, gyro, n * dt, dt)
-        tr = integrate_spin(s0, b, PhysicalConstants(gyro=gyro), t1=n * dt, dt=dt)
+        tr = integrate_spin(s0, b, t1=n * dt, dt=dt, gyro=gyro)
         assert len(tr.times) == len(times) == n + 1
         assert np.max(np.abs(tr.spins - spins)) <= stepwise_tolerance(s0, n)
 
@@ -858,7 +864,7 @@ class TestSharedRk4:
         # a third route: RK4's error per step is at most |x|^5/120 in phase and x^6/144 in
         # |s| (x = gyro |B| dt) on the part of s across B; the rest is rounding, measured
         # at most 1.0 eps (1 + k |x|) |s| beyond that bound
-        tr = integrate_spin(s0, b, PhysicalConstants(gyro=gyro), t1=n * dt, dt=dt)
+        tr = integrate_spin(s0, b, t1=n * dt, dt=dt, gyro=gyro)
         s, bv = np.array(s0), np.array(b)
         x, across = gyro * np.linalg.norm(bv) * dt, np.linalg.norm(s - bv * (s @ bv) / (bv @ bv))
         k = np.arange(n + 1)
@@ -875,7 +881,7 @@ def _outcome(kernel, *args):
 
 
 _PACKETS = st.builds(WavePacket, center=st.floats(-5.0, 5.0), width=st.floats(0.2, 3.0),
-                     wavenumber=st.floats(-3.0, 3.0), start_time=st.floats(-1.0, 1.0))
+                     wavenumber=st.floats(-3.0, 3.0))
 # an x1 near the packets, far into a tail or out where (x - xc)^2 overflows, and
 # x2 - x1: on the exchange node x1 = x2, within rounding of it, near it, or anywhere
 _POINTS = st.lists(st.tuples(
@@ -893,31 +899,29 @@ class TestFloatStageKernel:
     """The RK4 stages' float kernel, for every form, against _velocity, its array oracle, on Python floats."""
 
     @hyp_settings(max_examples=150, deadline=None)
-    @given(form=st.sampled_from(FORMS), a=_PACKETS, b=_PACKETS,
-           hbar=st.floats(0.3, 3.0), mass=st.floats(0.3, 3.0), dt=st.floats(0.0, 4.0), points=_POINTS)
-    def test_bitwise_equal_to_velocity(self, form, a, b, hbar, mass, dt, points):
-        wf, c = TwoParticleWF(a, b, form=form), PhysicalConstants(hbar=hbar, mass=mass)
-        t = max(a.start_time, b.start_time) + dt
+    @given(form=st.sampled_from(FORMS), a=_PACKETS, b=_PACKETS, t=st.floats(0.0, 4.0), points=_POINTS)
+    def test_bitwise_equal_to_velocity(self, form, a, b, t, points):
+        wf = TwoParticleWF(a, b, form=form)
         try:
-            nf = dbb._norm_factor(wf, c)
-            terms = dbb._terms(a, c, t), dbb._terms(b, c, t)
+            nf = dbb._norm_factor(wf)
+            terms = dbb._terms(a, t), dbb._terms(b, t)
         except ValueError:
             assume(False)  # (near-)identical packets have no antisymmetric state, and a
             # wavenumber whose square is subnormal no terms
-        kernel = dbb._stage_velocity(wf, c, nf)
+        kernel = dbb._stage_velocity(wf, nf)
         for x1, gap in points:
             x2 = x1 + gap
-            assert _outcome(kernel, x1, x2, t, terms) == _outcome(dbb._velocity, wf, c, x1, x2, t, nf)
+            assert _outcome(kernel, x1, x2, t, terms) == _outcome(dbb._velocity, wf, x1, x2, t, nf)
 
     def test_nan_log_density_refused_like_velocity(self):
         # x1 - xc overflows to inf, so Re log psi_a(x1) is NaN; both routes refuse the point (the
         # symmetrized forms have no such pair: their packet overlap overflows first)
         a = WavePacket(-1e308, 1.0, 0.5)
         wf = TwoParticleWF(a, PACKET_B)
-        terms, nf = (dbb._terms(a, C, 0.0), dbb._terms(PACKET_B, C, 0.0)), dbb._norm_factor(wf, C)
+        terms, nf = (dbb._terms(a, 0.0), dbb._terms(PACKET_B, 0.0)), dbb._norm_factor(wf)
         with np.errstate(over="ignore", invalid="ignore"):  # as velocity_2p calls _velocity
-            want = _outcome(dbb._velocity, wf, C, 1e308, 1.5, 0.0, nf)
-        assert _outcome(dbb._stage_velocity(wf, C, nf), 1e308, 1.5, 0.0, terms) == want == (
+            want = _outcome(dbb._velocity, wf, 1e308, 1.5, 0.0, nf)
+        assert _outcome(dbb._stage_velocity(wf, nf), 1e308, 1.5, 0.0, terms) == want == (
             "density below 1e-300 at (1e+308, 1.5), t=0.0")
 
     @pytest.mark.parametrize("form", FORMS[1:])
@@ -926,15 +930,15 @@ class TestFloatStageKernel:
         # raises and np.exp gives NaN, which _velocity refuses as a node
         a, b, t = WavePacket(0.0, 1.0, 2.0), WavePacket(0.0, 1.0, -2.0), 6e307
         wf = TwoParticleWF(a, b, form=form)
-        terms = dbb._terms(a, C, t), dbb._terms(b, C, t)
+        terms = dbb._terms(a, t), dbb._terms(b, t)
         x1, x2 = terms[0][1], terms[1][1]  # each packet's centre
         l1 = dbb._log_psi(terms[0], x1) + dbb._log_psi(terms[1], x2)
         assert np.isfinite(l1.real) and l1.imag == np.inf
         with pytest.raises(ValueError):
             cmath.exp(l1 - l1.real)
-        nf = dbb._norm_factor(wf, C)
-        outcome = _outcome(dbb._stage_velocity(wf, C, nf), x1, x2, t, terms)
-        assert outcome == _outcome(dbb._velocity, wf, C, x1, x2, t, nf) == (
+        nf = dbb._norm_factor(wf)
+        outcome = _outcome(dbb._stage_velocity(wf, nf), x1, x2, t, terms)
+        assert outcome == _outcome(dbb._velocity, wf, x1, x2, t, nf) == (
             f"density below 1e-300 at ({x1!r}, {x2!r}), t={t!r}")
 
     @hyp_settings(max_examples=500, deadline=None)
@@ -973,10 +977,10 @@ class TestFloatStageKernel:
         # the packet centres and at x = +-0.0 real parts too: each v and its sign of zero as _velocity's
         a, b = WavePacket(centres[0], 0.8, ka), WavePacket(centres[1], 1.1, kb)
         wf = TwoParticleWF(a, b, form=form)
-        nf, terms = dbb._norm_factor(wf, C), (dbb._terms(a, C, t), dbb._terms(b, C, t))
-        kernel = dbb._stage_velocity(wf, C, nf)
+        nf, terms = dbb._norm_factor(wf), (dbb._terms(a, t), dbb._terms(b, t))
+        kernel = dbb._stage_velocity(wf, nf)
         xs = list(dict.fromkeys([0.0, -0.0, 5e-324, *centres, terms[0][1], terms[1][1]]))
-        outcomes = [(_outcome(kernel, x1, x2, t, terms), _outcome(dbb._velocity, wf, C, x1, x2, t, nf))
+        outcomes = [(_outcome(kernel, x1, x2, t, terms), _outcome(dbb._velocity, wf, x1, x2, t, nf))
                     for x1 in xs for x2 in xs]
         assert [pair for pair in outcomes if pair[0] != pair[1]] == []
         if ka == kb == 0.0 and t == 0.0:  # antisymmetric: x1 == x2 is a node, refused by both
@@ -994,7 +998,7 @@ class TestFloatStageKernel:
     def test_packet_terms_once_per_stage_time(self, monkeypatch, form):
         # stages 2 and 3 share a time, and stage 4's is the next step's first
         calls = clocked(monkeypatch)
-        tr = integrate_trajectory(TwoParticleWF(PACKET_A, PACKET_B, form=form), C, (-1.5, 1.5),
+        tr = integrate_trajectory(TwoParticleWF(PACKET_A, PACKET_B, form=form), (-1.5, 1.5),
                                   0.25, 1.3, 0.1)
         # t0, each step's midpoint and end, once for each packet, all handed over as arrays;
         # _norm_factor's terms, at t = 0, are not the clock's
@@ -1005,7 +1009,7 @@ class TestFloatStageKernel:
     def test_no_batch_exceeds_the_block(self, monkeypatch):
         calls = clocked(monkeypatch)
         monkeypatch.setattr(dbb, "_stage_velocity", lambda *args: lambda *stage: (0.0, 0.0))
-        tr = integrate_trajectory(TwoParticleWF(PACKET_A, PACKET_B), C, (-1.5, 1.5), 0.0, 300.0, 0.003)
+        tr = integrate_trajectory(TwoParticleWF(PACKET_A, PACKET_B), (-1.5, 1.5), 0.0, 300.0, 0.003)
         assert len(tr.times) == 10**5 + 1
         assert max(len(ts) for _, ts in calls) == dbb._BLOCK
         assert sum(len(ts) for _, ts in calls) == 2 * (2 * 10**5 + 1)
@@ -1016,8 +1020,8 @@ def clocked(monkeypatch):
     calls = []
     clock = dbb._clock
 
-    def recording(wp, c, t_end):
-        at, end = clock(wp, c, t_end)
+    def recording(wp, t_end):
+        at, end = clock(wp, t_end)
 
         def timed(t):
             calls.append((wp, t.copy() if isinstance(t, np.ndarray) else t))
@@ -1028,11 +1032,11 @@ def clocked(monkeypatch):
     return calls
 
 
-def one_time_terms(wp, c, t):
+def one_time_terms(wp, t):
     """The packet terms as one evaluation at t worked them out, t-independent parts included."""
-    tau = c.hbar * (t - wp.start_time) / (2.0 * c.mass * wp.width**2)
+    tau = t / (2.0 * wp.width**2)
     a = 1.0 + 1.0j * tau
-    xc = wp.center + c.hbar * wp.wavenumber * (t - wp.start_time) / c.mass
+    xc = wp.center + wp.wavenumber * t
     return (
         complex(-0.25 * np.log(2.0 * np.pi * wp.width**2) - 0.5 * np.log(a)),
         xc,
@@ -1040,7 +1044,7 @@ def one_time_terms(wp, c, t):
         2.0 * wp.width**2 * a,
         1.0j * wp.wavenumber,
         wp.center,
-        0.5j * c.hbar * wp.wavenumber**2 * (t - wp.start_time) / c.mass,
+        1.0j * (0.5 * wp.wavenumber**2 * t + 0.0),  # + 0.0: the phase at t = -0.0 is +0j, as at t = 0.0
     )
 
 
@@ -1056,27 +1060,23 @@ def _normal(v):
 # widths and wavenumbers near 1 and out to where their squares leave float64
 _ANY_SIZE = st.one_of(st.floats(0.2, 3.0), st.floats(1e-320, 1e300))
 _RANGED_PACKETS = st.builds(WavePacket, center=st.one_of(st.floats(-5.0, 5.0), st.floats(-1e300, 1e300)),
-                            width=_ANY_SIZE, wavenumber=st.one_of(st.just(0.0), _ANY_SIZE, _ANY_SIZE.map(lambda k: -k)),
-                            start_time=st.floats(-1.0, 1.0))
+                            width=_ANY_SIZE, wavenumber=st.one_of(st.just(0.0), _ANY_SIZE, _ANY_SIZE.map(lambda k: -k)))
 
 
 class TestClock:
     """_clock's per-time terms against the one-time formula, and its refusals."""
 
     @hyp_settings(max_examples=300, deadline=None)
-    @given(wp=_RANGED_PACKETS, hbar=st.floats(0.3, 3.0), mass=st.floats(0.3, 3.0),
-           dt=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e300)), later=st.floats(0.0, 1e3))
-    def test_bitwise_equal_to_one_time_terms(self, wp, hbar, mass, dt, later):
-        c = PhysicalConstants(hbar=hbar, mass=mass)
-        t = wp.start_time + dt
+    @given(wp=_RANGED_PACKETS, t=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e300)), later=st.floats(0.0, 1e3))
+    def test_bitwise_equal_to_one_time_terms(self, wp, t, later):
         t_end = t + later
         with np.errstate(all="ignore"):
             try:
-                want = one_time_terms(wp, c, t_end)
+                want = one_time_terms(wp, t_end)
             except (OverflowError, ZeroDivisionError):  # float ** and / raise
                 want = None
         try:
-            clock, end = dbb._clock(wp, c, t_end)
+            clock, end = dbb._clock(wp, t_end)
         except ValueError as err:
             assert str(err) == (f"packet algebra leaves float64 by t={t_end!r}: "
                                 f"width={wp.width!r}, wavenumber={wp.wavenumber!r}")
@@ -1085,32 +1085,29 @@ class TestClock:
                     or not (wp.wavenumber == 0.0 or _normal(wp.wavenumber**2)))
             return
         assert _bits(end) == _bits(clock(t_end)) == _bits(want)
-        assert _bits(clock(t)) == _bits(one_time_terms(wp, c, t))
+        assert _bits(clock(t)) == _bits(one_time_terms(wp, t))
         assert all(np.isfinite(clock(t)))  # the terms grow with t, so t_end bounds them
-        assert _bits(dbb._terms(wp, c, t)) == _bits(clock(t))
+        assert _bits(dbb._terms(wp, t)) == _bits(clock(t))
 
     @hyp_settings(max_examples=300, deadline=None)
-    @given(wp=_RANGED_PACKETS, hbar=st.floats(0.3, 3.0), mass=st.floats(0.3, 3.0),
-           span=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e300)),
+    @given(wp=_RANGED_PACKETS, t_end=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e300)),
            fractions=st.lists(st.floats(0.0, 1.0), max_size=40))
-    def test_batch_bitwise_equal_to_each_time(self, wp, hbar, mass, span, fractions):
-        c = PhysicalConstants(hbar=hbar, mass=mass)
-        t_end = wp.start_time + span
+    def test_batch_bitwise_equal_to_each_time(self, wp, t_end, fractions):
         try:
-            clock, _ = dbb._clock(wp, c, t_end)
+            clock, _ = dbb._clock(wp, t_end)
         except ValueError:
             assume(False)
-        times = [wp.start_time, *(min(wp.start_time + f * span, t_end) for f in fractions), t_end]
+        times = [0.0, *(f * t_end for f in fractions), t_end]
         batch = clock(np.array(times))
         assert type(batch) is list and len(batch) == len(times)
         assert [_bits(terms) for terms in batch] == [_bits(clock(t)) for t in times]
 
     def test_batch_keeps_the_sign_of_a_zero_time(self):
         wp = WavePacket(center=-0.0, width=0.8, wavenumber=-0.6)
-        clock, _ = dbb._clock(wp, C, 1.0)
+        clock, _ = dbb._clock(wp, 1.0)
         times = [-0.0, 0.0, 5e-324, 1.0]
         assert [_bits(terms) for terms in clock(np.array(times))] == [_bits(clock(t)) for t in times]
-        assert [_bits(clock(t)) for t in times] == [_bits(one_time_terms(wp, C, t)) for t in times]
+        assert [_bits(clock(t)) for t in times] == [_bits(one_time_terms(wp, t)) for t in times]
 
     @pytest.mark.parametrize("width, k", [
         (1e200, 0.6),  # width**2 overflows: float ** raises
@@ -1131,17 +1128,17 @@ class TestClock:
                 warnings.simplefilter("error")
                 for point in ((-1.5, 1.5), (x1, x2)):
                     with pytest.raises(ValueError, match=message):
-                        fn(wf, C, *point, 1e10)
+                        fn(wf, *point, 1e10)
         with pytest.raises(ValueError, match=message):
-            integrate_trajectory(wf, C, (-1.5, 1.5), 0.0, 1e10, 1e5)
+            integrate_trajectory(wf, (-1.5, 1.5), 0.0, 1e10, 1e5)
 
     def test_trajectory_checked_at_t1(self, monkeypatch):
         # tau = t / (2 width^2) is finite at t = 1 and overflows by t = 1e9
         wf = TwoParticleWF(WavePacket(-1.5, 1e-150, 0.6), PACKET_B, form="symmetric")
-        assert np.isfinite(velocity_2p(wf, C, -1.5, 1.5, 1.0)).all()
+        assert np.isfinite(velocity_2p(wf, -1.5, 1.5, 1.0)).all()
         monkeypatch.setattr(dbb, "_rk4", lambda *args: pytest.fail("integration started"))
         with pytest.raises(ValueError, match=r"^packet algebra leaves float64 by t=1000000000\.0: width=1e-150"):
-            integrate_trajectory(wf, C, (-1.5, 1.5), 0.0, 1e9, 1e4)
+            integrate_trajectory(wf, (-1.5, 1.5), 0.0, 1e9, 1e4)
 
 
 class TestSpinPrecession:
@@ -1149,13 +1146,13 @@ class TestSpinPrecession:
 
     def test_derivative_parallel_field_vanishes(self):
         # s x B = 0: no stage moves the spin, so every row is the start
-        tr = integrate_spin((0.0, 0.0, 1.0), (0.0, 0.0, 2.0), C, t1=1.0, dt=0.1)
+        tr = integrate_spin((0.0, 0.0, 1.0), (0.0, 0.0, 2.0), t1=1.0, dt=0.1)
         assert np.array_equal(tr.spins, np.tile([0.0, 0.0, 1.0], (len(tr.times), 1)))
 
     def test_derivative_example(self):
         # ds/dt = (0, -3, 0) at s = x, B = 3z: one short step moves s by dt times it
         dt = 1e-7
-        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 3.0), C, t1=dt, dt=dt)
+        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 3.0), t1=dt, dt=dt)
         assert np.max(np.abs((tr.spins[1] - tr.spins[0]) / dt - np.array([0.0, -3.0, 0.0]))) < 1e-6
 
     def test_derivative_orthogonal_to_spin(self):
@@ -1164,7 +1161,7 @@ class TestSpinPrecession:
         rng = np.random.default_rng(131)
         for _ in range(100):
             s, b = rng.normal(size=3), rng.normal(size=3)
-            tr = integrate_spin(s, b, C, t1=0.1, dt=0.01)
+            tr = integrate_spin(s, b, t1=0.1, dt=0.01)
             scale = np.linalg.norm(s) * max(1.0, np.linalg.norm(b))
             assert np.max(np.abs(tr.spins @ b - s @ b)) < 1e-14 * scale
             assert np.max(np.abs(np.linalg.norm(tr.spins, axis=1) - np.linalg.norm(s))) < 1e-9 * scale
@@ -1178,83 +1175,81 @@ class TestSpinPrecession:
             gyro = rng.normal()
             _, spins, _ = reference_rk4(lambda y, t: gyro * np.cross(y, b), s, 0.0, 0.05, 0.01)
             assert np.array_equal(stepwise_spin(s, b, gyro, 0.05, 0.01)[1], spins)
-            tr = integrate_spin(s, b, PhysicalConstants(gyro=gyro), t1=0.05, dt=0.01)
+            tr = integrate_spin(s, b, t1=0.05, dt=0.01, gyro=gyro)
             assert np.max(np.abs(tr.spins - spins)) <= stepwise_tolerance(s, 5)
 
     def test_norms_are_each_row_norm_taken_once(self):
-        tr = integrate_spin((0.3, -0.8, 0.5), (0.2, -0.5, 1.3), C, t1=20.0, dt=0.01)
+        tr = integrate_spin((0.3, -0.8, 0.5), (0.2, -0.5, 1.3), t1=20.0, dt=0.01)
         want = [np.linalg.norm(np.array(row)) for row in tr.spins.tolist()]  # each row contiguous
         assert [v.hex() for v in tr.norms.tolist()] == [v.hex() for v in want]
         assert tr.norms is tr.norms
 
     def test_components_are_contiguous(self):
-        tr = integrate_spin((0.3, -0.8, 0.5), (0.0, 0.0, 1.0), C, t1=1.0, dt=0.01)
+        tr = integrate_spin((0.3, -0.8, 0.5), (0.0, 0.0, 1.0), t1=1.0, dt=0.01)
         assert tr.spins.shape == (101, 3) and all(column.flags.c_contiguous for column in tr.spins.T)
 
     def test_field_along_z_keeps_sz_and_its_sign(self):
         # B / |B| is +-z exactly, so sz is the start's exactly, for either sign of bz
         for bz in (1.3, -1.3):
-            tr = integrate_spin((0.3, -0.8, 0.5), (0.0, 0.0, bz), C, t1=20.0, dt=0.01)
+            tr = integrate_spin((0.3, -0.8, 0.5), (0.0, 0.0, bz), t1=20.0, dt=0.01)
             assert np.all(tr.spins[:, 2] == 0.5)
             assert tr.spins[1, 1] * bz < -0.8 * bz  # s' = gyro s x B: sy falls for bz > 0
 
     def test_steps_at_the_cap(self):
-        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=10**6 * 0.002, dt=0.002)
+        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=10**6 * 0.002, dt=0.002)
         assert len(tr.times) == 10**6 + 1 and tr.times[-1] == 2000.0
 
     def test_shortened_last_step(self):
         # 1.05 / 0.1: ten steps of dt and one of 0.05, the RK4 map at each size
-        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=1.05, dt=0.1)
+        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=1.05, dt=0.1)
         times, spins = stepwise_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.0, 1.05, 0.1)
         assert len(tr.times) == len(times) == 12 and tr.times[-1] == 1.05
         assert np.max(np.abs(tr.spins - spins)) <= 1e-15
 
     def test_zero_field_keeps_the_start(self):
-        tr = integrate_spin((0.3, -0.8, 0.5), (0.0, 0.0, 0.0), C, t1=1.0, dt=0.1)
+        tr = integrate_spin((0.3, -0.8, 0.5), (0.0, 0.0, 0.0), t1=1.0, dt=0.1)
         assert np.array_equal(tr.spins, np.tile([0.3, -0.8, 0.5], (11, 1)))
 
     def test_field_whose_norm_overflows(self):
         # |B| = 1.7e308 * sqrt(2) overflows; B / |B| and gyro |B| dt do not
-        tr = integrate_spin((1.0, 0.0, 0.0), (1.7e308, 1.7e308, 0.0), PhysicalConstants(gyro=1e-310), t1=1.0,
-                            dt=0.1)
+        tr = integrate_spin((1.0, 0.0, 0.0), (1.7e308, 1.7e308, 0.0), t1=1.0, dt=0.1, gyro=1e-310)
         assert np.max(np.abs(tr.spins - larmor((1.0, 0.0, 0.0), (1.0, 1.0, 0.0), 1e-310 * 1.7e308, tr.times))) < 1e-6
 
     def test_norm_conserved_long_run(self):
-        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=20.0, dt=0.002)
+        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=20.0, dt=0.002)
         norms = np.linalg.norm(tr.spins, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
 
     def test_larmor_frequency(self):
         # s_x(t) = cos(gyro*B*t), s_y(t) = -sin(gyro*B*t) for B along z
-        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=10.0, dt=0.001)
+        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=10.0, dt=0.001)
         assert np.max(np.abs(tr.spins[:, 0] - np.cos(tr.times))) < 1e-6
         assert np.max(np.abs(tr.spins[:, 1] + np.sin(tr.times))) < 1e-6
         assert np.max(np.abs(tr.spins[:, 2])) < 1e-12
 
     def test_returns_after_full_period(self):
         period = 2.0 * np.pi
-        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=period, dt=0.0005)
+        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=period, dt=0.0005)
         assert np.max(np.abs(tr.spins[-1] - np.array([1.0, 0.0, 0.0]))) < 1e-6
 
     def test_aligned_spin_is_stationary(self):
-        tr = integrate_spin((0.0, 0.0, 1.0), (0.0, 0.0, 5.0), C, t1=3.0, dt=0.01)
+        tr = integrate_spin((0.0, 0.0, 1.0), (0.0, 0.0, 5.0), t1=3.0, dt=0.01)
         assert np.max(np.abs(tr.spins - np.array([0.0, 0.0, 1.0]))) < 1e-12
 
     def test_gyro_scales_frequency(self):
-        c2 = PhysicalConstants(gyro=2.0)
-        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), c2, t1=np.pi, dt=0.0005)
+        tr = integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=np.pi, dt=0.0005, gyro=2.0)
         # after t = pi at doubled rate the spin returns to +x
         assert np.max(np.abs(tr.spins[-1] - np.array([1.0, 0.0, 0.0]))) < 1e-6
 
     def test_zero_spin_rejected(self):
         with pytest.raises(ValueError, match="^spin vector must be nonzero$"):
-            integrate_spin((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=1.0, dt=0.1)
+            integrate_spin((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=1.0, dt=0.1)
 
     def test_spin_given_any_way_is_three_floats(self):
         for s0 in (np.array([0, 0, 2]), [0, 0, 2], np.array([[0.0], [0.0], [2.0]])):
             s = dbb._as_spin(s0)
             assert s == (0.0, 0.0, 2.0) and all(type(v) is float for v in s)
-            assert np.array_equal(integrate_spin(s0, (1.0, 0.0, 0.0), C, t1=1.0, dt=0.5).spins[0], s)
+            assert np.array_equal(integrate_spin(s0, (1.0, 0.0, 0.0), t1=1.0, dt=0.5).spins[0], s)
 
     @pytest.mark.parametrize("s0", [
         (1e-170, 1e-170, 0.0),  # |s|^2 underflows to 0 for a nonzero spin
@@ -1268,13 +1263,13 @@ class TestSpinPrecession:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{message}$"):
-                integrate_spin(s0, (0.0, 0.0, 1.0), C, t1=0.004, dt=0.002)
+                integrate_spin(s0, (0.0, 0.0, 1.0), t1=0.004, dt=0.002)
 
     @pytest.mark.parametrize("s0", [(1.5e-154, 0.0, 0.0), (0.0, 0.0, -1e154)])
     def test_spin_whose_square_is_normal_kept(self, s0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tr = integrate_spin(s0, (0.0, 0.0, 1.0), C, t1=0.004, dt=0.002)
+            tr = integrate_spin(s0, (0.0, 0.0, 1.0), t1=0.004, dt=0.002)
         assert np.array_equal(tr.spins[0], s0) and np.isfinite(np.vecdot(tr.spins, tr.spins)).all()
 
     @pytest.mark.parametrize("s0, gyro, dt", [
@@ -1290,13 +1285,13 @@ class TestSpinPrecession:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{message}$"):
-                integrate_spin(s0, (0.0, 0.0, 1.0), PhysicalConstants(gyro=gyro), t1=3 * dt, dt=dt)
+                integrate_spin(s0, (0.0, 0.0, 1.0), t1=3 * dt, dt=dt, gyro=gyro)
         assert len(runs[0][0]) == 4  # no row checked on its own: all three steps were taken
 
     def test_integration_validation(self):
         with pytest.raises(ValueError):
-            integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=0.0, dt=0.01)
+            integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=0.0, dt=0.01)
         with pytest.raises(ValueError):
-            integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), C, t1=1.0, dt=-0.1)
+            integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), t1=1.0, dt=-0.1)
         with pytest.raises(ValueError):
-            integrate_spin((1.0, 0.0, 0.0), (0.0, 1.0), C, t1=1.0, dt=0.1)
+            integrate_spin((1.0, 0.0, 0.0), (0.0, 1.0), t1=1.0, dt=0.1)

@@ -1,7 +1,7 @@
 """The semantics every record type keeps: frozen fields that construct,
 compare, hash, print, copy and pickle as the field tuple.
 
-The table gives each of the 8 records its fields in order, one value per
+The table gives each of the 7 records its fields in order, one value per
 field, and its defaults; every test walks the whole table.  States and CHSH
 settings are not records but arrays; the messages of the functions that
 check them are pinned here with the records' own.
@@ -17,7 +17,7 @@ import pytest
 
 from bell_lab import lhv
 from bell_lab.chsh import chsh_value, singlet
-from bell_lab.dbb import PhysicalConstants, SpinTrajectory, Trajectory, TwoParticleWF, WavePacket, integrate_spin
+from bell_lab.dbb import SpinTrajectory, Trajectory, TwoParticleWF, WavePacket, integrate_spin
 from bell_lab.fock import BeamSplitterSpec, coincidence_probability, detector_amplitude_op
 from bell_lab.lhv import HiddenVariableModel
 from bell_lab.mermin import mermin_operator
@@ -33,7 +33,7 @@ def _anti_sign(angle, lam):
 
 
 VACUUM = np.eye(15, dtype=complex)[0]
-PACKET_A = WavePacket(-1.5, 0.8, 0.6, 0.25)
+PACKET_A = WavePacket(-1.5, 0.8, 0.6)
 PACKET_B = WavePacket(1.5, 1.1, -0.4)
 
 # class, its fields in order, one value per field, and the defaults
@@ -42,9 +42,7 @@ RECORDS = [
     (HiddenVariableModel, ("name", "sample", "alice_response", "bob_response"),
      ("sign", _uniform, lhv._arc_sign, _anti_sign), {}),
     (BeamSplitterSpec, ("t_x", "r_x", "t_y", "r_y"), (0.25, 0.75, 0.5, 0.5), {}),
-    (PhysicalConstants, ("hbar", "mass", "gyro"), (2.0, 3.0, 0.5), {"hbar": 1.0, "mass": 1.0, "gyro": 1.0}),
-    (WavePacket, ("center", "width", "wavenumber", "start_time"), (-1.5, 0.8, 0.6, 0.25),
-     {"start_time": 0.0}),
+    (WavePacket, ("center", "width", "wavenumber"), (-1.5, 0.8, 0.6), {}),
     (TwoParticleWF, ("packet_a", "packet_b", "form"), (PACKET_A, PACKET_B, "symmetric"), {"form": "product"}),
     (Trajectory, ("times", "positions"), (np.array([0.0, 0.5]), np.array([[0.0, 1.0], [0.1, 1.2]])), {}),
     (SpinTrajectory, ("times", "spins"), (np.array([0.0, 0.5]), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
@@ -67,8 +65,8 @@ def _assert_fields(record, cls, fields, values):
         assert _same(getattr(record, name), value), name
 
 
-def test_the_table_covers_eight_records():
-    assert len({r[0] for r in RECORDS}) == 8
+def test_the_table_covers_seven_records():
+    assert len({r[0] for r in RECORDS}) == 7
 
 
 @each_record
@@ -119,16 +117,14 @@ VALIDATION = [
     (lambda: coincidence_probability(0.5 * VACUUM, 0.0, 0.0), "Fock state must be normalized to 1e-12"),
     (lambda: BeamSplitterSpec(1.5, -0.5, 0.5, 0.5), "t_x must be in [0, 1], got 1.5"),
     (lambda: BeamSplitterSpec(0.5, 0.4, 0.5, 0.5), "need t_x + r_x = 1 and t_y + r_y = 1 (within 1e-12)"),
-    (lambda: PhysicalConstants(mass=0.0), "hbar and mass must be positive"),
-    (lambda: PhysicalConstants(gyro=math.inf), "gyro must be finite, got inf"),
+    (lambda: integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.0, 0.5, gyro=math.inf), "gyro must be finite, got inf"),
     (lambda: WavePacket(0.0, -1.0, 0.0), "width must be positive, got -1.0"),
     (lambda: TwoParticleWF(PACKET_A, PACKET_B, "bosonic"),
      "form must be one of ('product', 'symmetric', 'antisymmetric'), got 'bosonic'"),
     (lambda: Trajectory([0.0, 1.0], [0.0]), "times and positions must have matching leading length"),
     (lambda: Trajectory([1.0, 0.0], [0.0, 0.0]), "times must be strictly increasing"),
-    (lambda: integrate_spin((1.0, 0.0), (0.0, 0.0, 1.0), PhysicalConstants(), 1.0, 0.5), "spin must be a 3-vector"),
-    (lambda: integrate_spin((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), PhysicalConstants(), 1.0, 0.5),
-     "spin vector must be nonzero"),
+    (lambda: integrate_spin((1.0, 0.0), (0.0, 0.0, 1.0), 1.0, 0.5), "spin must be a 3-vector"),
+    (lambda: integrate_spin((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.0, 0.5), "spin vector must be nonzero"),
 ]
 
 
@@ -174,9 +170,9 @@ def test_records_of_other_classes_are_unequal():
     class Shifted(WavePacket):
         pass
 
-    assert Shifted(-1.5, 0.8, 0.6, 0.25) != PACKET_A
-    assert Shifted(-1.5, 0.8, 0.6, 0.25) == Shifted(-1.5, 0.8, 0.6, 0.25)
-    assert WavePacket(-1.5, 0.8, 0.6) != PACKET_A
+    assert Shifted(-1.5, 0.8, 0.6) != PACKET_A
+    assert Shifted(-1.5, 0.8, 0.6) == Shifted(-1.5, 0.8, 0.6)
+    assert WavePacket(-1.5, 0.8, 0.7) != PACKET_A
 
 
 @each_record
@@ -187,10 +183,10 @@ def test_repr_is_the_dataclass_format(cls, fields, values, defaults):
 
 
 def test_repr_literals():
-    assert repr(PACKET_A) == "WavePacket(center=-1.5, width=0.8, wavenumber=0.6, start_time=0.25)"
+    assert repr(PACKET_A) == "WavePacket(center=-1.5, width=0.8, wavenumber=0.6)"
     assert repr(TwoParticleWF(PACKET_A, PACKET_B)) == (
-        "TwoParticleWF(packet_a=WavePacket(center=-1.5, width=0.8, wavenumber=0.6, start_time=0.25), "
-        "packet_b=WavePacket(center=1.5, width=1.1, wavenumber=-0.4, start_time=0.0), form='product')")
+        "TwoParticleWF(packet_a=WavePacket(center=-1.5, width=0.8, wavenumber=0.6), "
+        "packet_b=WavePacket(center=1.5, width=1.1, wavenumber=-0.4), form='product')")
     assert repr(MeasurementOp(np.eye(2), label="I")) == (
         "MeasurementOp(matrix=array([[1.+0.j, 0.+0.j],\n       [0.+0.j, 1.+0.j]]), label='I')")
 
