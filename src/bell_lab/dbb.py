@@ -127,17 +127,9 @@ def _dlog_psi(terms, x):
     return -(x - xc) / slope + ik
 
 
-def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, t: float = None) -> complex:
-    """<psi_a(t)|psi_b(t)> by the closed Gaussian integral.
-
-    Free evolution makes this constant in t; the default evaluates at t = 0.
-    """
-    if t is None:  # the start: nothing to check
-        t = 0.0
-    else:
-        _require_finite("t", t)
-        _check_time(t)
-    ta, tb = _terms(wp_a, t), _terms(wp_b, t)
+def packet_overlap(wp_a: WavePacket, wp_b: WavePacket) -> complex:
+    """<psi_a|psi_b> by the closed Gaussian integral, at t = 0: free evolution keeps it constant."""
+    ta, tb = _terms(wp_a, 0.0), _terms(wp_b, 0.0)
     coeffs = []
     for const, xc, quad, slope, ik, x0, phase in (ta, tb):
         # log psi = qa y^2 + qb y + qc in y = x - xc_a: only the packets' separation is squared
@@ -150,7 +142,7 @@ def packet_overlap(wp_a: WavePacket, wp_b: WavePacket, t: float = None) -> compl
     with np.errstate(over="ignore", invalid="ignore"):
         overlap = complex(np.exp(r - q * q / (4.0 * p)) * np.sqrt(np.pi / -p))
     if not np.isfinite(overlap):
-        raise ValueError(f"packet overlap overflows float64: centres {ta[1]!r} and {tb[1]!r} at t={t!r}")
+        raise ValueError(f"packet overlap overflows float64: centres {ta[1]!r} and {tb[1]!r} at t=0.0")
     return overlap
 
 
@@ -219,11 +211,12 @@ def _refuse_nodes(node, x1, x2, t):
         raise NodeSingularityError(f"density below 1e-300 at ({p1!r}, {p2!r}), t={float(t)!r}")
 
 
-def _velocity(wf: TwoParticleWF, x1, x2, t: float, nf: float, terms=None):
+def _velocity(wf: TwoParticleWF, x1, x2, t: float, nf: float, terms=None, coupling=False):
     """(v1, v2) at points (x1, x2) that broadcast; the caller validates them.
 
     nf is _norm_factor(wf) and terms the packets' _terms at t, if the
     caller has them.  For the product form v1 keeps x1's shape and v2 x2's.
+    With coupling, |dv1/dx2| instead, once the same points pass the node test.
     """
     ta, tb = terms or (_terms(wf.packet_a, t), _terms(wf.packet_b, t))
     if wf.form == "product":
@@ -231,7 +224,7 @@ def _velocity(wf: TwoParticleWF, x1, x2, t: float, nf: float, terms=None):
         # not >=, so that a NaN log density (inf - inf beyond float64) is a node too
         ok = (2.0 * la1.real >= _LOG_DENSITY_FLOOR) & (2.0 * lb2.real >= _LOG_DENSITY_FLOOR)
         _refuse_nodes(np.logical_not(ok), x1, x2, t)
-        return _dlog_psi(ta, x1).imag, _dlog_psi(tb, x2).imag
+        return 0.0 if coupling else (_dlog_psi(ta, x1).imag, _dlog_psi(tb, x2).imag)
     # refused as nodes below: den == 0, and a far tail, where (x - xc)^2
     # overflows, lm is -inf and log_rho NaN (beyond about 1e154 from the packets)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -239,8 +232,11 @@ def _velocity(wf: TwoParticleWF, x1, x2, t: float, nf: float, terms=None):
         den = w1 + sw2
         log_rho = 2.0 * (lm + np.log(np.abs(den))) + 2.0 * np.log(nf)
     _refuse_nodes((den == 0.0) | ~(log_rho >= _LOG_DENSITY_FLOOR), x1, x2, t)
-    v1 = (_cmul(w1, _dlog_psi(ta, x1)) + _cmul(sw2, _dlog_psi(tb, x1))) / den
-    v2 = (_cmul(w1, _dlog_psi(tb, x2)) + _cmul(sw2, _dlog_psi(ta, x2))) / den
+    ga1, gb1, ga2, gb2 = _dlog_psi(ta, x1), _dlog_psi(tb, x1), _dlog_psi(ta, x2), _dlog_psi(tb, x2)
+    if coupling:  # d log psi is linear in x, so dv1/dx2 = -Im[w1 sw2 (ga1 - gb1)(ga2 - gb2) / den^2]
+        return np.abs((_cmul(_cmul(w1, sw2), _cmul(ga1 - gb1, ga2 - gb2)) / den / den).imag)
+    v1 = (_cmul(w1, ga1) + _cmul(sw2, gb1)) / den
+    v2 = (_cmul(w1, gb2) + _cmul(sw2, ga2)) / den
     return v1.imag, v2.imag
 
 
@@ -317,23 +313,18 @@ def velocity_2p(wf: TwoParticleWF, x1, x2, t: float):
 
 
 def cross_coupling(wf: TwoParticleWF, x1, x2, t: float):
-    """|dv1/dx2| by central differences with one Richardson refinement.
+    """|dv1/dx2| in closed form: the exchange product w1 sw2 times the packets' slope differences.
 
-    Step h = 1e-5 * the smaller packet width; the Richardson combination
-    (4 D(h/2) - D(h)) / 3 removes the leading O(h^2) error.  Broadcasts
-    over (x1, x2) like velocity_2p.
+    With psi = nf exp(lm) (w1 + sw2) and g = d log psi/dx, linear in x,
+    dv1/dx2 = -Im[w1 sw2 (g_a(x1) - g_b(x1)) (g_a(x2) - g_b(x2)) / (w1 + sw2)^2]:
+    exactly 0 for the product form (sw2 = 0) and for identical packets, and vanishing
+    wherever the packets do not overlap in configuration space.  Broadcasts over
+    (x1, x2) like velocity_2p, and refuses the same nodes.
     """
     x1, x2 = _check_point(x1, x2, t)
-    nf = _norm_factor(wf)
-    h = 1e-5 * min(wf.packet_a.width, wf.packet_b.width)
-
-    def d(step):
-        with np.errstate(over="ignore", invalid="ignore"):  # as in velocity_2p
-            vp = _velocity(wf, x1, x2 + step, t, nf)[0]
-            vm = _velocity(wf, x1, x2 - step, t, nf)[0]
-        return (vp - vm) / (2.0 * step)
-
-    return _as_result(np.abs((4.0 * d(h / 2.0) - d(h)) / 3.0), np.broadcast(x1, x2).shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in velocity_2p
+        g = _velocity(wf, x1, x2, t, _norm_factor(wf), coupling=True)
+    return _as_result(g, np.broadcast(x1, x2).shape)
 
 
 class Trajectory(_Record):

@@ -66,7 +66,6 @@ ONE_CHECK_PER_INPUT = {
     "velocity_2p": (lambda: dbb.velocity_2p(WF, 0.1, 0.2, 0.8), ["x1", "x2", "t"]),
     "cross_coupling": (lambda: dbb.cross_coupling(WF, [0.1, 0.2], 0.3, 0.8), ["x1", "x2", "t"]),
     "psi2_eval": (lambda: dbb.psi2_eval(WF, 0.1, 0.2, 0.8), ["x1", "x2", "t"]),
-    "packet_overlap": (lambda: dbb.packet_overlap(WF.packet_a, WF.packet_b, 0.5), ["t"]),
     "packet_overlap at the later start": (lambda: dbb.packet_overlap(WF.packet_a, WF.packet_b), []),
     "integrate_trajectory": (lambda: dbb.integrate_trajectory(WF, (0.1, 0.2), 0.0, 0.1, 0.01),
                              ["t0", "t1", "dt", "x1", "x2"]),
@@ -159,7 +158,6 @@ NONFINITE_MESSAGES = {
     "cross_coupling(x1, t)": (lambda: dbb.cross_coupling(WF, NAN, 0.2, -np.inf), "x1 must be finite, got nan"),
     "psi2_eval(x2)": (lambda: dbb.psi2_eval(WF, 0.1, NAN, 0.8), "x2 must be finite, got nan"),
     "psi2_eval(t)": (lambda: dbb.psi2_eval(WF, 0.1, 0.2, np.inf), "t must be finite, got inf"),
-    "packet_overlap(t)": (lambda: dbb.packet_overlap(WF.packet_a, WF.packet_b, NAN), "t must be finite, got nan"),
     "integrate_trajectory(start)": (lambda: dbb.integrate_trajectory(WF, (NAN, 0.2), 0.0, 0.1, 0.01),
                                     "x1 must be finite, got nan"),
     "integrate_trajectory(t0)": (lambda: dbb.integrate_trajectory(WF, (0.1, 0.2), NAN, 0.1, 0.01),

@@ -544,7 +544,7 @@ class TestDbbCommand:
     def test_product_field_has_no_coupling(self):
         text = run_ok(["dbb", "--form", "product", "--grid", "5"])
         _, _, rows = parse_csv(text)
-        assert max(float(r[4]) for r in rows) < 1e-8
+        assert all(float(r[4]) == 0.0 for r in rows)
 
     def test_trajectory_matches_library(self):
         text = run_ok(["dbb", "--form", "antisymmetric", "--trajectory",

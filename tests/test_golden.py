@@ -1,8 +1,9 @@
-"""Byte-for-byte CLI goldens, one or more per command family.
+"""Byte-for-byte CLI goldens, one or more per command family, and one per demo.
 
 Each ``tests/golden/<name>.csv`` holds the exact stdout of ``bell-lab``
-for the arguments listed below.  A change that moves any byte fails here;
-one that means to must regenerate the files on purpose with
+for the arguments listed below, and each ``tests/golden/demo_<demo>.txt``
+that of ``python -W error demos/<demo>.py``.  A change that moves any byte
+fails here; one that means to must regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -20,6 +21,8 @@ import pytest
 from clirun import invoke
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DEMO_DIR = Path(__file__).parents[1] / "demos"
+DEMOS = sorted(p.stem for p in DEMO_DIR.glob("*.py"))
 
 GOLDEN = {
     "identity_spin": ["identity", "--kind", "spin", "--trials", "200", "--seed", "7"],
@@ -63,25 +66,40 @@ def _stdout(args) -> bytes:
     return result.stdout_bytes
 
 
+def _env(**extra):
+    """This process's environment with src/ first on PYTHONPATH, for a child that imports bell_lab."""
+    src = str(Path(__file__).parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+def _demo_stdout(name) -> bytes:
+    # -W error, as CI runs the demos: a warning fails the demo instead of printing to stderr
+    return subprocess.run([sys.executable, "-W", "error", str(DEMO_DIR / f"{name}.py")], env=_env(),
+                          capture_output=True, check=True).stdout
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stdout_matches_golden(name):
     assert _stdout(GOLDEN[name]) == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_stdout_matches_golden(name):
+    assert _demo_stdout(name) == (GOLDEN_DIR / f"demo_{name}.txt").read_bytes()
+
+
 def test_goldens_do_not_depend_on_simd_dispatch(tmp_path):
     # numpy picks SIMD loops by CPU at import; with every dispatch target this
-    # machine supports switched off, a child process must print the same bytes
+    # machine supports switched off, a child process (and the demos it runs) must print the same bytes
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     disabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
     if not disabled:
         pytest.skip("this CPU runs no dispatched numpy loops")
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, check=True)
-    for name in sorted(GOLDEN):
-        assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes(), name
+    subprocess.run([sys.executable, __file__, str(tmp_path)], env=_env(NPY_DISABLE_CPU_FEATURES=" ".join(disabled)),
+                   check=True)
+    for name in [f"{name}.csv" for name in sorted(GOLDEN)] + [f"demo_{name}.txt" for name in DEMOS]:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
 if __name__ == "__main__":
@@ -89,3 +107,5 @@ if __name__ == "__main__":
     out_dir.mkdir(exist_ok=True)
     for name, args in GOLDEN.items():
         (out_dir / f"{name}.csv").write_bytes(_stdout(args))
+    for name in DEMOS:
+        (out_dir / f"demo_{name}.txt").write_bytes(_demo_stdout(name))
