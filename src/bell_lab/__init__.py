@@ -32,7 +32,7 @@ _PUBLIC = {
                "mermin_value"),
     "lhv": ("RNG_ALGORITHM", "HiddenVariableModel", "chsh_deterministic_max", "make_rng",
             "mermin_deterministic_max", "sawtooth_correlation", "sign_model", "simulate_chsh_stats"),
-    "fock": ("STATES", "BeamSplitterSpec", "coincidence_closed_form", "coincidence_correlation",
+    "fock": ("STATES", "coincidence_closed_form", "coincidence_correlation",
              "coincidence_probability", "detector_amplitude_op", "ou_mandel_state", "product_state"),
     "dbb": ("SpinTrajectory", "Trajectory", "TwoParticleWF", "WavePacket", "cross_coupling", "integrate_spin",
             "integrate_trajectory", "packet_overlap", "psi2_eval", "velocity_2p"),

@@ -219,12 +219,10 @@ def lhv(enumerate_, model, samples, seed, angles, out):
 def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     """Two-photon coincidence probabilities / correlations behind the splitter."""
     _check_flags(tx=tx, ty=ty, theta1=theta1, theta2=theta2)
-    _check_flags(lambda v: 0.0 <= v <= 1.0, "in [0, 1]", tx=tx, ty=ty)  # as typed, not as BeamSplitterSpec's t_x
-    from .fock import (BeamSplitterSpec, coincidence_closed_form, coincidence_correlation,
-                       coincidence_probability, ou_mandel_state)
+    _check_flags(lambda v: 0.0 <= v <= 1.0, "in [0, 1]", tx=tx, ty=ty)  # as typed, before fock refuses it as t_x
+    from .fock import coincidence_closed_form, coincidence_correlation, coincidence_probability, ou_mandel_state
 
-    bs = BeamSplitterSpec.from_transmissions(tx, ty)
-    state = ou_mandel_state(bs)
+    state = ou_mandel_state(tx, ty)
     params = {"tx": tx, "ty": ty, "theta1": theta1, "theta2": theta2}
     if grid is None:
         t1, t2 = theta1, theta2
@@ -240,7 +238,7 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
         _write_csv(out, meta, {"theta1": t1, "theta2": t2, "e_value": coincidence_correlation(state, r1, r2)})
         return
     p = coincidence_probability(state, r1, r2)
-    q = coincidence_closed_form(bs, r1, r2)
+    q = coincidence_closed_form(tx, ty, r1, r2)
     _write_csv(out, meta, {"theta1": t1, "theta2": t2, "p_numeric": p, "p_closed_form": q, "abs_diff": np.abs(p - q)})
 
 

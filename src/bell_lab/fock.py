@@ -8,6 +8,8 @@ The four ladder matrices are one private table, built when the module loads.
 A state is a complex128 array of 15 amplitudes, read by STATES.index; the
 constructors return it read-only, and coincidence_probability checks it.
 
+A beam splitter is its two transmission probabilities T_x and T_y, taken
+as two floats in [0, 1]; it is lossless, so each reflection is R = 1 - T.
 The beam-splitter state
 
     |Psi> = sqrt(Tx*Ty)|x1 y2> + sqrt(Rx*Ry)|x2 y1>
@@ -24,7 +26,7 @@ from itertools import product as _iproduct
 import numpy as np
 
 from .errors import UndefinedCorrelationError
-from ._common import _Record, _require_finite
+from ._common import _require_finite
 from .operators import _frozen, _unbox
 
 _MODE_ORDER = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
@@ -41,11 +43,11 @@ for _j, _occ in enumerate(STATES):
 _LADDERS.setflags(write=False)
 
 
-def _slot(detector: int, polarization: str) -> int:
-    """The position of mode (detector, polarization) in _MODE_ORDER."""
-    if (detector, polarization) not in _MODE_ORDER:
-        raise ValueError(f"mode must be one of {_MODE_ORDER}, got ({detector!r}, {polarization!r})")
-    return _MODE_ORDER.index((detector, polarization))
+def _slot(detector: int) -> int:
+    """The position of the detector's x mode in _MODE_ORDER; its y mode is the next."""
+    if detector not in (1, 2):
+        raise ValueError(f"detector must be 1 or 2, got {detector!r}")
+    return _MODE_ORDER.index((detector, "x"))
 
 
 def _check_state(state) -> np.ndarray:
@@ -59,52 +61,37 @@ def _check_state(state) -> np.ndarray:
     return amps
 
 
-class BeamSplitterSpec(_Record):
-    """Per-polarization transmission/reflection probabilities, T + R = 1."""
-
-    t_x: float
-    r_x: float
-    t_y: float
-    r_y: float
-
-    def __post_init__(self):
-        for name in ("t_x", "r_x", "t_y", "r_y"):
-            v = getattr(self, name)
-            _require_finite(name, v)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v!r}")
-        if abs(self.t_x + self.r_x - 1.0) >= 1e-12 or abs(self.t_y + self.r_y - 1.0) >= 1e-12:
-            raise ValueError("need t_x + r_x = 1 and t_y + r_y = 1 (within 1e-12)")
-
-    @classmethod
-    def equal_split(cls) -> "BeamSplitterSpec":
-        return cls(0.5, 0.5, 0.5, 0.5)
-
-    @classmethod
-    def from_transmissions(cls, t_x: float, t_y: float) -> "BeamSplitterSpec":
-        return cls(t_x, 1.0 - t_x, t_y, 1.0 - t_y)
+def _split(t_x, t_y):
+    """(T_x, R_x, T_y, R_y) of the lossless splitter with transmissions t_x, t_y, each checked once."""
+    for name, t in (("t_x", t_x), ("t_y", t_y)):
+        _require_finite(name, t)
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {t!r}")
+    return t_x, 1.0 - t_x, t_y, 1.0 - t_y
 
 
-def ou_mandel_state(bs: BeamSplitterSpec) -> np.ndarray:
-    """The four-term two-photon state behind the beam splitter."""
+def ou_mandel_state(t_x: float, t_y: float) -> np.ndarray:
+    """The four-term two-photon state behind the splitter that transmits t_x and t_y."""
+    t_x, r_x, t_y, r_y = _split(t_x, t_y)
     amps = np.zeros(len(STATES), dtype=complex)
-    amps[STATES.index((1, 0, 0, 1))] = np.sqrt(bs.t_x * bs.t_y)  # |x1 y2>
-    amps[STATES.index((0, 1, 1, 0))] = np.sqrt(bs.r_x * bs.r_y)  # |x2 y1>
-    amps[STATES.index((1, 1, 0, 0))] = -1.0j * np.sqrt(bs.r_y * bs.t_x)  # |x1 y1>
-    amps[STATES.index((0, 0, 1, 1))] = 1.0j * np.sqrt(bs.r_x * bs.t_y)  # |x2 y2>
+    amps[STATES.index((1, 0, 0, 1))] = np.sqrt(t_x * t_y)  # |x1 y2>
+    amps[STATES.index((0, 1, 1, 0))] = np.sqrt(r_x * r_y)  # |x2 y1>
+    amps[STATES.index((1, 1, 0, 0))] = -1.0j * np.sqrt(r_y * t_x)  # |x1 y1>
+    amps[STATES.index((0, 0, 1, 1))] = 1.0j * np.sqrt(r_x * t_y)  # |x2 y2>
     return _frozen(amps)
 
 
-def product_state(bs: BeamSplitterSpec) -> np.ndarray:
+def product_state(t_x: float, t_y: float) -> np.ndarray:
     """[sqrt(Tx) a+(1,x) + i sqrt(Rx) a+(2,x)] [sqrt(Ty) a+(2,y) - i sqrt(Ry) a+(1,y)] |0>.
 
     Expands, term by term, to the same amplitudes as ou_mandel_state — the
     four-term state is a product of one x-photon factor and one y-photon
     factor, so it generates local trajectories despite its appearance.
     """
+    t_x, r_x, t_y, r_y = _split(t_x, t_y)
     x1, y1, x2, y2 = _LADDERS.conj().transpose(0, 2, 1)  # the creation matrices a+, in _MODE_ORDER
-    op_x = np.sqrt(bs.t_x) * x1 + 1.0j * np.sqrt(bs.r_x) * x2
-    op_y = np.sqrt(bs.t_y) * y2 - 1.0j * np.sqrt(bs.r_y) * y1
+    op_x = np.sqrt(t_x) * x1 + 1.0j * np.sqrt(r_x) * x2
+    op_y = np.sqrt(t_y) * y2 - 1.0j * np.sqrt(r_y) * y1
     return _frozen(op_x @ (op_y @ np.eye(len(STATES), dtype=complex)[0]))  # on the vacuum, STATES[0]
 
 
@@ -113,7 +100,7 @@ def detector_amplitude_op(detector: int, theta) -> np.ndarray:
 
     Broadcasts over theta: the result has shape ``np.shape(theta) + (15, 15)``.
     """
-    slot = _slot(detector, "x")
+    slot = _slot(detector)
     _require_finite("theta", theta)
     return _amplitude_op(slot, theta)
 
@@ -138,10 +125,12 @@ def coincidence_probability(state, theta1, theta2):
     return _probability(_check_state(state), theta1, theta2)
 
 
-def coincidence_closed_form(bs: BeamSplitterSpec, theta1, theta2):
-    """(sqrt(Tx*Ty) cos t1 sin t2 + sqrt(Rx*Ry) sin t1 cos t2)^2, broadcasting."""
-    amp = np.sqrt(bs.t_x * bs.t_y) * np.cos(theta1) * np.sin(theta2) + np.sqrt(
-        bs.r_x * bs.r_y
+def coincidence_closed_form(t_x: float, t_y: float, theta1, theta2):
+    """(sqrt(Tx*Ty) cos t1 sin t2 + sqrt(Rx*Ry) sin t1 cos t2)^2, broadcasting over the angles."""
+    t_x, r_x, t_y, r_y = _split(t_x, t_y)
+    theta1, theta2 = (_require_finite("theta", theta) for theta in (theta1, theta2))
+    amp = np.sqrt(t_x * t_y) * np.cos(theta1) * np.sin(theta2) + np.sqrt(
+        r_x * r_y
     ) * np.sin(theta1) * np.cos(theta2)
     return _unbox(amp * amp)
 

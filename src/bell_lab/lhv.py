@@ -47,7 +47,6 @@ class HiddenVariableModel(_Record):
     party's setting and lambda.
     """
 
-    name: str
     sample: Callable[[np.random.Generator, int], np.ndarray]
     alice_response: Callable[[float, np.ndarray], np.ndarray]
     bob_response: Callable[[float, np.ndarray], np.ndarray]
@@ -89,7 +88,6 @@ def sign_model() -> HiddenVariableModel:
     anticorrelated pairs: E(a, a) = -1 exactly.  Responses are int8.
     """
     return HiddenVariableModel(
-        name="sign",
         sample=lambda rng, n: rng.uniform(0.0, 2.0 * np.pi, size=n),
         alice_response=_arc_sign,
         bob_response=lambda angle, lam: -_arc_sign(angle, lam),

@@ -18,7 +18,7 @@ PSI = chsh.singlet()
 BAD_PSI = [NAN, 0.0, 0.0, 0.0]
 GHZ2 = mermin.ghz(2)
 PAIRS3 = [(0.0, np.pi / 2)] * 3
-ST = fock.ou_mandel_state(fock.BeamSplitterSpec.equal_split())
+ST = fock.ou_mandel_state(0.5, 0.5)
 BAD_ST = np.r_[NAN, np.zeros(14)]
 WF = dbb.TwoParticleWF(dbb.WavePacket(-1.5, 0.8, 0.6), dbb.WavePacket(1.5, 1.1, -0.4), "symmetric")
 
@@ -63,6 +63,10 @@ ONE_CHECK_PER_INPUT = {
     "coincidence_probability": (lambda: fock.coincidence_probability(ST, 0.1, 0.2), ["theta", "theta", "amplitudes"]),
     "coincidence_correlation": (lambda: fock.coincidence_correlation(ST, 0.1, [0.2, 0.3]),
                                 ["theta", "theta", "amplitudes"]),
+    "ou_mandel_state": (lambda: fock.ou_mandel_state(0.7, 0.4), ["t_x", "t_y"]),
+    "product_state": (lambda: fock.product_state(0.7, 0.4), ["t_x", "t_y"]),
+    "coincidence_closed_form": (lambda: fock.coincidence_closed_form(0.7, 0.4, 0.1, [0.2, 0.3]),
+                                ["t_x", "t_y", "theta", "theta"]),
     "velocity_2p": (lambda: dbb.velocity_2p(WF, 0.1, 0.2, 0.8), ["x1", "x2", "t"]),
     "cross_coupling": (lambda: dbb.cross_coupling(WF, [0.1, 0.2], 0.3, 0.8), ["x1", "x2", "t"]),
     "psi2_eval": (lambda: dbb.psi2_eval(WF, 0.1, 0.2, 0.8), ["x1", "x2", "t"]),
@@ -146,6 +150,14 @@ NONFINITE_MESSAGES = {
                                                "theta must be finite, got nan"),
     "coincidence_correlation(theta1, theta2)": (lambda: fock.coincidence_correlation(ST, np.inf, NAN),
                                                 "theta must be finite, got inf"),
+    "coincidence_closed_form(theta1)": (lambda: fock.coincidence_closed_form(0.7, 0.4, NAN, 0.2),
+                                        "theta must be finite, got nan"),
+    "coincidence_closed_form(theta2)": (lambda: fock.coincidence_closed_form(0.7, 0.4, 0.1, np.array([0.2, -np.inf])),
+                                        "theta must be finite, got array([ 0.2, -inf])"),
+    "coincidence_closed_form(t_x, theta1)": (lambda: fock.coincidence_closed_form(NAN, 0.4, np.inf, 0.2),
+                                             "t_x must be finite, got nan"),
+    "ou_mandel_state(t_y)": (lambda: fock.ou_mandel_state(0.7, np.inf), "t_y must be finite, got inf"),
+    "product_state(t_x)": (lambda: fock.product_state(NAN, 0.4), "t_x must be finite, got nan"),
     "velocity_2p(x1)": (lambda: dbb.velocity_2p(WF, NAN, 0.2, 0.8), "x1 must be finite, got nan"),
     "velocity_2p(x1 as a list)": (lambda: dbb.velocity_2p(WF, [0.1, NAN], 0.2, 0.8),
                                   "x1 must be finite, got [0.1, nan]"),

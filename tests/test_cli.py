@@ -23,7 +23,6 @@ from bell_lab.cli import EXIT_NODE, EXIT_NUMERICAL, EXIT_VALIDATION, IDENTITY_CH
 from bell_lab.dbb import TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
 from bell_lab.errors import NodeSingularityError, NumericalCheckError
 from bell_lab.fock import (
-    BeamSplitterSpec,
     coincidence_closed_form,
     coincidence_correlation,
     coincidence_probability,
@@ -466,8 +465,7 @@ class TestOumandelCommand:
                        "--theta1", "30", "--theta2", "15"])
         header, _, rows = parse_csv(text)
         assert header == ["theta1", "theta2", "p_numeric", "p_closed_form", "abs_diff"]
-        want = coincidence_closed_form(BeamSplitterSpec.equal_split(),
-                                       np.deg2rad(30.0), np.deg2rad(15.0))
+        want = coincidence_closed_form(0.5, 0.5, np.deg2rad(30.0), np.deg2rad(15.0))
         assert float(rows[0][2]) == pytest.approx(want, abs=1e-15)
         assert float(rows[0][3]) == want
         assert float(rows[0][4]) < 1e-15
@@ -516,7 +514,7 @@ class TestOumandelCommand:
         # a column and a row of angles, never a meshgrid
         assert [(np.shape(t1), np.shape(t2)) for _, t1, t2 in calls] == [((71, 1), (1, 71))]
         # bit for bit what one call per theta1 row gives
-        state = ou_mandel_state(BeamSplitterSpec.from_transmissions(0.7, 0.4))
+        state = ou_mandel_state(0.7, 0.4)
         thetas = np.deg2rad(np.linspace(0.0, 180.0, 71))
         want = [coincidence_probability(state, t1, thetas) for t1 in thetas]
         assert np.array_equal([float(r[2]) for r in rows], np.concatenate(want))
@@ -526,7 +524,7 @@ class TestOumandelCommand:
         _, _, rows = parse_csv(run_ok(["oumandel", "--tx", "0.5", "--ty", "0.5", "--grid", "51",
                                        "--correlation"]))
         assert [(np.shape(t1), np.shape(t2)) for _, t1, t2 in calls] == [((51, 1), (1, 51))]
-        state = ou_mandel_state(BeamSplitterSpec.equal_split())
+        state = ou_mandel_state(0.5, 0.5)
         thetas = np.deg2rad(np.linspace(0.0, 180.0, 51))
         want = [coincidence_correlation(state, t1, thetas) for t1 in thetas]
         assert np.array_equal([float(r[2]) for r in rows], np.concatenate(want))
@@ -1337,7 +1335,7 @@ class TestInstalledEntryPoint:
 
     def test_public_names_resolve_in_their_layer_module(self, monkeypatch):
         modules = {name: sys.modules[f"bell_lab.{name}"] for name in ("errors", *LAYERS)}
-        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 49
+        assert len(set(bell_lab.__all__)) == len(bell_lab.__all__) == 48
         for name in bell_lab.__all__:
             value = getattr(bell_lab, name)
             holders = [layer for layer, module in modules.items() if vars(module).get(name) is value]
@@ -1361,7 +1359,7 @@ class TestInstalledEntryPoint:
         texts = [inspect.getsource(body) for body, _ in cli._COMMANDS.values()]
         texts += [path.read_text(encoding="utf-8") for path in sorted(root.glob("demos/*.py"))]
         texts.append((root / "README.md").read_text(encoding="utf-8"))
-        assert len(bell_lab.__all__) == 49
+        assert len(bell_lab.__all__) == 48
         unused = [name for name in bell_lab.__all__ if not any(re.search(rf"\b{name}\b", t) for t in texts)]
         assert unused == []
 

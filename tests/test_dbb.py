@@ -28,8 +28,9 @@ PACKET_A = WavePacket(center=-1.5, width=0.8, wavenumber=0.6)
 PACKET_B = WavePacket(center=1.5, width=1.1, wavenumber=-0.4)
 GOLDEN_POINT = (0.1, 0.35)
 GOLDEN_TIME = 0.8
-GOLDEN_ANTISYM = 0.274334872102655
-GOLDEN_SYM = 0.852541359356584
+# |dv1/dx2| at the float64 GOLDEN_POINT and GOLDEN_TIME, from its value to 25 digits (mpmath, two routes)
+GOLDEN_ANTISYM = 0.27433487196825692
+GOLDEN_SYM = 0.85254135763538118
 
 
 def gaussian(wp, x, t):
@@ -334,12 +335,12 @@ class TestCrossCoupling:
     def test_antisymmetric_golden_value(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
         g = cross_coupling(wf, *GOLDEN_POINT, GOLDEN_TIME)
-        assert abs(g) >= 0.99 * GOLDEN_ANTISYM
+        assert abs(g - GOLDEN_ANTISYM) < 1e-12 * GOLDEN_ANTISYM
 
     def test_symmetric_golden_value(self):
         wf = TwoParticleWF(PACKET_A, PACKET_B, form="symmetric")
         g = cross_coupling(wf, *GOLDEN_POINT, GOLDEN_TIME)
-        assert abs(abs(g) - GOLDEN_SYM) < 1e-6 * GOLDEN_SYM
+        assert abs(g - GOLDEN_SYM) < 1e-12 * GOLDEN_SYM
 
     def test_forms_differ_at_golden_point(self):
         anti = TwoParticleWF(PACKET_A, PACKET_B, form="antisymmetric")
@@ -555,7 +556,7 @@ class TestArrayRoute:
                 assert np.all(np.abs(got - want) <= 2.0 * coupling_error_bound(wf, x1, x2, t))
         if form == "antisymmetric":
             assert abs(float(analytic_cross_coupling(wf, *GOLDEN_POINT, GOLDEN_TIME))
-                       - GOLDEN_ANTISYM) < 1e-9
+                       - GOLDEN_ANTISYM) < 1e-12 * GOLDEN_ANTISYM
 
     def test_one_overlap_per_call(self, monkeypatch):
         # once per public call or trajectory, not per point or RK4 stage

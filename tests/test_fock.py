@@ -9,7 +9,6 @@ from bell_lab.chsh import TSIRELSON
 from bell_lab.errors import UndefinedCorrelationError
 from bell_lab.fock import (
     STATES,
-    BeamSplitterSpec,
     coincidence_closed_form,
     coincidence_correlation,
     coincidence_probability,
@@ -31,27 +30,28 @@ TRANSMISSIONS = st.one_of(
 )
 
 
-def random_bs(rng):
-    tx, ty = rng.uniform(0.05, 0.95, size=2)
-    return BeamSplitterSpec.from_transmissions(float(tx), float(ty))
+def random_split(rng):
+    """Two transmissions (t_x, t_y) drawn away from the ends, as Python floats."""
+    return rng.uniform(0.05, 0.95, size=2).tolist()
 
 
-def bad_mode(detector, polarization):
-    return pytest.raises(ValueError, match="^" + re.escape(
-        f"mode must be one of ((1, 'x'), (1, 'y'), (2, 'x'), (2, 'y')), got ({detector!r}, {polarization!r})") + "$")
+def bad_detector(detector):
+    return pytest.raises(ValueError, match="^" + re.escape(f"detector must be 1 or 2, got {detector!r}") + "$")
 
 
 class TestBasis:
     def test_mode_order(self):
         assert fock._MODE_ORDER == MODES
-        assert fock._slot(1, "y") == 1
-        assert fock._slot(2, "y") == 3
+        # a detector's slot is its x mode; its y mode is the next
+        assert fock._slot(1) == 0
+        assert fock._slot(2) == 2
 
     def test_mode_validation(self):
-        with bad_mode(3, "x"):
+        with bad_detector(3):
             detector_amplitude_op(3, 0.0)
-        with bad_mode(1, "z"):
-            fock._slot(1, "z")
+        for detector in (0, "1", 1.5):
+            with bad_detector(detector):
+                fock._slot(detector)
 
     def test_fifteen_states_lexicographic_no_dups(self):
         assert type(STATES) is tuple and len(STATES) == 15
@@ -114,58 +114,65 @@ class TestLadderOperators:
         assert np.max(np.abs(c[:, keep])) == 0.0
 
 
-class TestBeamSplitterSpec:
-    def test_equal_split(self):
-        bs = BeamSplitterSpec.equal_split()
-        assert bs.t_x == bs.r_x == bs.t_y == bs.r_y == 0.5
-
-    def test_from_transmissions(self):
-        bs = BeamSplitterSpec.from_transmissions(0.3, 0.8)
-        assert bs.t_x == 0.3 and abs(bs.r_x - 0.7) < 1e-15
-        assert bs.t_y == 0.8 and abs(bs.r_y - 0.2) < 1e-15
-
+class TestSplitter:
     def test_rejects_unphysical(self):
-        with pytest.raises(ValueError):
-            BeamSplitterSpec(0.5, 0.6, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            BeamSplitterSpec.from_transmissions(1.3, 0.5)
-        with pytest.raises(ValueError):
-            BeamSplitterSpec.from_transmissions(-0.1, 0.5)
+        # each of the three functions that take a splitter refuses it with the same message
+        for t_x, t_y, message in [
+            (1.3, 0.5, "t_x must be in [0, 1], got 1.3"),
+            (-0.1, 0.5, "t_x must be in [0, 1], got -0.1"),
+            (0.5, 1.0000000000000002, "t_y must be in [0, 1], got 1.0000000000000002"),
+            (0.5, -5e-324, "t_y must be in [0, 1], got -5e-324"),
+            (np.nan, 0.5, "t_x must be finite, got nan"),
+        ]:
+            for call in (ou_mandel_state, product_state, lambda *t: coincidence_closed_form(*t, 0.1, 0.2)):
+                with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                    call(t_x, t_y)
+
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS)
+    def test_reflections_are_one_minus_the_transmissions(self, tx, ty):
+        # the amplitudes are those of T and R = 1 - T, bit for bit
+        st = ou_mandel_state(tx, ty)
+        rx, ry = 1.0 - tx, 1.0 - ty
+        assert st[STATES.index((1, 0, 0, 1))] == np.sqrt(tx * ty)
+        assert st[STATES.index((0, 1, 1, 0))] == np.sqrt(rx * ry)
+        assert st[STATES.index((1, 1, 0, 0))] == -1.0j * np.sqrt(ry * tx)
+        assert st[STATES.index((0, 0, 1, 1))] == 1.0j * np.sqrt(rx * ty)
 
 
 class TestOuMandelState:
     def test_equal_split_amplitudes(self):
-        st = ou_mandel_state(BeamSplitterSpec.equal_split())
+        st = ou_mandel_state(0.5, 0.5)
         assert abs(st[STATES.index((1, 0, 0, 1))] - 0.5) < 1e-15
         assert abs(st[STATES.index((0, 1, 1, 0))] - 0.5) < 1e-15
         assert abs(st[STATES.index((1, 1, 0, 0))] - (-0.5j)) < 1e-15
         assert abs(st[STATES.index((0, 0, 1, 1))] - 0.5j) < 1e-15
 
     def test_full_transmission_routes_x1_y2(self):
-        st = ou_mandel_state(BeamSplitterSpec.from_transmissions(1.0, 1.0))
+        st = ou_mandel_state(1.0, 1.0)
         assert abs(st[STATES.index((1, 0, 0, 1))] - 1.0) < 1e-15
         assert abs(np.linalg.norm(st) - 1.0) < 1e-12
 
     def test_full_reflection_routes_x2_y1(self):
-        st = ou_mandel_state(BeamSplitterSpec.from_transmissions(0.0, 0.0))
+        st = ou_mandel_state(0.0, 0.0)
         assert abs(st[STATES.index((0, 1, 1, 0))] - 1.0) < 1e-15
 
     def test_normalized_random_splitters(self):
         rng = np.random.default_rng(107)
         for _ in range(100):
-            st = ou_mandel_state(random_bs(rng))
+            st = ou_mandel_state(*random_split(rng))
             assert abs(np.linalg.norm(st) - 1.0) < 1e-12
 
     @hyp_settings(max_examples=300, deadline=None)
     @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS)
     def test_unit_norm_property(self, tx, ty):
         # (T_x + R_x)(T_y + R_y) = 1, whatever the split
-        st = ou_mandel_state(BeamSplitterSpec.from_transmissions(tx, ty))
+        st = ou_mandel_state(tx, ty)
         assert abs(np.linalg.norm(st) - 1.0) <= 1e-15
 
     def test_amplitudes_read_only(self):
         for make in (ou_mandel_state, product_state):
-            st = make(BeamSplitterSpec.equal_split())
+            st = make(0.5, 0.5)
             assert st.dtype == np.complex128 and st.shape == (15,)
             with pytest.raises(ValueError):
                 st[0] = 1.0
@@ -177,16 +184,15 @@ class TestFactorization:
         # factorizes into independent single-photon transformations
         rng = np.random.default_rng(109)
         for _ in range(100):
-            bs = random_bs(rng)
-            direct = ou_mandel_state(bs)
-            factored = product_state(bs)
+            tx, ty = random_split(rng)
+            direct = ou_mandel_state(tx, ty)
+            factored = product_state(tx, ty)
             assert np.max(np.abs(direct - factored)) < 1e-12
 
     @hyp_settings(max_examples=300, deadline=None)
     @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS)
     def test_product_state_equals_pair_state_property(self, tx, ty):
-        bs = BeamSplitterSpec.from_transmissions(tx, ty)
-        assert np.max(np.abs(ou_mandel_state(bs) - product_state(bs))) <= 1e-15
+        assert np.max(np.abs(ou_mandel_state(tx, ty) - product_state(tx, ty))) <= 1e-15
 
     @hyp_settings(max_examples=200, deadline=None)
     @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS)
@@ -195,14 +201,13 @@ class TestFactorization:
     @example(tx=1.0, ty=1e-300)
     def test_product_state_is_bitwise_the_reference_construction(self, tx, ty):
         # the factors of the docstring, built from ref_ladder's creation matrices, applied to the vacuum
-        bs = BeamSplitterSpec.from_transmissions(tx, ty)
         x1, y1, x2, y2 = (ref_ladder(*mode).conj().T for mode in MODES)
-        op_x = np.sqrt(bs.t_x) * x1 + 1.0j * np.sqrt(bs.r_x) * x2
-        op_y = np.sqrt(bs.t_y) * y2 - 1.0j * np.sqrt(bs.r_y) * y1
-        assert product_state(bs).tobytes() == (op_x @ (op_y @ VACUUM)).tobytes()
+        op_x = np.sqrt(tx) * x1 + 1.0j * np.sqrt(1.0 - tx) * x2
+        op_y = np.sqrt(ty) * y2 - 1.0j * np.sqrt(1.0 - ty) * y1
+        assert product_state(tx, ty).tobytes() == (op_x @ (op_y @ VACUUM)).tobytes()
 
     def test_equal_split_cross_term(self):
-        st = product_state(BeamSplitterSpec.equal_split())
+        st = product_state(0.5, 0.5)
         assert abs(st[STATES.index((1, 1, 0, 0))] - (-0.5j)) < 1e-15
 
 
@@ -221,8 +226,7 @@ class TestDetectors:
         assert np.max(np.abs(d1 @ d2 - d2 @ d1)) < 1e-15
 
     def test_detector_order_does_not_change_probability(self):
-        bs = BeamSplitterSpec.from_transmissions(0.6, 0.4)
-        st = ou_mandel_state(bs)
+        st = ou_mandel_state(0.6, 0.4)
         p12 = coincidence_probability(st, 0.5, 1.2)
         d1 = detector_amplitude_op(1, 0.5)
         d2 = detector_amplitude_op(2, 1.2)
@@ -230,7 +234,7 @@ class TestDetectors:
         assert abs(p12 - p21) < 1e-15
 
     def test_detector_validation(self):
-        with bad_mode(3, "x"):
+        with bad_detector(3):
             detector_amplitude_op(3, 0.0)
 
 
@@ -239,40 +243,40 @@ class TestCoincidence:
         rng = np.random.default_rng(113)
         thetas = np.linspace(0.0, np.pi, 37)
         for _ in range(10):
-            bs = random_bs(rng)
-            st = ou_mandel_state(bs)
+            tx, ty = random_split(rng)
+            st = ou_mandel_state(tx, ty)
             for t1 in thetas:
                 for t2 in thetas:
                     p = coincidence_probability(st, float(t1), float(t2))
-                    q = coincidence_closed_form(bs, float(t1), float(t2))
+                    q = coincidence_closed_form(tx, ty, float(t1), float(t2))
                     assert abs(p - q) < 1e-12
 
     def test_equal_split_quarter_sine(self):
-        st = ou_mandel_state(BeamSplitterSpec.equal_split())
+        st = ou_mandel_state(0.5, 0.5)
         for t1 in np.linspace(0, np.pi, 19):
             for t2 in np.linspace(0, np.pi, 19):
                 p = coincidence_probability(st, float(t1), float(t2))
                 assert abs(p - 0.25 * np.sin(t1 + t2) ** 2) < 1e-12
 
     def test_parallel_axes_never_coincide(self):
-        st = ou_mandel_state(BeamSplitterSpec.equal_split())
+        st = ou_mandel_state(0.5, 0.5)
         assert coincidence_probability(st, 0.0, 0.0) == 0.0
 
     def test_correlation_equals_cos_double_sum(self):
-        st = ou_mandel_state(BeamSplitterSpec.equal_split())
+        st = ou_mandel_state(0.5, 0.5)
         for t1 in np.linspace(0, np.pi, 13):
             for t2 in np.linspace(0, np.pi, 13):
                 e = coincidence_correlation(st, float(t1), float(t2))
                 assert abs(e - np.cos(2.0 * (t1 + t2))) < 1e-12
 
     def test_zero_at_eighth_turn(self):
-        st = ou_mandel_state(BeamSplitterSpec.equal_split())
+        st = ou_mandel_state(0.5, 0.5)
         assert abs(coincidence_correlation(st, np.pi / 8, np.pi / 8)) < 1e-12
 
     def test_chsh_from_coincidence_correlations(self):
         # assembling S from the four counting-rate correlations at the
         # (0, 45, -22.5, 22.5) degree tuple reaches the quantum bound
-        st = ou_mandel_state(BeamSplitterSpec.equal_split())
+        st = ou_mandel_state(0.5, 0.5)
         a, ap, b, bp = 0.0, 45 * DEG, -22.5 * DEG, 22.5 * DEG
         s = (
             coincidence_correlation(st, a, b)
@@ -297,7 +301,7 @@ class TestCoincidence:
     def test_undefined_when_no_counts(self):
         # a fully transmitting x / fully reflecting y splitter sends both
         # photons to detector 1, so all four coincidence rates vanish
-        st = ou_mandel_state(BeamSplitterSpec.from_transmissions(1.0, 0.0))
+        st = ou_mandel_state(1.0, 0.0)
         with pytest.raises(UndefinedCorrelationError):
             coincidence_correlation(st, 0.0, 0.0)
 
@@ -305,12 +309,11 @@ class TestCoincidence:
     @given(tx=TRANSMISSIONS, ty=TRANSMISSIONS, t1=st.floats(0.0, np.pi), t2=st.floats(0.0, np.pi))
     def test_refuses_or_matches_the_scaled_closed_form(self, tx, ty, t1, t2):
         # a subnormal total must be refused, not turned into a ratio of rounding noise
-        bs = BeamSplitterSpec.from_transmissions(tx, ty)
         try:
-            e = coincidence_correlation(ou_mandel_state(bs), t1, t2)
+            e = coincidence_correlation(ou_mandel_state(tx, ty), t1, t2)
         except UndefinedCorrelationError:
             return
-        a, b = np.sqrt(bs.t_x * bs.t_y), np.sqrt(bs.r_x * bs.r_y)
+        a, b = np.sqrt(tx * ty), np.sqrt((1.0 - tx) * (1.0 - ty))
         a, b = a / max(a, b), b / max(a, b)  # the ratio is scale-free
 
         def p(u, v):
@@ -356,8 +359,8 @@ class TestArrayRoute:
     @given(shape=SHAPES, seed=st.integers(0, 2**32 - 1))
     def test_shapes_match_one_point_per_call(self, shape, seed):
         rng = np.random.default_rng(seed)
-        bs = random_bs(rng)
-        st_ = ou_mandel_state(bs)
+        tx, ty = random_split(rng)
+        st_ = ou_mandel_state(tx, ty)
         t1 = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=shape)
         t2 = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=shape)
         if shape == ():
@@ -365,7 +368,7 @@ class TestArrayRoute:
         ops = detector_amplitude_op(2, t2)
         p = coincidence_probability(st_, t1, t2)
         e = coincidence_correlation(st_, t1, t2)
-        q = coincidence_closed_form(bs, t1, t2)
+        q = coincidence_closed_form(tx, ty, t1, t2)
         if shape == ():
             assert type(p) is float and type(e) is float and type(q) is float
         assert np.shape(p) == np.shape(e) == np.shape(q) == shape
@@ -376,11 +379,10 @@ class TestArrayRoute:
             assert np.array_equal(ops[i], ref_detector_op(2, b))
             assert np.asarray(p)[i] == coincidence_probability(st_, a, b) == ref_probability(st_, a, b)
             assert np.asarray(e)[i] == coincidence_correlation(st_, a, b)
-            assert np.asarray(q)[i] == coincidence_closed_form(bs, a, b)
+            assert np.asarray(q)[i] == coincidence_closed_form(tx, ty, a, b)
 
     def test_row_against_column_matches_grid(self):
-        bs = BeamSplitterSpec.from_transmissions(0.7, 0.4)
-        st_ = ou_mandel_state(bs)
+        st_ = ou_mandel_state(0.7, 0.4)
         thetas = np.linspace(0.0, np.pi, 23)
         p = coincidence_probability(st_, thetas[:, None], thetas[None, :])
         e = coincidence_correlation(st_, thetas[:, None], thetas[None, :])
@@ -402,7 +404,7 @@ class TestArrayRoute:
         assert not fock._LADDERS.flags.writeable
 
     def test_rejects_bad_detector_and_nan_angles(self):
-        st_ = ou_mandel_state(BeamSplitterSpec.equal_split())
+        st_ = ou_mandel_state(0.5, 0.5)
         with pytest.raises(ValueError):
             detector_amplitude_op(3, np.zeros(4))
         with pytest.raises(ValueError):
@@ -413,7 +415,7 @@ class TestArrayRoute:
             coincidence_correlation(st_, np.nan, np.array([0.3, 0.4]))
 
     def test_one_undefined_point_rejects_the_array(self):
-        st_ = ou_mandel_state(BeamSplitterSpec.from_transmissions(1.0, 0.0))
+        st_ = ou_mandel_state(1.0, 0.0)
         with pytest.raises(UndefinedCorrelationError):
             coincidence_correlation(st_, np.array([0.0, 0.5]), 0.2)
 

@@ -8,10 +8,12 @@ fails here; one that means to must regenerate the files on purpose with
     PYTHONPATH=src python tests/test_golden.py
 
 and record the change.  ``python tests/test_golden.py DIR`` writes the
-same files to DIR instead.
+same files to DIR instead.  README's ``python`` examples have no golden, but
+each must run as a demo does, without an error or a warning.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,8 @@ from clirun import invoke
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DEMO_DIR = Path(__file__).parents[1] / "demos"
 DEMOS = sorted(p.stem for p in DEMO_DIR.glob("*.py"))
+README = Path(__file__).parents[1] / "README.md"
+README_EXAMPLES = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
 
 GOLDEN = {
     "identity_spin": ["identity", "--kind", "spin", "--trials", "200", "--seed", "7"],
@@ -86,6 +90,12 @@ def test_stdout_matches_golden(name):
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_stdout_matches_golden(name):
     assert _demo_stdout(name) == (GOLDEN_DIR / f"demo_{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("code", README_EXAMPLES, ids=[f"example{i}" for i in range(1, len(README_EXAMPLES) + 1)])
+def test_readme_example_runs(code):
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_goldens_do_not_depend_on_simd_dispatch(tmp_path):

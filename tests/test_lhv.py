@@ -244,7 +244,7 @@ class TestSignModelSimulation:
             raise AssertionError("drew hidden values")
 
         sign = sign_model()
-        model = lhv.HiddenVariableModel("sign", no_draw, sign.alice_response, sign.bob_response)
+        model = lhv.HiddenVariableModel(no_draw, sign.alice_response, sign.bob_response)
         for samples in (lhv._MAX_SAMPLES + 1, 10**12, np.int64(2**62)):
             with pytest.raises(ValueError, match=rf"^samples must be an integer in \[1, {lhv._MAX_SAMPLES}\], got "):
                 simulate_chsh_stats(model, SUPPLEMENTARY, samples=samples, seed=1)
@@ -266,7 +266,7 @@ class TestSignModelSimulation:
             raise AssertionError("drew hidden values")
 
         sign = sign_model()
-        model = lhv.HiddenVariableModel("sign", no_draw, sign.alice_response, sign.bob_response)
+        model = lhv.HiddenVariableModel(no_draw, sign.alice_response, sign.bob_response)
         with pytest.raises(ValueError, match=f"^{message}$"):
             simulate_chsh_stats(model, settings, samples=10, seed=1)
 
@@ -316,7 +316,7 @@ class TestStreamedCounts:
             return sign_model().sample(rng, n)
 
         sign = sign_model()
-        model = HiddenVariableModel(sign.name, spy, sign.alice_response, sign.bob_response)
+        model = HiddenVariableModel(spy, sign.alice_response, sign.bob_response)
         whole = simulate_chsh_stats(model, SUPPLEMENTARY, samples=8, seed=21)
         assert sizes == [8]
         sizes.clear()
@@ -331,7 +331,7 @@ class TestStreamedCounts:
         def ones(angle, lam):
             return 1.0 + 0.0 * lam  # NaN where lambda is NaN
 
-        model = HiddenVariableModel("nan", lambda rng, n: next(draws), ones, ones)
+        model = HiddenVariableModel(lambda rng, n: next(draws), ones, ones)
         with pytest.raises(NumericalCheckError):
             simulate_chsh_stats(model, SUPPLEMENTARY, samples=8, seed=0)
         assert next(draws).size == 2  # refused in the second chunk, before the third

@@ -1,7 +1,7 @@
 """The semantics every record type keeps: frozen fields that construct,
 compare, hash, print, copy and pickle as the field tuple.
 
-The table gives each of the 7 records its fields in order, one value per
+The table gives each of the 6 records its fields in order, one value per
 field, and its defaults; every test walks the whole table.  States and CHSH
 settings are not records but arrays; the messages of the functions that
 check them are pinned here with the records' own.
@@ -18,7 +18,7 @@ import pytest
 from bell_lab import lhv
 from bell_lab.chsh import chsh_value, singlet
 from bell_lab.dbb import SpinTrajectory, Trajectory, TwoParticleWF, WavePacket, integrate_spin
-from bell_lab.fock import BeamSplitterSpec, coincidence_probability, detector_amplitude_op
+from bell_lab.fock import coincidence_probability, detector_amplitude_op, ou_mandel_state
 from bell_lab.lhv import HiddenVariableModel
 from bell_lab.mermin import mermin_operator
 from bell_lab.operators import MeasurementOp
@@ -39,9 +39,7 @@ PACKET_B = WavePacket(1.5, 1.1, -0.4)
 # class, its fields in order, one value per field, and the defaults
 RECORDS = [
     (MeasurementOp, ("matrix", "label"), (np.diag([1.0, -1.0]).astype(complex), "z"), {"label": ""}),
-    (HiddenVariableModel, ("name", "sample", "alice_response", "bob_response"),
-     ("sign", _uniform, lhv._arc_sign, _anti_sign), {}),
-    (BeamSplitterSpec, ("t_x", "r_x", "t_y", "r_y"), (0.25, 0.75, 0.5, 0.5), {}),
+    (HiddenVariableModel, ("sample", "alice_response", "bob_response"), (_uniform, lhv._arc_sign, _anti_sign), {}),
     (WavePacket, ("center", "width", "wavenumber"), (-1.5, 0.8, 0.6), {}),
     (TwoParticleWF, ("packet_a", "packet_b", "form"), (PACKET_A, PACKET_B, "symmetric"), {"form": "product"}),
     (Trajectory, ("times", "positions"), (np.array([0.0, 0.5]), np.array([[0.0, 1.0], [0.1, 1.2]])), {}),
@@ -65,8 +63,8 @@ def _assert_fields(record, cls, fields, values):
         assert _same(getattr(record, name), value), name
 
 
-def test_the_table_covers_seven_records():
-    assert len({r[0] for r in RECORDS}) == 7
+def test_the_table_covers_six_records():
+    assert len({r[0] for r in RECORDS}) == 6
 
 
 @each_record
@@ -109,14 +107,12 @@ VALIDATION = [
     (lambda: chsh_value(singlet(), (0.0, 0.0, 0.0, 0.0), kind="spin"),
      "kind must be one of ('spin_half', 'photon'), got 'spin'"),
     (lambda: mermin_operator(()), "need at least one angle pair"),
-    # a mode outside the four (detector, polarization) modes
-    (lambda: detector_amplitude_op(3, 0.0),
-     "mode must be one of ((1, 'x'), (1, 'y'), (2, 'x'), (2, 'y')), got (3, 'x')"),
+    # a detector other than the two
+    (lambda: detector_amplitude_op(3, 0.0), "detector must be 1 or 2, got 3"),
     # the state checks of coincidence_probability and integrate_spin
     (lambda: coincidence_probability([0.6, 0.8], 0.0, 0.0), "amplitude count 2 != basis size 15"),
     (lambda: coincidence_probability(0.5 * VACUUM, 0.0, 0.0), "Fock state must be normalized to 1e-12"),
-    (lambda: BeamSplitterSpec(1.5, -0.5, 0.5, 0.5), "t_x must be in [0, 1], got 1.5"),
-    (lambda: BeamSplitterSpec(0.5, 0.4, 0.5, 0.5), "need t_x + r_x = 1 and t_y + r_y = 1 (within 1e-12)"),
+    (lambda: ou_mandel_state(1.5, 0.5), "t_x must be in [0, 1], got 1.5"),
     (lambda: integrate_spin((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.0, 0.5, gyro=math.inf), "gyro must be finite, got inf"),
     (lambda: WavePacket(0.0, -1.0, 0.0), "width must be positive, got -1.0"),
     (lambda: TwoParticleWF(PACKET_A, PACKET_B, "bosonic"),
