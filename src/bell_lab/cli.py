@@ -11,9 +11,9 @@ Every command makes one broadcast library call per result and writes
 named columns that broadcast against each other; a grid command passes
 its two axes as a column and a row, never as a meshgrid, so a grid is
 evaluated in one call.  Grids have at most MAX_GRID_SIDE points per axis.
-Each command imports from its layer modules in its own body, so a process
-compiles and runs only the modules its command uses.  main() parses the
-command line from the _COMMANDS table; ``bell-lab`` runs it through run().
+Each command imports numpy and its layer modules in its own body, so a
+process loads only what it uses (no numpy for --help, --version or a refusal).
+main() parses the command line from _COMMANDS; ``bell-lab`` runs it via run().
 
 Exit codes: 0 success, 2 validation or usage error, 3 internal numerical
 check failure, 4 node-singularity halt.  Every failure of a command also
@@ -27,8 +27,6 @@ import os
 import sys
 import threading
 from contextlib import nullcontext
-
-import numpy as np
 
 from . import __version__
 from .errors import NodeSingularityError, NumericalCheckError
@@ -52,6 +50,7 @@ _CSV_CHUNK = 2**16
 
 
 def _fmt(value) -> str:
+    import numpy as np
     value = np.asarray(value)
     return _FORMATS.get(value.dtype.kind, "%s") % value.item()
 
@@ -72,6 +71,7 @@ def _write_csv(out, meta_line: str, columns: dict):
     The rows are formatted and written _CSV_CHUNK at a time, a chunk's repeated floats once per bit
     pattern (a constant, an axis, a few-valued drift): the same bytes as formatting every cell.
     """
+    import numpy as np
     # reshape, not ravel: a strided 1-D column (a trajectory's positions[:, i]) stays a view
     cells = [cell.reshape(-1) for cell in np.broadcast_arrays(*columns.values())]
     if out is not None and os.path.isfile(out.name):  # a pipe or device takes no truncate
@@ -86,11 +86,17 @@ def _write_csv(out, meta_line: str, columns: dict):
 
 
 def _formatted(part):
-    """(printf format, cells) of a column's chunk; a float64 one as text if it has at most half as many bit patterns."""
+    """(printf format, cells) of a column's chunk; a float64 one as text if it has at most half as many bit patterns.
+
+    The full sort runs only if a strided sample of MAX_GRID_SIDE + 1 cells repeats, as it must by pigeonhole in a
+    column of at most MAX_GRID_SIDE values (a constant, an axis), and cannot in an all-distinct one (a time)."""
+    import numpy as np
     if part.dtype == np.float64 and part.size > 2:  # one- and two-row chunks never sort
-        bits, inverse = np.unique(part.view(np.uint64), return_inverse=True)  # -0.0 and NaN payloads kept apart
-        if 2 * bits.size <= part.size:
-            return "%s", np.array([_FORMATS["f"] % v for v in bits.view(float).tolist()], object)[inverse].tolist()
+        bits = part.view(np.uint64)  # -0.0 and NaN payloads kept apart
+        if not np.diff(np.sort(bits[::max(1, bits.size // (MAX_GRID_SIDE + 1))][:MAX_GRID_SIDE + 1])).all():
+            bits, inverse = np.unique(bits, return_inverse=True)  # above, np.sort: a bare np.unique imports numpy.ma
+            if 2 * bits.size <= part.size:
+                return "%s", np.array([_FORMATS["f"] % v for v in bits.view(float).tolist()], object)[inverse].tolist()
     return _FORMATS.get(part.dtype.kind, "%s"), part.tolist()
 
 
@@ -124,7 +130,7 @@ def _check_flags(valid=math.isfinite, must="finite", **flags):
 def _check_step(step: float):
     """Refuse a scan step outside (0, 45] degrees (the scans' grid_step range), then a grid over the cap."""
     _check_flags(lambda v: 0.0 < v <= 45.0, "in (0, 45]", step=step)  # also NaN
-    rad = float(np.deg2rad(step))  # the scan's ceil of 2 pi / rad exceeds the cap exactly when this does
+    rad = math.radians(step)  # the scan's ceil of 2 pi / rad exceeds the cap exactly when this does
     _check_grid(2.0 * math.pi / rad if rad > 0.0 else math.inf)  # a step that underflows to 0 rad never ends
 
 
@@ -144,6 +150,7 @@ def _parse_floats(text, name, count):
 def chsh(alpha, alpha_prime, beta, beta_prime, kind, out):
     """S for one settings tuple on the singlet / photon pair state."""
     _check_flags(alpha=alpha, alpha_prime=alpha_prime, beta=beta, beta_prime=beta_prime)
+    import numpy as np
     from .chsh import chsh_value, photon_pair_state, singlet
 
     settings = np.deg2rad((alpha, alpha_prime, beta, beta_prime))
@@ -155,6 +162,7 @@ def chsh(alpha, alpha_prime, beta, beta_prime, kind, out):
 def chsh_scan(step, kind, out):
     """Exhaustive grid maximization of |S|."""
     _check_step(step)
+    import numpy as np
     from .chsh import tsirelson_scan
 
     s, settings = tsirelson_scan(_KIND[kind], np.deg2rad(step))
@@ -166,6 +174,7 @@ def identity(kind, trials, seed, out):
     """Max residual of S^2 = 4I - [A,A'](x)[B,B'] over random settings."""
     if not 1 <= trials <= _MAX_TRIALS:  # refused before any draw
         raise UsageError("--trials must be >= 1" if trials < 1 else f"--trials {trials} exceeds {_MAX_TRIALS}")
+    import numpy as np
     from .chsh import identity_residual
     from .lhv import make_rng
 
@@ -184,6 +193,7 @@ def identity(kind, trials, seed, out):
 
 def mermin(n, scan, step, out):
     """<F_n> on the GHZ state plus the deterministic LHV maximum."""
+    import numpy as np
     from .lhv import mermin_deterministic_max
     from .mermin import ghz, mermin_shared_scan, mermin_value
 
@@ -208,6 +218,7 @@ def lhv(enumerate_, model, samples, seed, angles, out):
         return
     if model is None or samples is None or seed is None or angles is None:
         raise UsageError("lhv needs --enumerate, or --model --samples --seed --angles")
+    import numpy as np
     from .lhv import sign_model, simulate_chsh_stats
 
     settings = np.deg2rad(_parse_floats(angles, "--angles", 4))
@@ -220,6 +231,7 @@ def oumandel(tx, ty, theta1, theta2, grid, correlation, out):
     """Two-photon coincidence probabilities / correlations behind the splitter."""
     _check_flags(tx=tx, ty=ty, theta1=theta1, theta2=theta2)
     _check_flags(lambda v: 0.0 <= v <= 1.0, "in [0, 1]", tx=tx, ty=ty)  # as typed, before fock refuses it as t_x
+    import numpy as np
     from .fock import coincidence_closed_form, coincidence_correlation, coincidence_probability, ou_mandel_state
 
     state = ou_mandel_state(tx, ty)
@@ -248,6 +260,7 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
     _check_flags(center_a=center_a, width_a=width_a, k_a=k_a, center_b=center_b, width_b=width_b, k_b=k_b,
                  time_=time_, t0=t0, t1=t1, dt=dt)  # not --start1/--start2: the library refuses them as x1, x2
     _check_flags(lambda v: v > 0.0, "positive", width_a=width_a, width_b=width_b)  # WavePacket names neither
+    import numpy as np
     from .dbb import TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
 
     wf = TwoParticleWF(packet_a=WavePacket(center=center_a, width=width_a, wavenumber=k_a),
@@ -287,6 +300,7 @@ def spin(bz, gyro, steps, dt, s0, out):
         raise UsageError(f"--dt must be positive, got {_typed(dt)}" if dt <= 0.0 else
                          f"--steps {_typed(steps)} times --dt {_typed(dt)} leaves float64")
     s0v = _parse_floats(s0, "--s0", 3)
+    import numpy as np
     from .dbb import integrate_spin
 
     traj = integrate_spin(s0v, (0.0, 0.0, bz), t1=steps * dt, dt=dt, gyro=gyro)
@@ -442,12 +456,12 @@ def _watched() -> bool:
 def run():
     """The process entry point: main() after freezing the heap built by the imports, ended at its last write.
 
-    gc.freeze() moves every object alive now (numpy's and bell_lab's module-level objects, about 20,000)
-    into the permanent generation, which the command's collections skip.  Only a process that ends with the
-    command may freeze: an in-process caller of main() would keep its garbage pinned for good.  Once main
-    exits with an int or None code, the atexit callbacks run, stdout and stderr are flushed and os._exit
-    skips the rest of shutdown, unless _watched(), a second thread or a missing atexit._run_exitfuncs asks
-    for the normal exit.  A reader that closes the pipe early (``| head``) ends the command with exit 1.
+    gc.freeze() moves every object alive now (the interpreter's, bell_lab's and cli's, about 11,000; numpy loads
+    later, in the command) into the permanent generation, which the command's collections skip.  Only a process that
+    ends with the command may freeze: an in-process caller of main() would keep its garbage pinned for good.  Once
+    main exits with an int or None code, the atexit callbacks run, stdout and stderr are flushed and os._exit skips
+    the rest of shutdown, unless _watched(), a second thread or a missing atexit._run_exitfuncs asks for the normal
+    exit.  A reader that closes the pipe early (``| head``) ends the command with exit 1.
     """
     gc.freeze()
     try:

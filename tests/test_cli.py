@@ -223,6 +223,28 @@ class TestOutputFormat:
         cli._write_csv(None, "# meta", columns)
         assert capsys.readouterr().out == per_row_csv("# meta", columns)
 
+    def test_sampled_columns_give_the_per_cell_bytes(self, capsys, monkeypatch):
+        # a chunk is sorted only if a strided sample of MAX_GRID_SIDE + 1 of its cells repeats: an
+        # increasing column never, a constant and a 512-point axis always, and so does a column of
+        # distinct values that ends in a repeated tail; two chunks of a 256 x 512 grid
+        n = 2 * cli._CSV_CHUNK
+        tail = np.arange(n) / 3.0
+        tail[n // 8:] = 0.5  # the first chunk dedupes to 16,385 patterns, the second to one
+        columns = {"t": (np.arange(n) * 0.1).reshape(-1, MAX_GRID_SIDE), "const": 1 / 3,
+                   "axis": np.linspace(-1.0, 1.0, MAX_GRID_SIDE)[None, :], "tail": tail.reshape(-1, MAX_GRID_SIDE)}
+        sorts, unique = [], np.unique
+        def counted(values, **kwargs):
+            sorts.extend([values.size] * bool(kwargs.get("return_inverse")))
+            return unique(values, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        formats = [cli._formatted(part)[0] for part in (columns["t"][0], np.full(3, 1 / 3), tail[:cli._CSV_CHUNK])]
+        assert formats == ["%.17g", "%s", "%s"] and sorts == [3, cli._CSV_CHUNK]
+        sorts.clear()
+        cli._write_csv(None, "# meta", columns)
+        assert sorts == [cli._CSV_CHUNK] * 6  # const, axis and tail in each chunk; never t
+        assert capsys.readouterr().out == per_row_csv("# meta", columns)
+
     def test_strided_columns_are_not_copied(self, monkeypatch):
         # a trajectory's positions[:, i] are strided 1-D views: flattened, not copied
         n = 100_000
@@ -1286,9 +1308,10 @@ class TestInstalledEntryPoint:
         assert bare.stdout.startswith(b"Usage: ")
 
     @pytest.mark.parametrize("args", [["--grid", "71"], ["--grid", "51", "--correlation"]])
-    def test_oumandel_grid_memory_stays_near_the_version_floor(self, args):
-        # the angle axes broadcast as a column and a row; meshgrids cost 50 MB more at 71
-        floor = self.max_rss_mb(["--version"])
+    def test_oumandel_grid_memory_stays_near_the_import_floor(self, args):
+        # the angle axes broadcast as a column and a row; meshgrids cost 50 MB more at 71.  The floor is a
+        # command's, numpy loaded: --version loads no numpy, so its max RSS is about 12 MB lower
+        floor = self.max_rss_mb(["lhv", "--enumerate"])
         assert self.max_rss_mb(["oumandel", "--tx", "0.5", "--ty", "0.5", *args]) <= floor + 5.0
 
     def test_numpy_random_loads_only_for_commands_that_draw(self):
@@ -1318,6 +1341,28 @@ class TestInstalledEntryPoint:
                                   stderr=subprocess.PIPE, text=True, timeout=120)
             assert proc.stderr.splitlines() == ["True False False False"] + [
                 f"{args} 0 {flag} False False" for args, flag in zip(commands, loaded)]
+
+    def test_numpy_loads_only_for_commands_that_compute(self):
+        # numpy's import is about half of --version's wall time; --version, any --help and every
+        # refusal of the command line end without it.  The last commands load it, and spin's CSV
+        # writer, which checks a sample of each column for repeats, still no numpy.ma (about 10 ms)
+        launcher = ("import sys; from bell_lab.cli import main\n"
+                    "for args in sys.argv[1:]:\n"
+                    "    try:\n"
+                    "        main(args.split())\n"
+                    "    except SystemExit as exit_:\n"
+                    "        print('ran', repr(args), exit_.code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules, "
+                    "file=sys.stderr)")
+        cases = [("--version", 0), ("--help", 0), ("chsh scan --help", 0), ("", 0),
+                 ("nosuch", 2), ("--bogus", 2), ("mermin --n x", 2), ("dbb --form nope", 2), ("mermin", 2),
+                 ("oumandel --tx 0.5 --ty 0.5 --theta1 10 --grid 5", 2),
+                 ("lhv --enumerate --out /nonexistent/x.csv", 2), ("chsh scan --step 0", 2)]
+        commands = [args for args, _ in cases] + ["lhv --enumerate", "spin --steps 2000"]
+        proc = subprocess.run([sys.executable, "-c", launcher, *commands], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert [line for line in proc.stderr.splitlines() if line.startswith("ran ")] == [
+            f"ran {args!r} {code} False False" for args, code in cases] + [
+            "ran 'lhv --enumerate' 0 True False", "ran 'spin --steps 2000' 0 True False"]
 
     @pytest.mark.parametrize("args, ran", LAYERS_RUN, ids=[args for args, _ in LAYERS_RUN])
     def test_a_command_runs_only_its_own_layer_modules(self, args, ran):
