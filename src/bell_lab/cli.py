@@ -15,9 +15,11 @@ Each command imports numpy and its layer modules in its own body, so a
 process loads only what it uses (no numpy for --help, --version or a refusal).
 main() parses the command line from _COMMANDS; ``bell-lab`` runs it via run().
 
-Exit codes: 0 success, 2 validation or usage error, 3 internal numerical
-check failure, 4 node-singularity halt.  Every failure of a command also
-writes one machine-parsable line ``error=<code> detail=<text>`` to stderr.
+Exit codes: 0 success, 1 a write that stdout or --out refused (a full disk
+or device, or a reader that left early), 2 validation or usage error, 3
+internal numerical check failure, 4 node-singularity halt.  Every failure of
+a command but a reader's leaving also writes one machine-parsable line
+``error=<code> detail=<text>`` to stderr.
 """
 
 import atexit
@@ -104,7 +106,9 @@ class UsageError(ValueError):
     """A command line that the table or a command body refuses; exits 2 like any ValueError."""
 
 
-_EXIT_CODES = {NodeSingularityError: EXIT_NODE, NumericalCheckError: EXIT_NUMERICAL, ValueError: EXIT_VALIDATION}
+# OSError: a write that a full disk or device refused (a BrokenPipeError, the reader gone, goes on to run())
+_EXIT_CODES = {NodeSingularityError: EXIT_NODE, NumericalCheckError: EXIT_NUMERICAL, ValueError: EXIT_VALIDATION,
+               OSError: 1}
 
 
 def _check_grid(side: float):
@@ -267,7 +271,9 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
                        packet_b=WavePacket(center=center_b, width=width_b, wavenumber=k_b), form=form)
     params = {"form": form, "center_a": center_a, "width_a": width_a, "k_a": k_a,
               "center_b": center_b, "width_b": width_b, "k_b": k_b}
-    if trajectory:
+    if trajectory:  # the span as typed, before integrate_trajectory names its dt and t1
+        _check_flags(lambda v: v > 0.0, "positive", dt=dt)
+        _check_flags(lambda v: v > t0, f"after --t0 {_typed(t0)}", t1=t1)
         s1 = center_a if start1 is None else start1
         s2 = center_b if start2 is None else start2
         traj = integrate_trajectory(wf, (s1, s2), t0, t1, dt)
@@ -427,8 +433,14 @@ def _dispatch(prog: str, command: str, args):
             kwargs["out"] = open(kwargs["out"], "a", encoding="utf-8", newline="")
         except OSError as err:
             raise UsageError(f"cannot open --out {kwargs['out']}: {err.strerror}") from None
-    with kwargs["out"] or nullcontext():
-        body(**kwargs)
+    out = kwargs["out"]
+    try:
+        with out or nullcontext():
+            body(**kwargs)
+    except OSError as err:  # a CSV write or --out's close, on a full disk or device
+        if isinstance(err, BrokenPipeError):
+            raise
+        raise OSError(f"cannot write {f'--out {out.name}' if out else 'stdout'}: {err.strerror}") from None
 
 
 def main(args=None, prog_name="bell-lab", standalone_mode=True):
@@ -439,6 +451,8 @@ def main(args=None, prog_name="bell-lab", standalone_mode=True):
     """
     try:
         _dispatch(prog_name, "", (sys.argv[1:] if args is None else list(args)) or ["--help"])  # bare: the help
+    except BrokenPipeError:
+        raise  # no error line: the reader has left
     except tuple(_EXIT_CODES) as err:
         code = next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
         print(f"error={code} detail={' '.join(str(err).split())}", file=sys.stderr)
@@ -454,16 +468,16 @@ def _watched() -> bool:
 
 
 def run():
-    """The process entry point: main() after freezing the heap built by the imports, ended at its last write.
+    """The process entry point: main() with the garbage collector off, ended at its last write.
 
-    gc.freeze() moves every object alive now (the interpreter's, bell_lab's and cli's, about 11,000; numpy loads
-    later, in the command) into the permanent generation, which the command's collections skip.  Only a process that
-    ends with the command may freeze: an in-process caller of main() would keep its garbage pinned for good.  Once
-    main exits with an int or None code, the atexit callbacks run, stdout and stderr are flushed and os._exit skips
-    the rest of shutdown, unless _watched(), a second thread or a missing atexit._run_exitfuncs asks for the normal
-    exit.  A reader that closes the pipe early (``| head``) ends the command with exit 1.
+    A command makes no reference cycles, so a collection in it would only traverse objects, and numpy's import
+    alone ran about 30 of them.  Only a process that ends with the command may turn gc off: an in-process caller
+    of main() keeps its own collections.  Once main exits with an int or None code, the atexit callbacks run,
+    stdout and stderr are flushed and os._exit skips the rest of shutdown, unless _watched(), a second thread or a
+    missing atexit._run_exitfuncs asks for the normal exit.  A reader that closes the pipe early (``| head``) ends
+    the command with exit 1; a final flush that a full disk or device refuses, with exit 1 and its error line.
     """
-    gc.freeze()
+    gc.disable()
     try:
         try:
             main()
@@ -475,8 +489,10 @@ def run():
             sys.stdout.flush()
             sys.stderr.flush()
             os._exit(done.code or 0)
-    except BrokenPipeError:
+    except OSError as err:  # from stdout, whose buffer keeps what it could not write
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # else the exit's flush fails again
+        if not isinstance(err, BrokenPipeError):
+            print(f"error=1 detail=cannot write stdout: {err.strerror}", file=sys.stderr)
         sys.exit(1)
 
 

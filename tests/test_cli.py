@@ -1,4 +1,5 @@
 import atexit
+import errno
 import gc
 import hashlib
 import inspect
@@ -946,11 +947,17 @@ class TestErrorMapping:
          "error=2 detail=t = -1e+308 is before the packets' start time 0.0"),
         (["oumandel", "--tx", "1.5", "--ty", "0.5"], "error=2 detail=--tx must be in [0, 1], got 1.5"),
         (["oumandel", "--tx", "0.5", "--ty=-0.25", "--grid", "3"], "error=2 detail=--ty must be in [0, 1], got -0.25"),
+        # a trajectory's span by its flags, not the library's dt and t1, as spin's --dt is
+        (["dbb", "--form", "product", "--trajectory", "--dt", "-0.5"], "error=2 detail=--dt must be positive, got -0.5"),
+        (["dbb", "--form", "symmetric", "--trajectory", "--t0", "1.5", "--t1", "1.5"],
+         "error=2 detail=--t1 must be after --t0 1.5, got 1.5"),
+        (["dbb", "--form", "product", "--trajectory", "--t1", "0"], "error=2 detail=--t1 must be after --t0 0, got 0"),
     ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command", "nan-start",
             "negative-seed", "bad-integer", "bad-choice", "no-value", "flag-with-value", "nan-s0", "nan-alpha",
             "inf-beta-prime", "nan-step", "negative-step", "step-over-grid-cap", "step-underflowing-to-zero-radians",
             "mermin-step-over-45", "mermin-zero-step", "nan-theta1", "overflowing-theta2", "zero-width-a",
-            "negative-width-b", "t0-before-the-start", "tx-over-1", "negative-ty"])
+            "negative-width-b", "t0-before-the-start", "tx-over-1", "negative-ty", "negative-dt", "t1-at-t0",
+            "t1-at-the-default-t0"])
     def test_usage_error_gives_one_line(self, args, line):
         result = invoke(args)
         assert result.exit_code == EXIT_VALIDATION
@@ -999,6 +1006,12 @@ class TestErrorMapping:
             elif kind is not bool and default is not None:
                 assert line.endswith(f"[default: {default}]")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_out_on_a_full_device_exits_one(self):
+        result = invoke(["lhv", "--enumerate", "--out", "/dev/full"])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"error=1 detail=cannot write --out /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
     def test_out_that_cannot_be_opened_exits_two(self, tmp_path):
         out = tmp_path / "missing" / "x.csv"
         result = invoke(["lhv", "--enumerate", "--out", str(out)])
@@ -1038,7 +1051,7 @@ class Ended(Exception):
 
 @pytest.fixture
 def end(monkeypatch, capsys):
-    """run() in-process on args, with gc.freeze, atexit's callbacks and os._exit stubbed.
+    """run() in-process on args, with gc.disable, atexit's callbacks and os._exit stubbed.
 
     Returns ("os._exit", [what ran]) or ("sys.exit", code, [what ran]) and the captured stdout.
     """
@@ -1048,7 +1061,7 @@ def end(monkeypatch, capsys):
         ran.append(code)
         raise Ended
 
-    monkeypatch.setattr(gc, "freeze", lambda: None)  # as test_in_process_main_does_not_freeze asks
+    monkeypatch.setattr(gc, "disable", lambda: None)  # else pytest's own process would stop collecting
     monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: ran.append("atexit"))
     monkeypatch.setattr(os, "_exit", stub_exit)
     monkeypatch.setattr(cli, "_watched", lambda: False)  # a coverage run's tracer would take the normal exit
@@ -1111,6 +1124,40 @@ class TestProcessExit:
             sys.setprofile(before)
 
 
+# one command line of each family, then a node halt and a refusal, with their exit codes
+NO_CYCLES = [
+    *((args, 0) for args in [
+        ["chsh", "--alpha", "0", "--alpha-prime", "90", "--beta", "45", "--beta-prime", "-45"],
+        ["chsh", "scan", "--step", "30"],
+        ["identity", "--kind", "photon", "--trials", "5000", "--seed", "1"],
+        ["mermin", "--n", "3"],
+        ["mermin", "--n", "3", "--scan", "--step", "30"],
+        ["lhv", "--model", "sign", "--samples", "1000", "--seed", "1", "--angles", "0,90,45,-45"],
+        ["lhv", "--enumerate"],
+        ["oumandel", "--tx", "0.7", "--ty", "0.4", "--grid", "5"],
+        ["oumandel", "--tx", "0.5", "--ty", "0.5", "--grid", "5", "--correlation"],
+        *(["dbb", "--form", form, "--grid", "5"] for form in dbb.FORMS),
+        *(["dbb", "--form", form, "--trajectory", "--t1", "0.5", "--dt", "0.05"] for form in dbb.FORMS),
+        ["spin", "--steps", "2000"],
+    ]),
+    (["dbb", "--form", "antisymmetric", "--trajectory", "--start1", "0.2", "--start2", "0.2"], EXIT_NODE),
+    (["chsh", "scan", "--step", "50"], EXIT_VALIDATION),
+]
+
+
+@pytest.mark.parametrize("args, code", NO_CYCLES, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_a_command_leaves_no_cyclic_garbage(args, code):
+    # run() turns gc off for the whole process: a command that made reference cycles would keep them till exit
+    invoke(args)  # warm: the imports and their caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert invoke(args).exit_code == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestInstalledEntryPoint:
     def test_subprocess_smoke(self):
         proc = subprocess.run(
@@ -1123,15 +1170,35 @@ class TestInstalledEntryPoint:
                                b"# tool=bell-lab version=0.1.0 command=lhv mode=enumerate\n"
                                b"2\n")
 
-    def test_entry_point_freezes_the_import_heap(self):
-        # python -m bell_lab in a launcher that reports the permanent generation's size at exit
-        launcher = ("import atexit, gc, runpy, sys; "
-                    "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+    def test_entry_point_makes_no_collections(self):
+        # python -m bell_lab in a launcher that counts the collections from the entry point on (cli is imported
+        # first: compiling it without a .pyc may collect) and reports them at exit; numpy's import alone made about 30
+        launcher = ("import atexit, gc, runpy, sys, bell_lab.cli; ends = []; "
+                    "gc.callbacks.append(lambda phase, info: phase == 'stop' and ends.append(info)); "
+                    "atexit.register(lambda: print(len(ends), 'numpy.random' in sys.modules, file=sys.stderr)); "
                     "runpy.run_module('bell_lab', run_name='__main__', alter_sys=True)")
-        proc = subprocess.run([sys.executable, "-c", launcher, "lhv", "--enumerate"],
-                              capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout) == (0, "max_s\n" + META_PREFIX + "lhv mode=enumerate\n2\n")
-        assert int(proc.stderr) > 0
+        proc = subprocess.run([sys.executable, "-c", launcher, "identity", "--kind", "spin", "--trials", "10",
+                               "--seed", "1"], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "0 True\n")
+        assert proc.stdout.startswith("trials,max_residual\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("args, target", [
+        (["lhv", "--enumerate"], "stdout"),
+        (["spin", "--steps", "70000"], "stdout"),  # two chunks: the first, over any buffer, is written through
+        (["lhv", "--enumerate", "--out", "/dev/full"], "--out /dev/full"),
+        (["spin", "--steps", "70000", "--out", "/dev/full"], "--out /dev/full"),
+    ], ids=["stdout", "stdout-chunks", "out", "out-chunks"])
+    def test_full_device_gets_exit_1_and_one_error_line(self, buffered, args, target):
+        # the CSV write, --out's close or, buffered, the exit's flush of stdout fails with ENOSPC
+        # (each printed a traceback; a buffered stdout two, then "Exception ignored", and exited 120)
+        env = self.buffered_env() if buffered else {**os.environ, "PYTHONUNBUFFERED": "1"}
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "bell_lab", *args], env=env, timeout=120, text=True,
+                                  stdout=full if target == "stdout" else subprocess.PIPE, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stdout or "") == (1, "")
+        assert proc.stderr == f"error=1 detail=cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
 
     def test_reader_that_leaves_early_gets_exit_1_and_no_traceback(self):
         # as | head -1: the command is still writing its first 2**16 rows when the pipe closes
@@ -1197,10 +1264,11 @@ class TestInstalledEntryPoint:
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"error={code} detail=boom\n")
 
     def test_in_process_main_does_not_freeze(self):
-        # a frozen heap is never collected: under pytest it would pin every later test's garbage
+        # main() leaves the collector as it was: under pytest, a frozen or disabled gc would keep every later
+        # test's garbage for good
         before = gc.get_freeze_count()
         run_ok(["lhv", "--enumerate"])
-        assert gc.get_freeze_count() == before
+        assert (gc.get_freeze_count(), gc.isenabled()) == (before, True)
 
     def test_console_script_is_the_entry_point(self):
         try:
