@@ -1,11 +1,12 @@
-"""The frozen record base and the input checks and limits that more than one module shares."""
+"""The frozen record base and the input checks and limits that more than one module shares; no numpy at import."""
 
-import numpy as np
+from __future__ import annotations
 
 _MAX_STEPS = 10**6  # RK4 steps one span may take: dbb's cap, which spin's --steps is checked against
 
 
 def _require_finite(name, value):
+    import numpy as np
     if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -13,6 +14,7 @@ def _require_finite(name, value):
 
 def _chsh_angles(settings) -> np.ndarray:
     """CHSH settings of shape (..., 4) as a C-contiguous (4, ...) array: alpha, alpha', beta, beta' rows."""
+    import numpy as np
     angles = np.asarray(settings, dtype=float)
     if angles.shape[-1:] != (4,):
         raise ValueError(f"settings must have shape (..., 4), got {angles.shape}")

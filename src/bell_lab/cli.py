@@ -12,7 +12,8 @@ named columns that broadcast against each other; a grid command passes
 its two axes as a column and a row, never as a meshgrid, so a grid is
 evaluated in one call.  Grids have at most MAX_GRID_SIDE points per axis.
 Each command imports numpy and its layer modules in its own body, so a
-process loads only what it uses (no numpy for --help, --version or a refusal).
+process loads only what it uses (no numpy for --help, --version, a refusal
+or lhv --enumerate, whose one row of Python scalars is written without it).
 main() parses the command line from _COMMANDS; ``bell-lab`` runs it via run().
 
 Exit codes: 0 success, 1 a write that stdout or --out refused (a full disk
@@ -28,7 +29,7 @@ import math
 import os
 import sys
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from . import __version__
 from .errors import NodeSingularityError, NumericalCheckError
@@ -52,6 +53,9 @@ _CSV_CHUNK = 2**16
 
 
 def _fmt(value) -> str:
+    """A cell or metadata value by the rules of _FORMATS; a Python scalar (np.float64 is a float) without numpy."""
+    if isinstance(value, (int, float, str)):
+        return ("%.17g" if isinstance(value, float) else "%d" if isinstance(value, int) else "%s") % value
     import numpy as np
     value = np.asarray(value)
     return _FORMATS.get(value.dtype.kind, "%s") % value.item()
@@ -70,16 +74,22 @@ def _meta(command: str, params: dict, seed=None) -> str:
 def _write_csv(out, meta_line: str, columns: dict):
     """Header, metadata line, then one row per element of the broadcast columns, to out or stdout.
 
-    The rows are formatted and written _CSV_CHUNK at a time, a chunk's repeated floats once per bit
+    Columns that are all Python scalars are one row, formatted by _fmt without numpy.  Otherwise the
+    rows are formatted and written _CSV_CHUNK at a time, a chunk's repeated floats once per bit
     pattern (a constant, an axis, a few-valued drift): the same bytes as formatting every cell.
     """
-    import numpy as np
-    # reshape, not ravel: a strided 1-D column (a trajectory's positions[:, i]) stays a view
-    cells = [cell.reshape(-1) for cell in np.broadcast_arrays(*columns.values())]
+    scalar_row = all(isinstance(value, (int, float, str)) for value in columns.values())
+    if not scalar_row:
+        import numpy as np
+        # reshape, not ravel: a strided 1-D column (a trajectory's positions[:, i]) stays a view
+        cells = [cell.reshape(-1) for cell in np.broadcast_arrays(*columns.values())]
     if out is not None and os.path.isfile(out.name):  # a pipe or device takes no truncate
         out.truncate(0)
     out = out or sys.stdout
     text = f"{','.join(columns)}\n{meta_line}\n"  # goes with the first chunk: one write up to a chunk
+    if scalar_row:
+        out.write(text + ",".join(map(_fmt, columns.values())) + "\n")
+        return
     for start in range(0, cells[0].size, _CSV_CHUNK):
         fmts, chunk = zip(*(_formatted(cell[start:start + _CSV_CHUNK]) for cell in cells))
         chunk = iter([text, *map((",".join(fmts) + "\n").__mod__, zip(*chunk))])  # frees the values before the join
@@ -131,6 +141,13 @@ def _check_flags(valid=math.isfinite, must="finite", **flags):
             raise UsageError(f"{_flag(name)} must be {must}, got {_typed(value)}")
 
 
+def _check_count(cap: int, **flags):
+    """Refuse a count flag below 1 or above cap, before the body draws or steps."""
+    for name, value in flags.items():
+        if not 1 <= value <= cap:
+            raise UsageError(f"{_flag(name)} must be >= 1" if value < 1 else f"{_flag(name)} {value} exceeds {cap}")
+
+
 def _check_step(step: float):
     """Refuse a scan step outside (0, 45] degrees (the scans' grid_step range), then a grid over the cap."""
     _check_flags(lambda v: 0.0 < v <= 45.0, "in (0, 45]", step=step)  # also NaN
@@ -176,8 +193,8 @@ def chsh_scan(step, kind, out):
 
 def identity(kind, trials, seed, out):
     """Max residual of S^2 = 4I - [A,A'](x)[B,B'] over random settings."""
-    if not 1 <= trials <= _MAX_TRIALS:  # refused before any draw
-        raise UsageError("--trials must be >= 1" if trials < 1 else f"--trials {trials} exceeds {_MAX_TRIALS}")
+    _check_count(_MAX_TRIALS, trials=trials)
+    _check_flags(lambda v: v >= 0, "a non-negative integer", seed=seed)  # as typed, before make_rng names it
     import numpy as np
     from .chsh import identity_residual
     from .lhv import make_rng
@@ -197,6 +214,7 @@ def identity(kind, trials, seed, out):
 
 def mermin(n, scan, step, out):
     """<F_n> on the GHZ state plus the deterministic LHV maximum."""
+    _check_flags(lambda v: 2 <= v <= 10, "in [2, 10]", n=n)  # mermin's range, before ghz names it
     import numpy as np
     from .lhv import mermin_deterministic_max
     from .mermin import ghz, mermin_shared_scan, mermin_value
@@ -222,8 +240,11 @@ def lhv(enumerate_, model, samples, seed, angles, out):
         return
     if model is None or samples is None or seed is None or angles is None:
         raise UsageError("lhv needs --enumerate, or --model --samples --seed --angles")
+    from .lhv import _MAX_SAMPLES, sign_model, simulate_chsh_stats
+
+    _check_count(_MAX_SAMPLES, samples=samples)  # as typed, before simulate_chsh_stats names them
+    _check_flags(lambda v: v >= 0, "a non-negative integer", seed=seed)
     import numpy as np
-    from .lhv import sign_model, simulate_chsh_stats
 
     settings = np.deg2rad(_parse_floats(angles, "--angles", 4))
     estimate, stderr = simulate_chsh_stats(sign_model(), settings, samples, seed)
@@ -262,7 +283,7 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
         start1, start2, t0, t1, dt, out):
     """Two-particle guidance velocities, cross-coupling, trajectories."""
     _check_flags(center_a=center_a, width_a=width_a, k_a=k_a, center_b=center_b, width_b=width_b, k_b=k_b,
-                 time_=time_, t0=t0, t1=t1, dt=dt)  # not --start1/--start2: the library refuses them as x1, x2
+                 time_=time_, t0=t0, t1=t1, dt=dt)
     _check_flags(lambda v: v > 0.0, "positive", width_a=width_a, width_b=width_b)  # WavePacket names neither
     import numpy as np
     from .dbb import TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
@@ -271,15 +292,18 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
                        packet_b=WavePacket(center=center_b, width=width_b, wavenumber=k_b), form=form)
     params = {"form": form, "center_a": center_a, "width_a": width_a, "k_a": k_a,
               "center_b": center_b, "width_b": width_b, "k_b": k_b}
-    if trajectory:  # the span as typed, before integrate_trajectory names its dt and t1
-        _check_flags(lambda v: v > 0.0, "positive", dt=dt)
-        _check_flags(lambda v: v > t0, f"after --t0 {_typed(t0)}", t1=t1)
+    if trajectory:  # the start and span as typed, before integrate_trajectory names them x1, x2, t, dt and t1
         s1 = center_a if start1 is None else start1
         s2 = center_b if start2 is None else start2
+        _check_flags(start1=s1, start2=s2)
+        _check_flags(lambda v: v >= 0.0, "non-negative", t0=t0)
+        _check_flags(lambda v: v > 0.0, "positive", dt=dt)
+        _check_flags(lambda v: v > t0, f"after --t0 {_typed(t0)}", t1=t1)
         traj = integrate_trajectory(wf, (s1, s2), t0, t1, dt)
         meta = _meta("dbb", {**params, "mode": "trajectory", "start1": s1, "start2": s2, "t0": t0, "t1": t1, "dt": dt})
         _write_csv(out, meta, {"t": traj.times, "x1": traj.positions[:, 0], "x2": traj.positions[:, 1]})
         return
+    _check_flags(lambda v: v >= 0.0, "non-negative", time_=time_)
     _check_grid(grid)
     lo = min(center_a - 2.0 * width_a, center_b - 2.0 * width_b)
     hi = max(center_a + 2.0 * width_a, center_b + 2.0 * width_b)
@@ -299,8 +323,7 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
 def spin(bz, gyro, steps, dt, s0, out):
     """RK4 Larmor precession with conservation diagnostics."""
     from ._common import _MAX_STEPS
-    if not 1 <= steps <= _MAX_STEPS:  # the span is refused in spin's own flags: t1 = steps * dt is none of them
-        raise UsageError("--steps must be >= 1" if steps < 1 else f"--steps {_typed(steps)} exceeds {_MAX_STEPS}")
+    _check_count(_MAX_STEPS, steps=steps)  # the span is refused in spin's own flags: t1 = steps * dt is none of them
     _check_flags(bz=bz, gyro=gyro, dt=dt)
     if not (dt > 0.0 and math.isfinite(steps * dt)):
         raise UsageError(f"--dt must be positive, got {_typed(dt)}" if dt <= 0.0 else
@@ -394,7 +417,8 @@ def _dispatch(prog: str, command: str, args):
     args = iter(args)
     for arg in args:
         if arg == "--help" or (arg == "--version" and not command):
-            print(_help(prog, command) if arg == "--help" else f"bell-lab, version {__version__}")
+            with _writing(None):
+                print(_help(prog, command) if arg == "--help" else f"bell-lab, version {__version__}")
             return
         if not arg.startswith("-"):
             if f"{command} {arg}".lstrip() not in _COMMANDS:
@@ -433,11 +457,17 @@ def _dispatch(prog: str, command: str, args):
             kwargs["out"] = open(kwargs["out"], "a", encoding="utf-8", newline="")
         except OSError as err:
             raise UsageError(f"cannot open --out {kwargs['out']}: {err.strerror}") from None
-    out = kwargs["out"]
+    with _writing(kwargs["out"]):
+        body(**kwargs)
+
+
+@contextmanager
+def _writing(out):
+    """Close out (None: stdout) at the end, and name it in the OSError of a write or the close that fails."""
     try:
         with out or nullcontext():
-            body(**kwargs)
-    except OSError as err:  # a CSV write or --out's close, on a full disk or device
+            yield
+    except OSError as err:  # on a full disk or device
         if isinstance(err, BrokenPipeError):
             raise
         raise OSError(f"cannot write {f'--out {out.name}' if out else 'stdout'}: {err.strerror}") from None

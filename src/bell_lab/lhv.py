@@ -12,14 +12,16 @@ E(a, b) = -1 + 2*d/pi (d = angular distance between the settings folded
 to [0, pi]) whose CHSH value at (0, pi/2, pi/4, -pi/4) is exactly -2.
 simulate_chsh_stats takes one setting, the (4,) array-like (alpha, alpha',
 beta, beta') in radians, and returns the plain pair (estimate, stderr).
+
+numpy is imported in the functions that use it, so importing this module
+loads none, and neither does chsh_deterministic_max (`bell-lab lhv --enumerate`).
 """
 
-from __future__ import annotations  # np.random stays unloaded until make_rng runs
+from __future__ import annotations  # numpy stays unloaded until a function that builds arrays runs
 
+import math
 from itertools import product
 from typing import Callable
-
-import numpy as np
 
 from .errors import NumericalCheckError
 from ._common import _chsh_angles, _Record
@@ -34,6 +36,7 @@ _MAX_SAMPLES = 10**9  # hidden values one run may draw: about 20 s on a 2-core X
 
 def make_rng(seed: int) -> np.random.Generator:
     """A PCG64 generator; the seed is checked here, once for every caller."""
+    import numpy as np
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
@@ -54,6 +57,7 @@ class HiddenVariableModel(_Record):
 
 def _cos_sign(angle: float, lam) -> np.ndarray:
     # sign(cos(angle - lam)) with the 0 -> +1 convention, so always +-1
+    import numpy as np
     return np.where(np.cos(angle - lam) >= 0.0, np.int8(1), np.int8(-1))
 
 
@@ -65,6 +69,7 @@ def _arc_sign(angle: float, lam) -> np.ndarray:
     2 pi).  Within w = 1e-9 * max(1, |angle|) of an arc end, where rounding
     (~1e-16 * |angle|) could split the routes, the cosine decides.
     """
+    import numpy as np
     angle, lam = float(angle), np.asarray(lam, dtype=float)
     w = 1e-9 * max(1.0, abs(angle))
     e = lam - angle % (2.0 * np.pi)  # in place from here: a fresh buffer costs page faults
@@ -88,7 +93,7 @@ def sign_model() -> HiddenVariableModel:
     anticorrelated pairs: E(a, a) = -1 exactly.  Responses are int8.
     """
     return HiddenVariableModel(
-        sample=lambda rng, n: rng.uniform(0.0, 2.0 * np.pi, size=n),
+        sample=lambda rng, n: rng.uniform(0.0, 2.0 * math.pi, size=n),
         alice_response=_arc_sign,
         bob_response=lambda angle, lam: -_arc_sign(angle, lam),
     )
@@ -96,9 +101,9 @@ def sign_model() -> HiddenVariableModel:
 
 def sawtooth_correlation(a: float, b: float) -> float:
     """Analytic E(a, b) of the sign model: -1 + 2*d/pi, d folded to [0, pi]."""
-    d = abs(a - b) % (2.0 * np.pi)
-    d = min(d, 2.0 * np.pi - d)
-    return -1.0 + 2.0 * d / np.pi
+    d = abs(a - b) % (2.0 * math.pi)
+    d = min(d, 2.0 * math.pi - d)
+    return -1.0 + 2.0 * d / math.pi
 
 
 def chsh_deterministic_max() -> int:
@@ -118,6 +123,7 @@ def mermin_deterministic_max(n: int) -> int:
     imaginary part peaks at 2^(n/2) max sin(pi k/4) over those k: 2^(n/2)
     for even n, 2^((n-1)/2) for odd n.
     """
+    import numpy as np
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 12:
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
     return 2 ** (int(n) // 2)
@@ -136,6 +142,7 @@ def simulate_chsh_stats(
     Chunked draws equal one draw of all ``samples`` only for a sampler that
     is chunk-invariant, as the sign model's PCG64 uniform draws are.
     """
+    import numpy as np
     if not isinstance(samples, (int, np.integer)) or not 1 <= samples <= _MAX_SAMPLES:
         raise ValueError(f"samples must be an integer in [1, {_MAX_SAMPLES}], got {samples!r}")
     angles = _chsh_angles(settings)

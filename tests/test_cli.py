@@ -147,6 +147,32 @@ class TestOutputFormat:
         assert _fmt(np.int64(-3)) == "-3"
         assert _fmt(2**70) == str(2**70)
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_scalar_row_gives_the_chunked_bytes(self, tmp_path, capsys, monkeypatch, to_file):
+        # a row of Python scalars is formatted without numpy; as 0-d arrays the same values take the
+        # chunked writer, so the two must give the same bytes, and --out is replaced on both paths
+        values = [7, True, False, 2**63, 2**64 + 1, -(2**70), np.float64(2.0) ** 0.5, -0.0, np.nan, np.inf, -np.inf,
+                  5e-324, 1e300, "photon"]
+        scalars = {f"c{i}": value for i, value in enumerate(values)}
+        calls, broadcast_arrays = [], np.broadcast_arrays
+        monkeypatch.setattr(np, "broadcast_arrays", lambda *cells: calls.append(cells) or broadcast_arrays(*cells))
+        texts, broadcasts = [], []
+        for columns in (scalars, {name: np.asarray(value) for name, value in scalars.items()}):
+            if to_file:
+                out = tmp_path / "x.csv"
+                out.write_bytes(b"x" * 1000)
+                with open(out, "a", encoding="utf-8", newline="") as stream:
+                    cli._write_csv(stream, "# meta", columns)
+                texts.append(out.read_text(encoding="utf-8"))
+            else:
+                cli._write_csv(None, "# meta", columns)
+                texts.append(capsys.readouterr().out)
+            broadcasts.append(len(calls))
+        assert broadcasts == [0, 1]  # the scalar row never reaches numpy
+        assert texts[0] == texts[1] == (f"{','.join(scalars)}\n# meta\n7,1,0,9223372036854775808,18446744073709551617,"
+                                        "-1180591620717411303424,1.4142135623730951,-0,nan,inf,-inf,"
+                                        "4.9406564584124654e-324,1.0000000000000001e+300,photon\n")
+
     @pytest.mark.parametrize("args", COMMAND_MATRIX, ids=lambda a: " ".join(a))
     def test_shape_and_reproducibility(self, args, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -479,7 +505,7 @@ class TestLhvCommand:
         assert invoke(args + [str(10**9)]).exit_code == EXIT_NUMERICAL
         result = invoke(args + [str(10**9 + 1)])
         assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
-        assert result.stderr == f"error=2 detail=samples must be an integer in [1, {10**9}], got {10**9 + 1}\n"
+        assert result.stderr == f"error=2 detail=--samples {10**9 + 1} exceeds {10**9}\n"
 
 
 class TestOumandelCommand:
@@ -914,8 +940,8 @@ class TestErrorMapping:
         (["chsh", "scan"], "error=2 detail=Missing option '--step'."),
         (["nosuch"], "error=2 detail=No such command 'nosuch'."),
         (["dbb", "--form", "symmetric", "--trajectory", "--start2", "nan"],
-         "error=2 detail=x2 must be finite, got nan"),
-        (["identity", "--kind", "spin", "--seed", "-1"], "error=2 detail=seed must be a non-negative integer, got -1"),
+         "error=2 detail=--start2 must be finite, got nan"),
+        (["identity", "--kind", "spin", "--seed", "-1"], "error=2 detail=--seed must be a non-negative integer, got -1"),
         (["identity", "--kind", "spin", "--seed", "1.5"],
          "error=2 detail=Invalid value for '--seed': '1.5' is not a valid integer."),
         (["identity", "--kind", "foo", "--seed", "1"],
@@ -944,7 +970,7 @@ class TestErrorMapping:
          "error=2 detail=--width-b must be positive, got -1.5"),
         # a span from before the start, refused before its step count (whose t1 - t0 overflowed)
         (["dbb", "--form", "product", "--trajectory", "--t0=-1e308", "--t1", "1e308", "--dt", "1e300"],
-         "error=2 detail=t = -1e+308 is before the packets' start time 0.0"),
+         "error=2 detail=--t0 must be non-negative, got -1e+308"),
         (["oumandel", "--tx", "1.5", "--ty", "0.5"], "error=2 detail=--tx must be in [0, 1], got 1.5"),
         (["oumandel", "--tx", "0.5", "--ty=-0.25", "--grid", "3"], "error=2 detail=--ty must be in [0, 1], got -0.25"),
         # a trajectory's span by its flags, not the library's dt and t1, as spin's --dt is
@@ -952,12 +978,23 @@ class TestErrorMapping:
         (["dbb", "--form", "symmetric", "--trajectory", "--t0", "1.5", "--t1", "1.5"],
          "error=2 detail=--t1 must be after --t0 1.5, got 1.5"),
         (["dbb", "--form", "product", "--trajectory", "--t1", "0"], "error=2 detail=--t1 must be after --t0 0, got 0"),
+        # the library's samples, seed, n, t and x1 as the flags they came from
+        (["lhv", "--model", "sign", "--samples", "0", "--seed", "1", "--angles", "0,90,45,-45"],
+         "error=2 detail=--samples must be >= 1"),
+        (["lhv", "--model", "sign", "--samples", "10", "--seed", "-1", "--angles", "0,90,45,-45"],
+         "error=2 detail=--seed must be a non-negative integer, got -1"),
+        (["mermin", "--n", "11"], "error=2 detail=--n must be in [2, 10], got 11"),
+        (["mermin", "--n", "1", "--scan"], "error=2 detail=--n must be in [2, 10], got 1"),
+        (["dbb", "--form", "symmetric", "--time", "-1"], "error=2 detail=--time must be non-negative, got -1"),
+        (["dbb", "--form", "product", "--trajectory", "--start1", "-inf"],
+         "error=2 detail=--start1 must be finite, got -inf"),
     ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command", "nan-start",
             "negative-seed", "bad-integer", "bad-choice", "no-value", "flag-with-value", "nan-s0", "nan-alpha",
             "inf-beta-prime", "nan-step", "negative-step", "step-over-grid-cap", "step-underflowing-to-zero-radians",
             "mermin-step-over-45", "mermin-zero-step", "nan-theta1", "overflowing-theta2", "zero-width-a",
             "negative-width-b", "t0-before-the-start", "tx-over-1", "negative-ty", "negative-dt", "t1-at-t0",
-            "t1-at-the-default-t0"])
+            "t1-at-the-default-t0", "zero-samples", "negative-lhv-seed", "mermin-n-over-10", "mermin-scan-n-under-2",
+            "negative-time", "inf-start1"])
     def test_usage_error_gives_one_line(self, args, line):
         result = invoke(args)
         assert result.exit_code == EXIT_VALIDATION
@@ -1189,10 +1226,13 @@ class TestInstalledEntryPoint:
         (["spin", "--steps", "70000"], "stdout"),  # two chunks: the first, over any buffer, is written through
         (["lhv", "--enumerate", "--out", "/dev/full"], "--out /dev/full"),
         (["spin", "--steps", "70000", "--out", "/dev/full"], "--out /dev/full"),
-    ], ids=["stdout", "stdout-chunks", "out", "out-chunks"])
+        (["--help"], "stdout"),
+        (["--version"], "stdout"),
+    ], ids=["stdout", "stdout-chunks", "out", "out-chunks", "help", "version"])
     def test_full_device_gets_exit_1_and_one_error_line(self, buffered, args, target):
         # the CSV write, --out's close or, buffered, the exit's flush of stdout fails with ENOSPC
-        # (each printed a traceback; a buffered stdout two, then "Exception ignored", and exited 120)
+        # (each printed a traceback; a buffered stdout two, then "Exception ignored", and exited 120;
+        # an unbuffered --help or --version "[Errno 28] No space left on device", without the stream)
         env = self.buffered_env() if buffered else {**os.environ, "PYTHONUNBUFFERED": "1"}
         with open("/dev/full", "wb") as full:
             proc = subprocess.run([sys.executable, "-m", "bell_lab", *args], env=env, timeout=120, text=True,
@@ -1311,24 +1351,35 @@ class TestInstalledEntryPoint:
         assert code == 0
         return kib / 1024.0  # KiB on Linux
 
+    @classmethod
+    def numpy_floor_mb(cls):
+        # a command's floor, numpy loaded: chsh at one setting loads numpy and two small layer modules.  It
+        # reads about 1.4 MB more than lhv --enumerate did while that loaded numpy, so the margins over it
+        # are 1.4 MB smaller than they were over lhv --enumerate, and no limit rose
+        return cls.max_rss_mb(["chsh", "--alpha", "0", "--alpha-prime", "90", "--beta", "45", "--beta-prime", "-45"])
+
+    def test_lhv_enumerate_memory_is_the_version_floor(self):
+        # its one row of Python scalars is written without numpy, about 12 MB of max RSS
+        assert self.max_rss_mb(["lhv", "--enumerate"]) <= self.max_rss_mb(["--version"]) + 1.0
+
     def test_lhv_memory_does_not_grow_with_samples(self):
-        # max RSS of a Monte Carlo run against the enumerate run's import floor
-        floor = self.max_rss_mb(["lhv", "--enumerate"])
+        # max RSS of a Monte Carlo run against the import floor
+        floor = self.numpy_floor_mb()
         mc = self.max_rss_mb(["lhv", "--model", "sign", "--samples", "2000000", "--seed", "3",
                               "--angles", "0,45,22.5,67.5"])
-        assert mc <= floor + 20.0
+        assert mc <= floor + 18.6
 
     def test_mermin_memory_stays_near_the_import_floor(self):
         # <F> for n = 10 needs the 2^10 ket, not the 2^10 x 2^10 operator (16 MB)
-        floor = self.max_rss_mb(["lhv", "--enumerate"])
-        assert self.max_rss_mb(["mermin", "--n", "10"]) <= floor + 20.0
+        floor = self.numpy_floor_mb()
+        assert self.max_rss_mb(["mermin", "--n", "10"]) <= floor + 18.6
 
     def test_spin_memory_stays_near_the_import_floor(self):
         # rows are formatted and written 2**16 at a time; all 200,001 at once peaked
         # 90 MB over the floor, and the RK4 states kept as tuples 49 MB; as flat
         # doubles 36 MB, and from the closed form, written without copies, 32 MB
-        floor = self.max_rss_mb(["lhv", "--enumerate"])
-        assert self.max_rss_mb(["spin", "--steps", "200000"]) <= floor + 45.0
+        floor = self.numpy_floor_mb()
+        assert self.max_rss_mb(["spin", "--steps", "200000"]) <= floor + 43.6
 
     def test_usage_error_is_one_stderr_line(self):
         proc = subprocess.run([sys.executable, "-m", "bell_lab", "oumandel", "--tx", "0.5"],
@@ -1378,9 +1429,9 @@ class TestInstalledEntryPoint:
     @pytest.mark.parametrize("args", [["--grid", "71"], ["--grid", "51", "--correlation"]])
     def test_oumandel_grid_memory_stays_near_the_import_floor(self, args):
         # the angle axes broadcast as a column and a row; meshgrids cost 50 MB more at 71.  The floor is a
-        # command's, numpy loaded: --version loads no numpy, so its max RSS is about 12 MB lower
-        floor = self.max_rss_mb(["lhv", "--enumerate"])
-        assert self.max_rss_mb(["oumandel", "--tx", "0.5", "--ty", "0.5", *args]) <= floor + 5.0
+        # command's, numpy loaded: --version and lhv --enumerate load no numpy, so theirs is about 12 MB lower
+        floor = self.numpy_floor_mb()
+        assert self.max_rss_mb(["oumandel", "--tx", "0.5", "--ty", "0.5", *args]) <= floor + 3.6
 
     def test_numpy_random_loads_only_for_commands_that_draw(self):
         # numpy.random costs every command about 13 ms of import; only the seeded
@@ -1411,8 +1462,9 @@ class TestInstalledEntryPoint:
                 f"{args} 0 {flag} False False" for args, flag in zip(commands, loaded)]
 
     def test_numpy_loads_only_for_commands_that_compute(self):
-        # numpy's import is about half of --version's wall time; --version, any --help and every
-        # refusal of the command line end without it.  The last commands load it, and spin's CSV
+        # numpy's import is about half of a computing command's wall time; --version, any --help, every
+        # refusal of the command line and lhv --enumerate, whose one row of Python scalars is written
+        # without numpy, end without it.  The last command loads it, and spin's CSV
         # writer, which checks a sample of each column for repeats, still no numpy.ma (about 10 ms)
         launcher = ("import sys; from bell_lab.cli import main\n"
                     "for args in sys.argv[1:]:\n"
@@ -1424,13 +1476,13 @@ class TestInstalledEntryPoint:
         cases = [("--version", 0), ("--help", 0), ("chsh scan --help", 0), ("", 0),
                  ("nosuch", 2), ("--bogus", 2), ("mermin --n x", 2), ("dbb --form nope", 2), ("mermin", 2),
                  ("oumandel --tx 0.5 --ty 0.5 --theta1 10 --grid 5", 2),
-                 ("lhv --enumerate --out /nonexistent/x.csv", 2), ("chsh scan --step 0", 2)]
-        commands = [args for args, _ in cases] + ["lhv --enumerate", "spin --steps 2000"]
+                 ("lhv --enumerate --out /nonexistent/x.csv", 2), ("chsh scan --step 0", 2), ("mermin --n 11", 2),
+                 ("lhv --enumerate", 0)]
+        commands = [args for args, _ in cases] + ["spin --steps 2000"]
         proc = subprocess.run([sys.executable, "-c", launcher, *commands], stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True, timeout=120)
         assert [line for line in proc.stderr.splitlines() if line.startswith("ran ")] == [
-            f"ran {args!r} {code} False False" for args, code in cases] + [
-            "ran 'lhv --enumerate' 0 True False", "ran 'spin --steps 2000' 0 True False"]
+            f"ran {args!r} {code} False False" for args, code in cases] + ["ran 'spin --steps 2000' 0 True False"]
 
     @pytest.mark.parametrize("args, ran", LAYERS_RUN, ids=[args for args, _ in LAYERS_RUN])
     def test_a_command_runs_only_its_own_layer_modules(self, args, ran):
