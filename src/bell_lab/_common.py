@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 _MAX_STEPS = 10**6  # RK4 steps one span may take: dbb's cap, which spin's --steps is checked against
 
 
 def _require_finite(name, value):
+    if isinstance(value, float) and math.isfinite(value):  # a Python float or np.float64: no numpy
+        return value
     import numpy as np
     if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite, got {value!r}")

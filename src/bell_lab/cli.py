@@ -12,8 +12,8 @@ named columns that broadcast against each other; a grid command passes
 its two axes as a column and a row, never as a meshgrid, so a grid is
 evaluated in one call.  Grids have at most MAX_GRID_SIDE points per axis.
 Each command imports numpy and its layer modules in its own body, so a
-process loads only what it uses (no numpy for --help, --version, a refusal
-or lhv --enumerate, whose one row of Python scalars is written without it).
+process loads only what it uses: no numpy for --help, --version, a refusal,
+lhv --enumerate or dbb --trajectory, whose Python values are written without it.
 main() parses the command line from _COMMANDS; ``bell-lab`` runs it via run().
 
 Exit codes: 0 success, 1 a write that stdout or --out refused (a full disk
@@ -52,10 +52,18 @@ _FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 _CSV_CHUNK = 2**16
 
 
-def _fmt(value) -> str:
-    """A cell or metadata value by the rules of _FORMATS; a Python scalar (np.float64 is a float) without numpy."""
+def _pyformat(value):
+    """The printf format, by _FORMATS' rules, of a float (np.float64 too), int, bool or str, or of an array("d"),
+    told by its typecode so that no command loads the array module for it; None for any other value."""
     if isinstance(value, (int, float, str)):
-        return ("%.17g" if isinstance(value, float) else "%d" if isinstance(value, int) else "%s") % value
+        return "%.17g" if isinstance(value, float) else "%d" if isinstance(value, int) else "%s"
+    return "%.17g" if getattr(value, "typecode", None) == "d" else None
+
+
+def _fmt(value) -> str:
+    """A cell or metadata value by the rules of _FORMATS; a Python scalar without numpy."""
+    if isinstance(value, (int, float, str)):
+        return _pyformat(value) % value
     import numpy as np
     value = np.asarray(value)
     return _FORMATS.get(value.dtype.kind, "%s") % value.item()
@@ -74,24 +82,26 @@ def _meta(command: str, params: dict, seed=None) -> str:
 def _write_csv(out, meta_line: str, columns: dict):
     """Header, metadata line, then one row per element of the broadcast columns, to out or stdout.
 
-    Columns that are all Python scalars are one row, formatted by _fmt without numpy.  Otherwise the
-    rows are formatted and written _CSV_CHUNK at a time, a chunk's repeated floats once per bit
-    pattern (a constant, an axis, a few-valued drift): the same bytes as formatting every cell.
+    Columns of Python values, all scalars (one row) or all array("d") of one length, are formatted by _pyformat
+    without numpy.  Others broadcast as numpy arrays, and a chunk's repeated floats are formatted once per bit
+    pattern (a constant, an axis, a few-valued drift).  Either way, rows go _CSV_CHUNK at a time.
     """
-    scalar_row = all(isinstance(value, (int, float, str)) for value in columns.values())
-    if not scalar_row:
+    fmts = list(map(_pyformat, columns.values()))
+    plain = None not in fmts
+    if plain:
+        cells = [(value,) if isinstance(value, (int, float, str)) else value for value in columns.values()]
+    else:
         import numpy as np
-        # reshape, not ravel: a strided 1-D column (a trajectory's positions[:, i]) stays a view
+        # reshape, not ravel: a strided 1-D column stays a view
         cells = [cell.reshape(-1) for cell in np.broadcast_arrays(*columns.values())]
     if out is not None and os.path.isfile(out.name):  # a pipe or device takes no truncate
         out.truncate(0)
     out = out or sys.stdout
     text = f"{','.join(columns)}\n{meta_line}\n"  # goes with the first chunk: one write up to a chunk
-    if scalar_row:
-        out.write(text + ",".join(map(_fmt, columns.values())) + "\n")
-        return
-    for start in range(0, cells[0].size, _CSV_CHUNK):
-        fmts, chunk = zip(*(_formatted(cell[start:start + _CSV_CHUNK]) for cell in cells))
+    for start in range(0, len(cells[0]), _CSV_CHUNK):
+        chunk = [cell[start:start + _CSV_CHUNK] for cell in cells]
+        if not plain:
+            fmts, chunk = zip(*map(_formatted, chunk))
         chunk = iter([text, *map((",".join(fmts) + "\n").__mod__, zip(*chunk))])  # frees the values before the join
         out.write("".join(chunk))  # join exhausts the iterator, which frees the rows before the write
         text = ""
@@ -285,26 +295,26 @@ def dbb(form, center_a, width_a, k_a, center_b, width_b, k_b, time_, grid, traje
     _check_flags(center_a=center_a, width_a=width_a, k_a=k_a, center_b=center_b, width_b=width_b, k_b=k_b,
                  time_=time_, t0=t0, t1=t1, dt=dt)
     _check_flags(lambda v: v > 0.0, "positive", width_a=width_a, width_b=width_b)  # WavePacket names neither
-    import numpy as np
-    from .dbb import TwoParticleWF, WavePacket, cross_coupling, integrate_trajectory, velocity_2p
+    from .dbb import TwoParticleWF, WavePacket, _path, cross_coupling, velocity_2p
 
     wf = TwoParticleWF(packet_a=WavePacket(center=center_a, width=width_a, wavenumber=k_a),
                        packet_b=WavePacket(center=center_b, width=width_b, wavenumber=k_b), form=form)
     params = {"form": form, "center_a": center_a, "width_a": width_a, "k_a": k_a,
               "center_b": center_b, "width_b": width_b, "k_b": k_b}
-    if trajectory:  # the start and span as typed, before integrate_trajectory names them x1, x2, t, dt and t1
+    if trajectory:  # the start and span as typed, before _path names them x1, x2, t, dt and t1
         s1 = center_a if start1 is None else start1
         s2 = center_b if start2 is None else start2
         _check_flags(start1=s1, start2=s2)
         _check_flags(lambda v: v >= 0.0, "non-negative", t0=t0)
         _check_flags(lambda v: v > 0.0, "positive", dt=dt)
         _check_flags(lambda v: v > t0, f"after --t0 {_typed(t0)}", t1=t1)
-        traj = integrate_trajectory(wf, (s1, s2), t0, t1, dt)
+        times, states = _path(wf, (s1, s2), t0, t1, dt)  # integrate_trajectory's run, without numpy
         meta = _meta("dbb", {**params, "mode": "trajectory", "start1": s1, "start2": s2, "t0": t0, "t1": t1, "dt": dt})
-        _write_csv(out, meta, {"t": traj.times, "x1": traj.positions[:, 0], "x2": traj.positions[:, 1]})
+        _write_csv(out, meta, {"t": times, "x1": states[0::2], "x2": states[1::2]})
         return
     _check_flags(lambda v: v >= 0.0, "non-negative", time_=time_)
     _check_grid(grid)
+    import numpy as np
     lo = min(center_a - 2.0 * width_a, center_b - 2.0 * width_b)
     hi = max(center_a + 2.0 * width_a, center_b + 2.0 * width_b)
     # x2 axis shifted by half a cell: keeps the antisymmetric exchange
@@ -340,10 +350,10 @@ def spin(bz, gyro, steps, dt, s0, out):
 
 
 _REQUIRED = object()  # the default of a flag that must be given
-# command -> (mode flag, whether the flags after it need the mode or are ignored by it, the flags)
-_MODES = {"oumandel": ("grid", False, "theta1", "theta2"), "mermin": ("scan", True, "step"),
-          "dbb": ("trajectory", True, "start1", "start2"),
-          "lhv": ("enumerate_", False, "model", "samples", "seed", "angles")}
+# command -> (mode flag, the flags that need the mode, the flags that the mode ignores)
+_MODES = {"oumandel": ("grid", (), ("theta1", "theta2")), "mermin": ("scan", ("step",), ()),
+          "dbb": ("trajectory", ("start1", "start2", "t0", "t1", "dt"), ("grid", "time_")),
+          "lhv": ("enumerate_", (), ("model", "samples", "seed", "angles"))}
 _TYPE_NAMES = {float: "float", int: "integer", str: "text", bool: ""}  # help shows them in capitals
 
 # command -> (body, {name: (type, default[, help])}); the flag is --name for the body's keyword name, with
@@ -437,10 +447,11 @@ def _dispatch(prog: str, command: str, args):
         elif not eq and (value := next(args, None)) is None:
             raise UsageError(f"Option {flag!r} requires an argument.")
         given[names[flag]] = value
-    mode, needed, *dependent = _MODES.get(command, (None, True))
-    for name in filter(dependent.__contains__, given):
-        if (mode in given) != needed:  # the body would ignore the flag
-            raise UsageError(f"{command} {_flag(name)} does not apply to {'a run without ' * needed}{_flag(mode)}")
+    mode, needs, ignored = _MODES.get(command, (None, (), ()))
+    for name in given:  # a flag typed, not a default, that the body would ignore
+        if name in (ignored if mode in given else needs):
+            without = "a run without " * (name in needs)
+            raise UsageError(f"{command} {_flag(name)} does not apply to {without}{_flag(mode)}")
     kwargs = {name: spec[1] for name, spec in flags.items()}
     for name, value in given.items():
         kind = flags[name][0]

@@ -13,26 +13,26 @@ velocity is the probability-current form v = Im(grad psi / psi); for the
 symmetrized two-particle wavefunctions this makes v1 depend on x2 (and vice
 versa), which cross_coupling quantifies as |dv1/dx2|.  Densities below 1e-300
 are treated as nodes and refused rather than extrapolated.
+
+numpy is imported in the functions that build arrays: importing this module loads
+none, and neither does _path, the trajectory run behind `bell-lab dbb --trajectory`.
 """
+
+from __future__ import annotations  # numpy stays unloaded until a function that builds arrays runs
 
 import cmath
 import math
 import sys
 from array import array
 from functools import cached_property
-from itertools import chain, islice
-
-import numpy as np
 
 from .errors import NodeSingularityError
 from ._common import _MAX_STEPS, _Record, _require_finite
 
 FORMS = ("product", "symmetric", "antisymmetric")
 
-_BLOCK = 1024  # stage times whose packet terms a trajectory works out in one pass
-
 # densities below this are nodes for all practical purposes
-_LOG_DENSITY_FLOOR = float(np.log(1e-300))
+_LOG_DENSITY_FLOOR = math.log(1e-300)
 _NORMAL = sys.float_info.min  # the least normal float64
 
 
@@ -73,13 +73,11 @@ def _check_time(t: float):
 
 
 def _clock(wp: WavePacket, t_end: float):
-    """(at, the terms at t_end): at(t) is the packet's _terms at a time 0 <= t <= t_end,
-    and at(ts) a list of them, one per time of a float array ts, bitwise equal to at(t) at each.
+    """(at, the terms at t_end): at(t) is the packet's _terms at a time 0 <= t <= t_end.
 
-    The parts that do not depend on t are worked out once, and each time takes the same float
-    operations, on Python numbers or in one numpy pass over the array: one np.log for all its
-    times.  Refuses a packet whose width**2 or wavenumber**2 is not a normal float (a zero
-    wavenumber aside), or whose terms are not finite at t_end: they grow with t.
+    The parts that do not depend on t are worked out once, and each time takes the same float operations on
+    Python numbers, cmath.log of 1 + i tau among them.  Refuses a packet whose width**2 or wavenumber**2 is not
+    a normal float (a zero wavenumber aside), or whose terms are not finite at t_end: they grow with t.
     """
     try:
         w2, k2 = wp.width**2, wp.wavenumber**2
@@ -91,16 +89,12 @@ def _clock(wp: WavePacket, t_end: float):
     def at(t):
         a = 1.0 + 1.0j * (t / two_w2)
         # the phase i k^2 t / 2; 0.0 + makes it +0j at t = -0.0 as at t = 0.0
-        terms = (lw - 0.5 * np.log(a), x0 + k * t, four_w2 * a, two_w2 * a, 1.0j * (0.0 + half_k2 * t))
-        if isinstance(t, np.ndarray):
-            cols = zip(*(v.tolist() for v in terms))
-            return [(const, xc, quad, slope, ik, x0, phase) for const, xc, quad, slope, phase in cols]
-        return complex(terms[0]), *terms[1:4], ik, x0, terms[4]
+        return lw - 0.5 * cmath.log(a), x0 + k * t, four_w2 * a, two_w2 * a, ik, x0, 1.0j * (0.0 + half_k2 * t)
 
-    # tau first: where it is finite, at's numpy operations see finite values and cannot warn
+    # tau first: where it is finite, so is cmath.log's argument
     if (_NORMAL <= w2 < math.inf and (k == 0.0 or _NORMAL <= k2 < math.inf)
             and math.isfinite(t_end / two_w2)):
-        lw = -0.25 * np.log(2.0 * np.pi * w2)
+        lw = -0.25 * math.log(2.0 * math.pi * w2)
         end = at(t_end)
         if all(math.isfinite(v.real) and math.isfinite(v.imag) for v in end):
             return at, end
@@ -136,12 +130,14 @@ def packet_overlap(wp_a: WavePacket, wp_b: WavePacket) -> complex:
         xc, x0 = xc - ta[1], x0 - ta[1]
         coeffs.append((-1.0 / quad, xc / slope + ik, const - xc * xc / quad - ik * x0 - phase))
     (a1, b1, c1), (a2, b2, c2) = coeffs
-    p = np.conj(a1) + a2  # Re(p) < 0 always
-    q = np.conj(b1) + b2
-    r = np.conj(c1) + c2
-    with np.errstate(over="ignore", invalid="ignore"):
-        overlap = complex(np.exp(r - q * q / (4.0 * p)) * np.sqrt(np.pi / -p))
-    if not np.isfinite(overlap):
+    p = a1.conjugate() + a2  # Re(p) < 0 always
+    q = b1.conjugate() + b2
+    r = c1.conjugate() + c2
+    try:
+        overlap = cmath.exp(r - q * q / (4.0 * p)) * cmath.sqrt(math.pi / -p)
+    except (OverflowError, ValueError):  # cmath raises where the value leaves float64
+        overlap = math.nan
+    if not cmath.isfinite(overlap):
         raise ValueError(f"packet overlap overflows float64: centres {ta[1]!r} and {tb[1]!r} at t=0.0")
     return overlap
 
@@ -155,11 +151,11 @@ def _norm_factor(wf: TwoParticleWF) -> float:
         return 1.0
     o2 = abs(packet_overlap(wf.packet_a, wf.packet_b)) ** 2
     if wf.form == "symmetric":
-        return 1.0 / np.sqrt(2.0 + 2.0 * o2)
+        return 1.0 / math.sqrt(2.0 + 2.0 * o2)
     denom = 2.0 - 2.0 * o2
     if denom <= 1e-14:
         raise ValueError("antisymmetric combination of (near-)identical packets vanishes")
-    return 1.0 / np.sqrt(denom)
+    return 1.0 / math.sqrt(denom)
 
 
 def psi2_eval(wf: TwoParticleWF, x1, x2, t: float):
@@ -167,6 +163,7 @@ def psi2_eval(wf: TwoParticleWF, x1, x2, t: float):
 
     A far tail, where (x - xc)^2 overflows, has the value 0.
     """
+    import numpy as np
     x1, x2 = _check_point(x1, x2, t)
     ta, tb = _terms(wf.packet_a, t), _terms(wf.packet_b, t)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,6 +182,7 @@ def _exchange_terms(form: str, ta, tb, x1, x2):
     lm = max(Re l1, Re l2), w1 = exp(l1 - lm) and sw2 = +-exp(l2 - lm), the
     sign being the form's.
     """
+    import numpy as np
     sign = 1.0 if form == "symmetric" else -1.0
     l1 = _log_psi(ta, x1) + _log_psi(tb, x2)
     l2 = _log_psi(ta, x2) + _log_psi(tb, x1)
@@ -205,6 +203,7 @@ def _cmul(a, b):
 
 def _refuse_nodes(node, x1, x2, t):
     """Raise NodeSingularityError naming the first node point in row-major order."""
+    import numpy as np
     if node is not False and np.count_nonzero(node):  # a float point's False skips numpy
         i = np.flatnonzero(node)[0]
         p1, p2 = (float(np.broadcast_to(x, np.shape(node)).flat[i]) for x in (x1, x2))
@@ -218,6 +217,7 @@ def _velocity(wf: TwoParticleWF, x1, x2, t: float, nf: float, terms=None, coupli
     caller has them.  For the product form v1 keeps x1's shape and v2 x2's.
     With coupling, |dv1/dx2| instead, once the same points pass the node test.
     """
+    import numpy as np
     ta, tb = terms or (_terms(wf.packet_a, t), _terms(wf.packet_b, t))
     if wf.form == "product":
         la1, lb2 = _log_psi(ta, x1), _log_psi(tb, x2)
@@ -288,6 +288,7 @@ def _stage_velocity(wf: TwoParticleWF, nf: float):
 
 def _check_point(x1, x2, t: float):
     """(x1, x2) once they and t are checked: scalars and arrays as given (the kernels' bits), array-likes as floats."""
+    import numpy as np
     for name, v in (("x1", x1), ("x2", x2), ("t", t)):
         _require_finite(name, v)
     _check_time(t)
@@ -296,6 +297,7 @@ def _check_point(x1, x2, t: float):
 
 def _as_result(value, shape):
     """A float for scalar points, else an array of the points' broadcast shape."""
+    import numpy as np
     return float(value) if shape == () else np.broadcast_to(value, shape).copy()
 
 
@@ -305,6 +307,7 @@ def velocity_2p(wf: TwoParticleWF, x1, x2, t: float):
     Broadcasts over (x1, x2): scalar points give two floats, arrays two
     arrays of the broadcast shape.  A node at any point refuses the call.
     """
+    import numpy as np
     x1, x2 = _check_point(x1, x2, t)
     with np.errstate(over="ignore", invalid="ignore"):  # a product far tail's log psi is -inf: a node
         v1, v2 = _velocity(wf, x1, x2, t, _norm_factor(wf))
@@ -321,6 +324,7 @@ def cross_coupling(wf: TwoParticleWF, x1, x2, t: float):
     wherever the packets do not overlap in configuration space.  Broadcasts over
     (x1, x2) like velocity_2p, and refuses the same nodes.
     """
+    import numpy as np
     x1, x2 = _check_point(x1, x2, t)
     with np.errstate(over="ignore", invalid="ignore"):  # as in velocity_2p
         g = _velocity(wf, x1, x2, t, _norm_factor(wf), coupling=True)
@@ -334,6 +338,7 @@ class Trajectory(_Record):
     positions: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         times = np.asarray(self.times, dtype=float)
         positions = np.asarray(self.positions, dtype=float)
         if times.ndim != 1 or positions.shape[0] != times.size:
@@ -390,17 +395,13 @@ def _grid(t0: float, t1: float, dt: float):
 
 
 def _rk4(f, x1: float, x2: float, t0: float, t1: float, dt: float):
-    """Classical RK4 for the pair (x1, x2)' = f(x1, x2, t) on _grid's steps; returns (times, positions) arrays.
+    """Classical RK4 for the pair (x1, x2)' = f(x1, x2, t) on _grid's steps; returns flat (times, states) buffers.
 
-    The pair is stepped as two floats, each IEEE-identically to an array element, and kept as flat doubles
-    (views of them are returned, positions shaped (steps + 1, 2)).  A NodeSingularityError from f halts
-    integration and is re-raised carrying the completed steps as a Trajectory in ``partial_trajectory``.
+    The pair is stepped as two floats, each IEEE-identically to an array element, and kept as flat doubles:
+    times in one array("d"), and x1 and x2 of each row interleaved in the other.  A NodeSingularityError from
+    f halts integration and is re-raised carrying the completed steps as a Trajectory in ``partial_trajectory``.
     """
     times, states = array("d", [t0]), array("d", (x1, x2))
-
-    def stacked():
-        return np.frombuffer(times), np.frombuffer(states).reshape(-1, 2)
-
     try:
         for t, step, mid, end, row in _grid(t0, t1, dt):
             half, sixth = 0.5 * step, step / 6.0
@@ -412,46 +413,61 @@ def _rk4(f, x1: float, x2: float, t0: float, t1: float, dt: float):
             times.append(row)
             states.extend((x1, x2))
     except NodeSingularityError as err:
-        raise NodeSingularityError(str(err), partial_trajectory=Trajectory(*stacked())) from None
-    return stacked()
+        raise NodeSingularityError(str(err), partial_trajectory=Trajectory(*_stacked(times, states))) from None
+    return times, states
+
+
+def _stacked(times, states):
+    """_rk4's buffers as (times, positions) arrays that view them, positions shaped (steps + 1, 2)."""
+    import numpy as np
+    return np.frombuffer(times), np.frombuffer(states).reshape(-1, 2)
+
+
+def _path(wf: TwoParticleWF, start, t0: float, t1: float, dt: float):
+    """integrate_trajectory's checks and run, as _rk4's flat buffers; without numpy for a start of two floats.
+
+    The stages' kernel gets both packets' terms, worked out once per distinct stage time: stages 2 and 3 share
+    the midpoint, and stage 4's time is the next step's start."""
+    _check_span(t0, t1, dt)
+    if not isinstance(wf, TwoParticleWF):
+        raise ValueError(f"wf must be a TwoParticleWF, got {type(wf)!r}")
+    if not (type(start) is tuple and all(type(v) is float for v in start)):
+        import numpy as np
+        start = np.asarray(start, dtype=float).ravel().tolist()
+    if len(start) != 2:
+        raise ValueError("two-particle start must be a pair (x1, x2)")
+    # the stages call the float kernel: times only grow from the checked t0, the clocks
+    # are checked at t1, and a stage position is refused if it is not finite
+    for name, v in zip(("x1", "x2"), start):  # t0 is checked with the span
+        _require_finite(name, v)
+    (clock_a, _), (clock_b, _) = _clock(wf.packet_a, t1), _clock(wf.packet_b, t1)
+    kernel = _stage_velocity(wf, _norm_factor(wf))
+    last_t = terms = None
+
+    def vel(x1, x2, t):
+        nonlocal last_t, terms
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            _require_finite("x1", x1)
+            _require_finite("x2", x2)
+        if t != last_t:
+            last_t, terms = t, (clock_a(t), clock_b(t))
+        return kernel(x1, x2, t, terms)
+
+    return _rk4(vel, *start, t0, t1, dt)
 
 
 def integrate_trajectory(wf: TwoParticleWF, start, t0: float, t1: float, dt: float) -> Trajectory:
     """Classical RK4 integration of the guidance velocity field from the pair start.
 
     Steps of size dt, with one shorter final step to land on t1 exactly; _rk4 steps the pair as two floats,
-    each stage calling the float kernel on the packets' terms, worked out _BLOCK stage times at a time.
-    Hitting a node halts integration: the raised NodeSingularityError carries the completed steps as
-    ``partial_trajectory``.
+    each stage calling the float kernel, and the Trajectory views its buffers.  Hitting a node halts
+    integration: the raised NodeSingularityError carries the completed steps as ``partial_trajectory``.
     """
-    _check_span(t0, t1, dt)
-    if not isinstance(wf, TwoParticleWF):
-        raise ValueError(f"wf must be a TwoParticleWF, got {type(wf)!r}")
-    y = np.asarray(start, dtype=float).ravel().tolist()
-    if len(y) != 2:
-        raise ValueError("two-particle start must be a pair (x1, x2)")
-    # the stages call the float kernel: times only grow from the checked t0, the clocks
-    # are checked at t1, and a stage position is refused if it is not finite
-    for name, v in zip(("x1", "x2"), y):  # t0 is checked with the span
-        _require_finite(name, v)
-    (clock_a, _), (clock_b, _) = _clock(wf.packet_a, t1), _clock(wf.packet_b, t1)
-    kernel = _stage_velocity(wf, _norm_factor(wf))
-    # each distinct stage time as the stages reach it: t0, each step's midpoint and end (the next step's start)
-    times, block = chain([t0], chain.from_iterable(g[2:4] for g in _grid(t0, t1, dt))), {}
-
-    def vel(x1, x2, t):
-        nonlocal block
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            _check_point(x1, x2, t)  # refuses x1 or x2
-        if t not in block:  # both packets' terms at the next _BLOCK stage times, in one numpy pass each
-            ts = np.fromiter(islice(times, _BLOCK), float)
-            block = dict(zip(ts.tolist(), zip(clock_a(ts), clock_b(ts))))
-        return kernel(x1, x2, t, block[t])
-
-    return Trajectory(*_rk4(vel, *y, t0, t1, dt))
+    return Trajectory(*_stacked(*_path(wf, start, t0, t1, dt)))
 
 
 def _as_spin(s0) -> tuple:
+    import numpy as np
     s = tuple(np.asarray(s0, dtype=float).ravel().tolist())
     if len(s) != 3:
         raise ValueError("spin must be a 3-vector")
@@ -465,6 +481,7 @@ def _as_spin(s0) -> tuple:
 
 
 def _as_field(b_field) -> list:
+    import numpy as np
     b = np.asarray(b_field, dtype=float).ravel()
     if b.size != 3:
         raise ValueError("b_field must be a 3-vector")
@@ -479,6 +496,7 @@ class SpinTrajectory(_Record):
     @cached_property
     def norms(self) -> np.ndarray:
         """|s| of each row, bitwise equal to its np.linalg.norm."""
+        import numpy as np
         sq = np.vecdot(self.spins, self.spins)
         return np.sqrt(sq, out=sq)
 
@@ -520,6 +538,7 @@ def _precess(s: tuple, b: list, g: float, t1: float, dt: float):
     P^(im) and P^j over about 2 sqrt(n) powers.  Times are k dt; the last
     step, to t1, is one factor P(-i w h) on row n - 1.
     """
+    import numpy as np
     n = _step_count(0.0, t1, dt)
     big = max(map(abs, b))
     if big:  # scaled by the largest component first: hypot of the field itself may overflow
@@ -559,6 +578,7 @@ def integrate_spin(s0, b_field, t1: float, dt: float, gyro: float = 1.0) -> Spin
     stepping.  Refuses a run whose states or |s|^2 leave float64 (a large
     gyro * B * |s| overflows the torque), at the first such row.
     """
+    import numpy as np
     _require_finite("gyro", gyro)
     _check_span(0.0, t1, dt)
     s, b = _as_spin(s0), _as_field(b_field)

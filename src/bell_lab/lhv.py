@@ -14,7 +14,8 @@ simulate_chsh_stats takes one setting, the (4,) array-like (alpha, alpha',
 beta, beta') in radians, and returns the plain pair (estimate, stderr).
 
 numpy is imported in the functions that use it, so importing this module
-loads none, and neither does chsh_deterministic_max (`bell-lab lhv --enumerate`).
+loads none, and neither does chsh_deterministic_max (`bell-lab lhv --enumerate`)
+or mermin_deterministic_max of an int.
 """
 
 from __future__ import annotations  # numpy stays unloaded until a function that builds arrays runs
@@ -123,8 +124,11 @@ def mermin_deterministic_max(n: int) -> int:
     imaginary part peaks at 2^(n/2) max sin(pi k/4) over those k: 2^(n/2)
     for even n, 2^((n-1)/2) for odd n.
     """
-    import numpy as np
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 12:
+    integer = isinstance(n, int)
+    if not integer:  # numpy only to accept an np.integer
+        import numpy as np
+        integer = isinstance(n, np.integer)
+    if not integer or not 1 <= n <= 12:
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
     return 2 ** (int(n) // 2)
 

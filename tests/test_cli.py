@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +80,8 @@ def run_ok(args):
 
 
 def home(name):
-    """The layer module that defines the public ``name``: a cli command imports it from there."""
-    return sys.modules[getattr(bell_lab, name).__module__]
+    """The layer module that defines ``name``, public or dbb's private _path: a cli command imports it from there."""
+    return dbb if name == "_path" else sys.modules[getattr(bell_lab, name).__module__]
 
 
 def spy(monkeypatch, name):
@@ -271,6 +272,20 @@ class TestOutputFormat:
         cli._write_csv(None, "# meta", columns)
         assert sorts == [cli._CSV_CHUNK] * 6  # const, axis and tail in each chunk; never t
         assert capsys.readouterr().out == per_row_csv("# meta", columns)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 17])
+    def test_float_buffers_give_the_per_row_bytes(self, capsys, monkeypatch, n):
+        # array("d") columns, as a trajectory's, take the writer's numpy-free path, chunk by chunk:
+        # one row, a chunk less one, a whole chunk, and into a third chunk
+        values = (CSV_SPECIALS * 2)[:n]
+        columns = {"t": array("d", range(n)), "x1": array("d", values), "x2": array("d", values[::-1])}
+        calls = []
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 8)
+        monkeypatch.setattr(np, "broadcast_arrays", lambda *cells: calls.append(cells))
+        cli._write_csv(None, "# meta", columns)
+        assert calls == []
+        monkeypatch.undo()
+        assert capsys.readouterr().out == per_row_csv("# meta", {k: np.array(v) for k, v in columns.items()})
 
     def test_strided_columns_are_not_copied(self, monkeypatch):
         # a trajectory's positions[:, i] are strided 1-D views: flattened, not copied
@@ -609,6 +624,17 @@ class TestDbbCommand:
         assert float(rows[-1][1]) == tr.positions[-1, 0]
         assert float(rows[-1][2]) == tr.positions[-1, 1]
 
+    @pytest.mark.parametrize("form", ["product", "symmetric", "antisymmetric"])
+    def test_trajectory_rows_are_the_library_arrays_formatted(self, form):
+        # the CLI writes _path's buffers without numpy; the bytes are integrate_trajectory's arrays
+        # through the chunked numpy writer's rules, ending in a shortened step
+        text = run_ok(["dbb", "--form", form, "--trajectory", "--t0", "0.25", "--t1", "1.3", "--dt", "0.1",
+                       "--start1", "-0.3", "--start2", "0.3"])
+        wf = TwoParticleWF(WavePacket(-1.5, 0.8, 0.6), WavePacket(1.5, 1.1, -0.4), form=form)
+        tr = integrate_trajectory(wf, (-0.3, 0.3), 0.25, 1.3, 0.1)
+        meta = text.splitlines()[1]
+        assert text == per_row_csv(meta, {"t": tr.times, "x1": tr.positions[:, 0], "x2": tr.positions[:, 1]})
+
     def test_nan_log_density_on_a_trajectory_exits_four(self):
         # x1 - xc overflows at the start, so the log density is NaN: a node, not a non-finite stage
         result = invoke(["dbb", "--form", "product", "--center-a=-1e308", "--trajectory",
@@ -911,7 +937,7 @@ OUT_COMMANDS = [
     (["lhv", "--enumerate"], "chsh_deterministic_max"),
     (["oumandel", "--tx", "0.5", "--ty", "0.5"], "coincidence_probability"),
     (["dbb", "--form", "product"], "velocity_2p"),
-    (["dbb", "--form", "symmetric", "--trajectory"], "integrate_trajectory"),
+    (["dbb", "--form", "symmetric", "--trajectory"], "_path"),  # integrate_trajectory's run, without numpy
     (["spin", "--steps", "5"], "integrate_spin"),
 ]
 
@@ -988,13 +1014,18 @@ class TestErrorMapping:
         (["dbb", "--form", "symmetric", "--time", "-1"], "error=2 detail=--time must be non-negative, got -1"),
         (["dbb", "--form", "product", "--trajectory", "--start1", "-inf"],
          "error=2 detail=--start1 must be finite, got -inf"),
+        # a typed flag of the mode that dbb does not run, not a default of it
+        (["dbb", "--form", "product", "--trajectory", "--t1", "0.02", "--grid", "999", "--time", "5"],
+         "error=2 detail=dbb --grid does not apply to --trajectory"),
+        (["dbb", "--form", "product", "--grid", "2", "--t1", "-5", "--dt", "7"],
+         "error=2 detail=dbb --t1 does not apply to a run without --trajectory"),
     ], ids=["trials", "missing-option", "bad-float", "nested-missing-option", "no-such-command", "nan-start",
             "negative-seed", "bad-integer", "bad-choice", "no-value", "flag-with-value", "nan-s0", "nan-alpha",
             "inf-beta-prime", "nan-step", "negative-step", "step-over-grid-cap", "step-underflowing-to-zero-radians",
             "mermin-step-over-45", "mermin-zero-step", "nan-theta1", "overflowing-theta2", "zero-width-a",
             "negative-width-b", "t0-before-the-start", "tx-over-1", "negative-ty", "negative-dt", "t1-at-t0",
             "t1-at-the-default-t0", "zero-samples", "negative-lhv-seed", "mermin-n-over-10", "mermin-scan-n-under-2",
-            "negative-time", "inf-start1"])
+            "negative-time", "inf-start1", "field-flags-with-trajectory", "trajectory-flags-without-trajectory"])
     def test_usage_error_gives_one_line(self, args, line):
         result = invoke(args)
         assert result.exit_code == EXIT_VALIDATION
@@ -1011,7 +1042,7 @@ class TestErrorMapping:
     def test_nonfinite_number_flag_is_quoted_as_typed(self, monkeypatch, args, flag, value, typed):
         # the flag as typed, not the library's name for what the body built from it
         # (spin --bz nan gave "b_field must be finite, got array([ 0., 0., nan])")
-        for name in ("integrate_spin", "integrate_trajectory", "velocity_2p", "ou_mandel_state"):
+        for name in ("integrate_spin", "_path", "velocity_2p", "ou_mandel_state"):
             reach_fails(monkeypatch, name)
         result = invoke([*args, f"{flag}={value}"])
         assert (result.exit_code, result.stdout) == (EXIT_VALIDATION, "")
@@ -1362,6 +1393,10 @@ class TestInstalledEntryPoint:
         # its one row of Python scalars is written without numpy, about 12 MB of max RSS
         assert self.max_rss_mb(["lhv", "--enumerate"]) <= self.max_rss_mb(["--version"]) + 1.0
 
+    def test_dbb_trajectory_memory_is_the_version_floor(self):
+        # stepped, logged and written in Python floats: no numpy, whose import alone reads about 12 MB
+        assert self.max_rss_mb(["dbb", "--form", "symmetric", "--trajectory"]) <= self.max_rss_mb(["--version"]) + 1.0
+
     def test_lhv_memory_does_not_grow_with_samples(self):
         # max RSS of a Monte Carlo run against the import floor
         floor = self.numpy_floor_mb()
@@ -1463,8 +1498,9 @@ class TestInstalledEntryPoint:
 
     def test_numpy_loads_only_for_commands_that_compute(self):
         # numpy's import is about half of a computing command's wall time; --version, any --help, every
-        # refusal of the command line and lhv --enumerate, whose one row of Python scalars is written
-        # without numpy, end without it.  The last command loads it, and spin's CSV
+        # refusal of the command line, lhv --enumerate, whose one row of Python scalars is written
+        # without numpy, and a dbb trajectory, stepped and written in Python floats, end without it.
+        # The last command loads it, and spin's CSV
         # writer, which checks a sample of each column for repeats, still no numpy.ma (about 10 ms)
         launcher = ("import sys; from bell_lab.cli import main\n"
                     "for args in sys.argv[1:]:\n"
@@ -1477,7 +1513,7 @@ class TestInstalledEntryPoint:
                  ("nosuch", 2), ("--bogus", 2), ("mermin --n x", 2), ("dbb --form nope", 2), ("mermin", 2),
                  ("oumandel --tx 0.5 --ty 0.5 --theta1 10 --grid 5", 2),
                  ("lhv --enumerate --out /nonexistent/x.csv", 2), ("chsh scan --step 0", 2), ("mermin --n 11", 2),
-                 ("lhv --enumerate", 0)]
+                 ("lhv --enumerate", 0), ("dbb --form symmetric --trajectory --t1 0.05", 0)]
         commands = [args for args, _ in cases] + ["spin --steps 2000"]
         proc = subprocess.run([sys.executable, "-c", launcher, *commands], stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True, timeout=120)

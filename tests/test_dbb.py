@@ -5,6 +5,7 @@ import tracemalloc
 import warnings
 from array import array
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings as hyp_settings, strategies as st
@@ -776,7 +777,7 @@ class TestTrajectories:
         # after one step is still a step, not rounding
         times, states = dbb._rk4(lambda x1, x2, t: (1.0, 1.0), 0.0, 0.0, 0.0, 1.4e-14, 1e-14)
         assert times.tolist() == [0.0, 1e-14, 1.4e-14]
-        assert states[-1, 0] == pytest.approx(1.4e-14, rel=1e-15)
+        assert states[-2] == pytest.approx(1.4e-14, rel=1e-15)  # the last row's x1: x1 and x2 interleave
         times, _ = dbb._rk4(lambda x1, x2, t: (1.0, 1.0), 0.0, 0.0, 0.0, 1e-14 * (1 + 2e-3), 1e-14)
         assert times[-1] == 1e-14 * (1 + 2e-3) and len(times) == 3
 
@@ -785,7 +786,7 @@ class TestTrajectories:
         # 3e-10 end tolerance, and a loop on t took a 100,001st step of that size
         times, states = dbb._rk4(lambda x1, x2, t: (1.0, 1.0), 0.0, 0.0, 0.0, 300.0, 0.003)
         assert len(times) == 100_001 and times[-1] == 300.0
-        assert np.all(np.diff(times[:-1]) > 0.0029) and np.all(np.diff(states[:, 0]) > 0.0029)
+        assert np.all(np.diff(times[:-1]) > 0.0029) and np.all(np.diff(states[0::2]) > 0.0029)
 
     def test_long_span_lands_on_t1(self):
         # 1000 / 0.01 steps: t summed step by step ends 7.6e-10 short of t1, below the
@@ -1106,26 +1107,31 @@ class TestFloatStageKernel:
     @pytest.mark.parametrize("form", FORMS)
     def test_packet_terms_once_per_stage_time(self, monkeypatch, form):
         # stages 2 and 3 share a time, and stage 4's is the next step's first
-        calls = clocked(monkeypatch)
+        calls = clocked(monkeypatch, keep_terms=True)
         tr = integrate_trajectory(TwoParticleWF(PACKET_A, PACKET_B, form=form), (-1.5, 1.5),
                                   0.25, 1.3, 0.1)
-        # t0, each step's midpoint and end, once for each packet, all handed over as arrays;
-        # _norm_factor's terms, at t = 0, are not the clock's
-        times = [(wp, t) for wp, ts in calls for t in ts.tolist()]
-        assert all(isinstance(ts, np.ndarray) for _, ts in calls)
+        # t0, each step's midpoint and end, once for each packet, each a float of its own whose terms
+        # are _terms' bitwise; _norm_factor's terms, at t = 0, are not the clock's
+        times = [(wp, t) for wp, t, _ in calls]
+        assert all(type(t) is float for _, t in times)
         assert len(times) == len(set(times)) == 2 * (2 * len(tr.times) - 1)
+        assert [_bits(terms) for _, _, terms in calls] == [_bits(dbb._terms(wp, t)) for wp, t in times]
 
     def test_no_batch_exceeds_the_block(self, monkeypatch):
+        # no block of stage times is worked out ahead: the clock takes one time per call, as the stages
+        # reach it, so over 10^5 steps each packet's times arrive increasing, each distinct time once
         calls = clocked(monkeypatch)
         monkeypatch.setattr(dbb, "_stage_velocity", lambda *args: lambda *stage: (0.0, 0.0))
         tr = integrate_trajectory(TwoParticleWF(PACKET_A, PACKET_B), (-1.5, 1.5), 0.0, 300.0, 0.003)
         assert len(tr.times) == 10**5 + 1
-        assert max(len(ts) for _, ts in calls) == dbb._BLOCK
-        assert sum(len(ts) for _, ts in calls) == 2 * (2 * 10**5 + 1)
+        assert all(type(t) is float for _, t, _ in calls)
+        times_a = [t for wp, t, _ in calls if wp is PACKET_A]
+        assert len(times_a) == 2 * 10**5 + 1 and times_a == sorted(set(times_a))
+        assert [t for wp, t, _ in calls if wp is PACKET_B] == times_a
 
 
-def clocked(monkeypatch):
-    """Record (packet, time or array of times) of every call to a _clock's evaluator."""
+def clocked(monkeypatch, keep_terms=False):
+    """Record (packet, time, its terms if keep_terms else None) of every call to a _clock's evaluator."""
     calls = []
     clock = dbb._clock
 
@@ -1133,12 +1139,19 @@ def clocked(monkeypatch):
         at, end = clock(wp, t_end)
 
         def timed(t):
-            calls.append((wp, t.copy() if isinstance(t, np.ndarray) else t))
-            return at(t)
+            terms = at(t)
+            calls.append((wp, t, terms if keep_terms else None))
+            return terms
         return timed, end
 
     monkeypatch.setattr(dbb, "_clock", recording)
     return calls
+
+
+U = 2.0**-53  # the unit roundoff of float64
+# _PACKETS, less the wavenumbers whose square is not a normal float, which _clock refuses
+_ORACLE_PACKETS = st.builds(WavePacket, center=st.floats(-5.0, 5.0), width=st.floats(0.2, 3.0),
+                            wavenumber=st.one_of(st.just(0.0), st.floats(1e-100, 3.0), st.floats(-3.0, -1e-100)))
 
 
 def one_time_terms(wp, t):
@@ -1147,7 +1160,7 @@ def one_time_terms(wp, t):
     a = 1.0 + 1.0j * tau
     xc = wp.center + wp.wavenumber * t
     return (
-        complex(-0.25 * np.log(2.0 * np.pi * wp.width**2) - 0.5 * np.log(a)),
+        complex(-0.25 * math.log(2.0 * math.pi * wp.width**2) - 0.5 * cmath.log(a)),
         xc,
         4.0 * wp.width**2 * a,
         2.0 * wp.width**2 * a,
@@ -1179,11 +1192,10 @@ class TestClock:
     @given(wp=_RANGED_PACKETS, t=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e300)), later=st.floats(0.0, 1e3))
     def test_bitwise_equal_to_one_time_terms(self, wp, t, later):
         t_end = t + later
-        with np.errstate(all="ignore"):
-            try:
-                want = one_time_terms(wp, t_end)
-            except (OverflowError, ZeroDivisionError):  # float ** and / raise
-                want = None
+        try:
+            want = one_time_terms(wp, t_end)
+        except (OverflowError, ZeroDivisionError, ValueError):  # float ** and /, and math.log of 0, raise
+            want = None
         try:
             clock, end = dbb._clock(wp, t_end)
         except ValueError as err:
@@ -1202,21 +1214,55 @@ class TestClock:
     @given(wp=_RANGED_PACKETS, t_end=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e300)),
            fractions=st.lists(st.floats(0.0, 1.0), max_size=40))
     def test_batch_bitwise_equal_to_each_time(self, wp, t_end, fractions):
+        # a clock keeps no state from one time to the next: over a batch of times, in order and
+        # reversed, each time's terms are those of a clock made for that time alone, _terms'
         try:
             clock, _ = dbb._clock(wp, t_end)
         except ValueError:
             assume(False)
         times = [0.0, *(f * t_end for f in fractions), t_end]
-        batch = clock(np.array(times))
-        assert type(batch) is list and len(batch) == len(times)
-        assert [_bits(terms) for terms in batch] == [_bits(clock(t)) for t in times]
+        want = [_bits(dbb._terms(wp, t)) for t in times]
+        assert [_bits(clock(t)) for t in times] == want
+        assert [_bits(clock(t)) for t in reversed(times)] == want[::-1]
 
     def test_batch_keeps_the_sign_of_a_zero_time(self):
         wp = WavePacket(center=-0.0, width=0.8, wavenumber=-0.6)
         clock, _ = dbb._clock(wp, 1.0)
         times = [-0.0, 0.0, 5e-324, 1.0]
-        assert [_bits(terms) for terms in clock(np.array(times))] == [_bits(clock(t)) for t in times]
+        assert [_bits(clock(t)) for t in times] == [_bits(dbb._terms(wp, t)) for t in times]
         assert [_bits(clock(t)) for t in times] == [_bits(one_time_terms(wp, t)) for t in times]
+        assert _bits([clock(-0.0)[6]]) == _bits([0j])  # the phase at t = -0.0 is +0j, as at t = 0.0
+
+    def test_log_density_floor_is_the_log_of_1e_300(self):
+        # math.log's double, and np.log's: the node test's floor did not move with the library it comes from
+        assert dbb._LOG_DENSITY_FLOOR.hex() == math.log(1e-300).hex() == float(np.log(1e-300)).hex()
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(wp=_ORACLE_PACKETS, other=_ORACLE_PACKETS, t=st.floats(0.0, 50.0))
+    def test_log_terms_and_overlap_against_mpmath(self, wp, other, t):
+        # an oracle at 40 digits from the float inputs, within a forward-error bound: each rounded operation
+        # on the way errs by at most U relative to the size of what it rounds (U * 4 for a complex division,
+        # and for cmath.log, allowed 2 ulp per part), and an error passes through log and exp as an absolute
+        # or relative one of the same size
+        with mpmath.workdps(40):
+            w2, u2, d = mpmath.mpf(wp.width) ** 2, mpmath.mpf(other.width) ** 2, mpmath.mpf(other.center) - wp.center
+            log_w, log_a = -mpmath.log(2 * mpmath.pi * w2) / 4, mpmath.log(mpmath.mpc(1, mpmath.mpf(t) / (2 * w2)))
+            const = complex(log_w - log_a / 2)
+            # <a|b> = N_a N_b int exp(-A y^2 + B y + C) dy in y = x - center_a, the Gaussian integral
+            big_a = 1 / (4 * w2) + 1 / (4 * u2)
+            big_b = d / (2 * u2) + 1j * (mpmath.mpf(other.wavenumber) - wp.wavenumber)
+            big_c = -d * d / (4 * u2) - 1j * other.wavenumber * d
+            overlap = complex(mpmath.sqrt(mpmath.pi / big_a) * mpmath.exp(big_b**2 / (4 * big_a) + big_c)
+                              * (4 * mpmath.pi**2 * w2 * u2) ** -0.25)
+            scale = float(abs(log_w) + abs(log_a))
+            size = float(abs(log_w) + abs(mpmath.log(2 * mpmath.pi * u2)) / 4 + d * d / (4 * u2)
+                         + abs(other.wavenumber * d) + abs(big_b) ** 2 / (4 * big_a))
+        # const: w^2, pi, their product, math.log, t / (2 w^2), cmath.log (2) and the subtraction: 8 operations
+        assert abs(dbb._terms(wp, t)[0] - const) <= 8 * U * (1.0 + scale)
+        # the exponent r - q^2 / 4p: per packet 11 operations to its coefficients, then 3 sums, q^2, 4p, the
+        # division and the subtraction, 29 in all, each at most 4 U of the exponent's addends; then exp,
+        # pi / -p, sqrt and the product, 4 more, relative to the overlap
+        assert abs(packet_overlap(wp, other) - overlap) <= (4 * 29 * U * (1.0 + size) + 4 * 4 * U) * abs(overlap)
 
     @pytest.mark.parametrize("width, k", [
         (1e200, 0.6),  # width**2 overflows: float ** raises

@@ -1,5 +1,7 @@
 import itertools
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +130,19 @@ class TestDeterministicBounds:
             mermin_deterministic_max(0)
         with pytest.raises(ValueError):
             mermin_deterministic_max(13)
+
+    def test_mermin_accepts_the_same_integers(self):
+        # an int (bool among them) is taken without numpy, an np.integer through it; anything else refused
+        assert [mermin_deterministic_max(n) for n in (True, np.int64(5), np.uint8(12))] == [1, 4, 64]
+        for n in (3.0, "3", np.float64(3.0), None, np.int64(13)):
+            with pytest.raises(ValueError, match=re.escape(f"n must be an integer in [1, 12], got {n!r}")):
+                mermin_deterministic_max(n)
+
+    def test_mermin_of_an_int_leaves_numpy_unloaded(self):
+        code = ("import sys; from bell_lab.lhv import mermin_deterministic_max, chsh_deterministic_max; "
+                "print(mermin_deterministic_max(3), chsh_deterministic_max(), 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout == "2 2 False\n"
 
 
 class TestSawtooth:
